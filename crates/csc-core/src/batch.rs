@@ -30,7 +30,8 @@
 //!    ([`UpdateReport::carriers_scanned`] stays zero on this path).
 //! 4. **One snapshot publication** — a
 //!    [`ConcurrentIndex::apply_batch`](crate::ConcurrentIndex::apply_batch)
-//!    caller republishes at most once per batch, and incrementally (see
+//!    caller republishes at most once per batch, and incrementally: only
+//!    the lists the batch dirtied are copied, into one delta segment (see
 //!    [`FrozenLabels::refreeze_spans`](csc_labeling::FrozenLabels::refreeze_spans)).
 //!
 //! ## Semantics

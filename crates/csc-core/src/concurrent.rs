@@ -11,7 +11,8 @@
 //!
 //! * **Writers** hold the index lock, apply `insert_edge` / `remove_edge`,
 //!   and periodically *publish* an immutable [`SnapshotIndex`] (an
-//!   `O(total entries)` freeze into a flat arena, amortized by
+//!   incremental refreeze that copies only the label lists the updates
+//!   dirtied, amortized by
 //!   [`CscConfig::snapshot_every`](crate::CscConfig::snapshot_every)).
 //! * **Readers** grab the current `Arc<SnapshotIndex>` — the only shared
 //!   state they touch is the publication slot, whose critical section is a
@@ -28,11 +29,13 @@
 //! design did).
 //!
 //! Publication is *incremental*: the label store tracks which lists each
-//! update dirtied, and a republish patches exactly those spans into a
-//! copy of the previously published arena
-//! ([`SnapshotIndex::refreeze_from`]) instead of re-gathering the whole
-//! store. Batches ([`apply_batch`](ConcurrentIndex::apply_batch)) publish
-//! at most once per call, no matter how many updates they carry.
+//! update dirtied, and a republish copies exactly those lists into one new
+//! arena segment, sharing every segment of the previously published
+//! snapshot ([`SnapshotIndex::refreeze_from`]) instead of re-gathering or
+//! copying the whole store. A snapshot a reader still holds shares its
+//! memory with the new one. Batches
+//! ([`apply_batch`](ConcurrentIndex::apply_batch)) publish at most once
+//! per call, no matter how many updates they carry.
 //!
 //! The writer side is a thin facade over the
 //! [`MaintenanceEngine`] state machine, which
@@ -425,10 +428,10 @@ impl ConcurrentIndex {
         }
     }
 
-    /// Publishes through the engine's freeze policy: incremental (patch
-    /// only the dirtied label spans into a copy of the served arena) in
-    /// the steady state, a full couple-ordered freeze right after a
-    /// rejuvenation swap. The invariant making incremental publication
+    /// Publishes through the engine's freeze policy: incremental (copy
+    /// only the dirtied label lists into a delta segment on top of the
+    /// served arena's shared segments) in the steady state, a full
+    /// couple-ordered freeze right after a rejuvenation swap. The invariant making incremental publication
     /// sound — published snapshot == label store at the last drain of the
     /// dirty set — holds because *every* publication (constructor, auto,
     /// manual, post-swap) drains here under the write lock.

@@ -1,39 +1,46 @@
 //! Immutable point-in-time query engines frozen from a [`CscIndex`].
 //!
 //! A [`SnapshotIndex`] packages everything the `SCCnt` read path needs —
-//! the frozen label arena, the bipartite rank table, and the original
-//! vertex count — with no interior mutability. Because it is immutable it
-//! is `Sync` for free: share one behind an `Arc` across any number of
-//! reader threads and every query runs lock-free, while the writer keeps
-//! maintaining the mutable [`CscIndex`] elsewhere (see
-//! [`ConcurrentIndex`](crate::ConcurrentIndex) for the publication
-//! machinery).
+//! the frozen label arena and the original vertex count — with no
+//! interior mutability. Because it is immutable it is `Sync` for free:
+//! share one behind an `Arc` across any number of reader threads and every
+//! query runs lock-free, while the writer keeps maintaining the mutable
+//! [`CscIndex`] elsewhere (see [`ConcurrentIndex`](crate::ConcurrentIndex)
+//! for the publication machinery).
 //!
-//! Queries evaluate on [`FrozenLabels`]: one contiguous arena where the
-//! two lists a cycle query intersects sit adjacent in memory, driven by the
-//! adaptive (branchless merge / galloping) kernel. The equivalence of this
-//! path with `CscIndex::query` is property-tested in
+//! Queries evaluate on [`FrozenLabels`]: shared, immutable arena segments
+//! where the two lists a cycle query intersects sit adjacent in memory,
+//! driven by the adaptive (branchless merge / galloping) kernel. The
+//! equivalence of this path with `CscIndex::query` is property-tested in
 //! `csc-labeling/tests/frozen_equivalence.rs`.
 //!
 //! Snapshots are produced two ways: [`SnapshotIndex::freeze`] walks the
-//! whole label store, while [`SnapshotIndex::refreeze_from`] patches only
-//! the lists dirtied since a previous snapshot into a copy of its arena —
-//! the incremental republication path of
-//! [`ConcurrentIndex`](crate::ConcurrentIndex), with automatic compaction
-//! back to a full couple-ordered freeze once relocation holes exceed
-//! [`MAX_DEAD_FRACTION`] of the arena.
+//! whole label store into one segment, while
+//! [`SnapshotIndex::refreeze_from`] shares every segment of a previous
+//! snapshot and copies only the lists dirtied since into one new delta
+//! segment — the incremental republication path of
+//! [`ConcurrentIndex`](crate::ConcurrentIndex). It compacts back to a full
+//! couple-ordered freeze once relocation holes exceed
+//! [`MAX_DEAD_FRACTION`] of the arena or the segments reach
+//! [`MAX_SEGMENTS`].
 
 use crate::health::{HealthBaseline, IndexHealth};
 use crate::index::CscIndex;
 use csc_graph::bipartite::{in_vertex, out_vertex};
-use csc_graph::{RankTable, VertexId};
+use csc_graph::VertexId;
 use csc_labeling::{CycleCount, DistCount, FrozenLabels, LabelSide, LabelStore};
 use rayon::prelude::*;
 
-/// When [`SnapshotIndex::refreeze_from`]'s patched arena carries more dead
-/// space than this fraction, it compacts via a full couple-ordered freeze
-/// instead — bounding both memory overhead and layout decay.
+/// When [`SnapshotIndex::refreeze_from`]'s extended arena would carry more
+/// dead space than this fraction, it compacts via a full couple-ordered
+/// freeze instead — bounding both memory overhead and layout decay.
 pub const MAX_DEAD_FRACTION: f64 = 0.5;
+
+/// The most segments [`SnapshotIndex::refreeze_from`] stacks before it
+/// compacts via a full couple-ordered freeze — bounding the segment table,
+/// and the reference counts every publish clones, through long runs of
+/// small publishes that never reach [`MAX_DEAD_FRACTION`].
+pub const MAX_SEGMENTS: usize = 128;
 
 /// An immutable snapshot of a [`CscIndex`]'s query state.
 ///
@@ -59,7 +66,6 @@ pub const MAX_DEAD_FRACTION: f64 = 0.5;
 #[derive(Clone, Debug)]
 pub struct SnapshotIndex {
     frozen: FrozenLabels,
-    ranks: RankTable,
     original_n: usize,
     updates_applied: u64,
     /// The source index's drift baseline at freeze time, so the snapshot
@@ -92,25 +98,27 @@ impl SnapshotIndex {
     /// Freezes the current state of `index` *incrementally*: only the
     /// label lists in `dirty_slots` (the drain of
     /// [`Labels::take_dirty`](csc_labeling::Labels::take_dirty) since
-    /// `prev` was frozen) are re-gathered; everything else is carried over
-    /// from `prev`'s arena by a flat copy. `O(arena + changed entries)`
-    /// with a much smaller constant than [`freeze`](Self::freeze), which
-    /// re-walks `2n` heap-scattered lists.
+    /// `prev` was frozen) are re-gathered, into one new arena segment;
+    /// every segment of `prev` is shared, not copied. `O(span table +
+    /// changed entries)`, independent of the arena size, where
+    /// [`freeze`](Self::freeze) re-walks all `2n` heap-scattered lists.
     ///
     /// Falls back to a full couple-ordered freeze when relocation holes
-    /// exceed [`MAX_DEAD_FRACTION`] of the patched arena, so chains of
-    /// incremental snapshots stay bounded in size and layout quality.
+    /// would exceed [`MAX_DEAD_FRACTION`] of the arena or `prev` already
+    /// holds [`MAX_SEGMENTS`] segments, so chains of incremental snapshots
+    /// stay bounded in size, segment count, and layout quality.
     ///
     /// Correctness requires `prev` to match the label store as of the
     /// drain point — [`ConcurrentIndex`](crate::ConcurrentIndex) maintains
     /// exactly that invariant between publications.
     pub fn refreeze_from(prev: &SnapshotIndex, index: &CscIndex, dirty_slots: &[u32]) -> Self {
         // Project the dead fraction in O(dirty) first: when this publish
-        // would cross the compaction threshold, go straight to the full
-        // freeze instead of paying for a patched arena copy only to
-        // discard it.
+        // would cross a compaction threshold, go straight to the full
+        // freeze instead of building a delta only to discard it.
         let (dead, total) = prev.frozen.projected_refreeze(index.labels(), dirty_slots);
-        if total > 0 && dead as f64 / total as f64 > MAX_DEAD_FRACTION {
+        if prev.frozen.segment_count() >= MAX_SEGMENTS
+            || (total > 0 && dead as f64 / total as f64 > MAX_DEAD_FRACTION)
+        {
             return Self::freeze(index);
         }
         Self::from_arena(
@@ -123,7 +131,6 @@ impl SnapshotIndex {
         let stats = index.stats();
         SnapshotIndex {
             frozen,
-            ranks: index.ranks().clone(),
             original_n: index.original_vertex_count(),
             updates_applied: (stats.insertions + stats.deletions) as u64,
             baseline: *index.baseline(),
@@ -178,17 +185,12 @@ impl SnapshotIndex {
         &self.frozen
     }
 
-    /// The bipartite rank table at freeze time.
-    pub fn ranks(&self) -> &RankTable {
-        &self.ranks
-    }
-
     /// Total label entries in the snapshot.
     pub fn total_entries(&self) -> usize {
         self.frozen.total_entries()
     }
 
-    /// Snapshot size in bytes (arena + offsets).
+    /// Snapshot size in bytes (arena segments + spans).
     pub fn index_bytes(&self) -> usize {
         self.frozen.arena_bytes()
     }
@@ -363,6 +365,45 @@ mod tests {
         }
         assert!(saw_dead, "the scenario must exercise relocation");
         assert!(saw_compaction, "dead space must eventually be compacted");
+    }
+
+    #[test]
+    fn single_slot_publishes_compact_at_the_segment_bound() {
+        let g = gnm(60, 240, 4);
+        let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
+        idx.labels.take_dirty();
+        let mut snap = idx.freeze();
+        // Re-storing an entry of the shortest non-empty list dirties just
+        // that slot: every publish stacks a one-list delta, and dead space
+        // stays far below MAX_DEAD_FRACTION.
+        let (v, side) = (0..2 * idx.labels.vertex_count() as u32)
+            .map(csc_labeling::labels::slot_list)
+            .filter(|&(v, side)| !idx.labels.side_of(v, side).is_empty())
+            .min_by_key(|&(v, side)| idx.labels.side_of(v, side).len())
+            .unwrap();
+        let entry = idx.labels.side_of(v, side)[0];
+        let mut compactions = 0;
+        for step in 0..2 * MAX_SEGMENTS {
+            idx.labels.upsert(v, side, entry);
+            let dirty = idx.labels.take_dirty();
+            assert_eq!(dirty.len(), 1);
+            let before = snap.labels().segment_count();
+            snap = SnapshotIndex::refreeze_from(&snap, &idx, &dirty);
+            let arena = snap.labels();
+            if before == MAX_SEGMENTS {
+                assert_eq!(arena.segment_count(), 1, "step {step}: compacts");
+                assert_eq!(arena.dead_entries(), 0, "step {step}: compacts");
+                compactions += 1;
+            } else {
+                assert_eq!(arena.segment_count(), before + 1, "step {step}");
+                assert!(arena.dead_fraction() < MAX_DEAD_FRACTION, "step {step}");
+            }
+            let full = idx.freeze();
+            for x in g.vertices() {
+                assert_eq!(snap.query(x), full.query(x), "step {step}: SCCnt({x})");
+            }
+        }
+        assert_eq!(compactions, 2);
     }
 
     #[test]

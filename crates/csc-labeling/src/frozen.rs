@@ -7,17 +7,19 @@
 //! and entries of the vertices a cycle query touches together (`v_o`'s
 //! out-list and `v_i`'s in-list) land far apart on the heap.
 //!
-//! [`FrozenLabels`] is the serving-side counterpart: one contiguous
-//! CSR-style arena of [`LabelEntry`]s with a single offset array, frozen
-//! from a `Labels` in one pass. Per vertex, the in-list and out-list are
-//! adjacent in the arena, and couples (`v_i = 2v`, `v_o = 2v + 1` under the
-//! bipartite id scheme) are adjacent to each other — so the two slices a
-//! `SCCnt(v)` query intersects usually share cache lines. Once frozen, an
-//! arena can also be *patched* instead of rebuilt:
-//! [`refreeze_spans`](FrozenLabels::refreeze_spans) folds the lists a
-//! batch of updates dirtied into a copy of the existing arena, which is
-//! what keeps snapshot republication cost proportional to the update, not
-//! the index.
+//! [`FrozenLabels`] is the serving-side counterpart: a full freeze packs
+//! every list into one contiguous CSR-style segment of [`LabelEntry`]s
+//! with one span per list, in one pass over a `Labels`. Per vertex, the
+//! in-list and out-list are adjacent in the segment, and couples
+//! (`v_i = 2v`, `v_o = 2v + 1` under the bipartite id scheme) are adjacent
+//! to each other — so the two slices a `SCCnt(v)` query intersects usually
+//! share cache lines. Once frozen, an arena can also be *extended* instead
+//! of rebuilt: [`refreeze_spans`](FrozenLabels::refreeze_spans) copies the
+//! lists a batch of updates dirtied into one new delta segment and shares
+//! every existing segment, immutable and reference-counted, with the arena
+//! it came from. A snapshot republication therefore costs the span table
+//! plus the dirtied lists — proportional to the update, not the index —
+//! and snapshots that readers still hold share memory with the new one.
 //!
 //! Both layouts answer queries through the [`LabelStore`] trait, whose
 //! default `dist_count` uses [`intersect_adaptive`]. The kernel picks a
@@ -41,9 +43,10 @@
 //! `tests/frozen_equivalence.rs`.
 
 use crate::entry::LabelEntry;
-use crate::labels::{DistCount, LabelSide, Labels};
+use crate::labels::{label_slot, slot_list, DistCount, LabelSide, Labels};
 use csc_graph::budget::{BudgetExceeded, OpBudget};
 use csc_graph::VertexId;
+use std::sync::Arc;
 
 /// Length ratio at which [`intersect_adaptive`] switches from the merge to
 /// the galloping strategy.
@@ -135,50 +138,116 @@ impl LabelStore for Labels {
     }
 }
 
-/// An immutable, contiguous (CSR-style) label arena frozen from a
-/// [`Labels`].
+/// An immutable label arena frozen from a [`Labels`]: a short list of
+/// shared, reference-counted segments of [`LabelEntry`]s plus one span
+/// per list.
 ///
-/// One `Vec<LabelEntry>` holds every list; per slot (vertex × side) a
-/// `(start, end)` span addresses its slice. The default [`freeze`]
-/// interleaves each vertex's in- and out-list; [`freeze_ordered`] lets the
-/// caller place the lists its queries co-access back to back (the cycle
-/// query engine in `csc-core` pairs `Lout(v_o)` with `Lin(v_i)`, turning
-/// every `SCCnt` evaluation into one forward streaming read). Freezing is
-/// `O(total entries)`; queries allocate nothing and touch exactly one
-/// slab.
+/// Per slot (vertex × side) a span addresses the list's slice inside one
+/// segment. Segment 0 holds a full freeze, every list packed back to back:
+/// the default [`freeze`] interleaves each vertex's in- and out-list;
+/// [`freeze_ordered`] lets the caller place the lists its queries
+/// co-access back to back (the cycle query engine in `csc-core` pairs
+/// `Lout(v_o)` with `Lin(v_i)`, turning every `SCCnt` evaluation into one
+/// forward streaming read). Each [`refreeze_spans`] adds one delta segment
+/// holding the lists it re-gathered. A segment is never written after it
+/// is built, so arena generations share them: a clone copies the span
+/// table and bumps one reference count per segment. Freezing is
+/// `O(total entries)`; queries allocate nothing and resolve a list through
+/// its span and the segment table.
 ///
 /// [`freeze`]: FrozenLabels::freeze
 /// [`freeze_ordered`]: FrozenLabels::freeze_ordered
+/// [`refreeze_spans`]: FrozenLabels::refreeze_spans
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FrozenLabels {
-    entries: Vec<LabelEntry>,
+    /// Segment 0 is the last full freeze, every later one the delta of
+    /// one [`refreeze_spans`](Self::refreeze_spans).
+    segments: Vec<Arc<Vec<LabelEntry>>>,
     /// Indexed by slot `2v` (in-list of `v`) / `2v + 1` (out-list of `v`)
     /// — the same encoding as [`crate::labels::label_slot`].
-    spans: Vec<(u32, u32)>,
-    /// Arena entries no span points at anymore. [`refreeze_spans`] strands
-    /// the old copy of every list it relocates; the count drives the
-    /// caller's compaction policy ([`Self::dead_fraction`]).
+    spans: Vec<Span>,
+    /// Segment entries no span points at anymore. [`refreeze_spans`]
+    /// strands the old copy of every list it re-gathers; the count drives
+    /// the caller's compaction policy ([`Self::dead_fraction`]).
     ///
     /// [`refreeze_spans`]: Self::refreeze_spans
-    dead: u32,
+    dead: usize,
+}
+
+/// Where one label list lives: `segments[seg][lo..hi]`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Span {
+    seg: u32,
+    lo: u32,
+    hi: u32,
+}
+
+impl Span {
+    /// An empty list. Segment 0 always exists, so it resolves to `&[]`.
+    const EMPTY: Span = Span {
+        seg: 0,
+        lo: 0,
+        hi: 0,
+    };
+
+    /// A dirty slot [`FrozenLabels::refreeze_spans`] has counted dead but
+    /// not re-packed yet; no segment has this number.
+    const PENDING: Span = Span {
+        seg: u32::MAX,
+        lo: 0,
+        hi: 0,
+    };
+
+    #[inline]
+    fn len(self) -> usize {
+        (self.hi - self.lo) as usize
+    }
+}
+
+/// Copies the lists of `slots` from `labels` back to back into a new
+/// segment numbered `seg`, and points their spans at it (an empty list
+/// gets [`Span::EMPTY`]).
+///
+/// # Panics
+///
+/// Panics if the segment would hold `>= 2^32` entries, beyond the `u32`
+/// span encoding (at 8 bytes per entry, a 32 GiB segment).
+fn pack(labels: &Labels, slots: &[u32], seg: u32, spans: &mut [Span]) -> Arc<Vec<LabelEntry>> {
+    let list = |slot: u32| {
+        let (v, side) = slot_list(slot);
+        labels.side_of(v, side)
+    };
+    let total: usize = slots.iter().map(|&slot| list(slot).len()).sum();
+    assert!(
+        u32::try_from(total).is_ok(),
+        "label segment of {total} entries exceeds u32 spans"
+    );
+    // Sized up front and moved into the `Arc`: each entry is copied once.
+    let mut segment = Vec::with_capacity(total);
+    for &slot in slots {
+        let lo = segment.len() as u32;
+        segment.extend_from_slice(list(slot));
+        let hi = segment.len() as u32;
+        spans[slot as usize] = if lo == hi {
+            Span::EMPTY
+        } else {
+            Span { seg, lo, hi }
+        };
+    }
+    Arc::new(segment)
 }
 
 impl FrozenLabels {
     /// Freezes a snapshot of `labels` in natural order (per vertex:
     /// in-list, then out-list).
     pub fn freeze(labels: &Labels) -> Self {
-        let n = Labels::vertex_count(labels);
-        Self::freeze_ordered(
-            labels,
-            (0..n as u32)
-                .flat_map(|v| [(VertexId(v), LabelSide::In), (VertexId(v), LabelSide::Out)]),
-        )
+        Self::freeze_ordered(labels, [])
     }
 
-    /// Freezes a snapshot with the `hot` lists laid out first, in the
-    /// given order; lists not mentioned follow in natural order. Lists a
-    /// query intersects together should be adjacent here — the arena then
-    /// serves that query as a single forward stream.
+    /// Freezes a snapshot into one segment with the `hot` lists laid out
+    /// first, in the given order; lists not mentioned follow in natural
+    /// order. Lists a query intersects together should be adjacent here —
+    /// the segment then serves that query as a single forward stream.
     ///
     /// # Panics
     ///
@@ -190,112 +259,95 @@ impl FrozenLabels {
         hot: impl IntoIterator<Item = (VertexId, LabelSide)>,
     ) -> Self {
         let n = Labels::vertex_count(labels);
-        let total = Labels::total_entries(labels);
-        assert!(
-            u32::try_from(total).is_ok(),
-            "label arena of {total} entries exceeds u32 spans"
-        );
-        let mut entries = Vec::with_capacity(total);
-        let mut spans = vec![(u32::MAX, u32::MAX); 2 * n];
-        let mut place = |spans: &mut Vec<(u32, u32)>, v: VertexId, side: LabelSide| {
-            let slot = 2 * v.index() + usize::from(side == LabelSide::Out);
-            assert!(
-                spans[slot].0 == u32::MAX,
-                "freeze order mentions {v:?}/{side:?} twice"
-            );
-            let lo = entries.len() as u32;
-            entries.extend_from_slice(labels.side_of(v, side));
-            spans[slot] = (lo, entries.len() as u32);
-        };
+        let mut placed = vec![false; 2 * n];
+        let mut order = Vec::with_capacity(2 * n);
         for (v, side) in hot {
             assert!(v.index() < n, "freeze order names out-of-range {v:?}");
-            place(&mut spans, v, side);
+            let slot = label_slot(v, side);
+            assert!(
+                !std::mem::replace(&mut placed[slot as usize], true),
+                "freeze order mentions {v:?}/{side:?} twice"
+            );
+            order.push(slot);
         }
-        for v in 0..n as u32 {
-            for side in [LabelSide::In, LabelSide::Out] {
-                let slot = 2 * v as usize + usize::from(side == LabelSide::Out);
-                if spans[slot].0 == u32::MAX {
-                    place(&mut spans, VertexId(v), side);
-                }
-            }
-        }
+        order.extend((0..2 * n as u32).filter(|&slot| !placed[slot as usize]));
+        let mut spans = vec![Span::EMPTY; 2 * n];
+        let segment = pack(labels, &order, 0, &mut spans);
         FrozenLabels {
-            entries,
+            segments: vec![segment],
             spans,
             dead: 0,
         }
     }
 
-    /// Produces a new arena equal to re-freezing `labels`, by patching only
-    /// the listed dirty slots (see
-    /// [`Labels::take_dirty`](crate::Labels::take_dirty)) into a copy of
-    /// `self` — `O(arena copy + changed entries)` instead of a full
-    /// per-list re-gather.
+    /// Produces a new arena equal to re-freezing `labels`, given the slots
+    /// dirtied since `self` was frozen (see
+    /// [`Labels::take_dirty`](crate::Labels::take_dirty)). The new arena
+    /// shares every segment of `self` and adds one delta segment holding
+    /// the dirty lists, so it costs one copy of the span table plus the
+    /// changed entries, whatever the arena's size. `self` is left as it
+    /// was, for the readers that still hold it.
     ///
-    /// A dirty list whose length is unchanged is overwritten in place; a
-    /// grown or shrunk list is appended at the arena tail and its old span
-    /// becomes dead space. Dead space accumulates across generations —
-    /// callers should fall back to a full [`freeze`](Self::freeze) /
-    /// [`freeze_ordered`](Self::freeze_ordered) once
-    /// [`dead_fraction`](Self::dead_fraction) crosses their threshold,
+    /// Every dirty list moves to the delta, even one whose length did not
+    /// change (a shared segment is never written), and its old copy
+    /// becomes dead space. Dead space and segments accumulate across
+    /// generations — callers should fall back to a full
+    /// [`freeze`](Self::freeze) / [`freeze_ordered`](Self::freeze_ordered)
+    /// once [`dead_fraction`](Self::dead_fraction) or
+    /// [`segment_count`](Self::segment_count) crosses their threshold,
     /// which also restores the intended hot-list layout.
     ///
     /// # Panics
     ///
     /// Panics if a slot is out of range for `labels`, if the same slot is
-    /// listed twice, or if the patched arena would exceed `u32` spans.
+    /// listed twice, or if the delta would exceed `u32` spans.
     pub fn refreeze_spans(&self, labels: &Labels, dirty_slots: &[u32]) -> Self {
-        let mut fresh = self.clone();
         let n = Labels::vertex_count(labels);
         assert!(
-            fresh.spans.len() <= 2 * n,
+            self.spans.len() <= 2 * n,
             "labels cover fewer vertices than the frozen arena"
         );
+        let mut spans = Vec::with_capacity(2 * n);
+        spans.extend_from_slice(&self.spans);
         // Vertices added since the freeze: empty placeholder spans (their
         // slots are dirty, so real content lands below).
-        fresh.spans.resize(2 * n, (0, 0));
-        let mut seen = vec![false; 2 * n];
+        spans.resize(2 * n, Span::EMPTY);
+        let mut dead = self.dead;
         for &slot in dirty_slots {
-            let (v, side) = crate::labels::slot_list(slot);
-            assert!(v.index() < n, "dirty slot {slot} out of range");
-            assert!(!seen[slot as usize], "dirty slot {slot} listed twice");
-            seen[slot as usize] = true;
-            let list = labels.side_of(v, side);
-            let (lo, hi) = fresh.spans[slot as usize];
-            if (hi - lo) as usize == list.len() {
-                fresh.entries[lo as usize..hi as usize].copy_from_slice(list);
-            } else {
-                fresh.dead += hi - lo;
-                let lo2 = fresh.entries.len();
-                fresh.entries.extend_from_slice(list);
-                let hi2 = u32::try_from(fresh.entries.len())
-                    .expect("patched label arena exceeds u32 spans");
-                fresh.spans[slot as usize] = (lo2 as u32, hi2);
-            }
+            let span = spans
+                .get_mut(slot as usize)
+                .unwrap_or_else(|| panic!("dirty slot {slot} out of range"));
+            assert!(*span != Span::PENDING, "dirty slot {slot} listed twice");
+            dead += span.len();
+            *span = Span::PENDING;
         }
-        fresh
+        let mut segments = self.segments.clone();
+        let seg = u32::try_from(segments.len()).expect("segment count exceeds u32");
+        let delta = pack(labels, dirty_slots, seg, &mut spans);
+        if !delta.is_empty() {
+            segments.push(delta);
+        }
+        FrozenLabels {
+            segments,
+            spans,
+            dead,
+        }
     }
 
-    /// The `(dead, total)` arena entry counts [`refreeze_spans`]
-    /// would produce for this dirty set, computed in `O(dirty)` without
-    /// touching the arena — callers can decide to compact (full freeze)
-    /// *instead of* paying for a patched copy they would throw away.
+    /// The `(dead, total)` arena entry counts [`refreeze_spans`] would
+    /// produce for this dirty set — every dirty list's old copy turns
+    /// dead and its new copy is appended — computed in `O(dirty)` without
+    /// copying anything, so callers can decide to compact (full freeze)
+    /// *instead of* building a delta they would throw away.
     ///
     /// [`refreeze_spans`]: Self::refreeze_spans
     pub fn projected_refreeze(&self, labels: &Labels, dirty_slots: &[u32]) -> (usize, usize) {
-        let mut dead = self.dead as usize;
-        let mut total = self.entries.len();
+        let mut dead = self.dead;
+        let mut total = self.arena_entries();
         for &slot in dirty_slots {
-            let (v, side) = crate::labels::slot_list(slot);
-            let new_len = labels.side_of(v, side).len();
-            let old_len = self
-                .spans
-                .get(slot as usize)
-                .map_or(0, |&(lo, hi)| (hi - lo) as usize);
-            if new_len != old_len {
-                dead += old_len;
-                total += new_len;
-            }
+            let (v, side) = slot_list(slot);
+            dead += self.spans.get(slot as usize).map_or(0, |span| span.len());
+            total += labels.side_of(v, side).len();
         }
         (dead, total)
     }
@@ -309,36 +361,49 @@ impl FrozenLabels {
             .iter()
             .enumerate()
             .filter(|(slot, _)| slot % 2 == parity)
-            .map(|(_, &(lo, hi))| (hi - lo) as usize)
+            .map(|(_, span)| span.len())
             .sum()
     }
 
-    /// Arena entries stranded by [`refreeze_spans`](Self::refreeze_spans)
+    /// Segment entries stranded by [`refreeze_spans`](Self::refreeze_spans)
     /// relocations (no span addresses them).
     pub fn dead_entries(&self) -> usize {
-        self.dead as usize
+        self.dead
     }
 
     /// Fraction of the arena that is dead space, in `0.0..=1.0`.
     pub fn dead_fraction(&self) -> f64 {
-        if self.entries.is_empty() {
+        let total = self.arena_entries();
+        if total == 0 {
             0.0
         } else {
-            self.dead as f64 / self.entries.len() as f64
+            self.dead as f64 / total as f64
         }
     }
 
-    /// Index size in bytes of the frozen arena (entries + spans),
-    /// including dead space awaiting compaction.
+    /// Number of segments: 1 after a full freeze, plus one per non-empty
+    /// [`refreeze_spans`](Self::refreeze_spans) since.
+    pub fn segment_count(&self) -> usize {
+        self.segments.len()
+    }
+
+    /// Index size in bytes of the frozen arena (segment entries + spans),
+    /// including dead space awaiting compaction. Segments shared with
+    /// other generations count in full.
     pub fn arena_bytes(&self) -> usize {
-        self.entries.len() * std::mem::size_of::<LabelEntry>()
-            + self.spans.len() * std::mem::size_of::<(u32, u32)>()
+        self.arena_entries() * std::mem::size_of::<LabelEntry>()
+            + self.spans.len() * std::mem::size_of::<Span>()
+    }
+
+    /// Entries across all segments, dead ones included.
+    fn arena_entries(&self) -> usize {
+        self.segments.iter().map(|segment| segment.len()).sum()
     }
 
     #[inline]
     fn slice(&self, slot: usize) -> &[LabelEntry] {
-        let (lo, hi) = self.spans[slot];
-        &self.entries[lo as usize..hi as usize]
+        let Span { seg, lo, hi } = self.spans[slot];
+        &self.segments[seg as usize][lo as usize..hi as usize]
     }
 }
 
@@ -360,7 +425,7 @@ impl LabelStore for FrozenLabels {
 
     #[inline]
     fn total_entries(&self) -> usize {
-        self.entries.len() - self.dead as usize
+        self.arena_entries() - self.dead
     }
 }
 
@@ -542,6 +607,8 @@ fn gallop_lower_bound(long: &[LabelEntry], start: usize, key: u32) -> usize {
 mod tests {
     use super::*;
     use crate::labels::intersect;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn e(h: u32, d: u32, c: u64) -> LabelEntry {
         LabelEntry::new(h, d, c).unwrap()
@@ -597,7 +664,9 @@ mod tests {
                 );
             }
         }
-        assert_eq!(frozen.arena_bytes(), 6 * 8 + 8 * 8);
+        // One segment of 6 entries, 8 spans of (segment, lo, hi).
+        assert_eq!(frozen.segment_count(), 1);
+        assert_eq!(frozen.arena_bytes(), 6 * 8 + 8 * 12);
     }
 
     #[test]
@@ -656,9 +725,9 @@ mod tests {
         labels.take_dirty();
         let frozen = FrozenLabels::freeze(&labels);
 
-        // Same-length change: in-place overwrite, no dead space.
+        // Same-length change: still moves, since segments are shared.
         labels.upsert(v(1), LabelSide::In, e(2, 9, 9));
-        // Growth: list relocates to the tail, old span goes dead.
+        // Growth.
         labels.upsert(v(0), LabelSide::Out, e(1, 2, 2));
         // Shrink to empty.
         labels.remove(v(3), LabelSide::Out, 1);
@@ -682,25 +751,117 @@ mod tests {
                 "out-list of {i}"
             );
         }
-        // Logical size matches; dead space counts the two relocations
-        // (Lout(0) had 2 entries, Lout(3) had 1).
+        // Logical size matches; dead space is the old copy of every
+        // dirtied list: Lin(1) 2 entries, Lout(0) 2, Lout(3) 1 (the new
+        // vertex had none).
         assert_eq!(
             LabelStore::total_entries(&patched),
             LabelStore::total_entries(&full)
         );
-        assert_eq!(patched.dead_entries(), 3);
-        assert!(patched.dead_fraction() > 0.0 && patched.dead_fraction() < 1.0);
+        assert_eq!(patched.dead_entries(), 5);
+        // One delta segment holds the re-gathered lists: Lin(1) 2,
+        // Lout(0) 3, Lin(4) 1 — 12 entries in all, over 10 spans.
+        assert_eq!(patched.segment_count(), 2);
+        assert_eq!(patched.arena_bytes(), 12 * 8 + 10 * 12);
+        assert_eq!(patched.dead_fraction(), 5.0 / 12.0);
         assert_eq!(frozen.dead_entries(), 0, "source arena untouched");
+        assert_eq!(frozen.segment_count(), 1, "source arena untouched");
 
-        // A second generation keeps patching the patched arena.
+        // A second generation stacks one more delta (Lin(2) was empty,
+        // so nothing new dies).
         labels.upsert(v(2), LabelSide::In, e(0, 1, 1));
         let dirty2 = labels.take_dirty();
         let patched2 = patched.refreeze_spans(&labels, &dirty2);
         assert_eq!(
             LabelStore::in_of(&patched2, v(2)),
             labels.in_of(v(2)),
-            "second-generation patch"
+            "second-generation delta"
         );
+        assert_eq!(patched2.dead_entries(), 5);
+        assert_eq!(patched2.segment_count(), 3);
+    }
+
+    #[test]
+    fn refreeze_shares_every_parent_segment_and_leaves_the_parent_alone() {
+        let mut labels = sample_labels();
+        labels.take_dirty();
+        let base = FrozenLabels::freeze(&labels);
+        labels.upsert(v(0), LabelSide::Out, e(1, 2, 2));
+        let dirty = labels.take_dirty();
+        let parent = base.refreeze_spans(&labels, &dirty);
+        let parent_labels = labels.clone();
+
+        labels.upsert(v(1), LabelSide::In, e(2, 9, 9));
+        labels.remove(v(3), LabelSide::Out, 1);
+        let dirty = labels.take_dirty();
+        let child = parent.refreeze_spans(&labels, &dirty);
+
+        assert_eq!((parent.segment_count(), child.segment_count()), (2, 3));
+        for (seg, (a, b)) in parent.segments.iter().zip(&child.segments).enumerate() {
+            assert!(Arc::ptr_eq(a, b), "segment {seg} copied, not shared");
+        }
+        // Each generation answers for its own point in time.
+        let (then, now) = (
+            FrozenLabels::freeze(&parent_labels),
+            FrozenLabels::freeze(&labels),
+        );
+        for i in 0..4 {
+            for side in [LabelSide::In, LabelSide::Out] {
+                assert_eq!(parent.side_of(v(i), side), then.side_of(v(i), side));
+                assert_eq!(child.side_of(v(i), side), now.side_of(v(i), side));
+            }
+            for t in 0..4 {
+                assert_eq!(parent.dist_count(v(i), v(t)), then.dist_count(v(i), v(t)));
+                assert_eq!(child.dist_count(v(i), v(t)), now.dist_count(v(i), v(t)));
+            }
+        }
+    }
+
+    /// Random upserts, removals and the odd new vertex.
+    fn scramble(labels: &mut Labels, rng: &mut StdRng, edits: usize) {
+        for _ in 0..edits {
+            if rng.gen_bool(0.05) {
+                labels.push_vertex();
+                continue;
+            }
+            let v = v(rng.gen_range(0..labels.vertex_count() as u32));
+            let side = if rng.gen_bool(0.5) {
+                LabelSide::In
+            } else {
+                LabelSide::Out
+            };
+            let hub = rng.gen_range(0..16u32);
+            if rng.gen_bool(0.3) {
+                labels.remove(v, side, hub);
+            } else {
+                let entry = e(hub, rng.gen_range(1..9u32), rng.gen_range(1..5u64));
+                labels.upsert(v, side, entry);
+            }
+        }
+    }
+
+    #[test]
+    fn projected_refreeze_matches_the_refrozen_arena() {
+        let mut rng = StdRng::seed_from_u64(0x5e9);
+        for round in 0..64 {
+            let mut labels = Labels::new(6);
+            scramble(&mut labels, &mut rng, 48);
+            labels.take_dirty();
+            let mut frozen = FrozenLabels::freeze(&labels);
+            for generation in 0..4 {
+                let edits = rng.gen_range(0..16usize);
+                scramble(&mut labels, &mut rng, edits);
+                let dirty = labels.take_dirty();
+                let projected = frozen.projected_refreeze(&labels, &dirty);
+                frozen = frozen.refreeze_spans(&labels, &dirty);
+                let (dead, live) = (frozen.dead_entries(), frozen.total_entries());
+                assert_eq!(
+                    projected,
+                    (dead, dead + live),
+                    "round {round}, generation {generation}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!
 //! Every mutation additionally stamps the touched list into a *dirty-slot*
 //! set ([`Labels::take_dirty`]), which is what lets snapshot publication
-//! re-freeze only the lists an update batch actually changed (see
+//! copy only the lists an update batch actually changed into a new arena
+//! segment (see
 //! [`FrozenLabels::refreeze_spans`](crate::FrozenLabels::refreeze_spans))
-//! instead of re-walking the whole store.
+//! instead of re-walking or copying the whole store.
 
 use crate::entry::{EntryOverflow, LabelEntry};
 use csc_graph::VertexId;

@@ -17,7 +17,7 @@
 //!
 //! Label storage is two-tier: [`Labels`] (nested per-vertex `Vec`s) is the
 //! mutable maintenance layout, and [`FrozenLabels`] is the read-optimized
-//! contiguous arena frozen from it for serving, with the adaptive
+//! segmented arena frozen from it for serving, with the adaptive
 //! intersection kernel ([`intersect_adaptive`]: branchless dual-chain
 //! merge + galloping). Both answer identically through the [`LabelStore`]
 //! trait — see the [`frozen`] module.
