@@ -12,8 +12,8 @@
 //! * **recovery cost** — after a simulated crash (the engine is dropped
 //!   with no clean shutdown), wall time of
 //!   [`MaintenanceEngine::recover`]: loading the newest checkpoint and
-//!   replaying the WAL suffix, whose length is exactly what the cadence
-//!   left behind;
+//!   replaying the WAL suffix the cadence left behind, as one merged
+//!   window;
 //! * **the yardstick** — a cold `CscIndex::build` on the final graph,
 //!   the restart cost durability exists to avoid.
 //!

@@ -1,10 +1,13 @@
-//! The batch update engine: apply a whole slice of graph updates in one
-//! call, with per-*hub* (not per-edge) label repair.
+//! The batch update engine: the one write algorithm of the index. It
+//! applies a whole slice of graph updates in one call, with per-*hub* (not
+//! per-edge) label repair; the scalar
+//! [`insert_edge`](CscIndex::insert_edge) /
+//! [`remove_edge`](CscIndex::remove_edge) are one-op windows of it (see
+//! [Scalar writes](#scalar-writes)).
 //!
 //! Streaming workloads rarely deliver one edge at a time; they deliver
 //! windows of a trace. Applying a window through [`CscIndex::apply_batch`]
-//! beats replaying it one [`insert_edge`](CscIndex::insert_edge) /
-//! [`remove_edge`](CscIndex::remove_edge) at a time three ways:
+//! beats applying it one op at a time three ways:
 //!
 //! 1. **Normalization** — duplicate operations and insert/delete pairs on
 //!    the same edge cancel before any repair work happens. A hot edge
@@ -25,9 +28,8 @@
 //!    — the re-label sweeps dominate deletion cost, so merging them is
 //!    where batched deletions win). The deletion phase never scans label
 //!    lists for carriers: when the index was built `with_inverted(false)`,
-//!    the inverted index is built on demand before the first batched
-//!    deletion and maintained incrementally from then on
-//!    ([`UpdateReport::carriers_scanned`] stays zero on this path).
+//!    the inverted index is built on demand before the first deletion and
+//!    maintained incrementally from then on.
 //! 4. **One snapshot publication** — a
 //!    [`ConcurrentIndex::apply_batch`](crate::ConcurrentIndex::apply_batch)
 //!    caller republishes at most once per batch, and incrementally: only
@@ -43,11 +45,27 @@
 //! [`BatchReport::rejected`] rather than failing the batch; the
 //! `batch_equivalence` property suite pins this contract down. Vertices
 //! created by [`GraphUpdate::AddVertex`] get ids in submission order, so
-//! later operations in the same batch may reference them.
+//! later operations in the same batch may reference them. Because the
+//! skipping is decided op by op, in order, two consecutive windows and
+//! their concatenation leave the same graph — which is what lets recovery
+//! replay a whole WAL suffix as one window.
+//!
+//! ## Scalar writes
+//!
+//! [`insert_edge`](CscIndex::insert_edge) and
+//! [`remove_edge`](CscIndex::remove_edge) run `apply_batch(&[op])` behind
+//! a strict check: an op the window would skip returns the error it fails
+//! with instead — [`CscError::Poisoned`] first, then `VertexOutOfRange`
+//! for `a` and then `b`, then `SelfLoop` (insertions), then
+//! `DuplicateEdge` / `MissingEdge` — and leaves the index untouched. An
+//! accepted op returns the window's [`BatchReport::repair`]. A one-edge
+//! insertion window *is* the paper's per-edge `INCCNT` (one seed per
+//! affected hub), so there is no separate per-edge driver.
 
 use crate::build::CoupleBfs;
 use crate::config::UpdateStrategy;
 use crate::error::CscError;
+use crate::guard::Deadline;
 use crate::index::CscIndex;
 use crate::parallel::par_map_indexed;
 use crate::repair::{
@@ -55,7 +73,7 @@ use crate::repair::{
 };
 use crate::stats::UpdateReport;
 use csc_graph::bipartite::{in_vertex, is_in_vertex, out_vertex};
-use csc_graph::{BucketQueue, VertexId, WorkspacePool};
+use csc_graph::{BucketQueue, GraphError, VertexId, WorkspacePool};
 use csc_labeling::LabelingError;
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
@@ -375,10 +393,9 @@ impl CscIndex {
     ///
     /// Individually-invalid operations never error — they are skipped and
     /// counted in [`BatchReport::rejected`]. A labeling capacity overflow
-    /// mid-batch poisons the index (see [`CscIndex::is_poisoned`]), like
-    /// the single-update paths.
+    /// mid-batch poisons the index (see [`CscIndex::is_poisoned`]).
     pub fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Result<BatchReport, CscError> {
-        self.apply_batch_inner(updates, crate::guard::Deadline::NONE)
+        self.apply_batch_deadline(updates, Deadline::NONE)
     }
 
     /// [`apply_batch`](Self::apply_batch) under a wall-clock deadline.
@@ -393,17 +410,9 @@ impl CscIndex {
     pub fn apply_batch_deadline(
         &mut self,
         updates: &[GraphUpdate],
-        deadline: crate::guard::Deadline,
+        deadline: Deadline,
     ) -> Result<BatchReport, CscError> {
         deadline.admit()?;
-        self.apply_batch_inner(updates, deadline)
-    }
-
-    fn apply_batch_inner(
-        &mut self,
-        updates: &[GraphUpdate],
-        deadline: crate::guard::Deadline,
-    ) -> Result<BatchReport, CscError> {
         self.check_ready()?;
         faultpoint!("batch.begin");
         let start = Instant::now();
@@ -427,14 +436,8 @@ impl CscIndex {
 
         // Phase 2: net removals, repaired as one window (classification,
         // merged subtraction, and one re-label sweep per affected hub for
-        // the whole lot). The hot path must never scan for carriers, so an
-        // index built without the inverted structure gets one on demand
-        // here — a one-time O(entries) build, maintained incrementally by
-        // every write path afterwards.
+        // the whole lot).
         if !norm.removals.is_empty() {
-            if self.inverted.is_none() {
-                self.inverted = Some(crate::invert::InvertedIndex::from_labels(&self.labels));
-            }
             match self.repair_deletions(&norm.removals, &mut report.repair) {
                 Ok(del) => {
                     report.delete_hub_union = del.hub_union;
@@ -467,13 +470,109 @@ impl CscIndex {
         Ok(report)
     }
 
-    /// The insertion phase of [`apply_batch`](Self::apply_batch).
+    /// Inserts the edge `(a, b)` into the graph and incrementally repairs
+    /// the index (`INCCNT`): a one-op [`apply_batch`](Self::apply_batch)
+    /// window behind the strict check (see [Scalar
+    /// writes](crate::batch#scalar-writes)).
+    ///
+    /// # Errors
+    ///
+    /// Graph errors (out-of-range endpoint, self-loop, duplicate) leave the
+    /// index untouched. A labeling capacity overflow mid-update poisons the
+    /// index (see [`CscIndex::is_poisoned`]); rebuild it in that case.
+    pub fn insert_edge(&mut self, a: VertexId, b: VertexId) -> Result<UpdateReport, CscError> {
+        self.apply_strict(GraphUpdate::InsertEdge(a, b))
+    }
+
+    /// Removes the edge `(a, b)` from the graph and decrementally repairs
+    /// the index: a one-edge deletion window behind the strict check.
+    ///
+    /// # Errors
+    ///
+    /// Graph errors (missing edge, out-of-range endpoints) leave the index
+    /// untouched. A labeling capacity overflow mid-update poisons the index.
+    pub fn remove_edge(&mut self, a: VertexId, b: VertexId) -> Result<UpdateReport, CscError> {
+        self.apply_strict(GraphUpdate::RemoveEdge(a, b))
+    }
+
+    fn apply_strict(&mut self, update: GraphUpdate) -> Result<UpdateReport, CscError> {
+        self.check_strict(update)?;
+        Ok(self.apply_batch(&[update])?.repair)
+    }
+
+    /// The strict check in front of a scalar write (see [Scalar
+    /// writes](crate::batch#scalar-writes)): `Ok` exactly when a one-op
+    /// window would apply `update`, else the error it fails with (a
+    /// self-loop removal is a `MissingEdge`). Read-only, so the engine runs
+    /// it before logging a scalar write.
+    pub(crate) fn check_strict(&self, update: GraphUpdate) -> Result<(), CscError> {
+        self.check_ready()?;
+        let (a, b, insert) = match update {
+            GraphUpdate::AddVertex => return Ok(()),
+            GraphUpdate::InsertEdge(a, b) => (a, b, true),
+            GraphUpdate::RemoveEdge(a, b) => (a, b, false),
+        };
+        let n = self.original_vertex_count();
+        for vertex in [a, b] {
+            if vertex.index() >= n {
+                return Err(GraphError::VertexOutOfRange { vertex, n }.into());
+            }
+        }
+        let refused = match (insert, self.contains_edge(a, b)) {
+            (true, _) if a == b => GraphError::SelfLoop(a),
+            (true, true) => GraphError::DuplicateEdge(a, b),
+            (false, false) => GraphError::MissingEdge(a, b),
+            _ => return Ok(()),
+        };
+        Err(refused.into())
+    }
+
+    /// The insertion phase of [`apply_batch`](Self::apply_batch): `INCCNT`
+    /// (Section V-A, Algorithms 5–7), run once for the whole window.
+    ///
+    /// Inserting the original edge `(a, b)` adds exactly one bipartite edge
+    /// `(a_o, b_i)`. Every brand-new shortest path runs through a new edge
+    /// (Lemma V.2), and splits at the first one it crosses into
+    /// `old-shortest(v ~> a_o) + edge + shortest(b_i ~> w)`, the suffix
+    /// taken in the updated graph. The highest-ranked vertex of the left
+    /// segment is, by the cover constraint, already a hub in `L_in(a_o)`;
+    /// of the right segment, a hub in `L_out(b_i)`. So resumed passes from
+    /// exactly those *affected hubs* — seeded with the hub's own label
+    /// distance and count (Theorem V.1: using the full `SPCnt` would
+    /// double-count non-canonical hubs) — reach every label that must
+    /// change.
     ///
     /// Inserts every edge into the bipartite graph, snapshots the seed
     /// entries (`L_in(a_o)` / `L_out(b_i)` *before any repair*, so each
     /// seed counts exactly the pre-batch path class of its edge), unions
     /// the affected hubs across edges, and runs the per-hub multi-source
-    /// passes in descending rank order.
+    /// passes in descending rank order, so that when a pass consults the
+    /// index (`D_G(v_k, w)` pruning), entries of higher-ranked affected
+    /// hubs are already updated.
+    ///
+    /// # Skipping `V_out` hubs
+    ///
+    /// `L_in(a_o)` always contains `a_o`'s own self entry, and the paper's
+    /// Algorithm 5 would start a pass from it. We skip passes whose hub is
+    /// an outgoing vertex: the labels they would create are never consulted
+    /// by a cycle query, because on any `v_o ~> v_i` path every outgoing
+    /// vertex is outranked by an incoming vertex on the same path (its
+    /// couple — for the source `v_o`, the target `v_i`), so the
+    /// highest-ranked vertex (the hub the query needs) is always an
+    /// incoming vertex. Keeping `V_out` ranks out of the label lists is also
+    /// what keeps the decremental distance-condition checks sound (see
+    /// `csc-core::delete`). The incremental-vs-rebuild equivalence tests
+    /// exercise this invariant.
+    ///
+    /// # Redundancy vs. minimality
+    ///
+    /// Under [`UpdateStrategy::Redundancy`] dominated entries are left
+    /// behind: an entry whose stored distance exceeds the true shortest
+    /// distance can never win the minimum-distance selection of a query
+    /// (label distances never under-estimate, so a stale component pushes
+    /// the candidate sum strictly above the covered minimum) and is
+    /// therefore harmless. Minimality mode calls `CLEAN_LABEL` after every
+    /// improving write.
     fn batched_insert_repair(
         &mut self,
         insertions: &[(VertexId, VertexId)],
@@ -951,5 +1050,214 @@ mod tests {
             idx.apply_batch(&[AddVertex]),
             Err(CscError::Poisoned { .. })
         ));
+    }
+
+    #[test]
+    fn refused_scalar_ops_fail_alike_on_every_layer() {
+        use crate::{ConcurrentIndex, MaintenanceEngine};
+        use GraphError::{DuplicateEdge, MissingEdge, SelfLoop, VertexOutOfRange};
+        let g = DiGraph::from_edges(4, vec![(0, 1), (1, 2), (2, 0)]);
+        let out = |i| VertexOutOfRange { vertex: v(i), n: 4 };
+        let cases = [
+            (InsertEdge(v(0), v(0)), SelfLoop(v(0))),
+            (InsertEdge(v(0), v(1)), DuplicateEdge(v(0), v(1))),
+            (InsertEdge(v(9), v(0)), out(9)),
+            (InsertEdge(v(0), v(9)), out(9)),
+            (InsertEdge(v(8), v(9)), out(8)), // `a` before `b`
+            (InsertEdge(v(7), v(7)), out(7)), // range before self-loop
+            (RemoveEdge(v(1), v(0)), MissingEdge(v(1), v(0))),
+            (RemoveEdge(v(2), v(2)), MissingEdge(v(2), v(2))),
+            (RemoveEdge(v(0), v(9)), out(9)),
+            (RemoveEdge(v(9), v(8)), out(9)),
+        ];
+        let build = || CscIndex::build(&g, CscConfig::default()).unwrap();
+        let (mut index, pristine) = (build(), build());
+        let mut engine = MaintenanceEngine::new(build());
+        let shared = ConcurrentIndex::new(build());
+        for (op, refused) in cases {
+            let got = match op {
+                InsertEdge(a, b) => [
+                    index.insert_edge(a, b).err(),
+                    engine.insert_edge(a, b).err(),
+                    shared.insert_edge(a, b).err(),
+                ],
+                RemoveEdge(a, b) => [
+                    index.remove_edge(a, b).err(),
+                    engine.remove_edge(a, b).err(),
+                    shared.remove_edge(a, b).err(),
+                ],
+                AddVertex => unreachable!(),
+            };
+            let want = Some(CscError::Graph(refused));
+            assert!(got.iter().all(|e| *e == want), "{op:?}: {got:?}");
+        }
+        let untouched = |idx: &CscIndex| {
+            let s = idx.stats();
+            assert_eq!(idx.labels, pristine.labels);
+            assert_eq!(idx.original_graph(), g);
+            let counts = [
+                s.insertions,
+                s.deletions,
+                s.entries_added,
+                s.entries_removed,
+            ];
+            assert_eq!(counts, [0; 4]);
+        };
+        untouched(&index);
+        untouched(engine.index());
+        shared.with_read(untouched);
+        assert_eq!(shared.snapshot_stats().pending_updates, 0);
+
+        index.poison("simulated");
+        let refused = index.insert_edge(v(9), v(9)).unwrap_err();
+        assert!(matches!(refused, CscError::Poisoned { .. }), "poison first");
+    }
+}
+
+/// The scalar insertion tests: the paper's `INCCNT` cases, driven through
+/// the one-op windows of [`CscIndex::insert_edge`].
+#[cfg(test)]
+mod scalar_insert_tests {
+    use super::*;
+    use crate::config::{CscConfig, UpdateStrategy};
+    use csc_graph::generators::{directed_cycle, gnm};
+    use csc_graph::traversal::shortest_cycle_oracle;
+    use csc_graph::DiGraph;
+
+    fn assert_queries_match(idx: &CscIndex, g: &DiGraph, context: &str) {
+        for v in g.vertices() {
+            assert_eq!(
+                idx.query(v).map(|c| (c.length, c.count)),
+                shortest_cycle_oracle(g, v),
+                "{context}: SCCnt({v})"
+            );
+        }
+    }
+
+    #[test]
+    fn insert_closes_a_cycle() {
+        // Path 0 -> 1 -> 2, then insert 2 -> 0: a triangle appears.
+        let g = DiGraph::from_edges(3, vec![(0, 1), (1, 2)]);
+        let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
+        assert_eq!(idx.query(VertexId(0)), None);
+        let report = idx.insert_edge(VertexId(2), VertexId(0)).unwrap();
+        assert!(report.entries_inserted + report.entries_updated > 0);
+        assert!(report.affected_hubs > 0);
+        let mut g2 = g.clone();
+        g2.try_add_edge(VertexId(2), VertexId(0)).unwrap();
+        assert_queries_match(&idx, &g2, "after closing triangle");
+        assert_eq!(idx.original_edge_count(), 3);
+    }
+
+    #[test]
+    fn insert_shortens_existing_cycles() {
+        // 6-cycle; chord 3 -> 0 shortens the cycle through 0..3 to length 4.
+        let g = directed_cycle(6);
+        let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
+        assert_eq!(idx.query(VertexId(0)).unwrap().length, 6);
+        idx.insert_edge(VertexId(3), VertexId(0)).unwrap();
+        let mut g2 = g.clone();
+        g2.try_add_edge(VertexId(3), VertexId(0)).unwrap();
+        assert_queries_match(&idx, &g2, "after chord");
+        assert_eq!(idx.query(VertexId(0)).unwrap().length, 4);
+        assert_eq!(idx.query(VertexId(4)).unwrap().length, 6);
+    }
+
+    #[test]
+    fn insert_adds_parallel_shortest_cycles() {
+        // Triangle 0-1-2 plus a second disjoint route 0 -> 3 -> 4 -> 0 of
+        // equal length: counts must accumulate, not overwrite.
+        let g = DiGraph::from_edges(5, vec![(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)]);
+        let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
+        assert_eq!(idx.query(VertexId(0)).unwrap().count, 1);
+        idx.insert_edge(VertexId(4), VertexId(0)).unwrap();
+        let mut g2 = g.clone();
+        g2.try_add_edge(VertexId(4), VertexId(0)).unwrap();
+        assert_queries_match(&idx, &g2, "after second cycle");
+        let c = idx.query(VertexId(0)).unwrap();
+        assert_eq!((c.length, c.count), (3, 2));
+    }
+
+    #[test]
+    fn graph_errors_leave_index_clean() {
+        let mut idx = CscIndex::build(&directed_cycle(3), CscConfig::default()).unwrap();
+        let before = idx.total_entries();
+        assert!(idx.insert_edge(VertexId(0), VertexId(0)).is_err());
+        assert!(idx.insert_edge(VertexId(0), VertexId(1)).is_err()); // duplicate
+        assert!(idx.insert_edge(VertexId(0), VertexId(9)).is_err());
+        assert_eq!(idx.total_entries(), before);
+        assert!(!idx.is_poisoned());
+        assert_eq!(idx.stats().insertions, 0);
+    }
+
+    #[test]
+    fn incremental_equals_oracle_over_random_insertions() {
+        for seed in 0..4 {
+            let mut g = gnm(20, 30, seed);
+            let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
+            // Insert 25 random new edges one at a time.
+            let mut added = 0;
+            let mut s = seed;
+            while added < 25 {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let a = VertexId((s >> 33) as u32 % 20);
+                let b = VertexId((s >> 13) as u32 % 20);
+                if a == b || g.has_edge(a, b) {
+                    continue;
+                }
+                g.try_add_edge(a, b).unwrap();
+                idx.insert_edge(a, b).unwrap();
+                added += 1;
+                assert_queries_match(&idx, &g, &format!("seed {seed} after edge {added}"));
+            }
+            assert_eq!(idx.stats().insertions, 25);
+        }
+    }
+
+    #[test]
+    fn minimality_strategy_matches_and_stays_lean() {
+        let mut g = gnm(18, 30, 9);
+        let config = CscConfig::default().with_update_strategy(UpdateStrategy::Minimality);
+        let mut idx_min = CscIndex::build(&g, config).unwrap();
+        let mut idx_red = CscIndex::build(&g, CscConfig::default()).unwrap();
+        let mut s = 7u64;
+        let mut added = 0;
+        while added < 20 {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let a = VertexId((s >> 33) as u32 % 18);
+            let b = VertexId((s >> 11) as u32 % 18);
+            if a == b || g.has_edge(a, b) {
+                continue;
+            }
+            g.try_add_edge(a, b).unwrap();
+            idx_min.insert_edge(a, b).unwrap();
+            idx_red.insert_edge(a, b).unwrap();
+            added += 1;
+            assert_queries_match(&idx_min, &g, "minimality");
+            assert_queries_match(&idx_red, &g, "redundancy");
+        }
+        // Minimality never stores more entries than redundancy.
+        assert!(idx_min.total_entries() <= idx_red.total_entries());
+        idx_min
+            .inverted
+            .as_ref()
+            .unwrap()
+            .validate_against(&idx_min.labels)
+            .unwrap();
+    }
+
+    #[test]
+    fn insert_touching_new_vertex() {
+        let mut idx = CscIndex::build(&directed_cycle(3), CscConfig::default()).unwrap();
+        let nv = idx.add_vertex();
+        idx.insert_edge(VertexId(0), nv).unwrap();
+        idx.insert_edge(nv, VertexId(1)).unwrap();
+        // New vertex now sits on a cycle nv -> 1 -> 2 -> 0 -> nv of length 4.
+        let c = idx.query(nv).unwrap();
+        assert_eq!((c.length, c.count), (4, 1));
+        // And vertex 0 still has its length-3 cycle.
+        assert_eq!(idx.query(VertexId(0)).unwrap().length, 3);
     }
 }

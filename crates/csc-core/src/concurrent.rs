@@ -48,6 +48,7 @@
 
 use crate::batch::{BatchReport, GraphUpdate};
 use crate::error::CscError;
+use crate::guard::Deadline;
 use crate::health::{IndexHealth, RebuildReason};
 use crate::index::CscIndex;
 use crate::maintain::{MaintenanceEngine, MaintenanceStatus, RecoveryReport, RejuvenationReport};
@@ -113,39 +114,30 @@ pub struct ConcurrentIndex {
 impl ConcurrentIndex {
     /// Wraps an index, freezing and publishing its initial snapshot.
     pub fn new(index: CscIndex) -> Self {
-        let refresh_every = index.config().snapshot_every;
-        let mut engine = MaintenanceEngine::new(index);
-        // Baseline the dirty tracking: the initial snapshot covers
-        // everything, so only post-construction mutations matter.
-        let snapshot = Arc::new(engine.publish_from(None));
-        ConcurrentIndex {
-            inner: RwLock::new(engine),
-            snapshot: RwLock::new(snapshot),
-            pending: AtomicUsize::new(0),
-            published: AtomicUsize::new(1),
-            refresh_every,
-            recovering: AtomicBool::new(false),
-        }
+        Self::from_engine(MaintenanceEngine::new(index))
     }
 
     /// Reopens an index from a durability directory (newest readable
     /// checkpoint + WAL replay — see [`MaintenanceEngine::recover`]) and
     /// publishes its initial snapshot.
     pub fn open(dir: impl AsRef<Path>) -> Result<(Self, RecoveryReport), CscError> {
-        let (mut engine, report) = MaintenanceEngine::recover(dir)?;
-        let refresh_every = engine.index().config().snapshot_every;
+        let (engine, report) = MaintenanceEngine::recover(dir)?;
+        Ok((Self::from_engine(engine), report))
+    }
+
+    /// Publishes `engine`'s initial snapshot and wraps both. The snapshot
+    /// baselines the dirty tracking: it covers everything, so only
+    /// post-construction mutations matter.
+    fn from_engine(mut engine: MaintenanceEngine) -> Self {
         let snapshot = Arc::new(engine.publish_from(None));
-        Ok((
-            ConcurrentIndex {
-                inner: RwLock::new(engine),
-                snapshot: RwLock::new(snapshot),
-                pending: AtomicUsize::new(0),
-                published: AtomicUsize::new(1),
-                refresh_every,
-                recovering: AtomicBool::new(false),
-            },
-            report,
-        ))
+        ConcurrentIndex {
+            refresh_every: engine.index().config().snapshot_every,
+            inner: RwLock::new(engine),
+            snapshot: RwLock::new(snapshot),
+            pending: AtomicUsize::new(0),
+            published: AtomicUsize::new(1),
+            recovering: AtomicBool::new(false),
+        }
     }
 
     /// Attaches a durability directory (initial checkpoint + fresh WAL)
@@ -217,7 +209,7 @@ impl ConcurrentIndex {
     pub fn query_deadline(
         &self,
         v: VertexId,
-        deadline: crate::Deadline,
+        deadline: Deadline,
     ) -> Result<Option<CycleCount>, CscError> {
         self.snapshot.read().query_deadline(v, deadline)
     }
@@ -235,11 +227,8 @@ impl ConcurrentIndex {
     /// an empty report is returned; validity is resolved at replay with
     /// the skip-invalid batch semantics.
     pub fn insert_edge(&self, a: VertexId, b: VertexId) -> Result<UpdateReport, CscError> {
-        let mut guard = self.inner.write();
-        let report = guard.insert_edge(a, b)?;
-        let applied = usize::from(report.is_some());
-        self.after_updates(&mut guard, applied);
-        Ok(report.unwrap_or_default())
+        let op = [GraphUpdate::InsertEdge(a, b)];
+        self.write(&op, true, Deadline::NONE, |_, report| report.repair)
     }
 
     /// Removes an edge under the write lock, republishing the snapshot
@@ -247,11 +236,8 @@ impl ConcurrentIndex {
     /// during a rejuvenation window, like
     /// [`insert_edge`](Self::insert_edge).
     pub fn remove_edge(&self, a: VertexId, b: VertexId) -> Result<UpdateReport, CscError> {
-        let mut guard = self.inner.write();
-        let report = guard.remove_edge(a, b)?;
-        let applied = usize::from(report.is_some());
-        self.after_updates(&mut guard, applied);
-        Ok(report.unwrap_or_default())
+        let op = [GraphUpdate::RemoveEdge(a, b)];
+        self.write(&op, true, Deadline::NONE, |_, report| report.repair)
     }
 
     /// Applies a whole update batch under one write-lock acquisition (see
@@ -265,10 +251,7 @@ impl ConcurrentIndex {
     /// During a rejuvenation window the whole batch is queued
     /// ([`BatchReport::queued`]).
     pub fn apply_batch(&self, updates: &[GraphUpdate]) -> Result<BatchReport, CscError> {
-        let mut guard = self.inner.write();
-        let report = guard.apply_batch(updates)?;
-        self.after_updates(&mut guard, report.applied_updates());
-        Ok(report)
+        self.write(updates, false, Deadline::NONE, |_, report| report)
     }
 
     /// [`apply_batch`](Self::apply_batch) under a wall-clock deadline.
@@ -282,24 +265,39 @@ impl ConcurrentIndex {
     pub fn apply_batch_deadline(
         &self,
         updates: &[GraphUpdate],
-        deadline: crate::Deadline,
+        deadline: Deadline,
     ) -> Result<BatchReport, CscError> {
-        deadline.admit()?;
-        let mut guard = self.inner.write();
-        let report = guard.apply_batch_deadline(updates, deadline)?;
-        self.after_updates(&mut guard, report.applied_updates());
-        Ok(report)
+        self.write(updates, false, deadline, |_, report| report)
     }
 
     /// Appends a fresh vertex under the write lock. Counts as an update
     /// toward the refresh policy; until the next publication, snapshot
     /// readers simply answer `None` for the not-yet-covered vertex.
     pub fn add_vertex(&self) -> Result<VertexId, CscError> {
+        let op = [GraphUpdate::AddVertex];
+        self.write(&op, false, Deadline::NONE, |engine, _| {
+            engine.newest_vertex()
+        })
+    }
+
+    /// The one write routine behind every facade write: lock → the
+    /// engine's write routine → [`after_updates`](Self::after_updates)
+    /// (the deadline is also checked before contending for the lock).
+    /// `finish` shapes the result under the same lock hold.
+    fn write<R>(
+        &self,
+        window: &[GraphUpdate],
+        strict: bool,
+        deadline: Deadline,
+        finish: impl FnOnce(&MaintenanceEngine, BatchReport) -> R,
+    ) -> Result<R, CscError> {
+        deadline.admit()?;
         let mut guard = self.inner.write();
-        let rebuilding = guard.is_rebuilding();
-        let v = guard.add_vertex()?;
-        self.after_updates(&mut guard, usize::from(!rebuilding));
-        Ok(v)
+        let report = guard.write(window, strict, deadline)?;
+        let applied = report.applied_updates();
+        let out = finish(&guard, report);
+        self.after_updates(&mut guard, applied);
+        Ok(out)
     }
 
     /// Retargets the ordering strategy under the write lock (see

@@ -281,9 +281,9 @@ pub struct CscConfig {
     /// Maintain the inverted hub indexes (`inv_in` / `inv_out`).
     ///
     /// Required by [`UpdateStrategy::Minimality`] and used by edge deletion
-    /// to find affected entries in output-sensitive time; without it,
-    /// deletions fall back to a full label scan. Costs one `u32` of memory
-    /// per label entry.
+    /// to find affected entries in output-sensitive time; without it, the
+    /// first deletion builds the indexes on demand and later writes
+    /// maintain them. Costs one `u32` of memory per label entry.
     pub maintain_inverted: bool,
     /// How often [`ConcurrentIndex`](crate::ConcurrentIndex) republishes
     /// its read snapshot, counted in *update units*: every successful

@@ -4,10 +4,10 @@
 //! insertion, a deletion can *grow* distances, which both invalidates
 //! existing entries and creates brand-new hub relationships (a vertex can
 //! become the highest-ranked one on a replacement shortest path it was
-//! never maximal on before). The implementation repairs a whole *window*
-//! of deletions at once — [`CscIndex::remove_edge`] is the one-edge
-//! window — and splits the affected hubs into two regimes, classified
-//! once per window:
+//! never maximal on before). This module is the deletion phase of the
+//! batch engine: it repairs a whole *window* of deletions at once —
+//! [`CscIndex::remove_edge`] is the one-edge window — and splits the
+//! affected hubs into two regimes, classified once per window:
 //!
 //! * **Count-repair hubs** — hubs `v` whose distance to every crossed
 //!   endpoint is *unchanged* after the window (a surviving equally-short
@@ -28,8 +28,10 @@
 //!   the post sweeps are truncated at the pre-sweep eccentricity, which
 //!   classifies every vertex without walking the post-deletion tail).
 //!   Their stale entries are deleted by the paper's superset rule —
-//!   evaluated against the union of the window's edges, so each carrier
-//!   list is scanned once per hub instead of once per edge — and the
+//!   evaluated against the union of the window's edges, so each hub's
+//!   carrier list (read from the inverted index, which an index built
+//!   `with_inverted(false)` gets on demand at its first deletion) is
+//!   scanned once per hub instead of once per edge — and the
 //!   couple-skipping pruned BFS of the static construction re-runs from
 //!   them **once per hub for the whole window** in descending rank order
 //!   in upsert mode: restoring over-deleted entries, refreshing changed
@@ -60,26 +62,20 @@
 //! subtract reliably; the hub is then demoted to the re-label regime for
 //! that side, preserving exactness.
 //!
-//! Multi-edge windows are equivalent to the one-at-a-time path at the
-//! query level (canonical entries are identical; only harmless dominated
-//! leftovers may differ — label distances never under-estimate either
-//! way), and single-edge windows take the identical code path from both
-//! [`remove_edge`](CscIndex::remove_edge) and
-//! [`apply_batch`](CscIndex::apply_batch), so the scalar/batch
-//! label-identity contract is preserved by construction. The
-//! `batch_equivalence` suite pins both down.
+//! A multi-edge window is equivalent to its edges removed one window at a
+//! time at the query level (canonical entries are identical; only
+//! harmless dominated leftovers may differ — label distances never
+//! under-estimate either way). The `batch_equivalence` suite pins this
+//! down.
 
 use crate::build::{build_labels, CoupleBfs, TraversalCounters, WriteMode};
-use crate::error::CscError;
 use crate::index::CscIndex;
 use crate::invert::InvertedIndex;
 use crate::parallel::par_map_indexed;
 use crate::repair::{multi_source_subtract, Direction, Seed, SubtractOutcome};
 use crate::stats::UpdateReport;
 use csc_graph::bipartite::{in_vertex, is_in_vertex, out_vertex};
-use csc_graph::{
-    Csr, DistMap, GraphError, SweepHandle, SweepMaps, VertexId, WorkspacePool, UNREACHED,
-};
+use csc_graph::{Csr, DistMap, SweepHandle, SweepMaps, VertexId, WorkspacePool, UNREACHED};
 use csc_labeling::{LabelSide, LabelingError};
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
@@ -151,37 +147,6 @@ fn resolve_views<'a>(
 }
 
 impl CscIndex {
-    /// Removes the edge `(a, b)` from the graph and decrementally repairs
-    /// the index (a one-edge window of the batched deletion engine).
-    ///
-    /// # Errors
-    ///
-    /// Graph errors (missing edge, out-of-range endpoints) leave the index
-    /// untouched. A labeling capacity overflow mid-update poisons the index.
-    pub fn remove_edge(&mut self, a: VertexId, b: VertexId) -> Result<UpdateReport, CscError> {
-        self.check_ready()?;
-        let n = self.original_vertex_count();
-        for v in [a, b] {
-            if v.index() >= n {
-                return Err(GraphError::VertexOutOfRange { vertex: v, n }.into());
-            }
-        }
-        if !self.gb.graph().has_edge(out_vertex(a), in_vertex(b)) {
-            return Err(GraphError::MissingEdge(a, b).into());
-        }
-        let start = Instant::now();
-        let mut report = UpdateReport::default();
-        if let Err(e) = self.repair_deletions(&[(a, b)], &mut report) {
-            self.poison(format!("label overflow during remove_edge({a}, {b}): {e}"));
-            return Err(e.into());
-        }
-        report.duration = start.elapsed();
-        self.stats.deletions += 1;
-        self.stats.entries_added += report.entries_inserted;
-        self.stats.entries_removed += report.entries_removed;
-        Ok(report)
-    }
-
     /// Removes a window of original edges from the graph and repairs the
     /// index once for the lot (see the [module docs](self)). Every edge
     /// must be present and distinct — callers validate.
@@ -193,6 +158,12 @@ impl CscIndex {
         let mut stats = DeletionRepairStats::default();
         if removals.is_empty() {
             return Ok(stats);
+        }
+        // Carrier lookups go through the inverted index, never a label
+        // scan: an index built without one gets it here, on demand — a
+        // one-time O(entries) build, maintained by every write afterwards.
+        if self.inverted.is_none() {
+            self.inverted = Some(InvertedIndex::from_labels(&self.labels));
         }
         let t_classify = Instant::now();
 
@@ -436,29 +407,15 @@ impl CscIndex {
                         dx != UNREACHED && dh1 + dx == e.dist()
                     })
                 };
-                match inverted {
-                    Some(inv) => {
-                        report.carriers_indexed += 1;
-                        for &x in inv.carriers(side, rank) {
-                            if matches_cond(labels, VertexId(x)) {
-                                stale.push(x);
-                            }
-                        }
-                    }
-                    None => {
-                        report.carriers_scanned += 1;
-                        for x in 0..labels.vertex_count() as u32 {
-                            if matches_cond(labels, VertexId(x)) {
-                                stale.push(x);
-                            }
-                        }
+                let inv = inverted.as_mut().expect("built on demand above");
+                for &x in inv.carriers(side, rank) {
+                    if matches_cond(labels, VertexId(x)) {
+                        stale.push(x);
                     }
                 }
                 for &x in &stale {
                     labels.remove(VertexId(x), side, rank);
-                    if let Some(inv) = inverted {
-                        inv.remove(side, rank, VertexId(x));
-                    }
+                    inv.remove(side, rank, VertexId(x));
                     report.entries_removed += 1;
                 }
             }
@@ -571,7 +528,7 @@ impl CscIndex {
     /// The overwhelming-window fallback: rebuilds every label from the
     /// current (post-removal) graph under the existing rank order — the
     /// exact static construction, so the result is correct by definition —
-    /// and swaps it in, refreshing the inverted index and marking every
+    /// and swaps it in, rebuilding the inverted index and marking every
     /// label slot dirty so the next incremental re-freeze re-gathers the
     /// whole store (the served snapshot describes the retired layout).
     fn rebuild_after_window(&mut self, report: &mut UpdateReport) -> Result<(), LabelingError> {
@@ -582,10 +539,9 @@ impl CscIndex {
         report.entries_inserted += labels.total_entries();
         report.vertices_visited += counters.dequeues;
         report.rebuild_fallbacks += 1;
-        let keep_inverted = self.inverted.is_some() || self.config.maintain_inverted;
         self.labels = labels;
         self.labels.mark_all_dirty();
-        self.inverted = keep_inverted.then(|| InvertedIndex::from_labels(&self.labels));
+        self.inverted = Some(InvertedIndex::from_labels(&self.labels));
         Ok(())
     }
 }
@@ -594,9 +550,11 @@ impl CscIndex {
 mod tests {
     use super::*;
     use crate::config::{CscConfig, UpdateStrategy};
+    use crate::error::CscError;
     use csc_graph::generators::{directed_cycle, gnm, layered_cycle};
     use csc_graph::traversal::shortest_cycle_oracle;
     use csc_graph::DiGraph;
+    use csc_graph::GraphError;
 
     fn assert_queries_match(idx: &CscIndex, g: &DiGraph, context: &str) {
         for v in g.vertices() {
@@ -688,25 +646,25 @@ mod tests {
     }
 
     #[test]
-    fn deletions_without_inverted_index_fall_back_to_scan() {
-        // The scalar path honors `with_inverted(false)` with a full-scan
-        // carrier lookup (counted in the report); the batched path never
-        // scans — it builds the inverted index on demand instead (see
-        // `batch.rs`).
+    fn deletions_without_inverted_index_build_it_on_demand() {
+        // `with_inverted(false)` only defers the inverted index: the first
+        // scalar deletion builds it, every later write maintains it, and
+        // the answers stay oracle-exact throughout.
         let mut g = gnm(16, 50, 3);
         let config = CscConfig::default().with_inverted(false);
         let mut idx = CscIndex::build(&g, config).unwrap();
         assert!(idx.inverted.is_none());
         let edges = g.edge_vec();
-        let mut scanned = 0;
         for &(u, w) in edges.iter().take(10) {
             g.try_remove_edge(VertexId(u), VertexId(w)).unwrap();
-            let report = idx.remove_edge(VertexId(u), VertexId(w)).unwrap();
-            assert_eq!(report.carriers_indexed, 0);
-            scanned += report.carriers_scanned;
-            assert_queries_match(&idx, &g, "scan fallback");
+            idx.remove_edge(VertexId(u), VertexId(w)).unwrap();
+            idx.inverted
+                .as_ref()
+                .expect("the first deletion builds the inverted index")
+                .validate_against(&idx.labels)
+                .unwrap();
+            assert_queries_match(&idx, &g, "on-demand inverted index");
         }
-        assert!(scanned > 0, "re-label hubs exercised the scan fallback");
     }
 
     #[test]
@@ -773,7 +731,6 @@ mod tests {
         let phases = report.classify_time + report.subtract_time + report.relabel_time;
         assert!(phases > std::time::Duration::ZERO);
         assert!(phases <= report.duration, "phases nest inside the update");
-        assert_eq!(report.carriers_scanned, 0, "default config is indexed");
     }
 
     #[test]

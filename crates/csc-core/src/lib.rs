@@ -11,10 +11,11 @@
 //! `SCCnt(v)` as a single label intersection `SPCnt(v_o, v_i)` — no
 //! neighborhood enumeration, which is what makes query time independent of
 //! the query vertex's degree. Edge insertions and deletions repair the
-//! index in place — one at a time, or whole windows at once through the
-//! batch engine ([`CscIndex::apply_batch`]), which normalizes the window
-//! and repairs per affected *hub* rather than per edge. See
-//! `docs/ARCHITECTURE.md` at the repo root for the end-to-end walkthrough.
+//! index in place through one batch engine ([`CscIndex::apply_batch`]),
+//! which normalizes a window and repairs per affected *hub* rather than
+//! per edge; the scalar `insert_edge` / `remove_edge` are one-op windows
+//! of it. See `docs/ARCHITECTURE.md` at the repo root for the end-to-end
+//! walkthrough.
 //!
 //! ```
 //! use csc_core::{CscConfig, CscIndex};
@@ -84,7 +85,6 @@ pub mod fault;
 pub mod guard;
 pub mod health;
 mod index;
-mod insert;
 mod invert;
 pub mod maintain;
 pub(crate) mod parallel;

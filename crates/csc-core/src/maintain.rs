@@ -1,9 +1,11 @@
 //! The maintenance plane: one state machine over every write path.
 //!
-//! Before this module, the write side of the system was four ad-hoc
-//! paths — single-op insert/delete, [`apply_batch`](CscIndex::apply_batch),
-//! the snapshot refreeze/compaction policy, and (missing entirely) a full
-//! rebuild. [`MaintenanceEngine`] unifies them behind one state machine:
+//! Every write — scalar or batched — is an
+//! [`apply_batch`](CscIndex::apply_batch) window, and reaches the index
+//! through the engine's one write routine (admit → log → queue or apply →
+//! checkpoint → memory budget). [`MaintenanceEngine`] puts that routine,
+//! the snapshot refreeze/compaction policy, and the full rebuild behind one
+//! state machine:
 //!
 //! ```text
 //!            writes apply directly, snapshots refreeze incrementally
@@ -80,6 +82,15 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
+}
+
+/// `AddVertex` ops in `window`: what queueing or replaying it moves
+/// between the live vertex count and the queued-vertex offset.
+fn count_vertex_adds(window: &[GraphUpdate]) -> usize {
+    window
+        .iter()
+        .filter(|u| **u == GraphUpdate::AddVertex)
+        .count()
 }
 
 /// Replay drains at most this many queued updates per
@@ -432,40 +443,30 @@ impl MaintenanceEngine {
     /// (write-ahead) and returns `Ok(None)` — validity is then resolved at
     /// replay with the skip-invalid semantics of
     /// [`apply_batch`](CscIndex::apply_batch).
+    ///
+    /// # Errors
+    ///
+    /// The admission errors of [`add_vertex`](Self::add_vertex); while
+    /// serving, also the [`CscIndex::insert_edge`] error of a refused op,
+    /// which never reaches the WAL.
     pub fn insert_edge(
         &mut self,
         a: VertexId,
         b: VertexId,
     ) -> Result<Option<UpdateReport>, CscError> {
-        self.admit_write()?;
-        self.log_window(&[GraphUpdate::InsertEdge(a, b)])?;
-        if self.is_rebuilding() {
-            self.enqueue(GraphUpdate::InsertEdge(a, b));
-            return Ok(None);
-        }
-        let report = self.protected("insert_edge", |idx| idx.insert_edge(a, b))?;
-        self.maybe_checkpoint()?;
-        self.enforce_memory_budget()?;
-        Ok(Some(report))
+        let report = self.write(&[GraphUpdate::InsertEdge(a, b)], true, Deadline::NONE)?;
+        Ok((report.queued == 0).then_some(report.repair))
     }
 
-    /// Removes an edge; same serving/queued split as
+    /// Removes an edge; same serving/queued split and errors as
     /// [`insert_edge`](Self::insert_edge).
     pub fn remove_edge(
         &mut self,
         a: VertexId,
         b: VertexId,
     ) -> Result<Option<UpdateReport>, CscError> {
-        self.admit_write()?;
-        self.log_window(&[GraphUpdate::RemoveEdge(a, b)])?;
-        if self.is_rebuilding() {
-            self.enqueue(GraphUpdate::RemoveEdge(a, b));
-            return Ok(None);
-        }
-        let report = self.protected("remove_edge", |idx| idx.remove_edge(a, b))?;
-        self.maybe_checkpoint()?;
-        self.enforce_memory_budget()?;
-        Ok(Some(report))
+        let report = self.write(&[GraphUpdate::RemoveEdge(a, b)], true, Deadline::NONE)?;
+        Ok((report.queued == 0).then_some(report.repair))
     }
 
     /// Appends a fresh vertex and returns its id. During a rebuild window
@@ -480,17 +481,8 @@ impl MaintenanceEngine {
     /// policy may refuse it ([`CscError::Overloaded`]) while a rebuild's
     /// replay queue sits at its high watermark.
     pub fn add_vertex(&mut self) -> Result<VertexId, CscError> {
-        self.admit_write()?;
-        self.log_window(&[GraphUpdate::AddVertex])?;
-        if self.is_rebuilding() {
-            let v = VertexId((self.index.original_vertex_count() + self.queued_vertices) as u32);
-            self.enqueue(GraphUpdate::AddVertex);
-            return Ok(v);
-        }
-        let v = self.protected("add_vertex", |idx| Ok(idx.add_vertex()))?;
-        self.maybe_checkpoint()?;
-        self.enforce_memory_budget()?;
-        Ok(v)
+        self.write(&[GraphUpdate::AddVertex], false, Deadline::NONE)?;
+        Ok(self.newest_vertex())
     }
 
     /// Applies a whole update window. While serving this is
@@ -499,24 +491,7 @@ impl MaintenanceEngine {
     /// [`updates_submitted`](BatchReport::updates_submitted) and
     /// [`queued`](BatchReport::queued).
     pub fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Result<BatchReport, CscError> {
-        self.admit_write()?;
-        if !updates.is_empty() {
-            self.log_window(updates)?;
-        }
-        if self.is_rebuilding() {
-            for &u in updates {
-                self.enqueue(u);
-            }
-            return Ok(BatchReport {
-                updates_submitted: updates.len(),
-                queued: updates.len(),
-                ..Default::default()
-            });
-        }
-        let report = self.protected("apply_batch", |idx| idx.apply_batch(updates))?;
-        self.maybe_checkpoint()?;
-        self.enforce_memory_budget()?;
-        Ok(report)
+        self.write(updates, false, Deadline::NONE)
     }
 
     /// [`apply_batch`](Self::apply_batch) under a wall-clock deadline.
@@ -532,15 +507,51 @@ impl MaintenanceEngine {
         updates: &[GraphUpdate],
         deadline: Deadline,
     ) -> Result<BatchReport, CscError> {
-        deadline.admit()?;
-        self.apply_batch(updates)
+        self.write(updates, false, deadline)
     }
 
-    fn enqueue(&mut self, update: GraphUpdate) {
-        if update == GraphUpdate::AddVertex {
-            self.queued_vertices += 1;
+    /// The one write routine behind every engine write (and, under its
+    /// lock, every [`ConcurrentIndex`](crate::ConcurrentIndex) write):
+    /// deadline and admission → log → queue or apply → checkpoint →
+    /// budget. A `strict` window is one scalar op that, while serving,
+    /// must pass [`CscIndex::check_strict`] before it is logged;
+    /// mid-rebuild its validity is resolved at replay like any queued op.
+    /// A queued window's report carries only `updates_submitted` and
+    /// `queued`.
+    pub(crate) fn write(
+        &mut self,
+        window: &[GraphUpdate],
+        strict: bool,
+        deadline: Deadline,
+    ) -> Result<BatchReport, CscError> {
+        deadline.admit()?;
+        self.admit_write()?;
+        if strict && !self.is_rebuilding() {
+            debug_assert_eq!(window.len(), 1, "strict writes are scalar");
+            self.index.check_strict(window[0])?;
         }
-        self.replay.push_back(update);
+        if !window.is_empty() {
+            self.log_window(window)?;
+        }
+        if self.is_rebuilding() {
+            self.queued_vertices += count_vertex_adds(window);
+            self.replay.extend(window);
+            return Ok(BatchReport {
+                updates_submitted: window.len(),
+                queued: window.len(),
+                ..Default::default()
+            });
+        }
+        let report = self.protected("apply_batch", |idx| idx.apply_batch(window))?;
+        self.maybe_checkpoint()?;
+        self.enforce_memory_budget()?;
+        Ok(report)
+    }
+
+    /// The id of the most recently accepted vertex — *virtual* while
+    /// `AddVertex` ops sit in the replay queue.
+    pub(crate) fn newest_vertex(&self) -> VertexId {
+        VertexId((self.index.original_vertex_count() + self.queued_vertices - 1) as u32)
     }
 
     /// A degraded engine refuses every write until recovery.
@@ -552,7 +563,8 @@ impl MaintenanceEngine {
     }
 
     /// Full write admission, run *before* the op is WAL-logged (a refused
-    /// op must not exist in the log): degraded → [`CscError::Poisoned`];
+    /// op must not exist in the log; [`write`](Self::write) adds the strict
+    /// check of scalar ops): degraded → [`CscError::Poisoned`];
     /// saturated → re-measure (a raised budget or compaction since the
     /// last measurement exits the state), then [`CscError::Saturated`];
     /// finally the backpressure policy over the replay queue.
@@ -989,7 +1001,7 @@ impl MaintenanceEngine {
     /// The shared abandon path: drop the in-flight task, count the
     /// failure, arm the [`REBUILD_RETRY`] backoff for the next automatic
     /// attempt, and replay the queue onto the current (still fully
-    /// valid) index so no accepted write is lost.
+    /// valid) index, as one window, so no accepted write is lost.
     fn abandon_rebuild_with_backoff(&mut self) -> Result<(), CscError> {
         self.rebuild = None;
         self.stats.rejuvenations_failed += 1;
@@ -998,7 +1010,8 @@ impl MaintenanceEngine {
         if let Some(backoff) = REBUILD_RETRY.backoff(attempt, 0x52454255) {
             self.rebuild_retry_at = Some(Instant::now() + backoff);
         }
-        self.drain_replay_onto_current()
+        self.stats.updates_replayed += self.replay_queued(usize::MAX, "replay")?;
+        Ok(())
     }
 
     /// Runs the config-gated structural sweep after a swap or recovery,
@@ -1095,35 +1108,27 @@ impl MaintenanceEngine {
     }
 
     /// Drains up to [`REPLAY_CHUNK`] updates onto the (rejuvenated) index;
-    /// finishing the queue returns the machine to `Serving`.
+    /// finishing the queue returns the machine to `Serving`. The bound
+    /// keeps one cooperative [`step`](Self::step) short.
     fn replay_chunk(&mut self) -> Result<(), CscError> {
-        let take = self.replay.len().min(REPLAY_CHUNK);
-        let window: Vec<GraphUpdate> = self.replay.drain(..take).collect();
-        self.queued_vertices -= window
-            .iter()
-            .filter(|u| **u == GraphUpdate::AddVertex)
-            .count();
-        if !window.is_empty() {
-            self.protected("replay", |idx| idx.apply_batch(&window))?;
-            self.stats.updates_replayed += window.len();
-        }
+        self.stats.updates_replayed += self.replay_queued(REPLAY_CHUNK, "replay")?;
         if self.replay.is_empty() {
             self.rebuild = None;
         }
         Ok(())
     }
 
-    /// Abandon path: replay whatever queued onto the *current* index so no
-    /// accepted write is lost. (Same accounting as [`replay_chunk`] — the
-    /// trailing `rebuild = None` in it is a no-op here, the abandon paths
-    /// already cleared the task.)
-    ///
-    /// [`replay_chunk`]: Self::replay_chunk
-    fn drain_replay_onto_current(&mut self) -> Result<(), CscError> {
-        while !self.replay.is_empty() {
-            self.replay_chunk()?;
+    /// Applies up to `limit` queued updates, oldest first, as one
+    /// [`apply_batch`](CscIndex::apply_batch) window (equal to applying
+    /// them one by one), and returns how many it took.
+    fn replay_queued(&mut self, limit: usize, op: &str) -> Result<usize, CscError> {
+        let take = self.replay.len().min(limit);
+        let window: Vec<GraphUpdate> = self.replay.drain(..take).collect();
+        self.queued_vertices -= count_vertex_adds(&window);
+        if !window.is_empty() {
+            self.protected(op, |idx| idx.apply_batch(&window))?;
         }
-        Ok(())
+        Ok(window.len())
     }
 
     /// Produces the next snapshot to publish, routing through the state
@@ -1147,10 +1152,17 @@ impl MaintenanceEngine {
 
     /// Reconstructs an engine from a durability directory: loads the
     /// newest *readable* checkpoint (falling back over torn or
-    /// bit-flipped generations), replays the WAL records past it with
-    /// the skip-invalid batch semantics, truncates any torn WAL tail,
-    /// and re-anchors the directory with a fresh checkpoint + log. The
-    /// returned engine is `Serving` with durability attached.
+    /// bit-flipped generations), replays the WAL records past it as **one
+    /// merged window** with the skip-invalid batch semantics, truncates
+    /// any torn WAL tail, and re-anchors the directory with a fresh
+    /// checkpoint + log. The returned engine is `Serving` with durability
+    /// attached.
+    ///
+    /// The recovered graph is exactly the one record-by-record replay
+    /// would build, and every query answers exactly; the labels are
+    /// *query-exact*, not byte-identical to the crashed writer's. Ops that
+    /// cancel across records (an insert undone by a later record) cost no
+    /// repair, which makes replaying a long log cheaper than a cold build.
     ///
     /// # Errors
     ///
@@ -1232,22 +1244,27 @@ impl MaintenanceEngine {
             }
         }
 
-        let mut updates_replayed = 0usize;
-        let mut last_seq = ckpt_seq;
+        // One merged window: the skip-invalid semantics decides op by op,
+        // in order, so it builds the graph per-record replay would (see
+        // the doc comment for what the labels guarantee).
+        let mut window = Vec::new();
         for record in &records {
             faultpoint!("recover.replay");
-            match catch_unwind(AssertUnwindSafe(|| index.apply_batch(&record.updates))) {
+            window.extend_from_slice(&record.updates);
+        }
+        let last_seq = records.last().map_or(ckpt_seq, |r| r.seq);
+        if let Some(first) = records.first() {
+            match catch_unwind(AssertUnwindSafe(|| index.apply_batch(&window))) {
                 Ok(Ok(_)) => {}
                 Ok(Err(e)) => return Err(e),
                 Err(payload) => {
                     return Err(CscError::poisoned(format!(
-                        "panic while replaying the log during recovery: {}",
+                        "panic while replaying log records {}..={last_seq} during recovery: {}",
+                        first.seq,
                         panic_message(&*payload)
                     )));
                 }
             }
-            updates_replayed += record.updates.len();
-            last_seq = record.seq;
         }
 
         // Re-anchor: fresh checkpoint of the recovered state, fresh log
@@ -1294,7 +1311,7 @@ impl MaintenanceEngine {
                 checkpoint_seq: ckpt_seq,
                 checkpoints_skipped: skipped,
                 records_replayed: records.len(),
-                updates_replayed,
+                updates_replayed: window.len(),
                 wal_truncated_bytes: truncated,
                 integrity_checked,
             },
@@ -1312,7 +1329,8 @@ impl MaintenanceEngine {
     ///   (`AddVertex` is not idempotent). Lifetime counters carry over.
     /// * **Without durability**: rebuilds from the live graph (which
     ///   mutates *before* label repair, so it is intact even when the
-    ///   labels are torn), then replays the in-memory queue onto it.
+    ///   labels are torn), then replays the in-memory queue onto it as one
+    ///   window.
     ///
     /// After either path the next snapshot publication is forced to be a
     /// full freeze — the label store is brand new.
@@ -1348,13 +1366,7 @@ impl MaintenanceEngine {
         self.index = rebuilt;
         self.rebuild = None;
         self.degraded = None;
-        self.queued_vertices = 0;
-        let queued: Vec<GraphUpdate> = self.replay.drain(..).collect();
-        let mut updates_replayed = 0usize;
-        for window in queued.chunks(REPLAY_CHUNK) {
-            self.protected("recovery replay", |idx| idx.apply_batch(window))?;
-            updates_replayed += window.len();
-        }
+        let updates_replayed = self.replay_queued(usize::MAX, "recovery replay")?;
         self.full_freeze_pending = true;
         self.integrity_check_after("recovery")?;
         self.stats.recoveries += 1;
@@ -1376,7 +1388,7 @@ impl MaintenanceEngine {
         if self.is_rebuilding() && !self.is_degraded() {
             self.rebuild = None;
             self.stats.rejuvenations_failed += 1;
-            let _ = self.drain_replay_onto_current();
+            let _ = self.replay_queued(usize::MAX, "replay");
         }
         self.index
     }
@@ -1395,7 +1407,7 @@ mod tests {
     use crate::verify::verify_index;
     use csc_graph::generators::{directed_cycle, gnm};
     use csc_graph::traversal::shortest_cycle_oracle;
-    use csc_graph::DiGraph;
+    use csc_graph::{DiGraph, GraphError};
 
     fn assert_matches_fresh(engine: &MaintenanceEngine, context: &str) {
         let g = engine.index().original_graph();
@@ -1788,6 +1800,80 @@ mod tests {
         assert_eq!(recovered.status(), MaintenanceStatus::Serving);
         assert!(recovered.is_durable());
         verify_index(recovered.index()).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn merged_replay_cancels_and_rejects_across_records() {
+        use GraphUpdate::*;
+        let dir = temp_dir("merged-replay");
+        let mut engine = durable_engine(&dir, 1000);
+        let base = engine.index().clone();
+        let g = base.original_graph();
+        let a = VertexId(0);
+        let b = (1..16).map(VertexId).find(|&b| !g.has_edge(a, b)).unwrap();
+        let records = [
+            vec![InsertEdge(a, b), AddVertex], // creates vertex 16
+            // Uses vertex 16; (a, b) is a duplicate only after record 1.
+            vec![InsertEdge(VertexId(16), a), InsertEdge(a, b)],
+            vec![RemoveEdge(a, b), InsertEdge(a, VertexId(16))], // undoes record 1
+        ];
+        let mut per_record = base.clone();
+        for record in &records {
+            engine.apply_batch(record).unwrap();
+            per_record.apply_batch(record).unwrap();
+        }
+        drop(engine); // crash
+        let merged = base.clone().apply_batch(&records.concat()).unwrap();
+        assert_eq!((merged.cancelled, merged.rejected), (2, 1));
+
+        let (recovered, report) = MaintenanceEngine::recover(&dir).unwrap();
+        assert_eq!((report.records_replayed, report.updates_replayed), (3, 6));
+        let g_final = per_record.original_graph();
+        assert_eq!(recovered.index().original_graph(), g_final);
+        for x in g_final.vertices() {
+            let got = recovered.index().query(x);
+            assert_eq!(got, per_record.query(x), "vs per-record at {x}");
+            let oracle = shortest_cycle_oracle(&g_final, x);
+            assert_eq!(got.map(|c| (c.length, c.count)), oracle, "at {x}");
+        }
+        verify_index(recovered.index()).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn refused_scalar_writes_never_reach_the_wal() {
+        let dir = temp_dir("refused-scalar");
+        let mut engine = durable_engine(&dir, 1000);
+        let (a, b) = engine.index().original_graph().edge_vec()[0];
+        let (a, b, far) = (VertexId(a), VertexId(b), VertexId(99));
+        let logged = |e: &MaintenanceEngine| {
+            let d = e.durability.as_ref().unwrap();
+            (
+                d.wal.last_seq() - d.wal.base_seq(),
+                d.windows_since_checkpoint,
+            )
+        };
+        let refused = [
+            engine.insert_edge(a, b).map(drop),
+            engine.insert_edge(a, a).map(drop),
+            engine.remove_edge(a, a).map(drop),
+            engine.remove_edge(a, far).map(drop),
+        ];
+        let want = [
+            GraphError::DuplicateEdge(a, b),
+            GraphError::SelfLoop(a),
+            GraphError::MissingEdge(a, a),
+            GraphError::VertexOutOfRange { vertex: far, n: 16 },
+        ];
+        assert_eq!(refused, want.map(|e| Err(CscError::Graph(e))));
+        assert_eq!(logged(&engine), (0, 0), "refused ops are never logged");
+
+        engine.remove_edge(a, b).unwrap().unwrap();
+        assert_eq!(logged(&engine), (1, 1));
+        drop(engine);
+        let (_, records, _) = WriteAheadLog::read_all(&dir.join(wal::WAL_FILE)).unwrap();
+        assert_eq!(records.len(), 1);
         std::fs::remove_dir_all(dir).unwrap();
     }
 

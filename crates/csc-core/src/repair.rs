@@ -1,20 +1,18 @@
 //! Shared label-repair primitives for dynamic maintenance.
 //!
-//! Incremental insertion (`csc-core::insert`), decremental deletion
-//! (`csc-core::delete`), and the batch engine (`csc-core::batch`) all
-//! repair labels the same way: resume a counting traversal from an
-//! *affected hub*, prune where the index already covers the distance, and
-//! upsert the entries the traversal proves changed. This module holds the
-//! pieces they share:
+//! The batch engine (`csc-core::batch`) is the one write path: its
+//! insertion phase and its deletion phase (`csc-core::delete`) repair
+//! labels the same way: resume a counting traversal from an *affected
+//! hub*, prune where the index already covers the distance, and upsert
+//! the entries the traversal proves changed. This module holds the pieces
+//! they share:
 //!
 //! * [`fill_hub_cache`] — scatter the hub's own label for `O(|label|)`
 //!   per-vertex distance checks;
 //! * [`covered_dist`] — `D_G(v_k, w)` through strictly-higher-ranked hubs,
 //!   evaluated against the (partially repaired) current index;
 //! * [`update_label`] — `UPDATE_LABEL` (Algorithm 7);
-//! * [`maintenance_pass`] — the single-seed resumed BFS of Algorithm 6
-//!   (one inserted edge, one affected hub);
-//! * [`multi_source_pass`] — the batched generalization: one pass per
+//! * [`multi_source_pass`] — the resumed BFS of Algorithm 6, one pass per
 //!   affected hub no matter how many inserted edges affect it. Seeds sit
 //!   at different depths, so the plain BFS queue becomes a monotone
 //!   *bucket queue* (unit edge weights keep it `O(V + E)`; the queue
@@ -25,7 +23,8 @@
 //!   path decomposes as an *old* shortest prefix to the first inserted
 //!   edge it crosses (covered by that edge's pre-batch seed entry) plus a
 //!   suffix in the updated graph, which the traversal walks because all
-//!   batch edges are already present;
+//!   batch edges are already present. A one-edge window has one seed per
+//!   hub and is the paper's per-edge pass;
 //! * [`multi_source_subtract`] — the decremental mirror: one pass per
 //!   count-repair hub subtracts every shortest path a whole *deletion*
 //!   window removed, via the dual last-old-edge decomposition (see its
@@ -155,52 +154,14 @@ pub(crate) fn update_label(
     }
 }
 
-/// One resumed traversal from an affected hub (Algorithm 6 and its
-/// mirror), for a single inserted edge. With one seed the multi-source
-/// bucket queue degenerates to exactly the BFS level order, so this is a
-/// thin wrapper — one copy of the delicate prune/count/update logic
-/// serves both `insert_edge` and `apply_batch`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn maintenance_pass(
-    graph: &DiGraph,
-    ranks: &RankTable,
-    labels: &mut Labels,
-    inverted: &mut Option<InvertedIndex>,
-    state: &mut SearchState,
-    cache: &mut HubCache,
-    buckets: &mut BucketQueue,
-    strategy: UpdateStrategy,
-    direction: Direction,
-    vk_rank: u32,
-    vk: VertexId,
-    start: VertexId,
-    seed_dist: u32,
-    seed_count: u64,
-    report: &mut UpdateReport,
-) -> Result<(), LabelingError> {
-    multi_source_pass(
-        graph,
-        ranks,
-        labels,
-        inverted,
-        state,
-        cache,
-        buckets,
-        strategy,
-        direction,
-        vk_rank,
-        vk,
-        &[(start, seed_dist, seed_count)],
-        report,
-    )
-}
-
 /// A repair seed: traversal start vertex, its seed distance from the pass
 /// hub, and the count of hub-maximal shortest paths realizing it.
 pub(crate) type Seed = (VertexId, u32, u64);
 
-/// The batched counterpart of [`maintenance_pass`]: one traversal repairs
-/// everything a whole batch of edge insertions changed for hub `vk`.
+/// The resumed traversal of Algorithm 6 (and its mirror), batched: one
+/// pass repairs everything a whole window of edge insertions changed for
+/// hub `vk`. With a single seed the bucket queue degenerates to exactly the
+/// BFS level order, so a one-edge window runs the paper's per-edge pass.
 ///
 /// Seeds sit at heterogeneous depths (one per inserted edge the hub's
 /// pre-batch label reaches), so vertices are processed in nondecreasing

@@ -20,7 +20,9 @@ pub struct IndexStats {
     pub saturated_counts: usize,
 }
 
-/// What one `insert_edge` / `remove_edge` call did — the measurements behind
+/// One window's label-repair counters
+/// ([`BatchReport::repair`](crate::BatchReport::repair)); for a scalar
+/// `insert_edge` / `remove_edge`, a one-op window, the measurements behind
 /// the paper's Figures 11(b) and 12(b).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UpdateReport {
@@ -34,22 +36,16 @@ pub struct UpdateReport {
     pub affected_hubs: usize,
     /// Total vertices dequeued across all maintenance traversals.
     pub vertices_visited: usize,
-    /// Wall-clock time of the update.
+    /// Wall-clock time of the window.
     pub duration: Duration,
     /// Deletion repair: time classifying the window (endpoint BFS sweeps
-    /// + per-hub regime assignment). Zero for insertions.
+    /// + per-hub regime assignment). Zero when the window removes no edge.
     pub classify_time: Duration,
     /// Deletion repair: time in the merged count-subtraction passes.
     pub subtract_time: Duration,
     /// Deletion repair: time in the re-label regime (superset deletion +
     /// upsert BFS sweeps) — historically the dominant share.
     pub relabel_time: Duration,
-    /// Affected-hub carrier lookups served by the inverted index.
-    pub carriers_indexed: usize,
-    /// Carrier lookups that fell back to scanning every label list (the
-    /// batched deletion path keeps this at zero by building the inverted
-    /// index on demand).
-    pub carriers_scanned: usize,
     /// Deletion windows that demoted so much of the index that repairing
     /// fell back to a from-scratch label rebuild under the existing rank
     /// order (exact by construction, and cheaper than sweeping most hubs

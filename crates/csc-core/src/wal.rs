@@ -16,7 +16,8 @@
 //! covers: every logged window carries a monotonically increasing `seq`,
 //! and a checkpoint named `seq` contains the state after applying all
 //! windows `<= seq`. Recovery loads the newest readable checkpoint and
-//! replays exactly the WAL records with a larger `seq`.
+//! replays exactly the WAL records with a larger `seq`, merged into one
+//! window.
 //!
 //! ## Log format (little-endian)
 //!
