@@ -1,5 +1,5 @@
-//! Graph-level analytics over the index: batch updates, vertex retirement,
-//! girth, and the top-k screening primitive behind the fraud case study.
+//! Graph-level analytics over the index: vertex retirement, girth, and the
+//! top-k screening primitive behind the fraud case study.
 //!
 //! Whole-graph sweeps (`girth`, `top_k_by_cycle_count`) exist on both
 //! [`CscIndex`] (sequential, over the live nested labels) and
@@ -8,6 +8,7 @@
 //! block a writer, and fan the per-vertex label intersections out across
 //! cores.
 
+use crate::batch::GraphUpdate;
 use crate::error::CscError;
 use crate::index::CscIndex;
 use crate::snapshot::SnapshotIndex;
@@ -25,48 +26,16 @@ pub struct VertexCycles {
 }
 
 impl CscIndex {
-    /// Inserts a batch of edges, aggregating the per-edge reports.
-    ///
-    /// Stops at the first error (earlier edges stay applied — the index
-    /// remains consistent, mirroring a partially applied stream).
-    pub fn insert_edges(
-        &mut self,
-        edges: impl IntoIterator<Item = (VertexId, VertexId)>,
-    ) -> Result<UpdateReport, CscError> {
-        let mut total = UpdateReport::default();
-        for (a, b) in edges {
-            let r = self.insert_edge(a, b)?;
-            total.entries_inserted += r.entries_inserted;
-            total.entries_updated += r.entries_updated;
-            total.entries_removed += r.entries_removed;
-            total.affected_hubs += r.affected_hubs;
-            total.vertices_visited += r.vertices_visited;
-            total.duration += r.duration;
-        }
-        Ok(total)
-    }
-
-    /// Removes a batch of edges, aggregating the per-edge reports.
-    pub fn remove_edges(
-        &mut self,
-        edges: impl IntoIterator<Item = (VertexId, VertexId)>,
-    ) -> Result<UpdateReport, CscError> {
-        let mut total = UpdateReport::default();
-        for (a, b) in edges {
-            let r = self.remove_edge(a, b)?;
-            total.entries_inserted += r.entries_inserted;
-            total.entries_updated += r.entries_updated;
-            total.entries_removed += r.entries_removed;
-            total.affected_hubs += r.affected_hubs;
-            total.vertices_visited += r.vertices_visited;
-            total.duration += r.duration;
-        }
-        Ok(total)
-    }
-
     /// Retires a vertex by removing all of its incident edges (the paper's
-    /// reduction of vertex deletion to edge deletions, Section II-A). The
-    /// vertex id remains valid but isolated; its queries return `None`.
+    /// reduction of vertex deletion to edge deletions, Section II-A) as
+    /// one deletion window. The vertex id remains valid but isolated; its
+    /// queries return `None`. Returns the window's repair counters.
+    ///
+    /// # Errors
+    ///
+    /// [`CscError::Poisoned`] on a poisoned index, `VertexOutOfRange` for
+    /// an unknown vertex; both leave the index untouched. A labeling
+    /// capacity overflow mid-window poisons the index.
     pub fn retire_vertex(&mut self, v: VertexId) -> Result<UpdateReport, CscError> {
         self.check_ready()?;
         let n = self.original_vertex_count();
@@ -74,17 +43,13 @@ impl CscIndex {
             return Err(csc_graph::GraphError::VertexOutOfRange { vertex: v, n }.into());
         }
         let g = self.original_graph();
-        let out: Vec<_> = g.nbr_out(v).iter().map(|&w| (v, VertexId(w))).collect();
-        let inn: Vec<_> = g.nbr_in(v).iter().map(|&u| (VertexId(u), v)).collect();
-        let mut report = self.remove_edges(out)?;
-        let r2 = self.remove_edges(inn)?;
-        report.entries_inserted += r2.entries_inserted;
-        report.entries_updated += r2.entries_updated;
-        report.entries_removed += r2.entries_removed;
-        report.affected_hubs += r2.affected_hubs;
-        report.vertices_visited += r2.vertices_visited;
-        report.duration += r2.duration;
-        Ok(report)
+        let out = g.nbr_out(v).iter().map(|&w| (v, VertexId(w)));
+        let inn = g.nbr_in(v).iter().map(|&u| (VertexId(u), v));
+        let window: Vec<GraphUpdate> = out
+            .chain(inn)
+            .map(|(a, b)| GraphUpdate::RemoveEdge(a, b))
+            .collect();
+        Ok(self.apply_batch(&window)?.repair)
     }
 
     /// The girth of the indexed graph — the globally shortest cycle length
@@ -178,36 +143,6 @@ mod tests {
     use csc_graph::generators::{directed_cycle, gnm, laundering_network, LaunderingParams};
     use csc_graph::traversal::shortest_cycle_oracle;
     use csc_graph::DiGraph;
-
-    #[test]
-    fn batch_updates_aggregate() {
-        let g = DiGraph::new(4);
-        let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
-        let edges = [(0u32, 1u32), (1, 2), (2, 3), (3, 0)];
-        let report = idx
-            .insert_edges(edges.iter().map(|&(a, b)| (VertexId(a), VertexId(b))))
-            .unwrap();
-        assert!(report.entries_inserted > 0);
-        assert_eq!(idx.query(VertexId(0)).unwrap().length, 4);
-        let report = idx.remove_edges([(VertexId(3), VertexId(0))]).unwrap();
-        assert!(report.entries_removed > 0);
-        assert_eq!(idx.query(VertexId(0)), None);
-    }
-
-    #[test]
-    fn batch_error_keeps_prior_edges() {
-        let g = DiGraph::new(3);
-        let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
-        let result = idx.insert_edges([
-            (VertexId(0), VertexId(1)),
-            (VertexId(1), VertexId(1)), // self-loop: fails here
-            (VertexId(1), VertexId(2)),
-        ]);
-        assert!(result.is_err());
-        assert!(idx.contains_edge(VertexId(0), VertexId(1)));
-        assert!(!idx.contains_edge(VertexId(1), VertexId(2)));
-        assert!(!idx.is_poisoned(), "graph-level errors never poison");
-    }
 
     #[test]
     fn retire_vertex_isolates_and_stays_exact() {

@@ -19,7 +19,12 @@
 //!    edges that affect it, in descending rank order. Dense batches share
 //!    most of their affected hubs (high-ranked hubs appear in almost every
 //!    label), so the pass count approaches the hub-union size instead of
-//!    the per-edge sum.
+//!    the per-edge sum. At a pool width above one the passes run in waves
+//!    of up to `width` hubs: a wider wave fills one buffer per hub
+//!    concurrently against the pre-wave labels, then commits them in rank
+//!    order. A wave of one hub — every wave at width 1, and every wave
+//!    under [`UpdateStrategy::Minimality`], whose cleaning removes entries
+//!    mid-pass — writes as it traverses.
 //! 3. **Windowed deletion repair** — all net removals leave the graph
 //!    first, then the window is classified *once* (shared pre/post
 //!    endpoint sweeps through the pooled traversal workspace) and each
@@ -62,19 +67,17 @@
 //! insertion window *is* the paper's per-edge `INCCNT` (one seed per
 //! affected hub), so there is no separate per-edge driver.
 
-use crate::build::CoupleBfs;
+use crate::build::{commit, CoupleBfs, TraversalCounters, VisitBuffer};
 use crate::config::UpdateStrategy;
 use crate::error::CscError;
 use crate::guard::Deadline;
 use crate::index::CscIndex;
 use crate::parallel::par_map_indexed;
-use crate::repair::{
-    multi_source_collect, multi_source_commit, multi_source_pass, Direction, Seed,
-};
+use crate::repair::{multi_source_pass, Direction, RepairWriter, Seed};
 use crate::stats::UpdateReport;
 use csc_graph::bipartite::{in_vertex, is_in_vertex, out_vertex};
-use csc_graph::{BucketQueue, GraphError, VertexId, WorkspacePool};
-use csc_labeling::LabelingError;
+use csc_graph::{BucketQueue, GraphError, VertexId};
+use csc_labeling::{LabelSide, LabelingError, Labels};
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
@@ -156,40 +159,45 @@ struct NormalizedBatch {
     rejected: usize,
 }
 
-/// Per-chunk, per-edge summary for the parallel normalize scan: the
-/// chunk's operation subsequence on one edge, pre-simulated from *both*
-/// possible entry states (`[entered absent, entered present]`), each
-/// branch recording `(exit state, accepted ops, rejected ops)`. Branches
-/// compose associatively across chunks, so a sequential merge that knows
-/// the real entry state replays the whole batch exactly.
-type EdgeBranches = [(bool, u32, u32); 2];
-
-/// What one chunk of the parallel normalize scan contributes: its
-/// `AddVertex` count, its state-independent rejections (self-loops and
-/// out-of-range endpoints — exact, because each chunk knows its virtual
-/// vertex base), and the dual-entry summaries of every edge it touches.
-struct NormChunk {
-    add_vertices: usize,
-    rejected: usize,
-    edges: HashMap<(u32, u32), EdgeBranches>,
-}
-
 impl CscIndex {
     /// Simulates the batch against the current graph: which operations
     /// succeed when applied in order, and what the per-edge net effect is.
-    ///
-    /// With a parallel width configured, the scan itself fans out over
-    /// contiguous chunks (see [`Self::normalize_scan_parallel`]); both
-    /// paths produce identical results, so the thread matrix only changes
-    /// wall-clock, never the batch semantics.
     fn normalize_batch(&self, updates: &[GraphUpdate]) -> NormalizedBatch {
         let mut norm = NormalizedBatch::default();
-        let width = self.config.parallelism.width();
-        let edges = if width > 1 && updates.len() > 1 {
-            self.normalize_scan_parallel(updates, width, &mut norm)
-        } else {
-            self.normalize_scan(updates, &mut norm)
-        };
+        // Walk the updates in order, tracking the virtual vertex count and
+        // per-edge `(present initially, present now, accepted op count)`.
+        // The virtual count grows as AddVertex ops are scanned, so an edge
+        // op may reference vertices created *earlier* in the batch
+        // (exactly the ids one-by-one application would accept).
+        let mut n_virtual = self.original_vertex_count() as u64;
+        let mut edges: HashMap<(u32, u32), (bool, bool, usize)> = HashMap::new();
+        for update in updates {
+            let (a, b, insert) = match *update {
+                GraphUpdate::AddVertex => {
+                    n_virtual += 1;
+                    norm.add_vertices += 1;
+                    continue;
+                }
+                GraphUpdate::InsertEdge(a, b) => (a, b, true),
+                GraphUpdate::RemoveEdge(a, b) => (a, b, false),
+            };
+            if a == b || u64::from(a.0) >= n_virtual || u64::from(b.0) >= n_virtual {
+                norm.rejected += 1;
+                continue;
+            }
+            let state = edges.entry((a.0, b.0)).or_insert_with(|| {
+                let present = self.contains_edge(a, b);
+                (present, present, 0)
+            });
+            if state.1 == insert {
+                // Inserting a present edge / removing an absent one: the
+                // one-at-a-time call would error; skip it.
+                norm.rejected += 1;
+            } else {
+                state.1 = insert;
+                state.2 += 1;
+            }
+        }
         for ((a, b), (initially, finally, accepted)) in edges {
             let (a, b) = (VertexId(a), VertexId(b));
             if initially == finally {
@@ -227,137 +235,6 @@ impl CscIndex {
         norm.insertions.sort_by_key(key);
         norm.removals.sort_by_key(key);
         norm
-    }
-
-    /// Sequential normalize scan: walks the updates in order, tracking the
-    /// virtual vertex count and per-edge `(present initially, present now,
-    /// accepted op count)` state.
-    fn normalize_scan(
-        &self,
-        updates: &[GraphUpdate],
-        norm: &mut NormalizedBatch,
-    ) -> HashMap<(u32, u32), (bool, bool, usize)> {
-        // Virtual vertex count: grows as AddVertex ops are scanned, so an
-        // edge op may reference vertices created *earlier* in the batch
-        // (exactly the ids one-by-one application would accept).
-        let mut n_virtual = self.original_vertex_count() as u64;
-        let mut edges: HashMap<(u32, u32), (bool, bool, usize)> = HashMap::new();
-        for update in updates {
-            let (a, b, insert) = match *update {
-                GraphUpdate::AddVertex => {
-                    n_virtual += 1;
-                    norm.add_vertices += 1;
-                    continue;
-                }
-                GraphUpdate::InsertEdge(a, b) => (a, b, true),
-                GraphUpdate::RemoveEdge(a, b) => (a, b, false),
-            };
-            if a == b || u64::from(a.0) >= n_virtual || u64::from(b.0) >= n_virtual {
-                norm.rejected += 1;
-                continue;
-            }
-            let state = edges.entry((a.0, b.0)).or_insert_with(|| {
-                let present = self.contains_edge(a, b);
-                (present, present, 0)
-            });
-            if state.1 == insert {
-                // Inserting a present edge / removing an absent one: the
-                // one-at-a-time call would error; skip it.
-                norm.rejected += 1;
-            } else {
-                state.1 = insert;
-                state.2 += 1;
-            }
-        }
-        edges
-    }
-
-    /// Parallel normalize scan: splits the batch into `width` contiguous
-    /// chunks, scans them concurrently, and merges sequentially.
-    ///
-    /// Two facts make the fan-out exact rather than approximate:
-    ///
-    /// * Range validation only needs the virtual vertex count at each
-    ///   op's position, which is the chunk's base (a prefix sum of
-    ///   earlier chunks' `AddVertex` counts, computed up front) plus the
-    ///   `AddVertex` ops earlier in the same chunk.
-    /// * Accept/reject of an edge op depends only on the edge's state
-    ///   when the chunk began, so each chunk simulates its subsequence
-    ///   from *both* possible entry states. The merge picks the branch
-    ///   matching the real state (consulting the graph on first touch)
-    ///   and composes chunk exits in order — bit-identical to the
-    ///   sequential scan at every width.
-    fn normalize_scan_parallel(
-        &self,
-        updates: &[GraphUpdate],
-        width: usize,
-        norm: &mut NormalizedBatch,
-    ) -> HashMap<(u32, u32), (bool, bool, usize)> {
-        let chunk_len = updates.len().div_ceil(width);
-        let chunks: Vec<&[GraphUpdate]> = updates.chunks(chunk_len).collect();
-        // Prefix-sum the AddVertex counts so each chunk knows the virtual
-        // vertex count it starts from.
-        let mut bases = Vec::with_capacity(chunks.len());
-        let mut base = self.original_vertex_count() as u64;
-        for chunk in &chunks {
-            bases.push(base);
-            base += chunk
-                .iter()
-                .filter(|u| matches!(u, GraphUpdate::AddVertex))
-                .count() as u64;
-        }
-        let scanned = par_map_indexed(width, chunks.len(), |i| {
-            let mut n_virtual = bases[i];
-            let mut out = NormChunk {
-                add_vertices: 0,
-                rejected: 0,
-                edges: HashMap::new(),
-            };
-            for update in chunks[i] {
-                let (a, b, insert) = match *update {
-                    GraphUpdate::AddVertex => {
-                        n_virtual += 1;
-                        out.add_vertices += 1;
-                        continue;
-                    }
-                    GraphUpdate::InsertEdge(a, b) => (a, b, true),
-                    GraphUpdate::RemoveEdge(a, b) => (a, b, false),
-                };
-                if a == b || u64::from(a.0) >= n_virtual || u64::from(b.0) >= n_virtual {
-                    out.rejected += 1;
-                    continue;
-                }
-                let branches = out
-                    .edges
-                    .entry((a.0, b.0))
-                    .or_insert([(false, 0, 0), (true, 0, 0)]);
-                for branch in branches.iter_mut() {
-                    if branch.0 == insert {
-                        branch.2 += 1;
-                    } else {
-                        branch.0 = insert;
-                        branch.1 += 1;
-                    }
-                }
-            }
-            out
-        });
-        let mut edges: HashMap<(u32, u32), (bool, bool, usize)> = HashMap::new();
-        for chunk in scanned {
-            norm.add_vertices += chunk.add_vertices;
-            norm.rejected += chunk.rejected;
-            for ((a, b), branches) in chunk.edges {
-                let state = edges.entry((a, b)).or_insert_with(|| {
-                    let present = self.contains_edge(VertexId(a), VertexId(b));
-                    (present, present, 0)
-                });
-                let branch = branches[usize::from(state.1)];
-                state.1 = branch.0;
-                state.2 += branch.1 as usize;
-                norm.rejected += branch.2 as usize;
-            }
-        }
-        edges
     }
 
     /// Applies a batch of graph updates in one call, with label repair run
@@ -621,133 +498,121 @@ impl CscIndex {
             ref config,
             ref mut workspace,
             ref mut sweeps,
+            ref repair_pool,
             ..
         } = *self;
         let graph = gb.graph();
         let n = graph.vertex_count();
         workspace.ensure(n);
 
-        // The wave-parallel path needs monotone label writes so that a
-        // stale compute view can only under-prune (see
-        // `multi_source_collect`); Minimality's mid-pass cleaning removes
-        // entries, so it keeps the direct sequential pass.
-        let width = config.parallelism.width();
-        if width > 1 && config.update_strategy == UpdateStrategy::Redundancy && hubs.len() > 1 {
-            let hub_list: Vec<(u32, &[Seed], &[Seed])> = hubs
-                .iter()
-                .map(|(&r, (fwd, bwd))| (r, fwd.as_slice(), bwd.as_slice()))
-                .collect();
-            let pool: WorkspacePool<(CoupleBfs, BucketQueue)> = WorkspacePool::new();
-            for wave in hub_list.chunks(width) {
-                // Compute phase: every wave hub traverses against the
-                // pre-wave labels with a worker-private workspace.
-                let results = {
-                    let labels_view: &csc_labeling::Labels = labels;
-                    par_map_indexed(width, wave.len(), |i| {
-                        // On worker threads: an injected panic here must
-                        // cross the scope join and reach the engine's
-                        // degradation catch, like any real worker bug.
-                        faultpoint!("batch.wave.worker");
-                        let (r, fwd, bwd) = wave[i];
-                        let vk = ranks.vertex_at_rank(r);
-                        let mut ws =
-                            pool.checkout_with(|| (CoupleBfs::new(n), BucketQueue::default()));
-                        let (bfs, buckets) = &mut *ws;
-                        bfs.ensure(n);
-                        let (state, cache) = bfs.parts_mut();
-                        let mut visited = 0usize;
-                        let collect = |seeds: &[Seed],
-                                       direction,
-                                       state: &mut _,
-                                       cache: &mut _,
-                                       buckets: &mut _,
-                                       visited: &mut _| {
-                            (!seeds.is_empty()).then(|| {
-                                multi_source_collect(
-                                    graph,
-                                    ranks,
-                                    labels_view,
-                                    state,
-                                    cache,
-                                    buckets,
-                                    direction,
-                                    r,
-                                    vk,
-                                    seeds,
-                                    visited,
-                                )
-                            })
-                        };
-                        let f =
-                            collect(fwd, Direction::Forward, state, cache, buckets, &mut visited);
-                        let b = collect(
-                            bwd,
-                            Direction::Backward,
-                            state,
-                            cache,
-                            buckets,
-                            &mut visited,
-                        );
-                        (f, b, visited)
-                    })
-                };
-                // Commit phase: ascending rank, forward before backward —
-                // the sequential pass order.
-                let (_, cache) = workspace.parts_mut();
-                for (&(r, fwd, bwd), (f, b, visited)) in wave.iter().zip(results) {
-                    let vk = ranks.vertex_at_rank(r);
-                    report.repair.vertices_visited += visited;
-                    for (visits, seeds, direction) in
-                        [(f, fwd, Direction::Forward), (b, bwd, Direction::Backward)]
-                    {
-                        let Some(visits) = visits else { continue };
-                        report.repair.affected_hubs += 1;
-                        report.hub_cache_fills += 1;
-                        report.hub_cache_hits += seeds.len() - 1;
-                        multi_source_commit(
-                            labels,
-                            inverted,
-                            cache,
-                            direction,
-                            r,
-                            vk,
-                            &visits,
-                            &mut report.repair,
-                        )?;
-                    }
-                }
-            }
-            return Ok(());
-        }
-
-        let (state, cache) = workspace.parts_mut();
-        let buckets = sweeps.buckets_mut();
-        for (&r, (fwd, bwd)) in &hubs {
-            let vk = ranks.vertex_at_rank(r);
-            for (seeds, direction) in [(fwd, Direction::Forward), (bwd, Direction::Backward)] {
-                if seeds.is_empty() {
-                    continue;
-                }
+        let hub_list: Vec<(u32, &[Seed], &[Seed])> = hubs
+            .iter()
+            .map(|(&r, (fwd, bwd))| (r, fwd.as_slice(), bwd.as_slice()))
+            .collect();
+        for seeds in hub_list.iter().flat_map(|&(_, fwd, bwd)| [fwd, bwd]) {
+            if !seeds.is_empty() {
                 report.repair.affected_hubs += 1;
                 report.hub_cache_fills += 1;
                 report.hub_cache_hits += seeds.len() - 1;
-                multi_source_pass(
-                    graph,
-                    ranks,
-                    labels,
-                    inverted,
-                    state,
-                    cache,
-                    buckets,
-                    config.update_strategy,
-                    direction,
-                    r,
-                    vk,
-                    seeds,
-                    &mut report.repair,
-                )?;
             }
         }
+
+        // Minimality's cleaning removes entries, which breaks the monotone
+        // writes a wider wave relies on: its passes run one at a time.
+        let strategy = config.update_strategy;
+        let width = match strategy {
+            UpdateStrategy::Redundancy => config.parallelism.width().max(1),
+            UpdateStrategy::Minimality => 1,
+        };
+        let mut counters = TraversalCounters::default();
+        let (state, cache) = workspace.parts_mut();
+        let buckets = sweeps.buckets_mut();
+        for wave in hub_list.chunks(width) {
+            // A wave of one pass traverses straight into the writer. A
+            // wider wave first fills one buffer per pass against the
+            // pre-wave labels, each worker with a private workspace.
+            let buffered = (wave.len() > 1).then(|| {
+                let labels: &Labels = labels;
+                par_map_indexed(width, wave.len(), |i| -> Result<_, LabelingError> {
+                    // On worker threads: an injected panic here must
+                    // cross the scope join and reach the engine's
+                    // degradation catch, like any real worker bug.
+                    faultpoint!("batch.wave.worker");
+                    let (r, fwd, bwd) = wave[i];
+                    let vk = ranks.vertex_at_rank(r);
+                    let mut ws =
+                        repair_pool.checkout_with(|| (CoupleBfs::new(n), BucketQueue::default()));
+                    let (bfs, buckets) = &mut *ws;
+                    bfs.ensure(n);
+                    let (state, cache) = bfs.parts_mut();
+                    let mut c = TraversalCounters::default();
+                    let mut pass = |seeds: &[Seed], direction| -> Result<_, LabelingError> {
+                        let mut buffer = VisitBuffer::new(labels);
+                        if !seeds.is_empty() {
+                            multi_source_pass(
+                                graph,
+                                ranks,
+                                state,
+                                cache,
+                                buckets,
+                                direction,
+                                r,
+                                vk,
+                                seeds,
+                                &mut buffer,
+                                &mut c,
+                            )?;
+                        }
+                        Ok(buffer.visits)
+                    };
+                    let f = pass(fwd, Direction::Forward)?;
+                    let b = pass(bwd, Direction::Backward)?;
+                    Ok((f, b, c))
+                })
+            });
+            let mut writer = RepairWriter {
+                labels: &mut *labels,
+                inverted: &mut *inverted,
+                ranks,
+                strategy,
+                report: &mut report.repair,
+            };
+            let Some(results) = buffered else {
+                let (r, fwd, bwd) = wave[0];
+                let vk = ranks.vertex_at_rank(r);
+                for (seeds, direction) in [(fwd, Direction::Forward), (bwd, Direction::Backward)] {
+                    if !seeds.is_empty() {
+                        multi_source_pass(
+                            graph,
+                            ranks,
+                            state,
+                            cache,
+                            buckets,
+                            direction,
+                            r,
+                            vk,
+                            seeds,
+                            &mut writer,
+                            &mut counters,
+                        )?;
+                    }
+                }
+                continue;
+            };
+            // Commit in ascending rank, forward before backward — the
+            // serial pass order — re-validating every pass after the first.
+            for (i, (&(r, ..), result)) in wave.iter().zip(results).enumerate() {
+                let (fwd, bwd, c) = result?;
+                counters.merge(&c);
+                let vk = ranks.vertex_at_rank(r);
+                let mut validate = (i > 0).then_some(&mut *cache);
+                for (side, visits) in [(LabelSide::In, fwd), (LabelSide::Out, bwd)] {
+                    let cache = validate.as_deref_mut();
+                    commit(&mut writer, &mut counters, side, vk, r, &visits, cache)?;
+                }
+            }
+        }
+        report.repair.vertices_visited += counters.dequeues;
         Ok(())
     }
 }
@@ -830,40 +695,6 @@ mod tests {
         assert_eq!(norm.rejected, 4);
         assert_eq!(norm.cancelled, 4);
         assert_eq!(norm.add_vertices, 0);
-    }
-
-    #[test]
-    fn parallel_normalize_matches_sequential_at_every_width() {
-        let g = DiGraph::from_edges(5, vec![(0, 1), (1, 2), (2, 0), (3, 4)]);
-        // A batch engineered so edge histories, AddVertex-dependent range
-        // checks, and rejections all straddle chunk boundaries at widths
-        // 2 and 4 (chunk lengths 7 and 4).
-        let updates = vec![
-            InsertEdge(v(0), v(2)),
-            RemoveEdge(v(0), v(2)), // cancels across ops 0/1
-            AddVertex,              // vertex 5 exists from here on
-            InsertEdge(v(5), v(6)), // rejected: 6 not yet added
-            RemoveEdge(v(3), v(4)),
-            InsertEdge(v(3), v(4)), // flap resolves to no-op
-            RemoveEdge(v(3), v(4)), // ...then a net removal
-            AddVertex,              // vertex 6, first op of chunk 2 at width 2
-            InsertEdge(v(5), v(6)), // now valid: net insertion
-            InsertEdge(v(5), v(6)), // duplicate: rejected
-            RemoveEdge(v(2), v(2)), // self-loop: rejected
-            InsertEdge(v(2), v(0)), // present edge: rejected
-            RemoveEdge(v(2), v(0)), // net removal
-            InsertEdge(v(1), v(5)), // net insertion
-        ];
-        let seq = CscIndex::build(&g, CscConfig::default().with_threads(1)).unwrap();
-        let expected = seq.normalize_batch(&updates);
-        for threads in [2, 4, 8] {
-            let par = CscIndex::build(&g, CscConfig::default().with_threads(threads)).unwrap();
-            assert_eq!(
-                par.normalize_batch(&updates),
-                expected,
-                "width {threads} diverged from the sequential scan"
-            );
-        }
     }
 
     #[test]
@@ -1025,6 +856,50 @@ mod tests {
             assert!(report.applied_updates() > 0);
             assert_eq!(par.labels, serial.labels, "width {threads} diverged");
         }
+    }
+
+    #[test]
+    fn repair_waves_reuse_one_pool_of_workspaces() {
+        // Wider repair waves check their workspaces out of the index's one
+        // repair pool, so the pool never outgrows the width, width 1 never
+        // touches it, and `memory_bytes` counts what it holds.
+        let g = gnm(40, 140, 5);
+        let edges = g.edge_vec();
+        let windows: Vec<Vec<GraphUpdate>> = (0..6u32)
+            .map(|k| {
+                let mut window: Vec<GraphUpdate> = edges[k as usize * 3..][..2]
+                    .iter()
+                    .map(|&(a, b)| RemoveEdge(v(a), v(b)))
+                    .collect();
+                for s in 0..6u32 {
+                    let (a, b) = ((s * 7 + k * 3 + 1) % 40, (s * 13 + k + 5) % 40);
+                    if a != b {
+                        window.push(InsertEdge(v(a), v(b)));
+                    }
+                }
+                window
+            })
+            .collect();
+        let run = |threads| {
+            let mut idx = CscIndex::build(&g, CscConfig::default().with_threads(threads)).unwrap();
+            for window in &windows {
+                idx.apply_batch(window).unwrap();
+            }
+            idx
+        };
+        assert_eq!(run(1).repair_pool.sum_idle(|_| 1), 0);
+
+        let mut idx = run(4);
+        let pooled = idx.repair_pool.sum_idle(|_| 1);
+        assert!((1..=4).contains(&pooled), "{pooled} workspaces at width 4");
+        let pool_bytes = idx
+            .repair_pool
+            .sum_idle(|(bfs, buckets)| bfs.heap_bytes() + buckets.heap_bytes());
+        let with_pool = idx.memory_bytes();
+        idx.repair_pool = csc_graph::WorkspacePool::new();
+        assert!(pool_bytes > 0);
+        assert_eq!(with_pool - idx.memory_bytes(), pool_bytes);
+        assert_matches_oracle(&idx, "pooled repair waves");
     }
 
     #[test]

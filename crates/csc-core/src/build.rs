@@ -17,6 +17,13 @@
 //!
 //! The same traversal, switched from append-only to upsert mode, is the
 //! re-labeling pass of decremental maintenance (`csc-core::delete`).
+//!
+//! Every label traversal — this couple BFS and the resumed multi-source
+//! pass of `csc-core::repair` — hands each visit it does not prune to a
+//! [`VisitSink`]: a writer applies it to the label store at once, a
+//! [`VisitBuffer`] keeps it for a writer to [`commit`] later. The
+//! traversal reads the labels it prunes against through the same sink, so
+//! one body serves both the serial pass and the parallel waves.
 
 use crate::config::ParallelismConfig;
 use crate::invert::InvertedIndex;
@@ -82,8 +89,8 @@ pub(crate) struct TraversalCounters {
 }
 
 impl TraversalCounters {
-    /// Folds another counter set (e.g. one worker's compute-phase
-    /// counters) into this one.
+    /// Folds another counter set (e.g. one worker's traversal counters)
+    /// into this one.
     pub(crate) fn merge(&mut self, other: &TraversalCounters) {
         self.inserted += other.inserted;
         self.updated += other.updated;
@@ -96,18 +103,254 @@ impl TraversalCounters {
     }
 }
 
-/// One dequeued vertex of a buffered hub traversal: stands for the label
-/// entry `(w, d, c)` plus — couple skipping — the couple's entry at
-/// distance `d + 1`, exactly as the direct traversal would have written.
+/// One visit a traversal did not prune: vertex `w` at distance `dw` from
+/// the hub, reached by `cw` hub-maximal shortest paths. `tie` records that
+/// the prune scan matched `dw` exactly (a non-canonical entry).
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct VisitGroup {
+pub(crate) struct Visit {
+    pub w: VertexId,
+    pub dw: u32,
+    pub cw: u64,
+    pub tie: bool,
+}
+
+/// Whatever receives the visits of a label traversal.
+///
+/// Traversals pass their label side as a constant into the inlined
+/// [`visit`](Self::visit), so a writer's side dispatch folds away at
+/// compile time.
+pub(crate) trait VisitSink {
+    /// The labels the traversal prunes against.
+    fn labels(&self) -> &Labels;
+
+    /// Takes one unpruned visit of `hub`'s traversal writing `side`.
+    fn visit(
+        &mut self,
+        counters: &mut TraversalCounters,
+        side: LabelSide,
+        hub: VertexId,
+        hub_rank: u32,
+        v: Visit,
+    ) -> Result<(), LabelingError>;
+}
+
+/// The buffering sink: keeps every visit, in traversal order, against a
+/// label view that stays unchanged until a writer [`commit`]s them.
+pub(crate) struct VisitBuffer<'a> {
+    labels: &'a Labels,
+    pub visits: Vec<Visit>,
+}
+
+impl<'a> VisitBuffer<'a> {
+    pub(crate) fn new(labels: &'a Labels) -> Self {
+        VisitBuffer {
+            labels,
+            visits: Vec::new(),
+        }
+    }
+}
+
+impl VisitSink for VisitBuffer<'_> {
+    fn labels(&self) -> &Labels {
+        self.labels
+    }
+
+    #[inline]
+    fn visit(
+        &mut self,
+        _: &mut TraversalCounters,
+        _: LabelSide,
+        _: VertexId,
+        _: u32,
+        v: Visit,
+    ) -> Result<(), LabelingError> {
+        self.visits.push(v);
+        Ok(())
+    }
+}
+
+/// The writing sink of the couple BFS: applies each visit to the label
+/// store at once, as `w`'s entry plus — couple skipping — its couple's
+/// entry at `dw + 1`.
+pub(crate) struct LabelWriter<'a> {
+    labels: &'a mut Labels,
+    inverted: Option<&'a mut InvertedIndex>,
+    mode: WriteMode,
+}
+
+impl<'a> LabelWriter<'a> {
+    pub(crate) fn new(
+        labels: &'a mut Labels,
+        inverted: Option<&'a mut InvertedIndex>,
+        mode: WriteMode,
+    ) -> Self {
+        LabelWriter {
+            labels,
+            inverted,
+            mode,
+        }
+    }
+
+    /// Writes one entry according to `mode`, maintaining the inverted index
+    /// and counters. Returns the error on capacity overflow.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn write(
+        &mut self,
+        counters: &mut TraversalCounters,
+        v: VertexId,
+        side: LabelSide,
+        hub: VertexId,
+        hub_rank: u32,
+        dist: u32,
+        count: u64,
+    ) -> Result<(), LabelingError> {
+        let entry =
+            LabelEntry::new(hub_rank, dist, count).map_err(|source| LabelingError::Entry {
+                hub,
+                vertex: v,
+                source,
+            })?;
+        if entry.count_saturated() {
+            counters.saturated += 1;
+        }
+        match self.mode {
+            WriteMode::Append => {
+                self.labels.append(v, side, entry);
+                counters.inserted += 1;
+                if let Some(inv) = self.inverted.as_deref_mut() {
+                    inv.add(side, hub_rank, v);
+                }
+            }
+            WriteMode::Upsert => {
+                if self.labels.entry_for(v, side, hub_rank) == Some(entry) {
+                    counters.unchanged += 1;
+                    return Ok(());
+                }
+                match self.labels.upsert(v, side, entry) {
+                    Some(_) => counters.updated += 1,
+                    None => {
+                        counters.inserted += 1;
+                        if let Some(inv) = self.inverted.as_deref_mut() {
+                            inv.add(side, hub_rank, v);
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl VisitSink for LabelWriter<'_> {
+    fn labels(&self) -> &Labels {
+        self.labels
+    }
+
+    // Always inlined, with `write`: the traversal's constant side, and the
+    // mode of a writer built next to the loop, fold away only when the
+    // whole write lands in the traversal loop. Left to the inliner, the
+    // width-1 build of the benchmark graphs ran about 5% slower.
+    #[inline(always)]
+    fn visit(
+        &mut self,
+        counters: &mut TraversalCounters,
+        side: LabelSide,
+        hub: VertexId,
+        hub_rank: u32,
+        v: Visit,
+    ) -> Result<(), LabelingError> {
+        self.write(counters, v.w, side, hub, hub_rank, v.dw, v.cw)?;
+        if side == LabelSide::Out && (v.w == hub || v.w == couple(hub)) {
+            // The hub's own out-entry, or a cycle closed back onto the
+            // hub's couple (the entry SCCnt queries read): neither has a
+            // couple to label.
+            counters.canonical += 1;
+            return Ok(());
+        }
+        if v.tie {
+            counters.non_canonical += 2;
+        } else {
+            counters.canonical += 2;
+        }
+        self.write(counters, couple(v.w), side, hub, hub_rank, v.dw + 1, v.cw)
+    }
+}
+
+/// Scatters the hub's own `own_side` label (plus its rank-0 self entry)
+/// into `cache` for constant-time `D_G(v_k, ·)` component lookups.
+#[inline]
+pub(crate) fn fill_hub_cache(
+    labels: &Labels,
+    cache: &mut HubCache,
+    vk: VertexId,
+    vk_rank: u32,
+    own_side: LabelSide,
+) {
+    cache.begin();
+    for e in labels.side_of(vk, own_side) {
+        cache.put(e.hub_rank(), e.dist(), e.count());
+    }
+    cache.put(vk_rank, 0, 1);
+}
+
+/// `D_G(v_k, w)` (or `D_G(w, v_k)` when `target_side` is `Out`) under the
+/// current index, restricted to the hubs scattered in `cache` — i.e.
+/// through the pass hub itself and strictly higher-ranked hubs, whose
+/// entries are final when passes run in descending rank order. The cache
+/// never holds a rank above `vk_rank` (a hub's own label only stores
+/// higher-ranked hubs plus itself), so the rank-sorted scan stops at that
+/// prefix.
+#[inline]
+pub(crate) fn covered_dist(
+    labels: &Labels,
+    cache: &HubCache,
+    vk_rank: u32,
     w: VertexId,
-    dw: u32,
-    cw: u64,
-    /// The prune scan tied (`d_idx == dw`) against the compute-time label
-    /// view: the entry is non-canonical. Recomputed at commit time when
-    /// validation is on.
-    tie: bool,
+    target_side: LabelSide,
+) -> u32 {
+    let mut dg = INF;
+    for e in labels.side_of(w, target_side) {
+        if e.hub_rank() > vk_rank {
+            break;
+        }
+        if let Some((dh, _)) = cache.get(e.hub_rank()) {
+            dg = dg.min(dh + e.dist());
+        }
+    }
+    dg
+}
+
+/// Commits a [`VisitBuffer`]'s visits of `hub`'s traversal on `side`
+/// through `writer`, in traversal order. With `validate` (a scratch hub
+/// cache) the prune scan re-runs against the labels at commit time and
+/// drops every visit the serial pass would have pruned; a wave validates
+/// every pass after its first. See [`CoupleBfs::traverse_in`] for why this
+/// reproduces the serial pass exactly.
+pub(crate) fn commit<W: VisitSink>(
+    writer: &mut W,
+    counters: &mut TraversalCounters,
+    side: LabelSide,
+    hub: VertexId,
+    hub_rank: u32,
+    visits: &[Visit],
+    mut validate: Option<&mut HubCache>,
+) -> Result<(), LabelingError> {
+    if let Some(cache) = validate.as_deref_mut() {
+        fill_hub_cache(writer.labels(), cache, hub, hub_rank, side.flip());
+    }
+    for &(mut v) in visits {
+        if let Some(cache) = validate.as_deref() {
+            let d_idx = covered_dist(writer.labels(), cache, hub_rank, v.w, side);
+            if d_idx < v.dw {
+                counters.pruned += 1;
+                continue;
+            }
+            v.tie = d_idx == v.dw;
+        }
+        writer.visit(counters, side, hub, hub_rank, v)?;
+    }
+    Ok(())
 }
 
 /// The reusable couple-skipping traversal engine.
@@ -130,7 +373,8 @@ impl CoupleBfs {
     }
 
     /// Splits the workspace into its BFS state and hub cache (used by the
-    /// plain — non-couple-skipping — maintenance passes).
+    /// plain — non-couple-skipping — maintenance passes, and as the
+    /// validation scratch of [`commit`]).
     pub(crate) fn parts_mut(&mut self) -> (&mut SearchState, &mut HubCache) {
         (&mut self.state, &mut self.cache)
     }
@@ -141,80 +385,52 @@ impl CoupleBfs {
         self.state.heap_bytes() + self.cache.heap_bytes()
     }
 
-    /// Writes one entry according to `mode`, maintaining the inverted index
-    /// and counters. Returns the error on capacity overflow.
-    #[allow(clippy::too_many_arguments)]
-    fn write(
-        labels: &mut Labels,
-        inverted: Option<&mut InvertedIndex>,
-        counters: &mut TraversalCounters,
-        mode: WriteMode,
-        v: VertexId,
-        side: LabelSide,
-        hub: VertexId,
-        hub_rank: u32,
-        dist: u32,
-        count: u64,
-    ) -> Result<(), LabelingError> {
-        let entry =
-            LabelEntry::new(hub_rank, dist, count).map_err(|source| LabelingError::Entry {
-                hub,
-                vertex: v,
-                source,
-            })?;
-        if entry.count_saturated() {
-            counters.saturated += 1;
-        }
-        match mode {
-            WriteMode::Append => {
-                labels.append(v, side, entry);
-                counters.inserted += 1;
-                if let Some(inv) = inverted {
-                    inv.add(side, hub_rank, v);
-                }
-            }
-            WriteMode::Upsert => {
-                if labels.entry_for(v, side, hub_rank) == Some(entry) {
-                    counters.unchanged += 1;
-                    return Ok(());
-                }
-                match labels.upsert(v, side, entry) {
-                    Some(_) => counters.updated += 1,
-                    None => {
-                        counters.inserted += 1;
-                        if let Some(inv) = inverted {
-                            inv.add(side, hub_rank, v);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Forward traversal from `hub` (must be a `V_in` vertex): produces the
-    /// in-labels `(hub, d, c)` of every vertex for which `hub` is the
+    /// Forward traversal from `hub` (must be a `V_in` vertex): hands `sink`
+    /// the in-label visit of every vertex for which `hub` is the
     /// highest-ranked vertex on at least one shortest `hub ~> ·` path.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_in(
+    ///
+    /// # Buffered passes
+    ///
+    /// Within one traversal a pass never reads its own writes: the hub
+    /// cache is scattered once up front, the prune scan at a vertex runs
+    /// before that vertex's write, and couples are never dequeued on their
+    /// writing side. The same holds for [`traverse_out`](Self::traverse_out)
+    /// and for `repair::multi_source_pass`, whose scan at a vertex only
+    /// reads the list the pass writes at most once, at that vertex's own
+    /// visit. So filling a [`VisitBuffer`] and then [`commit`]ting it onto
+    /// the labels it was filled against is the writer's pass exactly.
+    ///
+    /// A parallel wave fills its buffers concurrently against the labels as
+    /// they stood when the wave started, then commits them in rank order. A
+    /// buffer may therefore miss the commits of earlier passes of its own
+    /// wave, and its pruning can only be *weaker* than the serial pass's:
+    /// label writes are monotone (entries are only added or improved,
+    /// never lengthened or removed), so more committed labels mean more
+    /// pruning, never less. A validated commit re-runs the prune scan
+    /// against the labels at commit time and drops every visit the serial
+    /// pass would have pruned; a dropped visit takes its whole buffered
+    /// subtree with it (coverage at a vertex extends to everything it
+    /// expanded to, at strictly smaller slack), so the surviving writes —
+    /// distances *and* counts — are the serial ones. The first pass of a
+    /// wave needs no validation: nothing was committed between its
+    /// traversal and its commit.
+    pub(crate) fn traverse_in<S: VisitSink>(
         &mut self,
         graph: &impl Adjacency,
         ranks: &RankTable,
-        labels: &mut Labels,
-        mut inverted: Option<&mut InvertedIndex>,
-        counters: &mut TraversalCounters,
         hub: VertexId,
-        mode: WriteMode,
+        sink: &mut S,
+        counters: &mut TraversalCounters,
     ) -> Result<(), LabelingError> {
         debug_assert!(is_in_vertex(hub), "hubs must be incoming vertices");
         let hub_rank = ranks.rank(hub);
-
-        // Scatter the hub's out-labels for the O(|label|) distance check.
-        self.cache.begin();
-        for e in labels.out_of(hub) {
-            self.cache.put(e.hub_rank(), e.dist(), e.count());
-        }
-        self.cache.put(hub_rank, 0, 1);
+        fill_hub_cache(
+            sink.labels(),
+            &mut self.cache,
+            hub,
+            hub_rank,
+            LabelSide::Out,
+        );
 
         let state = &mut self.state;
         state.reset();
@@ -228,54 +444,23 @@ impl CoupleBfs {
             counters.dequeues += 1;
 
             // Shortest hub ~> w distance through strictly higher-ranked
-            // hubs. Lists are rank-sorted and the cache never holds a rank
-            // above the traversal hub's, so the scan stops at the prefix.
-            let mut d_idx = INF;
-            for e in labels.in_of(w) {
-                if e.hub_rank() > hub_rank {
-                    break;
-                }
-                if let Some((dh, _)) = self.cache.get(e.hub_rank()) {
-                    d_idx = d_idx.min(dh + e.dist());
-                }
-            }
+            // hubs.
+            let d_idx = covered_dist(sink.labels(), &self.cache, hub_rank, w, LabelSide::In);
             if d_idx < dw {
                 counters.pruned += 1;
                 continue;
             }
-            if d_idx == dw {
-                counters.non_canonical += 2;
-            } else {
-                counters.canonical += 2;
-            }
+            let tie = d_idx == dw;
+            sink.visit(
+                counters,
+                LabelSide::In,
+                hub,
+                hub_rank,
+                Visit { w, dw, cw, tie },
+            )?;
 
-            // Label w and, via couple skipping, its outgoing couple.
+            // Couple skipping: continue from w's outgoing couple.
             let wo = couple(w);
-            Self::write(
-                labels,
-                inverted.as_deref_mut(),
-                counters,
-                mode,
-                w,
-                LabelSide::In,
-                hub,
-                hub_rank,
-                dw,
-                cw,
-            )?;
-            Self::write(
-                labels,
-                inverted.as_deref_mut(),
-                counters,
-                mode,
-                wo,
-                LabelSide::In,
-                hub,
-                hub_rank,
-                dw + 1,
-                cw,
-            )?;
-
             state.visit(wo, dw + 1, cw);
             for &u in graph.succ(wo) {
                 let u = VertexId(u); // back in V_in
@@ -292,45 +477,32 @@ impl CoupleBfs {
         Ok(())
     }
 
-    /// Backward traversal from `hub` (a `V_in` vertex): produces out-labels.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_out(
+    /// Backward traversal from `hub` (a `V_in` vertex): hands `sink` the
+    /// hub's own out-entry, then every out-label visit.
+    pub(crate) fn traverse_out<S: VisitSink>(
         &mut self,
         graph: &impl Adjacency,
         ranks: &RankTable,
-        labels: &mut Labels,
-        mut inverted: Option<&mut InvertedIndex>,
-        counters: &mut TraversalCounters,
         hub: VertexId,
-        mode: WriteMode,
+        sink: &mut S,
+        counters: &mut TraversalCounters,
     ) -> Result<(), LabelingError> {
         debug_assert!(is_in_vertex(hub), "hubs must be incoming vertices");
         let hub_rank = ranks.rank(hub);
         let hub_couple = couple(hub);
-
-        self.cache.begin();
-        for e in labels.in_of(hub) {
-            self.cache.put(e.hub_rank(), e.dist(), e.count());
-        }
-        self.cache.put(hub_rank, 0, 1);
+        fill_hub_cache(sink.labels(), &mut self.cache, hub, hub_rank, LabelSide::In);
 
         let state = &mut self.state;
         state.reset();
         state.visit(hub, 0, 1);
         counters.dequeues += 1;
-        counters.canonical += 1;
-        Self::write(
-            labels,
-            inverted.as_deref_mut(),
-            counters,
-            mode,
-            hub,
-            LabelSide::Out,
-            hub,
-            hub_rank,
-            0,
-            1,
-        )?;
+        let root = Visit {
+            w: hub,
+            dw: 0,
+            cw: 1,
+            tie: false,
+        };
+        sink.visit(counters, LabelSide::Out, hub, hub_rank, root)?;
         for &xo in graph.pred(hub) {
             let xo = VertexId(xo); // in V_out (self-loops are impossible)
             if hub_rank < ranks.rank(xo) {
@@ -345,58 +517,26 @@ impl CoupleBfs {
             let cw = state.count[w.index()];
             counters.dequeues += 1;
 
-            let mut d_idx = INF;
-            for e in labels.out_of(w) {
-                if e.hub_rank() > hub_rank {
-                    break;
-                }
-                if let Some((dh, _)) = self.cache.get(e.hub_rank()) {
-                    d_idx = d_idx.min(e.dist() + dh);
-                }
-            }
+            let d_idx = covered_dist(sink.labels(), &self.cache, hub_rank, w, LabelSide::Out);
             if d_idx < dw {
                 counters.pruned += 1;
                 continue;
             }
-
-            Self::write(
-                labels,
-                inverted.as_deref_mut(),
+            let tie = d_idx == dw;
+            sink.visit(
                 counters,
-                mode,
-                w,
                 LabelSide::Out,
                 hub,
                 hub_rank,
-                dw,
-                cw,
+                Visit { w, dw, cw, tie },
             )?;
             if w == hub_couple {
-                // The traversal closed a cycle back onto the hub's couple:
-                // this entry is the one SCCnt queries read. Continuing
-                // backward would re-enter the hub, so prune here.
-                counters.canonical += 1;
+                // The traversal closed a cycle back onto the hub's couple;
+                // continuing backward would re-enter the hub, so prune.
                 continue;
-            }
-            if d_idx == dw {
-                counters.non_canonical += 2;
-            } else {
-                counters.canonical += 2;
             }
 
             let wi = couple(w);
-            Self::write(
-                labels,
-                inverted.as_deref_mut(),
-                counters,
-                mode,
-                wi,
-                LabelSide::Out,
-                hub,
-                hub_rank,
-                dw + 1,
-                cw,
-            )?;
             state.visit(wi, dw + 1, cw);
             for &yo in graph.pred(wi) {
                 let yo = VertexId(yo); // in V_out
@@ -409,347 +549,6 @@ impl CoupleBfs {
                     state.accumulate(yo, cw);
                 }
             }
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Buffered (compute/commit) form of the same traversals.
-    //
-    // `collect_in` / `collect_out` run the identical BFS against an
-    // *immutable* label view and buffer the would-be writes;
-    // `commit_in` / `commit_out` apply a buffer to the store. Within one
-    // hub's traversal the direct form never reads its own writes (the
-    // prune scan at a vertex runs before that vertex's write, couples are
-    // never dequeued on their writing side, and the hub cache is
-    // scattered once up front), so collect-then-commit over the same
-    // label state is behaviorally identical to the direct form.
-    //
-    // The parallel build and repair waves exploit this: a wave of hubs is
-    // collected concurrently against the pre-wave labels, then committed
-    // in rank order. Because a wave member's compute view may be missing
-    // the writes of same-wave higher-ranked hubs, its pruning can only be
-    // *weaker* than sequential (label writes are monotone under Append
-    // and Upsert — entries are only added or improved, so more committed
-    // labels mean more pruning, never less). Committing with
-    // `validate: true` re-runs the prune scan against the
-    // fully-committed prefix and drops every group the sequential pass
-    // would have pruned; dropped groups take their whole buffered
-    // subtree with them (coverage at a vertex extends to everything it
-    // expanded to, at strictly smaller slack), so the surviving entries
-    // — distances *and* counts — match the sequential execution exactly.
-    // ------------------------------------------------------------------
-
-    /// Buffered [`run_in`](Self::run_in): identical traversal, reads
-    /// `labels` immutably, returns the visit groups instead of writing.
-    pub(crate) fn collect_in(
-        &mut self,
-        graph: &impl Adjacency,
-        ranks: &RankTable,
-        labels: &Labels,
-        counters: &mut TraversalCounters,
-        hub: VertexId,
-    ) -> Vec<VisitGroup> {
-        debug_assert!(is_in_vertex(hub), "hubs must be incoming vertices");
-        let hub_rank = ranks.rank(hub);
-        let mut groups = Vec::new();
-
-        self.cache.begin();
-        for e in labels.out_of(hub) {
-            self.cache.put(e.hub_rank(), e.dist(), e.count());
-        }
-        self.cache.put(hub_rank, 0, 1);
-
-        let state = &mut self.state;
-        state.reset();
-        state.visit(hub, 0, 1);
-        state.queue.push_back(hub.0);
-
-        while let Some(w) = state.queue.pop_front() {
-            let w = VertexId(w);
-            let dw = state.dist[w.index()];
-            let cw = state.count[w.index()];
-            counters.dequeues += 1;
-
-            let mut d_idx = INF;
-            for e in labels.in_of(w) {
-                if e.hub_rank() > hub_rank {
-                    break;
-                }
-                if let Some((dh, _)) = self.cache.get(e.hub_rank()) {
-                    d_idx = d_idx.min(dh + e.dist());
-                }
-            }
-            if d_idx < dw {
-                counters.pruned += 1;
-                continue;
-            }
-            groups.push(VisitGroup {
-                w,
-                dw,
-                cw,
-                tie: d_idx == dw,
-            });
-
-            let wo = couple(w);
-            state.visit(wo, dw + 1, cw);
-            for &u in graph.succ(wo) {
-                let u = VertexId(u);
-                if !state.visited(u) {
-                    if hub_rank < ranks.rank(u) {
-                        state.visit(u, dw + 2, cw);
-                        state.queue.push_back(u.0);
-                    }
-                } else if state.dist[u.index()] == dw + 2 {
-                    state.accumulate(u, cw);
-                }
-            }
-        }
-        groups
-    }
-
-    /// Buffered [`run_out`](Self::run_out). The hub's own out-entry is
-    /// not buffered (it is unconditional); [`commit_out`](Self::commit_out)
-    /// writes it.
-    pub(crate) fn collect_out(
-        &mut self,
-        graph: &impl Adjacency,
-        ranks: &RankTable,
-        labels: &Labels,
-        counters: &mut TraversalCounters,
-        hub: VertexId,
-    ) -> Vec<VisitGroup> {
-        debug_assert!(is_in_vertex(hub), "hubs must be incoming vertices");
-        let hub_rank = ranks.rank(hub);
-        let hub_couple = couple(hub);
-        let mut groups = Vec::new();
-
-        self.cache.begin();
-        for e in labels.in_of(hub) {
-            self.cache.put(e.hub_rank(), e.dist(), e.count());
-        }
-        self.cache.put(hub_rank, 0, 1);
-
-        let state = &mut self.state;
-        state.reset();
-        state.visit(hub, 0, 1);
-        counters.dequeues += 1;
-        for &xo in graph.pred(hub) {
-            let xo = VertexId(xo);
-            if hub_rank < ranks.rank(xo) {
-                state.visit(xo, 1, 1);
-                state.queue.push_back(xo.0);
-            }
-        }
-
-        while let Some(w) = state.queue.pop_front() {
-            let w = VertexId(w);
-            let dw = state.dist[w.index()];
-            let cw = state.count[w.index()];
-            counters.dequeues += 1;
-
-            let mut d_idx = INF;
-            for e in labels.out_of(w) {
-                if e.hub_rank() > hub_rank {
-                    break;
-                }
-                if let Some((dh, _)) = self.cache.get(e.hub_rank()) {
-                    d_idx = d_idx.min(e.dist() + dh);
-                }
-            }
-            if d_idx < dw {
-                counters.pruned += 1;
-                continue;
-            }
-            groups.push(VisitGroup {
-                w,
-                dw,
-                cw,
-                tie: d_idx == dw,
-            });
-            if w == hub_couple {
-                // Cycle closure: the direct form prunes here too.
-                continue;
-            }
-
-            let wi = couple(w);
-            state.visit(wi, dw + 1, cw);
-            for &yo in graph.pred(wi) {
-                let yo = VertexId(yo);
-                if !state.visited(yo) {
-                    if hub_rank < ranks.rank(yo) {
-                        state.visit(yo, dw + 2, cw);
-                        state.queue.push_back(yo.0);
-                    }
-                } else if state.dist[yo.index()] == dw + 2 {
-                    state.accumulate(yo, cw);
-                }
-            }
-        }
-        groups
-    }
-
-    /// Commits a [`collect_in`](Self::collect_in) buffer. With `validate`
-    /// the prune scan re-runs against the *current* labels (using
-    /// `cache` as scratch), dropping groups the sequential pass would
-    /// have pruned — see the module notes above for why that reproduces
-    /// the sequential output exactly.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn commit_in(
-        labels: &mut Labels,
-        mut inverted: Option<&mut InvertedIndex>,
-        counters: &mut TraversalCounters,
-        mode: WriteMode,
-        cache: &mut HubCache,
-        hub: VertexId,
-        hub_rank: u32,
-        groups: &[VisitGroup],
-        validate: bool,
-    ) -> Result<(), LabelingError> {
-        if validate {
-            cache.begin();
-            for e in labels.out_of(hub) {
-                cache.put(e.hub_rank(), e.dist(), e.count());
-            }
-            cache.put(hub_rank, 0, 1);
-        }
-        for g in groups {
-            let mut tie = g.tie;
-            if validate {
-                let mut d_idx = INF;
-                for e in labels.in_of(g.w) {
-                    if e.hub_rank() > hub_rank {
-                        break;
-                    }
-                    if let Some((dh, _)) = cache.get(e.hub_rank()) {
-                        d_idx = d_idx.min(dh + e.dist());
-                    }
-                }
-                if d_idx < g.dw {
-                    counters.pruned += 1;
-                    continue;
-                }
-                tie = d_idx == g.dw;
-            }
-            if tie {
-                counters.non_canonical += 2;
-            } else {
-                counters.canonical += 2;
-            }
-            Self::write(
-                labels,
-                inverted.as_deref_mut(),
-                counters,
-                mode,
-                g.w,
-                LabelSide::In,
-                hub,
-                hub_rank,
-                g.dw,
-                g.cw,
-            )?;
-            Self::write(
-                labels,
-                inverted.as_deref_mut(),
-                counters,
-                mode,
-                couple(g.w),
-                LabelSide::In,
-                hub,
-                hub_rank,
-                g.dw + 1,
-                g.cw,
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Commits a [`collect_out`](Self::collect_out) buffer, including the
-    /// hub's unconditional self-entry.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn commit_out(
-        labels: &mut Labels,
-        mut inverted: Option<&mut InvertedIndex>,
-        counters: &mut TraversalCounters,
-        mode: WriteMode,
-        cache: &mut HubCache,
-        hub: VertexId,
-        hub_rank: u32,
-        groups: &[VisitGroup],
-        validate: bool,
-    ) -> Result<(), LabelingError> {
-        let hub_couple = couple(hub);
-        if validate {
-            cache.begin();
-            for e in labels.in_of(hub) {
-                cache.put(e.hub_rank(), e.dist(), e.count());
-            }
-            cache.put(hub_rank, 0, 1);
-        }
-        counters.canonical += 1;
-        Self::write(
-            labels,
-            inverted.as_deref_mut(),
-            counters,
-            mode,
-            hub,
-            LabelSide::Out,
-            hub,
-            hub_rank,
-            0,
-            1,
-        )?;
-        for g in groups {
-            let mut tie = g.tie;
-            if validate {
-                let mut d_idx = INF;
-                for e in labels.out_of(g.w) {
-                    if e.hub_rank() > hub_rank {
-                        break;
-                    }
-                    if let Some((dh, _)) = cache.get(e.hub_rank()) {
-                        d_idx = d_idx.min(e.dist() + dh);
-                    }
-                }
-                if d_idx < g.dw {
-                    counters.pruned += 1;
-                    continue;
-                }
-                tie = d_idx == g.dw;
-            }
-            Self::write(
-                labels,
-                inverted.as_deref_mut(),
-                counters,
-                mode,
-                g.w,
-                LabelSide::Out,
-                hub,
-                hub_rank,
-                g.dw,
-                g.cw,
-            )?;
-            if g.w == hub_couple {
-                counters.canonical += 1;
-                continue;
-            }
-            if tie {
-                counters.non_canonical += 2;
-            } else {
-                counters.canonical += 2;
-            }
-            Self::write(
-                labels,
-                inverted.as_deref_mut(),
-                counters,
-                mode,
-                couple(g.w),
-                LabelSide::Out,
-                hub,
-                hub_rank,
-                g.dw + 1,
-                g.cw,
-            )?;
         }
         Ok(())
     }
@@ -769,7 +568,7 @@ pub(crate) struct LabelBuildTask {
     counters: TraversalCounters,
     next_rank: u32,
     par: ParallelismConfig,
-    /// Per-worker traversal workspaces for the wave-parallel path; lazily
+    /// Per-worker traversal workspaces for the wider waves; lazily
     /// populated on first use, reused across waves and `advance` calls.
     pool: WorkspacePool<CoupleBfs>,
 }
@@ -802,14 +601,15 @@ impl LabelBuildTask {
     /// processed (construction complete). `csr` and `ranks` must be the
     /// same on every call of one task.
     ///
-    /// With a parallelism width above one, ranks are processed in
-    /// *waves* of `width` consecutive ranks: a wave's per-hub traversals
-    /// are collected concurrently against the pre-wave labels, then
-    /// committed in rank order (validated when `deterministic` is on, so
-    /// the labels — and thus the serialized arenas — are identical at
-    /// every width). Waves are aligned to absolute rank boundaries and a
-    /// budget is rounded up to the next boundary, so a chunked build
-    /// takes the exact same waves as a monolithic one.
+    /// Ranks are processed in *waves* of `width` consecutive ranks. A wave
+    /// holding one hub pass (every wave at width 1) traverses straight
+    /// into the label writer. A wider wave fills its passes' buffers
+    /// concurrently against the pre-wave labels, then [`commit`]s them in
+    /// rank order, re-validating every pass after the first when
+    /// `deterministic` is on — so the labels, and thus the serialized
+    /// arenas, are identical at every width. Waves are aligned to absolute
+    /// rank boundaries and a budget is rounded up to the next boundary, so
+    /// a chunked build takes the exact same waves as a monolithic one.
     pub(crate) fn advance(
         &mut self,
         csr: &Csr,
@@ -817,101 +617,68 @@ impl LabelBuildTask {
         rank_budget: usize,
     ) -> Result<bool, LabelingError> {
         let width = self.par.width().max(1);
-        if width <= 1 {
-            let end = (self.next_rank as usize).saturating_add(rank_budget.max(1));
-            let end = end.min(ranks.len()) as u32;
-            while self.next_rank < end {
-                let hub = ranks.vertex_at_rank(self.next_rank);
-                if is_in_vertex(hub) {
-                    self.bfs.run_in(
-                        csr,
-                        ranks,
-                        &mut self.labels,
-                        None,
-                        &mut self.counters,
-                        hub,
-                        WriteMode::Append,
-                    )?;
-                    self.bfs.run_out(
-                        csr,
-                        ranks,
-                        &mut self.labels,
-                        None,
-                        &mut self.counters,
-                        hub,
-                        WriteMode::Append,
-                    )?;
-                } else {
-                    Self::vout_self_entries(&mut self.labels, &mut self.counters, hub, ranks)?;
-                }
-                self.next_rank += 1;
-            }
-            return Ok(self.next_rank as usize >= ranks.len());
-        }
-
         let total = ranks.len();
         let requested = (self.next_rank as usize).saturating_add(rank_budget.max(1));
         let end = requested.div_ceil(width).saturating_mul(width).min(total);
         let n = csr.vertex_count();
-        let validate = self.par.deterministic;
 
         while (self.next_rank as usize) < end {
             let wave_start = self.next_rank;
-            let wave_end = ((wave_start as usize / width + 1) * width).min(total);
-            let wave_len = wave_end - wave_start as usize;
+            let wave_end = ((wave_start as usize / width + 1) * width).min(total) as u32;
+            let passes = (wave_start..wave_end)
+                .filter(|&r| is_in_vertex(ranks.vertex_at_rank(r)))
+                .count();
+            if passes <= 1 {
+                for rank in wave_start..wave_end {
+                    let hub = ranks.vertex_at_rank(rank);
+                    if is_in_vertex(hub) {
+                        let mut writer =
+                            LabelWriter::new(&mut self.labels, None, WriteMode::Append);
+                        let c = &mut self.counters;
+                        self.bfs.traverse_in(csr, ranks, hub, &mut writer, c)?;
+                        self.bfs.traverse_out(csr, ranks, hub, &mut writer, c)?;
+                    } else {
+                        Self::vout_self_entries(&mut self.labels, &mut self.counters, hub, ranks)?;
+                    }
+                    self.next_rank += 1;
+                }
+                continue;
+            }
 
-            // Compute phase: each in-flight hub traverses against the
-            // pre-wave labels with a worker-private workspace.
             let results = {
                 let labels = &self.labels;
                 let pool = &self.pool;
-                par_map_indexed(width, wave_len, |i| {
+                par_map_indexed(width, (wave_end - wave_start) as usize, |i| {
                     let hub = ranks.vertex_at_rank(wave_start + i as u32);
                     if !is_in_vertex(hub) {
-                        return None;
+                        return Ok(None);
                     }
                     let mut ws = pool.checkout_with(|| CoupleBfs::new(n));
                     ws.ensure(n);
                     let mut counters = TraversalCounters::default();
-                    let groups_in = ws.collect_in(csr, ranks, labels, &mut counters, hub);
-                    let groups_out = ws.collect_out(csr, ranks, labels, &mut counters, hub);
-                    Some((groups_in, groups_out, counters))
+                    let mut fwd = VisitBuffer::new(labels);
+                    ws.traverse_in(csr, ranks, hub, &mut fwd, &mut counters)?;
+                    let mut bwd = VisitBuffer::new(labels);
+                    ws.traverse_out(csr, ranks, hub, &mut bwd, &mut counters)?;
+                    Ok(Some((fwd.visits, bwd.visits, counters)))
                 })
             };
 
-            // Commit phase: strictly ascending rank order restores the
-            // sequential write order (and, validated, the sequential
-            // write *set*).
-            for (i, result) in results.into_iter().enumerate() {
-                let hub = ranks.vertex_at_rank(wave_start + i as u32);
-                match result {
-                    Some((groups_in, groups_out, wave_counters)) => {
+            let mut first = true;
+            for (rank, result) in (wave_start..).zip(results) {
+                let hub = ranks.vertex_at_rank(rank);
+                match result? {
+                    Some((fwd, bwd, wave_counters)) => {
                         self.counters.merge(&wave_counters);
-                        let hub_rank = wave_start + i as u32;
-                        let (_, cache) = self.bfs.parts_mut();
-                        CoupleBfs::commit_in(
-                            &mut self.labels,
-                            None,
-                            &mut self.counters,
-                            WriteMode::Append,
-                            cache,
-                            hub,
-                            hub_rank,
-                            &groups_in,
-                            validate,
-                        )?;
-                        let (_, cache) = self.bfs.parts_mut();
-                        CoupleBfs::commit_out(
-                            &mut self.labels,
-                            None,
-                            &mut self.counters,
-                            WriteMode::Append,
-                            cache,
-                            hub,
-                            hub_rank,
-                            &groups_out,
-                            validate,
-                        )?;
+                        let validate = self.par.deterministic && !first;
+                        let mut validate = validate.then_some(&mut self.bfs.cache);
+                        first = false;
+                        let mut writer =
+                            LabelWriter::new(&mut self.labels, None, WriteMode::Append);
+                        for (side, visits) in [(LabelSide::In, fwd), (LabelSide::Out, bwd)] {
+                            let (c, cache) = (&mut self.counters, validate.as_deref_mut());
+                            commit(&mut writer, c, side, hub, rank, &visits, cache)?;
+                        }
                     }
                     None => {
                         Self::vout_self_entries(&mut self.labels, &mut self.counters, hub, ranks)?;
@@ -920,7 +687,7 @@ impl LabelBuildTask {
                 self.next_rank += 1;
             }
         }
-        Ok(self.next_rank as usize >= ranks.len())
+        Ok(self.next_rank as usize >= total)
     }
 
     /// `V_out` vertices never act as hubs for other vertices (Algorithm 3

@@ -215,7 +215,8 @@ pub struct ParallelismConfig {
     /// fully sequential path.
     pub threads: u32,
     /// Commit parallel per-hub results to the label store in hub-rank
-    /// order, re-validating each against the already-committed prefix.
+    /// order, re-validating each result after a wave's first against the
+    /// already-committed prefix.
     /// This reproduces the sequential execution exactly, so serialized
     /// indexes are byte-identical across thread counts. `false` skips
     /// the re-validation during static builds, which may retain a few

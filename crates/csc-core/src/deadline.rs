@@ -8,7 +8,7 @@
 //! * **Admission**: an already-expired [`Deadline`] is refused before any
 //!   work happens.
 //! * **Cooperative checkpoints**: long operations derive an
-//!   [`OpBudget`](csc_graph::OpBudget) from the deadline and consume it at
+//!   [`OpBudget`] from the deadline and consume it at
 //!   the label-intersection granularity (see
 //!   [`LabelStore::dist_count_budgeted`]). A sweep's overshoot past its
 //!   deadline is bounded by one intersection — microseconds.

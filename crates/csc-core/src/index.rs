@@ -7,7 +7,10 @@ use crate::health::{HealthBaseline, IndexHealth};
 use crate::invert::InvertedIndex;
 use crate::stats::IndexStats;
 use csc_graph::bipartite::{in_vertex, out_vertex, BipartiteGraph};
-use csc_graph::{Csr, DiGraph, OrderingStrategy, RankTable, TraversalWorkspace, VertexId};
+use csc_graph::{
+    BucketQueue, Csr, DiGraph, OrderingStrategy, RankTable, TraversalWorkspace, VertexId,
+    WorkspacePool,
+};
 use csc_labeling::{BuildStats, CycleCount, DistCount, LabelEntry, LabelSide, Labels};
 use std::time::Instant;
 
@@ -43,6 +46,10 @@ pub struct CscIndex {
     /// Pooled endpoint-sweep maps and the shared bucket queue for the
     /// dynamic repair paths (never cloned or serialized — scratch only).
     pub(crate) sweeps: TraversalWorkspace,
+    /// Per-worker workspaces of the repair waves wider than one pass
+    /// (insertion repair and deletion re-labels), reused across windows;
+    /// scratch like `sweeps`.
+    pub(crate) repair_pool: WorkspacePool<(CoupleBfs, BucketQueue)>,
 }
 
 impl Clone for CscIndex {
@@ -58,6 +65,7 @@ impl Clone for CscIndex {
             poisoned: self.poisoned.clone(),
             workspace: CoupleBfs::new(self.gb.graph().vertex_count()),
             sweeps: TraversalWorkspace::new(self.gb.graph().vertex_count()),
+            repair_pool: WorkspacePool::new(),
         }
     }
 }
@@ -122,6 +130,7 @@ impl CscIndex {
             poisoned: None,
             workspace: CoupleBfs::new(n),
             sweeps: TraversalWorkspace::new(n),
+            repair_pool: WorkspacePool::new(),
         })
     }
 
@@ -322,6 +331,9 @@ impl CscIndex {
             + self.inverted.as_ref().map_or(0, |inv| inv.heap_bytes())
             + self.workspace.heap_bytes()
             + self.sweeps.heap_bytes()
+            + self
+                .repair_pool
+                .sum_idle(|(bfs, buckets)| bfs.heap_bytes() + buckets.heap_bytes())
     }
 
     /// Re-anchors the drift baseline at the current state (the epilogue of

@@ -40,9 +40,9 @@
 #![warn(missing_docs)]
 
 /// Fires a named fault-injection point. Compiles to nothing unless the
-/// `fault-injection` feature is on; with it, the hook reports to
-/// [`fault`]'s registry, which tests arm to simulate a crash (panic) at
-/// an exact instrumented spot.
+/// `fault-injection` feature is on; with it, the hook reports to the
+/// `fault` module's registry, which tests arm to simulate a crash (panic)
+/// at an exact instrumented spot.
 macro_rules! faultpoint {
     ($name:expr) => {
         #[cfg(feature = "fault-injection")]
@@ -54,7 +54,7 @@ macro_rules! faultpoint {
 
 /// Fires a named *I/O-error* fault-injection point: with the
 /// `fault-injection` feature on and the point armed (see
-/// [`fault::arm_io`] / [`fault::arm_io_global`]), the enclosing function
+/// `fault::arm_io` / `fault::arm_io_global`), the enclosing function
 /// returns `Err(CscError::Io { .. })` exactly as if the real I/O
 /// operation at this site had failed with the armed
 /// [`std::io::ErrorKind`]. Compiles to nothing otherwise.

@@ -5,12 +5,9 @@
 //! labels the same way: resume a counting traversal from an *affected
 //! hub*, prune where the index already covers the distance, and upsert
 //! the entries the traversal proves changed. This module holds the pieces
-//! they share:
+//! they share (the hub-cache scatter and covered-distance scan live with
+//! the sink machinery in `csc-core::build`):
 //!
-//! * [`fill_hub_cache`] — scatter the hub's own label for `O(|label|)`
-//!   per-vertex distance checks;
-//! * [`covered_dist`] — `D_G(v_k, w)` through strictly-higher-ranked hubs,
-//!   evaluated against the (partially repaired) current index;
 //! * [`update_label`] — `UPDATE_LABEL` (Algorithm 7);
 //! * [`multi_source_pass`] — the resumed BFS of Algorithm 6, one pass per
 //!   affected hub no matter how many inserted edges affect it. Seeds sit
@@ -24,19 +21,22 @@
 //!   edge it crosses (covered by that edge's pre-batch seed entry) plus a
 //!   suffix in the updated graph, which the traversal walks because all
 //!   batch edges are already present. A one-edge window has one seed per
-//!   hub and is the paper's per-edge pass;
+//!   hub and is the paper's per-edge pass. The pass writes through a
+//!   [`RepairWriter`] or fills a
+//!   [`VisitBuffer`](crate::build::VisitBuffer) for a parallel wave;
 //! * [`multi_source_subtract`] — the decremental mirror: one pass per
 //!   count-repair hub subtracts every shortest path a whole *deletion*
 //!   window removed, via the dual last-old-edge decomposition (see its
 //!   docs).
 
+use crate::build::{covered_dist, fill_hub_cache, TraversalCounters, Visit, VisitSink};
 use crate::clean::clean_label;
 use crate::config::UpdateStrategy;
 use crate::invert::InvertedIndex;
 use crate::stats::UpdateReport;
 use csc_graph::{BucketQueue, DiGraph, RankTable, VertexId};
 use csc_labeling::{
-    HubCache, LabelEntry, LabelSide, LabelingError, Labels, SearchState, INF, MAX_COUNT,
+    HubCache, LabelEntry, LabelSide, LabelingError, Labels, SearchState, MAX_COUNT,
 };
 
 /// Which side of the index a repair traversal rebuilds.
@@ -58,50 +58,6 @@ impl Direction {
             Direction::Backward => (LabelSide::In, LabelSide::Out),
         }
     }
-}
-
-/// Scatters the hub's own `own_side` label (plus its rank-0 self entry)
-/// into `cache` for constant-time `D_G(v_k, ·)` component lookups.
-#[inline]
-pub(crate) fn fill_hub_cache(
-    labels: &Labels,
-    cache: &mut HubCache,
-    vk: VertexId,
-    vk_rank: u32,
-    own_side: LabelSide,
-) {
-    cache.begin();
-    for e in labels.side_of(vk, own_side) {
-        cache.put(e.hub_rank(), e.dist(), e.count());
-    }
-    cache.put(vk_rank, 0, 1);
-}
-
-/// `D_G(v_k, w)` (or `D_G(w, v_k)` for backward passes) under the current
-/// index, restricted to the hubs scattered in `cache` — i.e. through the
-/// pass hub itself and strictly higher-ranked hubs, whose entries are
-/// already repaired when passes run in descending rank order. The cache
-/// never holds a rank above `vk_rank` (a hub's own label only stores
-/// higher-ranked hubs plus itself), so the rank-sorted scan stops at that
-/// prefix.
-#[inline]
-pub(crate) fn covered_dist(
-    labels: &Labels,
-    cache: &HubCache,
-    vk_rank: u32,
-    w: VertexId,
-    target_side: LabelSide,
-) -> u32 {
-    let mut dg = INF;
-    for e in labels.side_of(w, target_side) {
-        if e.hub_rank() > vk_rank {
-            break;
-        }
-        if let Some((dh, _)) = cache.get(e.hub_rank()) {
-            dg = dg.min(dh + e.dist());
-        }
-    }
-    dg
 }
 
 /// `UPDATE_LABEL` (Algorithm 7). Returns `true` when the write shortened a
@@ -158,6 +114,53 @@ pub(crate) fn update_label(
 /// hub, and the count of hub-maximal shortest paths realizing it.
 pub(crate) type Seed = (VertexId, u32, u64);
 
+/// The writing sink of [`multi_source_pass`]: [`update_label`] for every
+/// visit, plus `CLEAN_LABEL` after an improving write under
+/// [`UpdateStrategy::Minimality`].
+pub(crate) struct RepairWriter<'a> {
+    pub labels: &'a mut Labels,
+    pub inverted: &'a mut Option<InvertedIndex>,
+    pub ranks: &'a RankTable,
+    pub strategy: UpdateStrategy,
+    pub report: &'a mut UpdateReport,
+}
+
+impl VisitSink for RepairWriter<'_> {
+    fn labels(&self) -> &Labels {
+        self.labels
+    }
+
+    #[inline]
+    fn visit(
+        &mut self,
+        _: &mut TraversalCounters,
+        side: LabelSide,
+        hub: VertexId,
+        hub_rank: u32,
+        v: Visit,
+    ) -> Result<(), LabelingError> {
+        let improved = update_label(
+            self.labels,
+            self.inverted,
+            v.w,
+            side,
+            hub,
+            hub_rank,
+            v.dw,
+            v.cw,
+            self.report,
+        )?;
+        if improved && self.strategy == UpdateStrategy::Minimality {
+            let inv = self
+                .inverted
+                .as_mut()
+                .expect("minimality requires inverted indexes");
+            clean_label(self.labels, inv, self.ranks, v.w, side, self.report);
+        }
+        Ok(())
+    }
+}
+
 /// The resumed traversal of Algorithm 6 (and its mirror), batched: one
 /// pass repairs everything a whole window of edge insertions changed for
 /// hub `vk`. With a single seed the bucket queue degenerates to exactly the
@@ -174,25 +177,31 @@ pub(crate) type Seed = (VertexId, u32, u64);
 ///   relaxed downward (its seeded path class is not shortest and counts
 ///   for nothing), the only downward relaxation possible — non-seed
 ///   vertices are discovered in final-distance order, exactly as in BFS.
+///
+/// Every visit that survives the coverage prune goes to `sink`. Repair
+/// writes are monotone (entries are only added, shortened, or
+/// count-accumulated), so a buffered pass commits exactly like the couple
+/// BFS (see [`CoupleBfs::traverse_in`](crate::build::CoupleBfs::traverse_in))
+/// — except under Minimality, whose cleaning *removes* entries mid-pass;
+/// the batch engine runs those passes one at a time, straight into the
+/// writer.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn multi_source_pass(
+pub(crate) fn multi_source_pass<S: VisitSink>(
     graph: &DiGraph,
     ranks: &RankTable,
-    labels: &mut Labels,
-    inverted: &mut Option<InvertedIndex>,
     state: &mut SearchState,
     cache: &mut HubCache,
     buckets: &mut BucketQueue,
-    strategy: UpdateStrategy,
     direction: Direction,
     vk_rank: u32,
     vk: VertexId,
     seeds: &[Seed],
-    report: &mut UpdateReport,
+    sink: &mut S,
+    counters: &mut TraversalCounters,
 ) -> Result<(), LabelingError> {
     debug_assert!(!seeds.is_empty());
     let (own_side, target_side) = direction.sides();
-    fill_hub_cache(labels, cache, vk, vk_rank, own_side);
+    fill_hub_cache(sink.labels(), cache, vk, vk_rank, own_side);
     let base = seed_buckets(state, buckets, seeds);
 
     let mut level = 0usize;
@@ -206,29 +215,15 @@ pub(crate) fn multi_source_pass(
                 continue; // superseded by a downward relaxation
             }
             let cw = state.count[w.index()];
-            report.vertices_visited += 1;
+            counters.dequeues += 1;
 
-            if dw > covered_dist(labels, cache, vk_rank, w, target_side) {
+            let covered = covered_dist(sink.labels(), cache, vk_rank, w, target_side);
+            if covered < dw {
+                counters.pruned += 1;
                 continue;
             }
-
-            let improved = update_label(
-                labels,
-                inverted,
-                w,
-                target_side,
-                vk,
-                vk_rank,
-                dw,
-                cw,
-                report,
-            )?;
-            if improved && strategy == UpdateStrategy::Minimality {
-                let inv = inverted
-                    .as_mut()
-                    .expect("minimality requires inverted indexes");
-                clean_label(labels, inv, ranks, w, target_side, report);
-            }
+            let tie = covered == dw;
+            sink.visit(counters, target_side, vk, vk_rank, Visit { w, dw, cw, tie })?;
 
             let nbrs = match direction {
                 Direction::Forward => graph.nbr_out(w),
@@ -251,128 +246,6 @@ pub(crate) fn multi_source_pass(
             }
         }
         level += 1;
-    }
-    Ok(())
-}
-
-/// One buffered visit of [`multi_source_collect`]: the vertex, its
-/// traversal distance, and its hub-maximal new-path count.
-pub(crate) type RepairVisit = (VertexId, u32, u64);
-
-/// The compute half of [`multi_source_pass`], split for the parallel
-/// batch engine: the identical traversal run against an *immutable* label
-/// view, buffering the would-be [`update_label`] calls instead of
-/// writing. A pass never reads its own writes (the hub cache is filled
-/// once up front and the covered-distance scan of a vertex only consults
-/// that vertex's own list, which the pass touches at most at its single
-/// processing), so collect-then-commit over one label state equals the
-/// direct pass exactly.
-///
-/// When the view is *stale* — missing the writes of other same-wave
-/// passes — pruning can only be weaker than sequential: repair writes are
-/// monotone (entries are only added, shortened, or count-accumulated,
-/// never lengthened or removed), so a fresher view covers at least as
-/// much. [`multi_source_commit`] re-checks coverage against the live
-/// labels and drops what sequential would have pruned; a dropped visit's
-/// whole buffered subtree is covered at strictly smaller slack and drops
-/// with it, so the surviving writes — distances *and* counts — are the
-/// sequential ones. (Not valid under [`UpdateStrategy::Minimality`],
-/// whose cleaning *removes* entries mid-pass; the batch engine falls back
-/// to the direct pass there.)
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn multi_source_collect(
-    graph: &DiGraph,
-    ranks: &RankTable,
-    labels: &Labels,
-    state: &mut SearchState,
-    cache: &mut HubCache,
-    buckets: &mut BucketQueue,
-    direction: Direction,
-    vk_rank: u32,
-    vk: VertexId,
-    seeds: &[Seed],
-    visited: &mut usize,
-) -> Vec<RepairVisit> {
-    debug_assert!(!seeds.is_empty());
-    let (own_side, target_side) = direction.sides();
-    fill_hub_cache(labels, cache, vk, vk_rank, own_side);
-    let base = seed_buckets(state, buckets, seeds);
-    let mut visits = Vec::new();
-
-    let mut level = 0usize;
-    while level < buckets.depth() {
-        let mut i = 0usize;
-        while i < buckets.len_at(level) {
-            let w = VertexId(buckets.at(level, i));
-            i += 1;
-            let dw = base + level as u32;
-            if state.dist[w.index()] != dw {
-                continue; // superseded by a downward relaxation
-            }
-            let cw = state.count[w.index()];
-            *visited += 1;
-
-            if dw > covered_dist(labels, cache, vk_rank, w, target_side) {
-                continue;
-            }
-            visits.push((w, dw, cw));
-
-            let nbrs = match direction {
-                Direction::Forward => graph.nbr_out(w),
-                Direction::Backward => graph.nbr_in(w),
-            };
-            for &u in nbrs {
-                let u = VertexId(u);
-                if !state.visited(u) {
-                    if vk_rank < ranks.rank(u) {
-                        state.visit(u, dw + 1, cw);
-                        buckets.push((dw + 1 - base) as usize, u.0);
-                    }
-                } else if state.dist[u.index()] == dw + 1 {
-                    state.accumulate(u, cw);
-                } else if state.dist[u.index()] > dw + 1 {
-                    state.relax(u, dw + 1, cw);
-                    buckets.push((dw + 1 - base) as usize, u.0);
-                }
-            }
-        }
-        level += 1;
-    }
-    visits
-}
-
-/// The write half of [`multi_source_collect`]: re-validates each buffered
-/// visit's coverage against the live labels and applies the survivors via
-/// [`update_label`]. Run in ascending rank order (and, per hub, forward
-/// before backward) this restores the sequential pass order exactly.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn multi_source_commit(
-    labels: &mut Labels,
-    inverted: &mut Option<InvertedIndex>,
-    cache: &mut HubCache,
-    direction: Direction,
-    vk_rank: u32,
-    vk: VertexId,
-    visits: &[RepairVisit],
-    report: &mut UpdateReport,
-) -> Result<(), LabelingError> {
-    let (own_side, target_side) = direction.sides();
-    fill_hub_cache(labels, cache, vk, vk_rank, own_side);
-    for &(w, dw, cw) in visits {
-        if dw > covered_dist(labels, cache, vk_rank, w, target_side) {
-            continue;
-        }
-        update_label(
-            labels,
-            inverted,
-            w,
-            target_side,
-            vk,
-            vk_rank,
-            dw,
-            cw,
-            report,
-        )?;
     }
     Ok(())
 }

@@ -544,6 +544,7 @@ impl CscIndex {
             poisoned: None,
             workspace: CoupleBfs::new(two_n),
             sweeps: csc_graph::TraversalWorkspace::new(two_n),
+            repair_pool: csc_graph::WorkspacePool::new(),
         })
     }
 }

@@ -447,6 +447,14 @@ impl<T> WorkspacePool<T> {
             ws: Some(ws),
         }
     }
+
+    /// Sums `f` over the workspaces resting in the pool — between waves,
+    /// all of them (`|_| 1` counts them; a heap-size closure measures
+    /// them).
+    pub fn sum_idle(&self, f: impl Fn(&T) -> usize) -> usize {
+        let free = self.free.lock().expect("workspace pool lock poisoned");
+        free.iter().map(f).sum()
+    }
 }
 
 impl WorkspacePool<TraversalWorkspace> {
