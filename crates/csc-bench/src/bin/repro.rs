@@ -10,36 +10,57 @@
 //!   fig11        Figure 11 — incremental update time and index growth
 //!   fig12        Figure 12 — decremental updates by edge degree
 //!   case-study     Figure 13 — fraud-screening case study
-//!   throughput     Extension — concurrent read throughput
-//!   stream-replay  Extension — batched update-stream replay
 //!   churn-drift    Extension — churn drift and online rejuvenation
 //!   deletion-churn Extension — windowed deletion repair under churn
-//!   crash-recovery Extension — recovery time vs checkpoint cadence
+//!   ablation       Extension — how much the vertex ordering matters
 //!   order-ablation Extension — coverage-sampled vs degree-based ordering
 //!   overload-surge Extension — reader latency under overload & deadlines
 //!   all            Everything above, in order
 //!
 //! Options:
-//!   --scale <f64>    dataset size multiplier (default 1.0)
+//!   --scale <f64>    dataset size multiplier, finite and above 0 (default 1.0)
 //!   --seed <u64>     RNG seed (default 42)
 //!   --quick          smaller samples; skips the slowest combinations
 //!   --datasets <a,b> restrict to these dataset codes (e.g. G04,WKT)
 //!   --out <dir>      also write each table as CSV into <dir>
 //! ```
+//!
+//! A bad argument prints what is wrong with it and the usage line, and
+//! exits with status 2.
 
+use csc_bench::datasets::{by_code, DATASETS};
 use csc_bench::experiments::{
-    ablation, case_study, churn_drift, crash_recovery, deletion_churn, fig10, fig11, fig12, fig9,
-    order_ablation, overload_surge, stream_replay, table4, throughput, ExpContext,
+    ablation, case_study, churn_drift, deletion_churn, fig10, fig11, fig12, fig9, order_ablation,
+    overload_surge, table4, ExpContext,
 };
 use std::process::ExitCode;
 
+/// Every command `all` runs, in order.
+const COMMANDS: [&str; 11] = [
+    "table4",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "case-study",
+    "churn-drift",
+    "deletion-churn",
+    "ablation",
+    "order-ablation",
+    "overload-surge",
+];
+
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--scale F] [--seed N] [--quick] [--datasets A,B] [--out DIR] \
-         <table4|fig9|fig10|fig11|fig12|case-study|throughput|stream-replay|churn-drift|\
-          deletion-churn|crash-recovery|ablation|order-ablation|overload-surge|all>"
+        "usage: repro [--scale F] [--seed N] [--quick] [--datasets A,B] [--out DIR] <{}|all>",
+        COMMANDS.join("|")
     );
     std::process::exit(2);
+}
+
+fn bad_value(flag: &str, value: &str, want: &str) -> ! {
+    eprintln!("bad {flag} value: {value} ({want})");
+    usage()
 }
 
 fn main() -> ExitCode {
@@ -52,22 +73,29 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--scale" => {
                 let v = it.next().unwrap_or_else(|| usage());
-                ctx.scale = v.parse().unwrap_or_else(|_| {
-                    eprintln!("bad --scale value: {v}");
-                    std::process::exit(2);
-                });
+                ctx.scale = match v.parse::<f64>() {
+                    Ok(scale) if scale.is_finite() && scale > 0.0 => scale,
+                    _ => bad_value("--scale", v, "want a finite number above 0"),
+                };
             }
             "--seed" => {
                 let v = it.next().unwrap_or_else(|| usage());
-                ctx.seed = v.parse().unwrap_or_else(|_| {
-                    eprintln!("bad --seed value: {v}");
-                    std::process::exit(2);
-                });
+                ctx.seed = v
+                    .parse()
+                    .unwrap_or_else(|_| bad_value("--seed", v, "want an unsigned integer"));
             }
             "--quick" => ctx.quick = true,
             "--datasets" => {
                 let v = it.next().unwrap_or_else(|| usage());
                 let codes: Vec<&str> = v.split(',').collect();
+                if let Some(unknown) = codes.iter().find(|c| by_code(c).is_none()) {
+                    let known: Vec<&str> = DATASETS.iter().map(|d| d.code).collect();
+                    bad_value(
+                        "--datasets",
+                        v,
+                        &format!("unknown code {unknown:?}; known: {}", known.join(",")),
+                    );
+                }
                 ctx = ctx.with_datasets(&codes);
             }
             "--out" => {
@@ -94,11 +122,8 @@ fn main() -> ExitCode {
             "fig11" => println!("{}", fig11::run(ctx)),
             "fig12" => println!("{}", fig12::run(ctx)),
             "case-study" | "case_study" | "fig13" => println!("{}", case_study::run(ctx)),
-            "throughput" => println!("{}", throughput::run(ctx)),
-            "stream-replay" | "stream_replay" => println!("{}", stream_replay::run(ctx)),
             "churn-drift" | "churn_drift" => println!("{}", churn_drift::run(ctx)),
             "deletion-churn" | "deletion_churn" => println!("{}", deletion_churn::run(ctx)),
-            "crash-recovery" | "crash_recovery" => println!("{}", crash_recovery::run(ctx)),
             "ablation" => println!("{}", ablation::run(ctx)),
             "order-ablation" | "order_ablation" => println!("{}", order_ablation::run(ctx)),
             "overload-surge" | "overload_surge" => println!("{}", overload_surge::run(ctx)),
@@ -108,22 +133,7 @@ fn main() -> ExitCode {
     };
 
     if command == "all" {
-        for name in [
-            "table4",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "case-study",
-            "throughput",
-            "stream-replay",
-            "churn-drift",
-            "deletion-churn",
-            "crash-recovery",
-            "ablation",
-            "order-ablation",
-            "overload-surge",
-        ] {
+        for name in COMMANDS {
             eprintln!("==> {name}");
             run_one(name, &ctx);
         }

@@ -1,5 +1,19 @@
 //! Synthetic analogs of the paper's nine evaluation graphs (Table IV).
 //!
+//! The paper evaluates on nine SNAP/Konect graphs; this harness runs on
+//! seeded synthetic analogs of them instead, for two reasons. It has to
+//! run offline, so it cannot fetch the originals. And index builds over
+//! the full-size originals take up to 61 hours, far past any test or CI
+//! budget. Each analog keeps what drives the experiments: the
+//! real dataset's density `m / n` and the structural family of its degree
+//! distribution (flat p2p overlays; heavy-tailed email, web, talk and
+//! encyclopedia graphs with their reciprocity), at a size `--scale`
+//! controls. Absolute numbers therefore differ from the paper's; the
+//! experiments compare the *shapes*: who wins, by what factor, and where
+//! the trends bend. The fraud case study substitutes in the same way: a
+//! laundering network with planted rings stands in for the paper's
+//! economic network ([`crate::experiments::case_study`]).
+//!
 //! Each spec records the real dataset's size and the generator family that
 //! matches its structure; [`generate`] produces a seeded analog scaled by
 //! `--scale` so the full suite runs on a laptop. At `scale = 1.0` the

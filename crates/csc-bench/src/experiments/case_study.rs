@@ -3,7 +3,8 @@
 //!
 //! The paper's MAHINDAS economic network is proprietary-ish (network
 //! repository export); we substitute a seeded laundering network with
-//! *planted* criminal rings (DESIGN.md §4), which upgrades the case study
+//! *planted* criminal rings (see [`crate::datasets`] for why the harness
+//! runs on analogs), which upgrades the case study
 //! from an anecdote to a measurable retrieval task: rank accounts by their
 //! shortest-cycle profile and check that the planted criminals surface.
 

@@ -27,9 +27,9 @@
 //!    on median/p99 query latency, with reader p99 staying bounded (no
 //!    stop-the-world) through the window.
 //!
-//! Machine-readable results land in `BENCH_rejuvenate.json` when
-//! `CRITERION_JSON` names it (one line per phase plus one for the
-//! rebuild window); `rejuvenate_probe` is the standalone driver.
+//! Machine-readable results, one line per phase plus one for the rebuild
+//! window, land in the `BENCH_JSON` file (see [`ExpContext::save_json`]);
+//! the repo records them in `BENCH_rejuvenate.json`.
 
 use super::stream_replay::build_trace;
 use super::ExpContext;
@@ -40,7 +40,6 @@ use csc_core::{
     ConcurrentIndex, CscConfig, CscIndex, GraphUpdate, MaintenanceStatus, SnapshotIndex,
 };
 use csc_graph::{DiGraph, OrderingStrategy, VertexId};
-use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -311,25 +310,19 @@ pub fn measure(ctx: &ExpContext) -> (Vec<PhaseStats>, RejuvenationWindow) {
     (vec![drifted, rejuvenated, scratch], window)
 }
 
-/// Appends machine-readable lines to the `CRITERION_JSON` file (the repo
-/// records these in `BENCH_rejuvenate.json`).
-pub fn record_json(phases: &[PhaseStats], window: &RejuvenationWindow, graph: &str) {
-    let Ok(path) = std::env::var("CRITERION_JSON") else {
-        return;
-    };
-    let Ok(mut f) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-    else {
-        return;
-    };
+/// Appends one machine-readable line per phase, plus one for the
+/// rebuild window, to the `BENCH_JSON` file.
+pub fn record_json(
+    ctx: &ExpContext,
+    phases: &[PhaseStats],
+    window: &RejuvenationWindow,
+    graph: &str,
+) {
     // The effective worker-pool width: results at different widths are
     // not comparable (see BENCHMARKING.md), so every line carries it.
     let threads = csc_core::ParallelismConfig::default().width();
-    for p in phases {
-        let _ = writeln!(
-            f,
+    let phase_lines = phases.iter().map(|p| {
+        format!(
             "{{\"group\":\"churn_drift\",\"graph\":\"{graph}\",\"threads\":{threads},\"phase\":\"{}\",\
              \"entries\":{},\"in_entries\":{},\"out_entries\":{},\"growth_percent\":{},\
              \"churned_vertices\":{},\"dead_fraction\":{:.4},\
@@ -343,10 +336,9 @@ pub fn record_json(phases: &[PhaseStats], window: &RejuvenationWindow, graph: &s
             p.dead_fraction,
             p.q_p50_us,
             p.q_p99_us,
-        );
-    }
-    let _ = writeln!(
-        f,
+        )
+    });
+    let window_line = format!(
         "{{\"group\":\"rejuvenate_window\",\"graph\":\"{graph}\",\"threads\":{threads},\
          \"duration_ms\":{:.2},\"replayed\":{},\"maintain_calls\":{},\
          \"reader_p50_us\":{:.1},\"reader_p99_us\":{:.1},\"reader_queries\":{}}}",
@@ -357,12 +349,13 @@ pub fn record_json(phases: &[PhaseStats], window: &RejuvenationWindow, graph: &s
         window.reader_p99_us,
         window.reader_queries,
     );
+    ctx.save_json(phase_lines.chain(std::iter::once(window_line)));
 }
 
 /// Runs the experiment and returns the rendered report.
 pub fn run(ctx: &ExpContext) -> String {
     let (phases, window) = measure(ctx);
-    record_json(&phases, &window, "G04");
+    record_json(ctx, &phases, &window, "G04");
     let mut table = Table::new([
         "phase",
         "entries",

@@ -11,15 +11,15 @@
 //!   engine reports (classify / subtract / re-label, plus how many
 //!   windows took the from-scratch rebuild fallback);
 //! * reader p50/p99 under the deletion load, from a thread hammering the
-//!   published snapshot for the whole replay (single-core container:
-//!   latency percentiles, not throughput, are the signal);
+//!   published snapshot for the whole replay (the reader shares the cores
+//!   with the writer, so latency percentiles, not throughput, are the
+//!   signal);
 //! * snapshot publications (at most one per batch).
 //!
 //! A separate pass times plain [`CscIndex::remove_edge`] over the same
 //! edges — the scalar number the windowed engine is judged against.
-//! Machine-readable lines land in the `CRITERION_JSON` file (the repo
-//! records them in `BENCH_delete.json`); see `docs/BENCHMARKING.md` for
-//! the field reference.
+//! perfbench's `churn` workload mixes arrivals into every window, so this
+//! is the one pure-deletion regime the repository measures.
 
 use super::stream_replay::{replay, ReplayStats, TraceOp};
 use super::ExpContext;
@@ -28,7 +28,6 @@ use crate::measure::fmt_duration;
 use crate::table::Table;
 use csc_core::{CscConfig, CscIndex, GraphUpdate};
 use csc_graph::{DiGraph, VertexId};
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 /// Builds a delete-only trace of (up to) `ops` operations: a spread-out
@@ -96,59 +95,10 @@ pub fn measure(ctx: &ExpContext, batch_sizes: &[usize]) -> (Vec<ReplayStats>, Sc
     (stats, scalar)
 }
 
-/// Appends one machine-readable line per replay (plus one for the scalar
-/// pass) to the `CRITERION_JSON` file — the repo records these in
-/// `BENCH_delete.json`.
-pub fn record_json(stats: &[ReplayStats], scalar: &ScalarStats, graph: &str) {
-    let Ok(path) = std::env::var("CRITERION_JSON") else {
-        return;
-    };
-    let Ok(mut f) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-    else {
-        return;
-    };
-    for s in stats {
-        let _ = writeln!(
-            f,
-            "{{\"group\":\"deletion_churn\",\"graph\":\"{graph}\",\"batch_size\":{},\
-             \"batches\":{},\"applied\":{},\"publishes\":{},\"total_ms\":{:.2},\
-             \"per_op_us\":{:.2},\"batch_p99_us\":{:.1},\"classify_ms\":{:.2},\
-             \"subtract_ms\":{:.2},\"relabel_ms\":{:.2},\"rebuild_fallbacks\":{},\
-             \"reader_p50_us\":{:.1},\"reader_p99_us\":{:.1},\"reader_queries\":{}}}",
-            s.batch_size,
-            s.batches,
-            s.applied,
-            s.publishes,
-            s.total.as_secs_f64() * 1e3,
-            s.per_op.as_secs_f64() * 1e6,
-            s.batch_p99.as_secs_f64() * 1e6,
-            s.classify.as_secs_f64() * 1e3,
-            s.subtract.as_secs_f64() * 1e3,
-            s.relabel.as_secs_f64() * 1e3,
-            s.rebuild_fallbacks,
-            s.reader_p50_us,
-            s.reader_p99_us,
-            s.reader_queries,
-        );
-    }
-    let _ = writeln!(
-        f,
-        "{{\"group\":\"deletion_churn\",\"graph\":\"{graph}\",\"kind\":\"scalar_remove_edge\",\
-         \"ops\":{},\"mean_ms\":{:.2},\"p99_ms\":{:.2}}}",
-        scalar.ops,
-        scalar.mean.as_secs_f64() * 1e3,
-        scalar.p99.as_secs_f64() * 1e3,
-    );
-}
-
 /// Runs the experiment and returns the rendered report.
 pub fn run(ctx: &ExpContext) -> String {
     let sizes = [1, 8, 64];
     let (stats, scalar) = measure(ctx, &sizes);
-    record_json(&stats, &scalar, "G04");
     let mut table = Table::new([
         "batch size",
         "batches",

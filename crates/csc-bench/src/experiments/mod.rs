@@ -3,7 +3,6 @@
 pub mod ablation;
 pub mod case_study;
 pub mod churn_drift;
-pub mod crash_recovery;
 pub mod deletion_churn;
 pub mod fig10;
 pub mod fig11;
@@ -13,11 +12,15 @@ pub mod order_ablation;
 pub mod overload_surge;
 pub mod stream_replay;
 pub mod table4;
-pub mod throughput;
 
 use crate::datasets::{DatasetSpec, DATASETS};
 use crate::table::Table;
-use std::path::PathBuf;
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
+
+/// The environment variable naming the file [`ExpContext::save_json`]
+/// appends to.
+const BENCH_JSON: &str = "BENCH_JSON";
 
 /// Shared experiment configuration.
 #[derive(Clone, Debug)]
@@ -83,6 +86,47 @@ impl ExpContext {
             }
         }
     }
+
+    /// Appends machine-readable result lines to the file `BENCH_JSON`
+    /// names, if it is set. Each call first writes one
+    /// `{"group":"env",…}` line with the host's core count, the pool
+    /// width, and this context's scale, seed and quick flag, so every
+    /// record can be read against the run that produced it.
+    pub fn save_json(&self, records: impl IntoIterator<Item = String>) {
+        let path = std::env::var_os(BENCH_JSON);
+        self.append_json(path.as_deref().map(Path::new), records);
+    }
+
+    fn append_json(&self, path: Option<&Path>, records: impl IntoIterator<Item = String>) {
+        let Some(path) = path else {
+            return;
+        };
+        let mut f = match std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+        {
+            Ok(f) => f,
+            Err(e) => {
+                eprintln!("warning: could not open {}: {e}", path.display());
+                return;
+            }
+        };
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = csc_core::ParallelismConfig::default().width();
+        let mut out = format!(
+            "{{\"group\":\"env\",\"nproc\":{nproc},\"threads\":{threads},\
+             \"scale\":{},\"seed\":{},\"quick\":{}}}\n",
+            self.scale, self.seed, self.quick
+        );
+        for r in records {
+            out.push_str(&r);
+            out.push('\n');
+        }
+        if let Err(e) = f.write_all(out.as_bytes()) {
+            eprintln!("warning: could not write {}: {e}", path.display());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -118,5 +162,43 @@ mod tests {
         let written = std::fs::read_to_string(dir.join("unit.csv")).unwrap();
         assert!(written.contains("a"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn json_sink_leads_each_call_with_an_env_line() {
+        let path = std::env::temp_dir().join(format!("csc-bench-json-{}", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        let ctx = ExpContext {
+            scale: 0.25,
+            seed: 7,
+            ..ExpContext::smoke()
+        };
+        let records = || {
+            [
+                "{\"group\":\"a\"}".to_string(),
+                "{\"group\":\"b\"}".to_string(),
+            ]
+        };
+
+        // No variable, no file.
+        ctx.append_json(None, records());
+        assert!(!path.exists());
+
+        // Two calls append two runs, each led by its env line.
+        ctx.append_json(Some(&path), records());
+        ctx.append_json(Some(&path), records());
+        let written = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let lines: Vec<&str> = written.lines().collect();
+        assert_eq!(lines.len(), 6);
+        for run in lines.chunks(3) {
+            assert!(
+                run[0].starts_with("{\"group\":\"env\",\"nproc\":"),
+                "{}",
+                run[0]
+            );
+            assert!(run[0].contains("\"scale\":0.25,\"seed\":7,\"quick\":true}"));
+            assert_eq!(&run[1..], ["{\"group\":\"a\"}", "{\"group\":\"b\"}"]);
+        }
     }
 }

@@ -21,9 +21,9 @@
 //! bridges are exactly the hubs a degree order under-ranks — the
 //! structure coverage sampling is built to find.
 //!
-//! Machine-readable results land in the `CRITERION_JSON` file (the repo
-//! records them in `BENCH_order.json`, one line per strategy × graph);
-//! `order_probe` is the standalone driver.
+//! Machine-readable results, one line per strategy × graph, land in the
+//! `BENCH_JSON` file (see [`ExpContext::save_json`]); the repo records
+//! them in `BENCH_order.json`.
 
 use super::churn_drift::query_latency;
 use super::ExpContext;
@@ -33,7 +33,6 @@ use crate::table::Table;
 use csc_core::{CscConfig, CscIndex};
 use csc_graph::generators::bridged_communities;
 use csc_graph::{DiGraph, OrderingStrategy, DEFAULT_SAMPLES_PER_LOG_N};
-use std::io::Write as _;
 use std::time::Duration;
 
 /// One strategy's measurements on one graph.
@@ -53,7 +52,7 @@ pub struct OrderRow {
     pub q_p99_us: f64,
 }
 
-/// Sampling budget for the dense coverage row: at probe scales this
+/// Sampling budget for the dense coverage row: at experiment scales this
 /// saturates the root permutation (every vertex roots a tree in each
 /// direction), showing the ceiling of the estimator; the default-budget
 /// row shows what the recommended cheap setting retains of it.
@@ -122,21 +121,10 @@ pub fn measure(ctx: &ExpContext) -> Vec<OrderRow> {
     rows
 }
 
-/// Appends machine-readable lines to the `CRITERION_JSON` file (the repo
-/// records these in `BENCH_order.json`).
-pub fn record_json(rows: &[OrderRow]) {
-    let Ok(path) = std::env::var("CRITERION_JSON") else {
-        return;
-    };
-    let Ok(mut f) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-    else {
-        return;
-    };
+/// Appends one machine-readable line per row to the `BENCH_JSON` file.
+pub fn record_json(ctx: &ExpContext, rows: &[OrderRow]) {
     let threads = csc_core::ParallelismConfig::default().width();
-    for r in rows {
+    ctx.save_json(rows.iter().map(|r| {
         let (name, samples_per_log_n) = match r.order {
             OrderingStrategy::CoverageSampling {
                 samples_per_log_n, ..
@@ -145,8 +133,7 @@ pub fn record_json(rows: &[OrderRow]) {
             OrderingStrategy::DegreeProduct => ("degree_product", 0),
             _ => ("other", 0),
         };
-        let _ = writeln!(
-            f,
+        format!(
             "{{\"group\":\"order_ablation\",\"graph\":\"{}\",\"threads\":{threads},\
              \"order\":\"{name}\",\"samples_per_log_n\":{samples_per_log_n},\
              \"entries\":{},\"build_ms\":{:.2},\
@@ -156,14 +143,14 @@ pub fn record_json(rows: &[OrderRow]) {
             r.build_time.as_secs_f64() * 1e3,
             r.q_p50_us,
             r.q_p99_us,
-        );
-    }
+        )
+    }));
 }
 
 /// Runs the experiment and returns the rendered report.
 pub fn run(ctx: &ExpContext) -> String {
     let rows = measure(ctx);
-    record_json(&rows);
+    record_json(ctx, &rows);
     let mut table = Table::new([
         "graph",
         "ordering",

@@ -21,8 +21,9 @@
 //!   checkpoint and WAL read sites, so the jittered-backoff retry cost
 //!   shows up as a separate line.
 //!
-//! Machine-readable lines land in the `CRITERION_JSON` file (the repo
-//! records them in `BENCH_overload.json`); see `docs/BENCHMARKING.md`.
+//! Machine-readable lines land in the `BENCH_JSON` file (see
+//! [`ExpContext::save_json`]); the repo records them in
+//! `BENCH_overload.json`, and `docs/BENCHMARKING.md` defines the fields.
 
 use super::ExpContext;
 use crate::datasets::{by_code, generate};
@@ -33,7 +34,6 @@ use csc_core::{
     MaintenanceEngine, OverloadPolicy,
 };
 use csc_graph::VertexId;
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -321,27 +321,17 @@ pub fn measure(ctx: &ExpContext) -> (Vec<SurgeStats>, Vec<DeadlineStats>, Vec<Re
     (surges, deadlines, recoveries)
 }
 
-/// Appends machine-readable lines to the `CRITERION_JSON` file — the
-/// repo records these in `BENCH_overload.json`.
+/// Appends one machine-readable line per surge, deadline tier and
+/// recovery pass to the `BENCH_JSON` file.
 pub fn record_json(
+    ctx: &ExpContext,
     surges: &[SurgeStats],
     deadlines: &[DeadlineStats],
     recoveries: &[RecoveryStats],
     graph: &str,
 ) {
-    let Ok(path) = std::env::var("CRITERION_JSON") else {
-        return;
-    };
-    let Ok(mut f) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-    else {
-        return;
-    };
-    for s in surges {
-        let _ = writeln!(
-            f,
+    let surge_lines = surges.iter().map(|s| {
+        format!(
             "{{\"group\":\"overload_surge\",\"kind\":\"readers\",\"graph\":\"{graph}\",\
              \"policy\":\"{}\",\"queries\":{},\"p50_us\":{:.3},\"p99_us\":{:.3},\
              \"writes_ok\":{},\"writes_rejected\":{},\"writes_shed\":{}}}",
@@ -352,35 +342,34 @@ pub fn record_json(
             s.writes_ok,
             s.writes_rejected,
             s.writes_shed,
-        );
-    }
-    for d in deadlines {
-        let _ = writeln!(
-            f,
+        )
+    });
+    let deadline_lines = deadlines.iter().map(|d| {
+        format!(
             "{{\"group\":\"overload_surge\",\"kind\":\"deadline\",\"graph\":\"{graph}\",\
              \"budget_us\":{},\"issued\":{},\"exceeded\":{}}}",
             d.budget
                 .map_or("null".into(), |b| format!("{:.1}", b.as_secs_f64() * 1e6)),
             d.issued,
             d.exceeded,
-        );
-    }
-    for r in recoveries {
-        let _ = writeln!(
-            f,
+        )
+    });
+    let recovery_lines = recoveries.iter().map(|r| {
+        format!(
             "{{\"group\":\"overload_surge\",\"kind\":\"recovery\",\"graph\":\"{graph}\",\
              \"io_faults\":{},\"recover_ms\":{:.2},\"records_replayed\":{}}}",
             r.io_faults,
             r.recover_time.as_secs_f64() * 1e3,
             r.records_replayed,
-        );
-    }
+        )
+    });
+    ctx.save_json(surge_lines.chain(deadline_lines).chain(recovery_lines));
 }
 
 /// Runs the experiment and returns the rendered report.
 pub fn run(ctx: &ExpContext) -> String {
     let (surges, deadlines, recoveries) = measure(ctx);
-    record_json(&surges, &deadlines, &recoveries, "G04");
+    record_json(ctx, &surges, &deadlines, &recoveries, "G04");
 
     let idle_p99 = surges[0].p99;
     let mut readers = Table::new([

@@ -1,37 +1,21 @@
-//! Extension experiment: streaming-update replay through the batch engine.
+//! Timestamped update traces and their windowed replay.
 //!
-//! The paper's dynamic experiments measure *isolated* single-edge updates.
-//! Real monitoring feeds deliver a timestamped stream, and a serving
-//! deployment applies it in windows. This experiment replays fixed
-//! timestamped traces — a pure-arrival `insert` stream and a 50/50
-//! `mixed` churn — against a `ConcurrentIndex` at several batch sizes
-//! (1, 8, 64, 512 by default) and measures, per (trace, batch size):
+//! [`build_trace`] turns a graph into a deterministic insert/delete
+//! stream, valid at every position; perfbench's `serve` workload draws
+//! its arrival windows from it (insert share 100). [`replay`] applies a
+//! trace in fixed-size windows through
+//! [`ConcurrentIndex::apply_batch`] while one thread hammers the
+//! published snapshot, and reports the write side (per-window latency,
+//! amortized per-update cost, publications, deletion-phase attribution)
+//! next to the reader's latency percentiles.
+//! [`deletion_churn`](super::deletion_churn) sweeps it over batch sizes.
 //!
-//! * per-batch write latency (mean / p99) and the per-update cost it
-//!   amortizes to — the batch engine's normalization, hub-union repair,
-//!   and one-publish-per-batch should all push per-update cost *down* as
-//!   the batch grows;
-//! * snapshot publications (each incremental, via dirty-span refreeze);
-//! * reader latency percentiles under the write load, from a thread
-//!   hammering the published snapshot while the replay runs. This
-//!   container is single-core, so reader *throughput* mostly measures the
-//!   scheduler; the latency percentiles and the relative trend across
-//!   batch sizes are the signal.
-//!
-//! Batch size 1 degenerates to the classic one-update-at-a-time path
-//! (plus a publication per update, since the replay runs with
-//! `snapshot_every = 1` so that staleness is always bounded by one
-//! batch), making the leftmost column the baseline the other columns are
-//! read against. Machine-readable results land in `BENCH_batch.json` when
-//! `CRITERION_JSON` names it (see `benches/batch.rs`).
+//! The reader shares the cores with the writer, so its throughput
+//! measures the scheduler as much as the index; the latency percentiles
+//! are the signal.
 
-use super::ExpContext;
-use crate::datasets::{by_code, generate};
-use crate::measure::fmt_duration;
-use crate::table::Table;
-use csc_core::{ConcurrentIndex, CscConfig, CscIndex, GraphUpdate};
+use csc_core::{ConcurrentIndex, CscIndex, GraphUpdate};
 use csc_graph::{DiGraph, VertexId};
-use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -115,7 +99,7 @@ pub fn build_trace(
 /// What one replay (one batch size) measured.
 #[derive(Clone, Debug)]
 pub struct ReplayStats {
-    /// Which trace ran: `"mixed"` (50/50 churn) or `"insert"` (arrivals).
+    /// The caller's label for the trace that ran (e.g. `"delete"`).
     pub trace: &'static str,
     /// Updates per `apply_batch` call.
     pub batch_size: usize,
@@ -163,7 +147,7 @@ pub struct ReplayStats {
 ///
 /// The reader times every 16th query (the rest still issue, keeping the
 /// contention realistic) so a long replay doesn't drown in latency
-/// samples on this single-core box.
+/// samples.
 pub fn replay(
     kind: &'static str,
     base: &CscIndex,
@@ -249,135 +233,10 @@ pub fn replay(
     }
 }
 
-/// Runs one sweep on the G04 analog: one trace of the given insert
-/// percentage, replayed at each batch size against the same starting
-/// index.
-pub fn measure_kind(
-    ctx: &ExpContext,
-    batch_sizes: &[usize],
-    kind: &'static str,
-    insert_pct: u32,
-) -> Vec<ReplayStats> {
-    let spec = by_code("G04").expect("G04 exists");
-    let g = generate(spec, ctx.scale, ctx.seed);
-    let ops = if ctx.quick { 128 } else { 512 };
-    // `.min` then `.max`, not `clamp`: at tiny scales edge_count/4 can
-    // drop below 8 and `clamp(8, <8)` panics on min > max.
-    let pool = (ops * insert_pct.max(50) as usize / 100)
-        .min(g.edge_count() / 4)
-        .max(1);
-    let (reduced, trace) = build_trace(&g, pool, ops, insert_pct, ctx.seed);
-    // `snapshot_every = 1`: publish as eagerly as the batch size allows,
-    // so reader staleness is bounded by one batch in every configuration
-    // and the publication amortization is part of what's measured.
-    let config = CscConfig::default().with_snapshot_every(1);
-    let base = CscIndex::build(&reduced, config).expect("build");
-    batch_sizes
-        .iter()
-        .map(|&b| replay(kind, &base, &trace, b))
-        .collect()
-}
-
-/// The 50/50 insert/delete churn sweep.
-pub fn measure(ctx: &ExpContext, batch_sizes: &[usize]) -> Vec<ReplayStats> {
-    measure_kind(ctx, batch_sizes, "mixed", 50)
-}
-
-/// The pure-arrival sweep (inserts only): deletion cost is inherently
-/// per-edge, so this isolates what batching buys the insertion path —
-/// hub-union repair plus one publication per batch.
-pub fn measure_inserts(ctx: &ExpContext, batch_sizes: &[usize]) -> Vec<ReplayStats> {
-    measure_kind(ctx, batch_sizes, "insert", 100)
-}
-
-/// Appends one machine-readable line per replay to the `CRITERION_JSON`
-/// file (the repo records these in `BENCH_batch.json`).
-pub fn record_json(stats: &[ReplayStats], graph: &str) {
-    let Ok(path) = std::env::var("CRITERION_JSON") else {
-        return;
-    };
-    let Ok(mut f) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-    else {
-        return;
-    };
-    // The effective worker-pool width: results at different widths are
-    // not comparable (see BENCHMARKING.md), so every line carries it.
-    let threads = csc_core::ParallelismConfig::default().width();
-    for s in stats {
-        let _ = writeln!(
-            f,
-            "{{\"group\":\"stream_replay\",\"graph\":\"{graph}\",\"threads\":{threads},\
-             \"trace\":\"{}\",\"batch_size\":{},\
-             \"batches\":{},\"applied\":{},\"normalized_away\":{},\"publishes\":{},\
-             \"total_ms\":{:.2},\"batch_mean_us\":{:.1},\"batch_p99_us\":{:.1},\
-             \"per_update_us\":{:.2},\"per_op_us\":{:.2},\"reader_p50_us\":{:.1},\
-             \"reader_p99_us\":{:.1},\"reader_queries\":{}}}",
-            s.trace,
-            s.batch_size,
-            s.batches,
-            s.applied,
-            s.normalized_away,
-            s.publishes,
-            s.total.as_secs_f64() * 1e3,
-            s.batch_mean.as_secs_f64() * 1e6,
-            s.batch_p99.as_secs_f64() * 1e6,
-            s.per_update.as_secs_f64() * 1e6,
-            s.per_op.as_secs_f64() * 1e6,
-            s.reader_p50_us,
-            s.reader_p99_us,
-            s.reader_queries,
-        );
-    }
-}
-
-/// Runs the experiment and returns the rendered report.
-pub fn run(ctx: &ExpContext) -> String {
-    let sizes = [1, 8, 64, 512];
-    let mut stats = measure_inserts(ctx, &sizes);
-    stats.extend(measure(ctx, &sizes));
-    record_json(&stats, "G04");
-    let mut table = Table::new([
-        "trace",
-        "batch size",
-        "batches",
-        "applied",
-        "per-batch mean",
-        "per-batch p99",
-        "per-update",
-        "per-op",
-        "publishes",
-        "reader p50",
-        "reader p99",
-    ]);
-    for s in &stats {
-        table.row([
-            s.trace.to_string(),
-            s.batch_size.to_string(),
-            s.batches.to_string(),
-            s.applied.to_string(),
-            fmt_duration(s.batch_mean),
-            fmt_duration(s.batch_p99),
-            fmt_duration(s.per_update),
-            fmt_duration(s.per_op),
-            s.publishes.to_string(),
-            format!("{:.1} us", s.reader_p50_us),
-            format!("{:.1} us", s.reader_p99_us),
-        ]);
-    }
-    ctx.save_csv("stream_replay", &table);
-    format!(
-        "Extension — streaming replay through apply_batch \
-         (G04 analog, snapshot_every = 1, one snapshot reader):\n\n{}",
-        table.render()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csc_core::CscConfig;
     use csc_graph::generators::gnm;
     use csc_graph::traversal::shortest_cycle_oracle;
 
@@ -459,28 +318,5 @@ mod tests {
                 "SCCnt({v})"
             );
         }
-    }
-
-    #[test]
-    fn smoke_measure_runs_all_batch_sizes() {
-        let ctx = ExpContext {
-            scale: 0.03,
-            quick: true,
-            ..ExpContext::smoke()
-        };
-        let stats = measure(&ctx, &[1, 8]);
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].batch_size, 1);
-        assert!(stats.iter().all(|s| s.applied > 0));
-        // Same trace either way; larger windows may normalize more ops
-        // away (an edge toggled twice inside one window cancels), but
-        // every op is accounted for.
-        assert_eq!(
-            stats[0].applied + stats[0].normalized_away,
-            stats[1].applied + stats[1].normalized_away
-        );
-        assert!(stats[1].applied <= stats[0].applied);
-        // Batch size 1 publishes per update; batch size 8 at most per batch.
-        assert!(stats[1].publishes < stats[0].publishes);
     }
 }

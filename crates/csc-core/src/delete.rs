@@ -45,7 +45,7 @@
 //!   [`REBUILD_FALLBACK_PERCENT`] of all hub sides skips the sweeps
 //!   entirely in favor of a from-scratch label rebuild under the existing
 //!   rank order — exact by construction and cheaper than upsert-sweeping
-//!   most of the index. On the committed `BENCH_delete.json` workload the
+//!   most of the index. On the `repro deletion-churn` workload the
 //!   fallback carries every window of 8+ deletions; the surgical merge
 //!   path is what single-edge windows and sparse windows exercise.
 //!

@@ -1,11 +1,12 @@
 //! Seeded synthetic graph generators.
 //!
-//! These stand in for the paper's SNAP/Konect datasets (no network access in
-//! this environment — see DESIGN.md §4). Each family targets the structural
-//! property that drives the corresponding experiment: degree skew for the
-//! query-time clusters, small-world distances for update locality, planted
-//! rings for the fraud case study. Every generator takes an explicit seed
-//! and is fully deterministic.
+//! These stand in for the paper's SNAP/Konect datasets (the
+//! `csc-bench::datasets` module docs give the substitution rationale).
+//! Each family targets the structural property that drives the
+//! corresponding experiment: degree skew for the query-time clusters,
+//! small-world distances for update locality, planted rings for the fraud
+//! case study. Every generator takes an explicit seed and is fully
+//! deterministic.
 
 use crate::digraph::DiGraph;
 use crate::vertex::VertexId;

@@ -13,7 +13,8 @@
 //! * [`bipartite`] — the paper's Algorithm 2: the `G -> Gb` conversion that
 //!   turns shortest-cycle counting into shortest-path counting.
 //! * [`generators`] — seeded synthetic workloads standing in for the paper's
-//!   SNAP/Konect datasets (see DESIGN.md for the substitution rationale).
+//!   SNAP/Konect datasets (the `csc-bench::datasets` module docs give the
+//!   substitution rationale).
 //! * [`order`] — total vertex orders (ranks) satisfying the labeling cover
 //!   constraint.
 //! * [`traversal`] / [`properties`] — plain BFS oracles and structural

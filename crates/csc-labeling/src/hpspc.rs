@@ -23,7 +23,7 @@
 //!
 //! The BFS never enqueues vertices ranked above the hub, so counts propagate
 //! only along `v`-maximal path prefixes. Both classifications and the prune
-//! test are exact; see DESIGN.md §3.1 for the argument.
+//! test are exact.
 
 use crate::entry::LabelEntry;
 use crate::error::LabelingError;
