@@ -241,8 +241,9 @@ fn recovery_pass(base: &csc_graph::DiGraph, windows: &[Vec<GraphUpdate>]) -> Vec
     }
     drop(engine); // simulated crash
 
-    // Recovery re-anchors the directory (fresh checkpoint, rotated WAL),
-    // so each timed pass gets its own pristine copy of the crash state.
+    // Recovery may change the directory it opens (a dropped torn tail, a
+    // fresh log, or a re-anchor after a fallback), so each timed pass gets
+    // its own pristine copy of the crash state.
     let fault_dir = temp_dir("recovery-faults");
     for entry in std::fs::read_dir(&dir).expect("read crash dir") {
         let entry = entry.expect("dir entry");

@@ -63,7 +63,7 @@ use crate::invert::InvertedIndex;
 use crate::snapshot::SnapshotIndex;
 use crate::stats::UpdateReport;
 use crate::verify::check_integrity;
-use crate::wal::{self, WriteAheadLog};
+use crate::wal::{self, ScannedLog, WriteAheadLog};
 use csc_graph::{Csr, RankTable, VertexId, WorkspacePool};
 use csc_labeling::BuildStats;
 use std::collections::VecDeque;
@@ -1155,10 +1155,21 @@ impl MaintenanceEngine {
     /// Reconstructs an engine from a durability directory: loads the
     /// newest *readable* checkpoint (falling back over torn or
     /// bit-flipped generations), replays the WAL records past it as **one
-    /// merged window** with the skip-invalid batch semantics, truncates
-    /// any torn WAL tail, and re-anchors the directory with a fresh
-    /// checkpoint + log. The returned engine is `Serving` with durability
-    /// attached.
+    /// merged window** with the skip-invalid batch semantics, and goes on
+    /// appending to the log it replayed. The returned engine is `Serving`
+    /// with durability attached, and the replayed records count toward
+    /// its next cadence checkpoint.
+    ///
+    /// Recovery writes no checkpoint in the common case. Its only disk
+    /// changes come after the replay: dropping a torn log tail, or
+    /// starting a fresh log at the checkpoint when the old one is missing,
+    /// has a destroyed header, or ends below the checkpoint (its tail was
+    /// lost under [`FsyncPolicy::Every`](crate::FsyncPolicy::Every) or
+    /// `Never`; the next window appended there would be numbered at or
+    /// below the checkpoint and dropped by the next recovery). Only a
+    /// recovery that fell back past an unreadable generation re-anchors
+    /// in full: a fresh checkpoint of the recovered state, a fresh log
+    /// behind it.
     ///
     /// The recovered graph is exactly the one record-by-record replay
     /// would build, and every query answers exactly; the labels are
@@ -1166,12 +1177,18 @@ impl MaintenanceEngine {
     /// cancel across records (an insert undone by a later record) cost no
     /// repair, which makes replaying a long log cheaper than a cold build.
     ///
+    /// A persistent I/O error after the replay — reopening the log, or the
+    /// re-anchor — does not fail the recovery: the engine serves with
+    /// durability degraded to in-memory-only mode.
+    ///
     /// # Errors
     ///
     /// * [`CscError::Corrupt`] — no readable checkpoint, or the WAL
     ///   provably continues from a checkpoint newer than any readable
     ///   one (the windows in between are unrecoverable; refusing loudly
     ///   beats silently serving a stale state).
+    /// * [`CscError::Io`] — the log exists but stays unreadable through
+    ///   the retries; nothing on disk is changed.
     /// * [`CscError::Poisoned`] — replay itself panicked or overflowed
     ///   label capacity (the on-disk state stays untouched for another
     ///   attempt).
@@ -1211,28 +1228,30 @@ impl MaintenanceEngine {
                 ),
             ));
         };
+        let durability = index.config().durability;
+        let retry = durability.io_retry;
 
-        // The WAL suffix: records with a sequence past the checkpoint.
+        // The log, read once. Its suffix — the records with a sequence
+        // past the checkpoint — is what gets replayed.
         let wal_path = dir.join(wal::WAL_FILE);
-        let mut records = Vec::new();
+        let mut log = None;
         let mut truncated = 0u64;
         if wal_path.exists() {
-            let retry = index.config().durability.io_retry;
-            match retry.run(ckpt_seq, |_| WriteAheadLog::read_all(&wal_path)) {
-                Ok((base, recs, rep)) => {
-                    if base > ckpt_seq {
+            match retry.run(ckpt_seq, |_| ScannedLog::read(&wal_path)) {
+                Ok(scanned) => {
+                    if scanned.base_seq > ckpt_seq {
                         return Err(CscError::corrupt(
                             "recovery",
                             format!(
-                                "the log continues from checkpoint {base}, but the newest \
+                                "the log continues from checkpoint {}, but the newest \
                                  readable checkpoint is {ckpt_seq}: the windows in between \
-                                 are unrecoverable"
+                                 are unrecoverable",
+                                scanned.base_seq
                             ),
                         ));
                     }
-                    truncated = rep.truncated_bytes;
-                    records = recs;
-                    records.retain(|r| r.seq > ckpt_seq);
+                    truncated = scanned.report.truncated_bytes;
+                    log = Some(scanned);
                 }
                 Err(CscError::Corrupt { .. }) => {
                     // A destroyed header — e.g. a crash between the
@@ -1245,17 +1264,19 @@ impl MaintenanceEngine {
                 Err(e) => return Err(e),
             }
         }
+        let records = log.as_ref().map_or(&[][..], |l| &l.records[..]);
+        let suffix = &records[records.partition_point(|r| r.seq <= ckpt_seq)..];
 
         // One merged window: the skip-invalid semantics decides op by op,
         // in order, so it builds the graph per-record replay would (see
         // the doc comment for what the labels guarantee).
         let mut window = Vec::new();
-        for record in &records {
+        for record in suffix {
             faultpoint!("recover.replay");
             window.extend_from_slice(&record.updates);
         }
-        let last_seq = records.last().map_or(ckpt_seq, |r| r.seq);
-        if let Some(first) = records.first() {
+        let last_seq = suffix.last().map_or(ckpt_seq, |r| r.seq);
+        if let Some(first) = suffix.first() {
             match catch_unwind(AssertUnwindSafe(|| index.apply_batch(&window))) {
                 Ok(Ok(_)) => {}
                 Ok(Err(e)) => return Err(e),
@@ -1269,41 +1290,57 @@ impl MaintenanceEngine {
             }
         }
 
-        // Re-anchor: fresh checkpoint of the recovered state, fresh log
-        // behind it. (A crash anywhere in here leaves the previous
-        // checkpoint + full WAL intact — recovery just runs again.)
-        // Transient I/O failures retry; a persistent one must not fail
-        // the whole recovery — the state is already reconstructed — so
-        // the engine comes back serving with durability degraded to
-        // in-memory-only mode instead.
-        let bytes = index.to_bytes()?;
-        let fsync = index.config().durability.fsync;
-        let retry = index.config().durability.io_retry;
-        let keep = index.config().durability.keep_checkpoints as usize;
-        let reanchored = retry
-            .run(last_seq, |_| {
-                wal::write_checkpoint(dir, last_seq, &bytes).map(|_| ())
-            })
-            .and_then(|()| {
-                retry.run(last_seq ^ 1, |_| {
-                    WriteAheadLog::create(&wal_path, last_seq, fsync)
+        // Attach the log the next window appends to. Transient I/O
+        // failures retry; a persistent one must not fail the whole
+        // recovery — the state is already reconstructed — so the engine
+        // comes back serving with durability degraded instead. (A crash
+        // anywhere in here leaves a checkpoint and a log that still
+        // recover the same state.)
+        let attached = if skipped > 0 {
+            // Fell back past an unreadable generation: re-anchor, so the
+            // next recovery need not fall back again.
+            let bytes = index.to_bytes()?;
+            retry
+                .run(last_seq, |_| {
+                    wal::write_checkpoint(dir, last_seq, &bytes).map(|_| ())
                 })
-            });
+                .and_then(|()| {
+                    retry.run(last_seq ^ 1, |_| {
+                        WriteAheadLog::create(&wal_path, last_seq, durability.fsync)
+                    })
+                })
+                .map(|log| {
+                    wal::prune_checkpoints(dir, durability.keep_checkpoints as usize);
+                    (log, 0)
+                })
+                .map_err(|e| format!("re-anchor after recovery failed: {e}"))
+        } else {
+            match &log {
+                // Continue the log past its last valid record.
+                Some(log) if log.last_seq() >= ckpt_seq => {
+                    retry.run(ckpt_seq, |_| log.reopen(durability.fsync))
+                }
+                // Missing, destroyed, or ending below the checkpoint: the
+                // checkpoint is the whole state, and a fresh log follows it.
+                _ => retry.run(ckpt_seq, |_| {
+                    WriteAheadLog::create(&wal_path, ckpt_seq, durability.fsync)
+                }),
+            }
+            .map(|log| (log, suffix.len() as u32))
+            .map_err(|e| format!("reopening the log after recovery failed: {e}"))
+        };
 
         let mut engine = MaintenanceEngine::new(index);
         engine.wal_truncated_total = truncated;
-        match reanchored {
-            Ok(log) => {
-                wal::prune_checkpoints(dir, keep);
+        match attached {
+            Ok((wal, windows_since_checkpoint)) => {
                 engine.durability = Some(Durability {
                     dir: dir.to_path_buf(),
-                    wal: log,
-                    windows_since_checkpoint: 0,
+                    wal,
+                    windows_since_checkpoint,
                 });
             }
-            Err(e) => {
-                engine.durability_degraded = Some(format!("re-anchor after recovery failed: {e}"));
-            }
+            Err(detail) => engine.durability_degraded = Some(detail),
         }
         engine.integrity_check_after("recovery")?;
         let integrity_checked = engine.index().config().durability.check_integrity;
@@ -1312,7 +1349,7 @@ impl MaintenanceEngine {
             RecoveryReport {
                 checkpoint_seq: ckpt_seq,
                 checkpoints_skipped: skipped,
-                records_replayed: records.len(),
+                records_replayed: suffix.len(),
                 updates_replayed: window.len(),
                 wal_truncated_bytes: truncated,
                 integrity_checked,
@@ -1933,6 +1970,150 @@ mod tests {
         }
         assert_eq!(recovered.index().original_graph(), sim);
         verify_index(recovered.index()).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// The acked-prefix oracle: `gnm(16, 40, 11)` after the first `k`
+    /// [`churn_windows`].
+    fn churn_prefix(k: usize) -> DiGraph {
+        let mut sim = gnm(16, 40, 11);
+        for w in churn_windows().iter().take(k).flatten() {
+            match *w {
+                GraphUpdate::InsertEdge(a, b) => {
+                    sim.try_add_edge(a, b).unwrap();
+                }
+                GraphUpdate::RemoveEdge(a, b) => {
+                    sim.try_remove_edge(a, b).unwrap();
+                }
+                GraphUpdate::AddVertex => {
+                    sim.add_vertex();
+                }
+            }
+        }
+        sim
+    }
+
+    /// Every file name in `dir`, sorted.
+    fn dir_listing(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn recovery_continues_the_log_it_replayed() {
+        let dir = temp_dir("continue");
+        let mut engine = durable_engine(&dir, 1000);
+        for w in &churn_windows()[..3] {
+            engine.apply_batch(w).unwrap();
+        }
+        drop(engine); // crash
+        let before = dir_listing(&dir);
+
+        let (mut recovered, report) = MaintenanceEngine::recover(&dir).unwrap();
+        assert_eq!(report.records_replayed, 3);
+        assert_eq!(
+            dir_listing(&dir),
+            before,
+            "recovery wrote no checkpoint (nor a temp file)"
+        );
+        for w in &churn_windows()[3..] {
+            recovered.apply_batch(w).unwrap();
+        }
+        drop(recovered); // crash again
+
+        let (again, report) = MaintenanceEngine::recover(&dir).unwrap();
+        assert_eq!(report.checkpoint_seq, 0);
+        assert_eq!(
+            report.records_replayed,
+            3 + 2,
+            "one log across both recoveries"
+        );
+        assert_eq!(again.index().original_graph(), churn_prefix(5));
+        verify_index(again.index()).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn replayed_records_count_toward_the_next_checkpoint() {
+        let dir = temp_dir("continue-cadence");
+        let cadence = 4;
+        let mut engine = durable_engine(&dir, cadence);
+        for w in &churn_windows()[..2] {
+            engine.apply_batch(w).unwrap();
+        }
+        drop(engine);
+
+        let (mut recovered, report) = MaintenanceEngine::recover(&dir).unwrap();
+        let replayed = report.records_replayed;
+        assert_eq!(replayed, 2);
+        let newest = |dir: &std::path::Path| wal::list_checkpoints(dir)[0].0;
+        // The checkpoint lands after cadence - replayed windows, not after
+        // a whole cadence counted from the recovery.
+        let due = cadence as usize - replayed;
+        for (k, w) in churn_windows()[2..2 + due].iter().enumerate() {
+            assert_eq!(newest(&dir), 0, "no checkpoint before window {k}");
+            recovered.apply_batch(w).unwrap();
+        }
+        assert_eq!(newest(&dir), cadence as u64);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn a_log_ending_below_the_checkpoint_is_rotated_before_appending() {
+        let dir = temp_dir("log-below-checkpoint");
+        let wal_path = dir.join(wal::WAL_FILE);
+        let mut engine = durable_engine(&dir, 1000);
+        for w in &churn_windows()[..2] {
+            engine.apply_batch(w).unwrap();
+        }
+        let saved = std::fs::read(&wal_path).unwrap();
+        engine.apply_batch(&churn_windows()[2]).unwrap();
+        assert_eq!(engine.checkpoint().unwrap(), Some(3));
+        drop(engine);
+        // The log's tail was lost (e.g. unsynced under FsyncPolicy::Never)
+        // after the checkpoint covering it became durable.
+        std::fs::write(&wal_path, saved).unwrap();
+
+        let (mut recovered, report) = MaintenanceEngine::recover(&dir).unwrap();
+        assert_eq!((report.checkpoint_seq, report.records_replayed), (3, 0));
+        assert_eq!(recovered.index().original_graph(), churn_prefix(3));
+        // Appended to the old log, this window would take seq 3 — at the
+        // checkpoint — and the next recovery would drop it.
+        recovered.apply_batch(&churn_windows()[3]).unwrap();
+        drop(recovered);
+
+        let (again, report) = MaintenanceEngine::recover(&dir).unwrap();
+        assert_eq!(report.records_replayed, 1);
+        assert_eq!(again.index().original_graph(), churn_prefix(4));
+        verify_index(again.index()).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn an_unreadable_log_fails_recovery_and_changes_nothing() {
+        let dir = temp_dir("unreadable-log");
+        let wal_path = dir.join(wal::WAL_FILE);
+        let mut engine = durable_engine(&dir, 1000);
+        engine.apply_batch(&churn_windows()[0]).unwrap();
+        drop(engine);
+        // An OS read error (here EISDIR) is not a destroyed header: the
+        // acknowledged window is still somewhere, so recovery must not
+        // serve the checkpoint without it, nor replace the log.
+        std::fs::remove_file(&wal_path).unwrap();
+        std::fs::create_dir(&wal_path).unwrap();
+        let before = wal::list_checkpoints(&dir);
+
+        let err = match MaintenanceEngine::recover(&dir) {
+            Err(e) => e,
+            Ok(_) => panic!("recovery over an unreadable log must fail"),
+        };
+        assert!(matches!(err, CscError::Io { .. }), "want Io, got {err:?}");
+        assert_eq!(wal::list_checkpoints(&dir), before);
+        assert!(wal_path.is_dir(), "the log is left as it was");
         std::fs::remove_dir_all(dir).unwrap();
     }
 

@@ -28,11 +28,18 @@
 //! | 5   | baseline | entries ×3 `u64`, vertices `u32`, rejuvenations `u32` |
 //! | 6   | labels   | per bipartite vertex and side: len `u32`, entries `u64` × len |
 //!
+//! Encoding writes every section in place into one output buffer sized up
+//! front: the frame's length and CRC go in over placeholder bytes once
+//! the payload is written, so the checkpoint's bytes are written once and
+//! checksummed once.
+//!
 //! Decoding is defensive in three layers: `total_len` catches truncation
 //! and trailing bytes before any section is touched, every claimed
-//! section length is checked against the remaining buffer *before*
-//! allocating, and every payload must match its CRC before it is parsed.
-//! A corrupted file therefore reports *which* section is damaged.
+//! section length — and the header's vertex and edge counts — is checked
+//! against the remaining buffer *before* allocating, and every payload
+//! must match its CRC before it is parsed. A corrupted file therefore
+//! reports *which* section is damaged. Label lists are checked whole and
+//! then installed with one [`Labels::extend_sorted`] each.
 //!
 //! The rank table is persisted verbatim — after a rejuvenation it is the
 //! *recomputed* order, not a derivable one — and the health baseline
@@ -57,7 +64,7 @@ use crate::health::{HealthBaseline, RebuildPolicy};
 use crate::index::CscIndex;
 use crate::invert::InvertedIndex;
 use crate::stats::IndexStats;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use csc_graph::bipartite::BipartiteGraph;
 use csc_graph::{DiGraph, OrderingStrategy, RankTable, VertexId};
 use csc_labeling::{LabelEntry, LabelSide, Labels};
@@ -119,12 +126,18 @@ fn fsync_from_tag(tag: u8, arg: u32) -> Result<FsyncPolicy, CscError> {
     })
 }
 
-/// Appends one framed section: tag, length, payload CRC, payload.
-fn put_section(buf: &mut BytesMut, tag: u8, payload: &[u8]) {
+/// Writes one framed section straight into `buf`: the tag and 12 zeroed
+/// bytes, then the payload in place, then the payload's length and CRC
+/// over the zeroes.
+fn put_section(buf: &mut Vec<u8>, tag: u8, payload: impl FnOnce(&mut Vec<u8>)) {
+    let at = buf.len();
     buf.put_u8(tag);
-    buf.put_u64_le(payload.len() as u64);
-    buf.put_u32_le(crc32(payload));
-    buf.put_slice(payload);
+    buf.put_slice(&[0; 12]);
+    payload(buf);
+    let len = (buf.len() - at - 13) as u64;
+    let crc = crc32(&buf[at + 13..]);
+    buf[at + 1..at + 9].copy_from_slice(&len.to_le_bytes());
+    buf[at + 9..at + 13].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Pops the next section off `rest`, insisting on `tag`, verifying the
@@ -187,114 +200,114 @@ impl CscIndex {
         let n = self.original_vertex_count();
         let m = self.original_edge_count();
         let two_n = 2 * n;
+        // The fallible narrowings come first, so every section below
+        // writes straight into the one output buffer.
+        let snapshot_every = u32::try_from(self.config.snapshot_every)
+            .map_err(|_| CscError::Serial("snapshot_every exceeds u32".into()))?;
+        let retry = self.config.durability.io_retry;
+        let retry_base = u64::try_from(retry.base.as_micros())
+            .map_err(|_| CscError::Serial("io_retry.base exceeds u64 microseconds".into()))?;
+        let retry_cap = u64::try_from(retry.cap.as_micros())
+            .map_err(|_| CscError::Serial("io_retry.cap exceeds u64 microseconds".into()))?;
+        let baseline_vertices = u32::try_from(self.baseline.vertices)
+            .map_err(|_| CscError::Serial("baseline vertex count exceeds u32".into()))?;
 
-        let mut header = BytesMut::with_capacity(12);
-        header.put_u32_le(n as u32);
-        header.put_u64_le(m as u64);
+        // Magic and length, six section frames, and the payloads: header
+        // 12, edges 8m, ranks 8n, config 88, baseline 32, and labels 4 per
+        // list (4n lists) plus 8 per entry.
+        let size = 16 + 6 * 13 + 12 + m * 8 + two_n * 4 + 88 + 32 + two_n * 8;
+        let size = size + self.total_entries() * 8;
+        let mut buf = Vec::with_capacity(size);
+        buf.put_slice(MAGIC);
+        buf.put_u64_le(0); // the total length, filled in last
 
-        let mut edges = BytesMut::with_capacity(m * 8);
-        for (u, v) in self.original_edges() {
-            edges.put_u32_le(u.0);
-            edges.put_u32_le(v.0);
-        }
-
-        let mut ranks = BytesMut::with_capacity(two_n * 4);
-        for rank in 0..two_n as u32 {
-            ranks.put_u32_le(self.ranks.vertex_at_rank(rank).0);
-        }
-
-        let mut config = BytesMut::with_capacity(51);
-        let (tag, seed, samples) = order_tag(self.config.order);
-        config.put_u8(tag);
-        config.put_u64_le(seed);
-        config.put_u8(match self.config.update_strategy {
-            UpdateStrategy::Redundancy => 0,
-            UpdateStrategy::Minimality => 1,
+        put_section(&mut buf, TAG_HEADER, |b| {
+            b.put_u32_le(n as u32);
+            b.put_u64_le(m as u64);
         });
-        config.put_u8(self.config.maintain_inverted as u8);
-        config.put_u32_le(
-            u32::try_from(self.config.snapshot_every)
-                .map_err(|_| CscError::Serial("snapshot_every exceeds u32".into()))?,
-        );
-        config.put_u32_le(self.config.rebuild.max_growth_percent);
-        config.put_u32_le(self.config.rebuild.max_dead_percent);
-        config.put_u32_le(self.config.rebuild.max_churned_vertices);
-        config.put_u8(self.config.rebuild.auto as u8);
-        let (ftag, farg) = fsync_tag(self.config.durability.fsync);
-        config.put_u8(ftag);
-        config.put_u32_le(farg);
-        config.put_u32_le(self.config.durability.checkpoint_every);
-        config.put_u32_le(self.config.durability.keep_checkpoints);
-        config.put_u8(self.config.durability.check_integrity as u8);
-        // Parallelism is a non-semantic runtime field: it steers how label
-        // work is scheduled, never what the labels contain. It rides along
-        // so a reloaded engine keeps its operator-tuned width.
-        config.put_u32_le(self.config.parallelism.threads);
-        config.put_u8(self.config.parallelism.deterministic as u8);
-        // Trailing ordering argument (the coverage-sampling budget);
-        // appended after the parallelism knobs so both older payload
-        // lengths (39 and 47 bytes) still load with defaults.
-        config.put_u32_le(samples);
-        // Resource-guard knobs (memory budget, backpressure, I/O retry),
-        // appended as one 37-byte group after the ordering argument;
-        // payloads of 39/47/51 bytes predate them and load with defaults.
-        config.put_u64_le(self.config.memory_budget as u64);
-        config.put_u8(match self.config.overload.policy {
-            OverloadPolicy::Block => 0,
-            OverloadPolicy::Reject => 1,
-            OverloadPolicy::ShedOldest => 2,
+        put_section(&mut buf, TAG_EDGES, |b| {
+            for (u, v) in self.original_edges() {
+                b.put_u32_le(u.0);
+                b.put_u32_le(v.0);
+            }
         });
-        config.put_u32_le(self.config.overload.high_watermark);
-        config.put_u32_le(self.config.overload.low_watermark);
-        config.put_u32_le(self.config.durability.io_retry.max_attempts);
-        config.put_u64_le(
-            u64::try_from(self.config.durability.io_retry.base.as_micros())
-                .map_err(|_| CscError::Serial("io_retry.base exceeds u64 microseconds".into()))?,
-        );
-        config.put_u64_le(
-            u64::try_from(self.config.durability.io_retry.cap.as_micros())
-                .map_err(|_| CscError::Serial("io_retry.cap exceeds u64 microseconds".into()))?,
-        );
-
-        let mut baseline = BytesMut::with_capacity(32);
-        baseline.put_u64_le(self.baseline.entries as u64);
-        baseline.put_u64_le(self.baseline.in_entries as u64);
-        baseline.put_u64_le(self.baseline.out_entries as u64);
-        baseline.put_u32_le(
-            u32::try_from(self.baseline.vertices)
-                .map_err(|_| CscError::Serial("baseline vertex count exceeds u32".into()))?,
-        );
-        baseline.put_u32_le(self.baseline.rejuvenations);
-
-        let mut labels = BytesMut::with_capacity(two_n * 8 + self.total_entries() * 8);
-        for v in 0..two_n as u32 {
-            let v = VertexId(v);
-            for side in [LabelSide::In, LabelSide::Out] {
-                let list = self.labels.side_of(v, side);
-                labels.put_u32_le(list.len() as u32);
-                for e in list {
-                    labels.put_u64_le(e.raw());
+        put_section(&mut buf, TAG_RANKS, |b| {
+            for rank in 0..two_n as u32 {
+                b.put_u32_le(self.ranks.vertex_at_rank(rank).0);
+            }
+        });
+        put_section(&mut buf, TAG_CONFIG, |b| {
+            let c = &self.config;
+            let (tag, seed, samples) = order_tag(c.order);
+            b.put_u8(tag);
+            b.put_u64_le(seed);
+            b.put_u8(match c.update_strategy {
+                UpdateStrategy::Redundancy => 0,
+                UpdateStrategy::Minimality => 1,
+            });
+            b.put_u8(c.maintain_inverted as u8);
+            b.put_u32_le(snapshot_every);
+            b.put_u32_le(c.rebuild.max_growth_percent);
+            b.put_u32_le(c.rebuild.max_dead_percent);
+            b.put_u32_le(c.rebuild.max_churned_vertices);
+            b.put_u8(c.rebuild.auto as u8);
+            let (ftag, farg) = fsync_tag(c.durability.fsync);
+            b.put_u8(ftag);
+            b.put_u32_le(farg);
+            b.put_u32_le(c.durability.checkpoint_every);
+            b.put_u32_le(c.durability.keep_checkpoints);
+            b.put_u8(c.durability.check_integrity as u8);
+            // Parallelism is a non-semantic runtime field: it steers how
+            // label work is scheduled, never what the labels contain. It
+            // rides along so a reloaded engine keeps its operator-tuned
+            // width.
+            b.put_u32_le(c.parallelism.threads);
+            b.put_u8(c.parallelism.deterministic as u8);
+            // Trailing ordering argument (the coverage-sampling budget);
+            // appended after the parallelism knobs so both older payload
+            // lengths (39 and 47 bytes) still load with defaults.
+            b.put_u32_le(samples);
+            // Resource-guard knobs (memory budget, backpressure, I/O
+            // retry), appended as one 37-byte group after the ordering
+            // argument; payloads of 39/47/51 bytes predate them and load
+            // with defaults.
+            b.put_u64_le(c.memory_budget as u64);
+            b.put_u8(match c.overload.policy {
+                OverloadPolicy::Block => 0,
+                OverloadPolicy::Reject => 1,
+                OverloadPolicy::ShedOldest => 2,
+            });
+            b.put_u32_le(c.overload.high_watermark);
+            b.put_u32_le(c.overload.low_watermark);
+            b.put_u32_le(retry.max_attempts);
+            b.put_u64_le(retry_base);
+            b.put_u64_le(retry_cap);
+        });
+        put_section(&mut buf, TAG_BASELINE, |b| {
+            b.put_u64_le(self.baseline.entries as u64);
+            b.put_u64_le(self.baseline.in_entries as u64);
+            b.put_u64_le(self.baseline.out_entries as u64);
+            b.put_u32_le(baseline_vertices);
+            b.put_u32_le(self.baseline.rejuvenations);
+        });
+        put_section(&mut buf, TAG_LABELS, |b| {
+            for v in 0..two_n as u32 {
+                for side in [LabelSide::In, LabelSide::Out] {
+                    let list = self.labels.side_of(VertexId(v), side);
+                    b.put_u32_le(list.len() as u32);
+                    // A list at a time: grow once, then fill in place.
+                    let at = b.len();
+                    b.resize(at + list.len() * 8, 0);
+                    for (out, e) in b[at..].chunks_exact_mut(8).zip(list) {
+                        out.copy_from_slice(&e.raw().to_le_bytes());
+                    }
                 }
             }
-        }
-
-        let sections: [(u8, &[u8]); 6] = [
-            (TAG_HEADER, &header),
-            (TAG_EDGES, &edges),
-            (TAG_RANKS, &ranks),
-            (TAG_CONFIG, &config),
-            (TAG_BASELINE, &baseline),
-            (TAG_LABELS, &labels),
-        ];
-        let total: usize = 16 + sections.iter().map(|(_, p)| 13 + p.len()).sum::<usize>();
-        let mut buf = BytesMut::with_capacity(total);
-        buf.put_slice(MAGIC);
-        buf.put_u64_le(total as u64);
-        for (tag, payload) in sections {
-            put_section(&mut buf, tag, payload);
-        }
-        debug_assert_eq!(buf.len(), total);
-        Ok(buf.freeze())
+        });
+        debug_assert_eq!(buf.len(), size, "the buffer was sized exactly");
+        let total = buf.len() as u64;
+        buf[8..16].copy_from_slice(&total.to_le_bytes());
+        Ok(Bytes::from(buf))
     }
 
     /// Deserializes an index from bytes produced by
@@ -349,11 +362,22 @@ impl CscIndex {
         let mut p = take_section(&mut rest, TAG_HEADER, "header")?;
         need(p, 12, "header", "counts")?;
         let n = p.get_u32_le() as usize;
-        let m = p.get_u64_le() as usize;
+        let m = p.get_u64_le();
         let two_n = 2 * n;
+        // Nothing is sized by `n` before the file vouches for it: the
+        // ranks section alone takes 13 + 8n of the bytes that follow.
+        if (rest.len() as u64) < 13 + 8 * n as u64 {
+            return Err(CscError::corrupt(
+                "header",
+                format!(
+                    "claims {n} vertices, too many for the {} bytes that follow",
+                    rest.len()
+                ),
+            ));
+        }
 
         let mut p = take_section(&mut rest, TAG_EDGES, "edges")?;
-        if p.len() != m * 8 {
+        if m.checked_mul(8) != Some(p.len() as u64) {
             return Err(CscError::corrupt(
                 "edges",
                 format!("payload is {} bytes, header claims {m} edges", p.len()),
@@ -487,30 +511,36 @@ impl CscIndex {
 
         let mut p = take_section(&mut rest, TAG_LABELS, "labels")?;
         let mut labels = Labels::new(two_n);
+        let entry = |raw: &[u8]| {
+            LabelEntry::from_raw(u64::from_le_bytes(raw.try_into().expect("8-byte chunk")))
+        };
         for v in 0..two_n as u32 {
             let v = VertexId(v);
             for side in [LabelSide::In, LabelSide::Out] {
                 need(p, 4, "labels", "list length")?;
                 let len = p.get_u32_le() as usize;
                 need(p, len.saturating_mul(8), "labels", "list entries")?;
+                let (list, tail) = p.split_at(len * 8);
+                p = tail;
+                // Validate the raw list whole, then install it in one go.
                 let mut prev: Option<u32> = None;
-                for _ in 0..len {
-                    let e = LabelEntry::from_raw(p.get_u64_le());
-                    if e.hub_rank() as usize >= two_n {
+                for raw in list.chunks_exact(8) {
+                    let hub = entry(raw).hub_rank();
+                    if hub as usize >= two_n {
                         return Err(CscError::corrupt(
                             "labels",
-                            format!("vertex {v}: hub rank {} out of range", e.hub_rank()),
+                            format!("vertex {v}: hub rank {hub} out of range"),
                         ));
                     }
-                    if prev.is_some_and(|r| r >= e.hub_rank()) {
+                    if prev.is_some_and(|r| r >= hub) {
                         return Err(CscError::corrupt(
                             "labels",
                             format!("label list of vertex {v} is not sorted"),
                         ));
                     }
-                    prev = Some(e.hub_rank());
-                    labels.append(v, side, e);
+                    prev = Some(hub);
                 }
+                labels.extend_sorted(v, side, list.chunks_exact(8).map(entry));
             }
         }
         if !p.is_empty() {
@@ -552,6 +582,7 @@ impl CscIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::GraphUpdate;
     use crate::verify::verify_index;
     use csc_graph::fixtures::figure2;
     use csc_graph::generators::gnm;
@@ -823,6 +854,70 @@ mod tests {
                 }
                 Err(_) => panic!("trial {trial}: flip at byte {byte} panicked the loader"),
             }
+        }
+    }
+
+    #[test]
+    fn encoding_is_pinned_byte_for_byte() {
+        // The on-disk format, pinned by length and whole-file CRC: every
+        // checkpoint already on disk depends on these bytes, so the
+        // encoder may change how it writes them, never what it writes.
+        let idx = CscIndex::build(&figure2(), CscConfig::default()).unwrap();
+        let bytes = idx.to_bytes().unwrap();
+        assert_eq!((bytes.len(), crc32(&bytes)), (1_626, 0x2eab_6e51));
+
+        let mut idx = CscIndex::build(&gnm(300, 1200, 7), CscConfig::default()).unwrap();
+        let mut window: Vec<GraphUpdate> = idx
+            .original_edges()
+            .take(20)
+            .map(|(u, v)| GraphUpdate::RemoveEdge(u, v))
+            .collect();
+        window.extend([
+            GraphUpdate::AddVertex,
+            GraphUpdate::InsertEdge(VertexId(0), VertexId(300)),
+            GraphUpdate::InsertEdge(VertexId(300), VertexId(1)),
+        ]);
+        idx.apply_batch(&window).unwrap();
+        let bytes = idx.to_bytes().unwrap();
+        assert_eq!((bytes.len(), crc32(&bytes)), (424_162, 0x0223_b27f));
+    }
+
+    #[test]
+    fn crafted_header_counts_err_before_anything_is_sized_by_them() {
+        let idx = CscIndex::build(&figure2(), CscConfig::default()).unwrap();
+        let bytes = idx.to_bytes().unwrap().to_vec();
+        // The header section sits right after magic and length; its
+        // payload is n (u32) then m (u64). A crafted file recomputes the
+        // CRC, so only the counts' plausibility can object.
+        let (header, edges) = (16, 16 + 13 + 12);
+        let recrc = |bytes: &mut Vec<u8>, at: usize, len: usize| {
+            let crc = crc32(&bytes[at + 13..at + 13 + len]);
+            bytes[at + 9..at + 13].copy_from_slice(&crc.to_le_bytes());
+        };
+        let load = |bytes: Vec<u8>| std::panic::catch_unwind(move || CscIndex::from_bytes(&bytes));
+
+        // n = u32::MAX: the graph alone would take ~100 GB.
+        let mut huge_n = bytes.clone();
+        huge_n[header + 13..header + 17].copy_from_slice(&u32::MAX.to_le_bytes());
+        recrc(&mut huge_n, header, 12);
+        match load(huge_n) {
+            Ok(Err(CscError::Corrupt { section, .. })) => assert_eq!(section, "header"),
+            other => panic!("n = u32::MAX: expected Corrupt, got {other:?}"),
+        }
+
+        // m = 2^61 over an empty edges payload: `m * 8` wraps to 0.
+        let mut huge_m = bytes.clone();
+        huge_m[header + 17..header + 25].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        recrc(&mut huge_m, header, 12);
+        let len = u64::from_le_bytes(huge_m[edges + 1..edges + 9].try_into().unwrap()) as usize;
+        huge_m.drain(edges + 13..edges + 13 + len);
+        huge_m[edges + 1..edges + 9].copy_from_slice(&0u64.to_le_bytes());
+        recrc(&mut huge_m, edges, 0);
+        let total = huge_m.len() as u64;
+        huge_m[8..16].copy_from_slice(&total.to_le_bytes());
+        match load(huge_m) {
+            Ok(Err(CscError::Corrupt { section, .. })) => assert_eq!(section, "edges"),
+            other => panic!("m = 2^61: expected Corrupt, got {other:?}"),
         }
     }
 

@@ -194,61 +194,19 @@ impl WriteAheadLog {
     /// Opens an existing log for appending, truncating any torn tail
     /// first (see the module docs). Errors with [`CscError::Corrupt`] if
     /// the *header* itself is unreadable — there is then no trustworthy
-    /// prefix at all.
+    /// prefix at all — and with [`CscError::Io`] if the file cannot be
+    /// read or reopened.
     pub fn open(path: &Path, fsync: FsyncPolicy) -> Result<(Self, WalOpenReport), CscError> {
-        let bytes = fs::read(path)
-            .map_err(|e| wal_corrupt(format!("cannot read {}: {e}", path.display())))?;
-        let base_seq = Self::check_header(&bytes)?;
-        let (records, body_end) = scan_records(&bytes[WAL_HEADER_LEN as usize..], base_seq);
-        let valid_end = WAL_HEADER_LEN + body_end as u64;
-        let truncated = bytes.len() as u64 - valid_end;
-        let file = OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(|e| wal_corrupt(format!("cannot open {}: {e}", path.display())))?;
-        if truncated > 0 {
-            file.set_len(valid_end)
-                .and_then(|()| file.sync_all())
-                .map_err(|e| wal_corrupt(format!("cannot truncate torn tail: {e}")))?;
-        }
-        let mut file = file;
-        file.seek(SeekFrom::Start(valid_end))
-            .map_err(|e| wal_corrupt(format!("cannot seek: {e}")))?;
-        let last_seq = records.last().map_or(base_seq, |r| r.seq);
-        Ok((
-            WriteAheadLog {
-                file,
-                path: path.to_path_buf(),
-                base_seq,
-                last_seq,
-                fsync,
-                appends_since_sync: 0,
-            },
-            WalOpenReport {
-                records: records.len(),
-                truncated_bytes: truncated,
-            },
-        ))
+        let scan = ScannedLog::read(path)?;
+        Ok((scan.reopen(fsync)?, scan.report))
     }
 
     /// Reads every valid record of the log at `path` without modifying
     /// the file. Returns the base sequence, the records, and what a
     /// repair pass *would* truncate.
     pub fn read_all(path: &Path) -> Result<(u64, Vec<WalRecord>, WalOpenReport), CscError> {
-        faultpoint_io!("io.wal.read");
-        let bytes = fs::read(path)
-            .map_err(|e| wal_corrupt(format!("cannot read {}: {e}", path.display())))?;
-        let base_seq = Self::check_header(&bytes)?;
-        let (records, body_end) = scan_records(&bytes[WAL_HEADER_LEN as usize..], base_seq);
-        let truncated = bytes.len() as u64 - WAL_HEADER_LEN - body_end as u64;
-        Ok((
-            base_seq,
-            records.clone(),
-            WalOpenReport {
-                records: records.len(),
-                truncated_bytes: truncated,
-            },
-        ))
+        let scan = ScannedLog::read(path)?;
+        Ok((scan.base_seq, scan.records, scan.report))
     }
 
     fn check_header(bytes: &[u8]) -> Result<u64, CscError> {
@@ -371,6 +329,80 @@ impl WriteAheadLog {
         faultpoint!("wal.rotate.pre");
         *self = WriteAheadLog::create(&self.path.clone(), base_seq, self.fsync)?;
         Ok(())
+    }
+}
+
+/// A log read and scanned once, not yet reopened for appends: its
+/// records and where its valid prefix ends.
+///
+/// Recovery reads through this once, replays, and only then
+/// [`reopen`](Self::reopen)s. So a recovery that fails or refuses leaves
+/// the file as it found it, and a read error (fatal to recovery) stays
+/// apart from a reopen error (which only degrades durability).
+pub(crate) struct ScannedLog {
+    path: PathBuf,
+    /// The checkpoint sequence the log continues from.
+    pub(crate) base_seq: u64,
+    /// Every valid record, in log order.
+    pub(crate) records: Vec<WalRecord>,
+    /// Records found and the torn tail a reopen drops.
+    pub(crate) report: WalOpenReport,
+    /// Byte offset just past the last valid record.
+    valid_end: u64,
+}
+
+impl ScannedLog {
+    /// Reads and scans the log at `path`. A file that cannot be read is a
+    /// [`CscError::Io`] (retryable, and never mistaken for a destroyed
+    /// log); a damaged header is [`CscError::Corrupt`].
+    pub(crate) fn read(path: &Path) -> Result<Self, CscError> {
+        faultpoint_io!("io.wal.read");
+        let bytes = fs::read(path).map_err(|e| CscError::io("wal.read", &e))?;
+        let base_seq = WriteAheadLog::check_header(&bytes)?;
+        let (records, body_end) = scan_records(&bytes[WAL_HEADER_LEN as usize..], base_seq);
+        let valid_end = WAL_HEADER_LEN + body_end as u64;
+        Ok(ScannedLog {
+            path: path.to_path_buf(),
+            base_seq,
+            report: WalOpenReport {
+                records: records.len(),
+                truncated_bytes: bytes.len() as u64 - valid_end,
+            },
+            records,
+            valid_end,
+        })
+    }
+
+    /// The sequence of the last valid record (the base when there is
+    /// none).
+    pub(crate) fn last_seq(&self) -> u64 {
+        self.records.last().map_or(self.base_seq, |r| r.seq)
+    }
+
+    /// Reopens the log for appending after its last valid record,
+    /// dropping the torn tail the scan found.
+    pub(crate) fn reopen(&self, fsync: FsyncPolicy) -> Result<WriteAheadLog, CscError> {
+        faultpoint_io!("io.wal.open");
+        let io_err = |e: std::io::Error| CscError::io("wal.open", &e);
+        let mut file = OpenOptions::new()
+            .write(true)
+            .open(&self.path)
+            .map_err(io_err)?;
+        if self.report.truncated_bytes > 0 {
+            file.set_len(self.valid_end)
+                .and_then(|()| file.sync_all())
+                .map_err(io_err)?;
+            faultpoint!("wal.open.truncated");
+        }
+        file.seek(SeekFrom::Start(self.valid_end)).map_err(io_err)?;
+        Ok(WriteAheadLog {
+            file,
+            path: self.path.clone(),
+            base_seq: self.base_seq,
+            last_seq: self.last_seq(),
+            fsync,
+            appends_since_sync: 0,
+        })
     }
 }
 

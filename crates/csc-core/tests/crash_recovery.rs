@@ -258,6 +258,10 @@ fn crash_during_the_recovery_reanchor_checkpoint_is_survivable() {
     let outcome = run_trace(&dir, 1000);
     assert!(!outcome.crashed);
     let acked = outcome.acked;
+    // An unreadable newest generation over a log that still starts below
+    // it (a crash between a checkpoint's rename and the log rotation,
+    // plus bit rot): recovery falls back, and only then re-anchors.
+    std::fs::write(csc_core::wal::checkpoint_path(&dir, 1_000), b"garbage").unwrap();
 
     // Crash mid-write of the re-anchor checkpoint: a torn .tmp is left
     // behind, the previous checkpoint and the full WAL are intact.
@@ -273,6 +277,92 @@ fn crash_during_the_recovery_reanchor_checkpoint_is_survivable() {
     assert_eq!(report.records_replayed, acked);
     assert_dual_oracle(&recovered, acked, false, "after re-anchor crash");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Copies every file of `from` into a fresh `to`.
+fn copy_dir(from: &PathBuf, to: &PathBuf) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+}
+
+/// The recovered graph must equal the oracle over exactly `windows`
+/// windows of the trace.
+fn assert_exact_prefix(recovered: &MaintenanceEngine, windows: usize, context: &str) {
+    let mut sim = base_graph();
+    for w in trace().iter().take(windows) {
+        apply_to_sim(&mut sim, w);
+    }
+    assert!(
+        recovered.index().original_graph() == sim,
+        "{context}: recovered graph is not the {windows}-window prefix"
+    );
+    verify_index(recovered.index()).unwrap();
+}
+
+#[test]
+fn crash_while_continuing_a_torn_log_recovers_the_acked_prefix() {
+    let _guard = fault::test_lock();
+    fault::reset();
+    // Every window stays in the log; then its last record is torn, as a
+    // crash mid-append leaves it. The acked prefix is every window
+    // before the torn one.
+    let torn = temp_dir("continue-torn");
+    let outcome = run_trace(&torn, 1000);
+    assert!(!outcome.crashed);
+    let acked = outcome.acked - 1;
+    let wal_path = torn.join(csc_core::wal::WAL_FILE);
+    let bytes = std::fs::read(&wal_path).unwrap();
+    std::fs::write(&wal_path, &bytes[..bytes.len() - 5]).unwrap();
+
+    // Pass 1: count the faultpoint hits of a clean recovery.
+    let clean = temp_dir("continue-clean");
+    copy_dir(&torn, &clean);
+    fault::reset();
+    let (_, report) = MaintenanceEngine::recover(&clean).unwrap();
+    assert!(report.wal_truncated_bytes > 0, "the tail was torn");
+    let hits = fault::total_hits();
+    assert!(
+        hits > 5,
+        "recovery too small to be interesting: {hits} hits"
+    );
+    std::fs::remove_dir_all(&clean).unwrap();
+
+    // Pass 2: crash the recovery at every hit, recover again, write one
+    // more window, crash, and recover once more.
+    for crash_at in 1..=hits {
+        let ctx = format!("recovery crash {crash_at}/{hits}");
+        let dir = temp_dir(&format!("continue-{crash_at}"));
+        copy_dir(&torn, &dir);
+        fault::reset();
+        fault::arm_global(crash_at);
+        let crashed = fault::quiet_catch(|| MaintenanceEngine::recover(&dir));
+        fault::reset();
+        assert!(
+            !matches!(crashed, Ok(Ok(_))),
+            "{ctx}: the trigger must fire"
+        );
+
+        let (mut recovered, report) = MaintenanceEngine::recover(&dir)
+            .unwrap_or_else(|e| panic!("{ctx}: second recovery failed: {e}"));
+        assert_eq!(report.records_replayed, acked, "{ctx}");
+        assert_exact_prefix(&recovered, acked, &ctx);
+        recovered.apply_batch(&trace()[acked]).unwrap();
+        drop(recovered); // crash after the ack
+
+        let (recovered, report) = MaintenanceEngine::recover(&dir)
+            .unwrap_or_else(|e| panic!("{ctx}: third recovery failed: {e}"));
+        assert_eq!(report.records_replayed, acked + 1, "{ctx}");
+        assert_exact_prefix(
+            &recovered,
+            acked + 1,
+            &format!("{ctx}, after one more window"),
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    std::fs::remove_dir_all(&torn).unwrap();
 }
 
 #[test]

@@ -281,14 +281,22 @@ fn persistent_reanchor_failure_recovers_in_memory_with_degraded_durability() {
     fault::reset();
     let dir = temp_dir("recover-reanchor");
     {
-        // Checkpoint cadence above the trace: recovery must replay the
-        // WAL and then re-anchor with a fresh checkpoint.
+        // Checkpoint cadence above the trace, then one checkpoint whose
+        // log rotation is undone and whose file rots: an unreadable
+        // newest generation over a log that still starts below it. So
+        // recovery falls back, replays the WAL, and — only after a
+        // fallback — re-anchors with a fresh checkpoint.
         let config = durable_config().with_checkpoint_every(1_000);
         let mut engine = MaintenanceEngine::new(CscIndex::build(&base_graph(), config).unwrap());
         engine.attach_durability(&dir).unwrap();
         for w in trace().iter().take(3) {
             engine.apply_batch(w).unwrap();
         }
+        let wal_path = dir.join(csc_core::wal::WAL_FILE);
+        let log = std::fs::read(&wal_path).unwrap();
+        let seq = engine.checkpoint().unwrap().unwrap();
+        std::fs::write(&wal_path, log).unwrap();
+        std::fs::write(csc_core::wal::checkpoint_path(&dir, seq), b"garbage").unwrap();
     }
 
     // The state is recovered fine, but the disk refuses the re-anchor
@@ -308,6 +316,42 @@ fn persistent_reanchor_failure_recovers_in_memory_with_degraded_durability() {
     // for a later recovery of the pre-outage state.
     recovered.apply_batch(&trace()[3]).unwrap();
     verify_index(recovered.index()).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn persistent_error_reopening_the_log_recovers_in_memory_with_degraded_durability() {
+    let _guard = fault::test_lock();
+    fault::reset();
+    let dir = temp_dir("recover-reopen");
+    {
+        let config = durable_config().with_checkpoint_every(1_000);
+        let mut engine = MaintenanceEngine::new(CscIndex::build(&base_graph(), config).unwrap());
+        engine.attach_durability(&dir).unwrap();
+        for w in trace().iter().take(3) {
+            engine.apply_batch(w).unwrap();
+        }
+    }
+
+    // The replay succeeds, but the log cannot be reopened for appends.
+    fault::arm_io("io.wal.open", 1, ErrorKind::StorageFull, 1_000);
+    let (mut recovered, report) = MaintenanceEngine::recover(&dir).unwrap();
+    fault::reset();
+
+    assert_eq!(report.records_replayed, 3);
+    assert_eq!(recovered.status(), MaintenanceStatus::Serving);
+    assert_eq!(recovered.index().original_graph(), oracle_graph(3));
+    assert!(!recovered.is_durable());
+    assert!(recovered.health().durability_degraded);
+    let detail = recovered.durability_degraded_detail().unwrap().to_string();
+    assert!(detail.contains("reopening the log"), "{detail}");
+    // Still writable; the on-disk state still recovers the logged prefix.
+    recovered.apply_batch(&trace()[3]).unwrap();
+    verify_index(recovered.index()).unwrap();
+    drop(recovered);
+    let (again, report) = MaintenanceEngine::recover(&dir).unwrap();
+    assert_eq!(report.records_replayed, 3);
+    assert_eq!(again.index().original_graph(), oracle_graph(3));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -227,6 +227,36 @@ impl Labels {
         self.dirty.mark(label_slot(v, side));
     }
 
+    /// The bulk form of [`append`](Self::append): appends `entries`, in
+    /// strictly increasing hub-rank order and all above the list's current
+    /// last entry, growing the list once when the iterator knows its
+    /// length (checkpoint decoding installs each list this way). Counts
+    /// and dirty marks are kept as `append` keeps them; an empty `entries`
+    /// changes nothing.
+    ///
+    /// Debug builds assert the ordering invariant.
+    pub fn extend_sorted(
+        &mut self,
+        v: VertexId,
+        side: LabelSide,
+        entries: impl IntoIterator<Item = LabelEntry>,
+    ) {
+        let list = self.side_mut(v, side);
+        let before = list.len();
+        list.extend(entries);
+        debug_assert!(
+            list[before.saturating_sub(1)..]
+                .windows(2)
+                .all(|w| w[0].hub_rank() < w[1].hub_rank()),
+            "extend_sorted would break hub-rank order at {v:?}"
+        );
+        let added = list.len() - before;
+        if added > 0 {
+            self.side_count[side_ix(side)] += added;
+            self.dirty.mark(label_slot(v, side));
+        }
+    }
+
     /// Inserts or replaces the entry for `entry.hub_rank()` at `v`,
     /// keeping the list sorted. Returns the previous entry, if any.
     /// This is the dynamic-maintenance path (`UPDATE_LABEL`).
@@ -605,6 +635,32 @@ mod tests {
         let none = l.drain_matching(v(1), LabelSide::Out, |_| true);
         assert!(none.is_empty());
         assert_eq!(l.take_dirty(), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn extend_sorted_is_append_in_bulk() {
+        let lists = [
+            (v(0), LabelSide::In, vec![e(0, 0, 1), e(2, 1, 3)]),
+            (v(2), LabelSide::Out, vec![e(1, 2, 1)]),
+            (v(1), LabelSide::In, vec![]),
+        ];
+        let mut one_by_one = Labels::new(3);
+        let mut bulk = Labels::new(3);
+        for (u, side, entries) in &lists {
+            for &en in entries {
+                one_by_one.append(*u, *side, en);
+            }
+            bulk.extend_sorted(*u, *side, entries.iter().copied());
+        }
+        // Extending a non-empty list continues it.
+        one_by_one.append(v(0), LabelSide::In, e(5, 2, 1));
+        bulk.extend_sorted(v(0), LabelSide::In, [e(5, 2, 1)]);
+        assert_eq!(bulk, one_by_one);
+        for side in [LabelSide::In, LabelSide::Out] {
+            assert_eq!(bulk.side_entries(side), one_by_one.side_entries(side));
+        }
+        assert_eq!(bulk.take_dirty(), one_by_one.take_dirty());
+        bulk.validate_sorted().unwrap();
     }
 
     #[test]
