@@ -19,12 +19,8 @@
 //!    edges that affect it, in descending rank order. Dense batches share
 //!    most of their affected hubs (high-ranked hubs appear in almost every
 //!    label), so the pass count approaches the hub-union size instead of
-//!    the per-edge sum. At a pool width above one the passes run in waves
-//!    of up to `width` hubs: a wider wave fills one buffer per hub
-//!    concurrently against the pre-wave labels, then commits them in rank
-//!    order. A wave of one hub — every wave at width 1, and every wave
-//!    under [`UpdateStrategy::Minimality`], whose cleaning removes entries
-//!    mid-pass — writes as it traverses.
+//!    the per-edge sum. The passes run serially at every pool width and
+//!    write as they traverse.
 //! 3. **Windowed deletion repair** — all net removals leave the graph
 //!    first, then the window is classified *once* (shared pre/post
 //!    endpoint sweeps through the pooled traversal workspace) and each
@@ -40,6 +36,10 @@
 //!    caller republishes at most once per batch, and incrementally: only
 //!    the lists the batch dirtied are copied, into one delta segment (see
 //!    [`FrozenLabels::refreeze_spans`](csc_labeling::FrozenLabels::refreeze_spans)).
+//!    A batch that took the deletion rebuild fallback dirtied every list;
+//!    its publish is a full freeze instead, which leaves no dead copy of
+//!    the old arena behind (see
+//!    [`SnapshotIndex::refreeze_from`](crate::SnapshotIndex::refreeze_from)).
 //!
 //! ## Semantics
 //!
@@ -67,17 +67,15 @@
 //! insertion window *is* the paper's per-edge `INCCNT` (one seed per
 //! affected hub), so there is no separate per-edge driver.
 
-use crate::build::{commit, CoupleBfs, TraversalCounters, VisitBuffer};
-use crate::config::UpdateStrategy;
+use crate::build::TraversalCounters;
 use crate::error::CscError;
 use crate::guard::Deadline;
 use crate::index::CscIndex;
-use crate::parallel::par_map_indexed;
 use crate::repair::{multi_source_pass, Direction, RepairWriter, Seed};
 use crate::stats::UpdateReport;
 use csc_graph::bipartite::{in_vertex, is_in_vertex, out_vertex};
-use csc_graph::{BucketQueue, GraphError, VertexId};
-use csc_labeling::{LabelSide, LabelingError, Labels};
+use csc_graph::{GraphError, VertexId};
+use csc_labeling::LabelingError;
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
@@ -443,13 +441,13 @@ impl CscIndex {
     ///
     /// # Redundancy vs. minimality
     ///
-    /// Under [`UpdateStrategy::Redundancy`] dominated entries are left
-    /// behind: an entry whose stored distance exceeds the true shortest
-    /// distance can never win the minimum-distance selection of a query
-    /// (label distances never under-estimate, so a stale component pushes
-    /// the candidate sum strictly above the covered minimum) and is
-    /// therefore harmless. Minimality mode calls `CLEAN_LABEL` after every
-    /// improving write.
+    /// Under [`UpdateStrategy::Redundancy`](crate::UpdateStrategy::Redundancy)
+    /// dominated entries are left behind: an entry whose stored distance
+    /// exceeds the true shortest distance can never win the
+    /// minimum-distance selection of a query (label distances never
+    /// under-estimate, so a stale component pushes the candidate sum
+    /// strictly above the covered minimum) and is therefore harmless.
+    /// Minimality mode calls `CLEAN_LABEL` after every improving write.
     fn batched_insert_repair(
         &mut self,
         insertions: &[(VertexId, VertexId)],
@@ -498,118 +496,43 @@ impl CscIndex {
             ref config,
             ref mut workspace,
             ref mut sweeps,
-            ref repair_pool,
             ..
         } = *self;
         let graph = gb.graph();
-        let n = graph.vertex_count();
-        workspace.ensure(n);
+        workspace.ensure(graph.vertex_count());
 
-        let hub_list: Vec<(u32, &[Seed], &[Seed])> = hubs
-            .iter()
-            .map(|(&r, (fwd, bwd))| (r, fwd.as_slice(), bwd.as_slice()))
-            .collect();
-        for seeds in hub_list.iter().flat_map(|&(_, fwd, bwd)| [fwd, bwd]) {
-            if !seeds.is_empty() {
-                report.repair.affected_hubs += 1;
-                report.hub_cache_fills += 1;
-                report.hub_cache_hits += seeds.len() - 1;
-            }
-        }
-
-        // Minimality's cleaning removes entries, which breaks the monotone
-        // writes a wider wave relies on: its passes run one at a time.
-        let strategy = config.update_strategy;
-        let width = match strategy {
-            UpdateStrategy::Redundancy => config.parallelism.width().max(1),
-            UpdateStrategy::Minimality => 1,
-        };
         let mut counters = TraversalCounters::default();
         let (state, cache) = workspace.parts_mut();
         let buckets = sweeps.buckets_mut();
-        for wave in hub_list.chunks(width) {
-            // A wave of one pass traverses straight into the writer. A
-            // wider wave first fills one buffer per pass against the
-            // pre-wave labels, each worker with a private workspace.
-            let buffered = (wave.len() > 1).then(|| {
-                let labels: &Labels = labels;
-                par_map_indexed(width, wave.len(), |i| -> Result<_, LabelingError> {
-                    // On worker threads: an injected panic here must
-                    // cross the scope join and reach the engine's
-                    // degradation catch, like any real worker bug.
-                    faultpoint!("batch.wave.worker");
-                    let (r, fwd, bwd) = wave[i];
-                    let vk = ranks.vertex_at_rank(r);
-                    let mut ws =
-                        repair_pool.checkout_with(|| (CoupleBfs::new(n), BucketQueue::default()));
-                    let (bfs, buckets) = &mut *ws;
-                    bfs.ensure(n);
-                    let (state, cache) = bfs.parts_mut();
-                    let mut c = TraversalCounters::default();
-                    let mut pass = |seeds: &[Seed], direction| -> Result<_, LabelingError> {
-                        let mut buffer = VisitBuffer::new(labels);
-                        if !seeds.is_empty() {
-                            multi_source_pass(
-                                graph,
-                                ranks,
-                                state,
-                                cache,
-                                buckets,
-                                direction,
-                                r,
-                                vk,
-                                seeds,
-                                &mut buffer,
-                                &mut c,
-                            )?;
-                        }
-                        Ok(buffer.visits)
-                    };
-                    let f = pass(fwd, Direction::Forward)?;
-                    let b = pass(bwd, Direction::Backward)?;
-                    Ok((f, b, c))
-                })
-            });
-            let mut writer = RepairWriter {
-                labels: &mut *labels,
-                inverted: &mut *inverted,
-                ranks,
-                strategy,
-                report: &mut report.repair,
-            };
-            let Some(results) = buffered else {
-                let (r, fwd, bwd) = wave[0];
-                let vk = ranks.vertex_at_rank(r);
-                for (seeds, direction) in [(fwd, Direction::Forward), (bwd, Direction::Backward)] {
-                    if !seeds.is_empty() {
-                        multi_source_pass(
-                            graph,
-                            ranks,
-                            state,
-                            cache,
-                            buckets,
-                            direction,
-                            r,
-                            vk,
-                            seeds,
-                            &mut writer,
-                            &mut counters,
-                        )?;
-                    }
+        let mut writer = RepairWriter {
+            labels,
+            inverted,
+            ranks,
+            strategy: config.update_strategy,
+            report: &mut report.repair,
+        };
+        for (&r, (fwd, bwd)) in &hubs {
+            let vk = ranks.vertex_at_rank(r);
+            for (seeds, direction) in [(fwd, Direction::Forward), (bwd, Direction::Backward)] {
+                if seeds.is_empty() {
+                    continue;
                 }
-                continue;
-            };
-            // Commit in ascending rank, forward before backward — the
-            // serial pass order — re-validating every pass after the first.
-            for (i, (&(r, ..), result)) in wave.iter().zip(results).enumerate() {
-                let (fwd, bwd, c) = result?;
-                counters.merge(&c);
-                let vk = ranks.vertex_at_rank(r);
-                let mut validate = (i > 0).then_some(&mut *cache);
-                for (side, visits) in [(LabelSide::In, fwd), (LabelSide::Out, bwd)] {
-                    let cache = validate.as_deref_mut();
-                    commit(&mut writer, &mut counters, side, vk, r, &visits, cache)?;
-                }
+                writer.report.affected_hubs += 1;
+                report.hub_cache_fills += 1;
+                report.hub_cache_hits += seeds.len() - 1;
+                multi_source_pass(
+                    graph,
+                    ranks,
+                    state,
+                    cache,
+                    buckets,
+                    direction,
+                    r,
+                    vk,
+                    seeds,
+                    &mut writer,
+                    &mut counters,
+                )?;
             }
         }
         report.repair.vertices_visited += counters.dequeues;
@@ -830,8 +753,8 @@ mod tests {
 
     #[test]
     fn wave_parallel_batches_match_serial_labels() {
-        // The insertion waves and the deletion phase-C waves must commit
-        // the exact label set the sequential engine writes, at any width.
+        // Repair ignores the width: a batch of deletions and insertions
+        // leaves the exact labels of the width-1 engine at any width.
         let g = gnm(24, 70, 7);
         let edges = g.edge_vec();
         let mut updates: Vec<GraphUpdate> = edges
@@ -856,50 +779,6 @@ mod tests {
             assert!(report.applied_updates() > 0);
             assert_eq!(par.labels, serial.labels, "width {threads} diverged");
         }
-    }
-
-    #[test]
-    fn repair_waves_reuse_one_pool_of_workspaces() {
-        // Wider repair waves check their workspaces out of the index's one
-        // repair pool, so the pool never outgrows the width, width 1 never
-        // touches it, and `memory_bytes` counts what it holds.
-        let g = gnm(40, 140, 5);
-        let edges = g.edge_vec();
-        let windows: Vec<Vec<GraphUpdate>> = (0..6u32)
-            .map(|k| {
-                let mut window: Vec<GraphUpdate> = edges[k as usize * 3..][..2]
-                    .iter()
-                    .map(|&(a, b)| RemoveEdge(v(a), v(b)))
-                    .collect();
-                for s in 0..6u32 {
-                    let (a, b) = ((s * 7 + k * 3 + 1) % 40, (s * 13 + k + 5) % 40);
-                    if a != b {
-                        window.push(InsertEdge(v(a), v(b)));
-                    }
-                }
-                window
-            })
-            .collect();
-        let run = |threads| {
-            let mut idx = CscIndex::build(&g, CscConfig::default().with_threads(threads)).unwrap();
-            for window in &windows {
-                idx.apply_batch(window).unwrap();
-            }
-            idx
-        };
-        assert_eq!(run(1).repair_pool.sum_idle(|_| 1), 0);
-
-        let mut idx = run(4);
-        let pooled = idx.repair_pool.sum_idle(|_| 1);
-        assert!((1..=4).contains(&pooled), "{pooled} workspaces at width 4");
-        let pool_bytes = idx
-            .repair_pool
-            .sum_idle(|(bfs, buckets)| bfs.heap_bytes() + buckets.heap_bytes());
-        let with_pool = idx.memory_bytes();
-        idx.repair_pool = csc_graph::WorkspacePool::new();
-        assert!(pool_bytes > 0);
-        assert_eq!(with_pool - idx.memory_bytes(), pool_bytes);
-        assert_matches_oracle(&idx, "pooled repair waves");
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! [`VisitSink`]: a writer applies it to the label store at once, a
 //! [`VisitBuffer`] keeps it for a writer to [`commit`] later. The
 //! traversal reads the labels it prunes against through the same sink, so
-//! one body serves both the serial pass and the parallel waves.
+//! one body serves both the serial pass and the parallel build waves.
+//! Label repair only ever writes: its passes run serially at every width.
 
 use crate::config::ParallelismConfig;
 use crate::invert::InvertedIndex;
@@ -394,24 +395,22 @@ impl CoupleBfs {
     /// Within one traversal a pass never reads its own writes: the hub
     /// cache is scattered once up front, the prune scan at a vertex runs
     /// before that vertex's write, and couples are never dequeued on their
-    /// writing side. The same holds for [`traverse_out`](Self::traverse_out)
-    /// and for `repair::multi_source_pass`, whose scan at a vertex only
-    /// reads the list the pass writes at most once, at that vertex's own
-    /// visit. So filling a [`VisitBuffer`] and then [`commit`]ting it onto
-    /// the labels it was filled against is the writer's pass exactly.
+    /// writing side. The same holds for [`traverse_out`](Self::traverse_out).
+    /// So filling a [`VisitBuffer`] and then [`commit`]ting it onto the
+    /// labels it was filled against is the writer's pass exactly.
     ///
-    /// A parallel wave fills its buffers concurrently against the labels as
-    /// they stood when the wave started, then commits them in rank order. A
-    /// buffer may therefore miss the commits of earlier passes of its own
-    /// wave, and its pruning can only be *weaker* than the serial pass's:
-    /// label writes are monotone (entries are only added or improved,
-    /// never lengthened or removed), so more committed labels mean more
-    /// pruning, never less. A validated commit re-runs the prune scan
-    /// against the labels at commit time and drops every visit the serial
-    /// pass would have pruned; a dropped visit takes its whole buffered
-    /// subtree with it (coverage at a vertex extends to everything it
-    /// expanded to, at strictly smaller slack), so the surviving writes —
-    /// distances *and* counts — are the serial ones. The first pass of a
+    /// A parallel build wave fills its buffers concurrently against the
+    /// labels as they stood when the wave started, then commits them in
+    /// rank order. A buffer may therefore miss the commits of earlier
+    /// passes of its own wave, and its pruning can only be *weaker* than
+    /// the serial pass's: build writes are monotone (entries are only
+    /// appended, never lengthened or removed), so more committed labels
+    /// mean more pruning, never less. A validated commit re-runs the prune
+    /// scan against the labels at commit time and drops every visit the
+    /// serial pass would have pruned; a dropped visit takes its whole
+    /// buffered subtree with it (coverage at a vertex extends to everything
+    /// it expanded to, at strictly smaller slack), so the surviving writes
+    /// — distances *and* counts — are the serial ones. The first pass of a
     /// wave needs no validation: nothing was committed between its
     /// traversal and its commit.
     pub(crate) fn traverse_in<S: VisitSink>(
@@ -602,14 +601,15 @@ impl LabelBuildTask {
     /// same on every call of one task.
     ///
     /// Ranks are processed in *waves* of `width` consecutive ranks. A wave
-    /// holding one hub pass (every wave at width 1) traverses straight
+    /// holding one hub pass (every wave at width 1 or 2, since a `V_in`
+    /// rank is followed by its couple's `V_out` rank) traverses straight
     /// into the label writer. A wider wave fills its passes' buffers
     /// concurrently against the pre-wave labels, then [`commit`]s them in
-    /// rank order, re-validating every pass after the first when
-    /// `deterministic` is on — so the labels, and thus the serialized
-    /// arenas, are identical at every width. Waves are aligned to absolute
-    /// rank boundaries and a budget is rounded up to the next boundary, so
-    /// a chunked build takes the exact same waves as a monolithic one.
+    /// rank order, re-validating every pass after the first — so the
+    /// labels, and thus the serialized arenas, are identical at every
+    /// width. Waves are aligned to absolute rank boundaries and a budget is
+    /// rounded up to the next boundary, so a chunked build takes the exact
+    /// same waves as a monolithic one.
     pub(crate) fn advance(
         &mut self,
         csr: &Csr,
@@ -649,6 +649,10 @@ impl LabelBuildTask {
                 let labels = &self.labels;
                 let pool = &self.pool;
                 par_map_indexed(width, (wave_end - wave_start) as usize, |i| {
+                    // On worker threads: an injected panic here must
+                    // cross the scope join and reach the engine's
+                    // degradation catch, like any real worker bug.
+                    faultpoint!("build.wave.worker");
                     let hub = ranks.vertex_at_rank(wave_start + i as u32);
                     if !is_in_vertex(hub) {
                         return Ok(None);
@@ -670,8 +674,7 @@ impl LabelBuildTask {
                 match result? {
                     Some((fwd, bwd, wave_counters)) => {
                         self.counters.merge(&wave_counters);
-                        let validate = self.par.deterministic && !first;
-                        let mut validate = validate.then_some(&mut self.bfs.cache);
+                        let mut validate = (!first).then_some(&mut self.bfs.cache);
                         first = false;
                         let mut writer =
                             LabelWriter::new(&mut self.labels, None, WriteMode::Append);
@@ -785,18 +788,12 @@ mod tests {
         let gb = BipartiteGraph::from_graph(&g);
         let ranks = RankTable::build(&g, OrderingStrategy::Degree).bipartite_order();
         let csr = Csr::from_digraph(gb.graph());
-        let serial_par = ParallelismConfig {
-            threads: 1,
-            deterministic: true,
-        };
+        let serial_par = ParallelismConfig { threads: 1 };
         let mut serial_counters = TraversalCounters::default();
         let serial = build_labels(&csr, &ranks, &mut serial_counters, serial_par).unwrap();
 
         for threads in [2, 3, 4, 7] {
-            let par = ParallelismConfig {
-                threads,
-                deterministic: true,
-            };
+            let par = ParallelismConfig { threads };
             let mut counters = TraversalCounters::default();
             let labels = build_labels(&csr, &ranks, &mut counters, par).unwrap();
             labels.validate_sorted().unwrap();
@@ -819,10 +816,7 @@ mod tests {
         let gb = BipartiteGraph::from_graph(&g);
         let ranks = RankTable::build(&g, OrderingStrategy::Degree).bipartite_order();
         let csr = Csr::from_digraph(gb.graph());
-        let par = ParallelismConfig {
-            threads: 4,
-            deterministic: true,
-        };
+        let par = ParallelismConfig { threads: 4 };
         let mut counters = TraversalCounters::default();
         let whole = build_labels(&csr, &ranks, &mut counters, par).unwrap();
 
@@ -834,40 +828,6 @@ mod tests {
         let (labels, chunk_counters) = task.finish();
         assert_eq!(labels, whole);
         assert_eq!(chunk_counters, counters);
-    }
-
-    #[test]
-    fn relaxed_commit_still_answers_queries_exactly() {
-        // deterministic: false skips commit validation: the labels may
-        // keep entries the sequential pass would have pruned, but every
-        // survivor is strictly covered (see the collect/commit notes), so
-        // cycle queries still read the exact serial answers.
-        let g = csc_graph::generators::gnm(40, 160, 11);
-        let gb = BipartiteGraph::from_graph(&g);
-        let ranks = RankTable::build(&g, OrderingStrategy::Degree).bipartite_order();
-        let csr = Csr::from_digraph(gb.graph());
-        let serial_par = ParallelismConfig {
-            threads: 1,
-            deterministic: true,
-        };
-        let mut c0 = TraversalCounters::default();
-        let serial = build_labels(&csr, &ranks, &mut c0, serial_par).unwrap();
-
-        let par = ParallelismConfig {
-            threads: 4,
-            deterministic: false,
-        };
-        let mut c1 = TraversalCounters::default();
-        let relaxed = build_labels(&csr, &ranks, &mut c1, par).unwrap();
-        relaxed.validate_sorted().unwrap();
-        assert!(relaxed.total_entries() >= serial.total_entries());
-        for v in g.vertices() {
-            assert_eq!(
-                relaxed.dist_count(out_vertex(v), in_vertex(v)),
-                serial.dist_count(out_vertex(v), in_vertex(v)),
-                "SCCnt({v:?}) diverged under relaxed commit"
-            );
-        }
     }
 
     #[test]

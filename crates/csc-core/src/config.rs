@@ -197,16 +197,17 @@ impl OverloadConfig {
     }
 }
 
-/// Parallel execution knobs for the write and build planes.
+/// Parallel execution knob for the label builds.
 ///
-/// These are *runtime* knobs: they steer how label work is scheduled
-/// across the worker pool, never what the index contains. With
-/// [`deterministic`](Self::deterministic) `true` (the default), per-hub
-/// results computed in parallel are validated and committed in hub-rank
-/// order, which makes the label arenas — and therefore
-/// [`to_bytes`](crate::CscIndex::to_bytes) — byte-identical regardless of
-/// `threads`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// A *runtime* knob: it steers how label work is scheduled across the
+/// worker pool, never what the index contains. The label builds (static
+/// build, rejuvenation, and the deletion rebuild fallback) run in waves
+/// of up to [`width`](Self::width) hub passes whose results are validated
+/// and committed in hub-rank order, so the label arenas — and therefore
+/// [`to_bytes`](crate::CscIndex::to_bytes) — are byte-identical regardless
+/// of `threads`. Label repair (insertions and deletion re-labels) runs
+/// serially at every width.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ParallelismConfig {
     /// Worker width for parallel label passes: `0` (the default) follows
     /// the pool default (`CSC_THREADS`, else available parallelism); any
@@ -214,24 +215,6 @@ pub struct ParallelismConfig {
     /// (physical threads are still capped by the pool). `1` forces the
     /// fully sequential path.
     pub threads: u32,
-    /// Commit parallel per-hub results to the label store in hub-rank
-    /// order, re-validating each result after a wave's first against the
-    /// already-committed prefix.
-    /// This reproduces the sequential execution exactly, so serialized
-    /// indexes are byte-identical across thread counts. `false` skips
-    /// the re-validation during static builds, which may retain a few
-    /// redundant (never query-winning) label entries whose set depends
-    /// on the decomposition width.
-    pub deterministic: bool,
-}
-
-impl Default for ParallelismConfig {
-    fn default() -> Self {
-        ParallelismConfig {
-            threads: 0,
-            deterministic: true,
-        }
-    }
 }
 
 /// Ceiling on [`ParallelismConfig::threads`]: wide enough for any real
@@ -253,8 +236,8 @@ impl ParallelismConfig {
 
     /// The effective decomposition width: `threads` when set, else the
     /// global pool width (`CSC_THREADS` / available parallelism). This is
-    /// the wave size the parallel write & build plane actually uses — and
-    /// what benchmark records should report.
+    /// the wave size the parallel build plane actually uses — and what
+    /// benchmark records should report.
     pub fn width(&self) -> usize {
         if self.threads == 0 {
             rayon::current_num_threads()
@@ -293,13 +276,18 @@ pub struct CscConfig {
     /// applied update count — but a batch publishes at most once, at its
     /// end.
     ///
-    /// Publication is incremental (only the label lists dirtied since the
-    /// last snapshot are re-frozen; the rest of the arena is carried over
-    /// by a flat copy), but still costs an arena copy — so the default of
-    /// `8` amortizes it over a burst while bounding snapshot-reader
-    /// staleness at 7 updates. Set `1` to republish after every update or
-    /// batch (readers at most one batch stale), or `0` to disable
-    /// automatic republication entirely and call
+    /// Publication is incremental: it copies the label lists dirtied since
+    /// the last snapshot into one new arena segment, plus the span table
+    /// (12 bytes per list), and shares every other segment (see
+    /// [`SnapshotIndex::refreeze_from`](crate::SnapshotIndex::refreeze_from)).
+    /// The span-table copy is `O(n)` however little a window changed, and
+    /// every moved list leaves its old copy behind as dead space until a
+    /// compacting full freeze — so the default of `8` amortizes both over
+    /// a burst while bounding snapshot-reader staleness at 7 updates. A
+    /// list dirtied by several updates between publishes is copied once.
+    /// Set `1` to republish after every update or batch (readers at most
+    /// one batch stale), or `0` to disable automatic republication
+    /// entirely and call
     /// [`ConcurrentIndex::refresh`](crate::ConcurrentIndex::refresh)
     /// manually.
     ///
@@ -315,9 +303,8 @@ pub struct CscConfig {
     /// check); inert until a directory is attached. See
     /// [`DurabilityConfig`].
     pub durability: DurabilityConfig,
-    /// Parallel execution knobs (worker width, deterministic commit).
-    /// Runtime-only: they never change what the index contains. See
-    /// [`ParallelismConfig`].
+    /// Parallel execution knob (worker width). Runtime-only: it never
+    /// changes what the index contains. See [`ParallelismConfig`].
     pub parallelism: ParallelismConfig,
     /// Backpressure on the maintenance plane's pending-write queue
     /// (watermarks + [`OverloadPolicy`]). Inert at the default
@@ -420,14 +407,6 @@ impl CscConfig {
     /// default, `1` = sequential). See [`ParallelismConfig::threads`].
     pub fn with_threads(mut self, threads: u32) -> Self {
         self.parallelism.threads = threads;
-        self
-    }
-
-    /// Builder-style: toggle deterministic (rank-ordered, validated)
-    /// commit of parallel results. See
-    /// [`ParallelismConfig::deterministic`].
-    pub fn with_deterministic(mut self, on: bool) -> Self {
-        self.parallelism.deterministic = on;
         self
     }
 
@@ -608,13 +587,9 @@ mod tests {
     fn parallelism_defaults_and_builders() {
         let c = CscConfig::default();
         assert_eq!(c.parallelism.threads, 0, "0 = follow the pool default");
-        assert!(c.parallelism.deterministic, "reproducible by default");
 
-        let c = CscConfig::default()
-            .with_threads(4)
-            .with_deterministic(false);
+        let c = CscConfig::default().with_threads(4);
         assert_eq!(c.parallelism.threads, 4);
-        assert!(!c.parallelism.deterministic);
         assert!(c.validate().is_ok());
         assert!(c.parallelism.width() == 4);
         assert!(CscConfig::default().with_threads(0).parallelism.width() >= 1);

@@ -68,17 +68,14 @@
 //! under-estimate either way). The `batch_equivalence` suite pins this
 //! down.
 
-use crate::build::{
-    build_labels, commit, CoupleBfs, LabelWriter, TraversalCounters, VisitBuffer, WriteMode,
-};
+use crate::build::{build_labels, LabelWriter, TraversalCounters, WriteMode};
 use crate::index::CscIndex;
 use crate::invert::InvertedIndex;
-use crate::parallel::par_map_indexed;
 use crate::repair::{multi_source_subtract, Direction, Seed, SubtractOutcome};
 use crate::stats::UpdateReport;
 use csc_graph::bipartite::{in_vertex, is_in_vertex, out_vertex};
-use csc_graph::{BucketQueue, Csr, DistMap, SweepHandle, SweepMaps, VertexId, UNREACHED};
-use csc_labeling::{LabelSide, LabelingError, Labels};
+use csc_graph::{Csr, DistMap, SweepHandle, SweepMaps, VertexId, UNREACHED};
+use csc_labeling::{LabelSide, LabelingError};
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
@@ -326,10 +323,8 @@ impl CscIndex {
             ref ranks,
             ref mut labels,
             ref mut inverted,
-            ref config,
             ref mut workspace,
             ref mut sweeps,
-            ref repair_pool,
             ..
         } = *self;
         let graph = gb.graph();
@@ -425,68 +420,17 @@ impl CscIndex {
         }
 
         // ---- Phase C: re-label in descending rank order, once per hub. ----
-        // The sweeps run in waves of up to `width` hubs. A wave of one hub
-        // traverses straight into the writer; a wider one fills buffers
-        // concurrently against the pre-wave labels, then commits them in
-        // rank order, re-validating every hub after the first — exact
-        // because Phase B already removed every distance-stale entry, so
-        // the wave's upserts only add or count-refresh entries (coverage
-        // grows monotonically; see `CoupleBfs::traverse_in`). Upsert commits
-        // validate independent of the `deterministic` knob, to keep the
-        // sweep serial-exact.
-        let hub_list: Vec<(u32, bool, bool)> =
-            relabel.iter().map(|(&r, &(f, b))| (r, f, b)).collect();
-        for &(_, fwd, bwd) in &hub_list {
+        let mut counters = TraversalCounters::default();
+        let mut writer = LabelWriter::new(labels, inverted.as_mut(), WriteMode::Upsert);
+        for (&rank, &(fwd, bwd)) in &relabel {
             report.affected_hubs += 1;
             stats.hub_union += usize::from(fwd) + usize::from(bwd);
-        }
-        let width = config.parallelism.width().max(1);
-        let n = graph.vertex_count();
-        let mut counters = TraversalCounters::default();
-        for wave in hub_list.chunks(width) {
-            let buffered = (wave.len() > 1).then(|| {
-                let labels: &Labels = labels;
-                par_map_indexed(width, wave.len(), |i| -> Result<_, LabelingError> {
-                    let (rank, fwd, bwd) = wave[i];
-                    let hub = ranks.vertex_at_rank(rank);
-                    let mut ws =
-                        repair_pool.checkout_with(|| (CoupleBfs::new(n), BucketQueue::default()));
-                    let bfs = &mut ws.0;
-                    bfs.ensure(n);
-                    let mut c = TraversalCounters::default();
-                    let mut fwd_visits = VisitBuffer::new(labels);
-                    if fwd {
-                        bfs.traverse_in(graph, ranks, hub, &mut fwd_visits, &mut c)?;
-                    }
-                    let mut bwd_visits = VisitBuffer::new(labels);
-                    if bwd {
-                        bfs.traverse_out(graph, ranks, hub, &mut bwd_visits, &mut c)?;
-                    }
-                    Ok((fwd_visits.visits, bwd_visits.visits, c))
-                })
-            });
-            let mut writer = LabelWriter::new(labels, inverted.as_mut(), WriteMode::Upsert);
-            let Some(results) = buffered else {
-                let (rank, fwd, bwd) = wave[0];
-                let hub = ranks.vertex_at_rank(rank);
-                if fwd {
-                    workspace.traverse_in(graph, ranks, hub, &mut writer, &mut counters)?;
-                }
-                if bwd {
-                    workspace.traverse_out(graph, ranks, hub, &mut writer, &mut counters)?;
-                }
-                continue;
-            };
-            let (_, cache) = workspace.parts_mut();
-            for (i, (&(rank, ..), result)) in wave.iter().zip(results).enumerate() {
-                let (fwd, bwd, c) = result?;
-                counters.merge(&c);
-                let hub = ranks.vertex_at_rank(rank);
-                let mut validate = (i > 0).then_some(&mut *cache);
-                for (side, visits) in [(LabelSide::In, fwd), (LabelSide::Out, bwd)] {
-                    let cache = validate.as_deref_mut();
-                    commit(&mut writer, &mut counters, side, hub, rank, &visits, cache)?;
-                }
+            let hub = ranks.vertex_at_rank(rank);
+            if fwd {
+                workspace.traverse_in(graph, ranks, hub, &mut writer, &mut counters)?;
+            }
+            if bwd {
+                workspace.traverse_out(graph, ranks, hub, &mut writer, &mut counters)?;
             }
         }
         report.entries_inserted += counters.inserted;

@@ -7,10 +7,7 @@ use crate::health::{HealthBaseline, IndexHealth};
 use crate::invert::InvertedIndex;
 use crate::stats::IndexStats;
 use csc_graph::bipartite::{in_vertex, out_vertex, BipartiteGraph};
-use csc_graph::{
-    BucketQueue, Csr, DiGraph, OrderingStrategy, RankTable, TraversalWorkspace, VertexId,
-    WorkspacePool,
-};
+use csc_graph::{Csr, DiGraph, OrderingStrategy, RankTable, TraversalWorkspace, VertexId};
 use csc_labeling::{BuildStats, CycleCount, DistCount, LabelEntry, LabelSide, Labels};
 use std::time::Instant;
 
@@ -46,10 +43,6 @@ pub struct CscIndex {
     /// Pooled endpoint-sweep maps and the shared bucket queue for the
     /// dynamic repair paths (never cloned or serialized — scratch only).
     pub(crate) sweeps: TraversalWorkspace,
-    /// Per-worker workspaces of the repair waves wider than one pass
-    /// (insertion repair and deletion re-labels), reused across windows;
-    /// scratch like `sweeps`.
-    pub(crate) repair_pool: WorkspacePool<(CoupleBfs, BucketQueue)>,
 }
 
 impl Clone for CscIndex {
@@ -65,7 +58,6 @@ impl Clone for CscIndex {
             poisoned: self.poisoned.clone(),
             workspace: CoupleBfs::new(self.gb.graph().vertex_count()),
             sweeps: TraversalWorkspace::new(self.gb.graph().vertex_count()),
-            repair_pool: WorkspacePool::new(),
         }
     }
 }
@@ -130,7 +122,6 @@ impl CscIndex {
             poisoned: None,
             workspace: CoupleBfs::new(n),
             sweeps: TraversalWorkspace::new(n),
-            repair_pool: WorkspacePool::new(),
         })
     }
 
@@ -245,12 +236,14 @@ impl CscIndex {
         &self.config
     }
 
-    /// Retunes the parallelism knobs on a live index.
+    /// Retunes the build width on a live index.
     ///
     /// Parallelism is a non-semantic runtime field — it steers how label
-    /// work is scheduled, never what the labels contain — so unlike the
-    /// rest of [`CscConfig`] it may be changed after build, e.g. to adapt
-    /// a loaded checkpoint to the host it now runs on.
+    /// builds are scheduled (the rejuvenation rebuild and the deletion
+    /// rebuild fallback, here), never what the labels contain — so unlike
+    /// the rest of [`CscConfig`] it may be changed after build, e.g. to
+    /// adapt a loaded checkpoint to the host it now runs on. Label repair
+    /// runs serially at every width.
     pub fn set_parallelism(&mut self, parallelism: crate::config::ParallelismConfig) {
         self.config.parallelism = parallelism;
     }
@@ -323,17 +316,14 @@ impl CscIndex {
     }
 
     /// Tracked heap footprint in bytes: label lists, the inverted index,
-    /// and the pooled traversal workspaces. `O(n)` over the label store —
-    /// the maintenance engine measures once per applied window, not per
+    /// and the traversal workspaces. `O(n)` over the label store — the
+    /// maintenance engine measures once per applied window, not per
     /// operation.
     pub fn memory_bytes(&self) -> usize {
         self.labels.heap_bytes()
             + self.inverted.as_ref().map_or(0, |inv| inv.heap_bytes())
             + self.workspace.heap_bytes()
             + self.sweeps.heap_bytes()
-            + self
-                .repair_pool
-                .sum_idle(|(bfs, buckets)| bfs.heap_bytes() + buckets.heap_bytes())
     }
 
     /// Re-anchors the drift baseline at the current state (the epilogue of

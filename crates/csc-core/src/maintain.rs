@@ -64,7 +64,7 @@ use crate::snapshot::SnapshotIndex;
 use crate::stats::UpdateReport;
 use crate::verify::check_integrity;
 use crate::wal::{self, ScannedLog, WriteAheadLog};
-use csc_graph::{Csr, RankTable, VertexId, WorkspacePool};
+use csc_graph::{Csr, RankTable, VertexId};
 use csc_labeling::BuildStats;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1092,11 +1092,9 @@ impl MaintenanceEngine {
             },
             poisoned: None,
             workspace: CoupleBfs::new(n),
-            // Reuse the retired index's pooled sweep maps, bucket queue and
-            // repair-wave workspaces: they are graph-shape scratch, already
-            // sized right.
+            // Reuse the retired index's pooled sweep maps and bucket queue:
+            // they are graph-shape scratch, already sized right.
             sweeps: std::mem::take(&mut self.index.sweeps),
-            repair_pool: std::mem::replace(&mut self.index.repair_pool, WorkspacePool::new()),
         };
         fresh.rebaseline(rejuvenations);
         // The baseline is the post-rebuild state; replayed updates then

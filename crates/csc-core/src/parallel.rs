@@ -1,8 +1,9 @@
-//! Fan-out helper for the parallel write and build planes.
+//! Fan-out helper for the parallel build plane.
 //!
-//! Label work parallelizes across *hubs*: a wave of per-hub traversals is
+//! Label builds parallelize across *hubs*: a wave of per-hub traversals is
 //! computed concurrently against an immutable label snapshot, then the
-//! results are committed in hub-rank order (see `build.rs`). The items
+//! results are committed in hub-rank order (see `build.rs`). Label repair
+//! never fans out: its passes run serially at every width. The items
 //! are few and heavy — far below the data-parallel iterator cutoff — so
 //! the fan-out here spawns one scope task per worker and lets the tasks
 //! pull indexes from a shared counter, which load-balances skewed hub

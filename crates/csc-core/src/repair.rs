@@ -21,9 +21,9 @@
 //!   edge it crosses (covered by that edge's pre-batch seed entry) plus a
 //!   suffix in the updated graph, which the traversal walks because all
 //!   batch edges are already present. A one-edge window has one seed per
-//!   hub and is the paper's per-edge pass. The pass writes through a
-//!   [`RepairWriter`] or fills a
-//!   [`VisitBuffer`](crate::build::VisitBuffer) for a parallel wave;
+//!   hub and is the paper's per-edge pass. The passes run serially in
+//!   descending rank order at every pool width, each writing through a
+//!   [`RepairWriter`] as it traverses;
 //! * [`multi_source_subtract`] — the decremental mirror: one pass per
 //!   count-repair hub subtracts every shortest path a whole *deletion*
 //!   window removed, via the dual last-old-edge decomposition (see its
@@ -178,13 +178,11 @@ impl VisitSink for RepairWriter<'_> {
 ///   for nothing), the only downward relaxation possible — non-seed
 ///   vertices are discovered in final-distance order, exactly as in BFS.
 ///
-/// Every visit that survives the coverage prune goes to `sink`. Repair
-/// writes are monotone (entries are only added, shortened, or
-/// count-accumulated), so a buffered pass commits exactly like the couple
-/// BFS (see [`CoupleBfs::traverse_in`](crate::build::CoupleBfs::traverse_in))
-/// — except under Minimality, whose cleaning *removes* entries mid-pass;
-/// the batch engine runs those passes one at a time, straight into the
-/// writer.
+/// Every visit that survives the coverage prune goes to `sink`, which the
+/// batch engine makes a [`RepairWriter`]: each write lands before the
+/// next vertex's prune scan, so later passes — and, under Minimality, the
+/// cleaning that removes entries mid-pass — always see the serial
+/// engine's labels.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn multi_source_pass<S: VisitSink>(
     graph: &DiGraph,

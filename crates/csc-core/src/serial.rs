@@ -24,7 +24,7 @@
 //! | 1   | header   | n `u32`, m `u64` |
 //! | 2   | edges    | (`u32`, `u32`) × m |
 //! | 3   | ranks    | `vertex_at[rank]` `u32` × 2n |
-//! | 4   | config   | ordering, update strategy, inverted flag, snapshot interval, rebuild policy, durability knobs, parallelism knobs, resource guards |
+//! | 4   | config   | ordering, update strategy, inverted flag, snapshot interval, rebuild policy, durability knobs, parallelism width, resource guards |
 //! | 5   | baseline | entries ×3 `u64`, vertices `u32`, rejuvenations `u32` |
 //! | 6   | labels   | per bipartite vertex and side: len `u32`, entries `u64` × len |
 //!
@@ -260,9 +260,10 @@ impl CscIndex {
             // Parallelism is a non-semantic runtime field: it steers how
             // label work is scheduled, never what the labels contain. It
             // rides along so a reloaded engine keeps its operator-tuned
-            // width.
+            // width. The byte after the width held a retired commit-mode
+            // flag; it is written as 1 and ignored on load.
             b.put_u32_le(c.parallelism.threads);
-            b.put_u8(c.parallelism.deterministic as u8);
+            b.put_u8(1);
             // Trailing ordering argument (the coverage-sampling budget);
             // appended after the parallelism knobs so both older payload
             // lengths (39 and 47 bytes) still load with defaults.
@@ -444,10 +445,9 @@ impl CscIndex {
         // its first release; a 39-byte payload predates them and means
         // "defaults" (non-semantic runtime field either way).
         let parallelism = if p.remaining() >= 5 {
-            ParallelismConfig {
-                threads: p.get_u32_le(),
-                deterministic: p.get_u8() != 0,
-            }
+            let threads = p.get_u32_le();
+            p.advance(1); // the retired commit-mode flag
+            ParallelismConfig { threads }
         } else {
             ParallelismConfig::default()
         };
@@ -574,7 +574,6 @@ impl CscIndex {
             poisoned: None,
             workspace: CoupleBfs::new(two_n),
             sweeps: csc_graph::TraversalWorkspace::new(two_n),
-            repair_pool: csc_graph::WorkspacePool::new(),
         })
     }
 }
@@ -677,9 +676,7 @@ mod tests {
 
     #[test]
     fn parallelism_config_survives_the_roundtrip() {
-        let config = CscConfig::default()
-            .with_threads(3)
-            .with_deterministic(false);
+        let config = CscConfig::default().with_threads(3);
         let idx = CscIndex::build(&figure2(), config).unwrap();
         let back = CscIndex::from_bytes(&idx.to_bytes().unwrap()).unwrap();
         assert_eq!(back.config().parallelism, config.parallelism);

@@ -22,7 +22,7 @@
 //! [`ConcurrentIndex`](crate::ConcurrentIndex). It compacts back to a full
 //! couple-ordered freeze once relocation holes exceed
 //! [`MAX_DEAD_FRACTION`] of the arena or the segments reach
-//! [`MAX_SEGMENTS`].
+//! [`MAX_SEGMENTS`], and freezes whole when every list is dirty.
 
 use crate::health::{HealthBaseline, IndexHealth};
 use crate::index::CscIndex;
@@ -106,7 +106,10 @@ impl SnapshotIndex {
     /// Falls back to a full couple-ordered freeze when relocation holes
     /// would exceed [`MAX_DEAD_FRACTION`] of the arena or `prev` already
     /// holds [`MAX_SEGMENTS`] segments, so chains of incremental snapshots
-    /// stay bounded in size, segment count, and layout quality.
+    /// stay bounded in size, segment count, and layout quality. A publish
+    /// that rewrites every list (the deletion rebuild fallback marks the
+    /// whole store dirty) freezes whole too: a delta would copy the same
+    /// entries and leave every segment of `prev` fully dead.
     ///
     /// Correctness requires `prev` to match the label store as of the
     /// drain point — [`ConcurrentIndex`](crate::ConcurrentIndex) maintains
@@ -116,7 +119,8 @@ impl SnapshotIndex {
         // would cross a compaction threshold, go straight to the full
         // freeze instead of building a delta only to discard it.
         let (dead, total) = prev.frozen.projected_refreeze(index.labels(), dirty_slots);
-        if prev.frozen.segment_count() >= MAX_SEGMENTS
+        if dirty_slots.len() == 2 * index.labels().vertex_count()
+            || prev.frozen.segment_count() >= MAX_SEGMENTS
             || (total > 0 && dead as f64 / total as f64 > MAX_DEAD_FRACTION)
         {
             return Self::freeze(index);
@@ -365,6 +369,26 @@ mod tests {
         }
         assert!(saw_dead, "the scenario must exercise relocation");
         assert!(saw_compaction, "dead space must eventually be compacted");
+    }
+
+    #[test]
+    fn a_publish_that_rewrites_every_list_freezes_whole() {
+        // A rebuild fallback marks every list dirty. Re-gathering them all
+        // into a delta would leave the previous arena referenced and fully
+        // dead, whatever the projected dead fraction.
+        let g = gnm(30, 100, 2);
+        let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
+        idx.labels.take_dirty();
+        let snap = idx.freeze();
+        idx.labels.mark_all_dirty();
+        let dirty = idx.labels.take_dirty();
+        let snap = SnapshotIndex::refreeze_from(&snap, &idx, &dirty);
+        assert_eq!(snap.labels().segment_count(), 1);
+        assert_eq!(snap.labels().dead_entries(), 0);
+        let full = idx.freeze();
+        for x in g.vertices() {
+            assert_eq!(snap.query(x), full.query(x), "SCCnt({x})");
+        }
     }
 
     #[test]

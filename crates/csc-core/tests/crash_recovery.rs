@@ -416,22 +416,30 @@ fn parallel_wave_worker_panic_degrades_instead_of_aborting() {
     let _guard = fault::test_lock();
     fault::reset();
 
-    // Width 4: the insertion repair runs on pool worker threads. A panic
+    // Width 4: a window that demotes most hub sides falls back to a label
+    // rebuild, whose build waves run on pool worker threads. A panic
     // injected *inside a worker* must cross the work-stealing scope join,
     // reach the engine's degradation catch on the calling thread, and
     // poison the writer — never abort the process or hang the pool.
     let g = base_graph();
     let config = CscConfig::default().with_threads(4);
-    let shared = ConcurrentIndex::new(CscIndex::build(&g, config).unwrap());
-    let before: Vec<_> = g.vertices().map(|v| shared.query(v)).collect();
-
-    let inserts: Vec<GraphUpdate> = [(0u32, 5u32), (1, 7), (2, 9), (3, 11), (4, 6)]
+    let index = CscIndex::build(&g, config).unwrap();
+    let removed: Vec<(u32, u32)> = g.edge_vec()[..2].to_vec();
+    let window: Vec<GraphUpdate> = removed
         .iter()
-        .filter(|&&(a, b)| !g.has_edge(VertexId(a), VertexId(b)))
-        .map(|&(a, b)| GraphUpdate::InsertEdge(VertexId(a), VertexId(b)))
+        .map(|&(a, b)| GraphUpdate::RemoveEdge(VertexId(a), VertexId(b)))
         .collect();
-    fault::arm("batch.wave.worker", 2);
-    let err = shared.apply_batch(&inserts).unwrap_err();
+    // Unarmed, the window reaches the pool — so the armed run cannot
+    // silently stop exercising a worker.
+    let report = index.clone().apply_batch(&window).unwrap();
+    assert_eq!(report.repair.rebuild_fallbacks, 1);
+    assert!(fault::hits("build.wave.worker") > 0);
+    fault::reset();
+
+    let shared = ConcurrentIndex::new(index);
+    let before: Vec<_> = g.vertices().map(|v| shared.query(v)).collect();
+    fault::arm("build.wave.worker", 2);
+    let err = shared.apply_batch(&window).unwrap_err();
     fault::reset();
     assert!(matches!(err, CscError::Poisoned { .. }), "{err:?}");
     assert_eq!(shared.status(), MaintenanceStatus::Degraded);
@@ -442,11 +450,16 @@ fn parallel_wave_worker_panic_degrades_instead_of_aborting() {
     }
 
     // In-place recovery rebuilds from the live graph — with the same
-    // parallel config — and the facade serves and writes again.
+    // parallel config, so through the same build waves — and the facade
+    // serves and writes again.
     shared.recover().unwrap();
     assert_eq!(shared.status(), MaintenanceStatus::Serving);
     shared.with_read(|idx| verify_index(idx).unwrap());
-    shared.apply_batch(&inserts).unwrap();
+    let reinsert: Vec<GraphUpdate> = removed
+        .iter()
+        .map(|&(a, b)| GraphUpdate::InsertEdge(VertexId(a), VertexId(b)))
+        .collect();
+    shared.apply_batch(&reinsert).unwrap();
     shared.refresh();
     shared.with_read(|idx| verify_index(idx).unwrap());
 }

@@ -416,8 +416,8 @@ impl<'a> SweepMaps<'a> {
 /// A checkout pool of per-worker traversal workspaces for parallel
 /// passes.
 ///
-/// Parallel repair and build waves hand every worker its own
-/// [`TraversalWorkspace`] (or any other scratch type, via the generic
+/// Parallel label-build waves and ordering sweeps hand every worker its
+/// own [`TraversalWorkspace`] (or any other scratch type, via the generic
 /// parameter): a worker checks a workspace out, runs its traversals, and
 /// the guard returns it on drop for the next task to reuse. Because the
 /// pooled workspaces are epoch-stamped ([`DistMap`] reuse is a stamp
@@ -446,14 +446,6 @@ impl<T> WorkspacePool<T> {
             pool: self,
             ws: Some(ws),
         }
-    }
-
-    /// Sums `f` over the workspaces resting in the pool — between waves,
-    /// all of them (`|_| 1` counts them; a heap-size closure measures
-    /// them).
-    pub fn sum_idle(&self, f: impl Fn(&T) -> usize) -> usize {
-        let free = self.free.lock().expect("workspace pool lock poisoned");
-        free.iter().map(f).sum()
     }
 }
 

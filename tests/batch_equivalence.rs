@@ -132,8 +132,10 @@ fn arb_delete_heavy_script(len: usize) -> impl Strategy<Value = Vec<RawOp>> {
 }
 
 /// Every equivalence property below runs once per entry of this matrix:
-/// width 1 is the sequential reference path, widths 2 and 4 drive the
-/// wave-parallel repair and build planes through the work-stealing pool.
+/// width 1 is the sequential reference path; at width 4 the wave-parallel
+/// builds (here, the deletion rebuild fallback) run through the
+/// work-stealing pool, while at width 2 a build wave holds one pass.
+/// Repair is serial at every width.
 const THREAD_MATRIX: [u32; 3] = [1, 2, 4];
 
 /// The default config pinned to an explicit parallelism width.

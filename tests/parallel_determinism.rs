@@ -1,18 +1,14 @@
-//! Determinism contract of the parallel write & build plane: with
-//! `deterministic: true` (the default), the wave-parallel paths commit in
-//! hub-rank order with validated prunes, so the label store an index ends
+//! Determinism contract of the parallel build plane: the wave-parallel
+//! label builds commit in hub-rank order with validated prunes, and label
+//! repair runs serially at every width, so the label store an index ends
 //! up with is *byte-identical* — via the `to_bytes` checkpoint format —
 //! whatever worker width produced it. That holds for fresh builds, for
 //! churned indexes (batched inserts and deletions), and for full
-//! rejuvenation traces. The parallelism knobs themselves are a
-//! non-semantic runtime field, so they are normalized before comparing.
-//!
-//! The relaxed mode (`deterministic: false`) trades that reproducibility
-//! for fewer validation scans on append-only builds; its weaker contract —
-//! query-exactness, not byte-identity — is pinned here too.
+//! rejuvenation traces; and repair does the same work at every width. The
+//! parallelism knob itself is a non-semantic runtime field, so it is
+//! normalized before comparing.
 
 use csc::graph::generators;
-use csc::graph::traversal::shortest_cycle_oracle;
 use csc::prelude::*;
 use proptest::prelude::*;
 
@@ -81,9 +77,9 @@ fn fresh_builds_are_byte_identical_across_widths() {
 
 #[test]
 fn churned_indexes_are_byte_identical_across_widths() {
-    // Under Minimality the insertion passes run one at a time at every
-    // width while its re-labels and rebuild fallbacks run in wider waves;
-    // the bytes must still match the serial engine's.
+    // Repair is serial at every width, but the rebuild fallbacks run in
+    // wider build waves; under both strategies the bytes must still match
+    // the serial engine's.
     for strategy in [UpdateStrategy::Redundancy, UpdateStrategy::Minimality] {
         for seed in [3u64, 17, 29] {
             let g = generators::gnm(22, 66, seed);
@@ -106,6 +102,66 @@ fn churned_indexes_are_byte_identical_across_widths() {
                     "seed {seed}, {strategy:?}: churn at width {w} diverges from serial bytes"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn repair_does_the_same_work_at_every_width() {
+    // Outside a rebuild fallback, which runs build waves, a window's repair
+    // never touches the pool: it visits exactly as many vertices at every
+    // width, and ends on the same bytes.
+    for seed in [3u64, 5, 8, 13] {
+        let g = generators::gnm(60, 240, seed);
+        let mut sim = g.clone();
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as u32
+        };
+        let windows: Vec<Vec<GraphUpdate>> = (0..10)
+            .map(|_| {
+                let edges = sim.edge_vec();
+                let (a, b) = edges[next() as usize % edges.len()];
+                let (a, b) = (VertexId(a), VertexId(b));
+                sim.try_remove_edge(a, b).unwrap();
+                let mut window = vec![GraphUpdate::RemoveEdge(a, b)];
+                for _ in 0..6 {
+                    let (a, b) = (VertexId(next() % 60), VertexId(next() % 60));
+                    if a != b && !sim.has_edge(a, b) {
+                        sim.try_add_edge(a, b).unwrap();
+                        window.push(GraphUpdate::InsertEdge(a, b));
+                    }
+                }
+                window
+            })
+            .collect();
+        let run = |threads: u32| {
+            let mut idx = CscIndex::build(&g, CscConfig::default().with_threads(threads)).unwrap();
+            let work: Vec<(usize, usize)> = windows
+                .iter()
+                .map(|window| {
+                    let report = idx.apply_batch(window).unwrap();
+                    let repair = report.repair;
+                    (repair.rebuild_fallbacks, repair.vertices_visited)
+                })
+                .collect();
+            (work, canonical_bytes(&idx))
+        };
+        let (reference, reference_bytes) = run(1);
+        for &w in &PARALLEL_WIDTHS {
+            let (work, bytes) = run(w);
+            for (k, (got, want)) in work.iter().zip(&reference).enumerate() {
+                if want.0 == 0 {
+                    assert_eq!(
+                        got, want,
+                        "seed {seed}, window {k}: repair work at width {w}"
+                    );
+                }
+            }
+            assert_eq!(bytes, reference_bytes, "seed {seed}: bytes at width {w}");
         }
     }
 }
@@ -136,27 +192,6 @@ fn rejuvenation_traces_are_byte_identical_across_widths() {
                 run(w),
                 reference,
                 "seed {seed}: rejuvenation at width {w} diverges from serial bytes"
-            );
-        }
-    }
-}
-
-#[test]
-fn relaxed_mode_is_query_exact_even_when_bytes_may_drift() {
-    // `deterministic: false` skips the validated commit on append-only
-    // builds: extra (strictly covered) entries may survive, so the bytes
-    // are not pinned — but every query must still match the oracle.
-    let g = generators::gnm(26, 104, 41);
-    for &w in &PARALLEL_WIDTHS {
-        let config = CscConfig::default()
-            .with_threads(w)
-            .with_deterministic(false);
-        let idx = CscIndex::build(&g, config).unwrap();
-        for v in g.vertices() {
-            assert_eq!(
-                idx.query(v).map(|c| (c.length, c.count)),
-                shortest_cycle_oracle(&g, v),
-                "relaxed build at width {w}: SCCnt({v})"
             );
         }
     }
