@@ -135,8 +135,8 @@ pub struct ReplayStats {
     pub classify: Duration,
     /// Deletion-repair time in merged count-subtraction passes.
     pub subtract: Duration,
-    /// Deletion-repair time in the re-label regime (superset deletion,
-    /// upsert sweeps, or the rebuild fallback).
+    /// Deletion-repair time in the re-label regime (per-hub upsert BFS
+    /// and sweep, or the rebuild fallback).
     pub relabel: Duration,
     /// Windows that took the from-scratch rebuild fallback.
     pub rebuild_fallbacks: usize,

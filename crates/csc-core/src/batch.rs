@@ -447,6 +447,9 @@ impl CscIndex {
     /// minimum-distance selection of a query (label distances never
     /// under-estimate, so a stale component pushes the candidate sum
     /// strictly above the covered minimum) and is therefore harmless.
+    /// A later deletion that lengthens the true distance to or past such
+    /// an entry grows its hub's distance, so the deletion phase re-labels
+    /// that hub side and sweeps the entry away (see `csc-core::delete`).
     /// Minimality mode calls `CLEAN_LABEL` after every improving write.
     fn batched_insert_repair(
         &mut self,

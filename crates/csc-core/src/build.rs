@@ -15,8 +15,9 @@
 //! traversal prunes there, since the only backward continuation would
 //! re-enter the hub.
 //!
-//! The same traversal, switched from append-only to upsert mode, is the
-//! re-labeling pass of decremental maintenance (`csc-core::delete`).
+//! The same traversal, switched from append-only to upsert mode and
+//! followed by [`LabelWriter::sweep`], is the re-labeling pass of
+//! decremental maintenance (`csc-core::delete`).
 //!
 //! Every label traversal — this couple BFS and the resumed multi-source
 //! pass of `csc-core::repair` — hands each visit it does not prune to a
@@ -31,7 +32,7 @@ use crate::invert::InvertedIndex;
 use crate::parallel::par_map_indexed;
 use csc_graph::bipartite::{couple, is_in_vertex};
 use csc_graph::{Csr, DiGraph, RankTable, VertexId, WorkspacePool};
-use csc_labeling::{HubCache, LabelEntry, LabelSide, LabelingError, Labels, SearchState, INF};
+use csc_labeling::{HubCache, LabelEntry, LabelSide, LabelingError, Labels, SearchState};
 
 /// Adjacency access abstraction: the static build runs over a cache-friendly
 /// [`Csr`] snapshot, while dynamic maintenance traverses the live
@@ -71,8 +72,9 @@ pub(crate) enum WriteMode {
     /// Push entries in hub-rank order (static construction: each hub's rank
     /// exceeds all previously appended ones).
     Append,
-    /// Insert-or-replace, skipping writes whose value is unchanged
-    /// (decremental re-labeling).
+    /// Insert-or-replace, skipping writes whose value is unchanged, and
+    /// recording every vertex for [`LabelWriter::sweep`] (decremental
+    /// re-labeling).
     Upsert,
 }
 
@@ -177,6 +179,9 @@ pub(crate) struct LabelWriter<'a> {
     labels: &'a mut Labels,
     inverted: Option<&'a mut InvertedIndex>,
     mode: WriteMode,
+    /// Upsert mode: every vertex written or found unchanged since the last
+    /// [`sweep`](Self::sweep).
+    written: Vec<u32>,
 }
 
 impl<'a> LabelWriter<'a> {
@@ -189,7 +194,36 @@ impl<'a> LabelWriter<'a> {
             labels,
             inverted,
             mode,
+            written: Vec::new(),
         }
+    }
+
+    /// Upsert mode: removes every `side` entry of hub `hub_rank` that was
+    /// neither written nor found unchanged since the last sweep, so the
+    /// side holds exactly what the traversal in between produced. The
+    /// carriers come from the inverted index. Returns the entries removed.
+    pub(crate) fn sweep(&mut self, side: LabelSide, hub_rank: u32) -> usize {
+        let LabelWriter {
+            labels,
+            inverted,
+            written,
+            ..
+        } = self;
+        let inv = inverted
+            .as_deref_mut()
+            .expect("a sweep needs the inverted index");
+        written.sort_unstable();
+        let mut removed = 0;
+        inv.retain(side, hub_rank, |x| {
+            let keep = written.binary_search(&x).is_ok();
+            if !keep {
+                labels.remove(VertexId(x), side, hub_rank);
+                removed += 1;
+            }
+            keep
+        });
+        written.clear();
+        removed
     }
 
     /// Writes one entry according to `mode`, maintaining the inverted index
@@ -224,6 +258,7 @@ impl<'a> LabelWriter<'a> {
                 }
             }
             WriteMode::Upsert => {
+                self.written.push(v.0);
                 if self.labels.entry_for(v, side, hub_rank) == Some(entry) {
                     counters.unchanged += 1;
                     return Ok(());
@@ -278,8 +313,13 @@ impl VisitSink for LabelWriter<'_> {
     }
 }
 
-/// Scatters the hub's own `own_side` label (plus its rank-0 self entry)
-/// into `cache` for constant-time `D_G(v_k, ·)` component lookups.
+/// Fills `cache` with `vk`'s own `own_side` label for the prune scans of
+/// `vk`'s traversal: the entries of strictly higher-ranked hubs, with
+/// `vk`'s own slot left unset. That is the static build's rule, and the
+/// couple BFS keeps it in every mode: a re-label pass must not prune at
+/// `vk`'s own stale entries, which is what it is there to replace. The
+/// resumed passes of `csc-core::repair` add the own slot at distance 0 on
+/// top, so their scans read `vk`'s stored entries too.
 #[inline]
 pub(crate) fn fill_hub_cache(
     labels: &Labels,
@@ -288,20 +328,16 @@ pub(crate) fn fill_hub_cache(
     vk_rank: u32,
     own_side: LabelSide,
 ) {
-    cache.begin();
-    for e in labels.side_of(vk, own_side) {
-        cache.put(e.hub_rank(), e.dist(), e.count());
-    }
-    cache.put(vk_rank, 0, 1);
+    cache.fill(labels.side_of(vk, own_side), vk_rank);
 }
 
 /// `D_G(v_k, w)` (or `D_G(w, v_k)` when `target_side` is `Out`) under the
-/// current index, restricted to the hubs scattered in `cache` — i.e.
-/// through the pass hub itself and strictly higher-ranked hubs, whose
-/// entries are final when passes run in descending rank order. The cache
-/// never holds a rank above `vk_rank` (a hub's own label only stores
-/// higher-ranked hubs plus itself), so the rank-sorted scan stops at that
-/// prefix.
+/// current index, restricted to the hubs scattered in `cache`: the
+/// strictly higher-ranked hubs, whose entries are final when passes run in
+/// descending rank order, plus `v_k` itself when the caller set its slot.
+/// Every scattered rank is at most `vk_rank` (a hub's own label only
+/// stores higher-ranked hubs plus itself), so the rank-sorted scan of
+/// [`HubCache::covered`] stops at that prefix.
 #[inline]
 pub(crate) fn covered_dist(
     labels: &Labels,
@@ -310,16 +346,7 @@ pub(crate) fn covered_dist(
     w: VertexId,
     target_side: LabelSide,
 ) -> u32 {
-    let mut dg = INF;
-    for e in labels.side_of(w, target_side) {
-        if e.hub_rank() > vk_rank {
-            break;
-        }
-        if let Some((dh, _)) = cache.get(e.hub_rank()) {
-            dg = dg.min(dh + e.dist());
-        }
-    }
-    dg
+    cache.covered(labels.side_of(w, target_side), vk_rank)
 }
 
 /// Commits a [`VisitBuffer`]'s visits of `hub`'s traversal on `side`

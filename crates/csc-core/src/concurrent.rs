@@ -432,7 +432,10 @@ impl ConcurrentIndex {
     /// couple-ordered freeze right after a rejuvenation swap. The invariant making incremental publication
     /// sound — published snapshot == label store at the last drain of the
     /// dirty set — holds because *every* publication (constructor, auto,
-    /// manual, post-swap) drains here under the write lock.
+    /// manual, post-swap) drains here under the write lock. The replaced
+    /// snapshot goes back to the engine
+    /// ([`MaintenanceEngine::retire`]), whose next full freeze refills its
+    /// arena when no reader still holds it.
     fn publish(&self, engine: &mut MaintenanceEngine) {
         if engine.is_degraded() {
             // Freezing a poisoned index would publish torn labels; the
@@ -444,6 +447,7 @@ impl ConcurrentIndex {
         *self.snapshot.write() = fresh;
         self.pending.store(0, Ordering::Relaxed);
         self.published.fetch_add(1, Ordering::Relaxed);
+        engine.retire(prev);
     }
 }
 

@@ -27,25 +27,37 @@
 //!   grew (detected exactly with pre/post-window BFS from the endpoints;
 //!   the post sweeps are truncated at the pre-sweep eccentricity, which
 //!   classifies every vertex without walking the post-deletion tail).
-//!   Their stale entries are deleted by the paper's superset rule —
-//!   evaluated against the union of the window's edges, so each hub's
-//!   carrier list (read from the inverted index, which an index built
-//!   `with_inverted(false)` gets on demand at its first deletion) is
-//!   scanned once per hub instead of once per edge — and the
-//!   couple-skipping pruned BFS of the static construction re-runs from
-//!   them **once per hub for the whole window** in descending rank order
-//!   in upsert mode: restoring over-deleted entries, refreshing changed
-//!   ones, and creating the newly-maximal hubs' entries. The descending
-//!   order keeps the pruning distance checks exact: they only consult
-//!   strictly higher-ranked hubs, which are unaffected, already
-//!   re-labeled, or only count-repaired (distances untouched). This phase
-//!   dominates deletion cost, so batching attacks it twice: the
-//!   per-window merge runs one pass per hub instead of one per hub per
-//!   edge, and a window that demotes more than
+//!   Each demoted side re-runs the couple-skipping pruned BFS of the
+//!   static construction **once per hub for the whole window**, in
+//!   descending rank order and in upsert mode, with the static build's
+//!   prune rule: only strictly higher-ranked hubs count, never the hub's
+//!   own stored entries. The writer stamps every vertex it writes or finds
+//!   unchanged, and a sweep then removes every other entry of that hub on
+//!   that side (its carriers, read from the inverted index, which an
+//!   index built `with_inverted(false)` gets on demand at its first
+//!   deletion). The side then holds exactly the static build's entries
+//!   for that hub. The descending order keeps the pruning exact: it only
+//!   consults strictly higher-ranked hubs, which are unaffected, already
+//!   re-labeled, or only count-repaired (distances untouched).
+//!
+//!   The strict prune and the sweep replace the paper's superset rule,
+//!   which deleted only entries whose distance equals a crossing-path
+//!   length and let the re-label prune at the hub's own surviving entries.
+//!   Under [`UpdateStrategy::Redundancy`](crate::UpdateStrategy) the
+//!   insertion repair keeps *dominated* entries on purpose, stored above
+//!   the true distance. A later window can lengthen the true distance to
+//!   or past such a value; the entry then matches no crossing path, and
+//!   a re-label that pruned at it kept an under-estimate or a
+//!   count-corrupting tie (a wrong SCCnt). Count-repair sides keep their
+//!   distances, so their dominated entries stay dominated and harmless.
+//!
+//!   This phase dominates deletion cost, so batching attacks it twice:
+//!   the per-window merge runs one pass per hub instead of one per hub
+//!   per edge, and a window that demotes more than
 //!   [`REBUILD_FALLBACK_PERCENT`] of all hub sides skips the sweeps
 //!   entirely in favor of a from-scratch label rebuild under the existing
-//!   rank order — exact by construction and cheaper than upsert-sweeping
-//!   most of the index. On the `repro deletion-churn` workload the
+//!   rank order — exact by construction, and a full freeze that drops
+//!   every dominated leftover. On the `repro deletion-churn` workload the
 //!   fallback carries every window of 8+ deletions; the surgical merge
 //!   path is what single-edge windows and sparse windows exercise.
 //!
@@ -53,7 +65,7 @@
 //! the edge endpoints — deliberately not with index lookups: the
 //! couple-skipped index legitimately does not cover `V_out`-source pairs
 //! whose maximum is the source itself, and an overestimate here could
-//! silently skip a stale entry. The sweeps run through the index's pooled
+//! silently misclassify a hub. The sweeps run through the index's pooled
 //! [`TraversalWorkspace`](csc_graph::TraversalWorkspace) (endpoints
 //! shared by several window edges are swept once) and stay allocation-free
 //! in the steady state.
@@ -298,14 +310,14 @@ impl CscIndex {
         report.classify_time += t_subtract - t_classify;
 
         // ---- Rebuild fallback for overwhelming windows. ------------------
-        // Each re-label side costs a full pruned BFS in upsert mode —
-        // several times the per-hub cost of the append-mode static build
-        // (binary-search writes against populated lists instead of pushes,
-        // live adjacency instead of a CSR snapshot). When a window demotes
-        // most of the index anyway, rebuilding every label from the
-        // current graph under the *existing* rank order is both cheaper
-        // and trivially exact (it is the ground truth the equivalence
-        // suites compare against); dominated leftovers vanish as a bonus.
+        // When a window demotes most of the index, every label is rebuilt
+        // from the current graph under the *existing* rank order instead:
+        // trivially exact (it is the ground truth the equivalence suites
+        // compare against), and a full freeze that drops every dominated
+        // leftover. It is not always the cheaper path — on mixed churn
+        // windows the per-hub sweeps cost less — but without its
+        // compaction a churned index grows (14% more bytes per edge on
+        // the benchmark's churn stream).
         let relabel_sides: usize = relabel
             .values()
             .map(|&(f, b)| usize::from(f) + usize::from(b))
@@ -328,8 +340,7 @@ impl CscIndex {
             ..
         } = *self;
         let graph = gb.graph();
-        let (maps, buckets) = sweeps.split_mut();
-        let views = resolve_views(maps, removals, &pre, &post);
+        let buckets = sweeps.buckets_mut();
 
         // ---- Phase A: merged count-repair passes (may demote). -----------
         let (state, cache) = workspace.parts_mut();
@@ -363,63 +374,10 @@ impl CscIndex {
         let t_relabel = Instant::now();
         report.subtract_time += t_relabel - t_subtract;
 
-        // ---- Phase B: superset deletion for re-label hubs. ----------------
-        // One carrier scan per (hub, side) for the whole window: an entry is
-        // stale iff its stored distance equals a crossing-path length
-        // through *some* deleted edge, evaluated with pre-window distances.
-        let mut conds: Vec<(u32, &DistMap)> = Vec::new();
-        let mut stale: Vec<u32> = Vec::new();
-        for (&rank, &(fwd, bwd)) in &relabel {
-            let hub = ranks.vertex_at_rank(rank);
-            for side in [LabelSide::In, LabelSide::Out] {
-                let active = match side {
-                    LabelSide::In => fwd,
-                    LabelSide::Out => bwd,
-                };
-                if !active {
-                    continue;
-                }
-                conds.clear();
-                for ev in &views {
-                    // In-side entries at x are stale when
-                    // sd(hub, a_o) + 1 + sd(b_i, x) == dist; out-side when
-                    // sd(x, a_o) + 1 + sd(b_i, hub) == dist.
-                    let (dh, per_carrier) = match side {
-                        LabelSide::In => (ev.to_ao.get(hub), ev.from_bi),
-                        LabelSide::Out => (ev.from_bi.get(hub), ev.to_ao),
-                    };
-                    if dh != UNREACHED {
-                        conds.push((dh + 1, per_carrier));
-                    }
-                }
-                if conds.is_empty() {
-                    continue;
-                }
-                stale.clear();
-                let matches_cond = |labels: &csc_labeling::Labels, x: VertexId| {
-                    let Some(e) = labels.entry_for(x, side, rank) else {
-                        return false;
-                    };
-                    conds.iter().any(|&(dh1, m)| {
-                        let dx = m.get(x);
-                        dx != UNREACHED && dh1 + dx == e.dist()
-                    })
-                };
-                let inv = inverted.as_mut().expect("built on demand above");
-                for &x in inv.carriers(side, rank) {
-                    if matches_cond(labels, VertexId(x)) {
-                        stale.push(x);
-                    }
-                }
-                for &x in &stale {
-                    labels.remove(VertexId(x), side, rank);
-                    inv.remove(side, rank, VertexId(x));
-                    report.entries_removed += 1;
-                }
-            }
-        }
-
-        // ---- Phase C: re-label in descending rank order, once per hub. ----
+        // ---- Phase B: re-label in descending rank order, once per hub. ---
+        // Each demoted side re-runs the static build's traversal, pruning
+        // only against strictly higher-ranked hubs, then sweeps away every
+        // entry of the hub on that side the traversal did not produce.
         let mut counters = TraversalCounters::default();
         let mut writer = LabelWriter::new(labels, inverted.as_mut(), WriteMode::Upsert);
         for (&rank, &(fwd, bwd)) in &relabel {
@@ -428,9 +386,11 @@ impl CscIndex {
             let hub = ranks.vertex_at_rank(rank);
             if fwd {
                 workspace.traverse_in(graph, ranks, hub, &mut writer, &mut counters)?;
+                report.entries_removed += writer.sweep(LabelSide::In, rank);
             }
             if bwd {
                 workspace.traverse_out(graph, ranks, hub, &mut writer, &mut counters)?;
+                report.entries_removed += writer.sweep(LabelSide::Out, rank);
             }
         }
         report.entries_inserted += counters.inserted;
@@ -647,6 +607,35 @@ mod tests {
         let phases = report.classify_time + report.subtract_time + report.relabel_time;
         assert!(phases > std::time::Duration::ZERO);
         assert!(phases <= report.duration, "phases nest inside the update");
+    }
+
+    #[test]
+    fn relabel_replaces_a_dominated_entry_that_became_an_underestimate() {
+        // Redundancy keeps dominated insertion leftovers; the third window
+        // lengthens a true distance past one of them. A re-label that
+        // pruned at the hub's own stale entry left SCCnt(v14) = (8, 2)
+        // here, where the graph has no cycle through v14.
+        use crate::batch::GraphUpdate::{self, InsertEdge, RemoveEdge};
+        let ins = |a, b| InsertEdge(VertexId(a), VertexId(b));
+        let del = |a, b| RemoveEdge(VertexId(a), VertexId(b));
+        let windows = [
+            [del(9, 1), ins(2, 5), del(8, 6)],
+            [ins(11, 2), del(6, 14), ins(15, 3)],
+            [ins(13, 1), del(15, 14), ins(3, 2)],
+        ];
+        let mut g = gnm(16, 40, 1180);
+        let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
+        for (k, window) in windows.iter().enumerate() {
+            idx.apply_batch(window).unwrap();
+            for &op in window {
+                match op {
+                    InsertEdge(a, b) => g.try_add_edge(a, b).unwrap(),
+                    RemoveEdge(a, b) => g.try_remove_edge(a, b).unwrap(),
+                    GraphUpdate::AddVertex => unreachable!(),
+                }
+            }
+            assert_queries_match(&idx, &g, &format!("window {k}"));
+        }
     }
 
     #[test]

@@ -105,6 +105,12 @@ impl InvertedIndex {
         }
     }
 
+    /// Keeps the vertices of hub rank `r`'s `side` carrier list for which
+    /// `keep` holds, in one pass over the list.
+    pub fn retain(&mut self, side: LabelSide, r: u32, mut keep: impl FnMut(u32) -> bool) {
+        self.side_mut(side)[r as usize].retain(|&v| keep(v));
+    }
+
     /// Total inverted entries (should equal the label entry count).
     pub fn total_entries(&self) -> usize {
         let a: usize = self.inv_in.iter().map(Vec::len).sum();

@@ -65,10 +65,11 @@ use crate::stats::UpdateReport;
 use crate::verify::check_integrity;
 use crate::wal::{self, ScannedLog, WriteAheadLog};
 use csc_graph::{Csr, RankTable, VertexId};
-use csc_labeling::BuildStats;
+use csc_labeling::{BuildStats, LabelEntry};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Renders a caught panic payload as a human-readable message (panics
@@ -271,6 +272,11 @@ pub struct MaintenanceEngine {
     /// Set at every swap: the next publication must be a full freeze (the
     /// previous published snapshot addresses the *old* label store).
     full_freeze_pending: bool,
+    /// The emptied allocation of the last arena segment a replaced
+    /// snapshot gave back ([`retire`](Self::retire)); the next full freeze
+    /// fills it instead of a fresh allocation. Snapshot storage, so it is
+    /// not part of the tracked heap footprint.
+    arena_buffer: Vec<LabelEntry>,
     /// `Some(detail)` after a write-path panic (or failed integrity
     /// check): the engine refuses writes and publication until
     /// [`recover_in_place`](Self::recover_in_place).
@@ -315,6 +321,7 @@ impl MaintenanceEngine {
             replay: VecDeque::new(),
             queued_vertices: 0,
             full_freeze_pending: false,
+            arena_buffer: Vec::new(),
             degraded: None,
             durability: None,
             durability_degraded: None,
@@ -1141,12 +1148,26 @@ impl MaintenanceEngine {
         let dirty = self.index.labels.take_dirty();
         match prev {
             Some(p) if !self.full_freeze_pending => {
-                SnapshotIndex::refreeze_from(p, &self.index, &dirty)
+                SnapshotIndex::refreeze_into(p, &self.index, &dirty, &mut self.arena_buffer)
             }
             _ => {
                 self.full_freeze_pending = false;
-                self.index.freeze()
+                SnapshotIndex::freeze_into(&self.index, std::mem::take(&mut self.arena_buffer))
             }
+        }
+    }
+
+    /// Takes back a snapshot that publication replaced. When nothing else
+    /// holds it, the allocation of the largest segment only it held
+    /// becomes the next full freeze's buffer, so a compaction refills
+    /// pages already resident instead of faulting in a fresh arena and
+    /// unmapping the old one.
+    pub(crate) fn retire(&mut self, old: Arc<SnapshotIndex>) {
+        if let Some(buffer) = Arc::try_unwrap(old)
+            .ok()
+            .and_then(SnapshotIndex::into_buffer)
+        {
+            self.arena_buffer = buffer;
         }
     }
 
@@ -1748,6 +1769,49 @@ mod tests {
         engine.remove_edge(VertexId(0), VertexId(9)).unwrap();
         let fourth = engine.publish_from(Some(&third));
         assert_eq!(fourth.total_entries(), engine.index().total_entries());
+    }
+
+    #[test]
+    fn compactions_refill_what_retired_snapshots_gave_back() {
+        let g = gnm(30, 90, 11);
+        let mut engine = MaintenanceEngine::new(CscIndex::build(&g, CscConfig::default()).unwrap());
+        engine.index.labels.take_dirty();
+        let mut served = Arc::new(engine.publish_from(None));
+        // A reader's snapshot: it shares the first arena, which must never
+        // be handed back while the reader holds it.
+        let reader = Arc::clone(&served);
+        let answers: Vec<_> = (0..30).map(|v| reader.query(VertexId(v))).collect();
+        let (mut compactions, mut refills) = (0, 0);
+        for step in 0..60u32 {
+            let (a, b) = (VertexId(step % 30), VertexId((step * 7 + 3) % 30));
+            if engine.index().original_graph().has_edge(a, b) {
+                engine.remove_edge(a, b).unwrap();
+            } else if a != b {
+                engine.insert_edge(a, b).unwrap();
+            }
+            let buffer = engine.arena_buffer.capacity();
+            let fresh = Arc::new(engine.publish_from(Some(&served)));
+            if fresh.labels().segment_count() == 1 {
+                compactions += 1;
+                refills += usize::from(buffer > 0 && engine.arena_buffer.capacity() == 0);
+            }
+            for v in 0..30 {
+                let v = VertexId(v);
+                assert_eq!(
+                    fresh.query(v),
+                    engine.index().query(v),
+                    "step {step}: SCCnt({v})"
+                );
+            }
+            engine.retire(std::mem::replace(&mut served, fresh));
+        }
+        assert!(compactions >= 3, "{compactions} compactions");
+        assert!(
+            refills >= 2,
+            "{refills} of {compactions} compactions refilled a buffer"
+        );
+        let still: Vec<_> = (0..30).map(|v| reader.query(VertexId(v))).collect();
+        assert_eq!(still, answers, "a held snapshot is never refilled");
     }
 
     #[test]

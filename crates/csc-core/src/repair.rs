@@ -5,8 +5,9 @@
 //! labels the same way: resume a counting traversal from an *affected
 //! hub*, prune where the index already covers the distance, and upsert
 //! the entries the traversal proves changed. This module holds the pieces
-//! they share (the hub-cache scatter and covered-distance scan live with
-//! the sink machinery in `csc-core::build`):
+//! they share (the hub-cache fill and the covered-distance prune scan,
+//! [`HubCache::covered`], live with the sink machinery in
+//! `csc-core::build`):
 //!
 //! * [`update_label`] — `UPDATE_LABEL` (Algorithm 7);
 //! * [`multi_source_pass`] — the resumed BFS of Algorithm 6, one pass per
@@ -200,6 +201,10 @@ pub(crate) fn multi_source_pass<S: VisitSink>(
     debug_assert!(!seeds.is_empty());
     let (own_side, target_side) = direction.sides();
     fill_hub_cache(sink.labels(), cache, vk, vk_rank, own_side);
+    // The pass resumes over `vk`'s own entries: with its slot at 0 the
+    // scan reads a stored entry's distance, so the traversal prunes where
+    // the index is already shorter and ties where it is as short.
+    cache.put(vk_rank, 0);
     let base = seed_buckets(state, buckets, seeds);
 
     let mut level = 0usize;
@@ -322,6 +327,7 @@ pub(crate) fn multi_source_subtract(
     }
     let (own_side, target_side) = direction.sides();
     fill_hub_cache(labels, cache, vk, vk_rank, own_side);
+    cache.put(vk_rank, 0);
     let base = seed_buckets(state, buckets, seeds);
 
     // (vertex, remaining count) edits; remaining == 0 removes the entry.

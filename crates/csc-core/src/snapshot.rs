@@ -28,7 +28,7 @@ use crate::health::{HealthBaseline, IndexHealth};
 use crate::index::CscIndex;
 use csc_graph::bipartite::{in_vertex, out_vertex};
 use csc_graph::VertexId;
-use csc_labeling::{CycleCount, DistCount, FrozenLabels, LabelSide, LabelStore};
+use csc_labeling::{CycleCount, DistCount, FrozenLabels, LabelEntry, LabelSide, LabelStore};
 use rayon::prelude::*;
 
 /// When [`SnapshotIndex::refreeze_from`]'s extended arena would carry more
@@ -81,16 +81,22 @@ impl SnapshotIndex {
     /// `SCCnt(v)` intersection reads one contiguous, prefetcher-friendly
     /// region.
     pub fn freeze(index: &CscIndex) -> Self {
+        Self::freeze_into(index, Vec::new())
+    }
+
+    /// [`freeze`](Self::freeze) into the allocation of `buffer` (see
+    /// [`FrozenLabels::freeze_ordered_into`]).
+    pub(crate) fn freeze_into(index: &CscIndex, buffer: Vec<LabelEntry>) -> Self {
         let n = index.original_vertex_count();
         let couple_order = (0..n as u32).flat_map(|v| {
             let v = VertexId(v);
             [
-                (out_vertex(v), csc_labeling::LabelSide::Out),
-                (in_vertex(v), csc_labeling::LabelSide::In),
+                (out_vertex(v), LabelSide::Out),
+                (in_vertex(v), LabelSide::In),
             ]
         });
         Self::from_arena(
-            FrozenLabels::freeze_ordered(index.labels(), couple_order),
+            FrozenLabels::freeze_ordered_into(index.labels(), couple_order, buffer),
             index,
         )
     }
@@ -115,6 +121,21 @@ impl SnapshotIndex {
     /// drain point — [`ConcurrentIndex`](crate::ConcurrentIndex) maintains
     /// exactly that invariant between publications.
     pub fn refreeze_from(prev: &SnapshotIndex, index: &CscIndex, dirty_slots: &[u32]) -> Self {
+        Self::refreeze_into(prev, index, dirty_slots, &mut Vec::new())
+    }
+
+    /// [`refreeze_from`](Self::refreeze_from), whose compacting full
+    /// freeze, if it takes one, fills the allocation of `buffer` (see
+    /// [`FrozenLabels::freeze_ordered_into`]) and leaves `buffer` empty.
+    /// When `buffer` is too small, the compaction allocates an eighth more
+    /// than the arena, so that a growing index still fits in it when a
+    /// later compaction gets it back.
+    pub(crate) fn refreeze_into(
+        prev: &SnapshotIndex,
+        index: &CscIndex,
+        dirty_slots: &[u32],
+        buffer: &mut Vec<LabelEntry>,
+    ) -> Self {
         // Project the dead fraction in O(dirty) first: when this publish
         // would cross a compaction threshold, go straight to the full
         // freeze instead of building a delta only to discard it.
@@ -123,12 +144,22 @@ impl SnapshotIndex {
             || prev.frozen.segment_count() >= MAX_SEGMENTS
             || (total > 0 && dead as f64 / total as f64 > MAX_DEAD_FRACTION)
         {
-            return Self::freeze(index);
+            let entries = index.labels().total_entries();
+            if buffer.capacity() < entries {
+                *buffer = Vec::with_capacity(entries + entries / 8);
+            }
+            return Self::freeze_into(index, std::mem::take(buffer));
         }
         Self::from_arena(
             prev.frozen.refreeze_spans(index.labels(), dirty_slots),
             index,
         )
+    }
+
+    /// Takes back the allocation of the largest arena segment no other
+    /// snapshot shares (see [`FrozenLabels::into_buffer`]).
+    pub(crate) fn into_buffer(self) -> Option<Vec<LabelEntry>> {
+        self.frozen.into_buffer()
     }
 
     fn from_arena(frozen: FrozenLabels, index: &CscIndex) -> Self {

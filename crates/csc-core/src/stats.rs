@@ -43,13 +43,14 @@ pub struct UpdateReport {
     pub classify_time: Duration,
     /// Deletion repair: time in the merged count-subtraction passes.
     pub subtract_time: Duration,
-    /// Deletion repair: time in the re-label regime (superset deletion +
-    /// upsert BFS sweeps) — historically the dominant share.
+    /// Deletion repair: time in the re-label regime (each demoted hub
+    /// side's upsert BFS and the sweep of the entries it did not produce,
+    /// or the rebuild fallback) — historically the dominant share.
     pub relabel_time: Duration,
     /// Deletion windows that demoted so much of the index that repairing
     /// fell back to a from-scratch label rebuild under the existing rank
-    /// order (exact by construction, and cheaper than sweeping most hubs
-    /// in upsert mode).
+    /// order (exact by construction, and a full freeze that drops every
+    /// dominated leftover).
     pub rebuild_fallbacks: usize,
 }
 

@@ -20,6 +20,10 @@
 //! it came from. A snapshot republication therefore costs the span table
 //! plus the dirtied lists — proportional to the update, not the index —
 //! and snapshots that readers still hold share memory with the new one.
+//! A retired arena can hand its largest unshared segment back
+//! ([`into_buffer`](FrozenLabels::into_buffer)) for the next full freeze
+//! to refill ([`freeze_ordered_into`](FrozenLabels::freeze_ordered_into)),
+//! so a compaction rewrites pages that are already resident.
 //!
 //! Both layouts answer queries through the [`LabelStore`] trait, whose
 //! default `dist_count` uses [`intersect_adaptive`]. The kernel picks a
@@ -205,14 +209,21 @@ impl Span {
 }
 
 /// Copies the lists of `slots` from `labels` back to back into a new
-/// segment numbered `seg`, and points their spans at it (an empty list
-/// gets [`Span::EMPTY`]).
+/// segment numbered `seg`, built in the allocation of `segment` (emptied
+/// first), and points their spans at it (an empty list gets
+/// [`Span::EMPTY`]).
 ///
 /// # Panics
 ///
 /// Panics if the segment would hold `>= 2^32` entries, beyond the `u32`
 /// span encoding (at 8 bytes per entry, a 32 GiB segment).
-fn pack(labels: &Labels, slots: &[u32], seg: u32, spans: &mut [Span]) -> Arc<Vec<LabelEntry>> {
+fn pack(
+    labels: &Labels,
+    slots: &[u32],
+    seg: u32,
+    spans: &mut [Span],
+    mut segment: Vec<LabelEntry>,
+) -> Arc<Vec<LabelEntry>> {
     let list = |slot: u32| {
         let (v, side) = slot_list(slot);
         labels.side_of(v, side)
@@ -223,7 +234,8 @@ fn pack(labels: &Labels, slots: &[u32], seg: u32, spans: &mut [Span]) -> Arc<Vec
         "label segment of {total} entries exceeds u32 spans"
     );
     // Sized up front and moved into the `Arc`: each entry is copied once.
-    let mut segment = Vec::with_capacity(total);
+    segment.clear();
+    segment.reserve_exact(total);
     for &slot in slots {
         let lo = segment.len() as u32;
         segment.extend_from_slice(list(slot));
@@ -258,6 +270,28 @@ impl FrozenLabels {
         labels: &Labels,
         hot: impl IntoIterator<Item = (VertexId, LabelSide)>,
     ) -> Self {
+        Self::freeze_ordered_into(labels, hot, Vec::new())
+    }
+
+    /// [`freeze_ordered`](Self::freeze_ordered) into the allocation of
+    /// `buffer` (emptied first). A buffer that
+    /// [`into_buffer`](Self::into_buffer) took back from a retired arena
+    /// has its pages resident already, so the copy faults in no fresh
+    /// arena's worth of them. A buffer too small for the arena is replaced
+    /// by an exact allocation rather than grown, since growing it would
+    /// copy its stale contents.
+    ///
+    /// # Panics
+    ///
+    /// As [`freeze_ordered`](Self::freeze_ordered).
+    pub fn freeze_ordered_into(
+        labels: &Labels,
+        hot: impl IntoIterator<Item = (VertexId, LabelSide)>,
+        mut buffer: Vec<LabelEntry>,
+    ) -> Self {
+        if buffer.capacity() < labels.total_entries() {
+            buffer = Vec::new();
+        }
         let n = Labels::vertex_count(labels);
         let mut placed = vec![false; 2 * n];
         let mut order = Vec::with_capacity(2 * n);
@@ -272,12 +306,26 @@ impl FrozenLabels {
         }
         order.extend((0..2 * n as u32).filter(|&slot| !placed[slot as usize]));
         let mut spans = vec![Span::EMPTY; 2 * n];
-        let segment = pack(labels, &order, 0, &mut spans);
+        let segment = pack(labels, &order, 0, &mut spans, buffer);
         FrozenLabels {
             segments: vec![segment],
             spans,
             dead: 0,
         }
+    }
+
+    /// Takes back the allocation of the largest segment no other arena
+    /// shares, emptied, for a later
+    /// [`freeze_ordered_into`](Self::freeze_ordered_into); `None` when
+    /// every segment is still shared. The other segments are dropped.
+    pub fn into_buffer(self) -> Option<Vec<LabelEntry>> {
+        let mut buffer = self
+            .segments
+            .into_iter()
+            .filter_map(|segment| Arc::try_unwrap(segment).ok())
+            .max_by_key(Vec::capacity)?;
+        buffer.clear();
+        Some(buffer)
     }
 
     /// Produces a new arena equal to re-freezing `labels`, given the slots
@@ -323,7 +371,7 @@ impl FrozenLabels {
         }
         let mut segments = self.segments.clone();
         let seg = u32::try_from(segments.len()).expect("segment count exceeds u32");
-        let delta = pack(labels, dirty_slots, seg, &mut spans);
+        let delta = pack(labels, dirty_slots, seg, &mut spans, Vec::new());
         if !delta.is_empty() {
             segments.push(delta);
         }
@@ -703,6 +751,44 @@ mod tests {
         let labels = sample_labels();
         let _ =
             FrozenLabels::freeze_ordered(&labels, [(v(0), LabelSide::In), (v(0), LabelSide::In)]);
+    }
+
+    #[test]
+    fn into_buffer_takes_back_only_unshared_segments() {
+        let mut labels = sample_labels();
+        let base = FrozenLabels::freeze(&labels);
+        labels.take_dirty();
+        labels.append(v(3), LabelSide::Out, e(2, 2, 1));
+        let dirty = labels.take_dirty();
+        let patched = base.refreeze_spans(&labels, &dirty);
+        // Every segment of a clone is shared with its original.
+        assert_eq!(base.clone().into_buffer(), None);
+        assert_eq!(patched.clone().into_buffer(), None);
+        // `patched` still shares the base segment, so `base` owns nothing.
+        assert_eq!(base.into_buffer(), None);
+        // Now `patched` alone holds both: the larger one comes back, empty.
+        let buffer = patched.into_buffer().expect("unshared segments");
+        assert!(buffer.is_empty());
+        assert!(buffer.capacity() >= 6, "the base segment, not the delta");
+    }
+
+    #[test]
+    fn freeze_into_a_buffer_reuses_it_or_replaces_a_small_one() {
+        let labels = sample_labels();
+        let plain = FrozenLabels::freeze_ordered(&labels, [(v(3), LabelSide::Out)]);
+        // A large enough buffer is refilled in place, stale contents gone.
+        let stale = vec![e(9, 9, 9); 64];
+        let at = stale.as_ptr();
+        let refilled = FrozenLabels::freeze_ordered_into(&labels, [(v(3), LabelSide::Out)], stale);
+        assert_eq!(refilled.segments[0].as_ptr(), at);
+        assert_eq!(refilled, plain);
+        // A small one is replaced, not grown around its stale contents.
+        let mut wide = Labels::new(40);
+        for i in 0..40 {
+            wide.append(v(i), LabelSide::In, e(i, 1, 1));
+        }
+        let grown = FrozenLabels::freeze_ordered_into(&wide, [], vec![e(9, 9, 9); 2]);
+        assert_eq!(grown, FrozenLabels::freeze(&wide));
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use crate::entry::LabelEntry;
 use crate::error::LabelingError;
 use crate::labels::{DistCount, LabelSide, Labels};
-use crate::state::{HubCache, SearchState, INF};
+use crate::state::{HubCache, SearchState};
 use csc_graph::{Csr, DiGraph, OrderingStrategy, RankTable, VertexId};
 use std::time::{Duration, Instant};
 
@@ -168,11 +168,7 @@ impl LabelingEngine {
 
         // Scatter the hub's source-side labels for O(1) lookups during the
         // per-vertex distance check.
-        self.cache.begin();
-        for e in labels.side_of(hub, source_side) {
-            self.cache.put(e.hub_rank(), e.dist(), e.count());
-        }
-        self.cache.put(hub_rank, 0, 1);
+        self.cache.fill(labels.side_of(hub, source_side), hub_rank);
 
         let state = &mut self.state;
         state.reset();
@@ -186,12 +182,7 @@ impl LabelingEngine {
             stats.dequeues += 1;
 
             // Distance via strictly higher-ranked hubs already in the index.
-            let mut d_idx = INF;
-            for e in labels.side_of(w, target_side) {
-                if let Some((dh, _)) = self.cache.get(e.hub_rank()) {
-                    d_idx = d_idx.min(dh + e.dist());
-                }
-            }
+            let d_idx = self.cache.covered(labels.side_of(w, target_side), hub_rank);
             if d_idx < dw {
                 stats.pruned += 1;
                 continue;

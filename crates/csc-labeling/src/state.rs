@@ -3,10 +3,14 @@
 //! One labeling run performs `n` BFS traversals; allocating distance/count
 //! arrays per hub would dominate the runtime. [`SearchState`] keeps the
 //! arrays alive and resets only the entries touched by the previous
-//! traversal (the classic "timestamp-free" sparse reset), and [`HubCache`]
-//! is the epoch-stamped scatter array that makes the per-vertex distance
-//! check `O(|label|)` instead of `O(|label| log |label|)`.
+//! traversal (the classic "timestamp-free" sparse reset). [`HubCache`] is
+//! the dense scatter of one hub's own label, reset the same way, and
+//! [`HubCache::covered`] is the prune scan every label traversal runs at
+//! each dequeue: one `O(|label|)` pass over the dequeued vertex's list,
+//! with a scattered-distance read and a `min` per entry and no
+//! data-dependent branch.
 
+use crate::entry::LabelEntry;
 use csc_graph::VertexId;
 use std::collections::VecDeque;
 
@@ -113,69 +117,89 @@ impl SearchState {
     }
 }
 
-/// Epoch-stamped scatter array: holds the current hub's own label (hub rank
-/// -> distance/count) so that the per-dequeued-vertex distance check scans
-/// only the *other* side's label list.
+/// Dense scatter of one hub's own label: slot `r` holds the hub's distance
+/// to or from the hub ranked `r`, and every slot the hub has no entry for
+/// holds [`INF`].
+///
+/// A traversal from hub `v_k` fills it once with `v_k`'s own label on the
+/// opposite side, then asks [`covered`](Self::covered) at every dequeued
+/// vertex `w` for the shortest `v_k`–`w` distance through the scattered
+/// hubs. A fill un-scatters only the ranks the previous fill set — the
+/// sparse reset of [`SearchState`] — so a traversal pays for its hub's
+/// label, never for the rank space.
 #[derive(Clone, Debug)]
 pub struct HubCache {
     dist: Vec<u32>,
-    count: Vec<u64>,
-    epoch: Vec<u32>,
-    current: u32,
+    /// The ranks set since the last reset, for the sparse reset.
+    set: Vec<u32>,
 }
 
 impl HubCache {
-    /// Creates a cache keyed by ranks `0..n`.
+    /// Creates a cache keyed by ranks `0..n`, every slot unset.
     pub fn new(n: usize) -> Self {
         HubCache {
-            dist: vec![0; n],
-            count: vec![0; n],
-            epoch: vec![0; n],
-            current: 0,
+            dist: vec![INF; n],
+            set: Vec::new(),
         }
     }
 
     /// Grows the cache to cover at least `n` ranks.
     pub fn ensure(&mut self, n: usize) {
         if self.dist.len() < n {
-            self.dist.resize(n, 0);
-            self.count.resize(n, 0);
-            self.epoch.resize(n, 0);
+            self.dist.resize(n, INF);
         }
     }
 
-    /// Starts a new scatter epoch (O(1)); previous contents become stale.
-    pub fn begin(&mut self) {
-        self.current = self.current.wrapping_add(1);
-        if self.current == 0 {
-            // Epoch counter wrapped: hard-reset stamps so stale entries
-            // cannot alias the new epoch. Happens once per 2^32 traversals.
-            self.epoch.fill(0);
-            self.current = 1;
+    /// Un-scatters the previous fill: every slot it set reads [`INF`]
+    /// again (`O(previous fill)`).
+    fn begin(&mut self) {
+        for &r in &self.set {
+            self.dist[r as usize] = INF;
+        }
+        self.set.clear();
+    }
+
+    /// Replaces the cache's contents with the entries of `own` — a hub's
+    /// own rank-sorted label list — whose hubs rank strictly above
+    /// `hub_rank` (a smaller rank value). The hub's own slot stays [`INF`].
+    pub fn fill(&mut self, own: &[LabelEntry], hub_rank: u32) {
+        self.begin();
+        for e in own {
+            if e.hub_rank() >= hub_rank {
+                break;
+            }
+            self.put(e.hub_rank(), e.dist());
         }
     }
 
-    /// Records `(dist, count)` for `hub_rank` in the current epoch.
+    /// Sets the slot of `hub_rank` to `dist` until the next fill.
     #[inline]
-    pub fn put(&mut self, hub_rank: u32, dist: u32, count: u64) {
-        let i = hub_rank as usize;
-        self.dist[i] = dist;
-        self.count[i] = count;
-        self.epoch[i] = self.current;
+    pub fn put(&mut self, hub_rank: u32, dist: u32) {
+        self.dist[hub_rank as usize] = dist;
+        self.set.push(hub_rank);
     }
 
-    /// Fetches the current-epoch value for `hub_rank`, if set.
+    /// The prune scan: `min(slot[r] + d)` over the entries `(r, d, _)` of
+    /// the rank-sorted `list` with `r <= max_rank` — the shortest distance
+    /// through a hub that is both scattered and in `list` — or [`INF`] when
+    /// there is none. An unset slot reads [`INF`] and the sum saturates, so
+    /// every entry costs one load and one `min` whether it matches or not.
     #[inline]
-    pub fn get(&self, hub_rank: u32) -> Option<(u32, u64)> {
-        let i = hub_rank as usize;
-        (self.epoch[i] == self.current).then(|| (self.dist[i], self.count[i]))
+    pub fn covered(&self, list: &[LabelEntry], max_rank: u32) -> u32 {
+        let mut best = INF;
+        for e in list {
+            if e.hub_rank() > max_rank {
+                break;
+            }
+            best = best.min(self.dist[e.hub_rank() as usize].saturating_add(e.dist()));
+        }
+        best
     }
 
-    /// Heap bytes held by the scatter arrays (capacity, not length).
+    /// Heap bytes held by the scatter and reset arrays (capacity, not
+    /// length).
     pub fn heap_bytes(&self) -> usize {
-        self.dist.capacity() * std::mem::size_of::<u32>()
-            + self.count.capacity() * std::mem::size_of::<u64>()
-            + self.epoch.capacity() * std::mem::size_of::<u32>()
+        (self.dist.capacity() + self.set.capacity()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -231,26 +255,84 @@ mod tests {
         assert_eq!(s.len(), 10);
     }
 
+    fn entry(r: u32, d: u32) -> LabelEntry {
+        LabelEntry::new(r, d, 1).unwrap()
+    }
+
     #[test]
-    fn hub_cache_epochs_are_cheap() {
-        let mut c = HubCache::new(4);
+    fn hub_cache_begin_unscatters_the_previous_fill() {
+        let mut c = HubCache::new(6);
+        c.fill(&[entry(0, 3), entry(2, 7), entry(4, 1)], 5);
+        c.put(5, 0);
+        assert_eq!(c.dist, [3, INF, 7, INF, 1, 0]);
         c.begin();
-        c.put(2, 7, 3);
-        assert_eq!(c.get(2), Some((7, 3)));
-        assert_eq!(c.get(1), None);
-        c.begin();
-        assert_eq!(c.get(2), None, "previous epoch invisible");
-        c.put(2, 1, 1);
-        assert_eq!(c.get(2), Some((1, 1)));
+        assert!(c.dist.iter().all(|&d| d == INF), "{:?}", c.dist);
+        // A fill resets first, and keeps the hub's own slot unset.
+        c.fill(&[entry(1, 2), entry(3, 0)], 3);
+        c.fill(&[entry(0, 4), entry(3, 0)], 3);
+        assert_eq!(c.dist, [4, INF, INF, INF, INF, INF]);
     }
 
     #[test]
     fn hub_cache_grows() {
         let mut c = HubCache::new(1);
         c.ensure(8);
-        c.begin();
-        c.put(7, 1, 1);
-        assert_eq!(c.get(7), Some((1, 1)));
+        c.fill(&[entry(6, 2)], 7);
+        c.put(7, 0);
+        assert_eq!(c.covered(&[entry(6, 1), entry(7, 5)], 7), 3);
+        c.ensure(4); // never shrinks
+        assert_eq!(c.dist.len(), 8);
+    }
+
+    #[test]
+    fn hub_cache_covered_matches_a_naive_minimum() {
+        let n = 24u32;
+        let mut s: u64 = 0x5eed;
+        let mut next = |m: u64| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 33) % m
+        };
+        let mut c = HubCache::new(n as usize);
+        for _ in 0..500 {
+            // A random rank-sorted list (possibly empty) and a random fill
+            // over a random subset of ranks (unset slots included).
+            let mut list = Vec::new();
+            let mut slots = Vec::new();
+            for r in 0..n {
+                if next(3) == 0 {
+                    list.push(entry(r, next(40) as u32));
+                }
+                if next(2) == 0 {
+                    slots.push((r, next(40) as u32));
+                }
+            }
+            let own: Vec<LabelEntry> = slots.iter().map(|&(r, d)| entry(r, d)).collect();
+            c.fill(&own, n);
+            // `max_rank` ranges over the whole rank space and past its end.
+            let max_rank = next(u64::from(n) + 2) as u32;
+            let naive = list
+                .iter()
+                .filter(|e| e.hub_rank() <= max_rank)
+                .filter_map(|e| {
+                    let (_, d) = slots.iter().find(|&&(r, _)| r == e.hub_rank())?;
+                    Some(d + e.dist())
+                })
+                .min()
+                .unwrap_or(INF);
+            assert_eq!(c.covered(&list, max_rank), naive, "{list:?} ≤ {max_rank}");
+        }
+        // The corners the random lists may miss.
+        c.fill(&[entry(0, 1), entry(5, 1)], n);
+        assert_eq!(c.covered(&[], n), INF, "empty list");
+        assert_eq!(
+            c.covered(&[entry(5, 2)], 4),
+            INF,
+            "max_rank below the first rank"
+        );
+        assert_eq!(c.covered(&[entry(3, 2)], n), INF, "unset slot");
+        assert_eq!(c.covered(&[entry(0, 2), entry(5, 0)], 5), 1);
     }
 
     #[test]

@@ -16,44 +16,61 @@ enum Op {
     Delete(u64),
 }
 
-fn arb_ops(len: usize) -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec(
-        prop_oneof![
-            any::<u64>().prop_map(Op::Insert),
-            any::<u64>().prop_map(Op::Delete)
-        ],
-        1..len,
-    )
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        any::<u64>().prop_map(Op::Insert),
+        any::<u64>().prop_map(Op::Delete)
+    ]
 }
 
-/// Applies an op script to both a plain graph and a maintained index.
-fn apply_ops(g: &mut DiGraph, index: &mut CscIndex, ops: &[Op]) {
+fn arb_ops(len: usize) -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec(arb_op(), 1..len)
+}
+
+/// Turns `op` into an update that is valid on `g` and applies it there;
+/// `None` when the op finds nothing to do.
+fn next_update(g: &mut DiGraph, op: &Op) -> Option<GraphUpdate> {
     let n = g.vertex_count() as u64;
+    match *op {
+        Op::Insert(seed) => {
+            // Derive a fresh non-edge deterministically from the seed.
+            let mut s = seed;
+            for _ in 0..20 {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let a = VertexId((s % n) as u32);
+                let b = VertexId(((s >> 17) % n) as u32);
+                if a != b && !g.has_edge(a, b) {
+                    g.try_add_edge(a, b).unwrap();
+                    return Some(GraphUpdate::InsertEdge(a, b));
+                }
+            }
+            None
+        }
+        Op::Delete(seed) => {
+            if g.edge_count() == 0 {
+                return None;
+            }
+            let edges = g.edge_vec();
+            let (u, w) = edges[(seed % edges.len() as u64) as usize];
+            let (u, w) = (VertexId(u), VertexId(w));
+            g.try_remove_edge(u, w).unwrap();
+            Some(GraphUpdate::RemoveEdge(u, w))
+        }
+    }
+}
+
+/// Applies an op script to both a plain graph and a maintained index, one
+/// update at a time.
+fn apply_ops(g: &mut DiGraph, index: &mut CscIndex, ops: &[Op]) {
     for op in ops {
-        match *op {
-            Op::Insert(seed) => {
-                // Derive a fresh non-edge deterministically from the seed.
-                let mut s = seed;
-                for _ in 0..20 {
-                    s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    let a = VertexId((s % n) as u32);
-                    let b = VertexId(((s >> 17) % n) as u32);
-                    if a != b && !g.has_edge(a, b) {
-                        g.try_add_edge(a, b).unwrap();
-                        index.insert_edge(a, b).unwrap();
-                        break;
-                    }
-                }
+        match next_update(g, op) {
+            Some(GraphUpdate::InsertEdge(a, b)) => {
+                index.insert_edge(a, b).unwrap();
             }
-            Op::Delete(seed) => {
-                if g.edge_count() == 0 {
-                    continue;
-                }
-                let edges = g.edge_vec();
-                let (u, w) = edges[(seed % edges.len() as u64) as usize];
-                g.try_remove_edge(VertexId(u), VertexId(w)).unwrap();
-                index.remove_edge(VertexId(u), VertexId(w)).unwrap();
+            Some(GraphUpdate::RemoveEdge(a, b)) => {
+                index.remove_edge(a, b).unwrap();
             }
+            _ => {}
         }
     }
 }
@@ -83,6 +100,39 @@ proptest! {
             );
         }
         prop_assert_eq!(index.original_graph(), g);
+    }
+
+    #[test]
+    fn every_window_stays_exact_under_both_strategies(
+        n in 6usize..17,
+        m_seed in any::<u64>(),
+        minimality in any::<bool>(),
+        windows in proptest::collection::vec(proptest::collection::vec(arb_op(), 2..5), 10..11),
+    ) {
+        // Mixed windows through `apply_batch`, checked after *every*
+        // window: a script checked only at its end lets a later window's
+        // rebuild fallback heal labels an earlier window left wrong.
+        let m = n + (m_seed as usize) % (2 * n + 1);
+        let mut g = generators::gnm(n, m, m_seed);
+        let strategy = if minimality {
+            UpdateStrategy::Minimality
+        } else {
+            UpdateStrategy::Redundancy
+        };
+        let config = CscConfig::default().with_update_strategy(strategy);
+        let mut index = CscIndex::build(&g, config).unwrap();
+        for (k, ops) in windows.iter().enumerate() {
+            let window: Vec<GraphUpdate> =
+                ops.iter().filter_map(|op| next_update(&mut g, op)).collect();
+            index.apply_batch(&window).unwrap();
+            for v in g.vertices() {
+                prop_assert_eq!(
+                    index.query(v).map(|c| (c.length, c.count)),
+                    shortest_cycle_oracle(&g, v),
+                    "{:?} window {} ({:?}) at {}", strategy, k, window, v
+                );
+            }
+        }
     }
 
     #[test]
