@@ -19,19 +19,21 @@
 //! followed by [`LabelWriter::sweep`], is the re-labeling pass of
 //! decremental maintenance (`csc-core::delete`).
 //!
-//! Every label traversal — this couple BFS and the resumed multi-source
-//! pass of `csc-core::repair` — hands each visit it does not prune to a
-//! [`VisitSink`]: a writer applies it to the label store at once, a
-//! [`VisitBuffer`] keeps it for a writer to [`commit`] later. The
-//! traversal reads the labels it prunes against through the same sink, so
-//! one body serves both the serial pass and the parallel build waves.
-//! Label repair only ever writes: its passes run serially at every width.
+//! The couple BFS hands each visit it does not prune to a [`LabelWriter`],
+//! which applies it to the label store before the next vertex's prune
+//! scan, and reads the labels it prunes against from that writer. Hubs
+//! run one at a time in descending rank order, as in Algorithm 3, so each
+//! pass prunes against the finished labels of every higher-ranked hub.
+//! Builds run serially whatever [`ParallelismConfig`] says: running
+//! several passes at once on the pool, then re-validating them in rank
+//! order, lost to this loop on every measured input (ARCHITECTURE,
+//! *Worker pool*).
+//!
+//! [`ParallelismConfig`]: crate::config::ParallelismConfig
 
-use crate::config::ParallelismConfig;
 use crate::invert::InvertedIndex;
-use crate::parallel::par_map_indexed;
 use csc_graph::bipartite::{couple, is_in_vertex};
-use csc_graph::{Csr, DiGraph, RankTable, VertexId, WorkspacePool};
+use csc_graph::{Csr, DiGraph, RankTable, VertexId};
 use csc_labeling::{HubCache, LabelEntry, LabelSide, LabelingError, Labels, SearchState};
 
 /// Adjacency access abstraction: the static build runs over a cache-friendly
@@ -91,90 +93,20 @@ pub(crate) struct TraversalCounters {
     pub saturated: usize,
 }
 
-impl TraversalCounters {
-    /// Folds another counter set (e.g. one worker's traversal counters)
-    /// into this one.
-    pub(crate) fn merge(&mut self, other: &TraversalCounters) {
-        self.inserted += other.inserted;
-        self.updated += other.updated;
-        self.unchanged += other.unchanged;
-        self.pruned += other.pruned;
-        self.dequeues += other.dequeues;
-        self.canonical += other.canonical;
-        self.non_canonical += other.non_canonical;
-        self.saturated += other.saturated;
-    }
-}
-
 /// One visit a traversal did not prune: vertex `w` at distance `dw` from
 /// the hub, reached by `cw` hub-maximal shortest paths. `tie` records that
 /// the prune scan matched `dw` exactly (a non-canonical entry).
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Visit {
-    pub w: VertexId,
-    pub dw: u32,
-    pub cw: u64,
-    pub tie: bool,
+struct Visit {
+    w: VertexId,
+    dw: u32,
+    cw: u64,
+    tie: bool,
 }
 
-/// Whatever receives the visits of a label traversal.
-///
-/// Traversals pass their label side as a constant into the inlined
-/// [`visit`](Self::visit), so a writer's side dispatch folds away at
-/// compile time.
-pub(crate) trait VisitSink {
-    /// The labels the traversal prunes against.
-    fn labels(&self) -> &Labels;
-
-    /// Takes one unpruned visit of `hub`'s traversal writing `side`.
-    fn visit(
-        &mut self,
-        counters: &mut TraversalCounters,
-        side: LabelSide,
-        hub: VertexId,
-        hub_rank: u32,
-        v: Visit,
-    ) -> Result<(), LabelingError>;
-}
-
-/// The buffering sink: keeps every visit, in traversal order, against a
-/// label view that stays unchanged until a writer [`commit`]s them.
-pub(crate) struct VisitBuffer<'a> {
-    labels: &'a Labels,
-    pub visits: Vec<Visit>,
-}
-
-impl<'a> VisitBuffer<'a> {
-    pub(crate) fn new(labels: &'a Labels) -> Self {
-        VisitBuffer {
-            labels,
-            visits: Vec::new(),
-        }
-    }
-}
-
-impl VisitSink for VisitBuffer<'_> {
-    fn labels(&self) -> &Labels {
-        self.labels
-    }
-
-    #[inline]
-    fn visit(
-        &mut self,
-        _: &mut TraversalCounters,
-        _: LabelSide,
-        _: VertexId,
-        _: u32,
-        v: Visit,
-    ) -> Result<(), LabelingError> {
-        self.visits.push(v);
-        Ok(())
-    }
-}
-
-/// The writing sink of the couple BFS: applies each visit to the label
-/// store at once, as `w`'s entry plus — couple skipping — its couple's
-/// entry at `dw + 1`.
+/// The writer of the couple BFS: applies each visit to the label store at
+/// once, as `w`'s entry plus — couple skipping — its couple's entry at
+/// `dw + 1`.
 pub(crate) struct LabelWriter<'a> {
     labels: &'a mut Labels,
     inverted: Option<&'a mut InvertedIndex>,
@@ -276,17 +208,12 @@ impl<'a> LabelWriter<'a> {
         }
         Ok(())
     }
-}
 
-impl VisitSink for LabelWriter<'_> {
-    fn labels(&self) -> &Labels {
-        self.labels
-    }
-
+    /// Takes one unpruned visit of `hub`'s traversal writing `side`.
     // Always inlined, with `write`: the traversal's constant side, and the
     // mode of a writer built next to the loop, fold away only when the
     // whole write lands in the traversal loop. Left to the inliner, the
-    // width-1 build of the benchmark graphs ran about 5% slower.
+    // build of the benchmark graphs ran about 5% slower.
     #[inline(always)]
     fn visit(
         &mut self,
@@ -349,38 +276,6 @@ pub(crate) fn covered_dist(
     cache.covered(labels.side_of(w, target_side), vk_rank)
 }
 
-/// Commits a [`VisitBuffer`]'s visits of `hub`'s traversal on `side`
-/// through `writer`, in traversal order. With `validate` (a scratch hub
-/// cache) the prune scan re-runs against the labels at commit time and
-/// drops every visit the serial pass would have pruned; a wave validates
-/// every pass after its first. See [`CoupleBfs::traverse_in`] for why this
-/// reproduces the serial pass exactly.
-pub(crate) fn commit<W: VisitSink>(
-    writer: &mut W,
-    counters: &mut TraversalCounters,
-    side: LabelSide,
-    hub: VertexId,
-    hub_rank: u32,
-    visits: &[Visit],
-    mut validate: Option<&mut HubCache>,
-) -> Result<(), LabelingError> {
-    if let Some(cache) = validate.as_deref_mut() {
-        fill_hub_cache(writer.labels(), cache, hub, hub_rank, side.flip());
-    }
-    for &(mut v) in visits {
-        if let Some(cache) = validate.as_deref() {
-            let d_idx = covered_dist(writer.labels(), cache, hub_rank, v.w, side);
-            if d_idx < v.dw {
-                counters.pruned += 1;
-                continue;
-            }
-            v.tie = d_idx == v.dw;
-        }
-        writer.visit(counters, side, hub, hub_rank, v)?;
-    }
-    Ok(())
-}
-
 /// The reusable couple-skipping traversal engine.
 pub(crate) struct CoupleBfs {
     state: SearchState,
@@ -401,8 +296,7 @@ impl CoupleBfs {
     }
 
     /// Splits the workspace into its BFS state and hub cache (used by the
-    /// plain — non-couple-skipping — maintenance passes, and as the
-    /// validation scratch of [`commit`]).
+    /// plain — non-couple-skipping — maintenance passes).
     pub(crate) fn parts_mut(&mut self) -> (&mut SearchState, &mut HubCache) {
         (&mut self.state, &mut self.cache)
     }
@@ -413,45 +307,21 @@ impl CoupleBfs {
         self.state.heap_bytes() + self.cache.heap_bytes()
     }
 
-    /// Forward traversal from `hub` (must be a `V_in` vertex): hands `sink`
-    /// the in-label visit of every vertex for which `hub` is the
+    /// Forward traversal from `hub` (must be a `V_in` vertex): hands
+    /// `writer` the in-label visit of every vertex for which `hub` is the
     /// highest-ranked vertex on at least one shortest `hub ~> ·` path.
-    ///
-    /// # Buffered passes
-    ///
-    /// Within one traversal a pass never reads its own writes: the hub
-    /// cache is scattered once up front, the prune scan at a vertex runs
-    /// before that vertex's write, and couples are never dequeued on their
-    /// writing side. The same holds for [`traverse_out`](Self::traverse_out).
-    /// So filling a [`VisitBuffer`] and then [`commit`]ting it onto the
-    /// labels it was filled against is the writer's pass exactly.
-    ///
-    /// A parallel build wave fills its buffers concurrently against the
-    /// labels as they stood when the wave started, then commits them in
-    /// rank order. A buffer may therefore miss the commits of earlier
-    /// passes of its own wave, and its pruning can only be *weaker* than
-    /// the serial pass's: build writes are monotone (entries are only
-    /// appended, never lengthened or removed), so more committed labels
-    /// mean more pruning, never less. A validated commit re-runs the prune
-    /// scan against the labels at commit time and drops every visit the
-    /// serial pass would have pruned; a dropped visit takes its whole
-    /// buffered subtree with it (coverage at a vertex extends to everything
-    /// it expanded to, at strictly smaller slack), so the surviving writes
-    /// — distances *and* counts — are the serial ones. The first pass of a
-    /// wave needs no validation: nothing was committed between its
-    /// traversal and its commit.
-    pub(crate) fn traverse_in<S: VisitSink>(
+    pub(crate) fn traverse_in(
         &mut self,
         graph: &impl Adjacency,
         ranks: &RankTable,
         hub: VertexId,
-        sink: &mut S,
+        writer: &mut LabelWriter<'_>,
         counters: &mut TraversalCounters,
     ) -> Result<(), LabelingError> {
         debug_assert!(is_in_vertex(hub), "hubs must be incoming vertices");
         let hub_rank = ranks.rank(hub);
         fill_hub_cache(
-            sink.labels(),
+            writer.labels,
             &mut self.cache,
             hub,
             hub_rank,
@@ -471,13 +341,13 @@ impl CoupleBfs {
 
             // Shortest hub ~> w distance through strictly higher-ranked
             // hubs.
-            let d_idx = covered_dist(sink.labels(), &self.cache, hub_rank, w, LabelSide::In);
+            let d_idx = covered_dist(writer.labels, &self.cache, hub_rank, w, LabelSide::In);
             if d_idx < dw {
                 counters.pruned += 1;
                 continue;
             }
             let tie = d_idx == dw;
-            sink.visit(
+            writer.visit(
                 counters,
                 LabelSide::In,
                 hub,
@@ -503,20 +373,20 @@ impl CoupleBfs {
         Ok(())
     }
 
-    /// Backward traversal from `hub` (a `V_in` vertex): hands `sink` the
-    /// hub's own out-entry, then every out-label visit.
-    pub(crate) fn traverse_out<S: VisitSink>(
+    /// Backward traversal from `hub` (a `V_in` vertex): hands `writer`
+    /// the hub's own out-entry, then every out-label visit.
+    pub(crate) fn traverse_out(
         &mut self,
         graph: &impl Adjacency,
         ranks: &RankTable,
         hub: VertexId,
-        sink: &mut S,
+        writer: &mut LabelWriter<'_>,
         counters: &mut TraversalCounters,
     ) -> Result<(), LabelingError> {
         debug_assert!(is_in_vertex(hub), "hubs must be incoming vertices");
         let hub_rank = ranks.rank(hub);
         let hub_couple = couple(hub);
-        fill_hub_cache(sink.labels(), &mut self.cache, hub, hub_rank, LabelSide::In);
+        fill_hub_cache(writer.labels, &mut self.cache, hub, hub_rank, LabelSide::In);
 
         let state = &mut self.state;
         state.reset();
@@ -528,7 +398,7 @@ impl CoupleBfs {
             cw: 1,
             tie: false,
         };
-        sink.visit(counters, LabelSide::Out, hub, hub_rank, root)?;
+        writer.visit(counters, LabelSide::Out, hub, hub_rank, root)?;
         for &xo in graph.pred(hub) {
             let xo = VertexId(xo); // in V_out (self-loops are impossible)
             if hub_rank < ranks.rank(xo) {
@@ -543,13 +413,13 @@ impl CoupleBfs {
             let cw = state.count[w.index()];
             counters.dequeues += 1;
 
-            let d_idx = covered_dist(sink.labels(), &self.cache, hub_rank, w, LabelSide::Out);
+            let d_idx = covered_dist(writer.labels, &self.cache, hub_rank, w, LabelSide::Out);
             if d_idx < dw {
                 counters.pruned += 1;
                 continue;
             }
             let tie = d_idx == dw;
-            sink.visit(
+            writer.visit(
                 counters,
                 LabelSide::Out,
                 hub,
@@ -593,15 +463,11 @@ pub(crate) struct LabelBuildTask {
     bfs: CoupleBfs,
     counters: TraversalCounters,
     next_rank: u32,
-    par: ParallelismConfig,
-    /// Per-worker traversal workspaces for the wider waves; lazily
-    /// populated on first use, reused across waves and `advance` calls.
-    pool: WorkspacePool<CoupleBfs>,
 }
 
 impl LabelBuildTask {
     /// Starts a build over `n` bipartite vertices.
-    pub(crate) fn new(n: usize, par: ParallelismConfig) -> Result<Self, LabelingError> {
+    pub(crate) fn new(n: usize) -> Result<Self, LabelingError> {
         let max = (csc_labeling::MAX_HUB_RANK as usize) + 1;
         if n > max {
             return Err(LabelingError::TooManyVertices { got: n, max });
@@ -611,8 +477,6 @@ impl LabelBuildTask {
             bfs: CoupleBfs::new(n),
             counters: TraversalCounters::default(),
             next_rank: 0,
-            par,
-            pool: WorkspacePool::new(),
         })
     }
 
@@ -623,121 +487,48 @@ impl LabelBuildTask {
     }
 
     /// Processes up to `rank_budget` further ranks of `ranks` over the
-    /// adjacency snapshot `csr`. Returns `true` once every rank has been
-    /// processed (construction complete). `csr` and `ranks` must be the
-    /// same on every call of one task.
-    ///
-    /// Ranks are processed in *waves* of `width` consecutive ranks. A wave
-    /// holding one hub pass (every wave at width 1 or 2, since a `V_in`
-    /// rank is followed by its couple's `V_out` rank) traverses straight
-    /// into the label writer. A wider wave fills its passes' buffers
-    /// concurrently against the pre-wave labels, then [`commit`]s them in
-    /// rank order, re-validating every pass after the first — so the
-    /// labels, and thus the serialized arenas, are identical at every
-    /// width. Waves are aligned to absolute rank boundaries and a budget is
-    /// rounded up to the next boundary, so a chunked build takes the exact
-    /// same waves as a monolithic one.
+    /// adjacency snapshot `csr`, each hub's couple BFS writing straight
+    /// into the labels. Returns `true` once every rank has been processed
+    /// (construction complete). `csr` and `ranks` must be the same on
+    /// every call of one task.
     pub(crate) fn advance(
         &mut self,
         csr: &Csr,
         ranks: &RankTable,
         rank_budget: usize,
     ) -> Result<bool, LabelingError> {
-        let width = self.par.width().max(1);
         let total = ranks.len();
-        let requested = (self.next_rank as usize).saturating_add(rank_budget.max(1));
-        let end = requested.div_ceil(width).saturating_mul(width).min(total);
-        let n = csr.vertex_count();
-
+        let end = (self.next_rank as usize)
+            .saturating_add(rank_budget.max(1))
+            .min(total);
         while (self.next_rank as usize) < end {
-            let wave_start = self.next_rank;
-            let wave_end = ((wave_start as usize / width + 1) * width).min(total) as u32;
-            let passes = (wave_start..wave_end)
-                .filter(|&r| is_in_vertex(ranks.vertex_at_rank(r)))
-                .count();
-            if passes <= 1 {
-                for rank in wave_start..wave_end {
-                    let hub = ranks.vertex_at_rank(rank);
-                    if is_in_vertex(hub) {
-                        let mut writer =
-                            LabelWriter::new(&mut self.labels, None, WriteMode::Append);
-                        let c = &mut self.counters;
-                        self.bfs.traverse_in(csr, ranks, hub, &mut writer, c)?;
-                        self.bfs.traverse_out(csr, ranks, hub, &mut writer, c)?;
-                    } else {
-                        Self::vout_self_entries(&mut self.labels, &mut self.counters, hub, ranks)?;
-                    }
-                    self.next_rank += 1;
-                }
-                continue;
+            let hub = ranks.vertex_at_rank(self.next_rank);
+            if is_in_vertex(hub) {
+                let mut writer = LabelWriter::new(&mut self.labels, None, WriteMode::Append);
+                let c = &mut self.counters;
+                self.bfs.traverse_in(csr, ranks, hub, &mut writer, c)?;
+                self.bfs.traverse_out(csr, ranks, hub, &mut writer, c)?;
+            } else {
+                self.vout_self_entries(hub, ranks)?;
             }
-
-            let results = {
-                let labels = &self.labels;
-                let pool = &self.pool;
-                par_map_indexed(width, (wave_end - wave_start) as usize, |i| {
-                    // On worker threads: an injected panic here must
-                    // cross the scope join and reach the engine's
-                    // degradation catch, like any real worker bug.
-                    faultpoint!("build.wave.worker");
-                    let hub = ranks.vertex_at_rank(wave_start + i as u32);
-                    if !is_in_vertex(hub) {
-                        return Ok(None);
-                    }
-                    let mut ws = pool.checkout_with(|| CoupleBfs::new(n));
-                    ws.ensure(n);
-                    let mut counters = TraversalCounters::default();
-                    let mut fwd = VisitBuffer::new(labels);
-                    ws.traverse_in(csr, ranks, hub, &mut fwd, &mut counters)?;
-                    let mut bwd = VisitBuffer::new(labels);
-                    ws.traverse_out(csr, ranks, hub, &mut bwd, &mut counters)?;
-                    Ok(Some((fwd.visits, bwd.visits, counters)))
-                })
-            };
-
-            let mut first = true;
-            for (rank, result) in (wave_start..).zip(results) {
-                let hub = ranks.vertex_at_rank(rank);
-                match result? {
-                    Some((fwd, bwd, wave_counters)) => {
-                        self.counters.merge(&wave_counters);
-                        let mut validate = (!first).then_some(&mut self.bfs.cache);
-                        first = false;
-                        let mut writer =
-                            LabelWriter::new(&mut self.labels, None, WriteMode::Append);
-                        for (side, visits) in [(LabelSide::In, fwd), (LabelSide::Out, bwd)] {
-                            let (c, cache) = (&mut self.counters, validate.as_deref_mut());
-                            commit(&mut writer, c, side, hub, rank, &visits, cache)?;
-                        }
-                    }
-                    None => {
-                        Self::vout_self_entries(&mut self.labels, &mut self.counters, hub, ranks)?;
-                    }
-                }
-                self.next_rank += 1;
-            }
+            self.next_rank += 1;
         }
         Ok(self.next_rank as usize >= total)
     }
 
     /// `V_out` vertices never act as hubs for other vertices (Algorithm 3
     /// lines 6-8): self labels only.
-    fn vout_self_entries(
-        labels: &mut Labels,
-        counters: &mut TraversalCounters,
-        hub: VertexId,
-        ranks: &RankTable,
-    ) -> Result<(), LabelingError> {
+    fn vout_self_entries(&mut self, hub: VertexId, ranks: &RankTable) -> Result<(), LabelingError> {
         let r = ranks.rank(hub);
         let self_entry = LabelEntry::new(r, 0, 1).map_err(|source| LabelingError::Entry {
             hub,
             vertex: hub,
             source,
         })?;
-        labels.append(hub, LabelSide::In, self_entry);
-        labels.append(hub, LabelSide::Out, self_entry);
-        counters.canonical += 2;
-        counters.inserted += 2;
+        self.labels.append(hub, LabelSide::In, self_entry);
+        self.labels.append(hub, LabelSide::Out, self_entry);
+        self.counters.canonical += 2;
+        self.counters.inserted += 2;
         Ok(())
     }
 
@@ -753,9 +544,8 @@ pub(crate) fn build_labels(
     csr: &Csr,
     ranks: &RankTable,
     counters: &mut TraversalCounters,
-    par: ParallelismConfig,
 ) -> Result<Labels, LabelingError> {
-    let mut task = LabelBuildTask::new(csr.vertex_count(), par)?;
+    let mut task = LabelBuildTask::new(csr.vertex_count())?;
     while !task.advance(csr, ranks, usize::MAX)? {}
     let (labels, built) = task.finish();
     *counters = built;
@@ -775,8 +565,7 @@ mod tests {
         let ranks = RankTable::build(g, order).bipartite_order();
         let csr = Csr::from_digraph(gb.graph());
         let mut counters = TraversalCounters::default();
-        let labels =
-            build_labels(&csr, &ranks, &mut counters, ParallelismConfig::default()).unwrap();
+        let labels = build_labels(&csr, &ranks, &mut counters).unwrap();
         labels.validate_sorted().unwrap();
         assert_eq!(
             counters.inserted,
@@ -793,11 +582,9 @@ mod tests {
         let ranks = RankTable::build(&g, OrderingStrategy::Degree).bipartite_order();
         let csr = Csr::from_digraph(gb.graph());
         let mut counters = TraversalCounters::default();
-        let whole =
-            build_labels(&csr, &ranks, &mut counters, ParallelismConfig::default()).unwrap();
+        let whole = build_labels(&csr, &ranks, &mut counters).unwrap();
 
-        let mut task =
-            LabelBuildTask::new(csr.vertex_count(), ParallelismConfig::default()).unwrap();
+        let mut task = LabelBuildTask::new(csr.vertex_count()).unwrap();
         let mut chunks = 0;
         while !task.advance(&csr, &ranks, 7).unwrap() {
             chunks += 1;
@@ -805,54 +592,6 @@ mod tests {
         }
         let (labels, chunk_counters) = task.finish();
         assert!(chunks > 2, "the budget actually chunked the build");
-        assert_eq!(labels, whole);
-        assert_eq!(chunk_counters, counters);
-    }
-
-    #[test]
-    fn wave_parallel_build_matches_serial_at_any_width() {
-        let g = csc_graph::generators::gnm(40, 160, 11);
-        let gb = BipartiteGraph::from_graph(&g);
-        let ranks = RankTable::build(&g, OrderingStrategy::Degree).bipartite_order();
-        let csr = Csr::from_digraph(gb.graph());
-        let serial_par = ParallelismConfig { threads: 1 };
-        let mut serial_counters = TraversalCounters::default();
-        let serial = build_labels(&csr, &ranks, &mut serial_counters, serial_par).unwrap();
-
-        for threads in [2, 3, 4, 7] {
-            let par = ParallelismConfig { threads };
-            let mut counters = TraversalCounters::default();
-            let labels = build_labels(&csr, &ranks, &mut counters, par).unwrap();
-            labels.validate_sorted().unwrap();
-            assert_eq!(labels, serial, "width {threads} diverged from serial");
-            // The validated commit reproduces the serial write set, so the
-            // write-side counters agree; only the traversal-shape counters
-            // (dequeues / pruned) may differ across widths.
-            assert_eq!(counters.inserted, labels.total_entries());
-            assert_eq!(counters.canonical, serial_counters.canonical, "w{threads}");
-            assert_eq!(
-                counters.non_canonical, serial_counters.non_canonical,
-                "w{threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn chunked_wave_build_equals_monolithic_wave_build() {
-        let g = csc_graph::generators::gnm(30, 100, 8);
-        let gb = BipartiteGraph::from_graph(&g);
-        let ranks = RankTable::build(&g, OrderingStrategy::Degree).bipartite_order();
-        let csr = Csr::from_digraph(gb.graph());
-        let par = ParallelismConfig { threads: 4 };
-        let mut counters = TraversalCounters::default();
-        let whole = build_labels(&csr, &ranks, &mut counters, par).unwrap();
-
-        // Budget 3 < width 4: each call rounds up to one whole wave, so
-        // the chunked run takes the exact same waves as the monolithic
-        // one — labels *and* counters agree.
-        let mut task = LabelBuildTask::new(csr.vertex_count(), par).unwrap();
-        while !task.advance(&csr, &ranks, 3).unwrap() {}
-        let (labels, chunk_counters) = task.finish();
         assert_eq!(labels, whole);
         assert_eq!(chunk_counters, counters);
     }
@@ -876,8 +615,7 @@ mod tests {
         let ranks = RankTable::from_order(&figure2_order()).bipartite_order();
         let csr = Csr::from_digraph(BipartiteGraph::from_graph(&g).graph());
         let mut counters = TraversalCounters::default();
-        let labels =
-            build_labels(&csr, &ranks, &mut counters, ParallelismConfig::default()).unwrap();
+        let labels = build_labels(&csr, &ranks, &mut counters).unwrap();
 
         let v7i = in_vertex(pv(7));
         let v7o = out_vertex(pv(7));

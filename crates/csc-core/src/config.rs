@@ -197,23 +197,18 @@ impl OverloadConfig {
     }
 }
 
-/// Parallel execution knob for the label builds.
+/// A recorded worker width, which steers no work.
 ///
-/// A *runtime* knob: it steers how label work is scheduled across the
-/// worker pool, never what the index contains. The label builds (static
-/// build, rejuvenation, and the deletion rebuild fallback) run in waves
-/// of up to [`width`](Self::width) hub passes whose results are validated
-/// and committed in hub-rank order, so the label arenas — and therefore
-/// [`to_bytes`](crate::CscIndex::to_bytes) — are byte-identical regardless
-/// of `threads`. Label repair (insertions and deletion re-labels) runs
-/// serially at every width.
+/// Label builds (static build, rejuvenation, and the deletion rebuild
+/// fallback) and label repair run serially whatever `threads` says, and
+/// the read sweeps and the coverage-sampled ordering run on the global
+/// pool at its own width (`CSC_THREADS`, else available parallelism). So
+/// the labels never depend on it. Checkpoints still persist `threads`,
+/// and loading one still validates it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ParallelismConfig {
-    /// Worker width for parallel label passes: `0` (the default) follows
-    /// the pool default (`CSC_THREADS`, else available parallelism); any
-    /// other value decomposes work as if that many workers were present
-    /// (physical threads are still capped by the pool). `1` forces the
-    /// fully sequential path.
+    /// The recorded width: `0` (the default) stands for the pool width,
+    /// any other value for itself.
     pub threads: u32,
 }
 
@@ -234,10 +229,9 @@ impl ParallelismConfig {
         Ok(())
     }
 
-    /// The effective decomposition width: `threads` when set, else the
-    /// global pool width (`CSC_THREADS` / available parallelism). This is
-    /// the wave size the parallel build plane actually uses — and what
-    /// benchmark records should report.
+    /// The recorded width: `threads` when set, else the global pool width
+    /// (`CSC_THREADS` / available parallelism). Benchmark records report
+    /// it; the index does not read it.
     pub fn width(&self) -> usize {
         if self.threads == 0 {
             rayon::current_num_threads()
@@ -303,8 +297,9 @@ pub struct CscConfig {
     /// check); inert until a directory is attached. See
     /// [`DurabilityConfig`].
     pub durability: DurabilityConfig,
-    /// Parallel execution knob (worker width). Runtime-only: it never
-    /// changes what the index contains. See [`ParallelismConfig`].
+    /// The recorded worker width. Persisted in checkpoints, but it steers
+    /// no work and never changes what the index contains. See
+    /// [`ParallelismConfig`].
     pub parallelism: ParallelismConfig,
     /// Backpressure on the maintenance plane's pending-write queue
     /// (watermarks + [`OverloadPolicy`]). Inert at the default
@@ -403,8 +398,8 @@ impl CscConfig {
         self
     }
 
-    /// Builder-style: set the parallel decomposition width (`0` = pool
-    /// default, `1` = sequential). See [`ParallelismConfig::threads`].
+    /// Builder-style: record a worker width (`0` = pool width). It is
+    /// persisted but steers no work. See [`ParallelismConfig`].
     pub fn with_threads(mut self, threads: u32) -> Self {
         self.parallelism.threads = threads;
         self

@@ -410,7 +410,7 @@ impl CscIndex {
     fn rebuild_after_window(&mut self, report: &mut UpdateReport) -> Result<(), LabelingError> {
         let csr = Csr::from_digraph(self.gb.graph());
         let mut counters = TraversalCounters::default();
-        let labels = build_labels(&csr, &self.ranks, &mut counters, self.config.parallelism)?;
+        let labels = build_labels(&csr, &self.ranks, &mut counters)?;
         report.entries_removed += self.labels.total_entries();
         report.entries_inserted += labels.total_entries();
         report.vertices_visited += counters.dequeues;

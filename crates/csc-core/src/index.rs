@@ -88,7 +88,7 @@ impl CscIndex {
         let ranks = RankTable::build(g, config.order).bipartite_order();
         let csr = Csr::from_digraph(gb.graph());
         let mut counters = TraversalCounters::default();
-        let labels = build_labels(&csr, &ranks, &mut counters, config.parallelism)?;
+        let labels = build_labels(&csr, &ranks, &mut counters)?;
         let inverted = config
             .maintain_inverted
             .then(|| InvertedIndex::from_labels(&labels));
@@ -234,18 +234,6 @@ impl CscIndex {
     /// The configuration the index was built with.
     pub fn config(&self) -> &CscConfig {
         &self.config
-    }
-
-    /// Retunes the build width on a live index.
-    ///
-    /// Parallelism is a non-semantic runtime field — it steers how label
-    /// builds are scheduled (the rejuvenation rebuild and the deletion
-    /// rebuild fallback, here), never what the labels contain — so unlike
-    /// the rest of [`CscConfig`] it may be changed after build, e.g. to
-    /// adapt a loaded checkpoint to the host it now runs on. Label repair
-    /// runs serially at every width.
-    pub fn set_parallelism(&mut self, parallelism: crate::config::ParallelismConfig) {
-        self.config.parallelism = parallelism;
     }
 
     /// Retargets the ordering strategy on a live index.

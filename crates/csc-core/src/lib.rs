@@ -87,7 +87,6 @@ pub mod health;
 mod index;
 mod invert;
 pub mod maintain;
-pub(crate) mod parallel;
 pub mod reduction;
 mod repair;
 pub mod serial;

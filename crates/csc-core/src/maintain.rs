@@ -870,7 +870,7 @@ impl MaintenanceEngine {
         let original = self.index.original_graph();
         let ranks = RankTable::build(&original, self.index.config().order).bipartite_order();
         let csr = Csr::from_digraph(self.index.bipartite().graph());
-        let build = LabelBuildTask::new(csr.vertex_count(), self.index.config().parallelism)?;
+        let build = LabelBuildTask::new(csr.vertex_count())?;
         self.rebuild = Some(RebuildTask {
             reason,
             ranks,
@@ -1064,8 +1064,7 @@ impl MaintenanceEngine {
         let task = self.rebuild.as_mut().expect("called with a task in flight");
         let build = std::mem::replace(
             &mut task.build,
-            LabelBuildTask::new(0, crate::config::ParallelismConfig::default())
-                .expect("empty task is always in capacity"),
+            LabelBuildTask::new(0).expect("empty task is always in capacity"),
         );
         let (labels, counters) = build.finish();
         let config = *self.index.config();
@@ -1540,11 +1539,10 @@ mod tests {
         let g = gnm(18, 48, 3);
         let mut engine = MaintenanceEngine::new(CscIndex::build(&g, CscConfig::default()).unwrap());
         engine.begin_rejuvenation(RebuildReason::Manual).unwrap();
-        // A budget of 2 makes progress but leaves the rebuild in flight
-        // (with a parallel width above one it rounds up to a whole wave).
+        // A budget of 2 makes progress but leaves the rebuild in flight.
         let st = engine.step(2).unwrap();
         assert!(
-            matches!(st, MaintenanceStatus::Rebuilding { ranks_done, .. } if ranks_done >= 2),
+            matches!(st, MaintenanceStatus::Rebuilding { ranks_done: 2, .. }),
             "{st:?}"
         );
 

@@ -15,11 +15,17 @@
 //! closures the backward traversal pruned at the couple — they have no
 //! counterpart on `v_i`).
 //!
-//! The derivation is exact for freshly built indexes. Dynamic maintenance
-//! updates couple members independently, so recovery after updates is
-//! rejected unless the pairing still holds; the reduced index itself stays
-//! queryable either way, since the query-relevant halves are stored
-//! verbatim.
+//! The pairing holds for every index the build and dynamic maintenance
+//! produce. `v_i → v_o` is the only edge into `v_o` and the only edge out
+//! of `v_i`, so every shortest path into `v_o` runs through `v_i`, and
+//! every shortest path out of `v_i` runs through `v_o`. A traversal that
+//! reaches one member of a paired couple therefore reaches the other one
+//! step away with the same count, and writes both or neither. The
+//! per-window proptest of `tests/dynamic_equivalence.rs` pins the pairing
+//! after every window of random mixed scripts under both update
+//! strategies. [`ReducedIndex::recover`] still checks it and rejects a
+//! label set where it fails; the reduced index itself stays queryable
+//! either way, since the query-relevant halves are stored verbatim.
 
 use crate::error::CscError;
 use crate::index::CscIndex;
@@ -37,7 +43,7 @@ pub struct ReductionReport {
     /// Fraction of entries saved (`0.0 ..= 1.0`).
     pub savings: f64,
     /// Whether the couple derivation can recover the dropped halves
-    /// exactly (true for freshly built indexes).
+    /// exactly (true for every built or maintained index).
     pub exactly_recoverable: bool,
 }
 
@@ -119,12 +125,12 @@ impl ReducedIndex {
     ///
     /// # Errors
     ///
-    /// Fails when the snapshot came from a dynamically updated index whose
-    /// couple pairing no longer holds.
+    /// Fails when the couple pairing does not hold on the index the
+    /// snapshot came from.
     pub fn recover(&self) -> Result<Labels, CscError> {
         if !self.exactly_recoverable {
             return Err(CscError::Serial(
-                "couple pairing broken by dynamic updates; recovery is not exact".into(),
+                "couple pairing does not hold; recovery is not exact".into(),
             ));
         }
         let n = self.in_of_vi.len();
@@ -237,7 +243,8 @@ mod tests {
 
     #[test]
     fn reduced_queries_survive_dynamic_history() {
-        // After updates the pairing may break, but queries must still match.
+        // Updates keep the couple pairing: queries match, and recovery
+        // reproduces the maintained labels.
         let g = DiGraph::from_edges(5, vec![(0, 1), (1, 2), (2, 3), (3, 4)]);
         let mut index = CscIndex::build(&g, CscConfig::default()).unwrap();
         index.insert_edge(VertexId(4), VertexId(0)).unwrap();
@@ -245,9 +252,8 @@ mod tests {
         index.remove_edge(VertexId(2), VertexId(0)).unwrap();
         let reduced = ReducedIndex::from_index(&index);
         check_queries_equal(&index, &reduced);
-        if !reduced.exactly_recoverable() {
-            assert!(matches!(reduced.recover(), Err(CscError::Serial(_))));
-        }
+        assert!(reduced.exactly_recoverable(), "updates keep the pairing");
+        assert_eq!(&reduced.recover().unwrap(), index.labels());
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! hub*, prune where the index already covers the distance, and upsert
 //! the entries the traversal proves changed. This module holds the pieces
 //! they share (the hub-cache fill and the covered-distance prune scan,
-//! [`HubCache::covered`], live with the sink machinery in
-//! `csc-core::build`):
+//! [`HubCache::covered`], live with the couple BFS in `csc-core::build`):
 //!
 //! * [`update_label`] — `UPDATE_LABEL` (Algorithm 7);
 //! * [`multi_source_pass`] — the resumed BFS of Algorithm 6, one pass per
@@ -23,14 +22,14 @@
 //!   suffix in the updated graph, which the traversal walks because all
 //!   batch edges are already present. A one-edge window has one seed per
 //!   hub and is the paper's per-edge pass. The passes run serially in
-//!   descending rank order at every pool width, each writing through a
-//!   [`RepairWriter`] as it traverses;
+//!   descending rank order, each writing through a [`RepairWriter`] as it
+//!   traverses;
 //! * [`multi_source_subtract`] — the decremental mirror: one pass per
 //!   count-repair hub subtracts every shortest path a whole *deletion*
 //!   window removed, via the dual last-old-edge decomposition (see its
 //!   docs).
 
-use crate::build::{covered_dist, fill_hub_cache, TraversalCounters, Visit, VisitSink};
+use crate::build::{covered_dist, fill_hub_cache, TraversalCounters};
 use crate::clean::clean_label;
 use crate::config::UpdateStrategy;
 use crate::invert::InvertedIndex;
@@ -115,8 +114,8 @@ pub(crate) fn update_label(
 /// hub, and the count of hub-maximal shortest paths realizing it.
 pub(crate) type Seed = (VertexId, u32, u64);
 
-/// The writing sink of [`multi_source_pass`]: [`update_label`] for every
-/// visit, plus `CLEAN_LABEL` after an improving write under
+/// The writer of [`multi_source_pass`]: [`update_label`] for every visit,
+/// plus `CLEAN_LABEL` after an improving write under
 /// [`UpdateStrategy::Minimality`].
 pub(crate) struct RepairWriter<'a> {
     pub labels: &'a mut Labels,
@@ -126,29 +125,28 @@ pub(crate) struct RepairWriter<'a> {
     pub report: &'a mut UpdateReport,
 }
 
-impl VisitSink for RepairWriter<'_> {
-    fn labels(&self) -> &Labels {
-        self.labels
-    }
-
+impl RepairWriter<'_> {
+    /// Takes one unpruned visit of `hub`'s pass writing `side`: `w` at
+    /// distance `dw`, reached by `cw` hub-maximal shortest paths.
     #[inline]
     fn visit(
         &mut self,
-        _: &mut TraversalCounters,
+        w: VertexId,
         side: LabelSide,
         hub: VertexId,
         hub_rank: u32,
-        v: Visit,
+        dw: u32,
+        cw: u64,
     ) -> Result<(), LabelingError> {
         let improved = update_label(
             self.labels,
             self.inverted,
-            v.w,
+            w,
             side,
             hub,
             hub_rank,
-            v.dw,
-            v.cw,
+            dw,
+            cw,
             self.report,
         )?;
         if improved && self.strategy == UpdateStrategy::Minimality {
@@ -156,7 +154,7 @@ impl VisitSink for RepairWriter<'_> {
                 .inverted
                 .as_mut()
                 .expect("minimality requires inverted indexes");
-            clean_label(self.labels, inv, self.ranks, v.w, side, self.report);
+            clean_label(self.labels, inv, self.ranks, w, side, self.report);
         }
         Ok(())
     }
@@ -179,13 +177,12 @@ impl VisitSink for RepairWriter<'_> {
 ///   for nothing), the only downward relaxation possible — non-seed
 ///   vertices are discovered in final-distance order, exactly as in BFS.
 ///
-/// Every visit that survives the coverage prune goes to `sink`, which the
-/// batch engine makes a [`RepairWriter`]: each write lands before the
-/// next vertex's prune scan, so later passes — and, under Minimality, the
-/// cleaning that removes entries mid-pass — always see the serial
-/// engine's labels.
+/// Every visit that survives the coverage prune goes to `writer` at once:
+/// each write lands before the next vertex's prune scan, so later passes —
+/// and, under Minimality, the cleaning that removes entries mid-pass —
+/// see every earlier write.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn multi_source_pass<S: VisitSink>(
+pub(crate) fn multi_source_pass(
     graph: &DiGraph,
     ranks: &RankTable,
     state: &mut SearchState,
@@ -195,12 +192,12 @@ pub(crate) fn multi_source_pass<S: VisitSink>(
     vk_rank: u32,
     vk: VertexId,
     seeds: &[Seed],
-    sink: &mut S,
+    writer: &mut RepairWriter<'_>,
     counters: &mut TraversalCounters,
 ) -> Result<(), LabelingError> {
     debug_assert!(!seeds.is_empty());
     let (own_side, target_side) = direction.sides();
-    fill_hub_cache(sink.labels(), cache, vk, vk_rank, own_side);
+    fill_hub_cache(writer.labels, cache, vk, vk_rank, own_side);
     // The pass resumes over `vk`'s own entries: with its slot at 0 the
     // scan reads a stored entry's distance, so the traversal prunes where
     // the index is already shorter and ties where it is as short.
@@ -220,13 +217,12 @@ pub(crate) fn multi_source_pass<S: VisitSink>(
             let cw = state.count[w.index()];
             counters.dequeues += 1;
 
-            let covered = covered_dist(sink.labels(), cache, vk_rank, w, target_side);
+            let covered = covered_dist(writer.labels, cache, vk_rank, w, target_side);
             if covered < dw {
                 counters.pruned += 1;
                 continue;
             }
-            let tie = covered == dw;
-            sink.visit(counters, target_side, vk, vk_rank, Visit { w, dw, cw, tie })?;
+            writer.visit(w, target_side, vk, vk_rank, dw, cw)?;
 
             let nbrs = match direction {
                 Direction::Forward => graph.nbr_out(w),

@@ -257,11 +257,11 @@ impl CscIndex {
             b.put_u32_le(c.durability.checkpoint_every);
             b.put_u32_le(c.durability.keep_checkpoints);
             b.put_u8(c.durability.check_integrity as u8);
-            // Parallelism is a non-semantic runtime field: it steers how
-            // label work is scheduled, never what the labels contain. It
-            // rides along so a reloaded engine keeps its operator-tuned
-            // width. The byte after the width held a retired commit-mode
-            // flag; it is written as 1 and ignored on load.
+            // The recorded worker width steers no work and never changes
+            // the labels; it rides along so a reloaded index reports the
+            // width it was configured with. The byte after the width held
+            // a retired commit-mode flag; it is written as 1 and ignored
+            // on load.
             b.put_u32_le(c.parallelism.threads);
             b.put_u8(1);
             // Trailing ordering argument (the coverage-sampling budget);

@@ -292,7 +292,7 @@ fn sample_trees(g: &DiGraph, samples: &[(VertexId, bool)], width: usize) -> Vec<
             .map(|&(root, forward)| ws.bfs_tree(g, root, forward))
             .collect();
     }
-    let pool: WorkspacePool = WorkspacePool::new();
+    let pool = WorkspacePool::new();
     let slots: Vec<Mutex<Option<BfsTree>>> = (0..len).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     rayon::scope(|s| {

@@ -416,21 +416,20 @@ impl<'a> SweepMaps<'a> {
 /// A checkout pool of per-worker traversal workspaces for parallel
 /// passes.
 ///
-/// Parallel label-build waves and ordering sweeps hand every worker its
-/// own [`TraversalWorkspace`] (or any other scratch type, via the generic
-/// parameter): a worker checks a workspace out, runs its traversals, and
-/// the guard returns it on drop for the next task to reuse. Because the
-/// pooled workspaces are epoch-stamped ([`DistMap`] reuse is a stamp
-/// bump, not a fill), checkout is O(1) and steady-state waves run
-/// allocation-free regardless of which worker previously used a given
-/// workspace. The pool itself is `Sync`: checkouts only contend on one
-/// short-lived lock around the free list.
+/// The coverage-sampled ordering's tree sweep hands every worker its own
+/// [`TraversalWorkspace`]: a worker checks a workspace out, runs its
+/// traversals, and the guard returns it on drop for the next task to
+/// reuse. Because the pooled workspaces are epoch-stamped ([`DistMap`]
+/// reuse is a stamp bump, not a fill), checkout is O(1) and a steady
+/// sweep runs allocation-free regardless of which worker previously used
+/// a given workspace. The pool itself is `Sync`: checkouts only contend
+/// on one short-lived lock around the free list.
 #[derive(Debug, Default)]
-pub struct WorkspacePool<T = TraversalWorkspace> {
-    free: std::sync::Mutex<Vec<T>>,
+pub struct WorkspacePool {
+    free: std::sync::Mutex<Vec<TraversalWorkspace>>,
 }
 
-impl<T> WorkspacePool<T> {
+impl WorkspacePool {
     /// Creates an empty pool; workspaces are built on first checkout.
     pub fn new() -> Self {
         WorkspacePool {
@@ -438,21 +437,16 @@ impl<T> WorkspacePool<T> {
         }
     }
 
-    /// Checks out a pooled workspace, building a fresh one with `make`
-    /// when the free list is empty. The guard returns it on drop.
-    pub fn checkout_with(&self, make: impl FnOnce() -> T) -> PooledWorkspace<'_, T> {
-        let ws = self.free.lock().unwrap().pop().unwrap_or_else(make);
-        PooledWorkspace {
+    /// Checks out a traversal workspace sized for `n` vertices, building
+    /// a fresh one when the free list is empty. The guard returns it on
+    /// drop.
+    pub fn checkout(&self, n: usize) -> PooledWorkspace<'_> {
+        let free = self.free.lock().unwrap().pop();
+        let ws = free.unwrap_or_else(|| TraversalWorkspace::new(n));
+        let mut guard = PooledWorkspace {
             pool: self,
             ws: Some(ws),
-        }
-    }
-}
-
-impl WorkspacePool<TraversalWorkspace> {
-    /// Checks out a traversal workspace sized for `n` vertices.
-    pub fn checkout(&self, n: usize) -> PooledWorkspace<'_, TraversalWorkspace> {
-        let mut guard = self.checkout_with(|| TraversalWorkspace::new(n));
+        };
         guard.ensure(n);
         guard
     }
@@ -460,25 +454,25 @@ impl WorkspacePool<TraversalWorkspace> {
 
 /// An exclusive loan of one pooled workspace (see [`WorkspacePool`]).
 #[derive(Debug)]
-pub struct PooledWorkspace<'a, T> {
-    pool: &'a WorkspacePool<T>,
-    ws: Option<T>,
+pub struct PooledWorkspace<'a> {
+    pool: &'a WorkspacePool,
+    ws: Option<TraversalWorkspace>,
 }
 
-impl<T> std::ops::Deref for PooledWorkspace<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
+impl std::ops::Deref for PooledWorkspace<'_> {
+    type Target = TraversalWorkspace;
+    fn deref(&self) -> &TraversalWorkspace {
         self.ws.as_ref().expect("workspace present until drop")
     }
 }
 
-impl<T> std::ops::DerefMut for PooledWorkspace<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
+impl std::ops::DerefMut for PooledWorkspace<'_> {
+    fn deref_mut(&mut self) -> &mut TraversalWorkspace {
         self.ws.as_mut().expect("workspace present until drop")
     }
 }
 
-impl<T> Drop for PooledWorkspace<'_, T> {
+impl Drop for PooledWorkspace<'_> {
     fn drop(&mut self) {
         if let Some(ws) = self.ws.take() {
             self.pool.free.lock().unwrap().push(ws);

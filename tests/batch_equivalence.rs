@@ -131,254 +131,6 @@ fn arb_delete_heavy_script(len: usize) -> impl Strategy<Value = Vec<RawOp>> {
     )
 }
 
-/// Every equivalence property below runs once per entry of this matrix:
-/// width 1 is the sequential reference path; at width 4 the wave-parallel
-/// builds (here, the deletion rebuild fallback) run through the
-/// work-stealing pool, while at width 2 a build wave holds one pass.
-/// Repair is serial at every width.
-const THREAD_MATRIX: [u32; 3] = [1, 2, 4];
-
-/// The default config pinned to an explicit parallelism width.
-fn cfg_at(threads: u32) -> CscConfig {
-    CscConfig::default().with_threads(threads)
-}
-
-fn check_batched_equals_one_by_one(
-    g: &DiGraph,
-    updates: &[GraphUpdate],
-    threads: u32,
-) -> Result<(), TestCaseError> {
-    let base = CscIndex::build(g, cfg_at(threads)).unwrap();
-
-    let mut batched = base.clone();
-    let report = batched.apply_batch(updates).unwrap();
-    let mut sequential = base;
-    let applied = apply_one_by_one(&mut sequential, updates);
-
-    // Accounting: every submitted update is applied, cancelled, or
-    // rejected; applied + cancelled is what sequential accepted.
-    prop_assert_eq!(
-        report.applied_updates() + report.cancelled,
-        applied,
-        "accepted-op accounting ({} threads)",
-        threads
-    );
-    prop_assert_eq!(
-        report.applied_updates() + report.cancelled + report.rejected,
-        updates.len(),
-        "total accounting ({} threads)",
-        threads
-    );
-
-    let g_final = sequential.original_graph();
-    prop_assert_eq!(&batched.original_graph(), &g_final, "net graphs diverge");
-    for v in g_final.vertices() {
-        let got = batched.query(v);
-        prop_assert_eq!(
-            got,
-            sequential.query(v),
-            "vs sequential at {} ({} threads)",
-            v,
-            threads
-        );
-        prop_assert_eq!(
-            got.map(|c| (c.length, c.count)),
-            shortest_cycle_oracle(&g_final, v),
-            "vs oracle at {} ({} threads)",
-            v,
-            threads
-        );
-    }
-    Ok(())
-}
-
-fn check_batched_minimality_equals_one_by_one(
-    g: &DiGraph,
-    updates: &[GraphUpdate],
-    threads: u32,
-) -> Result<(), TestCaseError> {
-    let config = cfg_at(threads).with_update_strategy(UpdateStrategy::Minimality);
-    let base = CscIndex::build(g, config).unwrap();
-    let mut batched = base.clone();
-    batched.apply_batch(updates).unwrap();
-    let mut sequential = base;
-    apply_one_by_one(&mut sequential, updates);
-    // The one-by-one reference runs one-op windows of the same engine, so
-    // the oracle is the independent check.
-    let g_final = sequential.original_graph();
-    prop_assert_eq!(&batched.original_graph(), &g_final, "net graphs diverge");
-    for v in g_final.vertices() {
-        let got = batched.query(v);
-        prop_assert_eq!(got, sequential.query(v), "at {} ({} threads)", v, threads);
-        prop_assert_eq!(
-            got.map(|c| (c.length, c.count)),
-            shortest_cycle_oracle(&g_final, v),
-            "vs oracle at {} ({} threads)",
-            v,
-            threads
-        );
-    }
-    Ok(())
-}
-
-fn check_windowed_replay_equals_single_batch(
-    g: &DiGraph,
-    updates: &[GraphUpdate],
-    window: usize,
-    threads: u32,
-) -> Result<(), TestCaseError> {
-    let base = CscIndex::build(g, cfg_at(threads)).unwrap();
-    let mut whole = base.clone();
-    whole.apply_batch(updates).unwrap();
-    let mut windowed = base;
-    for chunk in updates.chunks(window) {
-        windowed.apply_batch(chunk).unwrap();
-    }
-    prop_assert_eq!(&whole.original_graph(), &windowed.original_graph());
-    for v in whole.original_graph().vertices() {
-        prop_assert_eq!(
-            whole.query(v),
-            windowed.query(v),
-            "at {} ({} threads)",
-            v,
-            threads
-        );
-    }
-    Ok(())
-}
-
-fn check_delete_only_batched(
-    g: &DiGraph,
-    updates: &[GraphUpdate],
-    threads: u32,
-) -> Result<(), TestCaseError> {
-    let base = CscIndex::build(g, cfg_at(threads)).unwrap();
-    let mut batched = base.clone();
-    let report = batched.apply_batch(updates).unwrap();
-    prop_assert_eq!(report.edges_removed, updates.len());
-    let mut sequential = base;
-    apply_one_by_one(&mut sequential, updates);
-
-    let g_final = sequential.original_graph();
-    prop_assert_eq!(&batched.original_graph(), &g_final);
-    for v in g_final.vertices() {
-        let got = batched.query(v);
-        prop_assert_eq!(
-            got,
-            sequential.query(v),
-            "vs sequential at {} ({} threads)",
-            v,
-            threads
-        );
-        prop_assert_eq!(
-            got.map(|c| (c.length, c.count)),
-            shortest_cycle_oracle(&g_final, v),
-            "vs oracle at {} ({} threads)",
-            v,
-            threads
-        );
-    }
-    Ok(())
-}
-
-fn check_delete_then_reinsert_restores(
-    g: &DiGraph,
-    removals: &[GraphUpdate],
-    reinserts: &[GraphUpdate],
-    window: usize,
-    threads: u32,
-) -> Result<(), TestCaseError> {
-    let base = CscIndex::build(g, cfg_at(threads)).unwrap();
-    let mut idx = base.clone();
-    for chunk in removals.chunks(window) {
-        idx.apply_batch(chunk).unwrap();
-    }
-    for chunk in reinserts.chunks(window) {
-        idx.apply_batch(chunk).unwrap();
-    }
-    prop_assert_eq!(&idx.original_graph(), g);
-    for v in g.vertices() {
-        prop_assert_eq!(
-            idx.query(v),
-            base.query(v),
-            "at {} ({} threads)",
-            v,
-            threads
-        );
-    }
-    Ok(())
-}
-
-fn check_delete_heavy_windowing(
-    g: &DiGraph,
-    updates: &[GraphUpdate],
-    window: usize,
-    threads: u32,
-) -> Result<(), TestCaseError> {
-    let base = CscIndex::build(g, cfg_at(threads)).unwrap();
-    let mut whole = base.clone();
-    whole.apply_batch(updates).unwrap();
-    let mut windowed = base.clone();
-    for chunk in updates.chunks(window) {
-        windowed.apply_batch(chunk).unwrap();
-    }
-    let mut sequential = base;
-    apply_one_by_one(&mut sequential, updates);
-    prop_assert_eq!(&whole.original_graph(), &windowed.original_graph());
-    let g_final = sequential.original_graph();
-    for v in g_final.vertices() {
-        let got = whole.query(v);
-        prop_assert_eq!(
-            got,
-            windowed.query(v),
-            "windowed at {} ({} threads)",
-            v,
-            threads
-        );
-        prop_assert_eq!(
-            got,
-            sequential.query(v),
-            "sequential at {} ({} threads)",
-            v,
-            threads
-        );
-        prop_assert_eq!(
-            got.map(|c| (c.length, c.count)),
-            shortest_cycle_oracle(&g_final, v),
-            "oracle at {} ({} threads)",
-            v,
-            threads
-        );
-    }
-    Ok(())
-}
-
-fn check_concurrent_batches_snapshots(
-    g: &DiGraph,
-    updates: &[GraphUpdate],
-    every: usize,
-    threads: u32,
-) {
-    let config = cfg_at(threads).with_snapshot_every(every);
-    let shared = ConcurrentIndex::new(CscIndex::build(g, config).unwrap());
-    for chunk in updates.chunks(3) {
-        shared.apply_batch(chunk).unwrap();
-    }
-    shared.refresh();
-    let snap = shared.snapshot();
-    shared.with_read(|idx| {
-        for v in 0..idx.original_vertex_count() as u32 {
-            let v = VertexId(v);
-            assert_eq!(
-                snap.query(v),
-                idx.query(v),
-                "snapshot at {v} ({threads} threads)"
-            );
-        }
-        assert_eq!(snap.total_entries(), idx.total_entries());
-    });
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -391,8 +143,37 @@ proptest! {
         let m = (m_seed as usize) % (n * 2 + 1);
         let g = generators::gnm(n, m, m_seed);
         let updates = resolve(&g, &script);
-        for &threads in &THREAD_MATRIX {
-            check_batched_equals_one_by_one(&g, &updates, threads)?;
+        let base = CscIndex::build(&g, CscConfig::default()).unwrap();
+
+        let mut batched = base.clone();
+        let report = batched.apply_batch(&updates).unwrap();
+        let mut sequential = base;
+        let applied = apply_one_by_one(&mut sequential, &updates);
+
+        // Accounting: every submitted update is applied, cancelled, or
+        // rejected; applied + cancelled is what sequential accepted.
+        prop_assert_eq!(
+            report.applied_updates() + report.cancelled,
+            applied,
+            "accepted-op accounting"
+        );
+        prop_assert_eq!(
+            report.applied_updates() + report.cancelled + report.rejected,
+            updates.len(),
+            "total accounting"
+        );
+
+        let g_final = sequential.original_graph();
+        prop_assert_eq!(&batched.original_graph(), &g_final, "net graphs diverge");
+        for v in g_final.vertices() {
+            let got = batched.query(v);
+            prop_assert_eq!(got, sequential.query(v), "vs sequential at {}", v);
+            prop_assert_eq!(
+                got.map(|c| (c.length, c.count)),
+                shortest_cycle_oracle(&g_final, v),
+                "vs oracle at {}",
+                v
+            );
         }
     }
 
@@ -403,8 +184,25 @@ proptest! {
     ) {
         let g = generators::preferential_attachment(12, 2, 0.5, seed);
         let updates = resolve(&g, &script);
-        for &threads in &THREAD_MATRIX {
-            check_batched_minimality_equals_one_by_one(&g, &updates, threads)?;
+        let config = CscConfig::default().with_update_strategy(UpdateStrategy::Minimality);
+        let base = CscIndex::build(&g, config).unwrap();
+        let mut batched = base.clone();
+        batched.apply_batch(&updates).unwrap();
+        let mut sequential = base;
+        apply_one_by_one(&mut sequential, &updates);
+        // The one-by-one reference runs one-op windows of the same engine, so
+        // the oracle is the independent check.
+        let g_final = sequential.original_graph();
+        prop_assert_eq!(&batched.original_graph(), &g_final, "net graphs diverge");
+        for v in g_final.vertices() {
+            let got = batched.query(v);
+            prop_assert_eq!(got, sequential.query(v), "at {}", v);
+            prop_assert_eq!(
+                got.map(|c| (c.length, c.count)),
+                shortest_cycle_oracle(&g_final, v),
+                "vs oracle at {}",
+                v
+            );
         }
     }
 
@@ -419,8 +217,16 @@ proptest! {
         // where the index ends up (only what cancels inside a window).
         let g = generators::gnm(n, n * 2, seed);
         let updates = resolve(&g, &script);
-        for &threads in &THREAD_MATRIX {
-            check_windowed_replay_equals_single_batch(&g, &updates, window, threads)?;
+        let base = CscIndex::build(&g, CscConfig::default()).unwrap();
+        let mut whole = base.clone();
+        whole.apply_batch(&updates).unwrap();
+        let mut windowed = base;
+        for chunk in updates.chunks(window) {
+            windowed.apply_batch(chunk).unwrap();
+        }
+        prop_assert_eq!(&whole.original_graph(), &windowed.original_graph());
+        for v in whole.original_graph().vertices() {
+            prop_assert_eq!(whole.query(v), windowed.query(v), "at {}", v);
         }
     }
 
@@ -440,8 +246,24 @@ proptest! {
             .map(|&(a, b)| GraphUpdate::RemoveEdge(VertexId(a), VertexId(b)))
             .collect();
         prop_assume!(!updates.is_empty());
-        for &threads in &THREAD_MATRIX {
-            check_delete_only_batched(&g, &updates, threads)?;
+        let base = CscIndex::build(&g, CscConfig::default()).unwrap();
+        let mut batched = base.clone();
+        let report = batched.apply_batch(&updates).unwrap();
+        prop_assert_eq!(report.edges_removed, updates.len());
+        let mut sequential = base;
+        apply_one_by_one(&mut sequential, &updates);
+
+        let g_final = sequential.original_graph();
+        prop_assert_eq!(&batched.original_graph(), &g_final);
+        for v in g_final.vertices() {
+            let got = batched.query(v);
+            prop_assert_eq!(got, sequential.query(v), "vs sequential at {}", v);
+            prop_assert_eq!(
+                got.map(|c| (c.length, c.count)),
+                shortest_cycle_oracle(&g_final, v),
+                "vs oracle at {}",
+                v
+            );
         }
     }
 
@@ -465,8 +287,17 @@ proptest! {
             .iter()
             .map(|&(a, b)| GraphUpdate::InsertEdge(VertexId(a), VertexId(b)))
             .collect();
-        for &threads in &THREAD_MATRIX {
-            check_delete_then_reinsert_restores(&g, &removals, &reinserts, window, threads)?;
+        let base = CscIndex::build(&g, CscConfig::default()).unwrap();
+        let mut idx = base.clone();
+        for chunk in removals.chunks(window) {
+            idx.apply_batch(chunk).unwrap();
+        }
+        for chunk in reinserts.chunks(window) {
+            idx.apply_batch(chunk).unwrap();
+        }
+        prop_assert_eq!(&idx.original_graph(), &g);
+        for v in g.vertices() {
+            prop_assert_eq!(idx.query(v), base.query(v), "at {}", v);
         }
     }
 
@@ -482,8 +313,27 @@ proptest! {
         // surgical per-hub path and the rebuild fallback each window takes.
         let g = generators::gnm(n, n * 3, seed);
         let updates = resolve(&g, &script);
-        for &threads in &THREAD_MATRIX {
-            check_delete_heavy_windowing(&g, &updates, window, threads)?;
+        let base = CscIndex::build(&g, CscConfig::default()).unwrap();
+        let mut whole = base.clone();
+        whole.apply_batch(&updates).unwrap();
+        let mut windowed = base.clone();
+        for chunk in updates.chunks(window) {
+            windowed.apply_batch(chunk).unwrap();
+        }
+        let mut sequential = base;
+        apply_one_by_one(&mut sequential, &updates);
+        prop_assert_eq!(&whole.original_graph(), &windowed.original_graph());
+        let g_final = sequential.original_graph();
+        for v in g_final.vertices() {
+            let got = whole.query(v);
+            prop_assert_eq!(got, windowed.query(v), "windowed at {}", v);
+            prop_assert_eq!(got, sequential.query(v), "sequential at {}", v);
+            prop_assert_eq!(
+                got.map(|c| (c.length, c.count)),
+                shortest_cycle_oracle(&g_final, v),
+                "oracle at {}",
+                v
+            );
         }
     }
 
@@ -495,9 +345,20 @@ proptest! {
     ) {
         let g = generators::gnm(10, 24, seed);
         let updates = resolve(&g, &script);
-        for &threads in &THREAD_MATRIX {
-            check_concurrent_batches_snapshots(&g, &updates, every, threads);
+        let config = CscConfig::default().with_snapshot_every(every);
+        let shared = ConcurrentIndex::new(CscIndex::build(&g, config).unwrap());
+        for chunk in updates.chunks(3) {
+            shared.apply_batch(chunk).unwrap();
         }
+        shared.refresh();
+        let snap = shared.snapshot();
+        shared.with_read(|idx| {
+            for v in 0..idx.original_vertex_count() as u32 {
+                let v = VertexId(v);
+                assert_eq!(snap.query(v), idx.query(v), "snapshot at {v}");
+            }
+            assert_eq!(snap.total_entries(), idx.total_entries());
+        });
     }
 }
 
@@ -513,24 +374,18 @@ fn saturated_count_demotion_inside_a_batch() {
         GraphUpdate::RemoveEdge(VertexId(2), VertexId(4)),
         GraphUpdate::RemoveEdge(VertexId(5), VertexId(7)),
     ];
-    for &threads in &THREAD_MATRIX {
-        let base = CscIndex::build(&g, cfg_at(threads)).unwrap();
-        assert!(base.query(VertexId(0)).unwrap().count >= (1 << 24) - 1);
-        let mut batched = base.clone();
-        batched.apply_batch(&updates).unwrap();
-        let mut sequential = base;
-        apply_one_by_one(&mut sequential, &updates);
-        let g_final = sequential.original_graph();
-        for v in g_final.vertices() {
-            assert_eq!(
-                batched.query(v),
-                sequential.query(v),
-                "SCCnt({v}) ({threads} threads)"
-            );
-        }
-        let oracle = shortest_cycle_oracle(&g_final, VertexId(0)).unwrap();
-        assert_eq!(batched.query(VertexId(0)).unwrap().length, oracle.0);
+    let base = CscIndex::build(&g, CscConfig::default()).unwrap();
+    assert!(base.query(VertexId(0)).unwrap().count >= (1 << 24) - 1);
+    let mut batched = base.clone();
+    batched.apply_batch(&updates).unwrap();
+    let mut sequential = base;
+    apply_one_by_one(&mut sequential, &updates);
+    let g_final = sequential.original_graph();
+    for v in g_final.vertices() {
+        assert_eq!(batched.query(v), sequential.query(v), "SCCnt({v})");
     }
+    let oracle = shortest_cycle_oracle(&g_final, VertexId(0)).unwrap();
+    assert_eq!(batched.query(VertexId(0)).unwrap().length, oracle.0);
 }
 
 #[test]
@@ -545,27 +400,25 @@ fn batched_deletions_take_the_indexed_carrier_path() {
         .step_by(4)
         .map(|(a, b)| GraphUpdate::RemoveEdge(VertexId(a), VertexId(b)))
         .collect();
-    for &threads in &THREAD_MATRIX {
-        let config = cfg_at(threads).with_inverted(false);
-        let mut idx = CscIndex::build(&g, config).unwrap();
-        let report = idx.apply_batch(&updates).unwrap();
-        assert_eq!(report.edges_removed, updates.len());
-        // Follow-up deletions keep using (and maintaining) the built index.
-        let g_now = idx.original_graph();
-        let victim = g_now.edge_vec()[0];
-        idx.apply_batch(&[GraphUpdate::RemoveEdge(
-            VertexId(victim.0),
-            VertexId(victim.1),
-        )])
-        .unwrap();
-        let g_final = idx.original_graph();
-        for v in g_final.vertices() {
-            assert_eq!(
-                idx.query(v).map(|c| (c.length, c.count)),
-                shortest_cycle_oracle(&g_final, v),
-                "SCCnt({v}) ({threads} threads)"
-            );
-        }
+    let config = CscConfig::default().with_inverted(false);
+    let mut idx = CscIndex::build(&g, config).unwrap();
+    let report = idx.apply_batch(&updates).unwrap();
+    assert_eq!(report.edges_removed, updates.len());
+    // Follow-up deletions keep using (and maintaining) the built index.
+    let g_now = idx.original_graph();
+    let victim = g_now.edge_vec()[0];
+    idx.apply_batch(&[GraphUpdate::RemoveEdge(
+        VertexId(victim.0),
+        VertexId(victim.1),
+    )])
+    .unwrap();
+    let g_final = idx.original_graph();
+    for v in g_final.vertices() {
+        assert_eq!(
+            idx.query(v).map(|c| (c.length, c.count)),
+            shortest_cycle_oracle(&g_final, v),
+            "SCCnt({v})"
+        );
     }
 }
 
@@ -581,29 +434,23 @@ fn overwhelming_windows_fall_back_to_rebuild_and_stay_exact() {
         .step_by(2)
         .map(|(a, b)| GraphUpdate::RemoveEdge(VertexId(a), VertexId(b)))
         .collect();
-    for &threads in &THREAD_MATRIX {
-        let base = CscIndex::build(&g, cfg_at(threads)).unwrap();
-        let mut batched = base.clone();
-        let report = batched.apply_batch(&updates).unwrap();
-        assert!(
-            report.repair.rebuild_fallbacks > 0,
-            "a half-the-graph window must trip the rebuild fallback"
+    let base = CscIndex::build(&g, CscConfig::default()).unwrap();
+    let mut batched = base.clone();
+    let report = batched.apply_batch(&updates).unwrap();
+    assert!(
+        report.repair.rebuild_fallbacks > 0,
+        "a half-the-graph window must trip the rebuild fallback"
+    );
+    let mut sequential = base;
+    apply_one_by_one(&mut sequential, &updates);
+    let g_final = sequential.original_graph();
+    for v in g_final.vertices() {
+        let got = batched.query(v);
+        assert_eq!(got, sequential.query(v), "vs sequential at {v}");
+        assert_eq!(
+            got.map(|c| (c.length, c.count)),
+            shortest_cycle_oracle(&g_final, v),
+            "vs oracle at {v}"
         );
-        let mut sequential = base;
-        apply_one_by_one(&mut sequential, &updates);
-        let g_final = sequential.original_graph();
-        for v in g_final.vertices() {
-            let got = batched.query(v);
-            assert_eq!(
-                got,
-                sequential.query(v),
-                "vs sequential at {v} ({threads} threads)"
-            );
-            assert_eq!(
-                got.map(|c| (c.length, c.count)),
-                shortest_cycle_oracle(&g_final, v),
-                "vs oracle at {v} ({threads} threads)"
-            );
-        }
     }
 }

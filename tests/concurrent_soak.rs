@@ -1,10 +1,9 @@
-//! Soak test for the parallel write & build plane under reader pressure:
-//! four reader threads hammer a [`ConcurrentIndex`]'s snapshot pipeline
-//! while the writer churns the graph and drives wave-parallel
-//! rejuvenations (width 4) through the work-stealing pool. Every pinned
-//! snapshot must stay internally consistent, the publication watermark
-//! must never run backwards (no lost snapshots), and the live index must
-//! pass full structural + semantic verification at the end.
+//! Soak test for the write and rebuild paths under reader pressure: four
+//! reader threads hammer a [`ConcurrentIndex`]'s snapshot pipeline while
+//! the writer churns the graph and drives chunked rejuvenation rebuilds.
+//! Every pinned snapshot must stay internally consistent, the publication
+//! watermark must never run backwards (no lost snapshots), and the live
+//! index must pass full structural + semantic verification at the end.
 //!
 //! `#[ignore]` by default — it is a soak, not a unit check. CI runs it in
 //! the thread-matrix job with `cargo test -- --ignored`; locally:
@@ -25,7 +24,7 @@ const REJUVENATE_EVERY: usize = 40;
 #[ignore = "soak test: run with -- --ignored (CI thread-matrix job does)"]
 fn readers_survive_churn_and_parallel_rebuilds() {
     let g = generators::gnm(48, 192, 97);
-    let config = CscConfig::default().with_threads(4).with_snapshot_every(1);
+    let config = CscConfig::default().with_snapshot_every(1);
     let shared = Arc::new(ConcurrentIndex::new(CscIndex::build(&g, config).unwrap()));
     let stop = Arc::new(AtomicBool::new(false));
 
@@ -64,10 +63,10 @@ fn readers_survive_churn_and_parallel_rebuilds() {
         })
         .collect();
 
-    // Writer: seeded churn windows, with a wave-parallel rejuvenation
-    // driven in small cooperative steps every `REJUVENATE_EVERY` rounds —
-    // mid-rebuild windows land in the replay queue while the rebuild's
-    // label waves run on the worker pool under full reader load.
+    // Writer: seeded churn windows, with a rejuvenation driven in small
+    // cooperative steps every `REJUVENATE_EVERY` rounds — mid-rebuild
+    // windows land in the replay queue while the rebuild runs under full
+    // reader load.
     let mut s = 0x51C7_u64;
     let mut rng = move |m: u64| {
         s = s

@@ -5,6 +5,7 @@
 
 use csc::graph::generators;
 use csc::graph::traversal::shortest_cycle_oracle;
+use csc::index::reduction::ReducedIndex;
 use csc::index::verify::verify_index;
 use csc::prelude::*;
 use proptest::prelude::*;
@@ -111,7 +112,9 @@ proptest! {
     ) {
         // Mixed windows through `apply_batch`, checked after *every*
         // window: a script checked only at its end lets a later window's
-        // rebuild fallback heal labels an earlier window left wrong.
+        // rebuild fallback heal labels an earlier window left wrong. The
+        // couple pairing (`L_in(v_o)` and `L_out(v_i)` derivable from the
+        // query halves) must survive every window too.
         let m = n + (m_seed as usize) % (2 * n + 1);
         let mut g = generators::gnm(n, m, m_seed);
         let strategy = if minimality {
@@ -132,6 +135,10 @@ proptest! {
                     "{:?} window {} ({:?}) at {}", strategy, k, window, v
                 );
             }
+            prop_assert!(
+                ReducedIndex::from_index(&index).exactly_recoverable(),
+                "{:?} window {} ({:?}) broke the couple pairing", strategy, k, window
+            );
         }
     }
 

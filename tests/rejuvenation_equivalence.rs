@@ -106,101 +106,6 @@ fn assert_equivalent(rejuvenated: &CscIndex, context: &str) {
     assert_eq!(rejuvenated.girth(), fresh.girth(), "{context}: girth");
 }
 
-/// Every rejuvenation property runs once per entry of this matrix: width
-/// 1 is the serial incremental rebuild, widths 2 and 4 drive the
-/// wave-parallel `LabelBuildTask` through the work-stealing pool — with
-/// mid-rebuild writes still landing in the replay queue either way.
-const THREAD_MATRIX: [u32; 3] = [1, 2, 4];
-
-fn check_rejuvenation_with_midflight_updates(
-    g: &DiGraph,
-    churn_updates: &[GraphUpdate],
-    tail: &[RawOp],
-    chunk: usize,
-    threads: u32,
-) -> Result<(), TestCaseError> {
-    let config = CscConfig::default().with_threads(threads);
-    let mut engine = MaintenanceEngine::new(CscIndex::build(g, config).unwrap());
-    engine.apply_batch(churn_updates).unwrap();
-
-    // Rejuvenate, injecting the tail mid-rebuild: it lands in the
-    // write-ahead replay queue, not on the old labels.
-    engine.begin_rejuvenation(RebuildReason::Manual).unwrap();
-    engine.step(chunk).unwrap();
-    let tail_updates = resolve(&engine.index().original_graph(), tail);
-    for &u in &tail_updates {
-        match u {
-            GraphUpdate::InsertEdge(a, b) => {
-                prop_assert!(engine.insert_edge(a, b).unwrap().is_none());
-            }
-            GraphUpdate::RemoveEdge(a, b) => {
-                prop_assert!(engine.remove_edge(a, b).unwrap().is_none());
-            }
-            GraphUpdate::AddVertex => {
-                engine.add_vertex().unwrap();
-            }
-        }
-    }
-    prop_assert!(engine.is_rebuilding());
-    prop_assert_eq!(engine.health().replay_queued, tail_updates.len());
-    while engine.step(chunk).unwrap() != MaintenanceStatus::Serving {}
-
-    prop_assert_eq!(engine.health().rejuvenations, 1);
-    assert_equivalent(engine.index(), &format!("engine ({threads} threads)"));
-    Ok(())
-}
-
-fn check_facade_rejuvenation_snapshot(
-    g: &DiGraph,
-    churn_updates: &[GraphUpdate],
-    tail: &[RawOp],
-    threads: u32,
-) -> Result<(), TestCaseError> {
-    let config = CscConfig::default()
-        .with_snapshot_every(1)
-        .with_threads(threads);
-    let shared = ConcurrentIndex::new(CscIndex::build(g, config).unwrap());
-    shared.apply_batch(churn_updates).unwrap();
-
-    shared.begin_rejuvenation().unwrap();
-    shared.maintain(1).unwrap();
-    let tail_updates = resolve(&shared.with_read(|idx| idx.original_graph()), tail);
-    // Mid-rebuild writes go through the public facade paths; each one
-    // also cooperatively advances the rebuild.
-    for &u in &tail_updates {
-        shared.apply_batch(&[u]).unwrap();
-    }
-    while shared.maintain(usize::MAX).unwrap() != MaintenanceStatus::Serving {}
-
-    // The *published snapshot* — what readers actually see after the
-    // atomic swap — must match the from-scratch build.
-    let snap = shared.snapshot();
-    let g_final = shared.with_read(|idx| idx.original_graph());
-    let fresh = CscIndex::build(&g_final, config).unwrap();
-    for v in g_final.vertices() {
-        prop_assert_eq!(
-            snap.query_raw(v),
-            fresh.query_raw(v),
-            "dist_count({}) ({} threads)",
-            v,
-            threads
-        );
-        prop_assert_eq!(
-            snap.query(v),
-            fresh.query(v),
-            "SCCnt({}) ({} threads)",
-            v,
-            threads
-        );
-    }
-    prop_assert_eq!(snap.girth(), fresh.girth(), "girth ({} threads)", threads);
-    // No entry-count assertion: updates replayed *after* the rebuild
-    // add entries the from-scratch build never stores (answers still
-    // match — that is the point of the equivalence above).
-    assert_equivalent(&shared.into_inner(), &format!("facade ({threads} threads)"));
-    Ok(())
-}
-
 /// Order migration: a live index built under the degree order can switch
 /// to coverage sampling with `set_order` and have the next rejuvenation
 /// re-rank under it — no restart, no downtime. On a bridged-communities
@@ -210,48 +115,43 @@ fn check_facade_rejuvenation_snapshot(
 #[test]
 fn rejuvenation_migrates_degree_index_to_coverage_order() {
     let g = generators::bridged_communities(4, 16, 48, 9);
-    for &threads in &THREAD_MATRIX {
-        let config = CscConfig::default().with_threads(threads);
-        assert_eq!(config.order, OrderingStrategy::Degree, "seed order");
-        let mut engine = MaintenanceEngine::new(CscIndex::build(&g, config).unwrap());
+    let config = CscConfig::default();
+    assert_eq!(config.order, OrderingStrategy::Degree, "seed order");
+    let mut engine = MaintenanceEngine::new(CscIndex::build(&g, config).unwrap());
 
-        // Churn: flap a spread of existing edges and wire in one fresh
-        // vertex, so the rebuild starts from drifted labels.
-        let edges = g.edge_vec();
-        let mut churn: Vec<GraphUpdate> = Vec::new();
-        for &(a, b) in edges.iter().step_by(7) {
-            churn.push(GraphUpdate::RemoveEdge(VertexId(a), VertexId(b)));
-            churn.push(GraphUpdate::InsertEdge(VertexId(a), VertexId(b)));
-        }
-        churn.push(GraphUpdate::AddVertex);
-        let nv = VertexId(g.vertex_count() as u32);
-        churn.push(GraphUpdate::InsertEdge(nv, VertexId(0)));
-        churn.push(GraphUpdate::InsertEdge(VertexId(1), nv));
-        engine.apply_batch(&churn).unwrap();
-        let drifted_entries = engine.index().total_entries();
-
-        engine.set_order(OrderingStrategy::coverage(9)).unwrap();
-        assert!(
-            matches!(
-                engine.index().config().order,
-                OrderingStrategy::CoverageSampling { .. }
-            ),
-            "set_order takes effect immediately in config"
-        );
-        engine.begin_rejuvenation(RebuildReason::Manual).unwrap();
-        while engine.step(16).unwrap() != MaintenanceStatus::Serving {}
-
-        assert_equivalent(
-            engine.index(),
-            &format!("coverage migration ({threads} threads)"),
-        );
-        let migrated_entries = engine.index().total_entries();
-        assert!(
-            migrated_entries < drifted_entries,
-            "coverage rejuvenation must shrink the index \
-             ({migrated_entries} vs {drifted_entries}, {threads} threads)"
-        );
+    // Churn: flap a spread of existing edges and wire in one fresh
+    // vertex, so the rebuild starts from drifted labels.
+    let edges = g.edge_vec();
+    let mut churn: Vec<GraphUpdate> = Vec::new();
+    for &(a, b) in edges.iter().step_by(7) {
+        churn.push(GraphUpdate::RemoveEdge(VertexId(a), VertexId(b)));
+        churn.push(GraphUpdate::InsertEdge(VertexId(a), VertexId(b)));
     }
+    churn.push(GraphUpdate::AddVertex);
+    let nv = VertexId(g.vertex_count() as u32);
+    churn.push(GraphUpdate::InsertEdge(nv, VertexId(0)));
+    churn.push(GraphUpdate::InsertEdge(VertexId(1), nv));
+    engine.apply_batch(&churn).unwrap();
+    let drifted_entries = engine.index().total_entries();
+
+    engine.set_order(OrderingStrategy::coverage(9)).unwrap();
+    assert!(
+        matches!(
+            engine.index().config().order,
+            OrderingStrategy::CoverageSampling { .. }
+        ),
+        "set_order takes effect immediately in config"
+    );
+    engine.begin_rejuvenation(RebuildReason::Manual).unwrap();
+    while engine.step(16).unwrap() != MaintenanceStatus::Serving {}
+
+    assert_equivalent(engine.index(), "coverage migration");
+    let migrated_entries = engine.index().total_entries();
+    assert!(
+        migrated_entries < drifted_entries,
+        "coverage rejuvenation must shrink the index \
+         ({migrated_entries} vs {drifted_entries})"
+    );
 }
 
 proptest! {
@@ -267,9 +167,34 @@ proptest! {
     ) {
         let g = generators::gnm(n, n * 2, seed);
         let churn_updates = resolve(&g, &churn);
-        for &threads in &THREAD_MATRIX {
-            check_rejuvenation_with_midflight_updates(&g, &churn_updates, &tail, chunk, threads)?;
+        let mut engine =
+            MaintenanceEngine::new(CscIndex::build(&g, CscConfig::default()).unwrap());
+        engine.apply_batch(&churn_updates).unwrap();
+
+        // Rejuvenate, injecting the tail mid-rebuild: it lands in the
+        // write-ahead replay queue, not on the old labels.
+        engine.begin_rejuvenation(RebuildReason::Manual).unwrap();
+        engine.step(chunk).unwrap();
+        let tail_updates = resolve(&engine.index().original_graph(), &tail);
+        for &u in &tail_updates {
+            match u {
+                GraphUpdate::InsertEdge(a, b) => {
+                    prop_assert!(engine.insert_edge(a, b).unwrap().is_none());
+                }
+                GraphUpdate::RemoveEdge(a, b) => {
+                    prop_assert!(engine.remove_edge(a, b).unwrap().is_none());
+                }
+                GraphUpdate::AddVertex => {
+                    engine.add_vertex().unwrap();
+                }
+            }
         }
+        prop_assert!(engine.is_rebuilding());
+        prop_assert_eq!(engine.health().replay_queued, tail_updates.len());
+        while engine.step(chunk).unwrap() != MaintenanceStatus::Serving {}
+
+        prop_assert_eq!(engine.health().rejuvenations, 1);
+        assert_equivalent(engine.index(), "engine");
     }
 
     #[test]
@@ -281,8 +206,33 @@ proptest! {
     ) {
         let g = generators::gnm(n, n * 2, seed);
         let churn_updates = resolve(&g, &churn);
-        for &threads in &THREAD_MATRIX {
-            check_facade_rejuvenation_snapshot(&g, &churn_updates, &tail, threads)?;
+        let config = CscConfig::default().with_snapshot_every(1);
+        let shared = ConcurrentIndex::new(CscIndex::build(&g, config).unwrap());
+        shared.apply_batch(&churn_updates).unwrap();
+
+        shared.begin_rejuvenation().unwrap();
+        shared.maintain(1).unwrap();
+        let tail_updates = resolve(&shared.with_read(|idx| idx.original_graph()), &tail);
+        // Mid-rebuild writes go through the public facade paths; each one
+        // also cooperatively advances the rebuild.
+        for &u in &tail_updates {
+            shared.apply_batch(&[u]).unwrap();
         }
+        while shared.maintain(usize::MAX).unwrap() != MaintenanceStatus::Serving {}
+
+        // The *published snapshot* — what readers actually see after the
+        // atomic swap — must match the from-scratch build.
+        let snap = shared.snapshot();
+        let g_final = shared.with_read(|idx| idx.original_graph());
+        let fresh = CscIndex::build(&g_final, config).unwrap();
+        for v in g_final.vertices() {
+            prop_assert_eq!(snap.query_raw(v), fresh.query_raw(v), "dist_count({})", v);
+            prop_assert_eq!(snap.query(v), fresh.query(v), "SCCnt({})", v);
+        }
+        prop_assert_eq!(snap.girth(), fresh.girth(), "girth");
+        // No entry-count assertion: updates replayed *after* the rebuild
+        // add entries the from-scratch build never stores (answers still
+        // match — that is the point of the equivalence above).
+        assert_equivalent(&shared.into_inner(), "facade");
     }
 }
