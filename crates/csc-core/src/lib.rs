@@ -87,7 +87,7 @@ pub mod health;
 mod index;
 mod invert;
 pub mod maintain;
-pub mod reduction;
+mod reduction;
 mod repair;
 pub mod serial;
 pub mod snapshot;

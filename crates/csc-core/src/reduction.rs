@@ -1,18 +1,16 @@
-//! Index reduction (Section IV-E): exploiting couple symmetry to halve
-//! label storage.
+//! Index reduction (Section IV-E): the two lists per vertex a cycle query
+//! reads, and the derivation of the other two.
 //!
-//! Couple-vertex skipping writes every in-label of `w_i` onto `w_o` as well
-//! (distance `+1`, same count), and symmetrically for out-labels. A cycle
-//! query, however, only ever reads `L_out(v_o)` and `L_in(v_i)`. The
-//! reduced index therefore keeps exactly those two lists per original
-//! vertex — about half the entries — and can *recover* the dropped halves
-//! by the couple derivation:
+//! `SCCnt(v)` intersects `L_out(v_o)` with `L_in(v_i)` and reads nothing
+//! else. The other two lists of a couple are copies of these, one hop
+//! along the couple edge `v_i → v_o`:
 //!
-//! * `L_in(v_o)  = {(v_o, 0, 1)} ∪ shift₊₁(L_in(v_i))`
-//! * `L_out(v_i) = {(v_i, 0, 1)} ∪ shift₊₁(L_out(v_o) \ self \ hub==v_i)`
+//! * `L_in(v_o)  = shift₊₁(L_in(v_i)) ++ (v_o, 0, 1)`
+//! * `L_out(v_i) = shift₊₁(L_out(v_o) minus hubs v_i and v_o) ++ (v_i, 0, 1)`
 //!
-//! (the excluded `hub == v_i` entries of `L_out(v_o)` are the cycle
-//! closures the backward traversal pruned at the couple — they have no
+//! where `shift₊₁` adds one to every distance and keeps every count, and
+//! the excluded `hub == v_i` entries of `L_out(v_o)` are the cycle
+//! closures the backward traversal pruned at the couple (they have no
 //! counterpart on `v_i`).
 //!
 //! The pairing holds for every index the build and dynamic maintenance
@@ -20,248 +18,144 @@
 //! of `v_i`, so every shortest path into `v_o` runs through `v_i`, and
 //! every shortest path out of `v_i` runs through `v_o`. A traversal that
 //! reaches one member of a paired couple therefore reaches the other one
-//! step away with the same count, and writes both or neither. The
-//! per-window proptest of `tests/dynamic_equivalence.rs` pins the pairing
-//! after every window of random mixed scripts under both update
-//! strategies. [`ReducedIndex::recover`] still checks it and rejects a
-//! label set where it fails; the reduced index itself stays queryable
-//! either way, since the query-relevant halves are stored verbatim.
+//! step away with the same count, and writes both or neither. Every rank
+//! table places `v_o` directly below `v_i` (`RankTable::bipartite_order`,
+//! and `add_vertex` appends couples in that order), so both appended self
+//! entries rank below every hub they follow.
+//!
+//! The snapshot arena holds only the two query lists
+//! ([`query_lists`]), and the checkpoint stores only those and derives the
+//! other two on load ([`derive_in_of_vo`], [`derive_out_of_vi`]); debug
+//! builds check the pairing every time they write a checkpoint.
 
-use crate::error::CscError;
-use crate::index::CscIndex;
 use csc_graph::bipartite::{in_vertex, out_vertex};
 use csc_graph::{RankTable, VertexId};
-use csc_labeling::{CycleCount, LabelEntry, LabelSide, Labels};
+use csc_labeling::{LabelEntry, LabelSide, Labels};
 
-/// What reduction would save on a given index.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ReductionReport {
-    /// Entries in the full index.
-    pub full_entries: usize,
-    /// Entries kept by the reduced form.
-    pub reduced_entries: usize,
-    /// Fraction of entries saved (`0.0 ..= 1.0`).
-    pub savings: f64,
-    /// Whether the couple derivation can recover the dropped halves
-    /// exactly (true for every built or maintained index).
-    pub exactly_recoverable: bool,
+/// The lists a cycle query reads, in couple order: `L_out(v_o)` then
+/// `L_in(v_i)` for every original vertex `v` below `n`. The snapshot arena
+/// packs them in this order, and the checkpoint writes them in it.
+pub(crate) fn query_lists(n: usize) -> impl Iterator<Item = (VertexId, LabelSide)> {
+    (0..n as u32).flat_map(|v| {
+        let v = VertexId(v);
+        [
+            (out_vertex(v), LabelSide::Out),
+            (in_vertex(v), LabelSide::In),
+        ]
+    })
 }
 
-/// A compact, read-only cycle-counting snapshot: `L_in(v_i)` and
-/// `L_out(v_o)` per original vertex.
-#[derive(Clone, Debug)]
-pub struct ReducedIndex {
-    in_of_vi: Vec<Vec<LabelEntry>>,
-    out_of_vo: Vec<Vec<LabelEntry>>,
-    ranks: RankTable,
-    exactly_recoverable: bool,
+/// `true` if label slot `slot` (see [`csc_labeling::label_slot`]) holds a
+/// query list: slot `4v` is `L_in(v_i)` and slot `4v + 3` is `L_out(v_o)`.
+pub(crate) fn is_query_slot(slot: u32) -> bool {
+    matches!(slot % 4, 0 | 3)
 }
 
-impl ReducedIndex {
-    /// Builds the reduced snapshot from a full index and reports whether
-    /// the dropped halves are derivable.
-    pub fn from_index(index: &CscIndex) -> ReducedIndex {
-        let n = index.original_vertex_count();
-        let labels = index.labels();
-        let mut in_of_vi = Vec::with_capacity(n);
-        let mut out_of_vo = Vec::with_capacity(n);
-        let mut recoverable = true;
-        for v in 0..n as u32 {
-            let v = VertexId(v);
+/// The first original vertex whose stored `L_in(v_o)` or `L_out(v_i)`
+/// differs from its derivation, if any.
+pub(crate) fn first_unpaired(labels: &Labels, ranks: &RankTable) -> Option<VertexId> {
+    let mut derived = Vec::new();
+    (0..labels.vertex_count() as u32 / 2)
+        .map(VertexId)
+        .find(|&v| {
             let (vi, vo) = (in_vertex(v), out_vertex(v));
-            in_of_vi.push(labels.in_of(vi).to_vec());
-            out_of_vo.push(labels.out_of(vo).to_vec());
-            if recoverable {
-                recoverable = derive_in_of_vo(labels.in_of(vi), index.ranks().rank(vo)).as_deref()
-                    == Some(labels.in_of(vo))
-                    && derive_out_of_vi(
-                        labels.out_of(vo),
-                        index.ranks().rank(vi),
-                        index.ranks().rank(vo),
-                    )
-                    .as_deref()
-                        == Some(labels.out_of(vi));
-            }
-        }
-        ReducedIndex {
-            in_of_vi,
-            out_of_vo,
-            ranks: index.ranks().clone(),
-            exactly_recoverable: recoverable,
-        }
-    }
-
-    /// Number of original vertices covered.
-    pub fn vertex_count(&self) -> usize {
-        self.in_of_vi.len()
-    }
-
-    /// `SCCnt(v)` on the reduced snapshot — identical answers to the full
-    /// index it was built from.
-    pub fn query(&self, v: VertexId) -> Option<CycleCount> {
-        let dc =
-            csc_labeling::labels::intersect(&self.out_of_vo[v.index()], &self.in_of_vi[v.index()])?;
-        Some(CycleCount::new(dc.dist.div_ceil(2), dc.count))
-    }
-
-    /// Entries stored by the reduced form.
-    pub fn total_entries(&self) -> usize {
-        let a: usize = self.in_of_vi.iter().map(Vec::len).sum();
-        let b: usize = self.out_of_vo.iter().map(Vec::len).sum();
-        a + b
-    }
-
-    /// Bytes under the 64-bit entry encoding.
-    pub fn entry_bytes(&self) -> usize {
-        self.total_entries() * 8
-    }
-
-    /// `true` if [`recover`](Self::recover) will succeed.
-    pub fn exactly_recoverable(&self) -> bool {
-        self.exactly_recoverable
-    }
-
-    /// Recovers the full four-list label set by couple derivation.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the couple pairing does not hold on the index the
-    /// snapshot came from.
-    pub fn recover(&self) -> Result<Labels, CscError> {
-        if !self.exactly_recoverable {
-            return Err(CscError::Serial(
-                "couple pairing does not hold; recovery is not exact".into(),
-            ));
-        }
-        let n = self.in_of_vi.len();
-        let mut labels = Labels::new(2 * n);
-        for v in 0..n as u32 {
-            let v = VertexId(v);
-            let (vi, vo) = (in_vertex(v), out_vertex(v));
-            let (ri, ro) = (self.ranks.rank(vi), self.ranks.rank(vo));
-            for &e in &self.in_of_vi[v.index()] {
-                labels.append(vi, LabelSide::In, e);
-            }
-            for e in derive_in_of_vo(&self.in_of_vi[v.index()], ro).expect("checked recoverable") {
-                labels.append(vo, LabelSide::In, e);
-            }
-            for e in
-                derive_out_of_vi(&self.out_of_vo[v.index()], ri, ro).expect("checked recoverable")
-            {
-                labels.append(vi, LabelSide::Out, e);
-            }
-            for &e in &self.out_of_vo[v.index()] {
-                labels.append(vo, LabelSide::Out, e);
-            }
-        }
-        Ok(labels)
-    }
+            let (ri, ro) = (ranks.rank(vi), ranks.rank(vo));
+            !(derive_in_of_vo(labels.in_of(vi), ro, &mut derived)
+                && derived == labels.in_of(vo)
+                && derive_out_of_vi(labels.out_of(vo), ri, ro, &mut derived)
+                && derived == labels.out_of(vi))
+        })
 }
 
-/// `L_in(v_o)` from `L_in(v_i)`: shift distances by one, self entry last.
-fn derive_in_of_vo(in_of_vi: &[LabelEntry], vo_rank: u32) -> Option<Vec<LabelEntry>> {
-    let mut out = Vec::with_capacity(in_of_vi.len() + 1);
-    for e in in_of_vi {
-        out.push(e.with_dist_count(e.dist() + 1, e.count()).ok()?);
-    }
-    out.push(LabelEntry::new(vo_rank, 0, 1).ok()?);
-    Some(out)
+/// Fills `out` with `L_in(v_o)`, derived from `L_in(v_i)`, a list sorted
+/// by hub rank. `false`, with `out` unspecified, when the derived list
+/// would not be a label list (see [`shift_onto_couple`]).
+pub(crate) fn derive_in_of_vo(
+    in_of_vi: &[LabelEntry],
+    vo_rank: u32,
+    out: &mut Vec<LabelEntry>,
+) -> bool {
+    shift_onto_couple(in_of_vi, &[], vo_rank, out)
 }
 
-/// `L_out(v_i)` from `L_out(v_o)`: drop the self entry and the cycle
-/// closures (`hub == v_i`), shift the rest, append `v_i`'s self entry.
-fn derive_out_of_vi(
+/// Fills `out` with `L_out(v_i)`, derived from `L_out(v_o)`, a list sorted
+/// by hub rank. `false`, with `out` unspecified, when the derived list
+/// would not be a label list (see [`shift_onto_couple`]).
+pub(crate) fn derive_out_of_vi(
     out_of_vo: &[LabelEntry],
     vi_rank: u32,
     vo_rank: u32,
-) -> Option<Vec<LabelEntry>> {
-    let mut out = Vec::with_capacity(out_of_vo.len());
-    for e in out_of_vo {
-        if e.hub_rank() == vo_rank || e.hub_rank() == vi_rank {
-            continue;
-        }
-        out.push(e.with_dist_count(e.dist() + 1, e.count()).ok()?);
-    }
-    out.push(LabelEntry::new(vi_rank, 0, 1).ok()?);
-    Some(out)
+    out: &mut Vec<LabelEntry>,
+) -> bool {
+    shift_onto_couple(out_of_vo, &[vi_rank, vo_rank], vi_rank, out)
 }
 
-/// Analyzes the savings reduction would achieve on `index`.
-pub fn analyze(index: &CscIndex) -> ReductionReport {
-    let reduced = ReducedIndex::from_index(index);
-    let full = index.total_entries();
-    let kept = reduced.total_entries();
-    ReductionReport {
-        full_entries: full,
-        reduced_entries: kept,
-        savings: if full == 0 {
-            0.0
-        } else {
-            1.0 - kept as f64 / full as f64
-        },
-        exactly_recoverable: reduced.exactly_recoverable(),
+/// Fills `out` with the entries of `list` whose hub is not in `skip`, one
+/// hop further, then the couple's self entry `(self_rank, 0, 1)`. `false`,
+/// with `out` unspecified, when that is not a label list: a kept hub that
+/// does not outrank `self_rank` (the list would be unsorted), a kept
+/// distance at `MAX_DIST` (its shift would overflow the entry), or a
+/// `self_rank` past the entry's hub field.
+fn shift_onto_couple(
+    list: &[LabelEntry],
+    skip: &[u32],
+    self_rank: u32,
+    out: &mut Vec<LabelEntry>,
+) -> bool {
+    out.clear();
+    for &e in list {
+        let hub = e.hub_rank();
+        if skip.contains(&hub) {
+            continue;
+        }
+        match e.with_dist_count(e.dist() + 1, e.count()) {
+            Ok(shifted) if hub < self_rank => out.push(shifted),
+            _ => return false,
+        }
     }
+    match LabelEntry::new(self_rank, 0, 1) {
+        Ok(own) => out.push(own),
+        Err(_) => return false,
+    }
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CscConfig;
-    use csc_graph::fixtures::figure2;
-    use csc_graph::generators::{directed_cycle, gnm};
-    use csc_graph::DiGraph;
+    use csc_labeling::{label_slot, slot_list, MAX_DIST};
 
-    fn check_queries_equal(index: &CscIndex, reduced: &ReducedIndex) {
-        for v in 0..index.original_vertex_count() as u32 {
-            assert_eq!(
-                reduced.query(VertexId(v)),
-                index.query(VertexId(v)),
-                "reduced query mismatch at {v}"
-            );
-        }
+    fn e(hub: u32, dist: u32, count: u64) -> LabelEntry {
+        LabelEntry::new(hub, dist, count).unwrap()
     }
 
     #[test]
-    fn reduction_halves_static_indexes_and_recovers() {
-        for g in [figure2(), gnm(30, 120, 4), directed_cycle(8)] {
-            let index = CscIndex::build(&g, CscConfig::default()).unwrap();
-            let reduced = ReducedIndex::from_index(&index);
-            assert!(reduced.exactly_recoverable(), "static pairing holds");
-            check_queries_equal(&index, &reduced);
-            // Recovery reproduces the full label set bit for bit.
-            let recovered = reduced.recover().unwrap();
-            assert_eq!(&recovered, index.labels());
-
-            let report = analyze(&index);
-            assert_eq!(report.full_entries, index.total_entries());
-            assert!(
-                report.savings > 0.3,
-                "couple sharing saves a large fraction: {report:?}"
-            );
-        }
+    fn query_slots_are_the_query_lists() {
+        let named: Vec<u32> = query_lists(5)
+            .map(|(v, side)| label_slot(v, side))
+            .collect();
+        let filtered: Vec<u32> = (0..20).filter(|&slot| is_query_slot(slot)).collect();
+        assert_eq!(named.len(), 10);
+        let mut sorted = named.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, filtered);
+        assert_eq!(slot_list(named[0]), (VertexId(1), LabelSide::Out));
+        assert_eq!(slot_list(named[1]), (VertexId(0), LabelSide::In));
     }
 
     #[test]
-    fn reduced_queries_survive_dynamic_history() {
-        // Updates keep the couple pairing: queries match, and recovery
-        // reproduces the maintained labels.
-        let g = DiGraph::from_edges(5, vec![(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let mut index = CscIndex::build(&g, CscConfig::default()).unwrap();
-        index.insert_edge(VertexId(4), VertexId(0)).unwrap();
-        index.insert_edge(VertexId(2), VertexId(0)).unwrap();
-        index.remove_edge(VertexId(2), VertexId(0)).unwrap();
-        let reduced = ReducedIndex::from_index(&index);
-        check_queries_equal(&index, &reduced);
-        assert!(reduced.exactly_recoverable(), "updates keep the pairing");
-        assert_eq!(&reduced.recover().unwrap(), index.labels());
-    }
-
-    #[test]
-    fn savings_reported_sanely() {
-        let g = gnm(20, 80, 7);
-        let index = CscIndex::build(&g, CscConfig::default()).unwrap();
-        let report = analyze(&index);
-        assert!(report.reduced_entries < report.full_entries);
-        assert!((0.0..=1.0).contains(&report.savings));
+    fn derivations_refuse_what_no_label_list_can_hold() {
+        let mut out = Vec::new();
+        // A hub v_o does not outrank: the self entry would sort before it.
+        assert!(!derive_in_of_vo(&[e(0, 1, 1), e(6, 1, 1)], 5, &mut out));
+        assert!(!derive_in_of_vo(&[e(5, 1, 1)], 5, &mut out));
+        assert!(!derive_out_of_vi(&[e(6, 1, 1)], 4, 5, &mut out));
+        // A distance whose shift leaves the 17-bit field.
+        assert!(!derive_in_of_vo(&[e(0, MAX_DIST, 1)], 5, &mut out));
+        assert!(!derive_out_of_vi(&[e(0, MAX_DIST, 1)], 4, 5, &mut out));
+        // A skipped entry is never shifted, so it cannot overflow.
+        assert!(derive_out_of_vi(&[e(4, MAX_DIST, 1)], 4, 5, &mut out));
+        // A self rank past the hub field.
+        assert!(!derive_in_of_vo(&[], u32::MAX, &mut out));
     }
 }

@@ -10,7 +10,7 @@
 //! Layout (little-endian):
 //!
 //! ```text
-//! magic      "CSCIDX\x04\n"                     8 bytes
+//! magic      "CSCIDX\x05\n"                     8 bytes
 //! total_len  whole-file length, magic included  u64
 //! sections, in fixed order, each framed as:
 //!   tag      section id                         u8
@@ -26,7 +26,18 @@
 //! | 3   | ranks    | `vertex_at[rank]` `u32` × 2n |
 //! | 4   | config   | ordering, update strategy, inverted flag, snapshot interval, rebuild policy, durability knobs, parallelism width, resource guards |
 //! | 5   | baseline | entries ×3 `u64`, vertices `u32`, rejuvenations `u32` |
-//! | 6   | labels   | per bipartite vertex and side: len `u32`, entries `u64` × len |
+//! | 6   | labels   | per original vertex `v`, `L_out(v_o)` then `L_in(v_i)`: len `u32`, entries `u64` × len |
+//!
+//! The labels section holds only the two lists a cycle query reads, in
+//! the snapshot arena's couple order. The other two lists of each couple
+//! are their copies one hop along the couple edge, and decoding derives
+//! them (the paper's index reduction, Section IV-E):
+//!
+//! * `L_in(v_o)  = shift₊₁(L_in(v_i)) ++ (v_o, 0, 1)`
+//! * `L_out(v_i) = shift₊₁(L_out(v_o) minus hubs v_i and v_o) ++ (v_i, 0, 1)`
+//!
+//! so a checkpoint is about half the label store. Debug builds check,
+//! before every encode, that the stored copies equal their derivation.
 //!
 //! Encoding writes every section in place into one output buffer sized up
 //! front: the frame's length and CRC go in over placeholder bytes once
@@ -39,7 +50,9 @@
 //! against the remaining buffer *before* allocating, and every payload
 //! must match its CRC before it is parsed. A corrupted file therefore
 //! reports *which* section is damaged. Label lists are checked whole and
-//! then installed with one [`Labels::extend_sorted`] each.
+//! then installed with one [`Labels::extend_sorted`] each; a derived list
+//! that would be unsorted, or whose shifted distance would pass
+//! `MAX_DIST`, is corrupt too.
 //!
 //! The rank table is persisted verbatim — after a rejuvenation it is the
 //! *recomputed* order, not a derivable one — and the health baseline
@@ -47,10 +60,13 @@
 //! rebuild, not from the load. The inverted indexes are reconstructed on
 //! load (derived data, compresses poorly).
 //!
-//! (Format `\x03` predates the section framing and checksums, `\x02` the
-//! rebuild policy and health baseline, `\x01` the snapshot refresh
-//! interval; there are no persisted older indexes to migrate, so all are
-//! rejected with a version message.)
+//! Format `\x04` differs only in its labels section, which holds all four
+//! lists of every bipartite vertex (per vertex, in-list then out-list);
+//! it still loads, its lists read verbatim, so an existing durability
+//! directory recovers. (Format `\x03` predates the section framing and
+//! checksums, `\x02` the rebuild policy and health baseline, `\x01` the
+//! snapshot refresh interval; there are no persisted older indexes to
+//! migrate, so all are rejected with a version message.)
 
 use crate::build::CoupleBfs;
 use crate::config::{
@@ -63,14 +79,18 @@ use crate::guard::RetryPolicy;
 use crate::health::{HealthBaseline, RebuildPolicy};
 use crate::index::CscIndex;
 use crate::invert::InvertedIndex;
+use crate::reduction::{derive_in_of_vo, derive_out_of_vi, first_unpaired, query_lists};
 use crate::stats::IndexStats;
 use bytes::{Buf, BufMut, Bytes};
-use csc_graph::bipartite::BipartiteGraph;
+use csc_graph::bipartite::{in_vertex, out_vertex, BipartiteGraph};
 use csc_graph::{DiGraph, OrderingStrategy, RankTable, VertexId};
 use csc_labeling::{LabelEntry, LabelSide, Labels};
 use std::time::Duration;
 
-const MAGIC: &[u8; 8] = b"CSCIDX\x04\n";
+const MAGIC: &[u8; 8] = b"CSCIDX\x05\n";
+
+/// The previous format: its labels section holds all four lists.
+const MAGIC_FOUR_LISTS: &[u8; 8] = b"CSCIDX\x04\n";
 
 const TAG_HEADER: u8 = 1;
 const TAG_EDGES: u8 = 2;
@@ -188,6 +208,52 @@ fn need(buf: &[u8], n: usize, name: &str, what: &str) -> Result<(), CscError> {
     }
 }
 
+/// Pops one label list of vertex `v` off `p` — a `u32` length, then that
+/// many raw entries — after checking that every hub rank is below `two_n`
+/// and strictly above the one before it.
+fn take_list<'a>(
+    p: &mut &'a [u8],
+    two_n: usize,
+    v: VertexId,
+) -> Result<impl ExactSizeIterator<Item = LabelEntry> + 'a, CscError> {
+    need(p, 4, "labels", "list length")?;
+    let len = p.get_u32_le() as usize;
+    need(p, len.saturating_mul(8), "labels", "list entries")?;
+    let (list, tail) = p.split_at(len * 8);
+    *p = tail;
+    let entry = |raw: &[u8]| {
+        LabelEntry::from_raw(u64::from_le_bytes(raw.try_into().expect("8-byte chunk")))
+    };
+    // Validate the raw list whole, so the caller installs it in one go.
+    let mut prev: Option<u32> = None;
+    for raw in list.chunks_exact(8) {
+        let hub = entry(raw).hub_rank();
+        if hub as usize >= two_n {
+            return Err(CscError::corrupt(
+                "labels",
+                format!("vertex {v}: hub rank {hub} out of range"),
+            ));
+        }
+        if prev.is_some_and(|r| r >= hub) {
+            return Err(CscError::corrupt(
+                "labels",
+                format!("label list of vertex {v} is not sorted"),
+            ));
+        }
+        prev = Some(hub);
+    }
+    Ok(list.chunks_exact(8).map(entry))
+}
+
+/// The error for original vertex `v`, whose stored lists derive no valid
+/// `list`.
+fn underivable(v: u32, list: &str) -> CscError {
+    CscError::corrupt(
+        "labels",
+        format!("original vertex {v}: {list} derives no sorted, in-range label list"),
+    )
+}
+
 impl CscIndex {
     /// Serializes the index to a byte buffer (the checkpoint format).
     ///
@@ -212,11 +278,19 @@ impl CscIndex {
         let baseline_vertices = u32::try_from(self.baseline.vertices)
             .map_err(|_| CscError::Serial("baseline vertex count exceeds u32".into()))?;
 
+        debug_assert_eq!(
+            first_unpaired(&self.labels, &self.ranks),
+            None,
+            "the couple copies differ from their derivation"
+        );
+        let query_entries: usize = query_lists(n)
+            .map(|(v, side)| self.labels.side_of(v, side).len())
+            .sum();
         // Magic and length, six section frames, and the payloads: header
         // 12, edges 8m, ranks 8n, config 88, baseline 32, and labels 4 per
-        // list (4n lists) plus 8 per entry.
-        let size = 16 + 6 * 13 + 12 + m * 8 + two_n * 4 + 88 + 32 + two_n * 8;
-        let size = size + self.total_entries() * 8;
+        // list (2n query lists) plus 8 per entry.
+        let size = 16 + 6 * 13 + 12 + m * 8 + two_n * 4 + 88 + 32 + two_n * 4;
+        let size = size + query_entries * 8;
         let mut buf = Vec::with_capacity(size);
         buf.put_slice(MAGIC);
         buf.put_u64_le(0); // the total length, filled in last
@@ -292,16 +366,14 @@ impl CscIndex {
             b.put_u32_le(self.baseline.rejuvenations);
         });
         put_section(&mut buf, TAG_LABELS, |b| {
-            for v in 0..two_n as u32 {
-                for side in [LabelSide::In, LabelSide::Out] {
-                    let list = self.labels.side_of(VertexId(v), side);
-                    b.put_u32_le(list.len() as u32);
-                    // A list at a time: grow once, then fill in place.
-                    let at = b.len();
-                    b.resize(at + list.len() * 8, 0);
-                    for (out, e) in b[at..].chunks_exact_mut(8).zip(list) {
-                        out.copy_from_slice(&e.raw().to_le_bytes());
-                    }
+            for (v, side) in query_lists(n) {
+                let list = self.labels.side_of(v, side);
+                b.put_u32_le(list.len() as u32);
+                // A list at a time: grow once, then fill in place.
+                let at = b.len();
+                b.resize(at + list.len() * 8, 0);
+                for (out, e) in b[at..].chunks_exact_mut(8).zip(list) {
+                    out.copy_from_slice(&e.raw().to_le_bytes());
                 }
             }
         });
@@ -312,7 +384,8 @@ impl CscIndex {
     }
 
     /// Deserializes an index from bytes produced by
-    /// [`to_bytes`](Self::to_bytes).
+    /// [`to_bytes`](Self::to_bytes), or by the previous format, `\x04`,
+    /// whose labels section holds all four lists.
     ///
     /// # Errors
     ///
@@ -330,11 +403,12 @@ impl CscIndex {
                 format!("file truncated before magic ({} bytes)", bytes.len()),
             ));
         }
-        if &bytes[..8] != MAGIC {
+        let four_lists = &bytes[..8] == MAGIC_FOUR_LISTS;
+        if &bytes[..8] != MAGIC && !four_lists {
             if bytes[..6] == MAGIC[..6] {
                 return Err(CscError::Serial(format!(
-                    "unsupported CSC index format version {} (this build reads {})",
-                    bytes[6], MAGIC[6]
+                    "unsupported CSC index format version {} (this build reads {} and {})",
+                    bytes[6], MAGIC_FOUR_LISTS[6], MAGIC[6]
                 )));
             }
             return Err(CscError::Serial("bad magic (not a CSC index)".into()));
@@ -414,6 +488,7 @@ impl CscIndex {
             seen[v] = true;
             order.push(VertexId(v as u32));
         }
+        let ranks = RankTable::from_order(&order);
 
         let mut p = take_section(&mut rest, TAG_CONFIG, "config")?;
         need(p, 39, "config", "knobs")?;
@@ -511,36 +586,30 @@ impl CscIndex {
 
         let mut p = take_section(&mut rest, TAG_LABELS, "labels")?;
         let mut labels = Labels::new(two_n);
-        let entry = |raw: &[u8]| {
-            LabelEntry::from_raw(u64::from_le_bytes(raw.try_into().expect("8-byte chunk")))
-        };
-        for v in 0..two_n as u32 {
-            let v = VertexId(v);
-            for side in [LabelSide::In, LabelSide::Out] {
-                need(p, 4, "labels", "list length")?;
-                let len = p.get_u32_le() as usize;
-                need(p, len.saturating_mul(8), "labels", "list entries")?;
-                let (list, tail) = p.split_at(len * 8);
-                p = tail;
-                // Validate the raw list whole, then install it in one go.
-                let mut prev: Option<u32> = None;
-                for raw in list.chunks_exact(8) {
-                    let hub = entry(raw).hub_rank();
-                    if hub as usize >= two_n {
-                        return Err(CscError::corrupt(
-                            "labels",
-                            format!("vertex {v}: hub rank {hub} out of range"),
-                        ));
-                    }
-                    if prev.is_some_and(|r| r >= hub) {
-                        return Err(CscError::corrupt(
-                            "labels",
-                            format!("label list of vertex {v} is not sorted"),
-                        ));
-                    }
-                    prev = Some(hub);
+        if four_lists {
+            for v in 0..two_n as u32 {
+                let v = VertexId(v);
+                for side in [LabelSide::In, LabelSide::Out] {
+                    labels.extend_sorted(v, side, take_list(&mut p, two_n, v)?);
                 }
-                labels.extend_sorted(v, side, list.chunks_exact(8).map(entry));
+            }
+        } else {
+            // Each couple's copies are derived while its two stored lists
+            // are still in cache.
+            let mut derived = Vec::new();
+            for v in 0..n as u32 {
+                let (vi, vo) = (in_vertex(VertexId(v)), out_vertex(VertexId(v)));
+                labels.extend_sorted(vo, LabelSide::Out, take_list(&mut p, two_n, vo)?);
+                labels.extend_sorted(vi, LabelSide::In, take_list(&mut p, two_n, vi)?);
+                let (ri, ro) = (ranks.rank(vi), ranks.rank(vo));
+                if !derive_in_of_vo(labels.in_of(vi), ro, &mut derived) {
+                    return Err(underivable(v, "L_in(v_o)"));
+                }
+                labels.extend_sorted(vo, LabelSide::In, derived.iter().copied());
+                if !derive_out_of_vi(labels.out_of(vo), ri, ro, &mut derived) {
+                    return Err(underivable(v, "L_out(v_i)"));
+                }
+                labels.extend_sorted(vi, LabelSide::Out, derived.iter().copied());
             }
         }
         if !p.is_empty() {
@@ -556,11 +625,6 @@ impl CscIndex {
             ));
         }
 
-        let ranks = if order.is_empty() {
-            RankTable::from_order(&[])
-        } else {
-            RankTable::from_order(&order)
-        };
         let gb = BipartiteGraph::from_graph(&g);
         let inverted = maintain_inverted.then(|| InvertedIndex::from_labels(&labels));
         Ok(CscIndex {
@@ -584,7 +648,7 @@ mod tests {
     use crate::batch::GraphUpdate;
     use crate::verify::verify_index;
     use csc_graph::fixtures::figure2;
-    use csc_graph::generators::gnm;
+    use csc_graph::generators::{directed_cycle, gnm};
 
     #[test]
     fn roundtrip_static_index() {
@@ -859,9 +923,10 @@ mod tests {
         // The on-disk format, pinned by length and whole-file CRC: every
         // checkpoint already on disk depends on these bytes, so the
         // encoder may change how it writes them, never what it writes.
+        // (The `\x04` pin lives on in the legacy fixture's test.)
         let idx = CscIndex::build(&figure2(), CscConfig::default()).unwrap();
         let bytes = idx.to_bytes().unwrap();
-        assert_eq!((bytes.len(), crc32(&bytes)), (1_626, 0x2eab_6e51));
+        assert_eq!((bytes.len(), crc32(&bytes)), (986, 0x28f2_a982));
 
         let mut idx = CscIndex::build(&gnm(300, 1200, 7), CscConfig::default()).unwrap();
         let mut window: Vec<GraphUpdate> = idx
@@ -876,7 +941,137 @@ mod tests {
         ]);
         idx.apply_batch(&window).unwrap();
         let bytes = idx.to_bytes().unwrap();
-        assert_eq!((bytes.len(), crc32(&bytes)), (424_162, 0x0223_b27f));
+        assert_eq!((bytes.len(), crc32(&bytes)), (217_130, 0x0520_9072));
+    }
+
+    /// The parent format's encoding of the figure-2 index, written before
+    /// the labels section dropped the couple copies.
+    const FIGURE2_FOUR_LISTS: &[u8] = include_bytes!("../testdata/figure2-v4.cscidx");
+
+    #[test]
+    fn a_four_list_checkpoint_still_loads_and_reencodes_in_the_current_format() {
+        // The `\x04` pin: these are the bytes that format wrote.
+        assert_eq!(
+            (FIGURE2_FOUR_LISTS.len(), crc32(FIGURE2_FOUR_LISTS)),
+            (1_626, 0x2eab_6e51)
+        );
+        assert_eq!(&FIGURE2_FOUR_LISTS[..8], MAGIC_FOUR_LISTS);
+        let fresh = CscIndex::build(&figure2(), CscConfig::default()).unwrap();
+        let back = CscIndex::from_bytes(FIGURE2_FOUR_LISTS).unwrap();
+        assert_eq!(back.labels(), fresh.labels());
+        assert_eq!(back.ranks(), fresh.ranks());
+        assert_eq!(back.config(), fresh.config());
+        let bytes = back.to_bytes().unwrap();
+        assert_eq!(&bytes[..8], MAGIC);
+        assert_eq!(bytes, fresh.to_bytes().unwrap());
+    }
+
+    #[test]
+    fn roundtrip_derives_the_couple_copies_of_static_indexes() {
+        for g in [figure2(), gnm(30, 120, 4), directed_cycle(8)] {
+            let idx = CscIndex::build(&g, CscConfig::default()).unwrap();
+            assert_eq!(first_unpaired(idx.labels(), idx.ranks()), None);
+            // Decoding reproduces the full label set bit for bit.
+            let back = CscIndex::from_bytes(&idx.to_bytes().unwrap()).unwrap();
+            assert_eq!(back.labels(), idx.labels());
+            for v in g.vertices() {
+                assert_eq!(back.query(v), idx.query(v), "SCCnt({v})");
+            }
+        }
+    }
+
+    #[test]
+    fn roundtrip_derives_the_couple_copies_after_dynamic_history() {
+        // Updates keep the couple pairing: decoding reproduces the
+        // maintained labels, and queries match.
+        let g = DiGraph::from_edges(5, vec![(0, 1), (1, 2), (2, 3), (3, 4)]);
+        let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
+        idx.insert_edge(VertexId(4), VertexId(0)).unwrap();
+        idx.insert_edge(VertexId(2), VertexId(0)).unwrap();
+        idx.remove_edge(VertexId(2), VertexId(0)).unwrap();
+        assert_eq!(first_unpaired(idx.labels(), idx.ranks()), None);
+        let back = CscIndex::from_bytes(&idx.to_bytes().unwrap()).unwrap();
+        assert_eq!(back.labels(), idx.labels());
+        for v in 0..5 {
+            assert_eq!(back.query(VertexId(v)), idx.query(VertexId(v)));
+        }
+    }
+
+    /// `bytes` with its labels section's payload replaced by the query
+    /// lists `lists` holds (keyed by their position in couple order),
+    /// re-framed and re-checksummed so only the label checks can object.
+    fn with_query_lists(bytes: &[u8], lists: &[Vec<LabelEntry>]) -> Vec<u8> {
+        let mut off = 16;
+        for _ in 0..5 {
+            let len = u64::from_le_bytes(bytes[off + 1..off + 9].try_into().unwrap());
+            off += 13 + len as usize;
+        }
+        assert_eq!(bytes[off], TAG_LABELS);
+        let mut out = bytes[..off].to_vec();
+        put_section(&mut out, TAG_LABELS, |b| {
+            for list in lists {
+                b.put_u32_le(list.len() as u32);
+                for e in list {
+                    b.put_u64_le(e.raw());
+                }
+            }
+        });
+        let total = out.len() as u64;
+        out[8..16].copy_from_slice(&total.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn query_lists_that_derive_no_label_list_are_corrupt() {
+        use csc_labeling::MAX_DIST;
+
+        let idx = CscIndex::build(&figure2(), CscConfig::default()).unwrap();
+        let bytes = idx.to_bytes().unwrap();
+        let lists: Vec<Vec<LabelEntry>> = query_lists(idx.original_vertex_count())
+            .map(|(v, side)| idx.labels().side_of(v, side).to_vec())
+            .collect();
+        assert_eq!(with_query_lists(&bytes, &lists), bytes.to_vec());
+        // Positions in couple order of the query lists of the original
+        // vertex whose `v_i` holds `rank`: `L_out(v_o)`, then `L_in(v_i)`.
+        let at_rank = |rank| {
+            let v = idx.ranks().vertex_at_rank(rank).0 as usize / 2;
+            (2 * v, 2 * v + 1)
+        };
+        let lowest = 2 * idx.original_vertex_count() as u32 - 1;
+        let entry = |hub, dist| LabelEntry::new(hub, dist, 1).unwrap();
+        let mut crafted = Vec::new();
+        // `L_in(v_i)` gains a hub `v_o` outranks: sorted and in range as
+        // stored, but `v_o`'s self entry would sort before its shift.
+        let (out_vo, in_vi) = at_rank(0);
+        let mut outranked = lists.clone();
+        outranked[in_vi].push(entry(lowest, 3));
+        crafted.push(outranked);
+        // The same on `L_out(v_o)`, whose kept hubs must outrank `v_i`.
+        let mut outranked = lists.clone();
+        outranked[out_vo].push(entry(lowest, 3));
+        crafted.push(outranked);
+        // An entry at `MAX_DIST`: its one-hop shift leaves the field.
+        let mut too_far = lists.clone();
+        too_far[in_vi][0] = entry(too_far[in_vi][0].hub_rank(), MAX_DIST);
+        crafted.push(too_far);
+        // The same on `L_out(v_o)`, at hub rank 0, which the `v_i` at
+        // rank 2 does not outrank.
+        let (out_vo, _) = at_rank(2);
+        let mut too_far = lists.clone();
+        too_far[out_vo].retain(|e| e.hub_rank() != 0);
+        too_far[out_vo].insert(0, entry(0, MAX_DIST));
+        crafted.push(too_far);
+        for (case, lists) in crafted.into_iter().enumerate() {
+            let file = with_query_lists(&bytes, &lists);
+            match std::panic::catch_unwind(move || CscIndex::from_bytes(&file)) {
+                Ok(Err(CscError::Corrupt { section, detail })) => {
+                    assert_eq!(section, "labels", "case {case}: {detail}");
+                    assert!(detail.contains("derives no"), "case {case}: {detail}");
+                }
+                Ok(other) => panic!("case {case}: expected Corrupt, got {other:?}"),
+                Err(_) => panic!("case {case}: the loader panicked"),
+            }
+        }
     }
 
     #[test]

@@ -14,18 +14,26 @@
 //! equivalence of this path with `CscIndex::query` is property-tested in
 //! `csc-labeling/tests/frozen_equivalence.rs`.
 //!
+//! The arena is the paper's reduced index (Section IV-E): it holds exactly
+//! the two lists a cycle query reads, `L_out(v_o)` and `L_in(v_i)` per
+//! original vertex, in couple order, and leaves `L_in(v_o)` and
+//! `L_out(v_i)` — copies of those two, one hop along the couple edge —
+//! empty. It is therefore about half the label store, and so is every
+//! copy of it a publish or compaction makes.
+//!
 //! Snapshots are produced two ways: [`SnapshotIndex::freeze`] walks the
-//! whole label store into one segment, while
+//! query lists of the label store into one segment, while
 //! [`SnapshotIndex::refreeze_from`] shares every segment of a previous
-//! snapshot and copies only the lists dirtied since into one new delta
-//! segment — the incremental republication path of
+//! snapshot and copies only the query lists dirtied since into one new
+//! delta segment — the incremental republication path of
 //! [`ConcurrentIndex`](crate::ConcurrentIndex). It compacts back to a full
 //! couple-ordered freeze once relocation holes exceed
 //! [`MAX_DEAD_FRACTION`] of the arena or the segments reach
-//! [`MAX_SEGMENTS`], and freezes whole when every list is dirty.
+//! [`MAX_SEGMENTS`], and freezes whole when every query list is dirty.
 
 use crate::health::{HealthBaseline, IndexHealth};
 use crate::index::CscIndex;
+use crate::reduction::{is_query_slot, query_lists};
 use csc_graph::bipartite::{in_vertex, out_vertex};
 use csc_graph::VertexId;
 use csc_labeling::{CycleCount, DistCount, FrozenLabels, LabelEntry, LabelSide, LabelStore};
@@ -68,18 +76,22 @@ pub struct SnapshotIndex {
     frozen: FrozenLabels,
     original_n: usize,
     updates_applied: u64,
+    /// The source index's in- and out-list entries (all four lists of
+    /// every couple) at freeze time; the arena holds about half.
+    in_entries: usize,
+    out_entries: usize,
     /// The source index's drift baseline at freeze time, so the snapshot
     /// can report its own [`health`](SnapshotIndex::health).
     baseline: HealthBaseline,
 }
 
 impl SnapshotIndex {
-    /// Freezes the current state of `index`. `O(total label entries)`.
+    /// Freezes the current state of `index`. `O(query-list entries)`.
     ///
-    /// The arena is laid out in couple-query order — `Lout(v_o)` directly
-    /// followed by `Lin(v_i)` for every original vertex `v` — so each
-    /// `SCCnt(v)` intersection reads one contiguous, prefetcher-friendly
-    /// region.
+    /// The arena holds the query lists only, laid out in couple-query
+    /// order — `Lout(v_o)` directly followed by `Lin(v_i)` for every
+    /// original vertex `v` — so each `SCCnt(v)` intersection reads one
+    /// contiguous, prefetcher-friendly region.
     pub fn freeze(index: &CscIndex) -> Self {
         Self::freeze_into(index, Vec::new())
     }
@@ -87,35 +99,30 @@ impl SnapshotIndex {
     /// [`freeze`](Self::freeze) into the allocation of `buffer` (see
     /// [`FrozenLabels::freeze_ordered_into`]).
     pub(crate) fn freeze_into(index: &CscIndex, buffer: Vec<LabelEntry>) -> Self {
-        let n = index.original_vertex_count();
-        let couple_order = (0..n as u32).flat_map(|v| {
-            let v = VertexId(v);
-            [
-                (out_vertex(v), LabelSide::Out),
-                (in_vertex(v), LabelSide::In),
-            ]
-        });
+        let lists = query_lists(index.original_vertex_count());
         Self::from_arena(
-            FrozenLabels::freeze_ordered_into(index.labels(), couple_order, buffer),
+            FrozenLabels::freeze_ordered_into(index.labels(), lists, buffer),
             index,
         )
     }
 
     /// Freezes the current state of `index` *incrementally*: only the
-    /// label lists in `dirty_slots` (the drain of
+    /// query lists among `dirty_slots` (the drain of
     /// [`Labels::take_dirty`](csc_labeling::Labels::take_dirty) since
     /// `prev` was frozen) are re-gathered, into one new arena segment;
     /// every segment of `prev` is shared, not copied. `O(span table +
     /// changed entries)`, independent of the arena size, where
-    /// [`freeze`](Self::freeze) re-walks all `2n` heap-scattered lists.
+    /// [`freeze`](Self::freeze) re-walks all `2n` heap-scattered query
+    /// lists. A dirty `L_in(v_o)` or `L_out(v_i)` costs nothing: the arena
+    /// does not hold it.
     ///
     /// Falls back to a full couple-ordered freeze when relocation holes
     /// would exceed [`MAX_DEAD_FRACTION`] of the arena or `prev` already
     /// holds [`MAX_SEGMENTS`] segments, so chains of incremental snapshots
     /// stay bounded in size, segment count, and layout quality. A publish
-    /// that rewrites every list (the deletion rebuild fallback marks the
-    /// whole store dirty) freezes whole too: a delta would copy the same
-    /// entries and leave every segment of `prev` fully dead.
+    /// that rewrites every query list (the deletion rebuild fallback marks
+    /// the whole store dirty) freezes whole too: a delta would copy the
+    /// same entries and leave every segment of `prev` fully dead.
     ///
     /// Correctness requires `prev` to match the label store as of the
     /// drain point — [`ConcurrentIndex`](crate::ConcurrentIndex) maintains
@@ -136,24 +143,27 @@ impl SnapshotIndex {
         dirty_slots: &[u32],
         buffer: &mut Vec<LabelEntry>,
     ) -> Self {
+        let dirty: Vec<u32> = dirty_slots
+            .iter()
+            .copied()
+            .filter(|&slot| is_query_slot(slot))
+            .collect();
         // Project the dead fraction in O(dirty) first: when this publish
         // would cross a compaction threshold, go straight to the full
         // freeze instead of building a delta only to discard it.
-        let (dead, total) = prev.frozen.projected_refreeze(index.labels(), dirty_slots);
-        if dirty_slots.len() == 2 * index.labels().vertex_count()
+        let (dead, total) = prev.frozen.projected_refreeze(index.labels(), &dirty);
+        if dirty.len() == 2 * index.original_vertex_count()
             || prev.frozen.segment_count() >= MAX_SEGMENTS
             || (total > 0 && dead as f64 / total as f64 > MAX_DEAD_FRACTION)
         {
-            let entries = index.labels().total_entries();
+            // The live entries after this publish: what a full freeze packs.
+            let entries = total - dead;
             if buffer.capacity() < entries {
                 *buffer = Vec::with_capacity(entries + entries / 8);
             }
             return Self::freeze_into(index, std::mem::take(buffer));
         }
-        Self::from_arena(
-            prev.frozen.refreeze_spans(index.labels(), dirty_slots),
-            index,
-        )
+        Self::from_arena(prev.frozen.refreeze_spans(index.labels(), &dirty), index)
     }
 
     /// Takes back the allocation of the largest arena segment no other
@@ -164,10 +174,13 @@ impl SnapshotIndex {
 
     fn from_arena(frozen: FrozenLabels, index: &CscIndex) -> Self {
         let stats = index.stats();
+        let labels = index.labels();
         SnapshotIndex {
             frozen,
             original_n: index.original_vertex_count(),
             updates_applied: (stats.insertions + stats.deletions) as u64,
+            in_entries: labels.side_entries(LabelSide::In),
+            out_entries: labels.side_entries(LabelSide::Out),
             baseline: *index.baseline(),
         }
     }
@@ -215,14 +228,18 @@ impl SnapshotIndex {
         self.original_n
     }
 
-    /// The frozen label arena.
+    /// The frozen label arena. It holds the query lists only:
+    /// `out_of(v_o)` and `in_of(v_i)` answer as the source index did, while
+    /// `in_of(v_o)` and `out_of(v_i)` are empty (see the module docs).
     pub fn labels(&self) -> &FrozenLabels {
         &self.frozen
     }
 
-    /// Total label entries in the snapshot.
+    /// Total label entries of the index this snapshot was frozen from, all
+    /// four lists of every couple; the arena holds about half of them
+    /// (`labels().total_entries()`).
     pub fn total_entries(&self) -> usize {
-        self.frozen.total_entries()
+        self.in_entries + self.out_entries
     }
 
     /// Snapshot size in bytes (arena segments + spans).
@@ -238,16 +255,16 @@ impl SnapshotIndex {
     }
 
     /// The snapshot's drift report against the baseline it was frozen
-    /// with: per-side label growth, real arena dead space, and the
-    /// bottom-ranked churn count. The maintenance-plane fields
-    /// (`replay_queued`, `rebuilding`) are always idle here — a snapshot
-    /// is a point in time, not a write plane.
+    /// with: per-side label growth of the source index at freeze time,
+    /// real arena dead space, and the bottom-ranked churn count. The
+    /// maintenance-plane fields (`replay_queued`, `rebuilding`) are always
+    /// idle here — a snapshot is a point in time, not a write plane.
     pub fn health(&self) -> IndexHealth {
-        let total = self.frozen.total_entries();
+        let total = self.total_entries();
         IndexHealth {
             total_entries: total,
-            in_entries: self.frozen.side_entries(LabelSide::In),
-            out_entries: self.frozen.side_entries(LabelSide::Out),
+            in_entries: self.in_entries,
+            out_entries: self.out_entries,
             baseline_entries: self.baseline.entries,
             baseline_in_entries: self.baseline.in_entries,
             baseline_out_entries: self.baseline.out_entries,
@@ -279,6 +296,7 @@ impl CscIndex {
 mod tests {
     use super::*;
     use crate::config::CscConfig;
+    use csc_graph::fixtures::figure2;
     use csc_graph::generators::{directed_cycle, gnm};
     use csc_graph::traversal::shortest_cycle_oracle;
 
@@ -338,6 +356,45 @@ mod tests {
         }
     }
 
+    /// The arena holds exactly the query lists of `idx`, and nothing in
+    /// the slots of the couple copies.
+    fn assert_holds_only_the_query_lists(snap: &SnapshotIndex, idx: &CscIndex) {
+        let arena = snap.labels();
+        for slot in 0..2 * idx.labels.vertex_count() as u32 {
+            let (v, side) = csc_labeling::slot_list(slot);
+            let want = if is_query_slot(slot) {
+                idx.labels.side_of(v, side)
+            } else {
+                &[]
+            };
+            assert_eq!(arena.side_of(v, side), want, "{v:?}/{side:?}");
+        }
+    }
+
+    #[test]
+    fn the_arena_holds_only_the_query_lists() {
+        for g in [
+            figure2(),
+            gnm(30, 120, 4),
+            directed_cycle(8),
+            gnm(20, 80, 7),
+        ] {
+            let idx = CscIndex::build(&g, CscConfig::default()).unwrap();
+            let snap = idx.freeze();
+            assert_holds_only_the_query_lists(&snap, &idx);
+            // The snapshot reports its index's entries; its arena keeps
+            // the reduced index, a large fraction smaller.
+            assert_eq!(snap.total_entries(), idx.total_entries());
+            let kept = snap.labels().total_entries();
+            let savings = 1.0 - kept as f64 / idx.total_entries() as f64;
+            assert!((0.3..=1.0).contains(&savings), "{savings}");
+            assert_eq!(snap.index_bytes(), snap.labels().arena_bytes());
+            for v in g.vertices() {
+                assert_eq!(snap.query(v), idx.query(v), "SCCnt({v})");
+            }
+        }
+    }
+
     #[test]
     fn refreeze_tracks_updates_like_a_full_freeze() {
         let g = gnm(30, 100, 7);
@@ -359,6 +416,7 @@ mod tests {
             assert_eq!(snap.original_vertex_count(), full.original_vertex_count());
             assert_eq!(snap.total_entries(), full.total_entries());
             assert_eq!(snap.updates_applied(), full.updates_applied());
+            assert_holds_only_the_query_lists(&snap, &idx);
             for x in 0..snap.original_vertex_count() as u32 {
                 let x = VertexId(x);
                 assert_eq!(snap.query(x), full.query(x), "step {k}: SCCnt({x})");
@@ -428,10 +486,11 @@ mod tests {
         let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
         idx.labels.take_dirty();
         let mut snap = idx.freeze();
-        // Re-storing an entry of the shortest non-empty list dirties just
-        // that slot: every publish stacks a one-list delta, and dead space
-        // stays far below MAX_DEAD_FRACTION.
+        // Re-storing an entry of the shortest non-empty query list dirties
+        // just that slot: every publish stacks a one-list delta, and dead
+        // space stays far below MAX_DEAD_FRACTION.
         let (v, side) = (0..2 * idx.labels.vertex_count() as u32)
+            .filter(|&slot| is_query_slot(slot))
             .map(csc_labeling::labels::slot_list)
             .filter(|&(v, side)| !idx.labels.side_of(v, side).is_empty())
             .min_by_key(|&(v, side)| idx.labels.side_of(v, side).len())

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! <dir>/wal.log                      the live write-ahead log
-//! <dir>/checkpoint-<seq>.cscidx      serialized CscIndex (CSCIDX\x04)
+//! <dir>/checkpoint-<seq>.cscidx      serialized CscIndex (CSCIDX\x05; \x04 still loads)
 //! <dir>/checkpoint-<seq>.tmp         in-flight checkpoint (ignored)
 //! ```
 //!

@@ -8,16 +8,19 @@
 //! out-list and `v_i`'s in-list) land far apart on the heap.
 //!
 //! [`FrozenLabels`] is the serving-side counterpart: a full freeze packs
-//! every list into one contiguous CSR-style segment of [`LabelEntry`]s
-//! with one span per list, in one pass over a `Labels`. Per vertex, the
-//! in-list and out-list are adjacent in the segment, and couples
-//! (`v_i = 2v`, `v_o = 2v + 1` under the bipartite id scheme) are adjacent
-//! to each other — so the two slices a `SCCnt(v)` query intersects usually
-//! share cache lines. Once frozen, an arena can also be *extended* instead
-//! of rebuilt: [`refreeze_spans`](FrozenLabels::refreeze_spans) copies the
-//! lists a batch of updates dirtied into one new delta segment and shares
-//! every existing segment, immutable and reference-counted, with the arena
-//! it came from. A snapshot republication therefore costs the span table
+//! the lists it is given, in the order given, into one contiguous
+//! CSR-style segment of [`LabelEntry`]s with one span per list, in one
+//! pass over a `Labels`; a list it is not given stays empty in the arena.
+//! [`freeze`](FrozenLabels::freeze) gives it every list. The cycle query
+//! engine in `csc-core` gives it only the two lists a `SCCnt(v)` query
+//! intersects, `v_o`'s out-list then `v_i`'s in-list (`v_i = 2v`,
+//! `v_o = 2v + 1` under the bipartite id scheme), so those two slices sit
+//! back to back and the arena is about half the store. Once frozen, an
+//! arena can also be *extended* instead of rebuilt:
+//! [`refreeze_spans`](FrozenLabels::refreeze_spans) copies the lists a
+//! batch of updates dirtied into one new delta segment and shares every
+//! existing segment, immutable and reference-counted, with the arena it
+//! came from. A snapshot republication therefore costs the span table
 //! plus the dirtied lists — proportional to the update, not the index —
 //! and snapshots that readers still hold share memory with the new one.
 //! A retired arena can hand its largest unshared segment back
@@ -147,17 +150,18 @@ impl LabelStore for Labels {
 /// per list.
 ///
 /// Per slot (vertex × side) a span addresses the list's slice inside one
-/// segment. Segment 0 holds a full freeze, every list packed back to back:
-/// the default [`freeze`] interleaves each vertex's in- and out-list;
-/// [`freeze_ordered`] lets the caller place the lists its queries
-/// co-access back to back (the cycle query engine in `csc-core` pairs
-/// `Lout(v_o)` with `Lin(v_i)`, turning every `SCCnt` evaluation into one
-/// forward streaming read). Each [`refreeze_spans`] adds one delta segment
-/// holding the lists it re-gathered. A segment is never written after it
-/// is built, so arena generations share them: a clone copies the span
-/// table and bumps one reference count per segment. Freezing is
-/// `O(total entries)`; queries allocate nothing and resolve a list through
-/// its span and the segment table.
+/// segment. Segment 0 holds a full freeze, its lists packed back to back:
+/// [`freeze`] packs every list, each vertex's in-list then out-list;
+/// [`freeze_ordered`] packs only the lists the caller names, in its order,
+/// so the lists a query co-accesses sit back to back and the lists no
+/// query reads take no space (the cycle query engine in `csc-core` packs
+/// `Lout(v_o)` then `Lin(v_i)` per vertex, turning every `SCCnt`
+/// evaluation into one forward streaming read). Each [`refreeze_spans`]
+/// adds one delta segment holding the lists it re-gathered. A segment is
+/// never written after it is built, so arena generations share them: a
+/// clone copies the span table and bumps one reference count per segment.
+/// Freezing is `O(packed entries)`; queries allocate nothing and resolve a
+/// list through its span and the segment table.
 ///
 /// [`freeze`]: FrozenLabels::freeze
 /// [`freeze_ordered`]: FrozenLabels::freeze_ordered
@@ -211,7 +215,9 @@ impl Span {
 /// Copies the lists of `slots` from `labels` back to back into a new
 /// segment numbered `seg`, built in the allocation of `segment` (emptied
 /// first), and points their spans at it (an empty list gets
-/// [`Span::EMPTY`]).
+/// [`Span::EMPTY`]). A `segment` too small for the lists is replaced by an
+/// exact allocation rather than grown, since growing it would copy its
+/// stale contents.
 ///
 /// # Panics
 ///
@@ -235,6 +241,9 @@ fn pack(
     );
     // Sized up front and moved into the `Arc`: each entry is copied once.
     segment.clear();
+    if segment.capacity() < total {
+        segment = Vec::new();
+    }
     segment.reserve_exact(total);
     for &slot in slots {
         let lo = segment.len() as u32;
@@ -250,52 +259,50 @@ fn pack(
 }
 
 impl FrozenLabels {
-    /// Freezes a snapshot of `labels` in natural order (per vertex:
-    /// in-list, then out-list).
+    /// Freezes a snapshot of every list of `labels` in natural order (per
+    /// vertex: in-list, then out-list).
     pub fn freeze(labels: &Labels) -> Self {
-        Self::freeze_ordered(labels, [])
+        let slots = 0..2 * Labels::vertex_count(labels) as u32;
+        Self::freeze_ordered(labels, slots.map(slot_list))
     }
 
-    /// Freezes a snapshot into one segment with the `hot` lists laid out
-    /// first, in the given order; lists not mentioned follow in natural
-    /// order. Lists a query intersects together should be adjacent here —
+    /// Freezes a snapshot of exactly the `lists` named, packed into one
+    /// segment in the given order; every list not named is empty in the
+    /// arena. Lists a query intersects together should be adjacent here —
     /// the segment then serves that query as a single forward stream.
     ///
     /// # Panics
     ///
-    /// Panics on an out-of-range vertex, on a list mentioned twice, or if
-    /// the store holds `>= 2^32` entries (beyond the `u32` span encoding —
-    /// at 8 bytes per entry that is a 32 GiB index).
+    /// Panics on an out-of-range vertex, on a list named twice, or if the
+    /// named lists hold `>= 2^32` entries (beyond the `u32` span encoding
+    /// — at 8 bytes per entry that is a 32 GiB arena).
     pub fn freeze_ordered(
         labels: &Labels,
-        hot: impl IntoIterator<Item = (VertexId, LabelSide)>,
+        lists: impl IntoIterator<Item = (VertexId, LabelSide)>,
     ) -> Self {
-        Self::freeze_ordered_into(labels, hot, Vec::new())
+        Self::freeze_ordered_into(labels, lists, Vec::new())
     }
 
     /// [`freeze_ordered`](Self::freeze_ordered) into the allocation of
     /// `buffer` (emptied first). A buffer that
     /// [`into_buffer`](Self::into_buffer) took back from a retired arena
     /// has its pages resident already, so the copy faults in no fresh
-    /// arena's worth of them. A buffer too small for the arena is replaced
-    /// by an exact allocation rather than grown, since growing it would
-    /// copy its stale contents.
+    /// arena's worth of them. A buffer too small for the named lists is
+    /// replaced by an exact allocation rather than grown, since growing it
+    /// would copy its stale contents.
     ///
     /// # Panics
     ///
     /// As [`freeze_ordered`](Self::freeze_ordered).
     pub fn freeze_ordered_into(
         labels: &Labels,
-        hot: impl IntoIterator<Item = (VertexId, LabelSide)>,
-        mut buffer: Vec<LabelEntry>,
+        lists: impl IntoIterator<Item = (VertexId, LabelSide)>,
+        buffer: Vec<LabelEntry>,
     ) -> Self {
-        if buffer.capacity() < labels.total_entries() {
-            buffer = Vec::new();
-        }
         let n = Labels::vertex_count(labels);
         let mut placed = vec![false; 2 * n];
         let mut order = Vec::with_capacity(2 * n);
-        for (v, side) in hot {
+        for (v, side) in lists {
             assert!(v.index() < n, "freeze order names out-of-range {v:?}");
             let slot = label_slot(v, side);
             assert!(
@@ -304,7 +311,6 @@ impl FrozenLabels {
             );
             order.push(slot);
         }
-        order.extend((0..2 * n as u32).filter(|&slot| !placed[slot as usize]));
         let mut spans = vec![Span::EMPTY; 2 * n];
         let segment = pack(labels, &order, 0, &mut spans, buffer);
         FrozenLabels {
@@ -343,7 +349,9 @@ impl FrozenLabels {
     /// [`freeze`](Self::freeze) / [`freeze_ordered`](Self::freeze_ordered)
     /// once [`dead_fraction`](Self::dead_fraction) or
     /// [`segment_count`](Self::segment_count) crosses their threshold,
-    /// which also restores the intended hot-list layout.
+    /// which also restores the intended list layout. An arena that holds
+    /// only some of the lists stays so only if `dirty_slots` names only
+    /// those: the slots passed are the lists re-gathered.
     ///
     /// # Panics
     ///
@@ -400,9 +408,9 @@ impl FrozenLabels {
         (dead, total)
     }
 
-    /// Number of live entries on `side` across all vertices, recomputed
-    /// from the spans in O(n). Feeds the per-side drift statistics of
-    /// `IndexHealth`; dead (relocated) entries are not counted.
+    /// Number of live entries the arena holds on `side` across all
+    /// vertices, recomputed from the spans in O(n); dead (relocated)
+    /// entries and lists the arena does not hold are not counted.
     pub fn side_entries(&self, side: LabelSide) -> usize {
         let parity = usize::from(side == LabelSide::Out);
         self.spans
@@ -721,27 +729,39 @@ mod tests {
     fn freeze_ordered_places_hot_lists_first_and_answers_identically() {
         let labels = sample_labels();
         // Cycle-style pairing: out-list of 2v+1 next to in-list of 2v.
-        let frozen = FrozenLabels::freeze_ordered(
-            &labels,
-            (0..2u32).flat_map(|v| {
-                [
-                    (VertexId(2 * v + 1), LabelSide::Out),
-                    (VertexId(2 * v), LabelSide::In),
-                ]
-            }),
-        );
+        let pairs = (0..2u32).flat_map(|v| {
+            [
+                (VertexId(2 * v + 1), LabelSide::Out),
+                (VertexId(2 * v), LabelSide::In),
+            ]
+        });
+        let frozen = FrozenLabels::freeze_ordered(&labels, pairs.clone());
+        // Exactly the named lists, back to back in the order named:
+        // Lout(1) is empty, Lin(0) 1 entry, Lout(3) 1, Lin(2) empty.
+        let packed: Vec<LabelEntry> = pairs
+            .clone()
+            .flat_map(|(x, side)| labels.side_of(x, side).to_vec())
+            .collect();
+        assert_eq!(frozen.segments[0].as_slice(), packed.as_slice());
+        assert_eq!(LabelStore::total_entries(&frozen), 2);
         for i in 0..4 {
-            assert_eq!(LabelStore::in_of(&frozen, v(i)), labels.in_of(v(i)));
-            assert_eq!(LabelStore::out_of(&frozen, v(i)), labels.out_of(v(i)));
-        }
-        for s in 0..4 {
-            for t in 0..4 {
-                let (s, t) = (v(s), v(t));
-                assert_eq!(
-                    LabelStore::dist_count(&frozen, s, t),
-                    labels.dist_count(s, t)
-                );
+            for side in [LabelSide::In, LabelSide::Out] {
+                let named = pairs.clone().any(|list| list == (v(i), side));
+                let want = if named {
+                    labels.side_of(v(i), side)
+                } else {
+                    &[]
+                };
+                assert_eq!(frozen.side_of(v(i), side), want, "{i}/{side:?}");
             }
+        }
+        // The pairs the named lists serve answer as the store does.
+        for i in 0..2 {
+            let (s, t) = (v(2 * i + 1), v(2 * i));
+            assert_eq!(
+                LabelStore::dist_count(&frozen, s, t),
+                labels.dist_count(s, t)
+            );
         }
     }
 
@@ -787,7 +807,8 @@ mod tests {
         for i in 0..40 {
             wide.append(v(i), LabelSide::In, e(i, 1, 1));
         }
-        let grown = FrozenLabels::freeze_ordered_into(&wide, [], vec![e(9, 9, 9); 2]);
+        let ins = (0..40).map(|i| (v(i), LabelSide::In));
+        let grown = FrozenLabels::freeze_ordered_into(&wide, ins, vec![e(9, 9, 9); 2]);
         assert_eq!(grown, FrozenLabels::freeze(&wide));
     }
 
