@@ -24,7 +24,7 @@
 use super::stream_replay::{replay, ReplayStats, TraceOp};
 use super::ExpContext;
 use crate::datasets::{by_code, generate};
-use crate::measure::fmt_duration;
+use crate::measure::{fmt_duration, warm_up};
 use crate::table::Table;
 use csc_core::{CscConfig, CscIndex, GraphUpdate};
 use csc_graph::{DiGraph, VertexId};
@@ -85,7 +85,11 @@ pub fn measure(ctx: &ExpContext, batch_sizes: &[usize]) -> (Vec<ReplayStats>, Sc
     // `snapshot_every = 1`: publish as eagerly as the batch size allows,
     // so reader staleness is bounded by one batch in every configuration.
     let config = CscConfig::default().with_snapshot_every(1);
-    let base = CscIndex::build(&g, config).expect("build");
+    let mut base = CscIndex::build(&g, config).expect("build");
+    // Every pass clones the warmed `base`.
+    if let Some((a, b)) = g.edges().next() {
+        warm_up(&mut base, a, b);
+    }
     let stats = batch_sizes
         .iter()
         .map(|&b| replay("delete", &base, &trace, b))

@@ -8,7 +8,7 @@
 
 use super::ExpContext;
 use crate::datasets::generate;
-use crate::measure::{fmt_duration, mean};
+use crate::measure::{fmt_duration, mean, warm_up};
 use crate::table::Table;
 use csc_core::{CscConfig, CscIndex, UpdateStrategy};
 use csc_graph::{DiGraph, VertexId};
@@ -46,7 +46,8 @@ pub fn hold_out_edges(g: &DiGraph, count: usize, seed: u64) -> (DiGraph, Vec<(u3
     (reduced, edges)
 }
 
-/// Measures one dataset under one strategy.
+/// Measures one dataset under one strategy, on an index warmed up (see
+/// `measure::warm_up`) with an edge of the reduced graph.
 pub fn measure_dataset(
     code: &str,
     g: &DiGraph,
@@ -57,6 +58,9 @@ pub fn measure_dataset(
     let (reduced, edges) = hold_out_edges(g, batch, seed);
     let config = CscConfig::default().with_update_strategy(strategy);
     let mut index = CscIndex::build(&reduced, config).expect("build reduced index");
+    if let Some((u, v)) = reduced.edges().next() {
+        warm_up(&mut index, u, v);
+    }
     let mut times = Vec::with_capacity(edges.len());
     let mut added = 0usize;
     for &(u, v) in &edges {

@@ -1,5 +1,7 @@
 //! Timing helpers for the experiment harness.
 
+use csc_core::CscIndex;
+use csc_graph::VertexId;
 use std::time::{Duration, Instant};
 
 /// Times a closure, returning its result and the elapsed wall-clock time.
@@ -7,6 +9,15 @@ pub fn time_it<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     let start = Instant::now();
     let r = f();
     (r, start.elapsed())
+}
+
+/// Removes and re-inserts the indexed edge `(u, w)`, untimed. The index
+/// builds its inverted hub index at its first deletion, a one-time
+/// `O(entries)` pass; an experiment that times single updates from a
+/// fresh build runs this first, so its timed updates measure repair.
+pub(crate) fn warm_up(index: &mut CscIndex, u: VertexId, w: VertexId) {
+    index.remove_edge(u, w).expect("warm-up edge is indexed");
+    index.insert_edge(u, w).expect("warm-up edge goes back");
 }
 
 /// Mean duration of a set of per-operation measurements.

@@ -28,9 +28,9 @@
 //!    re-label sweep per side for the whole window (see `csc-core::delete`
 //!    — the re-label sweeps dominate deletion cost, so merging them is
 //!    where batched deletions win). The deletion phase never scans label
-//!    lists for carriers: when the index was built `with_inverted(false)`,
-//!    the inverted index is built on demand before the first deletion and
-//!    maintained incrementally from then on.
+//!    lists for carriers: it reads the inverted index, which the first
+//!    deletion (or, under Minimality, the first insertion phase) builds
+//!    from the labels and every later write maintains.
 //! 4. **One snapshot publication** — a
 //!    [`ConcurrentIndex::apply_batch`](crate::ConcurrentIndex::apply_batch)
 //!    caller republishes at most once per batch, and incrementally: only
@@ -450,7 +450,8 @@ impl CscIndex {
     /// A later deletion that lengthens the true distance to or past such
     /// an entry grows its hub's distance, so the deletion phase re-labels
     /// that hub side and sweeps the entry away (see `csc-core::delete`).
-    /// Minimality mode calls `CLEAN_LABEL` after every improving write.
+    /// Minimality mode calls `CLEAN_LABEL` after every improving write,
+    /// so it builds the inverted index first if nothing has yet.
     fn batched_insert_repair(
         &mut self,
         insertions: &[(VertexId, VertexId)],
@@ -490,6 +491,9 @@ impl CscIndex {
             }
         }
         report.insert_hub_union = hubs.len();
+        if self.config.update_strategy == crate::UpdateStrategy::Minimality {
+            self.ensure_inverted();
+        }
 
         let CscIndex {
             ref gb,

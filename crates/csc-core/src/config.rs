@@ -18,7 +18,8 @@ pub enum UpdateStrategy {
     Redundancy,
     /// Eagerly remove dominated entries after every label change
     /// (Algorithm 8, `CLEAN_LABEL`), keeping the index minimal at a high
-    /// per-update cost. Requires the inverted hub indexes.
+    /// per-update cost. `CLEAN_LABEL` reads the inverted hub indexes, so
+    /// the first insertion window builds them if no deletion has.
     Minimality,
 }
 
@@ -242,6 +243,10 @@ impl ParallelismConfig {
 }
 
 /// Configuration for building a [`CscIndex`](crate::CscIndex).
+///
+/// The paper's inverted hub indexes are not configured here: an index
+/// builds them from its labels the first time a deletion or Minimality's
+/// `CLEAN_LABEL` reads carriers, and maintains them from then on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CscConfig {
     /// Vertex-ordering strategy, applied to the *original* graph; couples in
@@ -256,13 +261,6 @@ pub struct CscConfig {
     pub order: OrderingStrategy,
     /// Redundancy vs. minimality on updates.
     pub update_strategy: UpdateStrategy,
-    /// Maintain the inverted hub indexes (`inv_in` / `inv_out`).
-    ///
-    /// Required by [`UpdateStrategy::Minimality`] and used by edge deletion
-    /// to find affected entries in output-sensitive time; without it, the
-    /// first deletion builds the indexes on demand and later writes
-    /// maintain them. Costs one `u32` of memory per label entry.
-    pub maintain_inverted: bool,
     /// How often [`ConcurrentIndex`](crate::ConcurrentIndex) republishes
     /// its read snapshot, counted in *update units*: every successful
     /// `insert_edge` / `remove_edge` / `add_vertex` weighs 1, and an
@@ -319,7 +317,6 @@ impl Default for CscConfig {
         CscConfig {
             order: OrderingStrategy::Degree,
             update_strategy: UpdateStrategy::Redundancy,
-            maintain_inverted: true,
             snapshot_every: 8,
             rebuild: RebuildPolicy::default(),
             durability: DurabilityConfig::default(),
@@ -342,20 +339,9 @@ impl CscConfig {
         self
     }
 
-    /// Builder-style: set the update strategy. Selecting minimality also
-    /// switches the inverted indexes on (they are required).
+    /// Builder-style: set the update strategy.
     pub fn with_update_strategy(mut self, s: UpdateStrategy) -> Self {
         self.update_strategy = s;
-        if s == UpdateStrategy::Minimality {
-            self.maintain_inverted = true;
-        }
-        self
-    }
-
-    /// Builder-style: toggle the inverted indexes (ignored — forced on —
-    /// under minimality).
-    pub fn with_inverted(mut self, on: bool) -> Self {
-        self.maintain_inverted = on || self.update_strategy == UpdateStrategy::Minimality;
         self
     }
 
@@ -460,11 +446,6 @@ impl CscConfig {
         self.durability.validate().map_err(CscError::Config)?;
         self.parallelism.validate().map_err(CscError::Config)?;
         self.overload.validate().map_err(CscError::Config)?;
-        if self.update_strategy == UpdateStrategy::Minimality && !self.maintain_inverted {
-            return Err(CscError::Config(
-                "update_strategy Minimality requires maintain_inverted".into(),
-            ));
-        }
         if let OrderingStrategy::CoverageSampling {
             samples_per_log_n, ..
         } = self.order
@@ -488,7 +469,6 @@ mod tests {
         let c = CscConfig::default();
         assert_eq!(c.order, OrderingStrategy::Degree);
         assert_eq!(c.update_strategy, UpdateStrategy::Redundancy);
-        assert!(c.maintain_inverted);
         assert_eq!(c.snapshot_every, 8, "freeze cost amortized by default");
         assert_eq!(CscConfig::recommended(), c);
     }
@@ -505,14 +485,32 @@ mod tests {
 
     #[test]
     fn minimality_forces_inverted() {
-        let c = CscConfig::default()
-            .with_inverted(false)
-            .with_update_strategy(UpdateStrategy::Minimality);
-        assert!(c.maintain_inverted);
-        let c2 = CscConfig::default()
-            .with_update_strategy(UpdateStrategy::Minimality)
-            .with_inverted(false);
-        assert!(c2.maintain_inverted, "inverted stays on under minimality");
+        // Minimality needs no companion knob: `CLEAN_LABEL` reads the
+        // inverted index, so the first insertion window builds it.
+        use crate::batch::GraphUpdate::{AddVertex, InsertEdge};
+        use csc_graph::VertexId;
+        let c = CscConfig::default().with_update_strategy(UpdateStrategy::Minimality);
+        assert_eq!(
+            c,
+            CscConfig {
+                update_strategy: UpdateStrategy::Minimality,
+                ..CscConfig::default()
+            }
+        );
+        assert!(c.validate().is_ok());
+        // A path 0 -> 1 -> 2 -> 3; closing it into a ring writes new
+        // entries, and each improving write runs `CLEAN_LABEL`.
+        let g = csc_graph::DiGraph::from_edges(4, vec![(0, 1), (1, 2), (2, 3)]);
+        let mut idx = crate::CscIndex::build(&g, c).unwrap();
+        idx.apply_batch(&[AddVertex]).unwrap();
+        assert!(idx.inverted.is_none(), "nothing has read carriers yet");
+        let report = idx
+            .apply_batch(&[InsertEdge(VertexId(3), VertexId(0))])
+            .unwrap();
+        assert!(report.repair.entries_inserted > 0);
+        let inv = idx.inverted.as_ref().expect("the insertion phase built it");
+        inv.validate_against(idx.labels()).unwrap();
+        assert_eq!(idx.query(VertexId(0)).map(|c| c.length), Some(4));
     }
 
     #[test]
@@ -664,8 +662,10 @@ mod tests {
     fn builder_chains() {
         let c = CscConfig::default()
             .with_order(OrderingStrategy::Identity)
-            .with_inverted(false);
+            .with_update_strategy(UpdateStrategy::Minimality)
+            .with_snapshot_every(3);
         assert_eq!(c.order, OrderingStrategy::Identity);
-        assert!(!c.maintain_inverted);
+        assert_eq!(c.update_strategy, UpdateStrategy::Minimality);
+        assert_eq!(c.snapshot_every, 3);
     }
 }

@@ -33,12 +33,12 @@
 //!   prune rule: only strictly higher-ranked hubs count, never the hub's
 //!   own stored entries. The writer stamps every vertex it writes or finds
 //!   unchanged, and a sweep then removes every other entry of that hub on
-//!   that side (its carriers, read from the inverted index, which an
-//!   index built `with_inverted(false)` gets on demand at its first
-//!   deletion). The side then holds exactly the static build's entries
-//!   for that hub. The descending order keeps the pruning exact: it only
-//!   consults strictly higher-ranked hubs, which are unaffected, already
-//!   re-labeled, or only count-repaired (distances untouched).
+//!   that side (its carriers, read from the inverted index, which the
+//!   first deletion builds if nothing has yet). The side then holds
+//!   exactly the static build's entries for that hub. The descending
+//!   order keeps the pruning exact: it only consults strictly
+//!   higher-ranked hubs, which are unaffected, already re-labeled, or
+//!   only count-repaired (distances untouched).
 //!
 //!   The strict prune and the sweep replace the paper's superset rule,
 //!   which deleted only entries whose distance equals a crossing-path
@@ -82,7 +82,6 @@
 
 use crate::build::{build_labels, LabelWriter, TraversalCounters, WriteMode};
 use crate::index::CscIndex;
-use crate::invert::InvertedIndex;
 use crate::repair::{multi_source_subtract, Direction, Seed, SubtractOutcome};
 use crate::stats::UpdateReport;
 use csc_graph::bipartite::{in_vertex, is_in_vertex, out_vertex};
@@ -171,11 +170,9 @@ impl CscIndex {
             return Ok(stats);
         }
         // Carrier lookups go through the inverted index, never a label
-        // scan: an index built without one gets it here, on demand — a
-        // one-time O(entries) build, maintained by every write afterwards.
-        if self.inverted.is_none() {
-            self.inverted = Some(InvertedIndex::from_labels(&self.labels));
-        }
+        // scan. The first deletion builds it (one O(entries) pass), and
+        // every later write maintains it.
+        self.ensure_inverted();
         let t_classify = Instant::now();
 
         // ---- Endpoint sweeps, pre and post window. -----------------------
@@ -404,9 +401,10 @@ impl CscIndex {
     /// The overwhelming-window fallback: rebuilds every label from the
     /// current (post-removal) graph under the existing rank order — the
     /// exact static construction, so the result is correct by definition —
-    /// and swaps it in, rebuilding the inverted index and marking every
-    /// label slot dirty so the next incremental re-freeze re-gathers the
-    /// whole store (the served snapshot describes the retired layout).
+    /// and swaps it in, dropping the inverted index (the next deletion or
+    /// `CLEAN_LABEL` rebuilds it) and marking every label slot dirty so
+    /// the next incremental re-freeze re-gathers the whole store (the
+    /// served snapshot describes the retired layout).
     fn rebuild_after_window(&mut self, report: &mut UpdateReport) -> Result<(), LabelingError> {
         let csr = Csr::from_digraph(self.gb.graph());
         let mut counters = TraversalCounters::default();
@@ -417,7 +415,7 @@ impl CscIndex {
         report.rebuild_fallbacks += 1;
         self.labels = labels;
         self.labels.mark_all_dirty();
-        self.inverted = Some(InvertedIndex::from_labels(&self.labels));
+        self.inverted = None;
         Ok(())
     }
 }
@@ -523,24 +521,28 @@ mod tests {
 
     #[test]
     fn deletions_without_inverted_index_build_it_on_demand() {
-        // `with_inverted(false)` only defers the inverted index: the first
-        // scalar deletion builds it, every later write maintains it, and
-        // the answers stay oracle-exact throughout.
+        // A build leaves the inverted index unbuilt: every deletion builds
+        // it if nothing has, later writes maintain it, and only the
+        // rebuild fallback drops it again. The answers stay oracle-exact
+        // throughout.
         let mut g = gnm(16, 50, 3);
-        let config = CscConfig::default().with_inverted(false);
-        let mut idx = CscIndex::build(&g, config).unwrap();
+        let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
         assert!(idx.inverted.is_none());
         let edges = g.edge_vec();
+        let mut maintained = 0;
         for &(u, w) in edges.iter().take(10) {
             g.try_remove_edge(VertexId(u), VertexId(w)).unwrap();
-            idx.remove_edge(VertexId(u), VertexId(w)).unwrap();
-            idx.inverted
-                .as_ref()
-                .expect("the first deletion builds the inverted index")
-                .validate_against(&idx.labels)
-                .unwrap();
+            let report = idx.remove_edge(VertexId(u), VertexId(w)).unwrap();
+            match &idx.inverted {
+                Some(inv) => {
+                    inv.validate_against(&idx.labels).unwrap();
+                    maintained += 1;
+                }
+                None => assert_eq!(report.rebuild_fallbacks, 1, "only the fallback drops it"),
+            }
             assert_queries_match(&idx, &g, "on-demand inverted index");
         }
+        assert!(maintained > 0, "some deletion repaired in place");
     }
 
     #[test]
@@ -572,12 +574,10 @@ mod tests {
             g.try_remove_edge(VertexId(u), VertexId(w)).unwrap();
             idx.remove_edge(VertexId(u), VertexId(w)).unwrap();
             assert_queries_match(&idx, &g, "minimality deletions");
+            if let Some(inv) = &idx.inverted {
+                inv.validate_against(&idx.labels).unwrap();
+            }
         }
-        idx.inverted
-            .as_ref()
-            .unwrap()
-            .validate_against(&idx.labels)
-            .unwrap();
     }
 
     #[test]

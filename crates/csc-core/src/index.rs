@@ -32,6 +32,7 @@ pub struct CscIndex {
     pub(crate) gb: BipartiteGraph,
     pub(crate) ranks: RankTable,
     pub(crate) labels: Labels,
+    /// `None` until [`ensure_inverted`](Self::ensure_inverted) builds it.
     pub(crate) inverted: Option<InvertedIndex>,
     pub(crate) config: CscConfig,
     pub(crate) stats: IndexStats,
@@ -89,9 +90,6 @@ impl CscIndex {
         let csr = Csr::from_digraph(gb.graph());
         let mut counters = TraversalCounters::default();
         let labels = build_labels(&csr, &ranks, &mut counters)?;
-        let inverted = config
-            .maintain_inverted
-            .then(|| InvertedIndex::from_labels(&labels));
         let n = gb.graph().vertex_count();
         let stats = IndexStats {
             build: BuildStats {
@@ -115,7 +113,7 @@ impl CscIndex {
             gb,
             ranks,
             labels,
-            inverted,
+            inverted: None,
             config,
             stats,
             baseline,
@@ -354,6 +352,15 @@ impl CscIndex {
         self.poisoned = Some(detail.into());
     }
 
+    /// Builds the inverted hub indexes from the labels unless they exist,
+    /// before the deletion phase or Minimality's `CLEAN_LABEL` reads
+    /// carriers; every write maintains them from then on.
+    pub(crate) fn ensure_inverted(&mut self) {
+        if self.inverted.is_none() {
+            self.inverted = Some(InvertedIndex::from_labels(&self.labels));
+        }
+    }
+
     pub(crate) fn check_ready(&self) -> Result<(), CscError> {
         match &self.poisoned {
             Some(detail) => Err(CscError::poisoned(detail.clone())),
@@ -460,16 +467,37 @@ mod tests {
 
     #[test]
     fn inverted_index_matches_labels_after_build() {
+        // Insertions and new vertices leave the inverted index unbuilt;
+        // the first deletion builds it as an exact mirror of the labels,
+        // and later writes keep it one.
+        use crate::batch::GraphUpdate::{AddVertex, InsertEdge, RemoveEdge};
         let g = gnm(40, 160, 2);
-        let idx = CscIndex::build(&g, CscConfig::default()).unwrap();
-        idx.inverted
-            .as_ref()
-            .expect("default config maintains inverted")
-            .validate_against(&idx.labels)
+        let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
+        assert!(idx.inverted.is_none());
+        let absent = |idx: &CscIndex| {
+            let g = idx.original_graph();
+            let a = VertexId(0);
+            (1..g.vertex_count() as u32)
+                .map(VertexId)
+                .find(|&b| !g.has_edge(a, b))
+                .map(|b| (a, b))
+                .unwrap()
+        };
+        let (a, b) = absent(&idx);
+        idx.apply_batch(&[InsertEdge(a, b), AddVertex]).unwrap();
+        let nv = idx.add_vertex();
+        idx.insert_edge(nv, VertexId(1)).unwrap();
+        assert!(idx.inverted.is_none(), "no write so far reads carriers");
+
+        idx.remove_edge(a, b).unwrap();
+        let inv = idx.inverted.as_ref().expect("the first deletion builds it");
+        inv.validate_against(&idx.labels).unwrap();
+        let (c, d) = absent(&idx);
+        idx.apply_batch(&[InsertEdge(c, d), RemoveEdge(nv, VertexId(1)), AddVertex])
             .unwrap();
-        let idx2 = CscIndex::build(&g, CscConfig::default().with_inverted(false)).unwrap();
-        assert!(idx2.inverted.is_none());
-        assert_eq!(idx2.total_entries(), idx.total_entries());
+        let inv = idx.inverted.as_ref().unwrap();
+        inv.validate_against(&idx.labels).unwrap();
+        assert_eq!(*inv, InvertedIndex::from_labels(&idx.labels));
     }
 
     #[test]

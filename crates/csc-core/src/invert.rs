@@ -4,7 +4,10 @@
 //! `r`; `inv_out[r]` the same for out-labels. They let edge deletion and
 //! `CLEAN_LABEL` find all entries of an affected hub in output-sensitive
 //! time instead of scanning every label list. The paper constructs them
-//! during initial index creation; we maintain them across updates.
+//! during initial index creation; here nothing else reads them, so an
+//! index builds them from its labels the first time a deletion or
+//! `CLEAN_LABEL` needs carriers (`CscIndex::ensure_inverted`), and every
+//! write maintains them from then on.
 //!
 //! Lists are kept sorted so membership updates are `O(log k)` and the
 //! structure can be diffed deterministically in tests.
@@ -28,7 +31,7 @@ impl InvertedIndex {
         }
     }
 
-    /// Builds the inverted indexes from existing labels (initial creation).
+    /// Builds the inverted indexes from existing labels.
     pub fn from_labels(labels: &Labels) -> Self {
         let n = labels.vertex_count();
         let mut inv = InvertedIndex::new(n);
@@ -43,11 +46,6 @@ impl InvertedIndex {
         }
         // Vertex ids were visited in ascending order, so lists are sorted.
         inv
-    }
-
-    /// Number of ranks covered.
-    pub fn rank_count(&self) -> usize {
-        self.inv_in.len()
     }
 
     /// Grows to cover one more rank.
@@ -111,21 +109,23 @@ impl InvertedIndex {
         self.side_mut(side)[r as usize].retain(|&v| keep(v));
     }
 
-    /// Total inverted entries (should equal the label entry count).
-    pub fn total_entries(&self) -> usize {
-        let a: usize = self.inv_in.iter().map(Vec::len).sum();
-        let b: usize = self.inv_out.iter().map(Vec::len).sum();
-        a + b
-    }
-
-    /// Verifies that the inverted indexes exactly mirror `labels`.
+    /// Verifies that the inverted indexes exactly mirror `labels`, whose
+    /// lists hold each hub once: strictly ascending carrier lists, one
+    /// carrier per label entry, and every entry's vertex among them.
     pub fn validate_against(&self, labels: &Labels) -> Result<(), String> {
-        let rebuilt = InvertedIndex::from_labels(labels);
-        if rebuilt.inv_in != self.inv_in {
-            return Err("inv_in diverges from labels".into());
-        }
-        if rebuilt.inv_out != self.inv_out {
-            return Err("inv_out diverges from labels".into());
+        let n = labels.vertex_count();
+        for side in [LabelSide::In, LabelSide::Out] {
+            let lists = self.side(side);
+            let carriers: usize = lists.iter().map(Vec::len).sum();
+            let sorted = lists.iter().all(|l| l.windows(2).all(|w| w[0] < w[1]));
+            let covered = (0..n as u32).all(|v| {
+                let hubs = labels.side_of(VertexId(v), side).iter();
+                hubs.map(|e| lists.get(e.hub_rank() as usize))
+                    .all(|l| l.is_some_and(|l| l.binary_search(&v).is_ok()))
+            });
+            if lists.len() != n || !sorted || !covered || carriers != labels.side_entries(side) {
+                return Err(format!("inv_{side:?} diverges from the labels"));
+            }
         }
         Ok(())
     }
@@ -150,7 +150,6 @@ mod tests {
         let inv = InvertedIndex::from_labels(&labels);
         assert_eq!(inv.carriers(LabelSide::In, 0), &[0, 1, 2]);
         assert_eq!(inv.carriers(LabelSide::Out, 0), &[1]);
-        assert_eq!(inv.total_entries(), labels.total_entries());
         inv.validate_against(&labels).unwrap();
     }
 
@@ -164,24 +163,29 @@ mod tests {
         inv.remove(LabelSide::In, 1, VertexId(2));
         assert_eq!(inv.carriers(LabelSide::In, 1), &[5]);
         inv.remove(LabelSide::In, 1, VertexId(99)); // absent: no-op
-        assert_eq!(inv.total_entries(), 1);
+        assert_eq!(inv.carriers(LabelSide::In, 1), &[5]);
     }
 
     #[test]
     fn validate_catches_divergence() {
-        let mut labels = Labels::new(1);
+        let mut labels = Labels::new(2);
         labels.append(VertexId(0), LabelSide::In, e(0, 0, 1));
-        let mut inv = InvertedIndex::new(1);
-        assert!(inv.validate_against(&labels).is_err());
+        let mut inv = InvertedIndex::new(2);
+        assert!(inv.validate_against(&labels).is_err(), "missing carrier");
         inv.add(LabelSide::In, 0, VertexId(0));
         inv.validate_against(&labels).unwrap();
+        inv.add(LabelSide::Out, 1, VertexId(1));
+        assert!(inv.validate_against(&labels).is_err(), "extra carrier");
+        inv.remove(LabelSide::Out, 1, VertexId(1));
+        inv.push_rank();
+        assert!(inv.validate_against(&labels).is_err(), "extra rank");
     }
 
     #[test]
     fn push_rank_grows() {
         let mut inv = InvertedIndex::new(1);
         inv.push_rank();
-        assert_eq!(inv.rank_count(), 2);
+        assert_eq!((inv.inv_in.len(), inv.inv_out.len()), (2, 2));
         inv.add(LabelSide::Out, 1, VertexId(0));
         assert_eq!(inv.carriers(LabelSide::Out, 1), &[0]);
     }

@@ -59,7 +59,6 @@ use crate::error::CscError;
 use crate::guard::{Deadline, RetryPolicy};
 use crate::health::{HealthBaseline, IndexHealth, RebuildPolicy, RebuildReason};
 use crate::index::CscIndex;
-use crate::invert::InvertedIndex;
 use crate::snapshot::SnapshotIndex;
 use crate::stats::UpdateReport;
 use crate::verify::check_integrity;
@@ -1068,9 +1067,6 @@ impl MaintenanceEngine {
         );
         let (labels, counters) = build.finish();
         let config = *self.index.config();
-        let inverted = config
-            .maintain_inverted
-            .then(|| InvertedIndex::from_labels(&labels));
         let n = self.index.bipartite().graph().vertex_count();
         let mut stats = self.index.stats.clone();
         stats.build = BuildStats {
@@ -1086,7 +1082,7 @@ impl MaintenanceEngine {
             gb: self.index.gb.clone(),
             ranks: std::mem::replace(&mut task.ranks, RankTable::from_order(&[])),
             labels,
-            inverted,
+            inverted: None,
             config,
             stats,
             baseline: HealthBaseline {
@@ -1899,6 +1895,31 @@ mod tests {
         assert_eq!(recovered.status(), MaintenanceStatus::Serving);
         assert!(recovered.is_durable());
         verify_index(recovered.index()).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn replaying_insertions_leaves_the_inverted_index_unbuilt() {
+        // Insertions and new vertices read no carriers, live or replayed;
+        // the first deletion after recovery builds an exact mirror.
+        let dir = temp_dir("unbuilt-inverted");
+        let mut engine = durable_engine(&dir, 1000);
+        for w in &churn_windows()[..3] {
+            engine.apply_batch(w).unwrap();
+        }
+        assert!(engine.index().inverted.is_none());
+        drop(engine); // crash
+
+        let (mut recovered, report) = MaintenanceEngine::recover(&dir).unwrap();
+        assert_eq!((report.records_replayed, report.updates_replayed), (3, 5));
+        assert!(recovered.index().inverted.is_none());
+        let report = recovered
+            .apply_batch(&[GraphUpdate::RemoveEdge(VertexId(0), VertexId(9))])
+            .unwrap();
+        assert_eq!(report.repair.rebuild_fallbacks, 0);
+        let index = recovered.index();
+        let inv = index.inverted.as_ref().expect("the deletion built it");
+        inv.validate_against(index.labels()).unwrap();
         std::fs::remove_dir_all(dir).unwrap();
     }
 

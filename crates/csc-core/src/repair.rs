@@ -153,7 +153,7 @@ impl RepairWriter<'_> {
             let inv = self
                 .inverted
                 .as_mut()
-                .expect("minimality requires inverted indexes");
+                .expect("the Minimality insertion phase builds the inverted index");
             clean_label(self.labels, inv, self.ranks, w, side, self.report);
         }
         Ok(())

@@ -24,7 +24,7 @@
 //! | 1   | header   | n `u32`, m `u64` |
 //! | 2   | edges    | (`u32`, `u32`) × m |
 //! | 3   | ranks    | `vertex_at[rank]` `u32` × 2n |
-//! | 4   | config   | ordering, update strategy, inverted flag, snapshot interval, rebuild policy, durability knobs, parallelism width, resource guards |
+//! | 4   | config   | ordering, update strategy, retired inverted-index flag, snapshot interval, rebuild policy, durability knobs, parallelism width, resource guards |
 //! | 5   | baseline | entries ×3 `u64`, vertices `u32`, rejuvenations `u32` |
 //! | 6   | labels   | per original vertex `v`, `L_out(v_o)` then `L_in(v_i)`: len `u32`, entries `u64` × len |
 //!
@@ -57,8 +57,9 @@
 //! The rank table is persisted verbatim — after a rejuvenation it is the
 //! *recomputed* order, not a derivable one — and the health baseline
 //! rides along so a reloaded index keeps measuring drift from its last
-//! rebuild, not from the load. The inverted indexes are reconstructed on
-//! load (derived data, compresses poorly).
+//! rebuild, not from the load. The inverted indexes are not persisted: a
+//! loaded index, like a built one, builds them at its first deletion or
+//! `CLEAN_LABEL`.
 //!
 //! Format `\x04` differs only in its labels section, which holds all four
 //! lists of every bipartite vertex (per vertex, in-list then out-list);
@@ -78,7 +79,6 @@ use crate::error::CscError;
 use crate::guard::RetryPolicy;
 use crate::health::{HealthBaseline, RebuildPolicy};
 use crate::index::CscIndex;
-use crate::invert::InvertedIndex;
 use crate::reduction::{derive_in_of_vo, derive_out_of_vi, first_unpaired, query_lists};
 use crate::stats::IndexStats;
 use bytes::{Buf, BufMut, Bytes};
@@ -319,7 +319,9 @@ impl CscIndex {
                 UpdateStrategy::Redundancy => 0,
                 UpdateStrategy::Minimality => 1,
             });
-            b.put_u8(c.maintain_inverted as u8);
+            // The retired inverted-index flag: written as 1, ignored on
+            // load.
+            b.put_u8(1);
             b.put_u32_le(snapshot_every);
             b.put_u32_le(c.rebuild.max_growth_percent);
             b.put_u32_le(c.rebuild.max_dead_percent);
@@ -499,7 +501,7 @@ impl CscIndex {
             1 => UpdateStrategy::Minimality,
             other => return Err(CscError::Serial(format!("unknown update strategy {other}"))),
         };
-        let maintain_inverted = p.get_u8() != 0;
+        p.advance(1); // the retired inverted-index flag
         let snapshot_every = p.get_u32_le() as usize;
         let rebuild = RebuildPolicy {
             max_growth_percent: p.get_u32_le(),
@@ -564,7 +566,6 @@ impl CscIndex {
         let config = CscConfig {
             order: order_from_tag(tag, seed, samples)?,
             update_strategy: strategy,
-            maintain_inverted,
             snapshot_every,
             rebuild,
             durability,
@@ -626,12 +627,11 @@ impl CscIndex {
         }
 
         let gb = BipartiteGraph::from_graph(&g);
-        let inverted = maintain_inverted.then(|| InvertedIndex::from_labels(&labels));
         Ok(CscIndex {
             gb,
             ranks,
             labels,
-            inverted,
+            inverted: None,
             config,
             stats: IndexStats::default(),
             baseline,

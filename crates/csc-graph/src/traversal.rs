@@ -642,11 +642,6 @@ pub fn reachable_from(g: &DiGraph, src: VertexId) -> Vec<bool> {
         .collect()
 }
 
-/// Brute-force all-pairs shortest distances (test-sized graphs only).
-pub fn all_pairs_distances(g: &DiGraph) -> Vec<Vec<Option<u32>>> {
-    g.vertices().map(|v| bfs_distances(g, v)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -408,19 +408,6 @@ impl FrozenLabels {
         (dead, total)
     }
 
-    /// Number of live entries the arena holds on `side` across all
-    /// vertices, recomputed from the spans in O(n); dead (relocated)
-    /// entries and lists the arena does not hold are not counted.
-    pub fn side_entries(&self, side: LabelSide) -> usize {
-        let parity = usize::from(side == LabelSide::Out);
-        self.spans
-            .iter()
-            .enumerate()
-            .filter(|(slot, _)| slot % 2 == parity)
-            .map(|(_, span)| span.len())
-            .sum()
-    }
-
     /// Segment entries stranded by [`refreeze_spans`](Self::refreeze_spans)
     /// relocations (no span addresses them).
     pub fn dead_entries(&self) -> usize {
@@ -683,25 +670,6 @@ mod tests {
         l.append(v(1), LabelSide::In, e(2, 1, 4));
         l.append(v(3), LabelSide::Out, e(1, 5, 1));
         l
-    }
-
-    #[test]
-    fn side_entries_match_store_and_skip_dead_space() {
-        let mut labels = sample_labels();
-        let frozen = FrozenLabels::freeze(&labels);
-        for side in [LabelSide::In, LabelSide::Out] {
-            assert_eq!(frozen.side_entries(side), labels.side_entries(side));
-        }
-        // Grow one list so a refreeze relocates it: the stranded copy must
-        // not count toward either side.
-        labels.take_dirty();
-        labels.append(v(3), LabelSide::Out, e(2, 2, 1));
-        let dirty = labels.take_dirty();
-        let patched = frozen.refreeze_spans(&labels, &dirty);
-        assert!(patched.dead_entries() > 0);
-        for side in [LabelSide::In, LabelSide::Out] {
-            assert_eq!(patched.side_entries(side), labels.side_entries(side));
-        }
     }
 
     #[test]

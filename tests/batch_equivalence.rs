@@ -9,6 +9,7 @@
 
 use csc::graph::generators;
 use csc::graph::traversal::shortest_cycle_oracle;
+use csc::index::verify::check_integrity;
 use csc::prelude::*;
 use proptest::prelude::*;
 
@@ -390,9 +391,11 @@ fn saturated_count_demotion_inside_a_batch() {
 
 #[test]
 fn batched_deletions_take_the_indexed_carrier_path() {
-    // `with_inverted(false)` only defers the inverted index: the batch
-    // engine builds it on demand at the first deletion window and keeps it
-    // maintained, and the answers stay oracle-exact.
+    // The inverted index is built on demand: a build and an
+    // insertion-and-new-vertex window leave it unbuilt, every deletion
+    // window that repairs in place builds or maintains it (only the
+    // rebuild fallback drops it), and the answers stay oracle-exact.
+    let mirrored = |idx: &CscIndex| check_integrity(idx).unwrap().inverted_checked;
     let g = generators::gnm(18, 60, 23);
     let updates: Vec<GraphUpdate> = g
         .edge_vec()
@@ -400,18 +403,30 @@ fn batched_deletions_take_the_indexed_carrier_path() {
         .step_by(4)
         .map(|(a, b)| GraphUpdate::RemoveEdge(VertexId(a), VertexId(b)))
         .collect();
-    let config = CscConfig::default().with_inverted(false);
-    let mut idx = CscIndex::build(&g, config).unwrap();
+    let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
+    assert!(!mirrored(&idx));
+    let report = idx
+        .apply_batch(&[
+            GraphUpdate::AddVertex,
+            GraphUpdate::InsertEdge(VertexId(18), VertexId(0)),
+        ])
+        .unwrap();
+    assert_eq!(report.edges_inserted, 1);
+    assert!(!mirrored(&idx), "no insertion reads carriers");
     let report = idx.apply_batch(&updates).unwrap();
     assert_eq!(report.edges_removed, updates.len());
+    assert_eq!(mirrored(&idx), report.repair.rebuild_fallbacks == 0);
     // Follow-up deletions keep using (and maintaining) the built index.
     let g_now = idx.original_graph();
     let victim = g_now.edge_vec()[0];
-    idx.apply_batch(&[GraphUpdate::RemoveEdge(
-        VertexId(victim.0),
-        VertexId(victim.1),
-    )])
-    .unwrap();
+    let report = idx
+        .apply_batch(&[GraphUpdate::RemoveEdge(
+            VertexId(victim.0),
+            VertexId(victim.1),
+        )])
+        .unwrap();
+    assert_eq!(report.repair.rebuild_fallbacks, 0);
+    assert!(mirrored(&idx));
     let g_final = idx.original_graph();
     for v in g_final.vertices() {
         assert_eq!(

@@ -5,7 +5,7 @@
 
 use csc::graph::generators;
 use csc::graph::traversal::shortest_cycle_oracle;
-use csc::index::verify::verify_index;
+use csc::index::verify::{check_integrity, verify_index};
 use csc::prelude::*;
 use proptest::prelude::*;
 
@@ -116,6 +116,9 @@ proptest! {
         // stores only the two lists a query reads and derives
         // `L_in(v_o)` and `L_out(v_i)` from them, so its round trip
         // returns the maintained labels exactly when the pairing holds.
+        // The structural sweep runs after every window as well, so an
+        // inverted index built on demand that drifts from the labels
+        // fails at the window where it drifts.
         let m = n + (m_seed as usize) % (2 * n + 1);
         let mut g = generators::gnm(n, m, m_seed);
         let strategy = if minimality {
@@ -140,6 +143,11 @@ proptest! {
             prop_assert!(
                 restored.labels() == index.labels(),
                 "{:?} window {} ({:?}) broke the couple pairing", strategy, k, window
+            );
+            let sweep = check_integrity(&index);
+            prop_assert!(
+                sweep.is_ok(),
+                "{:?} window {} ({:?}): {:?}", strategy, k, window, sweep
             );
         }
     }
