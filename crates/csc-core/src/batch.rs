@@ -20,7 +20,11 @@
 //!    most of their affected hubs (high-ranked hubs appear in almost every
 //!    label), so the pass count approaches the hub-union size instead of
 //!    the per-edge sum. The passes run serially at every pool width and
-//!    write as they traverse.
+//!    write as they traverse. Like the static build, they skip couples:
+//!    the index stores only the two lists a cycle query reads, so a pass
+//!    queues and writes one member of each couple, and the seed scans of
+//!    the couple copies `L_in(a_o)` and `L_out(b_i)` read them through the
+//!    couple view (`csc-core::reduction`).
 //! 3. **Windowed deletion repair** — all net removals leave the graph
 //!    first, then the window is classified *once* (shared pre/post
 //!    endpoint sweeps through the pooled traversal workspace) and each
@@ -71,11 +75,12 @@ use crate::build::TraversalCounters;
 use crate::error::CscError;
 use crate::guard::Deadline;
 use crate::index::CscIndex;
+use crate::reduction::CoupleView;
 use crate::repair::{multi_source_pass, Direction, RepairWriter, Seed};
 use crate::stats::UpdateReport;
 use csc_graph::bipartite::{in_vertex, is_in_vertex, out_vertex};
 use csc_graph::{GraphError, VertexId};
-use csc_labeling::LabelingError;
+use csc_labeling::{LabelSide, LabelingError};
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
@@ -418,8 +423,9 @@ impl CscIndex {
     /// change.
     ///
     /// Inserts every edge into the bipartite graph, snapshots the seed
-    /// entries (`L_in(a_o)` / `L_out(b_i)` *before any repair*, so each
-    /// seed counts exactly the pre-batch path class of its edge), unions
+    /// entries (`L_in(a_o)` / `L_out(b_i)`, copies read through the couple
+    /// view, *before any repair*, so each seed counts exactly the
+    /// pre-batch path class of its edge), unions
     /// the affected hubs across edges, and runs the per-hub multi-source
     /// passes in descending rank order, so that when a pass consults the
     /// index (`D_G(v_k, w)` pruning), entries of higher-ranked affected
@@ -472,17 +478,18 @@ impl CscIndex {
         // rank -> (forward seeds, backward seeds), iterated in ascending
         // rank (descending importance).
         let mut hubs: BTreeMap<u32, (Vec<Seed>, Vec<Seed>)> = BTreeMap::new();
+        let view = CoupleView::new(&self.labels, &self.ranks);
         for &(a, b) in insertions {
             let (ao, bi) = (out_vertex(a), in_vertex(b));
             let (rank_ao, rank_bi) = (self.ranks.rank(ao), self.ranks.rank(bi));
-            for e in self.labels.in_of(ao) {
+            for e in view.list(ao, LabelSide::In) {
                 let r = e.hub_rank();
                 if r < rank_bi && is_in_vertex(self.ranks.vertex_at_rank(r)) {
                     let seeds = &mut hubs.entry(r).or_default().0;
                     seeds.push((bi, e.dist() + 1, e.count()));
                 }
             }
-            for e in self.labels.out_of(bi) {
+            for e in view.list(bi, LabelSide::Out) {
                 let r = e.hub_rank();
                 if r < rank_ao && is_in_vertex(self.ranks.vertex_at_rank(r)) {
                     let seeds = &mut hubs.entry(r).or_default().1;
@@ -500,6 +507,7 @@ impl CscIndex {
             ref ranks,
             ref mut labels,
             ref mut inverted,
+            ref mut closures,
             ref config,
             ref mut workspace,
             ref mut sweeps,
@@ -514,6 +522,7 @@ impl CscIndex {
         let mut writer = RepairWriter {
             labels,
             inverted,
+            closures,
             ranks,
             strategy: config.update_strategy,
             report: &mut report.repair,
@@ -718,11 +727,13 @@ mod tests {
                 updates.push(InsertEdge(a, b));
             }
         }
+        let view = CoupleView::new(&idx.labels, &idx.ranks);
         let per_edge_hubs: usize = updates
             .iter()
             .map(|u| {
                 let InsertEdge(a, b) = *u else { unreachable!() };
-                idx.labels.in_of(out_vertex(a)).len() + idx.labels.out_of(in_vertex(b)).len()
+                view.list(out_vertex(a), LabelSide::In).count()
+                    + view.list(in_vertex(b), LabelSide::Out).count()
             })
             .sum();
         let report = idx.apply_batch(&updates).unwrap();

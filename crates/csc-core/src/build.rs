@@ -21,7 +21,13 @@
 //!
 //! The couple BFS hands each visit it does not prune to a [`LabelWriter`],
 //! which applies it to the label store before the next vertex's prune
-//! scan, and reads the labels it prunes against from that writer. Hubs
+//! scan, and reads the labels it prunes against from that writer. The
+//! store holds only the two lists a cycle query reads (`csc-core::
+//! reduction`): a forward visit writes `L_in(w_i)` and a backward visit
+//! `L_out(w_o)`, and the couple's entry one hop further is the copy the
+//! couple view derives, so the writer only checks that it fits an entry.
+//! The hub's own `L_out(h_i)` self entry is a copy too. The forward pass
+//! prunes against `L_out(h_i)`, which it reads through the view. Hubs
 //! run one at a time in descending rank order, as in Algorithm 3, so each
 //! pass prunes against the finished labels of every higher-ranked hub.
 //! Builds run serially whatever [`ParallelismConfig`] says: running
@@ -32,6 +38,7 @@
 //! [`ParallelismConfig`]: crate::config::ParallelismConfig
 
 use crate::invert::InvertedIndex;
+use crate::reduction::{is_closure, CoupleView};
 use csc_graph::bipartite::{couple, is_in_vertex};
 use csc_graph::{Csr, DiGraph, RankTable, VertexId};
 use csc_labeling::{HubCache, LabelEntry, LabelSide, LabelingError, Labels, SearchState};
@@ -105,12 +112,15 @@ struct Visit {
 }
 
 /// The writer of the couple BFS: applies each visit to the label store at
-/// once, as `w`'s entry plus — couple skipping — its couple's entry at
-/// `dw + 1`.
+/// once, as `w`'s entry in the list the store holds. Couple skipping
+/// labels `w`'s couple at `dw + 1` as well, in the copy the couple view
+/// derives, so that entry is only checked to fit.
 pub(crate) struct LabelWriter<'a> {
     labels: &'a mut Labels,
     inverted: Option<&'a mut InvertedIndex>,
     mode: WriteMode,
+    /// The index's count of stored cycle closures, kept up to date.
+    closures: &'a mut usize,
     /// Upsert mode: every vertex written or found unchanged since the last
     /// [`sweep`](Self::sweep).
     written: Vec<u32>,
@@ -121,23 +131,27 @@ impl<'a> LabelWriter<'a> {
         labels: &'a mut Labels,
         inverted: Option<&'a mut InvertedIndex>,
         mode: WriteMode,
+        closures: &'a mut usize,
     ) -> Self {
         LabelWriter {
             labels,
             inverted,
             mode,
+            closures,
             written: Vec::new(),
         }
     }
 
-    /// Upsert mode: removes every `side` entry of hub `hub_rank` that was
-    /// neither written nor found unchanged since the last sweep, so the
-    /// side holds exactly what the traversal in between produced. The
-    /// carriers come from the inverted index. Returns the entries removed.
-    pub(crate) fn sweep(&mut self, side: LabelSide, hub_rank: u32) -> usize {
+    /// Upsert mode: removes every `side` entry of `hub` (ranked
+    /// `hub_rank`) that was neither written nor found unchanged since the
+    /// last sweep, so the side holds exactly what the traversal in between
+    /// produced. The carriers come from the inverted index. Returns the
+    /// entries removed.
+    pub(crate) fn sweep(&mut self, side: LabelSide, hub: VertexId, hub_rank: u32) -> usize {
         let LabelWriter {
             labels,
             inverted,
+            closures,
             written,
             ..
         } = self;
@@ -151,6 +165,7 @@ impl<'a> LabelWriter<'a> {
             if !keep {
                 labels.remove(VertexId(x), side, hub_rank);
                 removed += 1;
+                **closures -= usize::from(is_closure(VertexId(x), side, hub));
             }
             keep
         });
@@ -185,6 +200,7 @@ impl<'a> LabelWriter<'a> {
             WriteMode::Append => {
                 self.labels.append(v, side, entry);
                 counters.inserted += 1;
+                *self.closures += usize::from(is_closure(v, side, hub));
                 if let Some(inv) = self.inverted.as_deref_mut() {
                     inv.add(side, hub_rank, v);
                 }
@@ -199,6 +215,7 @@ impl<'a> LabelWriter<'a> {
                     Some(_) => counters.updated += 1,
                     None => {
                         counters.inserted += 1;
+                        *self.closures += usize::from(is_closure(v, side, hub));
                         if let Some(inv) = self.inverted.as_deref_mut() {
                             inv.add(side, hub_rank, v);
                         }
@@ -223,11 +240,17 @@ impl<'a> LabelWriter<'a> {
         hub_rank: u32,
         v: Visit,
     ) -> Result<(), LabelingError> {
+        // The counters count the entries of all four lists, copies too.
+        if side == LabelSide::Out && v.w == hub {
+            // The hub's own out-entry `(h_i, 0, 1)`: the self entry of the
+            // copy `L_out(h_i)`, which the store does not hold.
+            counters.canonical += 1;
+            return Ok(());
+        }
         self.write(counters, v.w, side, hub, hub_rank, v.dw, v.cw)?;
-        if side == LabelSide::Out && (v.w == hub || v.w == couple(hub)) {
-            // The hub's own out-entry, or a cycle closed back onto the
-            // hub's couple (the entry SCCnt queries read): neither has a
-            // couple to label.
+        if side == LabelSide::Out && v.w == couple(hub) {
+            // A cycle closed back onto the hub's couple (the entry SCCnt
+            // queries read): it has no couple to label.
             counters.canonical += 1;
             return Ok(());
         }
@@ -236,8 +259,29 @@ impl<'a> LabelWriter<'a> {
         } else {
             counters.canonical += 2;
         }
-        self.write(counters, couple(v.w), side, hub, hub_rank, v.dw + 1, v.cw)
+        let copy = couple_entry(hub, hub_rank, couple(v.w), v.dw + 1, v.cw)?;
+        counters.saturated += usize::from(copy.count_saturated());
+        Ok(())
     }
+}
+
+/// The entry the couple view derives for `copy`, the couple of a vertex a
+/// traversal of `hub` just labeled. A traversal builds it only to check
+/// it: a distance past the 17-bit field must fail the update, as every
+/// label write past it does, rather than wrap in the view.
+#[inline]
+pub(crate) fn couple_entry(
+    hub: VertexId,
+    hub_rank: u32,
+    copy: VertexId,
+    dist: u32,
+    count: u64,
+) -> Result<LabelEntry, LabelingError> {
+    LabelEntry::new(hub_rank, dist, count).map_err(|source| LabelingError::Entry {
+        hub,
+        vertex: copy,
+        source,
+    })
 }
 
 /// Fills `cache` with `vk`'s own `own_side` label for the prune scans of
@@ -246,16 +290,17 @@ impl<'a> LabelWriter<'a> {
 /// couple BFS keeps it in every mode: a re-label pass must not prune at
 /// `vk`'s own stale entries, which is what it is there to replace. The
 /// resumed passes of `csc-core::repair` add the own slot at distance 0 on
-/// top, so their scans read `vk`'s stored entries too.
+/// top, so their scans read `vk`'s stored entries too. A forward pass
+/// reads `L_out(v_i)`, a copy, through the couple view.
 #[inline]
 pub(crate) fn fill_hub_cache(
-    labels: &Labels,
+    view: CoupleView<'_>,
     cache: &mut HubCache,
     vk: VertexId,
     vk_rank: u32,
     own_side: LabelSide,
 ) {
-    cache.fill(labels.side_of(vk, own_side), vk_rank);
+    cache.fill_from(view.list(vk, own_side), vk_rank);
 }
 
 /// `D_G(v_k, w)` (or `D_G(w, v_k)` when `target_side` is `Out`) under the
@@ -320,13 +365,8 @@ impl CoupleBfs {
     ) -> Result<(), LabelingError> {
         debug_assert!(is_in_vertex(hub), "hubs must be incoming vertices");
         let hub_rank = ranks.rank(hub);
-        fill_hub_cache(
-            writer.labels,
-            &mut self.cache,
-            hub,
-            hub_rank,
-            LabelSide::Out,
-        );
+        let view = CoupleView::new(writer.labels, ranks);
+        fill_hub_cache(view, &mut self.cache, hub, hub_rank, LabelSide::Out);
 
         let state = &mut self.state;
         state.reset();
@@ -356,9 +396,7 @@ impl CoupleBfs {
             )?;
 
             // Couple skipping: continue from w's outgoing couple.
-            let wo = couple(w);
-            state.visit(wo, dw + 1, cw);
-            for &u in graph.succ(wo) {
+            for &u in graph.succ(couple(w)) {
                 let u = VertexId(u); // back in V_in
                 if !state.visited(u) {
                     if hub_rank < ranks.rank(u) {
@@ -386,7 +424,8 @@ impl CoupleBfs {
         debug_assert!(is_in_vertex(hub), "hubs must be incoming vertices");
         let hub_rank = ranks.rank(hub);
         let hub_couple = couple(hub);
-        fill_hub_cache(writer.labels, &mut self.cache, hub, hub_rank, LabelSide::In);
+        let view = CoupleView::new(writer.labels, ranks);
+        fill_hub_cache(view, &mut self.cache, hub, hub_rank, LabelSide::In);
 
         let state = &mut self.state;
         state.reset();
@@ -432,9 +471,8 @@ impl CoupleBfs {
                 continue;
             }
 
-            let wi = couple(w);
-            state.visit(wi, dw + 1, cw);
-            for &yo in graph.pred(wi) {
+            // Couple skipping: continue from w's incoming couple.
+            for &yo in graph.pred(couple(w)) {
                 let yo = VertexId(yo); // in V_out
                 if !state.visited(yo) {
                     if hub_rank < ranks.rank(yo) {
@@ -460,6 +498,8 @@ impl CoupleBfs {
 /// static and rejuvenation builds share one code path.
 pub(crate) struct LabelBuildTask {
     labels: Labels,
+    /// The cycle closures among the labels so far.
+    closures: usize,
     bfs: CoupleBfs,
     counters: TraversalCounters,
     next_rank: u32,
@@ -474,6 +514,7 @@ impl LabelBuildTask {
         }
         Ok(LabelBuildTask {
             labels: Labels::new(n),
+            closures: 0,
             bfs: CoupleBfs::new(n),
             counters: TraversalCounters::default(),
             next_rank: 0,
@@ -504,7 +545,12 @@ impl LabelBuildTask {
         while (self.next_rank as usize) < end {
             let hub = ranks.vertex_at_rank(self.next_rank);
             if is_in_vertex(hub) {
-                let mut writer = LabelWriter::new(&mut self.labels, None, WriteMode::Append);
+                let mut writer = LabelWriter::new(
+                    &mut self.labels,
+                    None,
+                    WriteMode::Append,
+                    &mut self.closures,
+                );
                 let c = &mut self.counters;
                 self.bfs.traverse_in(csr, ranks, hub, &mut writer, c)?;
                 self.bfs.traverse_out(csr, ranks, hub, &mut writer, c)?;
@@ -517,7 +563,7 @@ impl LabelBuildTask {
     }
 
     /// `V_out` vertices never act as hubs for other vertices (Algorithm 3
-    /// lines 6-8): self labels only.
+    /// lines 6-8): self labels only. The one in `L_in(v_o)` is the copy's.
     fn vout_self_entries(&mut self, hub: VertexId, ranks: &RankTable) -> Result<(), LabelingError> {
         let r = ranks.rank(hub);
         let self_entry = LabelEntry::new(r, 0, 1).map_err(|source| LabelingError::Entry {
@@ -525,31 +571,32 @@ impl LabelBuildTask {
             vertex: hub,
             source,
         })?;
-        self.labels.append(hub, LabelSide::In, self_entry);
         self.labels.append(hub, LabelSide::Out, self_entry);
         self.counters.canonical += 2;
-        self.counters.inserted += 2;
+        self.counters.inserted += 1;
         Ok(())
     }
 
-    /// Consumes the task, yielding the built labels and counters.
-    pub(crate) fn finish(self) -> (Labels, TraversalCounters) {
-        (self.labels, self.counters)
+    /// Consumes the task, yielding the built labels, the cycle closures
+    /// among them, and the counters.
+    pub(crate) fn finish(self) -> (Labels, usize, TraversalCounters) {
+        (self.labels, self.closures, self.counters)
     }
 }
 
 /// Builds the full CSC label set for a bipartite graph under `ranks`
-/// (Algorithm 3) in one go. Returns labels and traversal counters.
+/// (Algorithm 3) in one go. Returns the labels, the cycle closures among
+/// them, and the traversal counters.
 pub(crate) fn build_labels(
     csr: &Csr,
     ranks: &RankTable,
     counters: &mut TraversalCounters,
-) -> Result<Labels, LabelingError> {
+) -> Result<(Labels, usize), LabelingError> {
     let mut task = LabelBuildTask::new(csr.vertex_count())?;
     while !task.advance(csr, ranks, usize::MAX)? {}
-    let (labels, built) = task.finish();
+    let (labels, closures, built) = task.finish();
     *counters = built;
-    Ok(labels)
+    Ok((labels, closures))
 }
 
 #[cfg(test)]
@@ -565,13 +612,14 @@ mod tests {
         let ranks = RankTable::build(g, order).bipartite_order();
         let csr = Csr::from_digraph(gb.graph());
         let mut counters = TraversalCounters::default();
-        let labels = build_labels(&csr, &ranks, &mut counters).unwrap();
+        let (labels, closures) = build_labels(&csr, &ranks, &mut counters).unwrap();
         labels.validate_sorted().unwrap();
         assert_eq!(
             counters.inserted,
             labels.total_entries(),
             "append mode inserts exactly the stored entries"
         );
+        assert_eq!(closures, crate::reduction::count_closures(&labels, &ranks));
         (labels, ranks)
     }
 
@@ -582,7 +630,7 @@ mod tests {
         let ranks = RankTable::build(&g, OrderingStrategy::Degree).bipartite_order();
         let csr = Csr::from_digraph(gb.graph());
         let mut counters = TraversalCounters::default();
-        let whole = build_labels(&csr, &ranks, &mut counters).unwrap();
+        let (whole, whole_closures) = build_labels(&csr, &ranks, &mut counters).unwrap();
 
         let mut task = LabelBuildTask::new(csr.vertex_count()).unwrap();
         let mut chunks = 0;
@@ -590,9 +638,10 @@ mod tests {
             chunks += 1;
             assert!(task.ranks_done() > 0 && (task.ranks_done() as usize) < ranks.len());
         }
-        let (labels, chunk_counters) = task.finish();
+        let (labels, closures, chunk_counters) = task.finish();
         assert!(chunks > 2, "the budget actually chunked the build");
         assert_eq!(labels, whole);
+        assert_eq!(closures, whole_closures);
         assert_eq!(chunk_counters, counters);
     }
 
@@ -615,7 +664,7 @@ mod tests {
         let ranks = RankTable::from_order(&figure2_order()).bipartite_order();
         let csr = Csr::from_digraph(BipartiteGraph::from_graph(&g).graph());
         let mut counters = TraversalCounters::default();
-        let labels = build_labels(&csr, &ranks, &mut counters).unwrap();
+        let (labels, _) = build_labels(&csr, &ranks, &mut counters).unwrap();
 
         let v7i = in_vertex(pv(7));
         let v7o = out_vertex(pv(7));
@@ -656,9 +705,13 @@ mod tests {
     fn only_vin_vertices_are_hubs() {
         let g = figure2();
         let (labels, ranks) = build_for(&g, OrderingStrategy::Degree);
+        let view = CoupleView::new(&labels, &ranks);
         for v in 0..labels.vertex_count() as u32 {
             let v = VertexId(v);
-            for e in labels.in_of(v).iter().chain(labels.out_of(v)) {
+            for e in view
+                .list(v, LabelSide::In)
+                .chain(view.list(v, LabelSide::Out))
+            {
                 let hub = ranks.vertex_at_rank(e.hub_rank());
                 assert!(
                     is_in_vertex(hub) || hub == v,
@@ -670,12 +723,15 @@ mod tests {
 
     #[test]
     fn couple_edge_label_exists() {
-        // (v_i, 1, 1) must be in Lin(v_o) for every vertex (Section IV-B).
+        // (v_i, 1, 1) must be in Lin(v_o) for every vertex (Section IV-B),
+        // a copy the store derives rather than holds.
         let g = figure2();
         let (labels, ranks) = build_for(&g, OrderingStrategy::Degree);
+        let view = CoupleView::new(&labels, &ranks);
         for v in g.vertices() {
             let (vi, vo) = (in_vertex(v), out_vertex(v));
-            let e = labels
+            assert!(labels.in_of(vo).is_empty() && labels.out_of(vi).is_empty());
+            let e = view
                 .entry_for(vo, LabelSide::In, ranks.rank(vi))
                 .unwrap_or_else(|| panic!("missing (v_i, 1, 1) in Lin({vo:?})"));
             assert_eq!((e.dist(), e.count()), (1, 1));

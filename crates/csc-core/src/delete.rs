@@ -18,11 +18,13 @@
 //!   crossed deleted edges. Those are subtracted by **one** multi-source
 //!   resumed BFS per hub side (`repair::multi_source_subtract`), merging
 //!   the cones of every deleted edge the hub crosses: seeded with the
-//!   hub's *pre-window* label entries at the deleted tails (the
-//!   last-old-edge decomposition counts every vanished path exactly once;
-//!   see the pass docs), propagating below-`v` suffix counts through a
-//!   bucket queue, and decrementing each reached entry whose stored
-//!   distance matches. An entry whose count reaches zero is removed.
+//!   hub's *pre-window* label entries at the deleted tails (in the couple
+//!   copies `L_in(a_o)` and `L_out(b_i)`, read through the couple view;
+//!   the last-old-edge decomposition counts every vanished path exactly
+//!   once; see the pass docs), propagating below-`v` suffix counts
+//!   through a bucket queue, and decrementing each reached entry whose
+//!   stored distance matches. An entry whose count reaches zero is
+//!   removed.
 //! * **Re-label hubs** — hubs whose distance to some crossed endpoint
 //!   grew (detected exactly with pre/post-window BFS from the endpoints;
 //!   the post sweeps are truncated at the pre-sweep eccentricity, which
@@ -57,9 +59,11 @@
 //!   [`REBUILD_FALLBACK_PERCENT`] of all hub sides skips the sweeps
 //!   entirely in favor of a from-scratch label rebuild under the existing
 //!   rank order — exact by construction, and a full freeze that drops
-//!   every dominated leftover. On the `repro deletion-churn` workload the
-//!   fallback carries every window of 8+ deletions; the surgical merge
-//!   path is what single-edge windows and sparse windows exercise.
+//!   every dominated leftover. Its report counts what the rebuild changed,
+//!   one merge per stored list of the old and the new store. On the
+//!   `repro deletion-churn` workload the fallback carries every window of
+//!   8+ deletions; the surgical merge path is what single-edge windows
+//!   and sparse windows exercise.
 //!
 //! All distance conditions are evaluated with plain BFS traversals from
 //! the edge endpoints — deliberately not with index lookups: the
@@ -82,11 +86,12 @@
 
 use crate::build::{build_labels, LabelWriter, TraversalCounters, WriteMode};
 use crate::index::CscIndex;
+use crate::reduction::{query_lists, CoupleView};
 use crate::repair::{multi_source_subtract, Direction, Seed, SubtractOutcome};
 use crate::stats::UpdateReport;
 use csc_graph::bipartite::{in_vertex, is_in_vertex, out_vertex};
 use csc_graph::{Csr, DistMap, SweepHandle, SweepMaps, VertexId, UNREACHED};
-use csc_labeling::{LabelSide, LabelingError};
+use csc_labeling::{LabelEntry, LabelSide, LabelingError};
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
@@ -237,6 +242,8 @@ impl CscIndex {
             let graph = self.gb.graph();
             let (maps, _) = self.sweeps.split_mut();
             let views = resolve_views(maps, removals, &pre, &post);
+            // The seeds sit in `L_in(a_o)` and `L_out(b_i)`: couple copies.
+            let labels = CoupleView::new(&self.labels, &self.ranks);
             for v in 0..graph.vertex_count() {
                 let vid = VertexId(v as u32);
                 if !is_in_vertex(vid) {
@@ -279,7 +286,7 @@ impl CscIndex {
                         if cross_f && !grown_f {
                             let da = ev.to_ao.get(vid);
                             if da != UNREACHED && ev.to_bi.get(vid) == da + 1 {
-                                if let Some(e) = self.labels.entry_for(ev.ao, LabelSide::In, rank) {
+                                if let Some(e) = labels.entry_for(ev.ao, LabelSide::In, rank) {
                                     if e.dist() == da {
                                         let seeds = &mut subtract.entry(rank).or_default().0;
                                         seeds.push((ev.bi, e.dist() + 1, e.count()));
@@ -290,8 +297,7 @@ impl CscIndex {
                         if cross_b && !grown_b {
                             let db = ev.from_bi.get(vid);
                             if db != UNREACHED && ev.from_ao.get(vid) == db + 1 {
-                                if let Some(e) = self.labels.entry_for(ev.bi, LabelSide::Out, rank)
-                                {
+                                if let Some(e) = labels.entry_for(ev.bi, LabelSide::Out, rank) {
                                     if e.dist() == db {
                                         let seeds = &mut subtract.entry(rank).or_default().1;
                                         seeds.push((ev.ao, e.dist() + 1, e.count()));
@@ -332,6 +338,7 @@ impl CscIndex {
             ref ranks,
             ref mut labels,
             ref mut inverted,
+            ref mut closures,
             ref mut workspace,
             ref mut sweeps,
             ..
@@ -355,8 +362,8 @@ impl CscIndex {
                 stats.cache_fills += 1;
                 stats.cache_hits += seeds.len() - 1;
                 let outcome = multi_source_subtract(
-                    graph, ranks, labels, inverted, state, cache, buckets, direction, rank, vk,
-                    seeds, report,
+                    graph, ranks, labels, inverted, closures, state, cache, buckets, direction,
+                    rank, vk, seeds, report,
                 );
                 if matches!(outcome, SubtractOutcome::Demote) {
                     // Saturated counts: recompute this hub side from scratch.
@@ -376,18 +383,18 @@ impl CscIndex {
         // only against strictly higher-ranked hubs, then sweeps away every
         // entry of the hub on that side the traversal did not produce.
         let mut counters = TraversalCounters::default();
-        let mut writer = LabelWriter::new(labels, inverted.as_mut(), WriteMode::Upsert);
+        let mut writer = LabelWriter::new(labels, inverted.as_mut(), WriteMode::Upsert, closures);
         for (&rank, &(fwd, bwd)) in &relabel {
             report.affected_hubs += 1;
             stats.hub_union += usize::from(fwd) + usize::from(bwd);
             let hub = ranks.vertex_at_rank(rank);
             if fwd {
                 workspace.traverse_in(graph, ranks, hub, &mut writer, &mut counters)?;
-                report.entries_removed += writer.sweep(LabelSide::In, rank);
+                report.entries_removed += writer.sweep(LabelSide::In, hub, rank);
             }
             if bwd {
                 workspace.traverse_out(graph, ranks, hub, &mut writer, &mut counters)?;
-                report.entries_removed += writer.sweep(LabelSide::Out, rank);
+                report.entries_removed += writer.sweep(LabelSide::Out, hub, rank);
             }
         }
         report.entries_inserted += counters.inserted;
@@ -404,20 +411,55 @@ impl CscIndex {
     /// and swaps it in, dropping the inverted index (the next deletion or
     /// `CLEAN_LABEL` rebuilds it) and marking every label slot dirty so
     /// the next incremental re-freeze re-gathers the whole store (the
-    /// served snapshot describes the retired layout).
+    /// served snapshot describes the retired layout). The report counts
+    /// what the swap changed: one merge per stored list of the old store
+    /// against the new one.
     fn rebuild_after_window(&mut self, report: &mut UpdateReport) -> Result<(), LabelingError> {
         let csr = Csr::from_digraph(self.gb.graph());
         let mut counters = TraversalCounters::default();
-        let labels = build_labels(&csr, &self.ranks, &mut counters)?;
-        report.entries_removed += self.labels.total_entries();
-        report.entries_inserted += labels.total_entries();
+        let (labels, closures) = build_labels(&csr, &self.ranks, &mut counters)?;
+        for (v, side) in query_lists(self.original_vertex_count()) {
+            let old = self.labels.side_of(v, side);
+            let new = labels.side_of(v, side);
+            let (removed, inserted, updated) = diff_lists(old, new);
+            report.entries_removed += removed;
+            report.entries_inserted += inserted;
+            report.entries_updated += updated;
+        }
         report.vertices_visited += counters.dequeues;
         report.rebuild_fallbacks += 1;
         self.labels = labels;
+        self.closures = closures;
         self.labels.mark_all_dirty();
         self.inverted = None;
         Ok(())
     }
+}
+
+/// `(removed, inserted, updated)`: the entries of rank-sorted list `old`
+/// whose hub `new` lacks, those of `new` whose hub `old` lacks, and the
+/// hubs both hold with a different distance or count. One merge.
+fn diff_lists(old: &[LabelEntry], new: &[LabelEntry]) -> (usize, usize, usize) {
+    let (mut i, mut j) = (0, 0);
+    let (mut removed, mut inserted, mut updated) = (0, 0, 0);
+    while i < old.len() && j < new.len() {
+        match old[i].hub_rank().cmp(&new[j].hub_rank()) {
+            std::cmp::Ordering::Less => {
+                removed += 1;
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                inserted += 1;
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                updated += usize::from(old[i] != new[j]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    (removed + old.len() - i, inserted + new.len() - j, updated)
 }
 
 #[cfg(test)]
@@ -635,6 +677,58 @@ mod tests {
                 }
             }
             assert_queries_match(&idx, &g, &format!("window {k}"));
+        }
+    }
+
+    #[test]
+    fn the_rebuild_fallback_reports_exactly_what_it_changed() {
+        // A window that removes most edges demotes most hub sides, so it
+        // rebuilds; its report must be the diff of the two stores, not
+        // the whole old store out and the whole new one in.
+        use crate::batch::GraphUpdate;
+        use csc_labeling::Labels;
+        use std::collections::HashMap;
+        let entries = |labels: &Labels| {
+            let mut all = HashMap::new();
+            for v in 0..labels.vertex_count() as u32 {
+                for side in [LabelSide::In, LabelSide::Out] {
+                    for &e in labels.side_of(VertexId(v), side) {
+                        all.insert((v, side == LabelSide::Out, e.hub_rank()), e);
+                    }
+                }
+            }
+            all
+        };
+        for seed in [5u64, 6, 7] {
+            let g = gnm(14, 60, seed);
+            let before = CscIndex::build(&g, CscConfig::default()).unwrap();
+            let mut idx = before.clone();
+            let window: Vec<GraphUpdate> = g
+                .edge_vec()
+                .iter()
+                .step_by(2)
+                .map(|&(a, b)| GraphUpdate::RemoveEdge(VertexId(a), VertexId(b)))
+                .collect();
+            let report = idx.apply_batch(&window).unwrap().repair;
+            assert_eq!(report.rebuild_fallbacks, 1, "seed {seed}: no fallback");
+            let (old, new) = (entries(before.labels()), entries(idx.labels()));
+            let removed = old.keys().filter(|k| !new.contains_key(k)).count();
+            let inserted = new.keys().filter(|k| !old.contains_key(k)).count();
+            let updated = old
+                .iter()
+                .filter(|&(k, e)| new.get(k).is_some_and(|f| f != e))
+                .count();
+            assert_eq!(
+                (
+                    report.entries_removed,
+                    report.entries_inserted,
+                    report.entries_updated
+                ),
+                (removed, inserted, updated),
+                "seed {seed}"
+            );
+            assert!(removed < old.len(), "seed {seed}: the diff kept entries");
+            assert_queries_match(&idx, &idx.original_graph(), "after the fallback");
         }
     }
 

@@ -143,7 +143,7 @@ impl RebuildPolicy {
 }
 
 /// The drift baseline captured at build / load / rejuvenation time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HealthBaseline {
     /// Total label entries right after the (re)build.
     pub entries: usize,

@@ -31,7 +31,13 @@ use std::time::Instant;
 pub struct CscIndex {
     pub(crate) gb: BipartiteGraph,
     pub(crate) ranks: RankTable,
+    /// `L_out(v_o)` and `L_in(v_i)` of every couple; the other two lists
+    /// are read through `reduction::CoupleView`.
     pub(crate) labels: Labels,
+    /// How many couples' `L_out(v_o)` hold hub `v_i` (a cycle closure,
+    /// which has no copy in `L_out(v_i)`): what the four-list entry counts
+    /// need besides the store's. Every writer keeps it up to date.
+    pub(crate) closures: usize,
     /// `None` until [`ensure_inverted`](Self::ensure_inverted) builds it.
     pub(crate) inverted: Option<InvertedIndex>,
     pub(crate) config: CscConfig,
@@ -52,6 +58,7 @@ impl Clone for CscIndex {
             gb: self.gb.clone(),
             ranks: self.ranks.clone(),
             labels: self.labels.clone(),
+            closures: self.closures,
             inverted: self.inverted.clone(),
             config: self.config,
             stats: self.stats.clone(),
@@ -89,7 +96,7 @@ impl CscIndex {
         let ranks = RankTable::build(g, config.order).bipartite_order();
         let csr = Csr::from_digraph(gb.graph());
         let mut counters = TraversalCounters::default();
-        let labels = build_labels(&csr, &ranks, &mut counters)?;
+        let (labels, closures) = build_labels(&csr, &ranks, &mut counters)?;
         let n = gb.graph().vertex_count();
         let stats = IndexStats {
             build: BuildStats {
@@ -102,25 +109,21 @@ impl CscIndex {
             },
             ..Default::default()
         };
-        let baseline = HealthBaseline {
-            entries: labels.total_entries(),
-            in_entries: labels.side_entries(LabelSide::In),
-            out_entries: labels.side_entries(LabelSide::Out),
-            vertices: gb.original_vertex_count(),
-            rejuvenations: 0,
-        };
-        Ok(CscIndex {
+        let mut index = CscIndex {
             gb,
             ranks,
             labels,
+            closures,
             inverted: None,
             config,
             stats,
-            baseline,
+            baseline: HealthBaseline::default(),
             poisoned: None,
             workspace: CoupleBfs::new(n),
             sweeps: TraversalWorkspace::new(n),
-        })
+        };
+        index.rebaseline(0);
+        Ok(index)
     }
 
     /// `SCCnt(v)`: the length and number of the shortest cycles through
@@ -159,24 +162,16 @@ impl CscIndex {
         self.labels.push_vertex();
         self.labels.push_vertex();
         let (ri, ro) = (self.ranks.rank(vi), self.ranks.rank(vo));
-        // Exactly the labels the static build gives an isolated couple.
+        // Exactly the lists the static build stores for an isolated couple:
+        // the two self entries (the copies add one each).
         self.labels
             .append(vi, LabelSide::In, LabelEntry::new_unchecked(ri, 0, 1));
-        self.labels
-            .append(vi, LabelSide::Out, LabelEntry::new_unchecked(ri, 0, 1));
-        self.labels
-            .append(vo, LabelSide::In, LabelEntry::new_unchecked(ri, 1, 1));
-        self.labels
-            .append(vo, LabelSide::In, LabelEntry::new_unchecked(ro, 0, 1));
         self.labels
             .append(vo, LabelSide::Out, LabelEntry::new_unchecked(ro, 0, 1));
         if let Some(inv) = &mut self.inverted {
             inv.push_rank();
             inv.push_rank();
             inv.add(LabelSide::In, ri, vi);
-            inv.add(LabelSide::Out, ri, vi);
-            inv.add(LabelSide::In, ri, vo);
-            inv.add(LabelSide::In, ro, vo);
             inv.add(LabelSide::Out, ro, vo);
         }
         self.workspace.ensure(self.gb.graph().vertex_count());
@@ -219,7 +214,12 @@ impl CscIndex {
         &self.gb
     }
 
-    /// The label store (bipartite vertex ids, hub ranks).
+    /// The label store (bipartite vertex ids, hub ranks). It holds the
+    /// two lists a cycle query reads: `out_of(v_o)` and `in_of(v_i)`. The
+    /// slots of `in_of(v_o)` and `out_of(v_i)` are empty; those lists are
+    /// copies of the other two one hop along the couple edge (the paper's
+    /// index reduction, Section IV-E), which the index derives where it
+    /// needs them.
     pub fn labels(&self) -> &Labels {
         &self.labels
     }
@@ -276,11 +276,11 @@ impl CscIndex {
     /// [`ConcurrentIndex::health`](crate::ConcurrentIndex::health)
     /// combines both with the maintenance-plane state.
     pub fn health(&self) -> IndexHealth {
-        let total = self.labels.total_entries();
+        let total = self.total_entries();
         IndexHealth {
             total_entries: total,
-            in_entries: self.labels.side_entries(LabelSide::In),
-            out_entries: self.labels.side_entries(LabelSide::Out),
+            in_entries: self.side_entries(LabelSide::In),
+            out_entries: self.side_entries(LabelSide::Out),
             baseline_entries: self.baseline.entries,
             baseline_in_entries: self.baseline.in_entries,
             baseline_out_entries: self.baseline.out_entries,
@@ -301,10 +301,10 @@ impl CscIndex {
         }
     }
 
-    /// Tracked heap footprint in bytes: label lists, the inverted index,
-    /// and the traversal workspaces. `O(n)` over the label store — the
-    /// maintenance engine measures once per applied window, not per
-    /// operation.
+    /// Tracked heap footprint in bytes: the stored label lists, the
+    /// inverted index, and the traversal workspaces. `O(n)` over the label
+    /// store — the maintenance engine measures once per applied window,
+    /// not per operation.
     pub fn memory_bytes(&self) -> usize {
         self.labels.heap_bytes()
             + self.inverted.as_ref().map_or(0, |inv| inv.heap_bytes())
@@ -317,22 +317,35 @@ impl CscIndex {
     /// persisted baseline).
     pub(crate) fn rebaseline(&mut self, rejuvenations: u32) {
         self.baseline = HealthBaseline {
-            entries: self.labels.total_entries(),
-            in_entries: self.labels.side_entries(LabelSide::In),
-            out_entries: self.labels.side_entries(LabelSide::Out),
+            entries: self.total_entries(),
+            in_entries: self.side_entries(LabelSide::In),
+            out_entries: self.side_entries(LabelSide::Out),
             vertices: self.original_vertex_count(),
             rejuvenations,
         };
     }
 
-    /// Total label entries (Figure 9(b)'s index size is `8 *` this).
+    /// Label entries on `side` across all four lists of every couple, the
+    /// copies the store derives included: per couple, `|L_in(v_o)| =
+    /// |L_in(v_i)| + 1`, and `|L_out(v_i)| = |L_out(v_o)|` less its
+    /// closure. `O(1)`.
+    pub(crate) fn side_entries(&self, side: LabelSide) -> usize {
+        let stored = self.labels.side_entries(side);
+        match side {
+            LabelSide::In => 2 * stored + self.original_vertex_count(),
+            LabelSide::Out => 2 * stored - self.closures,
+        }
+    }
+
+    /// Total label entries, all four lists of every couple (Figure 9(b)'s
+    /// index size is `8 *` this); the store holds about half of them.
     pub fn total_entries(&self) -> usize {
-        self.labels.total_entries()
+        self.side_entries(LabelSide::In) + self.side_entries(LabelSide::Out)
     }
 
     /// Index size in bytes under the paper's 64-bit entry encoding.
     pub fn index_bytes(&self) -> usize {
-        self.labels.entry_bytes()
+        self.total_entries() * std::mem::size_of::<LabelEntry>()
     }
 
     /// `true` if an earlier failed update left the index inconsistent.

@@ -276,6 +276,10 @@ pub struct MaintenanceEngine {
     /// fills it instead of a fresh allocation. Snapshot storage, so it is
     /// not part of the tracked heap footprint.
     arena_buffer: Vec<LabelEntry>,
+    /// The encoding of the last checkpoint: every checkpoint encodes into
+    /// this allocation, so it writes pages already resident instead of
+    /// faulting in a fresh buffer. Counted in the tracked heap footprint.
+    checkpoint_buffer: Vec<u8>,
     /// `Some(detail)` after a write-path panic (or failed integrity
     /// check): the engine refuses writes and publication until
     /// [`recover_in_place`](Self::recover_in_place).
@@ -321,6 +325,7 @@ impl MaintenanceEngine {
             queued_vertices: 0,
             full_freeze_pending: false,
             arena_buffer: Vec::new(),
+            checkpoint_buffer: Vec::new(),
             degraded: None,
             durability: None,
             durability_degraded: None,
@@ -641,8 +646,9 @@ impl MaintenanceEngine {
             self.saturated = false;
             return;
         }
-        self.memory_bytes =
-            self.index.memory_bytes() + self.replay.len() * std::mem::size_of::<GraphUpdate>();
+        self.memory_bytes = self.index.memory_bytes()
+            + self.replay.len() * std::mem::size_of::<GraphUpdate>()
+            + self.checkpoint_buffer.capacity();
         self.saturated = self.memory_bytes > self.index.config().memory_budget;
     }
 
@@ -772,14 +778,15 @@ impl MaintenanceEngine {
         if self.durability.is_none() || self.is_rebuilding() {
             return Ok(None);
         }
-        let bytes = self.index.to_bytes()?;
+        self.index.encode_into(&mut self.checkpoint_buffer)?;
+        let bytes = &self.checkpoint_buffer;
         let keep = self.index.config().durability.keep_checkpoints as usize;
         let retry = self.index.config().durability.io_retry;
         let d = self.durability.as_mut().expect("checked above");
         let seq = d.wal.last_seq();
         let outcome = retry
             .run(seq, |_| {
-                wal::write_checkpoint(&d.dir, seq, &bytes).map(|_| ())
+                wal::write_checkpoint(&d.dir, seq, bytes).map(|_| ())
             })
             .and_then(|()| retry.run(seq ^ 1, |_| d.wal.rotate(seq)));
         match outcome {
@@ -828,8 +835,8 @@ impl MaintenanceEngine {
         // Start above any leftover generation so stale files can never
         // shadow this engine's checkpoints on a later recovery.
         let seq = wal::list_checkpoints(dir).first().map_or(0, |(s, _)| s + 1);
-        let bytes = self.index.to_bytes()?;
-        wal::write_checkpoint(dir, seq, &bytes)?;
+        self.index.encode_into(&mut self.checkpoint_buffer)?;
+        wal::write_checkpoint(dir, seq, &self.checkpoint_buffer)?;
         let log = WriteAheadLog::create(
             &dir.join(wal::WAL_FILE),
             seq,
@@ -1065,7 +1072,7 @@ impl MaintenanceEngine {
             &mut task.build,
             LabelBuildTask::new(0).expect("empty task is always in capacity"),
         );
-        let (labels, counters) = build.finish();
+        let (labels, closures, counters) = build.finish();
         let config = *self.index.config();
         let n = self.index.bipartite().graph().vertex_count();
         let mut stats = self.index.stats.clone();
@@ -1082,16 +1089,11 @@ impl MaintenanceEngine {
             gb: self.index.gb.clone(),
             ranks: std::mem::replace(&mut task.ranks, RankTable::from_order(&[])),
             labels,
+            closures,
             inverted: None,
             config,
             stats,
-            baseline: HealthBaseline {
-                entries: 0,
-                in_entries: 0,
-                out_entries: 0,
-                vertices: 0,
-                rejuvenations: 0,
-            },
+            baseline: HealthBaseline::default(),
             poisoned: None,
             workspace: CoupleBfs::new(n),
             // Reuse the retired index's pooled sweep maps and bucket queue:

@@ -8,32 +8,46 @@
 //! they share (the hub-cache fill and the covered-distance prune scan,
 //! [`HubCache::covered`], live with the couple BFS in `csc-core::build`):
 //!
-//! * [`update_label`] — `UPDATE_LABEL` (Algorithm 7);
+//! * [`RepairWriter::update_label`] — `UPDATE_LABEL` (Algorithm 7);
 //! * [`multi_source_pass`] — the resumed BFS of Algorithm 6, one pass per
 //!   affected hub no matter how many inserted edges affect it. Seeds sit
-//!   at different depths, so the plain BFS queue becomes a monotone
-//!   *bucket queue* (unit edge weights keep it `O(V + E)`; the queue
-//!   itself is recycled across passes via
-//!   [`csc_graph::BucketQueue`]), and a seed reached earlier by the
-//!   traversal itself is relaxed downward — which is exactly what makes
-//!   the first-new-edge decomposition exact: every brand-new shortest
-//!   path decomposes as an *old* shortest prefix to the first inserted
-//!   edge it crosses (covered by that edge's pre-batch seed entry) plus a
-//!   suffix in the updated graph, which the traversal walks because all
-//!   batch edges are already present. A one-edge window has one seed per
-//!   hub and is the paper's per-edge pass. The passes run serially in
-//!   descending rank order, each writing through a [`RepairWriter`] as it
-//!   traverses;
+//!   at different depths, so the BFS queue becomes a monotone *bucket
+//!   queue* (unit edge weights keep it `O(V + E)`; the queue itself is
+//!   recycled across passes via [`csc_graph::BucketQueue`]), and a seed
+//!   reached earlier by the traversal itself is relaxed downward — which
+//!   is exactly what makes the first-new-edge decomposition exact: every
+//!   brand-new shortest path decomposes as an *old* shortest prefix to
+//!   the first inserted edge it crosses (covered by that edge's pre-batch
+//!   seed entry) plus a suffix in the updated graph, which the traversal
+//!   walks because all batch edges are already present. A one-edge window
+//!   has one seed per hub and is the paper's per-edge pass. The passes
+//!   run serially in descending rank order, each writing through a
+//!   [`RepairWriter`] as it traverses;
 //! * [`multi_source_subtract`] — the decremental mirror: one pass per
 //!   count-repair hub subtracts every shortest path a whole *deletion*
 //!   window removed, via the dual last-old-edge decomposition (see its
 //!   docs).
+//!
+//! Both passes skip couples the way the static build's couple BFS does.
+//! The store holds only `L_in(v_i)` and `L_out(v_o)` (`csc-core::
+//! reduction`), so a forward pass queues only `V_in` vertices and a
+//! backward pass only `V_out` ones: each dequeued vertex is repaired in
+//! its stored list, its couple — one hop further with the same count,
+//! since the couple edge is the couple's only way in or out — is the copy
+//! the couple view derives, and the pass continues from the couple's
+//! neighbors two hops on. A backward pass stops at the hub's own couple,
+//! where a cycle closes back onto the hub, and no pass continues past a
+//! seed that outranks the hub. That halves the writes of a plain
+//! bipartite BFS and drops its couple dequeues, each of which ran a prune
+//! scan whose answer was the previous one plus one.
 
-use crate::build::{covered_dist, fill_hub_cache, TraversalCounters};
+use crate::build::{couple_entry, covered_dist, fill_hub_cache, TraversalCounters};
 use crate::clean::clean_label;
 use crate::config::UpdateStrategy;
 use crate::invert::InvertedIndex;
+use crate::reduction::{is_closure, CoupleView};
 use crate::stats::UpdateReport;
+use csc_graph::bipartite::couple;
 use csc_graph::{BucketQueue, DiGraph, RankTable, VertexId};
 use csc_labeling::{
     HubCache, LabelEntry, LabelSide, LabelingError, Labels, SearchState, MAX_COUNT,
@@ -60,74 +74,91 @@ impl Direction {
     }
 }
 
-/// `UPDATE_LABEL` (Algorithm 7). Returns `true` when the write shortened a
-/// distance or created an entry (the cases that can strand redundancy).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn update_label(
-    labels: &mut Labels,
-    inverted: &mut Option<InvertedIndex>,
-    w: VertexId,
-    side: LabelSide,
-    vk: VertexId,
-    vk_rank: u32,
-    d: u32,
-    c: u64,
-    report: &mut UpdateReport,
-) -> Result<bool, LabelingError> {
-    let wrap = |source| LabelingError::Entry {
-        hub: vk,
-        vertex: w,
-        source,
-    };
-    match labels.entry_for(w, side, vk_rank) {
-        Some(old) => {
-            if d < old.dist() {
-                labels.upsert(w, side, LabelEntry::new(vk_rank, d, c).map_err(wrap)?);
-                report.entries_updated += 1;
-                Ok(true)
-            } else if d == old.dist() {
-                // New same-length shortest paths: accumulate the counting.
-                let merged = c.saturating_add(old.count());
-                labels.upsert(w, side, LabelEntry::new(vk_rank, d, merged).map_err(wrap)?);
-                report.entries_updated += 1;
-                Ok(false)
-            } else {
-                // The traversal found only a longer connection than the
-                // recorded one; nothing to repair. (Unreachable when the
-                // seed label was exact, possible with stale seeds under
-                // the redundancy strategy.)
-                Ok(false)
-            }
-        }
-        None => {
-            labels.upsert(w, side, LabelEntry::new(vk_rank, d, c).map_err(wrap)?);
-            if let Some(inv) = inverted {
-                inv.add(side, vk_rank, w);
-            }
-            report.entries_inserted += 1;
-            Ok(true)
-        }
-    }
-}
-
 /// A repair seed: traversal start vertex, its seed distance from the pass
 /// hub, and the count of hub-maximal shortest paths realizing it.
 pub(crate) type Seed = (VertexId, u32, u64);
 
+/// What [`RepairWriter::update_label`] did to an entry.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Update {
+    /// Shortened a distance or created an entry: the cases that can strand
+    /// redundancy.
+    Improved,
+    /// Added same-length shortest paths to the count.
+    Accumulated,
+    /// Nothing: the stored entry is already shorter.
+    Kept,
+}
+
 /// The writer of [`multi_source_pass`]: [`update_label`] for every visit,
 /// plus `CLEAN_LABEL` after an improving write under
 /// [`UpdateStrategy::Minimality`].
+///
+/// [`update_label`]: Self::update_label
 pub(crate) struct RepairWriter<'a> {
     pub labels: &'a mut Labels,
     pub inverted: &'a mut Option<InvertedIndex>,
+    /// The index's count of stored cycle closures, kept up to date.
+    pub closures: &'a mut usize,
     pub ranks: &'a RankTable,
     pub strategy: UpdateStrategy,
     pub report: &'a mut UpdateReport,
 }
 
 impl RepairWriter<'_> {
+    /// `UPDATE_LABEL` (Algorithm 7): hub `vk` (ranked `vk_rank`) reaches
+    /// `w`, on `side`, at distance `d` by `c` shortest paths.
+    fn update_label(
+        &mut self,
+        w: VertexId,
+        side: LabelSide,
+        vk: VertexId,
+        vk_rank: u32,
+        d: u32,
+        c: u64,
+    ) -> Result<Update, LabelingError> {
+        let wrap = |source| LabelingError::Entry {
+            hub: vk,
+            vertex: w,
+            source,
+        };
+        let labels = &mut *self.labels;
+        match labels.entry_for(w, side, vk_rank) {
+            Some(old) => {
+                if d < old.dist() {
+                    labels.upsert(w, side, LabelEntry::new(vk_rank, d, c).map_err(wrap)?);
+                    self.report.entries_updated += 1;
+                    Ok(Update::Improved)
+                } else if d == old.dist() {
+                    // New same-length shortest paths: accumulate the counting.
+                    let merged = c.saturating_add(old.count());
+                    labels.upsert(w, side, LabelEntry::new(vk_rank, d, merged).map_err(wrap)?);
+                    self.report.entries_updated += 1;
+                    Ok(Update::Accumulated)
+                } else {
+                    // The traversal found only a longer connection than the
+                    // recorded one; nothing to repair. (Unreachable when the
+                    // seed label was exact, possible with stale seeds under
+                    // the redundancy strategy.)
+                    Ok(Update::Kept)
+                }
+            }
+            None => {
+                labels.upsert(w, side, LabelEntry::new(vk_rank, d, c).map_err(wrap)?);
+                if let Some(inv) = self.inverted {
+                    inv.add(side, vk_rank, w);
+                }
+                *self.closures += usize::from(is_closure(w, side, vk));
+                self.report.entries_inserted += 1;
+                Ok(Update::Improved)
+            }
+        }
+    }
+
     /// Takes one unpruned visit of `hub`'s pass writing `side`: `w` at
-    /// distance `dw`, reached by `cw` hub-maximal shortest paths.
+    /// distance `dw`, reached by `cw` hub-maximal shortest paths. Unless
+    /// `w` closes a cycle onto the hub, the same update lands in its
+    /// couple's copy one hop further; the copy is checked to fit an entry.
     #[inline]
     fn visit(
         &mut self,
@@ -138,23 +169,27 @@ impl RepairWriter<'_> {
         dw: u32,
         cw: u64,
     ) -> Result<(), LabelingError> {
-        let improved = update_label(
-            self.labels,
-            self.inverted,
-            w,
-            side,
-            hub,
-            hub_rank,
-            dw,
-            cw,
-            self.report,
-        )?;
-        if improved && self.strategy == UpdateStrategy::Minimality {
+        let update = self.update_label(w, side, hub, hub_rank, dw, cw)?;
+        if update == Update::Kept {
+            return Ok(());
+        }
+        if !is_closure(w, side, hub) {
+            couple_entry(hub, hub_rank, couple(w), dw + 1, cw)?;
+        }
+        if update == Update::Improved && self.strategy == UpdateStrategy::Minimality {
             let inv = self
                 .inverted
                 .as_mut()
                 .expect("the Minimality insertion phase builds the inverted index");
-            clean_label(self.labels, inv, self.ranks, w, side, self.report);
+            clean_label(
+                self.labels,
+                inv,
+                self.closures,
+                self.ranks,
+                w,
+                side,
+                self.report,
+            );
         }
         Ok(())
     }
@@ -180,7 +215,9 @@ impl RepairWriter<'_> {
 /// Every visit that survives the coverage prune goes to `writer` at once:
 /// each write lands before the next vertex's prune scan, so later passes —
 /// and, under Minimality, the cleaning that removes entries mid-pass —
-/// see every earlier write.
+/// see every earlier write. The pass skips couples (see the [module
+/// docs](self)): seeds are `V_in` vertices forward and `V_out` vertices
+/// backward, and so is every vertex it queues.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn multi_source_pass(
     graph: &DiGraph,
@@ -197,7 +234,13 @@ pub(crate) fn multi_source_pass(
 ) -> Result<(), LabelingError> {
     debug_assert!(!seeds.is_empty());
     let (own_side, target_side) = direction.sides();
-    fill_hub_cache(writer.labels, cache, vk, vk_rank, own_side);
+    fill_hub_cache(
+        CoupleView::new(writer.labels, ranks),
+        cache,
+        vk,
+        vk_rank,
+        own_side,
+    );
     // The pass resumes over `vk`'s own entries: with its slot at 0 the
     // scan reads a stored entry's distance, so the traversal prunes where
     // the index is already shorter and ties where it is as short.
@@ -223,30 +266,54 @@ pub(crate) fn multi_source_pass(
                 continue;
             }
             writer.visit(w, target_side, vk, vk_rank, dw, cw)?;
-
-            let nbrs = match direction {
-                Direction::Forward => graph.nbr_out(w),
-                Direction::Backward => graph.nbr_in(w),
+            let Some(nbrs) = couple_neighbors(graph, ranks, direction, vk_rank, w) else {
+                continue;
             };
+            let du = dw + 2;
             for &u in nbrs {
                 let u = VertexId(u);
                 if !state.visited(u) {
                     if vk_rank < ranks.rank(u) {
-                        state.visit(u, dw + 1, cw);
-                        buckets.push((dw + 1 - base) as usize, u.0);
+                        state.visit(u, du, cw);
+                        buckets.push((du - base) as usize, u.0);
                     }
-                } else if state.dist[u.index()] == dw + 1 {
+                } else if state.dist[u.index()] == du {
                     state.accumulate(u, cw);
-                } else if state.dist[u.index()] > dw + 1 {
+                } else if state.dist[u.index()] > du {
                     // Only deeper-seeded vertices can be relaxed downward.
-                    state.relax(u, dw + 1, cw);
-                    buckets.push((dw + 1 - base) as usize, u.0);
+                    state.relax(u, du, cw);
+                    buckets.push((du - base) as usize, u.0);
                 }
             }
         }
         level += 1;
     }
     Ok(())
+}
+
+/// Couple skipping: where a pass of the hub ranked `vk_rank` continues
+/// after dequeuing `w` — the neighbors of `w`'s couple, two hops on, in
+/// the pass's direction. `None` when the couple does not rank below the
+/// hub, as every vertex a pass reaches must: it is the hub itself (a
+/// backward pass closed a cycle back onto the hub's couple), or `w` is a
+/// seed that outranks the hub (a deletion window's crossing path runs
+/// through a higher-ranked vertex, and the hub's paths stop there).
+#[inline]
+fn couple_neighbors<'g>(
+    graph: &'g DiGraph,
+    ranks: &RankTable,
+    direction: Direction,
+    vk_rank: u32,
+    w: VertexId,
+) -> Option<&'g [u32]> {
+    let wc = couple(w);
+    if ranks.rank(wc) <= vk_rank {
+        return None;
+    }
+    Some(match direction {
+        Direction::Forward => graph.nbr_out(wc),
+        Direction::Backward => graph.nbr_in(wc),
+    })
 }
 
 /// Resets `state` and `buckets` and loads `seeds` into them, merging
@@ -301,13 +368,17 @@ pub(crate) enum SubtractOutcome {
 /// stored distance matches the traversal's, removed when the count hits
 /// zero. Edits are buffered and applied only when the whole merged cone
 /// is saturation-free; otherwise nothing is written and
-/// [`SubtractOutcome::Demote`] tells the caller to re-label instead.
+/// [`SubtractOutcome::Demote`] tells the caller to re-label instead. The
+/// pass skips couples as [`multi_source_pass`] does: each couple's copy
+/// holds the same count one hop further, so it matches exactly when the
+/// stored entry does.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn multi_source_subtract(
     graph: &DiGraph,
     ranks: &RankTable,
     labels: &mut Labels,
     inverted: &mut Option<InvertedIndex>,
+    closures: &mut usize,
     state: &mut SearchState,
     cache: &mut HubCache,
     buckets: &mut BucketQueue,
@@ -322,7 +393,7 @@ pub(crate) fn multi_source_subtract(
         return SubtractOutcome::Demote;
     }
     let (own_side, target_side) = direction.sides();
-    fill_hub_cache(labels, cache, vk, vk_rank, own_side);
+    fill_hub_cache(CoupleView::new(labels, ranks), cache, vk, vk_rank, own_side);
     cache.put(vk_rank, 0);
     let base = seed_buckets(state, buckets, seeds);
 
@@ -357,23 +428,23 @@ pub(crate) fn multi_source_subtract(
                 }
             }
 
-            let nbrs = match direction {
-                Direction::Forward => graph.nbr_out(w),
-                Direction::Backward => graph.nbr_in(w),
+            let Some(nbrs) = couple_neighbors(graph, ranks, direction, vk_rank, w) else {
+                continue;
             };
+            let du = dw + 2;
             for &u in nbrs {
                 let u = VertexId(u);
                 if !state.visited(u) {
                     if vk_rank < ranks.rank(u) {
-                        state.visit(u, dw + 1, cw);
-                        buckets.push((dw + 1 - base) as usize, u.0);
+                        state.visit(u, du, cw);
+                        buckets.push((du - base) as usize, u.0);
                     }
-                } else if state.dist[u.index()] == dw + 1 {
+                } else if state.dist[u.index()] == du {
                     state.accumulate(u, cw);
                 }
-                // dist[u] < dw + 1: the class through w is not shortest at
-                // u; its counts were already excluded there. dist[u] >
-                // dw + 1 cannot happen — subtraction seeds sit at exact
+                // dist[u] < du: the class through w is not shortest at u;
+                // its counts were already excluded there. dist[u] > du
+                // cannot happen — subtraction seeds sit at exact
                 // pre-window distances, so no downward relaxation exists.
             }
         }
@@ -386,6 +457,7 @@ pub(crate) fn multi_source_subtract(
             if let Some(inv) = inverted {
                 inv.remove(target_side, vk_rank, w);
             }
+            *closures -= usize::from(is_closure(w, target_side, vk));
             report.entries_removed += 1;
         } else {
             let e = labels

@@ -28,21 +28,24 @@
 //! | 5   | baseline | entries ×3 `u64`, vertices `u32`, rejuvenations `u32` |
 //! | 6   | labels   | per original vertex `v`, `L_out(v_o)` then `L_in(v_i)`: len `u32`, entries `u64` × len |
 //!
-//! The labels section holds only the two lists a cycle query reads, in
-//! the snapshot arena's couple order. The other two lists of each couple
-//! are their copies one hop along the couple edge, and decoding derives
-//! them (the paper's index reduction, Section IV-E):
+//! The labels section holds the two lists a cycle query reads, in the
+//! snapshot arena's couple order: exactly what the index's label store
+//! holds. The other two lists of each couple are their copies one hop
+//! along the couple edge (the paper's index reduction, Section IV-E; see
+//! `csc-core::reduction`):
 //!
 //! * `L_in(v_o)  = shift₊₁(L_in(v_i)) ++ (v_o, 0, 1)`
 //! * `L_out(v_i) = shift₊₁(L_out(v_o) minus hubs v_i and v_o) ++ (v_i, 0, 1)`
 //!
-//! so a checkpoint is about half the label store. Debug builds check,
-//! before every encode, that the stored copies equal their derivation.
+//! so a checkpoint is about half the four-list index, and decoding stores
+//! no copy either: it checks that the stored lists derive valid ones.
 //!
 //! Encoding writes every section in place into one output buffer sized up
 //! front: the frame's length and CRC go in over placeholder bytes once
 //! the payload is written, so the checkpoint's bytes are written once and
-//! checksummed once.
+//! checksummed once. A caller that checkpoints repeatedly passes the same
+//! buffer every time (`encode_into`), so a checkpoint writes into pages
+//! already resident instead of faulting in fresh ones.
 //!
 //! Decoding is defensive in three layers: `total_len` catches truncation
 //! and trailing bytes before any section is touched, every claimed
@@ -50,9 +53,9 @@
 //! against the remaining buffer *before* allocating, and every payload
 //! must match its CRC before it is parsed. A corrupted file therefore
 //! reports *which* section is damaged. Label lists are checked whole and
-//! then installed with one [`Labels::extend_sorted`] each; a derived list
-//! that would be unsorted, or whose shifted distance would pass
-//! `MAX_DIST`, is corrupt too.
+//! then installed with one [`Labels::extend_sorted`] each; stored lists
+//! whose copy would be unsorted, or whose shifted distance would pass
+//! `MAX_DIST`, are corrupt too.
 //!
 //! The rank table is persisted verbatim — after a rejuvenation it is the
 //! *recomputed* order, not a derivable one — and the health baseline
@@ -63,8 +66,9 @@
 //!
 //! Format `\x04` differs only in its labels section, which holds all four
 //! lists of every bipartite vertex (per vertex, in-list then out-list);
-//! it still loads, its lists read verbatim, so an existing durability
-//! directory recovers. (Format `\x03` predates the section framing and
+//! it still loads, so an existing durability directory recovers: its
+//! copies are checked as lists and dropped, and its query lists load as
+//! `\x05`'s do. (Format `\x03` predates the section framing and
 //! checksums, `\x02` the rebuild policy and health baseline, `\x01` the
 //! snapshot refresh interval; there are no persisted older indexes to
 //! migrate, so all are rejected with a version message.)
@@ -79,7 +83,7 @@ use crate::error::CscError;
 use crate::guard::RetryPolicy;
 use crate::health::{HealthBaseline, RebuildPolicy};
 use crate::index::CscIndex;
-use crate::reduction::{derive_in_of_vo, derive_out_of_vi, first_unpaired, query_lists};
+use crate::reduction::{count_closures, derives_in_of_vo, derives_out_of_vi, query_lists};
 use crate::stats::IndexStats;
 use bytes::{Buf, BufMut, Bytes};
 use csc_graph::bipartite::{in_vertex, out_vertex, BipartiteGraph};
@@ -246,7 +250,7 @@ fn take_list<'a>(
 }
 
 /// The error for original vertex `v`, whose stored lists derive no valid
-/// `list`.
+/// copy `list`.
 fn underivable(v: u32, list: &str) -> CscError {
     CscError::corrupt(
         "labels",
@@ -262,6 +266,25 @@ impl CscIndex {
     /// Fails on a poisoned index — persisting a known-inconsistent index
     /// would just defer the corruption to a future process.
     pub fn to_bytes(&self) -> Result<Bytes, CscError> {
+        let mut buf = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut buf)?;
+        Ok(Bytes::from(buf))
+    }
+
+    /// The length of the encoding: magic and length, six section frames,
+    /// and the payloads — header 12, edges 8m, ranks 8n, config 88,
+    /// baseline 32, and labels 4 per list (2n query lists, exactly what
+    /// the store holds) plus 8 per entry.
+    fn encoded_len(&self) -> usize {
+        let (two_n, m) = (2 * self.original_vertex_count(), self.original_edge_count());
+        16 + 6 * 13 + 12 + m * 8 + two_n * 4 + 88 + 32 + two_n * 4 + self.labels.total_entries() * 8
+    }
+
+    /// [`to_bytes`](Self::to_bytes) into `buf`, replacing its contents. A
+    /// buffer too small grows to an eighth more than this encoding, so a
+    /// caller that keeps `buf` between checkpoints of a growing index
+    /// writes each one into the same allocation.
+    pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) -> Result<(), CscError> {
         self.check_ready()?;
         let n = self.original_vertex_count();
         let m = self.original_edge_count();
@@ -278,39 +301,30 @@ impl CscIndex {
         let baseline_vertices = u32::try_from(self.baseline.vertices)
             .map_err(|_| CscError::Serial("baseline vertex count exceeds u32".into()))?;
 
-        debug_assert_eq!(
-            first_unpaired(&self.labels, &self.ranks),
-            None,
-            "the couple copies differ from their derivation"
-        );
-        let query_entries: usize = query_lists(n)
-            .map(|(v, side)| self.labels.side_of(v, side).len())
-            .sum();
-        // Magic and length, six section frames, and the payloads: header
-        // 12, edges 8m, ranks 8n, config 88, baseline 32, and labels 4 per
-        // list (2n query lists) plus 8 per entry.
-        let size = 16 + 6 * 13 + 12 + m * 8 + two_n * 4 + 88 + 32 + two_n * 4;
-        let size = size + query_entries * 8;
-        let mut buf = Vec::with_capacity(size);
+        let size = self.encoded_len();
+        buf.clear();
+        if buf.capacity() < size {
+            buf.reserve(size + size / 8);
+        }
         buf.put_slice(MAGIC);
         buf.put_u64_le(0); // the total length, filled in last
 
-        put_section(&mut buf, TAG_HEADER, |b| {
+        put_section(buf, TAG_HEADER, |b| {
             b.put_u32_le(n as u32);
             b.put_u64_le(m as u64);
         });
-        put_section(&mut buf, TAG_EDGES, |b| {
+        put_section(buf, TAG_EDGES, |b| {
             for (u, v) in self.original_edges() {
                 b.put_u32_le(u.0);
                 b.put_u32_le(v.0);
             }
         });
-        put_section(&mut buf, TAG_RANKS, |b| {
+        put_section(buf, TAG_RANKS, |b| {
             for rank in 0..two_n as u32 {
                 b.put_u32_le(self.ranks.vertex_at_rank(rank).0);
             }
         });
-        put_section(&mut buf, TAG_CONFIG, |b| {
+        put_section(buf, TAG_CONFIG, |b| {
             let c = &self.config;
             let (tag, seed, samples) = order_tag(c.order);
             b.put_u8(tag);
@@ -360,14 +374,14 @@ impl CscIndex {
             b.put_u64_le(retry_base);
             b.put_u64_le(retry_cap);
         });
-        put_section(&mut buf, TAG_BASELINE, |b| {
+        put_section(buf, TAG_BASELINE, |b| {
             b.put_u64_le(self.baseline.entries as u64);
             b.put_u64_le(self.baseline.in_entries as u64);
             b.put_u64_le(self.baseline.out_entries as u64);
             b.put_u32_le(baseline_vertices);
             b.put_u32_le(self.baseline.rejuvenations);
         });
-        put_section(&mut buf, TAG_LABELS, |b| {
+        put_section(buf, TAG_LABELS, |b| {
             for (v, side) in query_lists(n) {
                 let list = self.labels.side_of(v, side);
                 b.put_u32_le(list.len() as u32);
@@ -382,7 +396,7 @@ impl CscIndex {
         debug_assert_eq!(buf.len(), size, "the buffer was sized exactly");
         let total = buf.len() as u64;
         buf[8..16].copy_from_slice(&total.to_le_bytes());
-        Ok(Bytes::from(buf))
+        Ok(())
     }
 
     /// Deserializes an index from bytes produced by
@@ -587,30 +601,26 @@ impl CscIndex {
 
         let mut p = take_section(&mut rest, TAG_LABELS, "labels")?;
         let mut labels = Labels::new(two_n);
-        if four_lists {
-            for v in 0..two_n as u32 {
-                let v = VertexId(v);
-                for side in [LabelSide::In, LabelSide::Out] {
-                    labels.extend_sorted(v, side, take_list(&mut p, two_n, v)?);
-                }
-            }
-        } else {
-            // Each couple's copies are derived while its two stored lists
-            // are still in cache.
-            let mut derived = Vec::new();
-            for v in 0..n as u32 {
-                let (vi, vo) = (in_vertex(VertexId(v)), out_vertex(VertexId(v)));
+        for v in 0..n as u32 {
+            let (vi, vo) = (in_vertex(VertexId(v)), out_vertex(VertexId(v)));
+            if four_lists {
+                // Per bipartite vertex, in-list then out-list: the copies
+                // `L_out(v_i)` and `L_in(v_o)` are checked and dropped.
+                labels.extend_sorted(vi, LabelSide::In, take_list(&mut p, two_n, vi)?);
+                let _ = take_list(&mut p, two_n, vi)?;
+                let _ = take_list(&mut p, two_n, vo)?;
+                labels.extend_sorted(vo, LabelSide::Out, take_list(&mut p, two_n, vo)?);
+            } else {
                 labels.extend_sorted(vo, LabelSide::Out, take_list(&mut p, two_n, vo)?);
                 labels.extend_sorted(vi, LabelSide::In, take_list(&mut p, two_n, vi)?);
-                let (ri, ro) = (ranks.rank(vi), ranks.rank(vo));
-                if !derive_in_of_vo(labels.in_of(vi), ro, &mut derived) {
-                    return Err(underivable(v, "L_in(v_o)"));
-                }
-                labels.extend_sorted(vo, LabelSide::In, derived.iter().copied());
-                if !derive_out_of_vi(labels.out_of(vo), ri, ro, &mut derived) {
-                    return Err(underivable(v, "L_out(v_i)"));
-                }
-                labels.extend_sorted(vi, LabelSide::Out, derived.iter().copied());
+            }
+            // The couple view derives the copies from these two lists.
+            let (ri, ro) = (ranks.rank(vi), ranks.rank(vo));
+            if !derives_in_of_vo(labels.in_of(vi), ro) {
+                return Err(underivable(v, "L_in(v_o)"));
+            }
+            if !derives_out_of_vi(labels.out_of(vo), ri, ro) {
+                return Err(underivable(v, "L_out(v_i)"));
             }
         }
         if !p.is_empty() {
@@ -629,6 +639,7 @@ impl CscIndex {
         let gb = BipartiteGraph::from_graph(&g);
         Ok(CscIndex {
             gb,
+            closures: count_closures(&labels, &ranks),
             ranks,
             labels,
             inverted: None,
@@ -970,10 +981,11 @@ mod tests {
     fn roundtrip_derives_the_couple_copies_of_static_indexes() {
         for g in [figure2(), gnm(30, 120, 4), directed_cycle(8)] {
             let idx = CscIndex::build(&g, CscConfig::default()).unwrap();
-            assert_eq!(first_unpaired(idx.labels(), idx.ranks()), None);
-            // Decoding reproduces the full label set bit for bit.
+            // Decoding reproduces the stored lists bit for bit, and the
+            // four-list counts with them.
             let back = CscIndex::from_bytes(&idx.to_bytes().unwrap()).unwrap();
             assert_eq!(back.labels(), idx.labels());
+            assert_eq!(back.health(), idx.health());
             for v in g.vertices() {
                 assert_eq!(back.query(v), idx.query(v), "SCCnt({v})");
             }
@@ -982,19 +994,36 @@ mod tests {
 
     #[test]
     fn roundtrip_derives_the_couple_copies_after_dynamic_history() {
-        // Updates keep the couple pairing: decoding reproduces the
-        // maintained labels, and queries match.
+        // Updates write only the stored lists and keep the closure count:
+        // decoding reproduces the maintained labels and counts, and
+        // queries match.
         let g = DiGraph::from_edges(5, vec![(0, 1), (1, 2), (2, 3), (3, 4)]);
         let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
         idx.insert_edge(VertexId(4), VertexId(0)).unwrap();
         idx.insert_edge(VertexId(2), VertexId(0)).unwrap();
         idx.remove_edge(VertexId(2), VertexId(0)).unwrap();
-        assert_eq!(first_unpaired(idx.labels(), idx.ranks()), None);
         let back = CscIndex::from_bytes(&idx.to_bytes().unwrap()).unwrap();
         assert_eq!(back.labels(), idx.labels());
+        assert_eq!(back.health(), idx.health());
         for v in 0..5 {
             assert_eq!(back.query(VertexId(v)), idx.query(VertexId(v)));
         }
+    }
+
+    #[test]
+    fn encode_into_reuses_the_buffer_and_matches_to_bytes() {
+        let idx = CscIndex::build(&gnm(40, 160, 2), CscConfig::default()).unwrap();
+        let mut buf = vec![0xAB; 3];
+        idx.encode_into(&mut buf).unwrap();
+        assert_eq!(buf, idx.to_bytes().unwrap().to_vec());
+        let (at, capacity) = (buf.as_ptr(), buf.capacity());
+        idx.encode_into(&mut buf).unwrap();
+        assert_eq!(buf, idx.to_bytes().unwrap().to_vec());
+        assert_eq!(
+            (buf.as_ptr(), buf.capacity()),
+            (at, capacity),
+            "no regrowth"
+        );
     }
 
     /// `bytes` with its labels section's payload replaced by the query

@@ -18,8 +18,9 @@
 //! the two lists a cycle query reads, `L_out(v_o)` and `L_in(v_i)` per
 //! original vertex, in couple order, and leaves `L_in(v_o)` and
 //! `L_out(v_i)` — copies of those two, one hop along the couple edge —
-//! empty. It is therefore about half the label store, and so is every
-//! copy of it a publish or compaction makes.
+//! empty, as the label store it is frozen from does. It is therefore
+//! about half the four-list index, and so is every copy of it a publish
+//! or compaction makes.
 //!
 //! Snapshots are produced two ways: [`SnapshotIndex::freeze`] walks the
 //! query lists of the label store into one segment, while
@@ -113,8 +114,7 @@ impl SnapshotIndex {
     /// every segment of `prev` is shared, not copied. `O(span table +
     /// changed entries)`, independent of the arena size, where
     /// [`freeze`](Self::freeze) re-walks all `2n` heap-scattered query
-    /// lists. A dirty `L_in(v_o)` or `L_out(v_i)` costs nothing: the arena
-    /// does not hold it.
+    /// lists.
     ///
     /// Falls back to a full couple-ordered freeze when relocation holes
     /// would exceed [`MAX_DEAD_FRACTION`] of the arena or `prev` already
@@ -174,13 +174,12 @@ impl SnapshotIndex {
 
     fn from_arena(frozen: FrozenLabels, index: &CscIndex) -> Self {
         let stats = index.stats();
-        let labels = index.labels();
         SnapshotIndex {
             frozen,
             original_n: index.original_vertex_count(),
             updates_applied: (stats.insertions + stats.deletions) as u64,
-            in_entries: labels.side_entries(LabelSide::In),
-            out_entries: labels.side_entries(LabelSide::Out),
+            in_entries: index.side_entries(LabelSide::In),
+            out_entries: index.side_entries(LabelSide::Out),
             baseline: *index.baseline(),
         }
     }

@@ -23,7 +23,9 @@ pub struct IndexStats {
 /// One window's label-repair counters
 /// ([`BatchReport::repair`](crate::BatchReport::repair)); for a scalar
 /// `insert_edge` / `remove_edge`, a one-op window, the measurements behind
-/// the paper's Figures 11(b) and 12(b).
+/// the paper's Figures 11(b) and 12(b). Entries are counted in the two
+/// lists per couple the index stores, the paper's reduced index; the
+/// couple copies the index derives change with them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UpdateReport {
     /// Brand-new label entries inserted.
@@ -55,7 +57,7 @@ pub struct UpdateReport {
 }
 
 impl UpdateReport {
-    /// Net change in index entry count.
+    /// Net change in the stored entry count.
     pub fn net_entries(&self) -> isize {
         self.entries_inserted as isize - self.entries_removed as isize
     }

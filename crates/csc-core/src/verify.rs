@@ -1,8 +1,9 @@
 //! Index invariant checking at two price points.
 //!
 //! [`check_integrity`] is the cheap `O(entries)` *structural* sweep —
-//! sortedness, the per-side entry counters, the inverted-index mirror,
-//! and bipartite well-formedness. It is fast enough to run in
+//! sortedness, the per-side entry counters and the closure count, the
+//! empty couple-copy slots, the inverted-index mirror, and bipartite
+//! well-formedness. It is fast enough to run in
 //! production after a rejuvenation swap or a recovery (gate it with
 //! [`DurabilityConfig::check_integrity`](crate::DurabilityConfig)).
 //!
@@ -15,14 +16,18 @@
 use crate::config::UpdateStrategy;
 use crate::error::CscError;
 use crate::index::CscIndex;
+use crate::reduction::{count_closures, is_stored, CoupleView};
 use csc_graph::bipartite::is_in_vertex;
 use csc_graph::traversal::{bfs_distances, shortest_cycle_oracle};
-use csc_graph::DiGraph;
+use csc_graph::{DiGraph, VertexId};
+use csc_labeling::LabelSide;
 
 /// What [`check_integrity`] swept, for logging and reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IntegrityReport {
-    /// Label entries visited.
+    /// Label entries of the swept index, counted over all four lists of
+    /// every couple as [`CscIndex::total_entries`] counts them; the sweep
+    /// visits the two lists the store holds.
     pub entries: usize,
     /// Whether the inverted indexes were present and cross-checked. They
     /// are absent until a deletion or `CLEAN_LABEL` first needs them.
@@ -31,8 +36,9 @@ pub struct IntegrityReport {
 
 /// The cheap `O(entries)` structural sweep: bipartite well-formedness,
 /// label sortedness/uniqueness, the maintained per-side entry counters
-/// against a ground-truth recount, and (once built) the inverted indexes
-/// as an exact mirror of the labels.
+/// and cycle-closure count against a ground-truth recount, empty slots
+/// for the couple copies the store derives, and (once built) the inverted
+/// indexes as an exact mirror of the labels.
 ///
 /// This deliberately checks only *internal* consistency — nothing here
 /// touches a BFS oracle — so it is safe to run inline after a
@@ -47,12 +53,30 @@ pub fn check_integrity(index: &CscIndex) -> Result<IntegrityReport, CscError> {
     let violation = |detail: String| CscError::corrupt("integrity", detail);
     index.bipartite().validate().map_err(violation)?;
     // Sortedness, uniqueness, and the side counters vs. a recount.
-    index.labels().validate_sorted().map_err(violation)?;
+    let labels = index.labels();
+    labels.validate_sorted().map_err(violation)?;
+    for v in 0..labels.vertex_count() as u32 {
+        let v = VertexId(v);
+        for side in [LabelSide::In, LabelSide::Out] {
+            if !is_stored(v, side) && !labels.side_of(v, side).is_empty() {
+                return Err(violation(format!(
+                    "{side:?} list of {v} holds entries the couple view derives"
+                )));
+            }
+        }
+    }
+    let closures = count_closures(labels, index.ranks());
+    if closures != index.closures {
+        return Err(violation(format!(
+            "closure count {} diverged from the {closures} stored",
+            index.closures
+        )));
+    }
     if let Some(inv) = index.inverted.as_ref() {
-        inv.validate_against(index.labels()).map_err(violation)?;
+        inv.validate_against(labels).map_err(violation)?;
     }
     Ok(IntegrityReport {
-        entries: index.labels().total_entries(),
+        entries: index.total_entries(),
         inverted_checked: index.inverted.is_some(),
     })
 }
@@ -75,7 +99,9 @@ impl CscIndex {
 /// 3. the inverted indexes (if maintained) mirror the labels exactly;
 /// 4. every non-self label hub is an incoming vertex;
 /// 5. no label entry under-estimates a true distance, and under the
-///    minimality strategy no entry over-estimates one either;
+///    minimality strategy no entry over-estimates one either — the
+///    entries of the couple copies `L_in(v_o)` and `L_out(v_i)` too, read
+///    through the couple view;
 /// 6. every `SCCnt` query matches the brute-force oracle.
 ///
 /// Returns a description of the first violation found.
@@ -86,6 +112,7 @@ pub fn verify_index(index: &CscIndex) -> Result<(), String> {
 
     let gb = index.bipartite().graph();
     let ranks = index.ranks();
+    let view = CoupleView::new(index.labels(), ranks);
     let minimal = index.config().update_strategy == UpdateStrategy::Minimality
         && index.stats().insertions + index.stats().deletions > 0;
 
@@ -95,10 +122,7 @@ pub fn verify_index(index: &CscIndex) -> Result<(), String> {
         let fwd = bfs_distances(gb, hub);
         let bwd = csc_graph::traversal::bfs_distances_dir(gb, hub, false);
         for v in gb.vertices() {
-            if let Some(e) = index
-                .labels()
-                .entry_for(v, csc_labeling::LabelSide::In, hub_rank)
-            {
+            if let Some(e) = view.entry_for(v, LabelSide::In, hub_rank) {
                 if !is_in_vertex(hub) && hub != v {
                     return Err(format!("V_out vertex {hub} is a hub of Lin({v})"));
                 }
@@ -124,10 +148,7 @@ pub fn verify_index(index: &CscIndex) -> Result<(), String> {
                     _ => {}
                 }
             }
-            if let Some(e) = index
-                .labels()
-                .entry_for(v, csc_labeling::LabelSide::Out, hub_rank)
-            {
+            if let Some(e) = view.entry_for(v, LabelSide::Out, hub_rank) {
                 if !is_in_vertex(hub) && hub != v {
                     return Err(format!("V_out vertex {hub} is a hub of Lout({v})"));
                 }
@@ -175,8 +196,6 @@ mod tests {
     use super::*;
     use crate::config::CscConfig;
     use csc_graph::generators::{gnm, preferential_attachment};
-    use csc_graph::VertexId;
-    use csc_labeling::LabelSide;
 
     #[test]
     fn fresh_indexes_verify() {

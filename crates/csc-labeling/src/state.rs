@@ -163,6 +163,12 @@ impl HubCache {
     /// own rank-sorted label list — whose hubs rank strictly above
     /// `hub_rank` (a smaller rank value). The hub's own slot stays [`INF`].
     pub fn fill(&mut self, own: &[LabelEntry], hub_rank: u32) {
+        self.fill_from(own.iter().copied(), hub_rank);
+    }
+
+    /// [`fill`](Self::fill) from a list read entry by entry, in rank
+    /// order, rather than stored as a slice.
+    pub fn fill_from(&mut self, own: impl IntoIterator<Item = LabelEntry>, hub_rank: u32) {
         self.begin();
         for e in own {
             if e.hub_rank() >= hub_rank {

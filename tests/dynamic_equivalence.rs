@@ -112,12 +112,12 @@ proptest! {
         // Mixed windows through `apply_batch`, checked after *every*
         // window: a script checked only at its end lets a later window's
         // rebuild fallback heal labels an earlier window left wrong. The
-        // couple pairing must survive every window too: a checkpoint
-        // stores only the two lists a query reads and derives
-        // `L_in(v_o)` and `L_out(v_i)` from them, so its round trip
-        // returns the maintained labels exactly when the pairing holds.
-        // The structural sweep runs after every window as well, so an
-        // inverted index built on demand that drifts from the labels
+        // index stores only the two lists a query reads, and so does a
+        // checkpoint, so its round trip must return the stored lists and
+        // the four-list entry counts, which the decoder recounts from the
+        // cycle closures the writers maintain. The structural sweep runs
+        // after every window as well, so a closure count, a copy slot or
+        // an inverted index built on demand that drifts from the labels
         // fails at the window where it drifts.
         let m = n + (m_seed as usize) % (2 * n + 1);
         let mut g = generators::gnm(n, m, m_seed);
@@ -143,6 +143,11 @@ proptest! {
             prop_assert!(
                 restored.labels() == index.labels(),
                 "{:?} window {} ({:?}) broke the couple pairing", strategy, k, window
+            );
+            prop_assert_eq!(
+                restored.health(),
+                index.health(),
+                "{:?} window {} ({:?}): entry counts", strategy, k, window
             );
             let sweep = check_integrity(&index);
             prop_assert!(
