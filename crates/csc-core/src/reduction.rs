@@ -31,8 +31,8 @@
 //! The traversals that write labels skip the couple the way the static
 //! build always has, and every reader of a copy goes through
 //! [`CoupleView`]. The snapshot arena and the checkpoint hold the same two
-//! lists; the decoder checks that they derive valid copies
-//! ([`derives_in_of_vo`], [`derives_out_of_vi`]) and stores nothing more.
+//! lists; the decoder checks that they derive valid copies ([`CopyRule`])
+//! and stores nothing more.
 //!
 //! Counts of what the index holds keep counting all four lists: per
 //! couple, `|L_in(v_o)| = |L_in(v_i)| + 1`, and `|L_out(v_i)| =
@@ -205,31 +205,51 @@ impl Iterator for CoupleList<'_> {
     }
 }
 
-/// `true` if `L_in(v_i)`, a list sorted by hub rank, derives a label list
-/// `L_in(v_o)` for the `v_o` ranked `vo_rank` (see [`copy_is_a_list`]).
-pub(crate) fn derives_in_of_vo(in_of_vi: &[LabelEntry], vo_rank: u32) -> bool {
-    copy_is_a_list(in_of_vi, &[], vo_rank)
+/// What a stored list must hold for its couple copy to be a label list:
+/// every entry whose hub is not in `skip` outranks the copy's own vertex,
+/// ranked `self_rank` (else the copy would be unsorted, and the view,
+/// which keeps only those, would drop entries), and sits below `MAX_DIST`
+/// (its shift would leave the entry); and `self_rank` fits the entry's
+/// hub field ([`self_fits`](Self::self_fits)).
+#[derive(Clone, Copy)]
+pub(crate) struct CopyRule {
+    /// Hub ranks the copy leaves out; `u32::MAX`, above every hub rank,
+    /// for none.
+    skip: [u32; 2],
+    self_rank: u32,
 }
 
-/// `true` if `L_out(v_o)`, a list sorted by hub rank, derives a label list
-/// `L_out(v_i)` for the couple ranked `vi_rank` and `vo_rank` (see
-/// [`copy_is_a_list`]).
-pub(crate) fn derives_out_of_vi(out_of_vo: &[LabelEntry], vi_rank: u32, vo_rank: u32) -> bool {
-    copy_is_a_list(out_of_vo, &[vi_rank, vo_rank], vi_rank)
-}
+impl CopyRule {
+    /// The rule `L_in(v_i)` obeys to derive `L_in(v_o)` for the `v_o`
+    /// ranked `vo_rank`.
+    pub(crate) fn in_of_vo(vo_rank: u32) -> Self {
+        CopyRule {
+            skip: [u32::MAX; 2],
+            self_rank: vo_rank,
+        }
+    }
 
-/// `true` if the entries of `list` whose hub is not in `skip`, one hop
-/// further, then the couple's self entry `(self_rank, 0, 1)` form a label
-/// list: every kept hub outranks `self_rank` (else the list would be
-/// unsorted, and the view, which keeps only those, would drop entries),
-/// no kept distance is at `MAX_DIST` (its shift would leave the entry),
-/// and `self_rank` fits the entry's hub field.
-fn copy_is_a_list(list: &[LabelEntry], skip: &[u32], self_rank: u32) -> bool {
-    self_rank <= MAX_HUB_RANK
-        && list
-            .iter()
-            .filter(|e| !skip.contains(&e.hub_rank()))
-            .all(|e| e.hub_rank() < self_rank && e.dist() < MAX_DIST)
+    /// The rule `L_out(v_o)` obeys to derive `L_out(v_i)` for the couple
+    /// ranked `vi_rank` and `vo_rank`.
+    pub(crate) fn out_of_vi(vi_rank: u32, vo_rank: u32) -> Self {
+        CopyRule {
+            skip: [vi_rank, vo_rank],
+            self_rank: vi_rank,
+        }
+    }
+
+    /// `true` if the copy's self entry fits the hub field; if not, no
+    /// list derives a copy.
+    pub(crate) fn self_fits(self) -> bool {
+        self.self_rank <= MAX_HUB_RANK
+    }
+
+    /// `true` if `e` may stand in the stored list.
+    #[inline]
+    pub(crate) fn admits(self, e: LabelEntry) -> bool {
+        let hub = e.hub_rank();
+        self.skip.contains(&hub) || (hub < self.self_rank && e.dist() < MAX_DIST)
+    }
 }
 
 #[cfg(test)]
@@ -267,22 +287,22 @@ mod tests {
 
     #[test]
     fn derivations_refuse_what_no_label_list_can_hold() {
+        let derives = |rule: CopyRule, list: &[LabelEntry]| {
+            rule.self_fits() && list.iter().all(|&e| rule.admits(e))
+        };
+        let (in_of_vo, out_of_vi) = (CopyRule::in_of_vo(5), CopyRule::out_of_vi(4, 5));
         // A hub v_o does not outrank: the self entry would sort before it.
-        assert!(!derives_in_of_vo(&[e(0, 1, 1), e(6, 1, 1)], 5));
-        assert!(!derives_in_of_vo(&[e(5, 1, 1)], 5));
-        assert!(!derives_out_of_vi(&[e(6, 1, 1)], 4, 5));
+        assert!(!derives(in_of_vo, &[e(0, 1, 1), e(6, 1, 1)]));
+        assert!(!derives(in_of_vo, &[e(5, 1, 1)]));
+        assert!(!derives(out_of_vi, &[e(6, 1, 1)]));
         // A distance whose shift leaves the 17-bit field.
-        assert!(!derives_in_of_vo(&[e(0, MAX_DIST, 1)], 5));
-        assert!(!derives_out_of_vi(&[e(0, MAX_DIST, 1)], 4, 5));
+        assert!(!derives(in_of_vo, &[e(0, MAX_DIST, 1)]));
+        assert!(!derives(out_of_vi, &[e(0, MAX_DIST, 1)]));
         // A skipped entry is never shifted, so it cannot overflow.
-        assert!(derives_out_of_vi(&[e(4, MAX_DIST, 1)], 4, 5));
-        assert!(derives_out_of_vi(
-            &[e(0, MAX_DIST - 1, 1), e(5, 0, 1)],
-            4,
-            5
-        ));
+        assert!(derives(out_of_vi, &[e(4, MAX_DIST, 1)]));
+        assert!(derives(out_of_vi, &[e(0, MAX_DIST - 1, 1), e(5, 0, 1)]));
         // A self rank past the hub field.
-        assert!(!derives_in_of_vo(&[], u32::MAX));
+        assert!(!derives(CopyRule::in_of_vo(u32::MAX), &[]));
     }
 
     #[test]

@@ -52,10 +52,15 @@
 //! section length — and the header's vertex and edge counts — is checked
 //! against the remaining buffer *before* allocating, and every payload
 //! must match its CRC before it is parsed. A corrupted file therefore
-//! reports *which* section is damaged. Label lists are checked whole and
-//! then installed with one [`Labels::extend_sorted`] each; stored lists
-//! whose copy would be unsorted, or whose shifted distance would pass
-//! `MAX_DIST`, are corrupt too.
+//! reports *which* section is damaged. Past its CRC, each section is
+//! parsed in one pass: the edges become the bipartite graph in one bulk
+//! build ([`BipartiteGraph::from_edges`]), which refuses a self-loop, a
+//! duplicate or an out-of-range endpoint; and each label list is read,
+//! checked and installed entry by entry ([`Labels::try_extend_sorted`]):
+//! every hub rank in range and above the one before it, and every entry
+//! one the list's couple copy can derive (a stored list whose copy would
+//! be unsorted, or whose shifted distance would pass `MAX_DIST`, is
+//! corrupt). The cycle closures are counted as each `L_out(v_o)` lands.
 //!
 //! The rank table is persisted verbatim — after a rejuvenation it is the
 //! *recomputed* order, not a derivable one — and the health baseline
@@ -83,11 +88,11 @@ use crate::error::CscError;
 use crate::guard::RetryPolicy;
 use crate::health::{HealthBaseline, RebuildPolicy};
 use crate::index::CscIndex;
-use crate::reduction::{count_closures, derives_in_of_vo, derives_out_of_vi, query_lists};
+use crate::reduction::{query_lists, CopyRule};
 use crate::stats::IndexStats;
 use bytes::{Buf, BufMut, Bytes};
 use csc_graph::bipartite::{in_vertex, out_vertex, BipartiteGraph};
-use csc_graph::{DiGraph, OrderingStrategy, RankTable, VertexId};
+use csc_graph::{OrderingStrategy, RankTable, VertexId};
 use csc_labeling::{LabelEntry, LabelSide, Labels};
 use std::time::Duration;
 
@@ -212,50 +217,93 @@ fn need(buf: &[u8], n: usize, name: &str, what: &str) -> Result<(), CscError> {
     }
 }
 
-/// Pops one label list of vertex `v` off `p` — a `u32` length, then that
-/// many raw entries — after checking that every hub rank is below `two_n`
-/// and strictly above the one before it.
+/// Why a label list in a CRC-verified labels section is corrupt; turned
+/// into the error by [`ListFault::at`], off the per-entry path.
+enum ListFault {
+    OutOfRange(u32),
+    Unsorted,
+    Underivable,
+}
+
+impl ListFault {
+    /// The error for bipartite vertex `v`'s `side` list.
+    fn at(self, v: VertexId, side: LabelSide) -> CscError {
+        let detail = match self {
+            ListFault::OutOfRange(hub) => format!("vertex {v}: hub rank {hub} out of range"),
+            ListFault::Unsorted => format!("label list of vertex {v} is not sorted"),
+            ListFault::Underivable => {
+                let copy = match side {
+                    LabelSide::In => "L_in(v_o)",
+                    LabelSide::Out => "L_out(v_i)",
+                };
+                format!(
+                    "original vertex {}: {copy} derives no sorted, in-range label list",
+                    v.0 >> 1
+                )
+            }
+        };
+        CscError::corrupt("labels", detail)
+    }
+}
+
+/// Pops one label list off `p` — a `u32` length, then that many raw
+/// entries — and yields its entries, each checked as it is read: its hub
+/// rank is below `two_n` and strictly above the one before it, and, for
+/// a stored list, `rule` admits it, so the list derives its couple copy.
 fn take_list<'a>(
     p: &mut &'a [u8],
     two_n: usize,
-    v: VertexId,
-) -> Result<impl ExactSizeIterator<Item = LabelEntry> + 'a, CscError> {
+    rule: Option<CopyRule>,
+) -> Result<impl ExactSizeIterator<Item = Result<LabelEntry, ListFault>> + 'a, CscError> {
     need(p, 4, "labels", "list length")?;
     let len = p.get_u32_le() as usize;
     need(p, len.saturating_mul(8), "labels", "list entries")?;
     let (list, tail) = p.split_at(len * 8);
     *p = tail;
-    let entry = |raw: &[u8]| {
-        LabelEntry::from_raw(u64::from_le_bytes(raw.try_into().expect("8-byte chunk")))
-    };
-    // Validate the raw list whole, so the caller installs it in one go.
     let mut prev: Option<u32> = None;
-    for raw in list.chunks_exact(8) {
-        let hub = entry(raw).hub_rank();
+    Ok(list.chunks_exact(8).map(move |raw| {
+        let e = LabelEntry::from_raw(u64::from_le_bytes(raw.try_into().expect("8-byte chunk")));
+        let hub = e.hub_rank();
         if hub as usize >= two_n {
-            return Err(CscError::corrupt(
-                "labels",
-                format!("vertex {v}: hub rank {hub} out of range"),
-            ));
+            return Err(ListFault::OutOfRange(hub));
         }
         if prev.is_some_and(|r| r >= hub) {
-            return Err(CscError::corrupt(
-                "labels",
-                format!("label list of vertex {v} is not sorted"),
-            ));
+            return Err(ListFault::Unsorted);
         }
         prev = Some(hub);
-    }
-    Ok(list.chunks_exact(8).map(entry))
+        if rule.is_some_and(|rule| !rule.admits(e)) {
+            return Err(ListFault::Underivable);
+        }
+        Ok(e)
+    }))
 }
 
-/// The error for original vertex `v`, whose stored lists derive no valid
-/// copy `list`.
-fn underivable(v: u32, list: &str) -> CscError {
-    CscError::corrupt(
-        "labels",
-        format!("original vertex {v}: {list} derives no sorted, in-range label list"),
-    )
+/// Pops `v`'s stored `side` list off `p` and installs it in `labels`, in
+/// one pass that checks each entry as [`take_list`] does under `rule`.
+fn install_list(
+    labels: &mut Labels,
+    p: &mut &[u8],
+    two_n: usize,
+    v: VertexId,
+    side: LabelSide,
+    rule: CopyRule,
+) -> Result<(), CscError> {
+    if !rule.self_fits() {
+        return Err(ListFault::Underivable.at(v, side));
+    }
+    let entries = take_list(p, two_n, Some(rule))?;
+    labels
+        .try_extend_sorted(v, side, entries)
+        .map_err(|fault| fault.at(v, side))
+}
+
+/// Pops a `\x04` checkpoint's copy of `v`'s `side` list off `p`: checked
+/// as a list, then dropped.
+fn skip_list(p: &mut &[u8], two_n: usize, v: VertexId, side: LabelSide) -> Result<(), CscError> {
+    for entry in take_list(p, two_n, None)? {
+        entry.map_err(|fault| fault.at(v, side))?;
+    }
+    Ok(())
 }
 
 impl CscIndex {
@@ -467,20 +515,20 @@ impl CscIndex {
             ));
         }
 
-        let mut p = take_section(&mut rest, TAG_EDGES, "edges")?;
+        let p = take_section(&mut rest, TAG_EDGES, "edges")?;
         if m.checked_mul(8) != Some(p.len() as u64) {
             return Err(CscError::corrupt(
                 "edges",
                 format!("payload is {} bytes, header claims {m} edges", p.len()),
             ));
         }
-        let mut g = DiGraph::new(n);
-        for _ in 0..m {
-            let u = p.get_u32_le();
-            let v = p.get_u32_le();
-            g.try_add_edge(VertexId(u), VertexId(v))
-                .map_err(|e| CscError::corrupt("edges", format!("bad edge: {e}")))?;
-        }
+        let edges = p.chunks_exact(8).map(|e| {
+            let endpoint =
+                |at: usize| u32::from_le_bytes(e[at..at + 4].try_into().expect("4-byte endpoint"));
+            (endpoint(0), endpoint(4))
+        });
+        let gb = BipartiteGraph::from_edges(n, edges)
+            .map_err(|e| CscError::corrupt("edges", format!("bad edge: {e}")))?;
 
         let mut p = take_section(&mut rest, TAG_RANKS, "ranks")?;
         if p.len() != two_n * 4 {
@@ -601,27 +649,26 @@ impl CscIndex {
 
         let mut p = take_section(&mut rest, TAG_LABELS, "labels")?;
         let mut labels = Labels::new(two_n);
+        let mut closures = 0;
         for v in 0..n as u32 {
             let (vi, vo) = (in_vertex(VertexId(v)), out_vertex(VertexId(v)));
+            let (ri, ro) = (ranks.rank(vi), ranks.rank(vo));
+            // The couple view derives the copies from the two stored
+            // lists, so each must obey its copy's rule.
+            let (in_rule, out_rule) = (CopyRule::in_of_vo(ro), CopyRule::out_of_vi(ri, ro));
             if four_lists {
                 // Per bipartite vertex, in-list then out-list: the copies
                 // `L_out(v_i)` and `L_in(v_o)` are checked and dropped.
-                labels.extend_sorted(vi, LabelSide::In, take_list(&mut p, two_n, vi)?);
-                let _ = take_list(&mut p, two_n, vi)?;
-                let _ = take_list(&mut p, two_n, vo)?;
-                labels.extend_sorted(vo, LabelSide::Out, take_list(&mut p, two_n, vo)?);
+                install_list(&mut labels, &mut p, two_n, vi, LabelSide::In, in_rule)?;
+                skip_list(&mut p, two_n, vi, LabelSide::Out)?;
+                skip_list(&mut p, two_n, vo, LabelSide::In)?;
+                install_list(&mut labels, &mut p, two_n, vo, LabelSide::Out, out_rule)?;
             } else {
-                labels.extend_sorted(vo, LabelSide::Out, take_list(&mut p, two_n, vo)?);
-                labels.extend_sorted(vi, LabelSide::In, take_list(&mut p, two_n, vi)?);
+                install_list(&mut labels, &mut p, two_n, vo, LabelSide::Out, out_rule)?;
+                install_list(&mut labels, &mut p, two_n, vi, LabelSide::In, in_rule)?;
             }
-            // The couple view derives the copies from these two lists.
-            let (ri, ro) = (ranks.rank(vi), ranks.rank(vo));
-            if !derives_in_of_vo(labels.in_of(vi), ro) {
-                return Err(underivable(v, "L_in(v_o)"));
-            }
-            if !derives_out_of_vi(labels.out_of(vo), ri, ro) {
-                return Err(underivable(v, "L_out(v_i)"));
-            }
+            // A closure, hub `v_i` in `L_out(v_o)`, while the list is hot.
+            closures += usize::from(labels.entry_for(vo, LabelSide::Out, ri).is_some());
         }
         if !p.is_empty() {
             return Err(CscError::corrupt(
@@ -636,10 +683,9 @@ impl CscIndex {
             ));
         }
 
-        let gb = BipartiteGraph::from_graph(&g);
         Ok(CscIndex {
             gb,
-            closures: count_closures(&labels, &ranks),
+            closures,
             ranks,
             labels,
             inverted: None,
@@ -660,6 +706,7 @@ mod tests {
     use crate::verify::verify_index;
     use csc_graph::fixtures::figure2;
     use csc_graph::generators::{directed_cycle, gnm};
+    use csc_graph::DiGraph;
 
     #[test]
     fn roundtrip_static_index() {
@@ -1139,6 +1186,48 @@ mod tests {
         match load(huge_m) {
             Ok(Err(CscError::Corrupt { section, .. })) => assert_eq!(section, "edges"),
             other => panic!("m = 2^61: expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn crafted_edges_that_form_no_simple_graph_are_corrupt() {
+        let idx = CscIndex::build(&figure2(), CscConfig::default()).unwrap();
+        let bytes = idx.to_bytes().unwrap().to_vec();
+        let n = idx.original_vertex_count() as u32;
+        // The edges section follows the header's 12-byte payload. Each
+        // case rewrites one edge in place and recomputes the CRC, so only
+        // the bipartite build's checks can object.
+        let edges = 16 + 13 + 12;
+        let len = u64::from_le_bytes(bytes[edges + 1..edges + 9].try_into().unwrap()) as usize;
+        let edge = |bytes: &[u8], k: usize| {
+            let at = edges + 13 + 8 * k;
+            let endpoint = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+            (endpoint(at), endpoint(at + 4))
+        };
+        let craft = |k: usize, (u, v): (u32, u32)| {
+            let mut bytes = bytes.clone();
+            let at = edges + 13 + 8 * k;
+            bytes[at..at + 4].copy_from_slice(&u.to_le_bytes());
+            bytes[at + 4..at + 8].copy_from_slice(&v.to_le_bytes());
+            let crc = crc32(&bytes[edges + 13..edges + 13 + len]);
+            bytes[edges + 9..edges + 13].copy_from_slice(&crc.to_le_bytes());
+            bytes
+        };
+        let (u, _) = edge(&bytes, 1);
+        let cases = [
+            ("a self-loop", craft(1, (u, u))),
+            ("a duplicate", craft(1, edge(&bytes, 0))),
+            ("an out-of-range endpoint", craft(0, (edge(&bytes, 0).0, n))),
+        ];
+        for (case, file) in cases {
+            match std::panic::catch_unwind(move || CscIndex::from_bytes(&file)) {
+                Ok(Err(CscError::Corrupt { section, detail })) => {
+                    assert_eq!(section, "edges", "{case}: {detail}");
+                    assert!(detail.contains("bad edge"), "{case}: {detail}");
+                }
+                Ok(other) => panic!("{case}: expected Corrupt, got {other:?}"),
+                Err(_) => panic!("{case}: the loader panicked"),
+            }
         }
     }
 

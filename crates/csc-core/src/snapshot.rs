@@ -133,10 +133,8 @@ impl SnapshotIndex {
 
     /// [`refreeze_from`](Self::refreeze_from), whose compacting full
     /// freeze, if it takes one, fills the allocation of `buffer` (see
-    /// [`FrozenLabels::freeze_ordered_into`]) and leaves `buffer` empty.
-    /// When `buffer` is too small, the compaction allocates an eighth more
-    /// than the arena, so that a growing index still fits in it when a
-    /// later compaction gets it back.
+    /// [`FrozenLabels::freeze_ordered_into`], which replaces one too small)
+    /// and leaves `buffer` empty.
     pub(crate) fn refreeze_into(
         prev: &SnapshotIndex,
         index: &CscIndex,
@@ -156,11 +154,6 @@ impl SnapshotIndex {
             || prev.frozen.segment_count() >= MAX_SEGMENTS
             || (total > 0 && dead as f64 / total as f64 > MAX_DEAD_FRACTION)
         {
-            // The live entries after this publish: what a full freeze packs.
-            let entries = total - dead;
-            if buffer.capacity() < entries {
-                *buffer = Vec::with_capacity(entries + entries / 8);
-            }
             return Self::freeze_into(index, std::mem::take(buffer));
         }
         Self::from_arena(prev.frozen.refreeze_spans(index.labels(), &dirty), index)

@@ -80,26 +80,92 @@ pub struct BipartiteGraph {
 impl BipartiteGraph {
     /// Builds `Gb` from `G` (Algorithm 2).
     pub fn from_graph(g: &DiGraph) -> Self {
-        let n = g.vertex_count();
-        let mut gb = DiGraph::new(2 * n);
-        for v in g.vertices() {
-            gb.try_add_edge(in_vertex(v), out_vertex(v))
-                .expect("internal couple edge cannot fail");
+        let edges = g.edges().map(|(u, v)| (u.0, v.0));
+        BipartiteGraph::from_edges(g.vertex_count(), edges)
+            .expect("a DiGraph is simple and in range")
+    }
+
+    /// Builds `Gb` for `n` original vertices straight from the original
+    /// edge list (Algorithm 2), in bulk: one pass counts the degrees, each
+    /// adjacency list is allocated at its exact size and filled by a
+    /// second pass, and a list is sorted only if the edges did not arrive
+    /// in order. Edges sorted by `(source, target)`, as
+    /// [`DiGraph::edges`] yields them and a checkpoint stores them, fill
+    /// every list in order. The result equals inserting the edges one by
+    /// one.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::VertexOutOfRange`], [`GraphError::SelfLoop`] or
+    /// [`GraphError::DuplicateEdge`], in original ids, if the edges do not
+    /// form a simple graph on `n` vertices.
+    pub fn from_edges<I>(n: usize, edges: I) -> Result<Self, GraphError>
+    where
+        I: IntoIterator<Item = (u32, u32)>,
+        I::IntoIter: Clone,
+    {
+        let edges = edges.into_iter();
+        let mut out_degree = vec![0usize; n];
+        let mut in_degree = vec![0usize; n];
+        for (a, b) in edges.clone() {
+            for v in [a, b] {
+                if v as usize >= n {
+                    return Err(GraphError::VertexOutOfRange {
+                        vertex: VertexId(v),
+                        n,
+                    });
+                }
+            }
+            if a == b {
+                return Err(GraphError::SelfLoop(VertexId(a)));
+            }
+            out_degree[a as usize] += 1;
+            in_degree[b as usize] += 1;
         }
-        for (u, v) in g.edges() {
-            gb.try_add_edge(out_vertex(u), in_vertex(v))
-                .expect("converted edge cannot fail on a simple graph");
+        // Per couple: `v_i`'s only out-edge and `v_o`'s only in-edge are
+        // the couple edge; the original edges leave `v_o` and enter `v_i`.
+        let mut out = Vec::with_capacity(2 * n);
+        let mut in_ = Vec::with_capacity(2 * n);
+        for v in (0..n as u32).map(VertexId) {
+            out.push(vec![out_vertex(v).0]);
+            out.push(Vec::with_capacity(out_degree[v.index()]));
+            in_.push(Vec::with_capacity(in_degree[v.index()]));
+            in_.push(vec![in_vertex(v).0]);
         }
-        BipartiteGraph {
-            graph: gb,
+        let mut m = n;
+        for (a, b) in edges {
+            let (ao, bi) = edge_to_bipartite(VertexId(a), VertexId(b));
+            out[ao.index()].push(bi.0);
+            in_[bi.index()].push(ao.0);
+            m += 1;
+        }
+        let strictly_sorted = |list: &[u32]| list.windows(2).all(|w| w[0] < w[1]);
+        for (u, list) in out.iter_mut().enumerate() {
+            if !strictly_sorted(list) {
+                list.sort_unstable();
+                if let Some(w) = list.windows(2).find(|w| w[0] == w[1]) {
+                    let (a, _) = original(VertexId(u as u32));
+                    let (b, _) = original(VertexId(w[0]));
+                    return Err(GraphError::DuplicateEdge(a, b));
+                }
+            }
+        }
+        // No out-list repeats a target, so no in-list repeats a source.
+        for list in &mut in_ {
+            if !strictly_sorted(list) {
+                list.sort_unstable();
+            }
+        }
+        Ok(BipartiteGraph {
+            graph: DiGraph::from_adjacency(out, in_, m),
             original_n: n,
-        }
+        })
     }
 
     /// Creates an empty conversion for `n` original vertices (couple edges
     /// only). Useful for replaying an edge stream.
     pub fn empty(n: usize) -> Self {
-        BipartiteGraph::from_graph(&DiGraph::new(n))
+        BipartiteGraph::from_edges(n, []).expect("no edges to reject")
     }
 
     /// The number of vertices in the *original* graph.
@@ -301,6 +367,66 @@ mod tests {
         assert_eq!(gb.original_vertex_count(), 2);
         gb.insert_original_edge(v(0), nv).unwrap();
         gb.validate().unwrap();
+    }
+
+    /// `Gb` by Algorithm 2's one-edge-at-a-time insertion, the reference
+    /// for the bulk constructor.
+    fn inserted_one_by_one(n: usize, edges: &[(u32, u32)]) -> BipartiteGraph {
+        let mut gb = BipartiteGraph::empty(n);
+        for &(a, b) in edges {
+            gb.insert_original_edge(v(a), v(b)).unwrap();
+        }
+        gb
+    }
+
+    #[test]
+    fn the_bulk_constructor_equals_inserting_edge_by_edge() {
+        use crate::generators::{gnm, preferential_attachment};
+        let graphs = [
+            gnm(60, 300, 3),
+            gnm(200, 900, 11),
+            preferential_attachment(120, 3, 0.3, 5),
+            crate::fixtures::figure2(),
+            DiGraph::new(4),
+        ];
+        for g in &graphs {
+            let n = g.vertex_count();
+            let edges = g.edge_vec();
+            let want = inserted_one_by_one(n, &edges);
+            let bulk = BipartiteGraph::from_edges(n, edges.iter().copied()).unwrap();
+            assert_eq!(bulk, want);
+            assert_eq!(BipartiteGraph::from_graph(g), want);
+            assert!(bulk.graph().edges().eq(want.graph().edges()));
+            assert_eq!(bulk.original_edge_count(), g.edge_count());
+            bulk.validate().unwrap();
+            // Edges in no particular order make the same graph.
+            let mut shuffled = edges.clone();
+            shuffled.reverse();
+            shuffled.rotate_left(edges.len() / 3);
+            let bulk = BipartiteGraph::from_edges(n, shuffled.iter().copied()).unwrap();
+            assert_eq!(bulk, want);
+            assert!(bulk.graph().edges().eq(want.graph().edges()));
+        }
+    }
+
+    #[test]
+    fn the_bulk_constructor_rejects_what_insertion_rejects() {
+        let build = |edges: &[(u32, u32)]| BipartiteGraph::from_edges(3, edges.iter().copied());
+        assert_eq!(build(&[(0, 1), (2, 2)]), Err(GraphError::SelfLoop(v(2))));
+        // A duplicate, whether it arrives in order or not.
+        for edges in [[(0, 1), (0, 2), (0, 2)], [(0, 2), (1, 0), (0, 2)]] {
+            assert_eq!(build(&edges), Err(GraphError::DuplicateEdge(v(0), v(2))));
+        }
+        for edges in [[(0, 1), (3, 0)], [(0, 1), (1, 7)]] {
+            assert!(matches!(
+                build(&edges),
+                Err(GraphError::VertexOutOfRange { n: 3, .. })
+            ));
+        }
+        assert_eq!(
+            build(&[(0, 1), (1, 2)]).unwrap(),
+            inserted_one_by_one(3, &[(0, 1), (1, 2)])
+        );
     }
 
     #[test]

@@ -48,6 +48,17 @@ impl DiGraph {
         g
     }
 
+    /// A graph over adjacency lists the caller has already made simple,
+    /// strictly sorted and mirrored, with `m` edges (the bulk
+    /// constructor [`BipartiteGraph::from_edges`] builds them whole).
+    ///
+    /// [`BipartiteGraph::from_edges`]: crate::bipartite::BipartiteGraph::from_edges
+    pub(crate) fn from_adjacency(out: Vec<Vec<u32>>, in_: Vec<Vec<u32>>, m: usize) -> Self {
+        let g = DiGraph { out, in_, m };
+        debug_assert_eq!(g.validate(), Ok(()));
+        g
+    }
+
     /// Number of vertices.
     #[inline]
     pub fn vertex_count(&self) -> usize {
@@ -72,7 +83,7 @@ impl DiGraph {
     }
 
     /// Iterates all edges in `(source, target)` order, deterministically.
-    pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
+    pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + Clone + '_ {
         self.out
             .iter()
             .enumerate()

@@ -229,6 +229,7 @@ fn pack(
     seg: u32,
     spans: &mut [Span],
     mut segment: Vec<LabelEntry>,
+    headroom: bool,
 ) -> Arc<Vec<LabelEntry>> {
     let list = |slot: u32| {
         let (v, side) = slot_list(slot);
@@ -240,11 +241,13 @@ fn pack(
         "label segment of {total} entries exceeds u32 spans"
     );
     // Sized up front and moved into the `Arc`: each entry is copied once.
+    // A buffer too small is replaced rather than grown, since growing it
+    // would copy its stale contents; with `headroom`, by one an eighth
+    // larger than the lists.
     segment.clear();
     if segment.capacity() < total {
-        segment = Vec::new();
+        segment = Vec::with_capacity(if headroom { total + total / 8 } else { total });
     }
-    segment.reserve_exact(total);
     for &slot in slots {
         let lo = segment.len() as u32;
         segment.extend_from_slice(list(slot));
@@ -287,9 +290,11 @@ impl FrozenLabels {
     /// `buffer` (emptied first). A buffer that
     /// [`into_buffer`](Self::into_buffer) took back from a retired arena
     /// has its pages resident already, so the copy faults in no fresh
-    /// arena's worth of them. A buffer too small for the named lists is
-    /// replaced by an exact allocation rather than grown, since growing it
-    /// would copy its stale contents.
+    /// arena's worth of them. A buffer too small for the named lists, an
+    /// empty one included, is replaced rather than grown, since growing it
+    /// would copy its stale contents: by an allocation an eighth larger
+    /// than the lists, so that a growing index still fits in it when a
+    /// later full freeze gets it back.
     ///
     /// # Panics
     ///
@@ -312,7 +317,7 @@ impl FrozenLabels {
             order.push(slot);
         }
         let mut spans = vec![Span::EMPTY; 2 * n];
-        let segment = pack(labels, &order, 0, &mut spans, buffer);
+        let segment = pack(labels, &order, 0, &mut spans, buffer, true);
         FrozenLabels {
             segments: vec![segment],
             spans,
@@ -379,7 +384,7 @@ impl FrozenLabels {
         }
         let mut segments = self.segments.clone();
         let seg = u32::try_from(segments.len()).expect("segment count exceeds u32");
-        let delta = pack(labels, dirty_slots, seg, &mut spans, Vec::new());
+        let delta = pack(labels, dirty_slots, seg, &mut spans, Vec::new(), false);
         if !delta.is_empty() {
             segments.push(delta);
         }
@@ -770,7 +775,8 @@ mod tests {
         let refilled = FrozenLabels::freeze_ordered_into(&labels, [(v(3), LabelSide::Out)], stale);
         assert_eq!(refilled.segments[0].as_ptr(), at);
         assert_eq!(refilled, plain);
-        // A small one is replaced, not grown around its stale contents.
+        // A small one is replaced, not grown around its stale contents,
+        // by one with an eighth to spare.
         let mut wide = Labels::new(40);
         for i in 0..40 {
             wide.append(v(i), LabelSide::In, e(i, 1, 1));
@@ -778,6 +784,11 @@ mod tests {
         let ins = (0..40).map(|i| (v(i), LabelSide::In));
         let grown = FrozenLabels::freeze_ordered_into(&wide, ins, vec![e(9, 9, 9); 2]);
         assert_eq!(grown, FrozenLabels::freeze(&wide));
+        assert!(grown.segments[0].capacity() >= 45);
+        assert_eq!(
+            grown.arena_bytes(),
+            FrozenLabels::freeze(&wide).arena_bytes()
+        );
     }
 
     #[test]

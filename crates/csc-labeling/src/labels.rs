@@ -227,34 +227,46 @@ impl Labels {
         self.dirty.mark(label_slot(v, side));
     }
 
-    /// The bulk form of [`append`](Self::append): appends `entries`, in
-    /// strictly increasing hub-rank order and all above the list's current
-    /// last entry, growing the list once when the iterator knows its
-    /// length (checkpoint decoding installs each list this way). Counts
-    /// and dirty marks are kept as `append` keeps them; an empty `entries`
-    /// changes nothing.
+    /// The bulk form of [`append`](Self::append): appends the entries
+    /// `entries` yields, in strictly increasing hub-rank order and all
+    /// above the list's current last entry, growing the list once by the
+    /// iterator's length. The first `Err` stops it and is returned, the
+    /// list left as it was, so a caller can check each entry as it is
+    /// installed (checkpoint decoding installs each list this way).
+    /// Counts and dirty marks are kept as `append` keeps them; an empty
+    /// `entries` changes nothing.
     ///
     /// Debug builds assert the ordering invariant.
-    pub fn extend_sorted(
+    pub fn try_extend_sorted<E>(
         &mut self,
         v: VertexId,
         side: LabelSide,
-        entries: impl IntoIterator<Item = LabelEntry>,
-    ) {
+        entries: impl ExactSizeIterator<Item = Result<LabelEntry, E>>,
+    ) -> Result<(), E> {
         let list = self.side_mut(v, side);
         let before = list.len();
-        list.extend(entries);
+        list.reserve_exact(entries.len());
+        for entry in entries {
+            match entry {
+                Ok(entry) => list.push(entry),
+                Err(e) => {
+                    list.truncate(before);
+                    return Err(e);
+                }
+            }
+        }
         debug_assert!(
             list[before.saturating_sub(1)..]
                 .windows(2)
                 .all(|w| w[0].hub_rank() < w[1].hub_rank()),
-            "extend_sorted would break hub-rank order at {v:?}"
+            "try_extend_sorted would break hub-rank order at {v:?}"
         );
         let added = list.len() - before;
         if added > 0 {
             self.side_count[side_ix(side)] += added;
             self.dirty.mark(label_slot(v, side));
         }
+        Ok(())
     }
 
     /// Inserts or replaces the entry for `entry.hub_rank()` at `v`,
@@ -638,27 +650,45 @@ mod tests {
     }
 
     #[test]
-    fn extend_sorted_is_append_in_bulk() {
+    fn try_extend_sorted_is_append_in_bulk_or_nothing() {
         let lists = [
             (v(0), LabelSide::In, vec![e(0, 0, 1), e(2, 1, 3)]),
             (v(2), LabelSide::Out, vec![e(1, 2, 1)]),
             (v(1), LabelSide::In, vec![]),
         ];
+        fn ok(
+            entries: &[LabelEntry],
+        ) -> impl ExactSizeIterator<Item = Result<LabelEntry, ()>> + '_ {
+            entries.iter().copied().map(Ok)
+        }
         let mut one_by_one = Labels::new(3);
         let mut bulk = Labels::new(3);
         for (u, side, entries) in &lists {
             for &en in entries {
                 one_by_one.append(*u, *side, en);
             }
-            bulk.extend_sorted(*u, *side, entries.iter().copied());
+            bulk.try_extend_sorted(*u, *side, ok(entries)).unwrap();
         }
         // Extending a non-empty list continues it.
         one_by_one.append(v(0), LabelSide::In, e(5, 2, 1));
-        bulk.extend_sorted(v(0), LabelSide::In, [e(5, 2, 1)]);
+        bulk.try_extend_sorted(v(0), LabelSide::In, ok(&[e(5, 2, 1)]))
+            .unwrap();
+        // An error midway installs nothing, counts nothing, dirties nothing.
+        bulk.take_dirty();
+        one_by_one.take_dirty();
+        let failing = [Ok(e(6, 1, 1)), Err("bad"), Ok(e(8, 1, 1))];
+        assert_eq!(
+            bulk.try_extend_sorted(v(1), LabelSide::Out, failing.into_iter()),
+            Err("bad")
+        );
+        assert_eq!(bulk.dirty_len(), 0);
         assert_eq!(bulk, one_by_one);
         for side in [LabelSide::In, LabelSide::Out] {
             assert_eq!(bulk.side_entries(side), one_by_one.side_entries(side));
         }
+        bulk.try_extend_sorted(v(1), LabelSide::Out, ok(&[e(6, 1, 1)]))
+            .unwrap();
+        one_by_one.append(v(1), LabelSide::Out, e(6, 1, 1));
         assert_eq!(bulk.take_dirty(), one_by_one.take_dirty());
         bulk.validate_sorted().unwrap();
     }
