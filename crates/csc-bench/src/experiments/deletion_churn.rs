@@ -8,8 +8,7 @@
 //! batch sizes 1 / 8 / 64 and measures, per size:
 //!
 //! * amortized per-op cost, with the **phase attribution** the windowed
-//!   engine reports (classify / subtract / re-label, plus how many
-//!   windows took the from-scratch rebuild fallback);
+//!   engine reports (classify / subtract / re-label);
 //! * reader p50/p99 under the deletion load, from a thread hammering the
 //!   published snapshot for the whole replay (the reader shares the cores
 //!   with the writer, so latency percentiles, not throughput, are the
@@ -111,7 +110,6 @@ pub fn run(ctx: &ExpContext) -> String {
         "classify",
         "subtract",
         "re-label",
-        "rebuilds",
         "publishes",
         "reader p50",
         "reader p99",
@@ -125,7 +123,6 @@ pub fn run(ctx: &ExpContext) -> String {
             fmt_duration(s.classify),
             fmt_duration(s.subtract),
             fmt_duration(s.relabel),
-            s.rebuild_fallbacks.to_string(),
             s.publishes.to_string(),
             format!("{:.1} us", s.reader_p50_us),
             format!("{:.1} us", s.reader_p99_us),

@@ -136,10 +136,8 @@ pub struct ReplayStats {
     /// Deletion-repair time in merged count-subtraction passes.
     pub subtract: Duration,
     /// Deletion-repair time in the re-label regime (per-hub upsert BFS
-    /// and sweep, or the rebuild fallback).
+    /// and sweep).
     pub relabel: Duration,
-    /// Windows that took the from-scratch rebuild fallback.
-    pub rebuild_fallbacks: usize,
 }
 
 /// Replays `trace` in `batch_size` windows against a fresh clone of
@@ -182,7 +180,7 @@ pub fn replay(
         let mut batch_times = Vec::with_capacity(trace.len() / batch_size + 1);
         let mut applied = 0usize;
         let mut normalized_away = 0usize;
-        let mut phases = (Duration::ZERO, Duration::ZERO, Duration::ZERO, 0usize);
+        let mut phases = (Duration::ZERO, Duration::ZERO, Duration::ZERO);
         let start = Instant::now();
         for window in trace.chunks(batch_size) {
             let updates: Vec<GraphUpdate> = window.iter().map(|op| op.update).collect();
@@ -194,7 +192,6 @@ pub fn replay(
             phases.0 += report.repair.classify_time;
             phases.1 += report.repair.subtract_time;
             phases.2 += report.repair.relabel_time;
-            phases.3 += report.repair.rebuild_fallbacks;
         }
         let total = start.elapsed();
         stop.store(true, Ordering::Relaxed);
@@ -229,7 +226,6 @@ pub fn replay(
         classify: phases.0,
         subtract: phases.1,
         relabel: phases.2,
-        rebuild_fallbacks: phases.3,
     }
 }
 

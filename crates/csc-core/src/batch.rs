@@ -40,10 +40,10 @@
 //!    caller republishes at most once per batch, and incrementally: only
 //!    the lists the batch dirtied are copied, into one delta segment (see
 //!    [`FrozenLabels::refreeze_spans`](csc_labeling::FrozenLabels::refreeze_spans)).
-//!    A batch that took the deletion rebuild fallback dirtied every list;
-//!    its publish is a full freeze instead, which leaves no dead copy of
-//!    the old arena behind (see
-//!    [`SnapshotIndex::refreeze_from`](crate::SnapshotIndex::refreeze_from)).
+//!    A batch that rewrote a quarter or more of the live entries, as a
+//!    deletion window that re-labels most hubs does, publishes a full
+//!    freeze instead, which leaves no dead copy of the old lists behind
+//!    (see [`SnapshotIndex::refreeze_from`](crate::SnapshotIndex::refreeze_from)).
 //!
 //! ## Semantics
 //!

@@ -460,10 +460,54 @@ impl From<CscIndex> for ConcurrentIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CscConfig;
-    use csc_graph::generators::directed_cycle;
+    use crate::config::{CscConfig, FsyncPolicy};
+    use csc_graph::generators::{directed_cycle, gnm};
     use csc_graph::traversal::shortest_cycle_oracle;
     use std::sync::Arc;
+
+    #[test]
+    fn recovery_never_turns_the_lifetime_counters_back() {
+        // Snapshots are ordered by `updates_applied`, and `rejuvenations`
+        // counts a lifetime's passes: neither may fall when a recovery
+        // swaps in a new index, from checkpoint + log or from the live
+        // graph. The cadence checkpoints the last window, so the log has
+        // nothing to replay, and the rejuvenation comes after it.
+        for durable in [false, true] {
+            let g = gnm(20, 60, 1);
+            let config = CscConfig::default()
+                .with_fsync(FsyncPolicy::Never)
+                .with_checkpoint_every(4);
+            let shared = ConcurrentIndex::new(CscIndex::build(&g, config).unwrap());
+            let dir = std::env::temp_dir().join(format!(
+                "csc-concurrent-test-{}-counters",
+                std::process::id()
+            ));
+            if durable {
+                std::fs::create_dir_all(&dir).unwrap();
+                shared.attach_durability(&dir).unwrap();
+            }
+            for &(a, b) in g.edge_vec().iter().take(20) {
+                shared.remove_edge(VertexId(a), VertexId(b)).unwrap();
+            }
+            shared.rejuvenate().unwrap();
+            let counters = || {
+                (
+                    shared.snapshot().updates_applied(),
+                    shared.health().rejuvenations,
+                )
+            };
+            assert_eq!(counters(), (20, 1), "durable: {durable}");
+            shared.recover().unwrap();
+            assert_eq!(counters(), (20, 1), "durable: {durable}");
+            let (a, b) = g.edge_vec()[20];
+            shared.remove_edge(VertexId(a), VertexId(b)).unwrap();
+            shared.refresh();
+            assert_eq!(counters(), (21, 1), "durable: {durable}");
+            if durable {
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
+    }
 
     #[test]
     fn readers_and_writer_interleave() {

@@ -53,17 +53,12 @@
 //!   count-corrupting tie (a wrong SCCnt). Count-repair sides keep their
 //!   distances, so their dominated entries stay dominated and harmless.
 //!
-//!   This phase dominates deletion cost, so batching attacks it twice:
-//!   the per-window merge runs one pass per hub instead of one per hub
-//!   per edge, and a window that demotes more than
-//!   [`REBUILD_FALLBACK_PERCENT`] of all hub sides skips the sweeps
-//!   entirely in favor of a from-scratch label rebuild under the existing
-//!   rank order — exact by construction, and a full freeze that drops
-//!   every dominated leftover. Its report counts what the rebuild changed,
-//!   one merge per stored list of the old and the new store. On the
-//!   `repro deletion-churn` workload the fallback carries every window of
-//!   8+ deletions; the surgical merge path is what single-edge windows
-//!   and sparse windows exercise.
+//!   This phase dominates deletion cost, so the window merges it: one
+//!   pass per demoted hub side for the whole window instead of one per
+//!   hub per edge. It is the only repair path for demoted sides, however
+//!   many a window demotes; the dead copies its rewritten lists leave in
+//!   the served arena are the publisher's to compact (see
+//!   [`SnapshotIndex::refreeze_from`](crate::SnapshotIndex::refreeze_from)).
 //!
 //! All distance conditions are evaluated with plain BFS traversals from
 //! the edge endpoints — deliberately not with index lookups: the
@@ -84,22 +79,16 @@
 //! under-estimate either way). The `batch_equivalence` suite pins this
 //! down.
 
-use crate::build::{build_labels, LabelWriter, TraversalCounters, WriteMode};
+use crate::build::{LabelWriter, TraversalCounters, WriteMode};
 use crate::index::CscIndex;
-use crate::reduction::{query_lists, CoupleView};
+use crate::reduction::CoupleView;
 use crate::repair::{multi_source_subtract, Direction, Seed, SubtractOutcome};
 use crate::stats::UpdateReport;
 use csc_graph::bipartite::{in_vertex, is_in_vertex, out_vertex};
-use csc_graph::{Csr, DistMap, SweepHandle, SweepMaps, VertexId, UNREACHED};
-use csc_labeling::{LabelEntry, LabelSide, LabelingError};
+use csc_graph::{DistMap, SweepHandle, SweepMaps, VertexId, UNREACHED};
+use csc_labeling::{LabelSide, LabelingError};
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
-
-/// When a window demotes more than this percentage of all hub sides to
-/// the re-label regime, `repair_deletions` rebuilds every label from
-/// scratch under the existing rank order instead of sweeping the demoted
-/// hubs one by one (see the fallback comment in the implementation).
-const REBUILD_FALLBACK_PERCENT: usize = 50;
 
 /// Window-level accounting the batch engine surfaces in
 /// [`BatchReport`](crate::BatchReport).
@@ -312,27 +301,6 @@ impl CscIndex {
         let t_subtract = Instant::now();
         report.classify_time += t_subtract - t_classify;
 
-        // ---- Rebuild fallback for overwhelming windows. ------------------
-        // When a window demotes most of the index, every label is rebuilt
-        // from the current graph under the *existing* rank order instead:
-        // trivially exact (it is the ground truth the equivalence suites
-        // compare against), and a full freeze that drops every dominated
-        // leftover. It is not always the cheaper path — on mixed churn
-        // windows the per-hub sweeps cost less — but without its
-        // compaction a churned index grows (14% more bytes per edge on
-        // the benchmark's churn stream).
-        let relabel_sides: usize = relabel
-            .values()
-            .map(|&(f, b)| usize::from(f) + usize::from(b))
-            .sum();
-        if relabel_sides * 100 > 2 * self.original_vertex_count() * REBUILD_FALLBACK_PERCENT {
-            let result = self.rebuild_after_window(report);
-            report.relabel_time += t_subtract.elapsed();
-            self.sweeps.release_all();
-            stats.hub_union += relabel_sides;
-            return result.map(|()| stats);
-        }
-
         let CscIndex {
             ref gb,
             ref ranks,
@@ -404,62 +372,6 @@ impl CscIndex {
         self.sweeps.release_all();
         Ok(stats)
     }
-
-    /// The overwhelming-window fallback: rebuilds every label from the
-    /// current (post-removal) graph under the existing rank order — the
-    /// exact static construction, so the result is correct by definition —
-    /// and swaps it in, dropping the inverted index (the next deletion or
-    /// `CLEAN_LABEL` rebuilds it) and marking every label slot dirty so
-    /// the next incremental re-freeze re-gathers the whole store (the
-    /// served snapshot describes the retired layout). The report counts
-    /// what the swap changed: one merge per stored list of the old store
-    /// against the new one.
-    fn rebuild_after_window(&mut self, report: &mut UpdateReport) -> Result<(), LabelingError> {
-        let csr = Csr::from_digraph(self.gb.graph());
-        let mut counters = TraversalCounters::default();
-        let (labels, closures) = build_labels(&csr, &self.ranks, &mut counters)?;
-        for (v, side) in query_lists(self.original_vertex_count()) {
-            let old = self.labels.side_of(v, side);
-            let new = labels.side_of(v, side);
-            let (removed, inserted, updated) = diff_lists(old, new);
-            report.entries_removed += removed;
-            report.entries_inserted += inserted;
-            report.entries_updated += updated;
-        }
-        report.vertices_visited += counters.dequeues;
-        report.rebuild_fallbacks += 1;
-        self.labels = labels;
-        self.closures = closures;
-        self.labels.mark_all_dirty();
-        self.inverted = None;
-        Ok(())
-    }
-}
-
-/// `(removed, inserted, updated)`: the entries of rank-sorted list `old`
-/// whose hub `new` lacks, those of `new` whose hub `old` lacks, and the
-/// hubs both hold with a different distance or count. One merge.
-fn diff_lists(old: &[LabelEntry], new: &[LabelEntry]) -> (usize, usize, usize) {
-    let (mut i, mut j) = (0, 0);
-    let (mut removed, mut inserted, mut updated) = (0, 0, 0);
-    while i < old.len() && j < new.len() {
-        match old[i].hub_rank().cmp(&new[j].hub_rank()) {
-            std::cmp::Ordering::Less => {
-                removed += 1;
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                inserted += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                updated += usize::from(old[i] != new[j]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    (removed + old.len() - i, inserted + new.len() - j, updated)
 }
 
 #[cfg(test)]
@@ -563,28 +475,20 @@ mod tests {
 
     #[test]
     fn deletions_without_inverted_index_build_it_on_demand() {
-        // A build leaves the inverted index unbuilt: every deletion builds
-        // it if nothing has, later writes maintain it, and only the
-        // rebuild fallback drops it again. The answers stay oracle-exact
-        // throughout.
+        // A build leaves the inverted index unbuilt: the first deletion
+        // builds it, and every later write maintains it. The answers stay
+        // oracle-exact throughout.
         let mut g = gnm(16, 50, 3);
         let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
         assert!(idx.inverted.is_none());
         let edges = g.edge_vec();
-        let mut maintained = 0;
         for &(u, w) in edges.iter().take(10) {
             g.try_remove_edge(VertexId(u), VertexId(w)).unwrap();
-            let report = idx.remove_edge(VertexId(u), VertexId(w)).unwrap();
-            match &idx.inverted {
-                Some(inv) => {
-                    inv.validate_against(&idx.labels).unwrap();
-                    maintained += 1;
-                }
-                None => assert_eq!(report.rebuild_fallbacks, 1, "only the fallback drops it"),
-            }
+            idx.remove_edge(VertexId(u), VertexId(w)).unwrap();
+            let inv = idx.inverted.as_ref().expect("a deletion keeps it built");
+            inv.validate_against(&idx.labels).unwrap();
             assert_queries_match(&idx, &g, "on-demand inverted index");
         }
-        assert!(maintained > 0, "some deletion repaired in place");
     }
 
     #[test]
@@ -681,10 +585,10 @@ mod tests {
     }
 
     #[test]
-    fn the_rebuild_fallback_reports_exactly_what_it_changed() {
-        // A window that removes most edges demotes most hub sides, so it
-        // rebuilds; its report must be the diff of the two stores, not
-        // the whole old store out and the whole new one in.
+    fn an_overwhelming_window_reports_exactly_what_it_changed() {
+        // A window that removes most edges demotes most hub sides; its
+        // report must be the diff of the two stores, each changed entry
+        // counted once, however many passes touched it.
         use crate::batch::GraphUpdate;
         use csc_labeling::Labels;
         use std::collections::HashMap;
@@ -710,7 +614,6 @@ mod tests {
                 .map(|&(a, b)| GraphUpdate::RemoveEdge(VertexId(a), VertexId(b)))
                 .collect();
             let report = idx.apply_batch(&window).unwrap().repair;
-            assert_eq!(report.rebuild_fallbacks, 1, "seed {seed}: no fallback");
             let (old, new) = (entries(before.labels()), entries(idx.labels()));
             let removed = old.keys().filter(|k| !new.contains_key(k)).count();
             let inserted = new.keys().filter(|k| !old.contains_key(k)).count();
@@ -728,7 +631,7 @@ mod tests {
                 "seed {seed}"
             );
             assert!(removed < old.len(), "seed {seed}: the diff kept entries");
-            assert_queries_match(&idx, &idx.original_graph(), "after the fallback");
+            assert_queries_match(&idx, &idx.original_graph(), "after the window");
         }
     }
 

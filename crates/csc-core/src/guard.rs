@@ -1,13 +1,14 @@
 //! Resource guards: wall-clock deadlines and bounded retry with backoff.
 //!
 //! The query and write planes accept an optional [`Deadline`]; each
-//! deadline-aware entry point derives one [`OpBudget`] per worker from it
-//! and threads the budget down to the cooperative cancellation
-//! checkpoints in `csc-graph::traversal` and the `csc-labeling`
-//! intersection kernels. An exceeded budget surfaces as
-//! [`CscError::DeadlineExceeded`] and the aborted operation has no
-//! observable effect (queries leave their workspaces reusable; writes
-//! abort only before their commit point).
+//! deadline-aware read derives one [`OpBudget`] per worker from it and
+//! threads the budget down to the cooperative cancellation checkpoints
+//! in the `csc-labeling` intersection kernels. A write checks its
+//! deadline only at admission (`CscIndex::apply_batch_deadline` once
+//! more after planning), never inside a traversal. An exceeded deadline
+//! surfaces as [`CscError::DeadlineExceeded`] and the aborted operation
+//! has no observable effect (queries write nothing shared; writes abort
+//! only before their commit point).
 //!
 //! [`RetryPolicy`] is the durability plane's answer to transient I/O
 //! failures: bounded exponential backoff with deterministic jitter, so a

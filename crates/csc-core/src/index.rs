@@ -325,6 +325,23 @@ impl CscIndex {
         };
     }
 
+    /// Takes over the lifetime counters of `retired`, the index this one
+    /// replaces in a rejuvenation or a recovery: its cumulative update
+    /// statistics, so a snapshot's `updates_applied` stays monotone, and
+    /// its rejuvenation count. The build statistics and the rest of the
+    /// drift baseline stay this index's own.
+    pub(crate) fn inherit_counters(&mut self, retired: &CscIndex) {
+        let build = std::mem::take(&mut self.stats.build);
+        self.stats = IndexStats {
+            build,
+            ..retired.stats.clone()
+        };
+        self.baseline.rejuvenations = self
+            .baseline
+            .rejuvenations
+            .max(retired.baseline.rejuvenations);
+    }
+
     /// Label entries on `side` across all four lists of every couple, the
     /// copies the store derives included: per couple, `|L_in(v_o)| =
     /// |L_in(v_i)| + 1`, and `|L_out(v_i)| = |L_out(v_o)|` less its

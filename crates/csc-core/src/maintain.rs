@@ -60,7 +60,7 @@ use crate::guard::{Deadline, RetryPolicy};
 use crate::health::{HealthBaseline, IndexHealth, RebuildPolicy, RebuildReason};
 use crate::index::CscIndex;
 use crate::snapshot::SnapshotIndex;
-use crate::stats::UpdateReport;
+use crate::stats::{IndexStats, UpdateReport};
 use crate::verify::check_integrity;
 use crate::wal::{self, ScannedLog, WriteAheadLog};
 use csc_graph::{Csr, RankTable, VertexId};
@@ -1063,9 +1063,9 @@ impl MaintenanceEngine {
     }
 
     /// Labels finished: assemble the rejuvenated index and swap it in.
-    /// The cumulative update statistics carry over (snapshot ordering via
-    /// `updates_applied` must stay monotone); the build statistics and the
-    /// drift baseline are re-anchored.
+    /// The lifetime counters carry over (see
+    /// [`CscIndex::inherit_counters`]); the build statistics and the drift
+    /// baseline are re-anchored.
     fn swap_rebuilt(&mut self) {
         let task = self.rebuild.as_mut().expect("called with a task in flight");
         let build = std::mem::replace(
@@ -1075,16 +1075,17 @@ impl MaintenanceEngine {
         let (labels, closures, counters) = build.finish();
         let config = *self.index.config();
         let n = self.index.bipartite().graph().vertex_count();
-        let mut stats = self.index.stats.clone();
-        stats.build = BuildStats {
-            canonical: counters.canonical,
-            non_canonical: counters.non_canonical,
-            pruned: counters.pruned,
-            dequeues: counters.dequeues,
-            saturated_counts: counters.saturated,
-            build_time: stats.build.build_time,
+        let stats = IndexStats {
+            build: BuildStats {
+                canonical: counters.canonical,
+                non_canonical: counters.non_canonical,
+                pruned: counters.pruned,
+                dequeues: counters.dequeues,
+                saturated_counts: counters.saturated,
+                build_time: self.index.stats.build.build_time,
+            },
+            ..IndexStats::default()
         };
-        let rejuvenations = self.index.baseline.rejuvenations + 1;
         let mut fresh = CscIndex {
             gb: self.index.gb.clone(),
             ranks: std::mem::replace(&mut task.ranks, RankTable::from_order(&[])),
@@ -1100,7 +1101,8 @@ impl MaintenanceEngine {
             // they are graph-shape scratch, already sized right.
             sweeps: std::mem::take(&mut self.index.sweeps),
         };
-        fresh.rebaseline(rejuvenations);
+        fresh.inherit_counters(&self.index);
+        fresh.rebaseline(self.index.baseline.rejuvenations + 1);
         // The baseline is the post-rebuild state; replayed updates then
         // count as ordinary drift on top of it.
         self.index = fresh;
@@ -1388,12 +1390,15 @@ impl MaintenanceEngine {
     ///   window.
     ///
     /// After either path the next snapshot publication is forced to be a
-    /// full freeze — the label store is brand new.
+    /// full freeze — the label store is brand new. Either way the
+    /// recovered index keeps the retired one's lifetime counters: updates
+    /// applied (so snapshots stay ordered) and rejuvenations completed.
     pub fn recover_in_place(&mut self) -> Result<RecoveryReport, CscError> {
         if let Some(d) = &self.durability {
             let dir = d.dir.clone();
             let stats = self.stats;
             let (mut fresh, report) = Self::recover(&dir)?;
+            fresh.index.inherit_counters(&self.index);
             fresh.stats = stats;
             fresh.stats.recoveries += 1;
             fresh.full_freeze_pending = true;
@@ -1409,7 +1414,7 @@ impl MaintenanceEngine {
         // Rebuild from the live graph, then replay the queue.
         let g = self.index.original_graph();
         let config = *self.index.config();
-        let rebuilt = match catch_unwind(AssertUnwindSafe(|| CscIndex::build(&g, config))) {
+        let mut rebuilt = match catch_unwind(AssertUnwindSafe(|| CscIndex::build(&g, config))) {
             Ok(r) => r?,
             Err(payload) => {
                 return Err(CscError::poisoned(format!(
@@ -1418,6 +1423,7 @@ impl MaintenanceEngine {
                 )));
             }
         };
+        rebuilt.inherit_counters(&self.index);
         self.index = rebuilt;
         self.rebuild = None;
         self.degraded = None;

@@ -30,7 +30,9 @@
 //! [`ConcurrentIndex`](crate::ConcurrentIndex). It compacts back to a full
 //! couple-ordered freeze once relocation holes exceed
 //! [`MAX_DEAD_FRACTION`] of the arena or the segments reach
-//! [`MAX_SEGMENTS`], and freezes whole when every query list is dirty.
+//! [`MAX_SEGMENTS`], and freezes whole when the delta would copy a
+//! quarter or more of the live entries (a deletion window that re-labels
+//! most hubs rewrites most lists).
 
 use crate::health::{HealthBaseline, IndexHealth};
 use crate::index::CscIndex;
@@ -50,6 +52,11 @@ pub const MAX_DEAD_FRACTION: f64 = 0.5;
 /// and the reference counts every publish clones, through long runs of
 /// small publishes that never reach [`MAX_DEAD_FRACTION`].
 pub const MAX_SEGMENTS: usize = 128;
+
+/// A publish whose delta would copy at least this share of the live
+/// query-list entries freezes whole instead: the full freeze copies at
+/// most four times what the delta would, and leaves no dead space.
+const FREEZE_WHOLE_SHARE: f64 = 0.25;
 
 /// An immutable snapshot of a [`CscIndex`]'s query state.
 ///
@@ -120,9 +127,9 @@ impl SnapshotIndex {
     /// would exceed [`MAX_DEAD_FRACTION`] of the arena or `prev` already
     /// holds [`MAX_SEGMENTS`] segments, so chains of incremental snapshots
     /// stay bounded in size, segment count, and layout quality. A publish
-    /// that rewrites every query list (the deletion rebuild fallback marks
-    /// the whole store dirty) freezes whole too: a delta would copy the
-    /// same entries and leave every segment of `prev` fully dead.
+    /// whose delta would copy a quarter or more of the live entries
+    /// freezes whole too: the full freeze costs at most four times the
+    /// delta, and the delta would leave that much dead space behind.
     ///
     /// Correctness requires `prev` to match the label store as of the
     /// drain point — [`ConcurrentIndex`](crate::ConcurrentIndex) maintains
@@ -146,13 +153,13 @@ impl SnapshotIndex {
             .copied()
             .filter(|&slot| is_query_slot(slot))
             .collect();
-        // Project the dead fraction in O(dirty) first: when this publish
-        // would cross a compaction threshold, go straight to the full
-        // freeze instead of building a delta only to discard it.
-        let (dead, total) = prev.frozen.projected_refreeze(index.labels(), &dirty);
-        if dirty.len() == 2 * index.original_vertex_count()
-            || prev.frozen.segment_count() >= MAX_SEGMENTS
-            || (total > 0 && dead as f64 / total as f64 > MAX_DEAD_FRACTION)
+        // Project the delta in O(dirty) first: when this publish would
+        // cross a compaction threshold, go straight to the full freeze
+        // instead of building a delta only to discard it.
+        let (delta, dead, total) = prev.frozen.projected_refreeze(index.labels(), &dirty);
+        if prev.frozen.segment_count() >= MAX_SEGMENTS
+            || delta as f64 >= FREEZE_WHOLE_SHARE * (total - dead) as f64
+            || dead as f64 > MAX_DEAD_FRACTION * total as f64
         {
             return Self::freeze_into(index, std::mem::take(buffer));
         }
@@ -452,23 +459,62 @@ mod tests {
         assert!(saw_compaction, "dead space must eventually be compacted");
     }
 
+    /// Re-stores the first entry of each of `lists`, which dirties just
+    /// those lists, and publishes on top of `prev`.
+    fn republish(
+        idx: &mut CscIndex,
+        prev: &SnapshotIndex,
+        lists: &[(VertexId, LabelSide)],
+    ) -> SnapshotIndex {
+        for &(v, side) in lists {
+            let entry = idx.labels.side_of(v, side)[0];
+            idx.labels.upsert(v, side, entry);
+        }
+        let dirty = idx.labels.take_dirty();
+        assert_eq!(dirty.len(), lists.len());
+        SnapshotIndex::refreeze_from(prev, idx, &dirty)
+    }
+
     #[test]
-    fn a_publish_that_rewrites_every_list_freezes_whole() {
-        // A rebuild fallback marks every list dirty. Re-gathering them all
-        // into a delta would leave the previous arena referenced and fully
-        // dead, whatever the projected dead fraction.
+    fn a_publish_that_rewrites_a_quarter_of_the_index_freezes_whole() {
         let g = gnm(30, 100, 2);
         let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
         idx.labels.take_dirty();
-        let snap = idx.freeze();
-        idx.labels.mark_all_dirty();
-        let dirty = idx.labels.take_dirty();
-        let snap = SnapshotIndex::refreeze_from(&snap, &idx, &dirty);
-        assert_eq!(snap.labels().segment_count(), 1);
-        assert_eq!(snap.labels().dead_entries(), 0);
+        let base = idx.freeze();
+        let live = base.labels().total_entries();
+        // Longest first, `under` takes each list that keeps the delta
+        // below a quarter of the live entries, so adding any list it
+        // skipped reaches the quarter.
+        let len = |&(v, side): &(VertexId, LabelSide)| idx.labels.side_of(v, side).len();
+        let mut lists: Vec<_> = query_lists(idx.original_vertex_count())
+            .filter(|list| len(list) > 0)
+            .collect();
+        lists.sort_by_key(|list| std::cmp::Reverse(len(list)));
+        let (mut under, mut skipped, mut copied) = (Vec::new(), Vec::new(), 0);
+        for list in lists {
+            if 4 * (copied + len(&list)) < live {
+                copied += len(&list);
+                under.push(list);
+            } else {
+                skipped.push(list);
+            }
+        }
+        let last = *skipped.last().expect("the lists add up to `live`");
+        assert!(4 * copied < live && 4 * (copied + len(&last)) >= live);
+
+        let delta = republish(&mut idx, &base, &under);
+        let arena = delta.labels();
+        assert_eq!((arena.segment_count(), arena.dead_entries()), (2, copied));
+
+        under.push(last);
+        let whole = republish(&mut idx, &base, &under);
+        let arena = whole.labels();
+        assert_eq!((arena.segment_count(), arena.dead_entries()), (1, 0));
         let full = idx.freeze();
+        assert_eq!(arena.total_entries(), full.labels().total_entries());
         for x in g.vertices() {
-            assert_eq!(snap.query(x), full.query(x), "SCCnt({x})");
+            assert_eq!(delta.query(x), full.query(x), "delta: SCCnt({x})");
+            assert_eq!(whole.query(x), full.query(x), "whole: SCCnt({x})");
         }
     }
 

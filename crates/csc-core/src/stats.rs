@@ -46,13 +46,11 @@ pub struct UpdateReport {
     /// Deletion repair: time in the merged count-subtraction passes.
     pub subtract_time: Duration,
     /// Deletion repair: time in the re-label regime (each demoted hub
-    /// side's upsert BFS and the sweep of the entries it did not produce,
-    /// or the rebuild fallback) — historically the dominant share.
+    /// side's upsert BFS and the sweep of the entries it did not produce)
+    /// — historically the dominant share.
     pub relabel_time: Duration,
-    /// Deletion windows that demoted so much of the index that repairing
-    /// fell back to a from-scratch label rebuild under the existing rank
-    /// order (exact by construction, and a full freeze that drops every
-    /// dominated leftover).
+    /// Always 0: every deletion window repairs in place, however much of
+    /// the index it demotes. Kept only because perfbench still reads it.
     pub rebuild_fallbacks: usize,
 }
 

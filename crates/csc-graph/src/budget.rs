@@ -1,9 +1,9 @@
-//! Cooperative operation budgets for bounded-latency traversals.
+//! Cooperative operation budgets for bounded-latency reads.
 //!
-//! The dynamic-maintenance and analytics paths above this crate run
-//! loops whose length depends on the graph, not the caller: a BFS sweep
-//! is `O(n + m)`, a whole-graph cycle sweep is `O(n)` label
-//! intersections. Under overload, "run to completion" is the wrong
+//! The query and analytics paths above this crate run loops whose length
+//! depends on the graph, not the caller: one intersection is as long as
+//! the two labels it merges, and a whole-graph cycle sweep is `O(n)` of
+//! them. Under overload, "run to completion" is the wrong
 //! contract — a serving system needs every operation to either finish
 //! within its latency budget or fail fast and leave the structure
 //! untouched.
@@ -44,8 +44,8 @@ impl fmt::Display for BudgetExceeded {
 
 impl std::error::Error for BudgetExceeded {}
 
-/// A cooperative wall-clock budget threaded through traversal and kernel
-/// loops.
+/// A cooperative wall-clock budget threaded through the label
+/// intersection kernels.
 ///
 /// ```
 /// use csc_graph::budget::OpBudget;

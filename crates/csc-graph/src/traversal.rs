@@ -16,7 +16,6 @@
 //!
 //! [`bfs_bounded`]: TraversalWorkspace::bfs_bounded
 
-use crate::budget::{BudgetExceeded, OpBudget};
 use crate::digraph::DiGraph;
 use crate::vertex::VertexId;
 use std::collections::VecDeque;
@@ -211,25 +210,6 @@ impl TraversalWorkspace {
         forward: bool,
         limit: u32,
     ) -> SweepHandle {
-        self.bfs_bounded_budgeted(g, src, forward, limit, &OpBudget::unbounded())
-            .expect("unbounded budgets never expire")
-    }
-
-    /// [`bfs_bounded`](Self::bfs_bounded) with a cooperative cancellation
-    /// checkpoint per dequeued vertex.
-    ///
-    /// On `Err(BudgetExceeded)` the partially written map is *un-claimed*:
-    /// the caller's outstanding handles stay valid, pool occupancy is
-    /// unchanged, and the next claim epoch-clears the abandoned contents —
-    /// an aborted sweep costs nothing and corrupts nothing.
-    pub fn bfs_bounded_budgeted(
-        &mut self,
-        g: &DiGraph,
-        src: VertexId,
-        forward: bool,
-        limit: u32,
-        budget: &OpBudget,
-    ) -> Result<SweepHandle, BudgetExceeded> {
         self.ensure(g.vertex_count());
         let h = self.claim();
         let map = &mut self.maps[h];
@@ -237,12 +217,6 @@ impl TraversalWorkspace {
         map.set(src, 0);
         self.queue.push_back(src.0);
         while let Some(w) = self.queue.pop_front() {
-            if let Err(e) = budget.checkpoint() {
-                // Roll the claim back: the abandoned map returns to the
-                // pool and its stale contents die at the next epoch bump.
-                self.live = h;
-                return Err(e);
-            }
             let dw = map.get(VertexId(w));
             if dw >= limit {
                 continue;
@@ -259,20 +233,7 @@ impl TraversalWorkspace {
                 }
             }
         }
-        Ok(SweepHandle(h))
-    }
-
-    /// Full single-source BFS with cooperative cancellation — see
-    /// [`bfs_bounded_budgeted`](Self::bfs_bounded_budgeted) for the abort
-    /// contract.
-    pub fn bfs_budgeted(
-        &mut self,
-        g: &DiGraph,
-        src: VertexId,
-        forward: bool,
-        budget: &OpBudget,
-    ) -> Result<SweepHandle, BudgetExceeded> {
-        self.bfs_bounded_budgeted(g, src, forward, UNREACHED, budget)
+        SweepHandle(h)
     }
 
     /// Approximate heap bytes held by the workspace: every pooled map
@@ -851,58 +812,6 @@ mod tests {
                 assert!(seen[1..].iter().all(|&s| s));
             }
         }
-    }
-
-    #[test]
-    fn aborted_sweep_leaves_the_workspace_reusable() {
-        use crate::budget::OpBudget;
-        use std::time::Duration;
-
-        let g = crate::generators::gnm(30, 90, 5);
-        let mut ws = TraversalWorkspace::new(g.vertex_count());
-        // A live handle claimed before the abort must survive it.
-        let held = ws.bfs(&g, v(7), true);
-        let held_snapshot: Vec<u32> = g.vertices().map(|x| ws.map(held).get(x)).collect();
-
-        let expired = OpBudget::within(Duration::ZERO);
-        assert_eq!(
-            ws.bfs_budgeted(&g, v(0), true, &expired),
-            Err(crate::budget::BudgetExceeded)
-        );
-        assert_eq!(ws.live(), 1, "the aborted claim was rolled back");
-        for (x, want) in g.vertices().zip(&held_snapshot) {
-            assert_eq!(ws.map(held).get(x), *want, "held handle untouched");
-        }
-
-        // The recycled map is epoch-cleared: the next sweep over it is
-        // exact despite the abandoned partial contents.
-        let h = ws.bfs(&g, v(0), true);
-        let reference = bfs_distances_dir(&g, v(0), true);
-        for x in g.vertices() {
-            match reference[x.index()] {
-                Some(d) => assert_eq!(ws.map(h).get(x), d),
-                None => assert_eq!(ws.map(h).get(x), UNREACHED),
-            }
-        }
-    }
-
-    #[test]
-    fn budgeted_sweep_with_headroom_matches_unbudgeted() {
-        use crate::budget::OpBudget;
-        use std::time::Duration;
-
-        let g = crate::generators::gnm(25, 70, 11);
-        let mut ws = TraversalWorkspace::new(g.vertex_count());
-        let budget = OpBudget::within(Duration::from_secs(3600)).with_stride(1);
-        let h = ws.bfs_budgeted(&g, v(3), false, &budget).unwrap();
-        let reference = bfs_distances_dir(&g, v(3), false);
-        for x in g.vertices() {
-            match reference[x.index()] {
-                Some(d) => assert_eq!(ws.map(h).get(x), d),
-                None => assert_eq!(ws.map(h).get(x), UNREACHED),
-            }
-        }
-        assert!(ws.heap_bytes() > 0);
     }
 
     #[test]

@@ -395,22 +395,28 @@ impl FrozenLabels {
         }
     }
 
-    /// The `(dead, total)` arena entry counts [`refreeze_spans`] would
-    /// produce for this dirty set — every dirty list's old copy turns
-    /// dead and its new copy is appended — computed in `O(dirty)` without
-    /// copying anything, so callers can decide to compact (full freeze)
-    /// *instead of* building a delta they would throw away.
+    /// The `(delta, dead, total)` entry counts [`refreeze_spans`] would
+    /// produce for this dirty set: the entries its delta segment copies,
+    /// and the dead and total entries of the arena it returns (every
+    /// dirty list's old copy turns dead and its new copy is appended).
+    /// Computed in `O(dirty)` without copying anything, so callers can
+    /// decide to compact (full freeze) *instead of* building a delta they
+    /// would throw away.
     ///
     /// [`refreeze_spans`]: Self::refreeze_spans
-    pub fn projected_refreeze(&self, labels: &Labels, dirty_slots: &[u32]) -> (usize, usize) {
+    pub fn projected_refreeze(
+        &self,
+        labels: &Labels,
+        dirty_slots: &[u32],
+    ) -> (usize, usize, usize) {
+        let mut delta = 0;
         let mut dead = self.dead;
-        let mut total = self.arena_entries();
         for &slot in dirty_slots {
             let (v, side) = slot_list(slot);
             dead += self.spans.get(slot as usize).map_or(0, |span| span.len());
-            total += labels.side_of(v, side).len();
+            delta += labels.side_of(v, side).len();
         }
-        (dead, total)
+        (delta, dead, self.arena_entries() + delta)
     }
 
     /// Segment entries stranded by [`refreeze_spans`](Self::refreeze_spans)
@@ -939,11 +945,12 @@ mod tests {
                 scramble(&mut labels, &mut rng, edits);
                 let dirty = labels.take_dirty();
                 let projected = frozen.projected_refreeze(&labels, &dirty);
+                let before = frozen.arena_entries();
                 frozen = frozen.refreeze_spans(&labels, &dirty);
                 let (dead, live) = (frozen.dead_entries(), frozen.total_entries());
                 assert_eq!(
                     projected,
-                    (dead, dead + live),
+                    (dead + live - before, dead, dead + live),
                     "round {round}, generation {generation}"
                 );
             }

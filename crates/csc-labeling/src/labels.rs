@@ -168,19 +168,6 @@ impl Labels {
         self.dirty.slots.len()
     }
 
-    /// Marks every label list dirty, as if each had been mutated.
-    ///
-    /// For wholesale replacements (a from-scratch rebuild swapped into a
-    /// live index): the next incremental re-freeze must re-gather every
-    /// span, because the previous snapshot's layout describes the retired
-    /// store.
-    pub fn mark_all_dirty(&mut self) {
-        for v in 0..self.in_labels.len() as u32 {
-            self.dirty.mark(label_slot(VertexId(v), LabelSide::In));
-            self.dirty.mark(label_slot(VertexId(v), LabelSide::Out));
-        }
-    }
-
     /// The in-label list of `v`.
     #[inline]
     pub fn in_of(&self, v: VertexId) -> &[LabelEntry] {

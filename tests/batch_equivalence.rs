@@ -310,8 +310,8 @@ proptest! {
         window in 1usize..7,
     ) {
         // Chopping a deletion-dominated stream into windows of any size
-        // must not change where the index ends up, whichever mix of the
-        // surgical per-hub path and the rebuild fallback each window takes.
+        // must not change where the index ends up, however many hub sides
+        // each window demotes.
         let g = generators::gnm(n, n * 3, seed);
         let updates = resolve(&g, &script);
         let base = CscIndex::build(&g, CscConfig::default()).unwrap();
@@ -392,9 +392,9 @@ fn saturated_count_demotion_inside_a_batch() {
 #[test]
 fn batched_deletions_take_the_indexed_carrier_path() {
     // The inverted index is built on demand: a build and an
-    // insertion-and-new-vertex window leave it unbuilt, every deletion
-    // window that repairs in place builds or maintains it (only the
-    // rebuild fallback drops it), and the answers stay oracle-exact.
+    // insertion-and-new-vertex window leave it unbuilt, the first deletion
+    // window builds it, every later window maintains it, and the answers
+    // stay oracle-exact.
     let mirrored = |idx: &CscIndex| check_integrity(idx).unwrap().inverted_checked;
     let g = generators::gnm(18, 60, 23);
     let updates: Vec<GraphUpdate> = g
@@ -415,7 +415,7 @@ fn batched_deletions_take_the_indexed_carrier_path() {
     assert!(!mirrored(&idx), "no insertion reads carriers");
     let report = idx.apply_batch(&updates).unwrap();
     assert_eq!(report.edges_removed, updates.len());
-    assert_eq!(mirrored(&idx), report.repair.rebuild_fallbacks == 0);
+    assert!(mirrored(&idx), "the first deletion window builds it");
     // Follow-up deletions keep using (and maintaining) the built index.
     let g_now = idx.original_graph();
     let victim = g_now.edge_vec()[0];
@@ -425,8 +425,8 @@ fn batched_deletions_take_the_indexed_carrier_path() {
             VertexId(victim.1),
         )])
         .unwrap();
-    assert_eq!(report.repair.rebuild_fallbacks, 0);
-    assert!(mirrored(&idx));
+    assert_eq!(report.edges_removed, 1);
+    assert!(mirrored(&idx), "later deletions keep it built");
     let g_final = idx.original_graph();
     for v in g_final.vertices() {
         assert_eq!(
@@ -438,10 +438,10 @@ fn batched_deletions_take_the_indexed_carrier_path() {
 }
 
 #[test]
-fn overwhelming_windows_fall_back_to_rebuild_and_stay_exact() {
-    // Removing most of a dense graph in one window demotes nearly every
-    // hub; the engine must take the from-scratch rebuild fallback and
-    // still answer exactly like the one-by-one application.
+fn overwhelming_windows_stay_exact() {
+    // Removing half of a dense graph in one window demotes nearly every
+    // hub; repairing them all in place must still answer exactly like
+    // the one-by-one application.
     let g = generators::gnm(16, 64, 31);
     let updates: Vec<GraphUpdate> = g
         .edge_vec()
@@ -451,11 +451,7 @@ fn overwhelming_windows_fall_back_to_rebuild_and_stay_exact() {
         .collect();
     let base = CscIndex::build(&g, CscConfig::default()).unwrap();
     let mut batched = base.clone();
-    let report = batched.apply_batch(&updates).unwrap();
-    assert!(
-        report.repair.rebuild_fallbacks > 0,
-        "a half-the-graph window must trip the rebuild fallback"
-    );
+    batched.apply_batch(&updates).unwrap();
     let mut sequential = base;
     apply_one_by_one(&mut sequential, &updates);
     let g_final = sequential.original_graph();

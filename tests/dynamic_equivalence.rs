@@ -111,7 +111,7 @@ proptest! {
     ) {
         // Mixed windows through `apply_batch`, checked after *every*
         // window: a script checked only at its end lets a later window's
-        // rebuild fallback heal labels an earlier window left wrong. The
+        // re-label heal labels an earlier window left wrong. The
         // index stores only the two lists a query reads, and so does a
         // checkpoint, so its round trip must return the stored lists and
         // the four-list entry counts, which the decoder recounts from the
