@@ -129,6 +129,12 @@ pub struct BatchReport {
     /// Seeds served by an already-filled hub cache: edges whose repair
     /// merged into an existing pass instead of refilling per edge.
     pub hub_cache_hits: usize,
+    /// Hub sides the deletion phase re-labeled: sides whose distance to a
+    /// deleted edge grew, or whose subtraction pass met a saturated count.
+    pub relabel_sides: usize,
+    /// Re-labeled hub sides that changed no entry: the traversal found
+    /// every entry it produced already stored, and the sweep removed none.
+    pub relabel_sides_unchanged: usize,
     /// Updates accepted into the maintenance plane's write-ahead replay
     /// queue instead of being applied now. Always `0` from
     /// [`CscIndex::apply_batch`] itself; non-zero only when a
@@ -323,6 +329,8 @@ impl CscIndex {
                     report.delete_hub_union = del.hub_union;
                     report.hub_cache_fills += del.cache_fills;
                     report.hub_cache_hits += del.cache_hits;
+                    report.relabel_sides = del.relabel_sides;
+                    report.relabel_sides_unchanged = del.relabel_sides_unchanged;
                 }
                 Err(e) => {
                     self.poison(format!(
@@ -346,6 +354,7 @@ impl CscIndex {
 
         self.stats.entries_added += report.repair.entries_inserted;
         self.stats.entries_removed += report.repair.entries_removed;
+        self.stats.saturated_counts += report.repair.saturated_counts;
         report.repair.duration = start.elapsed();
         Ok(report)
     }

@@ -17,11 +17,16 @@
 //!
 //! The same traversal, switched from append-only to upsert mode and
 //! followed by [`LabelWriter::sweep`], is the re-labeling pass of
-//! decremental maintenance (`csc-core::delete`).
+//! decremental maintenance ([`CoupleBfs::relabel`], called from
+//! `csc-core::delete`).
 //!
-//! The couple BFS hands each visit it does not prune to a [`LabelWriter`],
-//! which applies it to the label store before the next vertex's prune
-//! scan, and reads the labels it prunes against from that writer. The
+//! At each dequeue the couple BFS runs the prune scan
+//! ([`HubCache::scan`]) over the vertex's list, which stops at the first
+//! entry proving a shorter path and otherwise returns the tie flag and the
+//! list's entry for the hub. It hands each visit it does not prune, with
+//! that entry, to a [`LabelWriter`], which applies it to the label store
+//! before the next vertex's prune scan, and reads the labels it prunes
+//! against from that writer. The
 //! store holds only the two lists a cycle query reads (`csc-core::
 //! reduction`): a forward visit writes `L_in(w_i)` and a backward visit
 //! `L_out(w_o)`, and the couple's entry one hop further is the copy the
@@ -41,7 +46,7 @@ use crate::invert::InvertedIndex;
 use crate::reduction::{is_closure, CoupleView};
 use csc_graph::bipartite::{couple, is_in_vertex};
 use csc_graph::{Csr, DiGraph, RankTable, VertexId};
-use csc_labeling::{HubCache, LabelEntry, LabelSide, LabelingError, Labels, SearchState};
+use csc_labeling::{HubCache, LabelEntry, LabelSide, LabelingError, Labels, Scan, SearchState};
 
 /// Adjacency access abstraction: the static build runs over a cache-friendly
 /// [`Csr`] snapshot, while dynamic maintenance traverses the live
@@ -81,9 +86,9 @@ pub(crate) enum WriteMode {
     /// Push entries in hub-rank order (static construction: each hub's rank
     /// exceeds all previously appended ones).
     Append,
-    /// Insert-or-replace, skipping writes whose value is unchanged, and
-    /// recording every vertex for [`LabelWriter::sweep`] (decremental
-    /// re-labeling).
+    /// Insert-or-replace, skipping writes whose value is unchanged
+    /// (decremental re-labeling: the traversal stamps every vertex it
+    /// hands the writer, for [`LabelWriter::sweep`]).
     Upsert,
 }
 
@@ -97,18 +102,25 @@ pub(crate) struct TraversalCounters {
     pub dequeues: usize,
     pub canonical: usize,
     pub non_canonical: usize,
+    /// Entries with a saturated (24-bit-capped) count: in append mode
+    /// every entry of the four lists, copies included, as the build
+    /// statistics count them; in upsert mode the stored entries whose
+    /// count a write saturated ([`newly_saturated`]), as the update
+    /// statistics count them.
     pub saturated: usize,
 }
 
 /// One visit a traversal did not prune: vertex `w` at distance `dw` from
 /// the hub, reached by `cw` hub-maximal shortest paths. `tie` records that
-/// the prune scan matched `dw` exactly (a non-canonical entry).
+/// the prune scan matched `dw` exactly (a non-canonical entry), and `own`
+/// is the entry for the hub the scan found in `w`'s list.
 #[derive(Clone, Copy, Debug)]
 struct Visit {
     w: VertexId,
     dw: u32,
     cw: u64,
     tie: bool,
+    own: Option<LabelEntry>,
 }
 
 /// The writer of the couple BFS: applies each visit to the label store at
@@ -121,9 +133,6 @@ pub(crate) struct LabelWriter<'a> {
     mode: WriteMode,
     /// The index's count of stored cycle closures, kept up to date.
     closures: &'a mut usize,
-    /// Upsert mode: every vertex written or found unchanged since the last
-    /// [`sweep`](Self::sweep).
-    written: Vec<u32>,
 }
 
 impl<'a> LabelWriter<'a> {
@@ -138,30 +147,40 @@ impl<'a> LabelWriter<'a> {
             inverted,
             mode,
             closures,
-            written: Vec::new(),
         }
     }
 
     /// Upsert mode: removes every `side` entry of `hub` (ranked
-    /// `hub_rank`) that was neither written nor found unchanged since the
-    /// last sweep, so the side holds exactly what the traversal in between
-    /// produced. The carriers come from the inverted index. Returns the
-    /// entries removed.
-    pub(crate) fn sweep(&mut self, side: LabelSide, hub: VertexId, hub_rank: u32) -> usize {
+    /// `hub_rank`) whose vertex is not in `written`, the vertices the
+    /// traversal since the last sweep wrote or found unchanged, so the side
+    /// holds exactly what that traversal produced. The carriers come from
+    /// the inverted index. Returns the entries removed.
+    ///
+    /// Each visit is stamped once and every stamped vertex carries the
+    /// hub, so when the stamps number as many as the carriers the two sets
+    /// are equal and nothing is read: most re-labeled sides shrink nowhere.
+    pub(crate) fn sweep(
+        &mut self,
+        written: &Stamps,
+        side: LabelSide,
+        hub: VertexId,
+        hub_rank: u32,
+    ) -> usize {
         let LabelWriter {
             labels,
             inverted,
             closures,
-            written,
             ..
         } = self;
         let inv = inverted
             .as_deref_mut()
             .expect("a sweep needs the inverted index");
-        written.sort_unstable();
+        if written.len() == inv.carriers(side, hub_rank).len() {
+            return 0;
+        }
         let mut removed = 0;
         inv.retain(side, hub_rank, |x| {
-            let keep = written.binary_search(&x).is_ok();
+            let keep = written.contains(x);
             if !keep {
                 labels.remove(VertexId(x), side, hub_rank);
                 removed += 1;
@@ -169,12 +188,12 @@ impl<'a> LabelWriter<'a> {
             }
             keep
         });
-        written.clear();
         removed
     }
 
     /// Writes one entry according to `mode`, maintaining the inverted index
-    /// and counters. Returns the error on capacity overflow.
+    /// and counters: `own` is `v`'s current entry for the hub, which the
+    /// prune scan found. Returns the error on capacity overflow.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn write(
@@ -186,6 +205,7 @@ impl<'a> LabelWriter<'a> {
         hub_rank: u32,
         dist: u32,
         count: u64,
+        own: Option<LabelEntry>,
     ) -> Result<(), LabelingError> {
         let entry =
             LabelEntry::new(hub_rank, dist, count).map_err(|source| LabelingError::Entry {
@@ -193,11 +213,9 @@ impl<'a> LabelWriter<'a> {
                 vertex: v,
                 source,
             })?;
-        if entry.count_saturated() {
-            counters.saturated += 1;
-        }
         match self.mode {
             WriteMode::Append => {
+                counters.saturated += usize::from(entry.count_saturated());
                 self.labels.append(v, side, entry);
                 counters.inserted += 1;
                 *self.closures += usize::from(is_closure(v, side, hub));
@@ -206,12 +224,13 @@ impl<'a> LabelWriter<'a> {
                 }
             }
             WriteMode::Upsert => {
-                self.written.push(v.0);
-                if self.labels.entry_for(v, side, hub_rank) == Some(entry) {
+                if own == Some(entry) {
                     counters.unchanged += 1;
                     return Ok(());
                 }
-                match self.labels.upsert(v, side, entry) {
+                counters.saturated += newly_saturated(entry, own);
+                self.labels.upsert(v, side, entry);
+                match own {
                     Some(_) => counters.updated += 1,
                     None => {
                         counters.inserted += 1;
@@ -247,7 +266,7 @@ impl<'a> LabelWriter<'a> {
             counters.canonical += 1;
             return Ok(());
         }
-        self.write(counters, v.w, side, hub, hub_rank, v.dw, v.cw)?;
+        self.write(counters, v.w, side, hub, hub_rank, v.dw, v.cw, v.own)?;
         if side == LabelSide::Out && v.w == couple(hub) {
             // A cycle closed back onto the hub's couple (the entry SCCnt
             // queries read): it has no couple to label.
@@ -260,9 +279,18 @@ impl<'a> LabelWriter<'a> {
             counters.canonical += 2;
         }
         let copy = couple_entry(hub, hub_rank, couple(v.w), v.dw + 1, v.cw)?;
-        counters.saturated += usize::from(copy.count_saturated());
+        if self.mode == WriteMode::Append {
+            counters.saturated += usize::from(copy.count_saturated());
+        }
         Ok(())
     }
+}
+
+/// `1` when writing `entry` over `old` saturates a count: the entry is new,
+/// or its count was below the 24-bit cap, and the cap holds it now.
+#[inline]
+pub(crate) fn newly_saturated(entry: LabelEntry, old: Option<LabelEntry>) -> usize {
+    usize::from(entry.count_saturated() && !old.is_some_and(LabelEntry::count_saturated))
 }
 
 /// The entry the couple view derives for `copy`, the couple of a vertex a
@@ -303,28 +331,69 @@ pub(crate) fn fill_hub_cache(
     cache.fill_from(view.list(vk, own_side), vk_rank);
 }
 
-/// `D_G(v_k, w)` (or `D_G(w, v_k)` when `target_side` is `Out`) under the
-/// current index, restricted to the hubs scattered in `cache`: the
-/// strictly higher-ranked hubs, whose entries are final when passes run in
-/// descending rank order, plus `v_k` itself when the caller set its slot.
-/// Every scattered rank is at most `vk_rank` (a hub's own label only
-/// stores higher-ranked hubs plus itself), so the rank-sorted scan of
-/// [`HubCache::covered`] stops at that prefix.
-#[inline]
-pub(crate) fn covered_dist(
-    labels: &Labels,
-    cache: &HubCache,
-    vk_rank: u32,
-    w: VertexId,
-    target_side: LabelSide,
-) -> u32 {
-    cache.covered(labels.side_of(w, target_side), vk_rank)
+/// The vertices a re-label pass wrote or found unchanged, for
+/// [`LabelWriter::sweep`]: an epoch-stamped membership array kept with the
+/// traversal workspace, so a pass starts empty in `O(1)` and the sweep
+/// tests each carrier in `O(1)`.
+pub(crate) struct Stamps {
+    stamp: Vec<u32>,
+    epoch: u32,
+    len: usize,
+}
+
+impl Stamps {
+    fn new() -> Self {
+        Stamps {
+            stamp: Vec::new(),
+            epoch: 1,
+            len: 0,
+        }
+    }
+
+    /// Grows the array to cover at least `n` vertices.
+    fn ensure(&mut self, n: usize) {
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+        }
+    }
+
+    /// Empties the set: every earlier stamp reads as absent.
+    fn clear(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: hard-reset so stale stamps cannot alias the epoch.
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        self.len = 0;
+    }
+
+    /// Adds `v`, which must not be in the set yet.
+    #[inline]
+    fn insert(&mut self, v: VertexId) {
+        debug_assert!(!self.contains(v.0), "{v:?} stamped twice in one pass");
+        self.stamp[v.index()] = self.epoch;
+        self.len += 1;
+    }
+
+    #[inline]
+    fn contains(&self, v: u32) -> bool {
+        self.stamp[v as usize] == self.epoch
+    }
+
+    /// The number of vertices in the set.
+    fn len(&self) -> usize {
+        self.len
+    }
 }
 
 /// The reusable couple-skipping traversal engine.
 pub(crate) struct CoupleBfs {
     state: SearchState,
     cache: HubCache,
+    /// The vertices the current re-label pass stamped; sized at the first
+    /// re-label, so an index that never deletes pays nothing for it.
+    written: Stamps,
 }
 
 impl CoupleBfs {
@@ -332,6 +401,7 @@ impl CoupleBfs {
         CoupleBfs {
             state: SearchState::new(n),
             cache: HubCache::new(n),
+            written: Stamps::new(),
         }
     }
 
@@ -346,10 +416,36 @@ impl CoupleBfs {
         (&mut self.state, &mut self.cache)
     }
 
-    /// Heap bytes held by the BFS state and hub cache (memory-budget
-    /// accounting).
+    /// Heap bytes held by the BFS state, hub cache and re-label stamps
+    /// (memory-budget accounting).
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.state.heap_bytes() + self.cache.heap_bytes()
+        self.state.heap_bytes()
+            + self.cache.heap_bytes()
+            + self.written.stamp.capacity() * std::mem::size_of::<u32>()
+    }
+
+    /// Re-labels `side` of `hub` in place (decremental maintenance): runs
+    /// the hub's traversal through the upsert-mode `writer`, which stamps
+    /// every vertex it writes or finds unchanged, then
+    /// [sweeps](LabelWriter::sweep) away the hub's other entries on that
+    /// side. Returns the entries the sweep removed.
+    pub(crate) fn relabel(
+        &mut self,
+        graph: &impl Adjacency,
+        ranks: &RankTable,
+        hub: VertexId,
+        side: LabelSide,
+        writer: &mut LabelWriter<'_>,
+        counters: &mut TraversalCounters,
+    ) -> Result<usize, LabelingError> {
+        debug_assert_eq!(writer.mode, WriteMode::Upsert);
+        self.written.ensure(self.state.len());
+        self.written.clear();
+        match side {
+            LabelSide::In => self.traverse_in(graph, ranks, hub, writer, counters)?,
+            LabelSide::Out => self.traverse_out(graph, ranks, hub, writer, counters)?,
+        }
+        Ok(writer.sweep(&self.written, side, hub, ranks.rank(hub)))
     }
 
     /// Forward traversal from `hub` (must be a `V_in` vertex): hands
@@ -379,21 +475,23 @@ impl CoupleBfs {
             let cw = state.count[w.index()];
             counters.dequeues += 1;
 
-            // Shortest hub ~> w distance through strictly higher-ranked
-            // hubs.
-            let d_idx = covered_dist(writer.labels, &self.cache, hub_rank, w, LabelSide::In);
-            if d_idx < dw {
+            // Hub ~> w paths through strictly higher-ranked hubs.
+            let list = writer.labels.side_of(w, LabelSide::In);
+            let Scan::Kept { tie, own } = self.cache.scan(list, hub_rank, dw) else {
                 counters.pruned += 1;
                 continue;
+            };
+            let visit = Visit {
+                w,
+                dw,
+                cw,
+                tie,
+                own,
+            };
+            writer.visit(counters, LabelSide::In, hub, hub_rank, visit)?;
+            if writer.mode == WriteMode::Upsert {
+                self.written.insert(w);
             }
-            let tie = d_idx == dw;
-            writer.visit(
-                counters,
-                LabelSide::In,
-                hub,
-                hub_rank,
-                Visit { w, dw, cw, tie },
-            )?;
 
             // Couple skipping: continue from w's outgoing couple.
             for &u in graph.succ(couple(w)) {
@@ -436,6 +534,7 @@ impl CoupleBfs {
             dw: 0,
             cw: 1,
             tie: false,
+            own: None,
         };
         writer.visit(counters, LabelSide::Out, hub, hub_rank, root)?;
         for &xo in graph.pred(hub) {
@@ -452,19 +551,22 @@ impl CoupleBfs {
             let cw = state.count[w.index()];
             counters.dequeues += 1;
 
-            let d_idx = covered_dist(writer.labels, &self.cache, hub_rank, w, LabelSide::Out);
-            if d_idx < dw {
+            let list = writer.labels.side_of(w, LabelSide::Out);
+            let Scan::Kept { tie, own } = self.cache.scan(list, hub_rank, dw) else {
                 counters.pruned += 1;
                 continue;
+            };
+            let visit = Visit {
+                w,
+                dw,
+                cw,
+                tie,
+                own,
+            };
+            writer.visit(counters, LabelSide::Out, hub, hub_rank, visit)?;
+            if writer.mode == WriteMode::Upsert {
+                self.written.insert(w);
             }
-            let tie = d_idx == dw;
-            writer.visit(
-                counters,
-                LabelSide::Out,
-                hub,
-                hub_rank,
-                Visit { w, dw, cw, tie },
-            )?;
             if w == hub_couple {
                 // The traversal closed a cycle back onto the hub's couple;
                 // continuing backward would re-enter the hub, so prune.
@@ -643,6 +745,62 @@ mod tests {
         assert_eq!(labels, whole);
         assert_eq!(closures, whole_closures);
         assert_eq!(chunk_counters, counters);
+    }
+
+    #[test]
+    fn a_relabel_sweep_removes_exactly_the_carriers_its_pass_did_not_stamp() {
+        let g = csc_graph::generators::gnm(30, 100, 8);
+        let gb = BipartiteGraph::from_graph(&g);
+        let ranks = RankTable::build(&g, OrderingStrategy::Degree).bipartite_order();
+        let csr = Csr::from_digraph(gb.graph());
+        let mut counters = TraversalCounters::default();
+        let (built, built_closures) = build_labels(&csr, &ranks, &mut counters).unwrap();
+        let n = gb.graph().vertex_count();
+        // A hub a quarter down the order: it carries some vertices of each
+        // side and not others.
+        let hub = (n as u32 / 4..n as u32)
+            .map(|r| ranks.vertex_at_rank(r))
+            .find(|&v| is_in_vertex(v))
+            .unwrap();
+        let hub_rank = ranks.rank(hub);
+        let (mut labels, mut closures) = (built.clone(), built_closures);
+        let mut inv = InvertedIndex::from_labels(&labels);
+        let mut bfs = CoupleBfs::new(n);
+        let mut relabel =
+            |labels: &mut Labels, inv: &mut InvertedIndex, closures: &mut usize, side| {
+                let mut writer = LabelWriter::new(labels, Some(inv), WriteMode::Upsert, closures);
+                let mut c = TraversalCounters::default();
+                let removed = bfs.relabel(gb.graph(), &ranks, hub, side, &mut writer, &mut c);
+                (removed.unwrap(), c)
+            };
+        for side in [LabelSide::In, LabelSide::Out] {
+            // The graph is unchanged: the pass stamps every carrier, so
+            // the sweep removes nothing.
+            let (removed, c) = relabel(&mut labels, &mut inv, &mut closures, side);
+            assert_eq!((removed, c.inserted, c.updated), (0, 0, 0), "{side:?}");
+            assert_eq!(c.unchanged, inv.carriers(side, hub_rank).len(), "{side:?}");
+            assert_eq!(labels, built);
+
+            // Three stale carriers the pass does not reach: the sweep
+            // removes exactly those.
+            let stale: Vec<VertexId> = (0..n as u32)
+                .map(VertexId)
+                .filter(|&v| is_in_vertex(v) == (side == LabelSide::In))
+                .filter(|&v| labels.entry_for(v, side, hub_rank).is_none())
+                .take(3)
+                .collect();
+            assert_eq!(stale.len(), 3, "{side:?}");
+            for &v in &stale {
+                labels.upsert(v, side, LabelEntry::new(hub_rank, 1, 1).unwrap());
+                inv.add(side, hub_rank, v);
+                closures += usize::from(is_closure(v, side, hub));
+            }
+            let (removed, c) = relabel(&mut labels, &mut inv, &mut closures, side);
+            assert_eq!((removed, c.inserted, c.updated), (3, 0, 0), "{side:?}");
+            assert_eq!(labels, built);
+            assert_eq!(closures, built_closures);
+            inv.validate_against(&labels).unwrap();
+        }
     }
 
     #[test]

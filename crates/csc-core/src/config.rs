@@ -200,8 +200,8 @@ impl OverloadConfig {
 
 /// A recorded worker width, which steers no work.
 ///
-/// Label builds (static build, rejuvenation, and the deletion rebuild
-/// fallback) and label repair run serially whatever `threads` says, and
+/// Label builds (the static build and rejuvenation's rebuild) and label
+/// repair run serially whatever `threads` says, and
 /// the read sweeps and the coverage-sampled ordering run on the global
 /// pool at its own width (`CSC_THREADS`, else available parallelism). So
 /// the labels never depend on it. Checkpoints still persist `threads`,

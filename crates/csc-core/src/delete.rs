@@ -33,11 +33,15 @@
 //!   static construction **once per hub for the whole window**, in
 //!   descending rank order and in upsert mode, with the static build's
 //!   prune rule: only strictly higher-ranked hubs count, never the hub's
-//!   own stored entries. The writer stamps every vertex it writes or finds
+//!   own stored entries. The pass stamps every vertex it writes or finds
 //!   unchanged, and a sweep then removes every other entry of that hub on
 //!   that side (its carriers, read from the inverted index, which the
 //!   first deletion builds if nothing has yet). The side then holds
-//!   exactly the static build's entries for that hub. The descending
+//!   exactly the static build's entries for that hub. A side whose stamps
+//!   number as many as its carriers lost none, and its sweep reads
+//!   nothing; most re-labeled sides change no entry at all
+//!   ([`BatchReport::relabel_sides_unchanged`](crate::BatchReport::relabel_sides_unchanged)
+//!   counts them). The descending
 //!   order keeps the pruning exact: it only consults strictly
 //!   higher-ranked hubs, which are unaffected, already re-labeled, or
 //!   only count-repaired (distances untouched).
@@ -104,6 +108,10 @@ pub(crate) struct DeletionRepairStats {
     /// Seeds served by an already-filled hub cache — edges whose
     /// subtraction merged into an existing pass instead of refilling.
     pub cache_hits: usize,
+    /// Hub sides re-labeled.
+    pub relabel_sides: usize,
+    /// Re-labeled hub sides that changed no entry.
+    pub relabel_sides_unchanged: usize,
 }
 
 /// The per-edge sweep handles resolved against the workspace pool: every
@@ -354,19 +362,24 @@ impl CscIndex {
         let mut writer = LabelWriter::new(labels, inverted.as_mut(), WriteMode::Upsert, closures);
         for (&rank, &(fwd, bwd)) in &relabel {
             report.affected_hubs += 1;
-            stats.hub_union += usize::from(fwd) + usize::from(bwd);
             let hub = ranks.vertex_at_rank(rank);
-            if fwd {
-                workspace.traverse_in(graph, ranks, hub, &mut writer, &mut counters)?;
-                report.entries_removed += writer.sweep(LabelSide::In, hub, rank);
-            }
-            if bwd {
-                workspace.traverse_out(graph, ranks, hub, &mut writer, &mut counters)?;
-                report.entries_removed += writer.sweep(LabelSide::Out, hub, rank);
+            for (side, demoted) in [(LabelSide::In, fwd), (LabelSide::Out, bwd)] {
+                if !demoted {
+                    continue;
+                }
+                let written = counters.inserted + counters.updated;
+                let removed =
+                    workspace.relabel(graph, ranks, hub, side, &mut writer, &mut counters)?;
+                report.entries_removed += removed;
+                stats.hub_union += 1;
+                stats.relabel_sides += 1;
+                stats.relabel_sides_unchanged +=
+                    usize::from(removed == 0 && counters.inserted + counters.updated == written);
             }
         }
         report.entries_inserted += counters.inserted;
         report.entries_updated += counters.updated;
+        report.saturated_counts += counters.saturated;
         report.vertices_visited += counters.dequeues;
         report.relabel_time += t_relabel.elapsed();
         self.sweeps.release_all();
@@ -542,6 +555,50 @@ mod tests {
         assert_eq!(after.length, widths.len() as u32);
         let oracle = shortest_cycle_oracle(&idx.original_graph(), VertexId(0)).unwrap();
         assert_eq!(after.length, oracle.0);
+    }
+
+    #[test]
+    fn a_window_reports_its_relabeled_sides_and_those_that_changed_nothing() {
+        // A ring holds one path between any two vertices, so every hub
+        // side whose paths cross the deleted edge grows: the window runs
+        // no subtraction pass, and every side it changes was re-labeled.
+        use crate::batch::GraphUpdate;
+        type Side = (u32, bool);
+        let sides = |labels: &csc_labeling::Labels| {
+            let mut all: BTreeMap<Side, Vec<(u32, csc_labeling::LabelEntry)>> = BTreeMap::new();
+            for v in 0..labels.vertex_count() as u32 {
+                for side in [LabelSide::In, LabelSide::Out] {
+                    for &e in labels.side_of(VertexId(v), side) {
+                        let key = (e.hub_rank(), side == LabelSide::Out);
+                        all.entry(key).or_default().push((v, e));
+                    }
+                }
+            }
+            all
+        };
+        let g = directed_cycle(12);
+        let before = CscIndex::build(&g, CscConfig::default()).unwrap();
+        let mut idx = before.clone();
+        let window = [GraphUpdate::RemoveEdge(VertexId(5), VertexId(6))];
+        let report = idx.apply_batch(&window).unwrap();
+        let (old, new) = (sides(before.labels()), sides(idx.labels()));
+        let changed = old
+            .keys()
+            .chain(new.keys())
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .filter(|k| old.get(k) != new.get(k))
+            .count();
+        assert_eq!(report.relabel_sides, report.delete_hub_union);
+        assert_eq!(
+            report.relabel_sides - report.relabel_sides_unchanged,
+            changed
+        );
+        assert!(
+            changed > 0 && report.relabel_sides_unchanged > 0,
+            "{report:?}"
+        );
+        assert_queries_match(&idx, &idx.original_graph(), "after the window");
     }
 
     #[test]

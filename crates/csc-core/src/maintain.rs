@@ -2319,6 +2319,37 @@ mod tests {
     }
 
     #[test]
+    fn saturated_counts_count_update_writes_and_survive_recovery() {
+        // 2^26 shortest cycles through vertex 0: re-inserting an edge of
+        // the first layer pair stores entries whose counts cap at 2^24 - 1.
+        let dir = temp_dir("saturated");
+        let g = csc_graph::generators::layered_cycle(&[2; 27]);
+        let config = CscConfig::default()
+            .with_fsync(crate::config::FsyncPolicy::Never)
+            .with_checkpoint_every(1000);
+        let mut engine = MaintenanceEngine::new(CscIndex::build(&g, config).unwrap());
+        engine.attach_durability(&dir).unwrap();
+        let (a, b) = (VertexId(2), VertexId(4));
+        engine.remove_edge(a, b).unwrap();
+        engine.checkpoint().unwrap();
+        let removed = engine.index().stats().saturated_counts;
+        let report = engine.insert_edge(a, b).unwrap().expect("applied now");
+        let saturated = engine.index().stats().saturated_counts;
+        assert_eq!(saturated - removed, report.saturated_counts);
+        assert_eq!(report.saturated_counts, 6);
+
+        // A cold recovery replays the insertion onto the checkpoint's
+        // labels and stores the same entries; an in-place one keeps the
+        // lifetime count.
+        let (cold, _) = MaintenanceEngine::recover(&dir).unwrap();
+        assert_eq!(cold.index().stats().saturated_counts, saturated - removed);
+        drop(cold);
+        engine.recover_in_place().unwrap();
+        assert_eq!(engine.index().stats().saturated_counts, saturated);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
     fn non_durable_recover_in_place_rebuilds_and_replays_the_queue() {
         let g = gnm(14, 36, 4);
         let mut engine = MaintenanceEngine::new(CscIndex::build(&g, CscConfig::default()).unwrap());

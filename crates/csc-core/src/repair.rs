@@ -5,8 +5,12 @@
 //! labels the same way: resume a counting traversal from an *affected
 //! hub*, prune where the index already covers the distance, and upsert
 //! the entries the traversal proves changed. This module holds the pieces
-//! they share (the hub-cache fill and the covered-distance prune scan,
-//! [`HubCache::covered`], live with the couple BFS in `csc-core::build`):
+//! they share (the hub-cache fill lives with the couple BFS in
+//! `csc-core::build`, and the prune scan, [`HubCache::scan`], with the
+//! cache). Each pass sets the hub's own cache slot to 0, so the scan also
+//! prunes where the vertex's stored entry for the hub is already shorter;
+//! a scan that does not prune hands that entry back, and the pass updates
+//! or subtracts from it without searching the list again:
 //!
 //! * [`RepairWriter::update_label`] — `UPDATE_LABEL` (Algorithm 7);
 //! * [`multi_source_pass`] — the resumed BFS of Algorithm 6, one pass per
@@ -41,7 +45,7 @@
 //! bipartite BFS and drops its couple dequeues, each of which ran a prune
 //! scan whose answer was the previous one plus one.
 
-use crate::build::{couple_entry, covered_dist, fill_hub_cache, TraversalCounters};
+use crate::build::{couple_entry, fill_hub_cache, newly_saturated, TraversalCounters};
 use crate::clean::clean_label;
 use crate::config::UpdateStrategy;
 use crate::invert::InvertedIndex;
@@ -50,7 +54,7 @@ use crate::stats::UpdateReport;
 use csc_graph::bipartite::couple;
 use csc_graph::{BucketQueue, DiGraph, RankTable, VertexId};
 use csc_labeling::{
-    HubCache, LabelEntry, LabelSide, LabelingError, Labels, SearchState, MAX_COUNT,
+    HubCache, LabelEntry, LabelSide, LabelingError, Labels, Scan, SearchState, MAX_COUNT,
 };
 
 /// Which side of the index a repair traversal rebuilds.
@@ -107,7 +111,9 @@ pub(crate) struct RepairWriter<'a> {
 
 impl RepairWriter<'_> {
     /// `UPDATE_LABEL` (Algorithm 7): hub `vk` (ranked `vk_rank`) reaches
-    /// `w`, on `side`, at distance `d` by `c` shortest paths.
+    /// `w`, on `side`, at distance `d` by `c` shortest paths; `old` is
+    /// `w`'s current entry for `vk`, which the prune scan found.
+    #[allow(clippy::too_many_arguments)]
     fn update_label(
         &mut self,
         w: VertexId,
@@ -116,49 +122,42 @@ impl RepairWriter<'_> {
         vk_rank: u32,
         d: u32,
         c: u64,
+        old: Option<LabelEntry>,
     ) -> Result<Update, LabelingError> {
-        let wrap = |source| LabelingError::Entry {
+        let (count, update) = match old {
+            // The traversal found only a longer connection than the
+            // recorded one; nothing to repair. (The scan prunes at a
+            // shorter own entry first, so passes never get here.)
+            Some(old) if d > old.dist() => return Ok(Update::Kept),
+            // New same-length shortest paths: accumulate the counting.
+            Some(old) if d == old.dist() => (c.saturating_add(old.count()), Update::Accumulated),
+            _ => (c, Update::Improved),
+        };
+        let entry = LabelEntry::new(vk_rank, d, count).map_err(|source| LabelingError::Entry {
             hub: vk,
             vertex: w,
             source,
-        };
-        let labels = &mut *self.labels;
-        match labels.entry_for(w, side, vk_rank) {
-            Some(old) => {
-                if d < old.dist() {
-                    labels.upsert(w, side, LabelEntry::new(vk_rank, d, c).map_err(wrap)?);
-                    self.report.entries_updated += 1;
-                    Ok(Update::Improved)
-                } else if d == old.dist() {
-                    // New same-length shortest paths: accumulate the counting.
-                    let merged = c.saturating_add(old.count());
-                    labels.upsert(w, side, LabelEntry::new(vk_rank, d, merged).map_err(wrap)?);
-                    self.report.entries_updated += 1;
-                    Ok(Update::Accumulated)
-                } else {
-                    // The traversal found only a longer connection than the
-                    // recorded one; nothing to repair. (Unreachable when the
-                    // seed label was exact, possible with stale seeds under
-                    // the redundancy strategy.)
-                    Ok(Update::Kept)
-                }
+        })?;
+        self.report.saturated_counts += newly_saturated(entry, old);
+        self.labels.upsert(w, side, entry);
+        if old.is_some() {
+            self.report.entries_updated += 1;
+        } else {
+            if let Some(inv) = self.inverted {
+                inv.add(side, vk_rank, w);
             }
-            None => {
-                labels.upsert(w, side, LabelEntry::new(vk_rank, d, c).map_err(wrap)?);
-                if let Some(inv) = self.inverted {
-                    inv.add(side, vk_rank, w);
-                }
-                *self.closures += usize::from(is_closure(w, side, vk));
-                self.report.entries_inserted += 1;
-                Ok(Update::Improved)
-            }
+            *self.closures += usize::from(is_closure(w, side, vk));
+            self.report.entries_inserted += 1;
         }
+        Ok(update)
     }
 
     /// Takes one unpruned visit of `hub`'s pass writing `side`: `w` at
-    /// distance `dw`, reached by `cw` hub-maximal shortest paths. Unless
-    /// `w` closes a cycle onto the hub, the same update lands in its
-    /// couple's copy one hop further; the copy is checked to fit an entry.
+    /// distance `dw`, reached by `cw` hub-maximal shortest paths, holding
+    /// `own` for the hub. Unless `w` closes a cycle onto the hub, the same
+    /// update lands in its couple's copy one hop further; the copy is
+    /// checked to fit an entry.
+    #[allow(clippy::too_many_arguments)]
     #[inline]
     fn visit(
         &mut self,
@@ -168,8 +167,9 @@ impl RepairWriter<'_> {
         hub_rank: u32,
         dw: u32,
         cw: u64,
+        own: Option<LabelEntry>,
     ) -> Result<(), LabelingError> {
-        let update = self.update_label(w, side, hub, hub_rank, dw, cw)?;
+        let update = self.update_label(w, side, hub, hub_rank, dw, cw, own)?;
         if update == Update::Kept {
             return Ok(());
         }
@@ -260,12 +260,12 @@ pub(crate) fn multi_source_pass(
             let cw = state.count[w.index()];
             counters.dequeues += 1;
 
-            let covered = covered_dist(writer.labels, cache, vk_rank, w, target_side);
-            if covered < dw {
+            let list = writer.labels.side_of(w, target_side);
+            let Scan::Kept { own, .. } = cache.scan(list, vk_rank, dw) else {
                 counters.pruned += 1;
                 continue;
-            }
-            writer.visit(w, target_side, vk, vk_rank, dw, cw)?;
+            };
+            writer.visit(w, target_side, vk, vk_rank, dw, cw, own)?;
             let Some(nbrs) = couple_neighbors(graph, ranks, direction, vk_rank, w) else {
                 continue;
             };
@@ -397,8 +397,9 @@ pub(crate) fn multi_source_subtract(
     cache.put(vk_rank, 0);
     let base = seed_buckets(state, buckets, seeds);
 
-    // (vertex, remaining count) edits; remaining == 0 removes the entry.
-    let mut edits: Vec<(VertexId, u64)> = Vec::new();
+    // (vertex, stored distance, remaining count) edits; remaining == 0
+    // removes the entry.
+    let mut edits: Vec<(VertexId, u32, u64)> = Vec::new();
     let mut level = 0usize;
     while level < buckets.depth() {
         let mut i = 0usize;
@@ -415,16 +416,17 @@ pub(crate) fn multi_source_subtract(
             // Prune where the crossing paths are not shortest: distances
             // only exceed `sd` deeper in the cone, so nothing there needs
             // subtraction either.
-            if dw > covered_dist(labels, cache, vk_rank, w, target_side) {
+            let list = labels.side_of(w, target_side);
+            let Scan::Kept { own, .. } = cache.scan(list, vk_rank, dw) else {
                 continue;
-            }
+            };
 
-            if let Some(e) = labels.entry_for(w, target_side, vk_rank) {
+            if let Some(e) = own {
                 if e.dist() == dw {
                     if e.count_saturated() {
                         return SubtractOutcome::Demote;
                     }
-                    edits.push((w, e.count().saturating_sub(cw)));
+                    edits.push((w, dw, e.count().saturating_sub(cw)));
                 }
             }
 
@@ -451,7 +453,7 @@ pub(crate) fn multi_source_subtract(
         level += 1;
     }
 
-    for (w, remaining) in edits {
+    for (w, dist, remaining) in edits {
         if remaining == 0 {
             labels.remove(w, target_side, vk_rank);
             if let Some(inv) = inverted {
@@ -460,10 +462,7 @@ pub(crate) fn multi_source_subtract(
             *closures -= usize::from(is_closure(w, target_side, vk));
             report.entries_removed += 1;
         } else {
-            let e = labels
-                .entry_for(w, target_side, vk_rank)
-                .expect("buffered edit targets an existing entry");
-            let updated = LabelEntry::new_unchecked(vk_rank, e.dist(), remaining);
+            let updated = LabelEntry::new_unchecked(vk_rank, dist, remaining);
             labels.upsert(w, target_side, updated);
             report.entries_updated += 1;
         }

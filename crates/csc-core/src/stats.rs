@@ -16,7 +16,9 @@ pub struct IndexStats {
     pub entries_added: usize,
     /// Net label entries removed by updates (deletions and cleaning).
     pub entries_removed: usize,
-    /// Label entries whose count saturated during updates.
+    /// Label entries whose count saturated (reached the 24-bit cap)
+    /// during updates: the sum of every window's
+    /// [`UpdateReport::saturated_counts`].
     pub saturated_counts: usize,
 }
 
@@ -34,6 +36,9 @@ pub struct UpdateReport {
     pub entries_updated: usize,
     /// Entries removed (stale deletion, redundancy cleaning).
     pub entries_removed: usize,
+    /// Entries whose count reached the 24-bit cap: inserted with a
+    /// saturated count, or overwritten from a count below the cap.
+    pub saturated_counts: usize,
     /// Affected hubs that started a maintenance traversal.
     pub affected_hubs: usize,
     /// Total vertices dequeued across all maintenance traversals.

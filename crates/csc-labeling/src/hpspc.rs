@@ -12,8 +12,10 @@
 //!
 //! ## Pruning
 //!
-//! On dequeuing `w` at BFS distance `D[w]`, the engine evaluates the pair
-//! distance through already-indexed (strictly higher-ranked) hubs:
+//! On dequeuing `w` at BFS distance `D[w]`, the engine compares it with
+//! the pair distance `d_idx` through already-indexed (strictly
+//! higher-ranked) hubs ([`HubCache::scan`], which stops at the first entry
+//! that proves the first case):
 //!
 //! * `d_idx < D[w]` — every `v`-maximal path is beaten by a higher hub:
 //!   prune (no label, no expansion);
@@ -28,7 +30,7 @@
 use crate::entry::LabelEntry;
 use crate::error::LabelingError;
 use crate::labels::{DistCount, LabelSide, Labels};
-use crate::state::{HubCache, SearchState};
+use crate::state::{HubCache, Scan, SearchState};
 use csc_graph::{Csr, DiGraph, OrderingStrategy, RankTable, VertexId};
 use std::time::{Duration, Instant};
 
@@ -181,12 +183,12 @@ impl LabelingEngine {
             let cw = state.count[w.index()];
             stats.dequeues += 1;
 
-            // Distance via strictly higher-ranked hubs already in the index.
-            let d_idx = self.cache.covered(labels.side_of(w, target_side), hub_rank);
-            if d_idx < dw {
+            // Paths through strictly higher-ranked hubs already in the index.
+            let list = labels.side_of(w, target_side);
+            let Scan::Kept { tie, .. } = self.cache.scan(list, hub_rank, dw) else {
                 stats.pruned += 1;
                 continue;
-            }
+            };
 
             let entry =
                 LabelEntry::new(hub_rank, dw, cw).map_err(|source| LabelingError::Entry {
@@ -198,7 +200,7 @@ impl LabelingEngine {
                 stats.saturated_counts += 1;
             }
             labels.append(w, target_side, entry);
-            if d_idx == dw {
+            if tie {
                 stats.non_canonical += 1;
             } else {
                 stats.canonical += 1;

@@ -42,4 +42,4 @@ pub use error::LabelingError;
 pub use frozen::{intersect_adaptive, FrozenLabels, LabelStore};
 pub use hpspc::{BuildStats, HpSpcIndex};
 pub use labels::{label_slot, slot_list, DistCount, LabelSide, Labels};
-pub use state::{HubCache, SearchState, INF};
+pub use state::{HubCache, Scan, SearchState, INF};

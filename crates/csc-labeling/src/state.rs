@@ -5,10 +5,10 @@
 //! arrays alive and resets only the entries touched by the previous
 //! traversal (the classic "timestamp-free" sparse reset). [`HubCache`] is
 //! the dense scatter of one hub's own label, reset the same way, and
-//! [`HubCache::covered`] is the prune scan every label traversal runs at
-//! each dequeue: one `O(|label|)` pass over the dequeued vertex's list,
-//! with a scattered-distance read and a `min` per entry and no
-//! data-dependent branch.
+//! [`HubCache::scan`] is the prune test every label traversal runs at each
+//! dequeue: one pass over the dequeued vertex's list, a scattered-distance
+//! read per entry, that stops at the first entry proving a shorter path
+//! and otherwise ends at the pass hub's own entry.
 
 use crate::entry::LabelEntry;
 use csc_graph::VertexId;
@@ -117,16 +117,32 @@ impl SearchState {
     }
 }
 
+/// What [`HubCache::scan`] found at a dequeued vertex.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scan {
+    /// A scattered hub proves a path strictly shorter than the visit's.
+    Pruned,
+    /// No scattered hub beats the visit.
+    Kept {
+        /// Some scattered hub matches the visit's distance exactly (a
+        /// non-canonical visit).
+        tie: bool,
+        /// The list's entry for the pass hub, if it holds one.
+        own: Option<LabelEntry>,
+    },
+}
+
 /// Dense scatter of one hub's own label: slot `r` holds the hub's distance
 /// to or from the hub ranked `r`, and every slot the hub has no entry for
 /// holds [`INF`].
 ///
 /// A traversal from hub `v_k` fills it once with `v_k`'s own label on the
-/// opposite side, then asks [`covered`](Self::covered) at every dequeued
-/// vertex `w` for the shortest `v_k`–`w` distance through the scattered
-/// hubs. A fill un-scatters only the ranks the previous fill set — the
-/// sparse reset of [`SearchState`] — so a traversal pays for its hub's
-/// label, never for the rank space.
+/// opposite side, then [`scan`](Self::scan)s every dequeued vertex `w`'s
+/// list: is some scattered hub on a `v_k`–`w` path shorter than the
+/// visit's, or as short, and what entry does `w` already hold for `v_k`?
+/// A fill un-scatters only the ranks the previous fill set — the sparse
+/// reset of [`SearchState`] — so a traversal pays for its hub's label,
+/// never for the rank space.
 #[derive(Clone, Debug)]
 pub struct HubCache {
     dist: Vec<u32>,
@@ -185,21 +201,45 @@ impl HubCache {
         self.set.push(hub_rank);
     }
 
-    /// The prune scan: `min(slot[r] + d)` over the entries `(r, d, _)` of
-    /// the rank-sorted `list` with `r <= max_rank` — the shortest distance
-    /// through a hub that is both scattered and in `list` — or [`INF`] when
-    /// there is none. An unset slot reads [`INF`] and the sum saturates, so
-    /// every entry costs one load and one `min` whether it matches or not.
+    /// The prune test of a visit at distance `dist` from the pass hub
+    /// ranked `hub_rank`, over `list`, the visited vertex's rank-sorted
+    /// label on the side the pass writes. An entry `(r, d, _)` proves a
+    /// path of length `slot[r] + d` through hub `r` (an unset slot reads
+    /// [`INF`] and the sum saturates).
+    ///
+    /// Returns [`Scan::Pruned`] at the first entry whose path is strictly
+    /// shorter than `dist`. Otherwise the scan reads every entry up to
+    /// `hub_rank`, and [`Scan::Kept`] carries whether some path matched
+    /// `dist` exactly and the list's entry at `hub_rank`, which is the
+    /// last entry it reads. Every scattered rank is at most
+    /// `hub_rank` (a hub's own label holds only higher-ranked hubs and
+    /// itself), so no entry past it could prove a path. Only the own
+    /// slot's setting decides whether the pass hub's stored entry takes
+    /// part: the couple BFS leaves it unset, the resumed repair passes set
+    /// it to 0.
     #[inline]
-    pub fn covered(&self, list: &[LabelEntry], max_rank: u32) -> u32 {
-        let mut best = INF;
+    pub fn scan(&self, list: &[LabelEntry], hub_rank: u32, dist: u32) -> Scan {
+        // The slots a scan may read: one lookup per entry both bounds the
+        // read and ends the scan past `hub_rank`.
+        let slots = &self.dist[..self.dist.len().min(hub_rank as usize + 1)];
+        let mut tie = false;
+        let mut read = 0;
         for e in list {
-            if e.hub_rank() > max_rank {
+            let Some(&slot) = slots.get(e.hub_rank() as usize) else {
                 break;
+            };
+            let through = slot.saturating_add(e.dist());
+            if through < dist {
+                return Scan::Pruned;
             }
-            best = best.min(self.dist[e.hub_rank() as usize].saturating_add(e.dist()));
+            tie |= through == dist;
+            read += 1;
         }
-        best
+        let own = list[..read].last().filter(|e| e.hub_rank() == hub_rank);
+        Scan::Kept {
+            tie,
+            own: own.copied(),
+        }
     }
 
     /// Heap bytes held by the scatter and reset arrays (capacity, not
@@ -212,6 +252,7 @@ impl HubCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -285,60 +326,45 @@ mod tests {
         c.ensure(8);
         c.fill(&[entry(6, 2)], 7);
         c.put(7, 0);
-        assert_eq!(c.covered(&[entry(6, 1), entry(7, 5)], 7), 3);
+        let list = [entry(6, 1), entry(7, 5)];
+        assert_eq!(c.scan(&list, 7, 4), Scan::Pruned);
+        let own = Some(entry(7, 5));
+        assert_eq!(c.scan(&list, 7, 3), Scan::Kept { tie: true, own });
         c.ensure(4); // never shrinks
         assert_eq!(c.dist.len(), 8);
     }
 
-    #[test]
-    fn hub_cache_covered_matches_a_naive_minimum() {
-        let n = 24u32;
-        let mut s: u64 = 0x5eed;
-        let mut next = |m: u64| {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (s >> 33) % m
-        };
-        let mut c = HubCache::new(n as usize);
-        for _ in 0..500 {
-            // A random rank-sorted list (possibly empty) and a random fill
-            // over a random subset of ranks (unset slots included).
-            let mut list = Vec::new();
-            let mut slots = Vec::new();
-            for r in 0..n {
-                if next(3) == 0 {
-                    list.push(entry(r, next(40) as u32));
-                }
-                if next(2) == 0 {
-                    slots.push((r, next(40) as u32));
-                }
-            }
-            let own: Vec<LabelEntry> = slots.iter().map(|&(r, d)| entry(r, d)).collect();
-            c.fill(&own, n);
-            // `max_rank` ranges over the whole rank space and past its end.
-            let max_rank = next(u64::from(n) + 2) as u32;
+    proptest! {
+        /// The scan against a naive minimum of `slot[r] + d` over the
+        /// list's entries up to the hub's rank. Fills are random subsets
+        /// of the rank space, so the hub's own slot is set in some cases,
+        /// as the repair passes set it, and unset in others; hub ranks run
+        /// over the rank space and past its end.
+        #[test]
+        fn hub_cache_scan_matches_a_naive_minimum(
+            list in proptest::collection::btree_map(0u32..24, 0u32..40, 0..16),
+            slots in proptest::collection::btree_map(0u32..24, 0u32..40, 0..16),
+            hub_rank in 0u32..26,
+            dist in 0u32..90,
+        ) {
+            let list: Vec<LabelEntry> = list.iter().map(|(&r, &d)| entry(r, d)).collect();
+            let own: Vec<LabelEntry> = slots.iter().map(|(&r, &d)| entry(r, d)).collect();
+            let mut c = HubCache::new(24);
+            c.fill(&own, 24);
             let naive = list
                 .iter()
-                .filter(|e| e.hub_rank() <= max_rank)
-                .filter_map(|e| {
-                    let (_, d) = slots.iter().find(|&&(r, _)| r == e.hub_rank())?;
-                    Some(d + e.dist())
-                })
-                .min()
-                .unwrap_or(INF);
-            assert_eq!(c.covered(&list, max_rank), naive, "{list:?} ≤ {max_rank}");
+                .filter(|e| e.hub_rank() <= hub_rank)
+                .filter_map(|e| slots.get(&e.hub_rank()).map(|&s| s + e.dist()))
+                .min();
+            let want = match naive {
+                Some(m) if m < dist => Scan::Pruned,
+                _ => Scan::Kept {
+                    tie: naive == Some(dist),
+                    own: list.iter().find(|e| e.hub_rank() == hub_rank).copied(),
+                },
+            };
+            prop_assert_eq!(c.scan(&list, hub_rank, dist), want);
         }
-        // The corners the random lists may miss.
-        c.fill(&[entry(0, 1), entry(5, 1)], n);
-        assert_eq!(c.covered(&[], n), INF, "empty list");
-        assert_eq!(
-            c.covered(&[entry(5, 2)], 4),
-            INF,
-            "max_rank below the first rank"
-        );
-        assert_eq!(c.covered(&[entry(3, 2)], n), INF, "unset slot");
-        assert_eq!(c.covered(&[entry(0, 2), entry(5, 0)], 5), 1);
     }
 
     #[test]
