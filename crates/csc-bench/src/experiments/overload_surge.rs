@@ -1,16 +1,16 @@
-//! Extension experiment: reader latency under write overload, deadline
+//! Extension experiment: reader latency under a write surge, deadline
 //! hit rates, and recovery under I/O faults.
 //!
-//! The resource-guard plane (see `docs/ARCHITECTURE.md`, "Resource guards
-//! & overload") promises that overload is absorbed by the *write* side:
-//! snapshot readers never wait on admission control. This experiment
-//! measures that promise on the G04 analog:
+//! Snapshot readers query a published `Arc` lock-free, so a write surge
+//! is the writer's work alone: it never makes a reader wait. This
+//! experiment measures that promise, and the resource guards (see
+//! `docs/ARCHITECTURE.md`, "Resource guards"), on the G04 analog:
 //!
 //! * **reader latency under surge** — per-query wall times for reader
 //!   threads hammering lock-free snapshots, first against an idle index,
-//!   then while a writer floods the engine mid-rejuvenation under each
-//!   [`OverloadPolicy`]. The headline number is the `Reject` p99, which
-//!   the repo's acceptance bar keeps within 2x of idle.
+//!   then while a writer floods the engine mid-rejuvenation, its writes
+//!   joining the unbounded replay queue. The headline number is the
+//!   surge p99, which the repo's acceptance bar keeps within 2x of idle.
 //! * **deadline hit rates** — repeated girth sweeps under budgets from
 //!   "already expired" to "effectively unbounded", counting
 //!   [`CscError::DeadlineExceeded`](csc_core::CscError)
@@ -31,17 +31,17 @@ use crate::measure::{fmt_duration, percentile, time_it};
 use crate::table::Table;
 use csc_core::{
     ConcurrentIndex, CscConfig, CscError, CscIndex, Deadline, FsyncPolicy, GraphUpdate,
-    MaintenanceEngine, OverloadPolicy,
+    MaintenanceEngine,
 };
 use csc_graph::VertexId;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-/// Reader-side percentiles for one surge configuration.
+/// Reader-side percentiles for one load: idle, or under a write surge.
 pub struct SurgeStats {
-    /// `"idle"`, `"block"`, `"reject"`, or `"shed-oldest"`.
-    pub policy: &'static str,
+    /// `"idle"` or `"surge"`.
+    pub load: &'static str,
     /// Queries answered across all reader threads.
     pub queries: usize,
     /// Median per-query latency.
@@ -50,10 +50,6 @@ pub struct SurgeStats {
     pub p99: Duration,
     /// Writes acknowledged during the reader window.
     pub writes_ok: usize,
-    /// Writes refused with `Overloaded` during the reader window.
-    pub writes_rejected: u64,
-    /// Queued writes dropped by `ShedOldest` during the reader window.
-    pub writes_shed: u64,
 }
 
 /// Refusal counts for one deadline budget tier.
@@ -89,8 +85,16 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// Runs reader threads against lock-free snapshots for a fixed query
-/// count each, returning every per-query latency.
-fn reader_pass(index: &ConcurrentIndex, threads: usize, per_thread: usize) -> Vec<Duration> {
+/// count each, returning every per-query latency. Queries draw from the
+/// first `n` vertices, the base graph's, so an idle pass and a surge pass
+/// time the same queries: the vertices a surge adds are isolated, and
+/// their empty lists would answer faster than any real query.
+fn reader_pass(
+    index: &ConcurrentIndex,
+    n: u32,
+    threads: usize,
+    per_thread: usize,
+) -> Vec<Duration> {
     let mut all = Vec::with_capacity(threads * per_thread);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
@@ -101,7 +105,6 @@ fn reader_pass(index: &ConcurrentIndex, threads: usize, per_thread: usize) -> Ve
                     for _ in 0..per_thread {
                         x = x.wrapping_mul(1664525).wrapping_add(1013904223);
                         let snap = index.snapshot();
-                        let n = snap.original_vertex_count() as u32;
                         let v = VertexId(x % n.max(1));
                         let (_, t) = time_it(|| snap.query(v));
                         lat.push(t);
@@ -117,59 +120,43 @@ fn reader_pass(index: &ConcurrentIndex, threads: usize, per_thread: usize) -> Ve
     all
 }
 
-/// One surge pass: readers measure latency while a writer floods the
-/// engine mid-rejuvenation under `policy` (`None` = idle baseline).
+/// One pass: readers measure latency, alone (`surge == false`) or while a
+/// writer floods the engine mid-rejuvenation.
 fn surge_pass(
-    ctx: &ExpContext,
     base: &csc_graph::DiGraph,
-    policy: Option<(&'static str, OverloadPolicy)>,
+    surge: bool,
     readers: usize,
     per_thread: usize,
 ) -> SurgeStats {
     // Publication is amortized so the surge writer isn't rate-limited by
-    // per-write snapshot refreezes — the point is to flood the admission
+    // per-write snapshot refreezes — the point is to flood the replay
     // queue, not the publisher.
-    let mut config = CscConfig::default().with_snapshot_every(256);
-    // Watermarks sit well below the queue depth a rebuild survives:
-    // queued writes co-operatively advance the rebuild, so a high
-    // watermark must be reachable before the rebuild drains itself.
-    if let Some((_, p)) = policy {
-        config = config.with_overload_policy(p, 4, 1);
-    }
+    let config = CscConfig::default().with_snapshot_every(256);
     let index = ConcurrentIndex::new(CscIndex::build(base, config).expect("build"));
-    // Enter Rebuilding before the measured window opens: with a tiny step
-    // budget the rebuild stays in flight, the replay queue fills, and the
-    // policy actually engages while the readers measure.
-    if policy.is_some() {
+    // Enter Rebuilding before the measured window opens, so the first
+    // writes of the flood queue for replay while the readers measure.
+    if surge {
         index.begin_rejuvenation().expect("begin");
     }
     let stop = AtomicBool::new(false);
     let mut writes_ok = 0usize;
 
     let latencies = std::thread::scope(|scope| {
-        let writer = policy.map(|_| {
+        let writer = surge.then(|| {
             let index = &index;
             let stop = &stop;
             scope.spawn(move || {
-                // AddVertex stays valid no matter which queued ops a
-                // `ShedOldest` run later drops.
+                // Every write also advances the rebuild a chunk, so the
+                // flood drives it to its swap and then applies directly.
                 let mut ok = 0usize;
-                let mut i = 0usize;
                 while !stop.load(Ordering::Relaxed) {
-                    match index.add_vertex() {
-                        Ok(_) => ok += 1,
-                        Err(CscError::Overloaded { .. }) => {}
-                        Err(e) => panic!("surge write failed: {e}"),
-                    }
-                    i += 1;
-                    if i.is_multiple_of(256) {
-                        let _ = index.maintain(1);
-                    }
+                    index.add_vertex().expect("surge write");
+                    ok += 1;
                 }
                 ok
             })
         });
-        let lat = reader_pass(&index, readers, per_thread);
+        let lat = reader_pass(&index, base.vertex_count() as u32, readers, per_thread);
         stop.store(true, Ordering::Relaxed);
         if let Some(w) = writer {
             writes_ok = w.join().expect("writer thread");
@@ -177,23 +164,12 @@ fn surge_pass(
         lat
     });
 
-    // Drain any in-flight rebuild so the health counters are final.
-    while matches!(
-        index.status(),
-        csc_core::MaintenanceStatus::Rebuilding { .. }
-    ) {
-        index.maintain(usize::MAX).expect("drain");
-    }
-    let health = index.health();
-    let _ = ctx;
     SurgeStats {
-        policy: policy.map_or("idle", |(name, _)| name),
+        load: if surge { "surge" } else { "idle" },
         queries: latencies.len(),
         p50: percentile(&latencies, 0.50),
         p99: percentile(&latencies, 0.99),
         writes_ok,
-        writes_rejected: health.writes_rejected,
-        writes_shed: health.writes_shed,
     }
 }
 
@@ -283,28 +259,18 @@ fn recovery_pass(base: &csc_graph::DiGraph, windows: &[Vec<GraphUpdate>]) -> Vec
     stats
 }
 
-/// Runs the full sweep: idle baseline, one surge per policy, deadline
-/// tiers, and the recovery timings.
+/// Runs the full sweep: idle baseline, the write surge, deadline tiers,
+/// and the recovery timings.
 pub fn measure(ctx: &ExpContext) -> (Vec<SurgeStats>, Vec<DeadlineStats>, Vec<RecoveryStats>) {
     let spec = by_code("G04").expect("G04 exists");
     let g = generate(spec, ctx.scale, ctx.seed);
     let readers = 2;
     let per_thread = if ctx.quick { 100_000 } else { 400_000 };
 
-    let mut surges = vec![surge_pass(ctx, &g, None, readers, per_thread)];
-    for (name, policy) in [
-        ("block", OverloadPolicy::Block),
-        ("reject", OverloadPolicy::Reject),
-        ("shed-oldest", OverloadPolicy::ShedOldest),
-    ] {
-        surges.push(surge_pass(
-            ctx,
-            &g,
-            Some((name, policy)),
-            readers,
-            per_thread,
-        ));
-    }
+    let surges = [false, true]
+        .into_iter()
+        .map(|surge| surge_pass(&g, surge, readers, per_thread))
+        .collect();
 
     let deadlines = deadline_pass(&g, if ctx.quick { 32 } else { 128 });
 
@@ -322,7 +288,7 @@ pub fn measure(ctx: &ExpContext) -> (Vec<SurgeStats>, Vec<DeadlineStats>, Vec<Re
     (surges, deadlines, recoveries)
 }
 
-/// Appends one machine-readable line per surge, deadline tier and
+/// Appends one machine-readable line per reader load, deadline tier and
 /// recovery pass to the `BENCH_JSON` file.
 pub fn record_json(
     ctx: &ExpContext,
@@ -334,15 +300,13 @@ pub fn record_json(
     let surge_lines = surges.iter().map(|s| {
         format!(
             "{{\"group\":\"overload_surge\",\"kind\":\"readers\",\"graph\":\"{graph}\",\
-             \"policy\":\"{}\",\"queries\":{},\"p50_us\":{:.3},\"p99_us\":{:.3},\
-             \"writes_ok\":{},\"writes_rejected\":{},\"writes_shed\":{}}}",
-            s.policy,
+             \"load\":\"{}\",\"queries\":{},\"p50_us\":{:.3},\"p99_us\":{:.3},\
+             \"writes_ok\":{}}}",
+            s.load,
             s.queries,
             s.p50.as_secs_f64() * 1e6,
             s.p99.as_secs_f64() * 1e6,
             s.writes_ok,
-            s.writes_rejected,
-            s.writes_shed,
         )
     });
     let deadline_lines = deadlines.iter().map(|d| {
@@ -373,19 +337,10 @@ pub fn run(ctx: &ExpContext) -> String {
     record_json(ctx, &surges, &deadlines, &recoveries, "G04");
 
     let idle_p99 = surges[0].p99;
-    let mut readers = Table::new([
-        "policy",
-        "queries",
-        "p50",
-        "p99",
-        "vs idle",
-        "writes ok",
-        "rejected",
-        "shed",
-    ]);
+    let mut readers = Table::new(["load", "queries", "p50", "p99", "vs idle", "writes ok"]);
     for s in &surges {
         readers.row([
-            s.policy.to_string(),
+            s.load.to_string(),
             s.queries.to_string(),
             fmt_duration(s.p50),
             fmt_duration(s.p99),
@@ -394,8 +349,6 @@ pub fn run(ctx: &ExpContext) -> String {
                 s.p99.as_secs_f64() / idle_p99.as_secs_f64().max(1e-12)
             ),
             s.writes_ok.to_string(),
-            s.writes_rejected.to_string(),
-            s.writes_shed.to_string(),
         ]);
     }
     ctx.save_csv("overload_surge", &readers);
@@ -419,8 +372,8 @@ pub fn run(ctx: &ExpContext) -> String {
     }
 
     format!(
-        "Extension — overload & resource guards (G04 analog):\n\n\
-         Reader latency, idle vs write surge per overload policy:\n{}\n\
+        "Extension — write surge & resource guards (G04 analog):\n\n\
+         Reader latency, idle vs write surge:\n{}\n\
          Deadline hit rates (girth sweeps):\n{}\n\
          Recovery timing:\n{}",
         readers.render(),
@@ -441,14 +394,11 @@ mod tests {
             ..ExpContext::smoke()
         };
         let (surges, deadlines, recoveries) = measure(&ctx);
-        assert_eq!(surges.len(), 4);
-        assert_eq!(surges[0].policy, "idle");
+        assert_eq!(surges.len(), 2);
+        assert_eq!(surges[0].load, "idle");
         assert!(surges.iter().all(|s| s.queries > 0));
-        let reject = surges.iter().find(|s| s.policy == "reject").unwrap();
-        assert!(
-            reject.writes_ok > 0 || reject.writes_rejected > 0,
-            "the surge engaged the engine"
-        );
+        let surge = surges.iter().find(|s| s.load == "surge").unwrap();
+        assert!(surge.writes_ok > 0, "the surge engaged the engine");
 
         // Tier 0 (zero budget) is refused at admission every time; the
         // unbounded control never is.

@@ -9,7 +9,9 @@
 //! cores.
 
 use crate::batch::GraphUpdate;
+use crate::deadline::UNBOUNDED;
 use crate::error::CscError;
+use crate::guard::Deadline;
 use crate::index::CscIndex;
 use crate::snapshot::SnapshotIndex;
 use crate::stats::UpdateReport;
@@ -56,20 +58,20 @@ impl CscIndex {
     /// — together with the total number of shortest-cycle *incidences*
     /// (vertices realizing it). `None` for acyclic graphs.
     ///
-    /// One index query per vertex: `O(n)` label intersections.
+    /// One index query per vertex: `O(n)` label intersections, run by
+    /// [`girth_deadline`](Self::girth_deadline) without a deadline.
     pub fn girth(&self) -> Option<(u32, usize)> {
-        girth_fold((0..self.original_vertex_count() as u32).map(|v| self.query(VertexId(v))))
+        self.girth_deadline(Deadline::NONE).expect(UNBOUNDED)
     }
 
     /// The `k` most cycle-laden vertices among those whose shortest cycle
     /// is at most `max_length` — the screening primitive of the fraud case
-    /// study (count descending, then length ascending, then id).
+    /// study (count descending, then length ascending, then id). Runs
+    /// [`top_k_by_cycle_count_deadline`](Self::top_k_by_cycle_count_deadline)
+    /// without a deadline.
     pub fn top_k_by_cycle_count(&self, k: usize, max_length: u32) -> Vec<VertexCycles> {
-        rank_by_cycle_count(
-            (0..self.original_vertex_count() as u32).map(|v| self.query(VertexId(v))),
-            k,
-            max_length,
-        )
+        self.top_k_by_cycle_count_deadline(k, max_length, Deadline::NONE)
+            .expect(UNBOUNDED)
     }
 }
 
@@ -122,17 +124,21 @@ pub(crate) fn rank_by_cycle_count(
 impl SnapshotIndex {
     /// The girth and shortest-cycle incidence count of the snapshotted
     /// graph (same contract as [`CscIndex::girth`]), with the `O(n)` label
-    /// intersections evaluated in parallel on the frozen arena.
+    /// intersections evaluated in parallel on the frozen arena by
+    /// [`girth_deadline`](Self::girth_deadline) without a deadline.
     pub fn girth(&self) -> Option<(u32, usize)> {
-        girth_fold(self.query_all().into_iter())
+        self.girth_deadline(Deadline::NONE).expect(UNBOUNDED)
     }
 
     /// The `k` most cycle-laden vertices among those whose shortest cycle
     /// is at most `max_length` (same contract and ordering as
     /// [`CscIndex::top_k_by_cycle_count`]), with the per-vertex queries
-    /// evaluated in parallel on the frozen arena.
+    /// evaluated in parallel on the frozen arena by
+    /// [`top_k_by_cycle_count_deadline`](Self::top_k_by_cycle_count_deadline)
+    /// without a deadline.
     pub fn top_k_by_cycle_count(&self, k: usize, max_length: u32) -> Vec<VertexCycles> {
-        rank_by_cycle_count(self.query_all().into_iter(), k, max_length)
+        self.top_k_by_cycle_count_deadline(k, max_length, Deadline::NONE)
+            .expect(UNBOUNDED)
     }
 }
 

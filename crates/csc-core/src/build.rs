@@ -416,14 +416,6 @@ impl CoupleBfs {
         (&mut self.state, &mut self.cache)
     }
 
-    /// Heap bytes held by the BFS state, hub cache and re-label stamps
-    /// (memory-budget accounting).
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.state.heap_bytes()
-            + self.cache.heap_bytes()
-            + self.written.stamp.capacity() * std::mem::size_of::<u32>()
-    }
-
     /// Re-labels `side` of `hub` in place (decremental maintenance): runs
     /// the hub's traversal through the upsert-mode `writer`, which stamps
     /// every vertex it writes or finds unchanged, then

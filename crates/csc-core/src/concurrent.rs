@@ -397,11 +397,8 @@ impl ConcurrentIndex {
         }
         // Cooperative maintenance first: a policy trip starts the rebuild,
         // an in-flight one advances a bounded chunk on the writer's dime.
-        // The dead-space threshold is judged against the *served* arena —
-        // the engine's own health cannot see it.
-        if !engine.is_rebuilding() && engine.policy().auto {
-            let dead = self.snapshot.read().labels().dead_fraction();
-            let _ = engine.maybe_begin(dead);
+        if engine.policy().auto {
+            let _ = engine.maybe_begin();
         }
         if engine.is_rebuilding() {
             match engine.step(crate::maintain::DEFAULT_STEP_RANKS) {
@@ -809,43 +806,6 @@ mod tests {
         assert_eq!(h.rejuvenations, 1);
         assert_eq!(h.churned_vertices, 0, "appended vertices re-ranked");
         assert_eq!(shared.snapshot().query(VertexId(0)).unwrap().length, 8);
-    }
-
-    #[test]
-    fn dead_space_policy_triggers_from_the_write_path() {
-        // The dead-space threshold lives on the *served arena*: flapping
-        // one edge relocates label lists on every incremental publish,
-        // piling up dead space until the auto policy must start a rebuild
-        // (reason DeadSpace) straight from the write path.
-        let g = csc_graph::generators::gnm(24, 70, 13);
-        let config = CscConfig::default()
-            .with_snapshot_every(1)
-            .with_rebuild_policy(
-                crate::RebuildPolicy::manual_only()
-                    .with_dead_percent(5)
-                    .with_auto(true),
-            );
-        let shared = ConcurrentIndex::new(CscIndex::build(&g, config).unwrap());
-        let (a, b) = g.edge_vec()[5];
-        let mut started = false;
-        for k in 0..400 {
-            if k % 2 == 0 {
-                shared.remove_edge(VertexId(a), VertexId(b)).unwrap();
-            } else {
-                shared.insert_edge(VertexId(a), VertexId(b)).unwrap();
-            }
-            if shared.maintenance_stats().rejuvenations_started > 0 {
-                started = true;
-                break;
-            }
-        }
-        assert!(started, "dead space must eventually trip the policy");
-        assert_eq!(
-            shared.maintenance_stats().last_reason,
-            Some(crate::RebuildReason::DeadSpace)
-        );
-        while shared.maintain(usize::MAX).unwrap() != crate::MaintenanceStatus::Serving {}
-        assert_eq!(shared.maintenance_stats().rejuvenations_completed, 1);
     }
 
     #[test]

@@ -120,84 +120,6 @@ impl DurabilityConfig {
     }
 }
 
-/// What a write meets when the pending-write queue is at its high
-/// watermark (see [`OverloadConfig`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum OverloadPolicy {
-    /// Admit the write, but first *synchronously drive* the maintenance
-    /// plane ([`MaintenanceEngine::step`](crate::MaintenanceEngine::step))
-    /// until the queue drains below the low watermark. The caller pays
-    /// the drain latency — classic blocking backpressure; no update is
-    /// ever lost or refused. The default.
-    #[default]
-    Block,
-    /// Refuse the write with [`CscError::Overloaded`](crate::CscError)
-    /// and count it in [`IndexHealth::writes_rejected`](crate::IndexHealth::writes_rejected).
-    /// The caller owns the retry; readers see zero added latency.
-    Reject,
-    /// Admit the write by dropping the *oldest* queued update, counted in
-    /// [`IndexHealth::writes_shed`](crate::IndexHealth::writes_shed).
-    /// **Lossy**: the index diverges from the full update stream, which
-    /// only suits workloads that tolerate approximate freshness. The shed
-    /// counter is the loud part of the contract.
-    ShedOldest,
-}
-
-/// Backpressure on the maintenance plane's pending-write queue.
-///
-/// During a rejuvenation, writes are absorbed into a replay queue and
-/// drained by [`step`](crate::MaintenanceEngine::step) calls. Unbounded,
-/// a write surge can grow that queue without limit; these watermarks
-/// bound it. With `high_watermark == 0` (the default) the queue is
-/// unbounded and this configuration is inert.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OverloadConfig {
-    /// What happens at the high watermark. See [`OverloadPolicy`].
-    pub policy: OverloadPolicy,
-    /// Queue depth (in updates) at which `policy` engages. `0` disables
-    /// backpressure entirely.
-    pub high_watermark: u32,
-    /// Queue depth [`OverloadPolicy::Block`] drains down to before
-    /// admitting the blocked write; also where a rejecting engine starts
-    /// accepting again. Must be `< high_watermark` when backpressure is
-    /// enabled.
-    pub low_watermark: u32,
-}
-
-impl Default for OverloadConfig {
-    fn default() -> Self {
-        OverloadConfig {
-            policy: OverloadPolicy::Block,
-            high_watermark: 0,
-            low_watermark: 0,
-        }
-    }
-}
-
-impl OverloadConfig {
-    /// Rejects inverted watermarks; called from [`CscConfig::validate`].
-    pub fn validate(&self) -> Result<(), String> {
-        if self.high_watermark > 0 && self.low_watermark >= self.high_watermark {
-            return Err(format!(
-                "overload.low_watermark ({}) must be < high_watermark ({}); equal watermarks \
-                 would re-engage the policy on every write",
-                self.low_watermark, self.high_watermark
-            ));
-        }
-        Ok(())
-    }
-
-    /// `true` when a queue of `depth` updates must engage the policy.
-    pub fn over_high(&self, depth: usize) -> bool {
-        self.high_watermark > 0 && depth >= self.high_watermark as usize
-    }
-
-    /// `true` once a draining queue has fallen below the low watermark.
-    pub fn under_low(&self, depth: usize) -> bool {
-        depth <= self.low_watermark as usize
-    }
-}
-
 /// A recorded worker width, which steers no work.
 ///
 /// Label builds (the static build and rejuvenation's rebuild) and label
@@ -246,7 +168,10 @@ impl ParallelismConfig {
 ///
 /// The paper's inverted hub indexes are not configured here: an index
 /// builds them from its labels the first time a deletion or Minimality's
-/// `CLEAN_LABEL` reads carriers, and maintains them from then on.
+/// `CLEAN_LABEL` reads carriers, and maintains them from then on. Nor is
+/// any limit on load: like the paper's index, this one repairs every
+/// update in place and never refuses or drops a write because it is
+/// busy (a rejuvenation queues writes in an unbounded replay queue).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CscConfig {
     /// Vertex-ordering strategy, applied to the *original* graph; couples in
@@ -299,17 +224,6 @@ pub struct CscConfig {
     /// no work and never changes what the index contains. See
     /// [`ParallelismConfig`].
     pub parallelism: ParallelismConfig,
-    /// Backpressure on the maintenance plane's pending-write queue
-    /// (watermarks + [`OverloadPolicy`]). Inert at the default
-    /// (`high_watermark == 0`). See [`OverloadConfig`].
-    pub overload: OverloadConfig,
-    /// Soft ceiling, in bytes, on the index's tracked heap footprint
-    /// (label arenas + traversal workspaces + pending-write queue). A
-    /// breach first forces a compaction attempt; if the footprint still
-    /// exceeds the budget the engine enters the `Saturated` state and
-    /// refuses writes (readers are unaffected) until it fits again. `0`
-    /// (the default) disables the budget.
-    pub memory_budget: usize,
 }
 
 impl Default for CscConfig {
@@ -321,8 +235,6 @@ impl Default for CscConfig {
             rebuild: RebuildPolicy::default(),
             durability: DurabilityConfig::default(),
             parallelism: ParallelismConfig::default(),
-            overload: OverloadConfig::default(),
-            memory_budget: 0,
         }
     }
 }
@@ -391,30 +303,6 @@ impl CscConfig {
         self
     }
 
-    /// Builder-style: set the backpressure configuration. See
-    /// [`OverloadConfig`].
-    pub fn with_overload(mut self, overload: OverloadConfig) -> Self {
-        self.overload = overload;
-        self
-    }
-
-    /// Builder-style: set the overload policy with the given watermarks
-    /// (shorthand for [`with_overload`](Self::with_overload)).
-    pub fn with_overload_policy(mut self, policy: OverloadPolicy, high: u32, low: u32) -> Self {
-        self.overload = OverloadConfig {
-            policy,
-            high_watermark: high,
-            low_watermark: low,
-        };
-        self
-    }
-
-    /// Builder-style: set the memory budget in bytes (`0` = unlimited).
-    pub fn with_memory_budget(mut self, bytes: usize) -> Self {
-        self.memory_budget = bytes;
-        self
-    }
-
     /// Builder-style: set the durability plane's transient-I/O retry
     /// schedule. See [`RetryPolicy`].
     pub fn with_io_retry(mut self, retry: RetryPolicy) -> Self {
@@ -435,8 +323,6 @@ impl CscConfig {
     /// * `rebuild.max_growth_percent` must be `0` (disabled) or `> 100`: a
     ///   threshold at or below 100% would re-trigger immediately after the
     ///   rebuild that satisfied it.
-    /// * `rebuild.max_dead_percent` must be `<= 100` — it is a fraction of
-    ///   the arena.
     ///
     /// # Errors
     ///
@@ -445,7 +331,6 @@ impl CscConfig {
         self.rebuild.validate().map_err(CscError::Config)?;
         self.durability.validate().map_err(CscError::Config)?;
         self.parallelism.validate().map_err(CscError::Config)?;
-        self.overload.validate().map_err(CscError::Config)?;
         if let OrderingStrategy::CoverageSampling {
             samples_per_log_n, ..
         } = self.order
@@ -529,9 +414,6 @@ mod tests {
             .with_rebuild_policy(RebuildPolicy::default().with_growth_percent(100));
         let err = c.validate().unwrap_err();
         assert!(err.to_string().contains("max_growth_percent"), "{err}");
-        let c = CscConfig::default()
-            .with_rebuild_policy(RebuildPolicy::default().with_dead_percent(150));
-        assert!(c.validate().is_err());
         // Disabled thresholds stay valid.
         let c = CscConfig::default().with_rebuild_policy(RebuildPolicy::manual_only());
         assert!(c.validate().is_ok());
@@ -614,32 +496,7 @@ mod tests {
     }
 
     #[test]
-    fn overload_defaults_are_inert_and_watermarks_validate() {
-        let o = OverloadConfig::default();
-        assert_eq!(o.policy, OverloadPolicy::Block);
-        assert_eq!(o.high_watermark, 0, "backpressure off by default");
-        assert!(!o.over_high(usize::MAX), "0 watermark never engages");
-        assert!(CscConfig::default().validate().is_ok());
-
-        let c = CscConfig::default().with_overload_policy(OverloadPolicy::Reject, 8, 8);
-        let err = c.validate().unwrap_err();
-        assert!(err.to_string().contains("low_watermark"), "{err}");
-        let c = CscConfig::default().with_overload_policy(OverloadPolicy::Reject, 8, 2);
-        assert!(c.validate().is_ok());
-        assert!(c.overload.over_high(8) && !c.overload.over_high(7));
-        assert!(c.overload.under_low(2) && !c.overload.under_low(3));
-    }
-
-    #[test]
     fn memory_budget_and_io_retry_builders() {
-        let c = CscConfig::default().with_memory_budget(1 << 20);
-        assert_eq!(c.memory_budget, 1 << 20);
-        assert_eq!(
-            CscConfig::default().memory_budget,
-            0,
-            "unlimited by default"
-        );
-
         let r = crate::guard::RetryPolicy::new(
             3,
             std::time::Duration::from_millis(1),

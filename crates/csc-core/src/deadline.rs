@@ -3,7 +3,11 @@
 //!
 //! Every variant here mirrors its unbounded twin exactly — same
 //! arguments, same panics, same answers — wrapped in a `Result` whose
-//! error is [`CscError::DeadlineExceeded`]. The contract is:
+//! error is [`CscError::DeadlineExceeded`]. Each whole-graph or batch
+//! sweep (`girth`, `top_k_by_cycle_count`, and the snapshot's
+//! `query_batch` and `query_all`) has one implementation, here: its
+//! unbounded twin runs it under [`Deadline::NONE`], whose budget costs
+//! one branch per intersection. The contract is:
 //!
 //! * **Admission**: an already-expired [`Deadline`] is refused before any
 //!   work happens.
@@ -38,6 +42,10 @@ use csc_graph::bipartite::{in_vertex, out_vertex};
 use csc_graph::{OpBudget, VertexId};
 use csc_labeling::{CycleCount, LabelStore};
 use rayon::prelude::*;
+
+/// Why an unbounded twin cannot fail: [`Deadline::NONE`] never passes, so
+/// its budget never runs out.
+pub(crate) const UNBOUNDED: &str = "a sweep without a deadline never exceeds it";
 
 fn to_cycles(dc: csc_labeling::DistCount) -> CycleCount {
     debug_assert_eq!(dc.dist % 2, 1, "V_out ~> V_in distances are odd");

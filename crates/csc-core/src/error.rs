@@ -5,6 +5,10 @@ use csc_labeling::LabelingError;
 use std::fmt;
 
 /// Errors from building, querying, or maintaining a [`CscIndex`](crate::CscIndex).
+///
+/// A write fails only when it cannot be applied (a graph error, a
+/// labeling overflow), when the writer is poisoned, or when its own
+/// deadline passed at admission; no error refuses a write for load.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CscError {
     /// A graph-level problem (bad vertex, duplicate/missing edge, ...).
@@ -41,29 +45,8 @@ pub enum CscError {
     /// cooperative cancellation checkpoint and was aborted. The aborted
     /// operation had **no observable effect**: queries leave their
     /// workspaces reusable, writes abort only before their commit point
-    /// (see `docs/ARCHITECTURE.md`, "resource guards & overload").
+    /// (see `docs/ARCHITECTURE.md`, "Resource guards").
     DeadlineExceeded,
-    /// A write was refused by the backpressure policy
-    /// ([`OverloadPolicy::Reject`](crate::OverloadPolicy::Reject)): the
-    /// pending-write queue is at its high watermark. Transient — retry
-    /// after the maintenance plane drains the queue.
-    Overloaded {
-        /// Updates sitting in the pending-write queue at rejection time.
-        queued: usize,
-        /// The configured high watermark that was hit.
-        limit: usize,
-    },
-    /// The engine is in the `Saturated` state: the tracked label +
-    /// workspace footprint exceeds
-    /// [`CscConfig::memory_budget`](crate::CscConfig::memory_budget) even
-    /// after forced compaction. Writes are refused (readers are
-    /// unaffected) until the footprint drops or the budget is raised.
-    Saturated {
-        /// Tracked bytes at refusal time.
-        bytes: usize,
-        /// The configured budget.
-        budget: usize,
-    },
     /// An I/O operation on the durability plane (WAL append/fsync,
     /// checkpoint write/rename/dir-sync) failed and exhausted its
     /// retries. Carries the [`std::io::ErrorKind`] so callers can
@@ -146,15 +129,6 @@ impl fmt::Display for CscError {
                     "deadline exceeded; the operation was aborted with no effect"
                 )
             }
-            CscError::Overloaded { queued, limit } => write!(
-                f,
-                "write rejected: {queued} updates pending (high watermark {limit}); retry later"
-            ),
-            CscError::Saturated { bytes, budget } => write!(
-                f,
-                "index saturated: {bytes} bytes tracked against a {budget}-byte memory budget; \
-                 writes refused until the footprint drops"
-            ),
             CscError::Io { op, kind, detail } => {
                 write!(f, "i/o error during {op} ({kind:?}): {detail}")
             }

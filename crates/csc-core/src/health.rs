@@ -21,29 +21,19 @@ pub enum RebuildReason {
     /// Total label entries grew past
     /// [`RebuildPolicy::max_growth_percent`] of the baseline.
     LabelGrowth,
-    /// The served arena's dead space crossed
-    /// [`RebuildPolicy::max_dead_percent`].
-    DeadSpace,
     /// More than [`RebuildPolicy::max_churned_vertices`] vertices were
     /// appended (bottom-ranked) since the baseline.
     Churn,
     /// An explicit caller request.
     Manual,
-    /// The tracked heap footprint breached
-    /// [`CscConfig::memory_budget`](crate::CscConfig::memory_budget): the
-    /// engine forces a compacting rebuild before entering the
-    /// `Saturated` state.
-    Memory,
 }
 
 impl fmt::Display for RebuildReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             RebuildReason::LabelGrowth => "label growth over baseline",
-            RebuildReason::DeadSpace => "arena dead space",
             RebuildReason::Churn => "bottom-ranked churn vertices",
             RebuildReason::Manual => "manual trigger",
-            RebuildReason::Memory => "memory budget breach",
         })
     }
 }
@@ -62,12 +52,6 @@ pub struct RebuildPolicy {
     /// immediately after every rebuild). `0` disables. Default `200`
     /// (entries doubled).
     pub max_growth_percent: u32,
-    /// Rebuild when the served arena's dead space reaches this percent of
-    /// the arena. Must be `<= 100`; `0` disables. Default `0`: incremental
-    /// publication already compacts past
-    /// [`MAX_DEAD_FRACTION`](crate::snapshot::MAX_DEAD_FRACTION), so this
-    /// is an opt-in tighter bound.
-    pub max_dead_percent: u32,
     /// Rebuild when this many vertices have been appended (all of them
     /// bottom-ranked) since the baseline. `0` disables. Default `0`.
     pub max_churned_vertices: u32,
@@ -80,7 +64,6 @@ impl Default for RebuildPolicy {
     fn default() -> Self {
         RebuildPolicy {
             max_growth_percent: 200,
-            max_dead_percent: 0,
             max_churned_vertices: 0,
             auto: false,
         }
@@ -93,7 +76,6 @@ impl RebuildPolicy {
     pub fn manual_only() -> Self {
         RebuildPolicy {
             max_growth_percent: 0,
-            max_dead_percent: 0,
             max_churned_vertices: 0,
             auto: false,
         }
@@ -108,24 +90,12 @@ impl RebuildPolicy {
                 self.max_growth_percent
             ));
         }
-        if self.max_dead_percent > 100 {
-            return Err(format!(
-                "rebuild max_dead_percent must be <= 100, got {}",
-                self.max_dead_percent
-            ));
-        }
         Ok(())
     }
 
     /// Builder-style: set the growth threshold.
     pub fn with_growth_percent(mut self, percent: u32) -> Self {
         self.max_growth_percent = percent;
-        self
-    }
-
-    /// Builder-style: set the dead-space threshold.
-    pub fn with_dead_percent(mut self, percent: u32) -> Self {
-        self.max_dead_percent = percent;
         self
     }
 
@@ -161,7 +131,9 @@ pub struct HealthBaseline {
 /// A point-in-time drift report for an index or snapshot.
 ///
 /// Produced by `CscIndex::health`, `SnapshotIndex::health`, and (with the
-/// maintenance-plane fields filled in) `ConcurrentIndex::health`.
+/// maintenance-plane fields — replay queue, rebuild flag, durability
+/// state — filled in) `MaintenanceEngine::health` and
+/// `ConcurrentIndex::health`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IndexHealth {
     /// Label entries currently stored.
@@ -180,7 +152,9 @@ pub struct IndexHealth {
     /// baseline; saturates at `u32::MAX`; `100` when the baseline is 0).
     pub growth_percent: u32,
     /// Dead fraction of the measured arena, `0.0..=1.0`. Always `0.0` for
-    /// the live (nested-list) store; meaningful for frozen snapshots.
+    /// the live (nested-list) store; meaningful for frozen snapshots,
+    /// whose publication compacts past
+    /// [`MAX_DEAD_FRACTION`](crate::snapshot::MAX_DEAD_FRACTION).
     pub dead_fraction: f64,
     /// Vertices appended — all bottom-ranked — since the baseline.
     pub churned_vertices: usize,
@@ -191,21 +165,6 @@ pub struct IndexHealth {
     pub replay_queued: usize,
     /// `true` while a rejuvenation rebuild/replay is in flight.
     pub rebuilding: bool,
-    /// Writes refused by [`OverloadPolicy::Reject`](crate::OverloadPolicy)
-    /// at the high watermark, over the engine's lifetime.
-    pub writes_rejected: u64,
-    /// Queued updates dropped by
-    /// [`OverloadPolicy::ShedOldest`](crate::OverloadPolicy) — the loud
-    /// record of lossy admission.
-    pub writes_shed: u64,
-    /// Tracked heap footprint in bytes (label lists + traversal
-    /// workspaces + replay queue) as of the last enforcement pass; `0`
-    /// until a memory budget is configured.
-    pub memory_bytes: usize,
-    /// `true` while the engine refuses writes because the footprint
-    /// exceeds [`CscConfig::memory_budget`](crate::CscConfig::memory_budget)
-    /// even after forced compaction. Readers are unaffected.
-    pub saturated: bool,
     /// `true` after persistent I/O failure forced the durability plane
     /// into in-memory-only mode: the engine keeps serving and accepting
     /// writes, but nothing is logged or checkpointed until an operator
@@ -231,17 +190,12 @@ impl IndexHealth {
     }
 
     /// Which policy threshold (if any) this report trips, checked in
-    /// growth → dead-space → churn order. Ignores
+    /// growth → churn order. Ignores
     /// [`RebuildPolicy::auto`] — this is the *measurement*; whether
     /// anything acts on it is the caller's business.
     pub fn triggered(&self, policy: &RebuildPolicy) -> Option<RebuildReason> {
         if policy.max_growth_percent != 0 && self.growth_percent >= policy.max_growth_percent {
             return Some(RebuildReason::LabelGrowth);
-        }
-        if policy.max_dead_percent != 0
-            && self.dead_fraction * 100.0 >= f64::from(policy.max_dead_percent)
-        {
-            return Some(RebuildReason::DeadSpace);
         }
         if policy.max_churned_vertices != 0
             && self.churned_vertices >= policy.max_churned_vertices as usize
@@ -269,16 +223,6 @@ impl fmt::Display for IndexHealth {
             self.replay_queued,
             if self.rebuilding { " [rebuilding]" } else { "" },
         )?;
-        if self.writes_rejected > 0 || self.writes_shed > 0 {
-            write!(
-                f,
-                ", rejected {}, shed {}",
-                self.writes_rejected, self.writes_shed
-            )?;
-        }
-        if self.saturated {
-            write!(f, " [saturated at {} bytes]", self.memory_bytes)?;
-        }
         if self.durability_degraded {
             f.write_str(" [durability degraded: in-memory only]")?;
         }
@@ -307,10 +251,6 @@ mod tests {
             rejuvenations: 0,
             replay_queued: 0,
             rebuilding: false,
-            writes_rejected: 0,
-            writes_shed: 0,
-            memory_bytes: 0,
-            saturated: false,
             durability_degraded: false,
             wal_truncated_bytes: 0,
         }
@@ -333,7 +273,6 @@ mod tests {
     fn trigger_order_and_disabling() {
         let p = RebuildPolicy {
             max_growth_percent: 150,
-            max_dead_percent: 40,
             max_churned_vertices: 10,
             auto: false,
         };
@@ -341,10 +280,6 @@ mod tests {
             health(150, 0.5, 20).triggered(&p),
             Some(RebuildReason::LabelGrowth),
             "growth checked first"
-        );
-        assert_eq!(
-            health(149, 0.4, 20).triggered(&p),
-            Some(RebuildReason::DeadSpace)
         );
         assert_eq!(
             health(149, 0.39, 10).triggered(&p),
@@ -368,14 +303,6 @@ mod tests {
             .is_err());
         assert!(RebuildPolicy::default()
             .with_growth_percent(101)
-            .validate()
-            .is_ok());
-        assert!(RebuildPolicy::default()
-            .with_dead_percent(101)
-            .validate()
-            .is_err());
-        assert!(RebuildPolicy::default()
-            .with_dead_percent(100)
             .validate()
             .is_ok());
     }

@@ -292,24 +292,9 @@ impl CscIndex {
             rejuvenations: self.baseline.rejuvenations,
             replay_queued: 0,
             rebuilding: false,
-            writes_rejected: 0,
-            writes_shed: 0,
-            memory_bytes: 0,
-            saturated: false,
             durability_degraded: false,
             wal_truncated_bytes: 0,
         }
-    }
-
-    /// Tracked heap footprint in bytes: the stored label lists, the
-    /// inverted index, and the traversal workspaces. `O(n)` over the label
-    /// store — the maintenance engine measures once per applied window,
-    /// not per operation.
-    pub fn memory_bytes(&self) -> usize {
-        self.labels.heap_bytes()
-            + self.inverted.as_ref().map_or(0, |inv| inv.heap_bytes())
-            + self.workspace.heap_bytes()
-            + self.sweeps.heap_bytes()
     }
 
     /// Re-anchors the drift baseline at the current state (the epilogue of

@@ -54,19 +54,6 @@ impl InvertedIndex {
         self.inv_out.push(Vec::new());
     }
 
-    /// Heap bytes held by both inverted indexes (outer spines plus every
-    /// per-rank list's capacity) — memory-budget accounting.
-    pub fn heap_bytes(&self) -> usize {
-        let list = |lists: &Vec<Vec<u32>>| {
-            lists.capacity() * std::mem::size_of::<Vec<u32>>()
-                + lists
-                    .iter()
-                    .map(|l| l.capacity() * std::mem::size_of::<u32>())
-                    .sum::<usize>()
-        };
-        list(&self.inv_in) + list(&self.inv_out)
-    }
-
     fn side(&self, side: LabelSide) -> &Vec<Vec<u32>> {
         match side {
             LabelSide::In => &self.inv_in,

@@ -97,10 +97,7 @@ pub mod wal;
 
 pub use batch::{BatchReport, GraphUpdate};
 pub use concurrent::ConcurrentIndex;
-pub use config::{
-    CscConfig, DurabilityConfig, FsyncPolicy, OverloadConfig, OverloadPolicy, ParallelismConfig,
-    UpdateStrategy,
-};
+pub use config::{CscConfig, DurabilityConfig, FsyncPolicy, ParallelismConfig, UpdateStrategy};
 pub use error::CscError;
 pub use guard::{Deadline, RetryPolicy};
 pub use health::{HealthBaseline, IndexHealth, RebuildPolicy, RebuildReason};

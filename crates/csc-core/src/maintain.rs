@@ -3,9 +3,9 @@
 //! Every write — scalar or batched — is an
 //! [`apply_batch`](CscIndex::apply_batch) window, and reaches the index
 //! through the engine's one write routine (admit → log → queue or apply →
-//! checkpoint → memory budget). [`MaintenanceEngine`] puts that routine,
-//! the snapshot refreeze/compaction policy, and the full rebuild behind one
-//! state machine:
+//! checkpoint). [`MaintenanceEngine`] puts that routine, the snapshot
+//! refreeze/compaction policy, and the full rebuild behind one state
+//! machine:
 //!
 //! ```text
 //!            writes apply directly, snapshots refreeze incrementally
@@ -54,7 +54,6 @@
 
 use crate::batch::{BatchReport, GraphUpdate};
 use crate::build::{CoupleBfs, LabelBuildTask};
-use crate::config::OverloadPolicy;
 use crate::error::CscError;
 use crate::guard::{Deadline, RetryPolicy};
 use crate::health::{HealthBaseline, IndexHealth, RebuildPolicy, RebuildReason};
@@ -139,14 +138,6 @@ pub enum MaintenanceStatus {
     /// [`recover_in_place`](MaintenanceEngine::recover_in_place) (or
     /// [`ConcurrentIndex::recover`](crate::ConcurrentIndex::recover)).
     Degraded,
-    /// The tracked heap footprint exceeds
-    /// [`CscConfig::memory_budget`](crate::CscConfig::memory_budget) even
-    /// after a forced compacting rebuild. Writes are refused with
-    /// [`CscError::Saturated`]; readers are unaffected (same contract as
-    /// `Degraded`). Leave by raising the budget
-    /// ([`set_memory_budget`](MaintenanceEngine::set_memory_budget)) or
-    /// by a manual rejuvenation that shrinks the footprint.
-    Saturated,
     /// A recovery is rebuilding the index from checkpoint + WAL (or from
     /// the live graph) before atomically swapping it back in. Reported
     /// by the concurrent facade while
@@ -273,12 +264,11 @@ pub struct MaintenanceEngine {
     full_freeze_pending: bool,
     /// The emptied allocation of the last arena segment a replaced
     /// snapshot gave back ([`retire`](Self::retire)); the next full freeze
-    /// fills it instead of a fresh allocation. Snapshot storage, so it is
-    /// not part of the tracked heap footprint.
+    /// fills it instead of a fresh allocation.
     arena_buffer: Vec<LabelEntry>,
     /// The encoding of the last checkpoint: every checkpoint encodes into
     /// this allocation, so it writes pages already resident instead of
-    /// faulting in a fresh buffer. Counted in the tracked heap footprint.
+    /// faulting in a fresh buffer.
     checkpoint_buffer: Vec<u8>,
     /// `Some(detail)` after a write-path panic (or failed integrity
     /// check): the engine refuses writes and publication until
@@ -292,17 +282,6 @@ pub struct MaintenanceEngine {
     /// the engine keeps serving and accepting writes). Cleared by a
     /// successful [`attach_durability`](Self::attach_durability).
     durability_degraded: Option<String>,
-    /// Writes refused under [`OverloadPolicy::Reject`], lifetime.
-    writes_rejected: u64,
-    /// Queued updates dropped under [`OverloadPolicy::ShedOldest`],
-    /// lifetime.
-    writes_shed: u64,
-    /// Tracked heap footprint as of the last measurement (`0` until a
-    /// memory budget is configured).
-    memory_bytes: usize,
-    /// `true` while the footprint exceeds the budget even after forced
-    /// compaction; writes are refused with [`CscError::Saturated`].
-    saturated: bool,
     /// Torn-tail WAL bytes dropped by recoveries, lifetime.
     wal_truncated_total: u64,
     /// Consecutive abandoned rejuvenations (resets when one completes);
@@ -329,10 +308,6 @@ impl MaintenanceEngine {
             degraded: None,
             durability: None,
             durability_degraded: None,
-            writes_rejected: 0,
-            writes_shed: 0,
-            memory_bytes: 0,
-            saturated: false,
             wal_truncated_total: 0,
             rebuild_failures: 0,
             rebuild_retry_at: None,
@@ -396,9 +371,6 @@ impl MaintenanceEngine {
         if self.degraded.is_some() {
             return MaintenanceStatus::Degraded;
         }
-        if self.saturated && !self.is_rebuilding() {
-            return MaintenanceStatus::Saturated;
-        }
         match &self.rebuild {
             None => MaintenanceStatus::Serving,
             Some(task) if !task.labels_done => MaintenanceStatus::Rebuilding {
@@ -413,40 +385,21 @@ impl MaintenanceEngine {
     }
 
     /// The live drift report, with the maintenance-plane fields (replay
-    /// queue depth, rebuild flag, overload counters, memory footprint,
-    /// durability degradation) filled in.
+    /// queue depth, rebuild flag, durability degradation) filled in.
     pub fn health(&self) -> IndexHealth {
         IndexHealth {
             replay_queued: self.replay.len(),
             rebuilding: self.is_rebuilding(),
-            writes_rejected: self.writes_rejected,
-            writes_shed: self.writes_shed,
-            memory_bytes: self.memory_bytes,
-            saturated: self.saturated,
             durability_degraded: self.durability_degraded.is_some(),
             wal_truncated_bytes: self.wal_truncated_total,
             ..self.index.health()
         }
     }
 
-    /// `true` while the engine refuses writes because the tracked
-    /// footprint exceeds the memory budget even after forced compaction.
-    pub fn is_saturated(&self) -> bool {
-        self.saturated
-    }
-
     /// Why the durability plane was dropped into in-memory-only mode,
     /// when it was (persistent I/O failure after exhausted retries).
     pub fn durability_degraded_detail(&self) -> Option<&str> {
         self.durability_degraded.as_deref()
-    }
-
-    /// Retunes the memory budget on a live engine (`0` disables) and
-    /// re-measures immediately — the operator's exit from the
-    /// `Saturated` state.
-    pub fn set_memory_budget(&mut self, bytes: usize) {
-        self.index.config.memory_budget = bytes;
-        self.measure_memory();
     }
 
     /// Inserts an edge. While serving it applies immediately and returns
@@ -483,14 +436,13 @@ impl MaintenanceEngine {
     /// Appends a fresh vertex and returns its id. During a rebuild window
     /// the op is queued and the returned id is *virtual* — it is the id
     /// the replay will create (current count plus queued `AddVertex`
-    /// ops), so later queued edge ops may reference it.
+    /// ops), so later queued edge ops may reference it. The queue is
+    /// unbounded and keeps every op in order, so each call gets the next
+    /// id and the replay creates exactly the vertices it handed out.
     ///
     /// # Errors
     ///
-    /// A degraded engine refuses the write ([`CscError::Poisoned`]), a
-    /// saturated one too ([`CscError::Saturated`]), and the backpressure
-    /// policy may refuse it ([`CscError::Overloaded`]) while a rebuild's
-    /// replay queue sits at its high watermark.
+    /// A degraded engine refuses the write ([`CscError::Poisoned`]).
     pub fn add_vertex(&mut self) -> Result<VertexId, CscError> {
         self.write(&[GraphUpdate::AddVertex], false, Deadline::NONE)?;
         Ok(self.newest_vertex())
@@ -523,12 +475,14 @@ impl MaintenanceEngine {
 
     /// The one write routine behind every engine write (and, under its
     /// lock, every [`ConcurrentIndex`](crate::ConcurrentIndex) write):
-    /// deadline and admission → log → queue or apply → checkpoint →
-    /// budget. A `strict` window is one scalar op that, while serving,
-    /// must pass [`CscIndex::check_strict`] before it is logged;
-    /// mid-rebuild its validity is resolved at replay like any queued op.
-    /// A queued window's report carries only `updates_submitted` and
-    /// `queued`.
+    /// deadline and admission → log → queue or apply → checkpoint.
+    /// Admission refuses a write only on a past deadline or a degraded
+    /// engine, both before the log; mid-rebuild every admitted window
+    /// joins the unbounded replay queue, whatever its depth. A `strict`
+    /// window is one scalar op that, while serving, must pass
+    /// [`CscIndex::check_strict`] before it is logged; mid-rebuild its
+    /// validity is resolved at replay like any queued op. A queued
+    /// window's report carries only `updates_submitted` and `queued`.
     pub(crate) fn write(
         &mut self,
         window: &[GraphUpdate],
@@ -536,7 +490,7 @@ impl MaintenanceEngine {
         deadline: Deadline,
     ) -> Result<BatchReport, CscError> {
         deadline.admit()?;
-        self.admit_write()?;
+        self.check_writable()?;
         if strict && !self.is_rebuilding() {
             debug_assert_eq!(window.len(), 1, "strict writes are scalar");
             self.index.check_strict(window[0])?;
@@ -555,7 +509,6 @@ impl MaintenanceEngine {
         }
         let report = self.protected("apply_batch", |idx| idx.apply_batch(window))?;
         self.maybe_checkpoint()?;
-        self.enforce_memory_budget()?;
         Ok(report)
     }
 
@@ -571,104 +524,6 @@ impl MaintenanceEngine {
             Some(detail) => Err(CscError::poisoned(detail.clone())),
             None => Ok(()),
         }
-    }
-
-    /// Full write admission, run *before* the op is WAL-logged (a refused
-    /// op must not exist in the log; [`write`](Self::write) adds the strict
-    /// check of scalar ops): degraded → [`CscError::Poisoned`];
-    /// saturated → re-measure (a raised budget or compaction since the
-    /// last measurement exits the state), then [`CscError::Saturated`];
-    /// finally the backpressure policy over the replay queue.
-    fn admit_write(&mut self) -> Result<(), CscError> {
-        self.check_writable()?;
-        if self.saturated {
-            self.measure_memory();
-            if self.saturated {
-                return Err(CscError::Saturated {
-                    bytes: self.memory_bytes,
-                    budget: self.index.config().memory_budget,
-                });
-            }
-        }
-        self.apply_backpressure()
-    }
-
-    /// Applies the configured [`OverloadPolicy`] when the replay queue
-    /// sits at or above its high watermark (only possible while a
-    /// rebuild is in flight — a serving engine's queue is empty).
-    fn apply_backpressure(&mut self) -> Result<(), CscError> {
-        let cfg = self.index.config().overload;
-        if !self.is_rebuilding() || !cfg.over_high(self.replay.len()) {
-            return Ok(());
-        }
-        match cfg.policy {
-            OverloadPolicy::Block => {
-                // "Blocking" in a single-threaded engine means doing the
-                // maintenance work inline: drive the rebuild until the
-                // queue drains under the low watermark (or the
-                // rejuvenation finishes and the queue empties).
-                while self.is_rebuilding() && !cfg.under_low(self.replay.len()) {
-                    self.step(DEFAULT_STEP_RANKS)?;
-                }
-                Ok(())
-            }
-            OverloadPolicy::Reject => {
-                self.writes_rejected += 1;
-                Err(CscError::Overloaded {
-                    queued: self.replay.len(),
-                    limit: cfg.high_watermark as usize,
-                })
-            }
-            OverloadPolicy::ShedOldest => {
-                // Lossy: drop the oldest queued updates down to the low
-                // watermark. They were WAL-logged when accepted, so a
-                // recovery replays them anyway — the documented
-                // divergence of this mode (`docs/ARCHITECTURE.md`).
-                while !cfg.under_low(self.replay.len()) {
-                    let Some(u) = self.replay.pop_front() else {
-                        break;
-                    };
-                    if u == GraphUpdate::AddVertex {
-                        self.queued_vertices -= 1;
-                    }
-                    self.writes_shed += 1;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Re-measures the tracked footprint against the configured budget
-    /// (no-op beyond zeroing when the budget is disabled).
-    fn measure_memory(&mut self) {
-        if self.index.config().memory_budget == 0 {
-            self.memory_bytes = 0;
-            self.saturated = false;
-            return;
-        }
-        self.memory_bytes = self.index.memory_bytes()
-            + self.replay.len() * std::mem::size_of::<GraphUpdate>()
-            + self.checkpoint_buffer.capacity();
-        self.saturated = self.memory_bytes > self.index.config().memory_budget;
-    }
-
-    /// Budget enforcement, run once per directly-applied window (the
-    /// measurement is `O(n)` over the label store — too expensive per
-    /// op). A breach forces one compacting rejuvenation; if the
-    /// footprint still exceeds the budget the engine enters `Saturated`
-    /// and refuses subsequent writes (the breaching write itself has
-    /// already committed). Skipped mid-rebuild: the in-flight
-    /// rejuvenation is already the compaction.
-    fn enforce_memory_budget(&mut self) -> Result<(), CscError> {
-        if self.index.config().memory_budget == 0 {
-            return Ok(());
-        }
-        self.measure_memory();
-        if self.saturated && !self.is_rebuilding() {
-            self.rejuvenate(RebuildReason::Memory)?;
-            self.measure_memory();
-        }
-        Ok(())
     }
 
     /// Runs a write-path operation under `catch_unwind`. A panic
@@ -889,20 +744,11 @@ impl MaintenanceEngine {
         Ok(())
     }
 
-    /// Checks the policy thresholds and starts a rejuvenation if one
-    /// trips (regardless of [`RebuildPolicy::auto`] — the *caller* decides
+    /// Checks the policy's growth and churn thresholds against the live
+    /// [`health`](Self::health) and starts a rejuvenation if one trips
+    /// (regardless of [`RebuildPolicy::auto`] — the *caller* decides
     /// whether measurement implies action). Returns the tripped reason.
-    ///
-    /// The engine's own [`health`](Self::health) always reports a dead
-    /// fraction of `0.0` (the live nested store has no arena), so the
-    /// caller that owns the served snapshot passes its real
-    /// `dead_fraction` here — otherwise the
-    /// [`RebuildPolicy::max_dead_percent`] threshold could never fire
-    /// automatically.
-    pub fn maybe_begin(
-        &mut self,
-        arena_dead_fraction: f64,
-    ) -> Result<Option<RebuildReason>, CscError> {
+    pub fn maybe_begin(&mut self) -> Result<Option<RebuildReason>, CscError> {
         if self.is_rebuilding() {
             return Ok(None);
         }
@@ -915,11 +761,7 @@ impl MaintenanceEngine {
                 return Ok(None);
             }
         }
-        let health = IndexHealth {
-            dead_fraction: arena_dead_fraction,
-            ..self.health()
-        };
-        match health.triggered(self.policy()) {
+        match self.health().triggered(self.policy()) {
             Some(reason) => {
                 self.begin_rejuvenation(reason)?;
                 Ok(Some(reason))
@@ -1402,9 +1244,7 @@ impl MaintenanceEngine {
             fresh.stats = stats;
             fresh.stats.recoveries += 1;
             fresh.full_freeze_pending = true;
-            // Lifetime overload/durability counters survive the swap.
-            fresh.writes_rejected = self.writes_rejected;
-            fresh.writes_shed = self.writes_shed;
+            // The lifetime torn-tail count survives the swap.
             fresh.wal_truncated_total = fresh
                 .wal_truncated_total
                 .saturating_add(self.wal_truncated_total);
@@ -1575,114 +1415,6 @@ mod tests {
     }
 
     #[test]
-    fn reject_policy_refuses_at_the_high_watermark() {
-        let g = gnm(18, 48, 3);
-        let config = CscConfig::default().with_overload_policy(OverloadPolicy::Reject, 3, 1);
-        let mut engine = MaintenanceEngine::new(CscIndex::build(&g, config).unwrap());
-        engine.begin_rejuvenation(RebuildReason::Manual).unwrap();
-        engine.step(1).unwrap();
-        for k in 0..3u32 {
-            assert_eq!(
-                engine.insert_edge(VertexId(k), VertexId(k + 9)).unwrap(),
-                None,
-                "below the watermark: queued"
-            );
-        }
-        let err = engine.insert_edge(VertexId(3), VertexId(12)).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CscError::Overloaded {
-                    queued: 3,
-                    limit: 3
-                }
-            ),
-            "{err}"
-        );
-        let h = engine.health();
-        assert_eq!((h.writes_rejected, h.replay_queued), (1, 3));
-
-        // The rejected op was never queued; draining re-admits writes.
-        while engine.step(usize::MAX).unwrap() != MaintenanceStatus::Serving {}
-        engine.add_vertex().unwrap();
-        assert_eq!(engine.health().writes_rejected, 1, "lifetime counter");
-        verify_index(engine.index()).unwrap();
-    }
-
-    #[test]
-    fn shed_oldest_drops_to_the_low_watermark_and_counts() {
-        let g = gnm(18, 48, 3);
-        let config = CscConfig::default().with_overload_policy(OverloadPolicy::ShedOldest, 4, 2);
-        let mut engine = MaintenanceEngine::new(CscIndex::build(&g, config).unwrap());
-        engine.begin_rejuvenation(RebuildReason::Manual).unwrap();
-        engine.step(1).unwrap();
-        for k in 0..4u32 {
-            engine.insert_edge(VertexId(k), VertexId(k + 9)).unwrap();
-        }
-        // Queue at the high watermark: the next admission sheds the
-        // oldest entries down to the low watermark, then accepts.
-        engine.insert_edge(VertexId(4), VertexId(13)).unwrap();
-        let h = engine.health();
-        assert_eq!(h.writes_shed, 2);
-        assert_eq!(h.replay_queued, 3, "2 low-watermark survivors + the new op");
-        while engine.step(usize::MAX).unwrap() != MaintenanceStatus::Serving {}
-        verify_index(engine.index()).unwrap();
-        assert_matches_fresh(&engine, "after shed-policy drain");
-    }
-
-    #[test]
-    fn block_policy_drives_the_rebuild_inline() {
-        let g = gnm(18, 48, 3);
-        let config = CscConfig::default().with_overload_policy(OverloadPolicy::Block, 3, 1);
-        let mut engine = MaintenanceEngine::new(CscIndex::build(&g, config).unwrap());
-        engine.begin_rejuvenation(RebuildReason::Manual).unwrap();
-        engine.step(1).unwrap();
-        for _ in 0..6 {
-            engine.add_vertex().unwrap();
-            assert!(
-                engine.health().replay_queued <= 3,
-                "blocking keeps the queue at the watermark"
-            );
-        }
-        let h = engine.health();
-        assert_eq!((h.writes_rejected, h.writes_shed), (0, 0), "lossless");
-        while engine.step(usize::MAX).unwrap() != MaintenanceStatus::Serving {}
-        assert_matches_fresh(&engine, "after block-policy drain");
-        verify_index(engine.index()).unwrap();
-    }
-
-    #[test]
-    fn memory_breach_forces_compaction_then_saturates() {
-        let g = gnm(18, 48, 3);
-        let config = CscConfig::default().with_memory_budget(1);
-        let mut engine = MaintenanceEngine::new(CscIndex::build(&g, config).unwrap());
-        // The first applied window measures, breaches the 1-byte budget,
-        // forces one compacting rejuvenation, and — still over — enters
-        // the Saturated state.
-        engine.add_vertex().unwrap();
-        assert_eq!(engine.status(), MaintenanceStatus::Saturated);
-        assert!(engine.is_saturated());
-        assert_eq!(
-            engine.maintenance_stats().last_reason,
-            Some(RebuildReason::Memory)
-        );
-        assert_eq!(engine.maintenance_stats().rejuvenations_completed, 1);
-        let h = engine.health();
-        assert!(h.saturated && h.memory_bytes > 1, "{h}");
-
-        let err = engine.add_vertex().unwrap_err();
-        assert!(matches!(err, CscError::Saturated { .. }), "{err}");
-        // Readers are unaffected — same contract as Degraded.
-        let _ = engine.index().query(VertexId(0));
-
-        // Raising the budget (0 disables) exits the state on the spot.
-        engine.set_memory_budget(0);
-        assert_eq!(engine.status(), MaintenanceStatus::Serving);
-        engine.add_vertex().unwrap();
-        verify_index(engine.index()).unwrap();
-    }
-
-    #[test]
     fn deadline_aborted_step_abandons_replays_and_backs_off() {
         let g = gnm(18, 48, 3);
         let config = CscConfig::default().with_rebuild_policy(
@@ -1712,7 +1444,7 @@ mod tests {
         // The churn policy trips (1 added vertex), but the automatic
         // path waits out the abandon backoff...
         assert_eq!(
-            engine.maybe_begin(0.0).unwrap(),
+            engine.maybe_begin().unwrap(),
             None,
             "backoff gates the retry"
         );
@@ -1732,14 +1464,14 @@ mod tests {
                 .with_auto(true),
         );
         let mut engine = MaintenanceEngine::new(CscIndex::build(&g, config).unwrap());
-        assert_eq!(engine.maybe_begin(0.0).unwrap(), None);
+        assert_eq!(engine.maybe_begin().unwrap(), None);
         engine.add_vertex().unwrap();
-        assert_eq!(engine.maybe_begin(0.0).unwrap(), None, "below threshold");
+        assert_eq!(engine.maybe_begin().unwrap(), None, "below threshold");
         engine.add_vertex().unwrap();
-        assert_eq!(engine.maybe_begin(0.0).unwrap(), Some(RebuildReason::Churn));
+        assert_eq!(engine.maybe_begin().unwrap(), Some(RebuildReason::Churn));
         assert!(engine.is_rebuilding());
         // Idempotent while in flight.
-        assert_eq!(engine.maybe_begin(0.0).unwrap(), None);
+        assert_eq!(engine.maybe_begin().unwrap(), None);
         while engine.step(usize::MAX).unwrap() != MaintenanceStatus::Serving {}
         assert_eq!(engine.health().churned_vertices, 0, "churn re-ranked away");
     }

@@ -24,7 +24,7 @@
 //! | 1   | header   | n `u32`, m `u64` |
 //! | 2   | edges    | (`u32`, `u32`) × m |
 //! | 3   | ranks    | `vertex_at[rank]` `u32` × 2n |
-//! | 4   | config   | ordering, update strategy, retired inverted-index flag, snapshot interval, rebuild policy, durability knobs, parallelism width, resource guards |
+//! | 4   | config   | ordering, update strategy, retired inverted-index flag, snapshot interval, rebuild policy, durability knobs, parallelism width, retired guard slots, I/O retry |
 //! | 5   | baseline | entries ×3 `u64`, vertices `u32`, rejuvenations `u32` |
 //! | 6   | labels   | per original vertex `v`, `L_out(v_o)` then `L_in(v_i)`: len `u32`, entries `u64` × len |
 //!
@@ -79,10 +79,7 @@
 //! migrate, so all are rejected with a version message.)
 
 use crate::build::CoupleBfs;
-use crate::config::{
-    CscConfig, DurabilityConfig, FsyncPolicy, OverloadConfig, OverloadPolicy, ParallelismConfig,
-    UpdateStrategy,
-};
+use crate::config::{CscConfig, DurabilityConfig, FsyncPolicy, ParallelismConfig, UpdateStrategy};
 use crate::crc::crc32;
 use crate::error::CscError;
 use crate::guard::RetryPolicy;
@@ -107,6 +104,11 @@ const TAG_RANKS: u8 = 3;
 const TAG_CONFIG: u8 = 4;
 const TAG_BASELINE: u8 = 5;
 const TAG_LABELS: u8 = 6;
+
+/// The config payload's retired memory budget (`u64`), overload policy
+/// (`u8`) and queue watermarks (two `u32`s), which lead the I/O retry
+/// group.
+const RETIRED_GUARD_BYTES: usize = 17;
 
 /// Encodes the ordering strategy as `(tag, seed, samples)`; the seed slot
 /// is shared by `Random` and `CoverageSampling`, and `samples` rides in
@@ -386,7 +388,9 @@ impl CscIndex {
             b.put_u8(1);
             b.put_u32_le(snapshot_every);
             b.put_u32_le(c.rebuild.max_growth_percent);
-            b.put_u32_le(c.rebuild.max_dead_percent);
+            // The retired dead-space threshold: written as 0, ignored on
+            // load.
+            b.put_u32_le(0);
             b.put_u32_le(c.rebuild.max_churned_vertices);
             b.put_u8(c.rebuild.auto as u8);
             let (ftag, farg) = fsync_tag(c.durability.fsync);
@@ -406,18 +410,12 @@ impl CscIndex {
             // appended after the parallelism knobs so both older payload
             // lengths (39 and 47 bytes) still load with defaults.
             b.put_u32_le(samples);
-            // Resource-guard knobs (memory budget, backpressure, I/O
-            // retry), appended as one 37-byte group after the ordering
-            // argument; payloads of 39/47/51 bytes predate them and load
-            // with defaults.
-            b.put_u64_le(c.memory_budget as u64);
-            b.put_u8(match c.overload.policy {
-                OverloadPolicy::Block => 0,
-                OverloadPolicy::Reject => 1,
-                OverloadPolicy::ShedOldest => 2,
-            });
-            b.put_u32_le(c.overload.high_watermark);
-            b.put_u32_le(c.overload.low_watermark);
+            // One 37-byte group after the ordering argument; payloads of
+            // 39/47/51 bytes predate it and load with defaults. Its first
+            // 17 bytes held the retired memory budget, overload policy and
+            // queue watermarks: written as 0, ignored on load. The I/O
+            // retry schedule follows.
+            b.put_slice(&[0; RETIRED_GUARD_BYTES]);
             b.put_u32_le(retry.max_attempts);
             b.put_u64_le(retry_base);
             b.put_u64_le(retry_cap);
@@ -565,9 +563,10 @@ impl CscIndex {
         };
         p.advance(1); // the retired inverted-index flag
         let snapshot_every = p.get_u32_le() as usize;
+        let max_growth_percent = p.get_u32_le();
+        p.advance(4); // the retired dead-space threshold
         let rebuild = RebuildPolicy {
-            max_growth_percent: p.get_u32_le(),
-            max_dead_percent: p.get_u32_le(),
+            max_growth_percent,
             max_churned_vertices: p.get_u32_le(),
             auto: p.get_u8() != 0,
         };
@@ -598,33 +597,17 @@ impl CscIndex {
         } else {
             0
         };
-        // The resource-guard knobs (memory budget, backpressure, I/O
-        // retry) trail the ordering argument as one 37-byte group;
-        // shorter payloads predate them and mean "defaults".
-        let (memory_budget, overload, io_retry) = if p.remaining() >= 37 {
-            let memory_budget = usize::try_from(p.get_u64_le())
-                .map_err(|_| CscError::Serial("memory_budget exceeds usize".into()))?;
-            let policy = match p.get_u8() {
-                0 => OverloadPolicy::Block,
-                1 => OverloadPolicy::Reject,
-                2 => OverloadPolicy::ShedOldest,
-                other => return Err(CscError::Serial(format!("unknown overload policy {other}"))),
-            };
-            let overload = OverloadConfig {
-                policy,
-                high_watermark: p.get_u32_le(),
-                low_watermark: p.get_u32_le(),
-            };
-            let io_retry = RetryPolicy {
+        // The I/O retry schedule trails the ordering argument, behind the
+        // retired guard slots, as one 37-byte group; shorter payloads
+        // predate it and mean "defaults".
+        if p.remaining() >= RETIRED_GUARD_BYTES + 20 {
+            p.advance(RETIRED_GUARD_BYTES);
+            durability.io_retry = RetryPolicy {
                 max_attempts: p.get_u32_le(),
                 base: Duration::from_micros(p.get_u64_le()),
                 cap: Duration::from_micros(p.get_u64_le()),
             };
-            (memory_budget, overload, io_retry)
-        } else {
-            (0, OverloadConfig::default(), RetryPolicy::DEFAULT_IO)
-        };
-        durability.io_retry = io_retry;
+        }
         let config = CscConfig {
             order: order_from_tag(tag, seed, samples)?,
             update_strategy: strategy,
@@ -632,8 +615,6 @@ impl CscIndex {
             rebuild,
             durability,
             parallelism,
-            overload,
-            memory_budget,
         };
         config.validate()?;
 
@@ -849,28 +830,60 @@ mod tests {
             bytes[8..16].copy_from_slice(&total.to_le_bytes());
             let back = CscIndex::from_bytes(&bytes).unwrap();
             assert_eq!(back.config().parallelism, ParallelismConfig::default());
-            assert_eq!(back.config().overload, OverloadConfig::default());
-            assert_eq!(back.config().memory_budget, 0);
             assert_eq!(back.config().durability.io_retry, RetryPolicy::DEFAULT_IO);
         }
     }
 
     #[test]
     fn resource_guard_knobs_round_trip() {
-        let config = CscConfig::default()
-            .with_memory_budget(64 << 20)
-            .with_overload_policy(OverloadPolicy::Reject, 512, 128)
-            .with_io_retry(RetryPolicy::new(
-                6,
-                Duration::from_micros(750),
-                Duration::from_millis(20),
-            ));
+        let config = CscConfig::default().with_io_retry(RetryPolicy::new(
+            6,
+            Duration::from_micros(750),
+            Duration::from_millis(20),
+        ));
         let idx = CscIndex::build(&figure2(), config).unwrap();
         let back = CscIndex::from_bytes(&idx.to_bytes().unwrap()).unwrap();
         assert_eq!(back.config(), idx.config());
-        assert_eq!(back.config().memory_budget, 64 << 20);
-        assert_eq!(back.config().overload.policy, OverloadPolicy::Reject);
         assert_eq!(back.config().durability.io_retry.max_attempts, 6);
+    }
+
+    #[test]
+    fn checkpoints_holding_the_retired_guard_knobs_still_load() {
+        // Writers before the guards' removal stored a memory budget, an
+        // overload policy with its watermarks, and a dead-space threshold
+        // in the config payload. A checkpoint holding non-default values
+        // there loads as if they were zero, and re-encodes with zeros.
+        let retry = RetryPolicy::new(5, Duration::from_micros(300), Duration::from_millis(9));
+        let g = gnm(40, 160, 3);
+        let idx = CscIndex::build(&g, CscConfig::default().with_io_retry(retry)).unwrap();
+        let bytes = idx.to_bytes().unwrap().to_vec();
+        let mut off = 16;
+        for _ in 0..3 {
+            let len = u64::from_le_bytes(bytes[off + 1..off + 9].try_into().unwrap());
+            off += 13 + len as usize;
+        }
+        assert_eq!(bytes[off], TAG_CONFIG);
+        let len = u64::from_le_bytes(bytes[off + 1..off + 9].try_into().unwrap()) as usize;
+        let payload = off + 13;
+        // Payload offsets: the dead-space threshold at 19, then the memory
+        // budget, the policy byte and the two watermarks at 51..68.
+        let mut old = bytes.clone();
+        old[payload + 19..payload + 23].copy_from_slice(&40u32.to_le_bytes());
+        old[payload + 51..payload + 59].copy_from_slice(&(64u64 << 20).to_le_bytes());
+        old[payload + 59] = 1; // Reject
+        old[payload + 60..payload + 64].copy_from_slice(&512u32.to_le_bytes());
+        old[payload + 64..payload + 68].copy_from_slice(&128u32.to_le_bytes());
+        let crc = crc32(&old[payload..payload + len]);
+        old[off + 9..off + 13].copy_from_slice(&crc.to_le_bytes());
+        assert_ne!(old, bytes);
+
+        let back = CscIndex::from_bytes(&old).unwrap();
+        assert_eq!(back.config(), idx.config());
+        assert_eq!(back.config().durability.io_retry, retry);
+        for v in g.vertices() {
+            assert_eq!(back.query(v), idx.query(v), "SCCnt({v})");
+        }
+        assert_eq!(back.to_bytes().unwrap().to_vec(), bytes, "zeros again");
     }
 
     #[test]

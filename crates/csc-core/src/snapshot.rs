@@ -34,13 +34,14 @@
 //! quarter or more of the live entries (a deletion window that re-labels
 //! most hubs rewrites most lists).
 
+use crate::deadline::UNBOUNDED;
+use crate::guard::Deadline;
 use crate::health::{HealthBaseline, IndexHealth};
 use crate::index::CscIndex;
 use crate::reduction::{is_query_slot, query_lists};
 use csc_graph::bipartite::{in_vertex, out_vertex};
 use csc_graph::VertexId;
 use csc_labeling::{CycleCount, DistCount, FrozenLabels, LabelEntry, LabelSide, LabelStore};
-use rayon::prelude::*;
 
 /// When [`SnapshotIndex::refreeze_from`]'s extended arena would carry more
 /// dead space than this fraction, it compacts via a full couple-ordered
@@ -207,18 +208,18 @@ impl SnapshotIndex {
         self.frozen.dist_count(out_vertex(v), in_vertex(v))
     }
 
-    /// `SCCnt` for a batch of vertices, evaluated in parallel. Output order
-    /// matches input order.
+    /// `SCCnt` for a batch of vertices, evaluated in parallel by
+    /// [`query_batch_deadline`](Self::query_batch_deadline) without a
+    /// deadline. Output order matches input order.
     pub fn query_batch(&self, vertices: &[VertexId]) -> Vec<Option<CycleCount>> {
-        vertices.par_iter().map(|&v| self.query(v)).collect()
+        self.query_batch_deadline(vertices, Deadline::NONE)
+            .expect(UNBOUNDED)
     }
 
-    /// `SCCnt` for every vertex (an analytics sweep), in parallel.
+    /// `SCCnt` for every vertex (an analytics sweep), in parallel by
+    /// [`query_all_deadline`](Self::query_all_deadline) without a deadline.
     pub fn query_all(&self) -> Vec<Option<CycleCount>> {
-        (0..self.original_n as u32)
-            .into_par_iter()
-            .map(|v| self.query(VertexId(v)))
-            .collect()
+        self.query_all_deadline(Deadline::NONE).expect(UNBOUNDED)
     }
 
     /// Number of vertices in the snapshotted (original) graph.
@@ -273,10 +274,6 @@ impl SnapshotIndex {
             rejuvenations: self.baseline.rejuvenations,
             replay_queued: 0,
             rebuilding: false,
-            writes_rejected: 0,
-            writes_shed: 0,
-            memory_bytes: 0,
-            saturated: false,
             durability_degraded: false,
             wal_truncated_bytes: 0,
         }

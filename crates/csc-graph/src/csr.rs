@@ -99,15 +99,6 @@ impl Csr {
             self.nbr_in(v)
         }
     }
-
-    /// Approximate heap footprint in bytes (for experiment reports).
-    pub fn heap_bytes(&self) -> usize {
-        (self.fwd_offsets.len()
-            + self.fwd_targets.len()
-            + self.bwd_offsets.len()
-            + self.bwd_targets.len())
-            * std::mem::size_of::<u32>()
-    }
 }
 
 impl From<&DiGraph> for Csr {
@@ -153,6 +144,5 @@ mod tests {
         assert_eq!(c.vertex_count(), 4);
         assert_eq!(c.edge_count(), 0);
         assert!(c.nbr_out(v(3)).is_empty());
-        assert!(c.heap_bytes() >= 2 * 5 * 4);
     }
 }

@@ -97,11 +97,6 @@ impl DistMap {
     pub fn max_dist(&self) -> u32 {
         self.max_dist
     }
-
-    /// Heap bytes held by this map (distance + stamp arrays).
-    pub fn heap_bytes(&self) -> usize {
-        (self.dist.capacity() + self.stamp.capacity()) * std::mem::size_of::<u32>()
-    }
 }
 
 /// A handle into a [`TraversalWorkspace`]'s map pool, returned by the
@@ -234,15 +229,6 @@ impl TraversalWorkspace {
             }
         }
         SweepHandle(h)
-    }
-
-    /// Approximate heap bytes held by the workspace: every pooled map
-    /// (claimed or free), the shared FIFO, and the bucket queue. Feeds
-    /// the engine-level memory budget accounting.
-    pub fn heap_bytes(&self) -> usize {
-        self.maps.iter().map(DistMap::heap_bytes).sum::<usize>()
-            + self.queue.capacity() * std::mem::size_of::<u32>()
-            + self.buckets.heap_bytes()
     }
 
     /// The map behind a handle.
@@ -489,15 +475,6 @@ impl BucketQueue {
     #[inline]
     pub fn at(&self, level: usize, i: usize) -> u32 {
         self.levels[level][i]
-    }
-
-    /// Heap bytes held across all retained levels.
-    pub fn heap_bytes(&self) -> usize {
-        self.levels
-            .iter()
-            .map(|l| l.capacity() * std::mem::size_of::<u32>())
-            .sum::<usize>()
-            + self.levels.capacity() * std::mem::size_of::<Vec<u32>>()
     }
 }
 

@@ -372,20 +372,6 @@ impl Labels {
         self.total_entries() * std::mem::size_of::<LabelEntry>()
     }
 
-    /// Heap bytes actually held by the nested store: list *capacities*
-    /// plus the per-vertex `Vec` headers. This is the maintenance-layout
-    /// footprint an engine-level memory budget has to account for, as
-    /// opposed to the logical [`entry_bytes`](Self::entry_bytes).
-    pub fn heap_bytes(&self) -> usize {
-        fn lists(side: &[Vec<LabelEntry>]) -> usize {
-            side.iter()
-                .map(|l| l.capacity() * std::mem::size_of::<LabelEntry>())
-                .sum::<usize>()
-                + std::mem::size_of_val(side)
-        }
-        lists(&self.in_labels) + lists(&self.out_labels)
-    }
-
     /// Largest label list length (query cost is proportional to this).
     pub fn max_label_len(&self) -> usize {
         self.in_labels

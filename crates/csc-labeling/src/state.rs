@@ -106,15 +106,6 @@ impl SearchState {
     pub fn touched(&self) -> &[u32] {
         &self.touched
     }
-
-    /// Heap bytes held by the arrays and queue (capacity, not length —
-    /// this is what the memory-budget accounting charges).
-    pub fn heap_bytes(&self) -> usize {
-        self.dist.capacity() * std::mem::size_of::<u32>()
-            + self.count.capacity() * std::mem::size_of::<u64>()
-            + self.queue.capacity() * std::mem::size_of::<u32>()
-            + self.touched.capacity() * std::mem::size_of::<u32>()
-    }
 }
 
 /// What [`HubCache::scan`] found at a dequeued vertex.
@@ -240,12 +231,6 @@ impl HubCache {
             tie,
             own: own.copied(),
         }
-    }
-
-    /// Heap bytes held by the scatter and reset arrays (capacity, not
-    /// length).
-    pub fn heap_bytes(&self) -> usize {
-        (self.dist.capacity() + self.set.capacity()) * std::mem::size_of::<u32>()
     }
 }
 

@@ -51,9 +51,8 @@ pub mod prelude {
     pub use csc_core::{
         BatchReport, ConcurrentIndex, CscConfig, CscError, CscIndex, CycleCount, Deadline,
         FsyncPolicy, GraphUpdate, IndexHealth, MaintenanceEngine, MaintenanceStatus,
-        OverloadConfig, OverloadPolicy, ParallelismConfig, RebuildPolicy, RebuildReason,
-        RecoveryReport, RejuvenationReport, RetryPolicy, SnapshotIndex, SnapshotStats,
-        UpdateReport, UpdateStrategy,
+        ParallelismConfig, RebuildPolicy, RebuildReason, RecoveryReport, RejuvenationReport,
+        RetryPolicy, SnapshotIndex, SnapshotStats, UpdateReport, UpdateStrategy,
     };
     pub use csc_graph::{DiGraph, GraphError, OrderingStrategy, VertexId};
     pub use csc_labeling::{scc_count_bfs, BfsCycleEngine, FrozenLabels, HpSpcIndex, LabelStore};

@@ -154,6 +154,65 @@ fn rejuvenation_migrates_degree_index_to_coverage_order() {
     );
 }
 
+/// A rebuild held in flight while more than two replay chunks of writes
+/// queue behind it. Each `add_vertex` hands out the next id, and later
+/// queued edges wire that id to the old graph and to an added vertex
+/// queued half the queue earlier, so many edges name endpoints that
+/// replay in an earlier chunk; some of those edges are removed again
+/// chunks later. Draining with small step budgets must replay every
+/// acknowledged write onto the vertices it named, and drop none.
+#[test]
+fn a_deep_replay_queue_keeps_every_acknowledged_write() {
+    use csc::index::maintain::REPLAY_CHUNK;
+
+    let g = generators::gnm(40, 120, 5);
+    let n0 = g.vertex_count() as u32;
+    let mut engine = MaintenanceEngine::new(CscIndex::build(&g, CscConfig::default()).unwrap());
+    engine.begin_rejuvenation(RebuildReason::Manual).unwrap();
+    engine.step(1).unwrap();
+
+    let mut want = g.clone();
+    let mut added: Vec<VertexId> = Vec::new();
+    let mut queued = 0usize;
+    let mut k = 0u32;
+    while queued <= 2 * REPLAY_CHUNK + 64 {
+        let nv = engine.add_vertex().unwrap();
+        assert_eq!(nv, want.add_vertex(), "the next id, acknowledged");
+        added.push(nv);
+        let mut edges = vec![(VertexId(k % n0), nv), (nv, VertexId((k * 7 + 3) % n0))];
+        if added.len() > 1 {
+            edges.push((nv, added[added.len() / 2 - 1]));
+        }
+        for (a, b) in edges {
+            assert_eq!(engine.insert_edge(a, b).unwrap(), None, "queued");
+            want.try_add_edge(a, b).unwrap();
+        }
+        queued += 1 + 2 + usize::from(added.len() > 1);
+        if k % 5 == 4 {
+            // Undo the wiring of a vertex queued half the queue earlier.
+            let (a, b) = (VertexId((k / 2) % n0), added[k as usize / 2]);
+            assert_eq!(engine.remove_edge(a, b).unwrap(), None, "queued");
+            want.try_remove_edge(a, b).unwrap();
+            queued += 1;
+        }
+        k += 1;
+    }
+    assert!(engine.is_rebuilding());
+    assert_eq!(engine.health().replay_queued, queued);
+    assert!(queued > 2 * REPLAY_CHUNK);
+    let consecutive: Vec<VertexId> = (n0..n0 + added.len() as u32).map(VertexId).collect();
+    assert_eq!(added, consecutive, "distinct, consecutive ids");
+
+    while engine.step(3).unwrap() != MaintenanceStatus::Serving {}
+    assert_eq!(engine.maintenance_stats().updates_replayed, queued);
+    assert_eq!(
+        engine.index().original_vertex_count(),
+        (n0 as usize) + added.len()
+    );
+    assert_eq!(engine.index().original_graph(), want, "every write landed");
+    assert_equivalent(engine.index(), "deep replay queue");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
