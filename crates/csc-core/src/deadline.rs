@@ -6,24 +6,26 @@
 //! error is [`CscError::DeadlineExceeded`]. Each whole-graph or batch
 //! sweep (`girth`, `top_k_by_cycle_count`, and the snapshot's
 //! `query_batch` and `query_all`) has one implementation, here: its
-//! unbounded twin runs it under [`Deadline::NONE`], whose budget costs
-//! one branch per intersection. The contract is:
+//! unbounded twin runs it under [`Deadline::NONE`], whose every check is
+//! one branch. The contract is:
 //!
 //! * **Admission**: an already-expired [`Deadline`] is refused before any
-//!   work happens.
-//! * **Cooperative checkpoints**: long operations derive an
-//!   [`OpBudget`] from the deadline and consume it at
-//!   the label-intersection granularity (see
-//!   [`LabelStore::dist_count_budgeted`]). A sweep's overshoot past its
-//!   deadline is bounded by one intersection — microseconds.
+//!   work happens. A point query is one label intersection, so after
+//!   admission it runs to the end.
+//! * **A clock check every [`CHECK_EVERY`] vertices**: a sweep calls
+//!   [`Deadline::admit`] again before every 16th vertex, between
+//!   intersections, never inside one. A bounded sweep therefore
+//!   overshoots its deadline by at most 16 intersections per worker, and
+//!   reads the clock once per 16 queries instead of at each.
 //! * **No observable effect on abort**: queries are read-only, so an
-//!   aborted sweep simply returns the error; the index, its workspaces,
-//!   and any snapshot stay fully reusable.
+//!   aborted sweep simply returns the error; the index and any snapshot
+//!   stay fully reusable.
 //!
-//! Parallel snapshot sweeps derive one budget *per rayon worker* from the
-//! shared deadline (`OpBudget` is `Cell`-based and deliberately not
-//! `Sync`), so every worker observes the same cut-off instant without
-//! cross-core contention on the countdown.
+//! A snapshot sweep runs on the pool, and every worker checks the one
+//! shared `Deadline`. The pool runs every item of a parallel iterator,
+//! so an item's error cannot stop the others. The first failed check
+//! raises a flag instead: every later vertex sees it and skips its
+//! intersection, and the sweep returns the error once the pool is done.
 //!
 //! The deadline-bounded **write** paths live next to their unbounded
 //! twins: [`CscIndex::apply_batch_deadline`] (admission + a checkpoint
@@ -39,12 +41,12 @@ use crate::guard::Deadline;
 use crate::index::CscIndex;
 use crate::snapshot::SnapshotIndex;
 use csc_graph::bipartite::{in_vertex, out_vertex};
-use csc_graph::{OpBudget, VertexId};
+use csc_graph::VertexId;
 use csc_labeling::{CycleCount, LabelStore};
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Why an unbounded twin cannot fail: [`Deadline::NONE`] never passes, so
-/// its budget never runs out.
+/// Why an unbounded twin cannot fail: [`Deadline::NONE`] never passes.
 pub(crate) const UNBOUNDED: &str = "a sweep without a deadline never exceeds it";
 
 fn to_cycles(dc: csc_labeling::DistCount) -> CycleCount {
@@ -52,8 +54,23 @@ fn to_cycles(dc: csc_labeling::DistCount) -> CycleCount {
     CycleCount::new(dc.dist.div_ceil(2), dc.count)
 }
 
+/// Vertices a read sweep evaluates per clock check.
+const CHECK_EVERY: usize = 16;
+
+/// The check a read sweep runs before its `i`th vertex: a clock check
+/// ([`Deadline::admit`]) before every [`CHECK_EVERY`]th vertex, nothing
+/// before the others.
+fn check(deadline: Deadline, i: usize) -> Result<(), CscError> {
+    if i.is_multiple_of(CHECK_EVERY) {
+        deadline.admit()
+    } else {
+        Ok(())
+    }
+}
+
 impl CscIndex {
-    /// [`query`](Self::query) under a wall-clock deadline.
+    /// [`query`](Self::query) under a wall-clock deadline, checked at
+    /// admission.
     ///
     /// # Panics
     ///
@@ -65,36 +82,34 @@ impl CscIndex {
         deadline: Deadline,
     ) -> Result<Option<CycleCount>, CscError> {
         deadline.admit()?;
-        self.query_budgeted(v, &deadline.budget())
+        Ok(self.query_adaptive(v))
     }
 
-    fn query_budgeted(
-        &self,
-        v: VertexId,
-        budget: &OpBudget,
-    ) -> Result<Option<CycleCount>, CscError> {
+    /// [`query`](Self::query) on the adaptive kernel of
+    /// [`LabelStore::dist_count`], which the snapshot runs too; `query`
+    /// itself runs the reference merge.
+    fn query_adaptive(&self, v: VertexId) -> Option<CycleCount> {
         assert!(
             v.index() < self.original_vertex_count(),
             "query vertex {v} out of range ({} vertices)",
             self.original_vertex_count()
         );
-        let dc = self
-            .labels
-            .dist_count_budgeted(out_vertex(v), in_vertex(v), budget)?;
-        Ok(dc.map(to_cycles))
+        LabelStore::dist_count(&self.labels, out_vertex(v), in_vertex(v)).map(to_cycles)
     }
 
-    /// Every vertex's `SCCnt` under one shared deadline, in id order.
+    /// Every vertex's `SCCnt` under one deadline, in id order.
     fn sweep_deadline(&self, deadline: Deadline) -> Result<Vec<Option<CycleCount>>, CscError> {
         deadline.admit()?;
-        let budget = deadline.budget();
-        (0..self.original_vertex_count() as u32)
-            .map(|v| self.query_budgeted(VertexId(v), &budget))
+        (0..self.original_vertex_count())
+            .map(|i| {
+                check(deadline, i)?;
+                Ok(self.query_adaptive(VertexId(i as u32)))
+            })
             .collect()
     }
 
     /// [`girth`](Self::girth) under a wall-clock deadline: the `O(n)`
-    /// sweep aborts at the first label intersection past the cut-off.
+    /// sweep aborts at the first clock check past the cut-off.
     pub fn girth_deadline(&self, deadline: Deadline) -> Result<Option<(u32, usize)>, CscError> {
         Ok(girth_fold(self.sweep_deadline(deadline)?.into_iter()))
     }
@@ -116,62 +131,67 @@ impl CscIndex {
 }
 
 impl SnapshotIndex {
-    /// [`query`](Self::query) under a wall-clock deadline. Out-of-range
-    /// vertices still answer `Ok(None)` (stale-but-safe), never panic.
+    /// [`query`](Self::query) under a wall-clock deadline, checked at
+    /// admission. Out-of-range vertices still answer `Ok(None)`
+    /// (stale-but-safe), never panic.
     pub fn query_deadline(
         &self,
         v: VertexId,
         deadline: Deadline,
     ) -> Result<Option<CycleCount>, CscError> {
         deadline.admit()?;
-        self.query_budgeted(v, &deadline.budget())
+        Ok(self.query(v))
     }
 
-    fn query_budgeted(
+    /// The `SCCnt` of `vertex(i)` for every `i` in `0..len`, in order,
+    /// evaluated in parallel under one deadline.
+    fn sweep_deadline(
         &self,
-        v: VertexId,
-        budget: &OpBudget,
-    ) -> Result<Option<CycleCount>, CscError> {
-        if v.index() >= self.original_vertex_count() {
-            return Ok(None);
+        len: usize,
+        vertex: impl Fn(usize) -> VertexId + Sync,
+        deadline: Deadline,
+    ) -> Result<Vec<Option<CycleCount>>, CscError> {
+        deadline.admit()?;
+        // Relaxed: the flag publishes no data, and `into_inner` reads it
+        // after the pool has joined every worker.
+        let passed = AtomicBool::new(false);
+        let answers = (0..len)
+            .into_par_iter()
+            .map(|i| {
+                if passed.load(Ordering::Relaxed) || check(deadline, i).is_err() {
+                    passed.store(true, Ordering::Relaxed);
+                    return None;
+                }
+                self.query(vertex(i))
+            })
+            .collect();
+        if passed.into_inner() {
+            return Err(CscError::DeadlineExceeded);
         }
-        let dc = self
-            .labels()
-            .dist_count_budgeted(out_vertex(v), in_vertex(v), budget)?;
-        Ok(dc.map(to_cycles))
+        Ok(answers)
     }
 
     /// [`query_batch`](Self::query_batch) under a wall-clock deadline,
-    /// evaluated in parallel with one budget per rayon worker.
+    /// evaluated in parallel.
     pub fn query_batch_deadline(
         &self,
         vertices: &[VertexId],
         deadline: Deadline,
     ) -> Result<Vec<Option<CycleCount>>, CscError> {
-        deadline.admit()?;
-        vertices
-            .par_iter()
-            .map_init(
-                || deadline.budget(),
-                |budget, &v| self.query_budgeted(v, budget),
-            )
-            .collect()
+        self.sweep_deadline(vertices.len(), |i| vertices[i], deadline)
     }
 
     /// [`query_all`](Self::query_all) under a wall-clock deadline,
-    /// evaluated in parallel with one budget per rayon worker.
+    /// evaluated in parallel.
     pub fn query_all_deadline(
         &self,
         deadline: Deadline,
     ) -> Result<Vec<Option<CycleCount>>, CscError> {
-        deadline.admit()?;
-        (0..self.original_vertex_count() as u32)
-            .into_par_iter()
-            .map_init(
-                || deadline.budget(),
-                |budget, v| self.query_budgeted(VertexId(v), budget),
-            )
-            .collect()
+        self.sweep_deadline(
+            self.original_vertex_count(),
+            |i| VertexId(i as u32),
+            deadline,
+        )
     }
 
     /// [`girth`](Self::girth) under a wall-clock deadline.
@@ -268,6 +288,35 @@ mod tests {
             snap.top_k_by_cycle_count_deadline(3, 4, expired()),
             Err(CscError::DeadlineExceeded)
         );
+    }
+
+    #[test]
+    fn a_deadline_passing_mid_sweep_aborts_and_leaves_no_trace() {
+        // Each deadline is a twentieth of an unbounded sweep of the same
+        // input, so at any machine speed it passes after admission and
+        // before the sweep ends: a clock check inside the sweep refuses it.
+        let g = gnm(1500, 6000, 9);
+        let idx = CscIndex::build(&g, CscConfig::default()).unwrap();
+        let snap = idx.freeze();
+        let girth = idx.girth();
+        let all = snap.query_all();
+        assert_eq!(snap.girth(), girth);
+
+        let start = std::time::Instant::now();
+        assert_eq!(idx.girth(), girth);
+        let tight = Deadline::within(start.elapsed() / 20);
+        assert_eq!(idx.girth_deadline(tight), Err(CscError::DeadlineExceeded));
+        assert_eq!(idx.girth(), girth, "the index answers as before");
+
+        let start = std::time::Instant::now();
+        assert_eq!(snap.query_all(), all);
+        let tight = Deadline::within(start.elapsed() / 20);
+        assert_eq!(
+            snap.query_all_deadline(tight),
+            Err(CscError::DeadlineExceeded)
+        );
+        assert_eq!(snap.query_all(), all, "the snapshot answers as before");
+        assert_eq!(snap.girth(), girth);
     }
 
     #[test]

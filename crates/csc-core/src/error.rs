@@ -41,11 +41,12 @@ pub enum CscError {
     /// A degenerate configuration rejected by
     /// [`CscConfig::validate`](crate::CscConfig::validate).
     Config(String),
-    /// A deadline-bounded operation hit its wall-clock budget at a
-    /// cooperative cancellation checkpoint and was aborted. The aborted
-    /// operation had **no observable effect**: queries leave their
-    /// workspaces reusable, writes abort only before their commit point
-    /// (see `docs/ARCHITECTURE.md`, "Resource guards").
+    /// A deadline-bounded operation found its deadline passed at one of
+    /// its clock checks and was aborted: at admission, or, in a read
+    /// sweep, at the check before every 16th vertex. The aborted
+    /// operation had **no observable effect**: reads write nothing shared,
+    /// writes abort only before their commit point (see
+    /// `docs/ARCHITECTURE.md`, "Resource guards").
     DeadlineExceeded,
     /// An I/O operation on the durability plane (WAL append/fsync,
     /// checkpoint write/rename/dir-sync) failed and exhausted its
@@ -133,12 +134,6 @@ impl fmt::Display for CscError {
                 write!(f, "i/o error during {op} ({kind:?}): {detail}")
             }
         }
-    }
-}
-
-impl From<csc_graph::BudgetExceeded> for CscError {
-    fn from(_: csc_graph::BudgetExceeded) -> Self {
-        CscError::DeadlineExceeded
     }
 }
 

@@ -1,13 +1,14 @@
 //! Resource guards: wall-clock deadlines and bounded retry with backoff.
 //!
-//! The query and write planes accept an optional [`Deadline`]; each
-//! deadline-aware read derives one [`OpBudget`] per worker from it and
-//! threads the budget down to the cooperative cancellation checkpoints
-//! in the `csc-labeling` intersection kernels. A write checks its
-//! deadline only at admission (`CscIndex::apply_batch_deadline` once
-//! more after planning), never inside a traversal. An exceeded deadline
+//! The query and write planes accept an optional [`Deadline`] and check
+//! it against the clock at admission, then again wherever the operation
+//! may stop. A read sweep checks before every 16th vertex, so it
+//! overshoots its deadline by at most 16 label intersections (see the
+//! `deadline` module); a point query checks only at admission. A write
+//! checks only at admission (`CscIndex::apply_batch_deadline` once more
+//! after planning), never inside a traversal. An exceeded deadline
 //! surfaces as [`CscError::DeadlineExceeded`] and the aborted operation
-//! has no observable effect (queries write nothing shared; writes abort
+//! has no observable effect (reads write nothing shared; writes abort
 //! only before their commit point).
 //!
 //! [`RetryPolicy`] is the durability plane's answer to transient I/O
@@ -16,21 +17,18 @@
 //! loudly instead of poisoning itself.
 
 use crate::error::CscError;
-use csc_graph::OpBudget;
 use std::time::{Duration, Instant};
 
 /// An optional wall-clock deadline for one index operation.
 ///
-/// `Deadline` is `Copy` and cheap to pass by value; it is the *shared*
-/// cut-off, while [`OpBudget`] (derived via [`Deadline::budget`]) is the
-/// per-worker, `Cell`-based countdown that actually meters checkpoints.
-/// Parallel entry points derive one budget per rayon worker from the
-/// same `Deadline`, so every worker observes the same cut-off instant.
+/// `Deadline` is `Copy` and cheap to pass by value: a parallel sweep
+/// shares one value across its workers, and each check reads the clock
+/// against the same cut-off instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Deadline(Option<Instant>);
 
 impl Deadline {
-    /// No deadline: derived budgets are unbounded and never read the clock.
+    /// No deadline: every check is one branch and never reads the clock.
     pub const NONE: Deadline = Deadline(None);
 
     /// A deadline at the given instant.
@@ -49,22 +47,13 @@ impl Deadline {
     }
 
     /// `true` if there is a cut-off and it is already in the past.
-    ///
-    /// Used by admission control: refusing an already-dead operation up
-    /// front is cheaper than letting it fail at its first checkpoint.
     pub fn is_past(&self) -> bool {
         matches!(self.0, Some(t) if Instant::now() >= t)
     }
 
-    /// Derives a fresh per-worker [`OpBudget`] observing this deadline.
-    pub fn budget(&self) -> OpBudget {
-        match self.0 {
-            None => OpBudget::unbounded(),
-            Some(t) => OpBudget::until(t),
-        }
-    }
-
-    /// Admission checkpoint: fail fast if the deadline has already passed.
+    /// The clock check: fail if the deadline has already passed. An
+    /// operation calls it at admission, before any work, and a read
+    /// sweep again before every 16th vertex.
     pub fn admit(&self) -> Result<(), CscError> {
         if self.is_past() {
             Err(CscError::DeadlineExceeded)
@@ -191,10 +180,6 @@ mod tests {
         let d = Deadline::NONE;
         assert!(d.admit().is_ok());
         assert!(!d.is_past());
-        let b = d.budget();
-        for _ in 0..10_000 {
-            b.checkpoint().unwrap();
-        }
     }
 
     #[test]
@@ -202,7 +187,6 @@ mod tests {
         let d = Deadline::at(Instant::now() - Duration::from_millis(1));
         assert!(d.is_past());
         assert_eq!(d.admit(), Err(CscError::DeadlineExceeded));
-        assert!(d.budget().consume(1).is_err());
     }
 
     #[test]

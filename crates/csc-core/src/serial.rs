@@ -553,7 +553,7 @@ impl CscIndex {
         let ranks = RankTable::from_order(&order);
 
         let mut p = take_section(&mut rest, TAG_CONFIG, "config")?;
-        need(p, 39, "config", "knobs")?;
+        need(p, 42, "config", "knobs")?;
         let tag = p.get_u8();
         let seed = p.get_u64_le();
         let strategy = match p.get_u8() {
@@ -580,7 +580,7 @@ impl CscIndex {
             io_retry: RetryPolicy::DEFAULT_IO,
         };
         // The parallelism knobs were appended to the config payload after
-        // its first release; a 39-byte payload predates them and means
+        // its first release; a 42-byte payload predates them and means
         // "defaults" (non-semantic runtime field either way).
         let parallelism = if p.remaining() >= 5 {
             let threads = p.get_u32_le();
@@ -800,8 +800,8 @@ mod tests {
     }
 
     #[test]
-    fn legacy_39_byte_config_payload_defaults_parallelism() {
-        // Pre-parallelism checkpoints carried a 39-byte config payload;
+    fn legacy_42_47_and_51_byte_config_payloads_load_with_defaults() {
+        // Pre-parallelism checkpoints carried a 42-byte config payload;
         // loading one must succeed with default parallelism knobs rather
         // than erroring on the missing trailing bytes.
         let idx = CscIndex::build(&figure2(), CscConfig::default()).unwrap();
@@ -831,6 +831,38 @@ mod tests {
             let back = CscIndex::from_bytes(&bytes).unwrap();
             assert_eq!(back.config().parallelism, ParallelismConfig::default());
             assert_eq!(back.config().durability.io_retry, RetryPolicy::DEFAULT_IO);
+        }
+    }
+
+    #[test]
+    fn config_payloads_cut_inside_the_fixed_knobs_are_corrupt() {
+        // The fixed knobs take 42 bytes. A payload cut inside them, with
+        // its CRC and the total length rewritten to match, must be
+        // refused as corrupt, never read past its end.
+        let idx = CscIndex::build(&figure2(), CscConfig::default()).unwrap();
+        let bytes = idx.to_bytes().unwrap().to_vec();
+        let mut off = 16;
+        for _ in 0..3 {
+            let len = u64::from_le_bytes(bytes[off + 1..off + 9].try_into().unwrap());
+            off += 13 + len as usize;
+        }
+        assert_eq!(bytes[off], TAG_CONFIG);
+        let len = u64::from_le_bytes(bytes[off + 1..off + 9].try_into().unwrap()) as usize;
+        let payload_at = off + 13;
+        for keep in 38..42usize {
+            let mut bytes = bytes.clone();
+            bytes.drain(payload_at + keep..payload_at + len);
+            bytes[off + 1..off + 9].copy_from_slice(&(keep as u64).to_le_bytes());
+            let crc = crc32(&bytes[payload_at..payload_at + keep]);
+            bytes[off + 9..off + 13].copy_from_slice(&crc.to_le_bytes());
+            let total = bytes.len() as u64;
+            bytes[8..16].copy_from_slice(&total.to_le_bytes());
+            match CscIndex::from_bytes(&bytes) {
+                Err(CscError::Corrupt { section, .. }) => {
+                    assert_eq!(section, "config", "{keep}-byte payload")
+                }
+                other => panic!("{keep}-byte payload: {other:?}"),
+            }
         }
     }
 

@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod bipartite;
-pub mod budget;
 pub mod csr;
 pub mod digraph;
 pub mod enumerate;
@@ -42,15 +41,11 @@ pub mod traversal;
 pub mod vertex;
 
 pub use bipartite::BipartiteGraph;
-pub use budget::{BudgetExceeded, OpBudget};
 pub use csr::Csr;
 pub use digraph::DiGraph;
 pub use error::GraphError;
 pub use order::{
     coverage_sampling_order, OrderingStrategy, Rank, RankTable, DEFAULT_SAMPLES_PER_LOG_N,
 };
-pub use traversal::{
-    BucketQueue, DistMap, PooledWorkspace, SweepHandle, SweepMaps, TraversalWorkspace,
-    WorkspacePool, UNREACHED,
-};
+pub use traversal::{BucketQueue, DistMap, SweepHandle, SweepMaps, TraversalWorkspace, UNREACHED};
 pub use vertex::VertexId;

@@ -7,7 +7,7 @@
 //! with **smaller rank = higher importance**.
 
 use crate::digraph::DiGraph;
-use crate::traversal::{BfsTree, TraversalWorkspace, WorkspacePool};
+use crate::traversal::{BfsTree, TraversalWorkspace};
 use crate::vertex::VertexId;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -231,7 +231,7 @@ impl RankTable {
 /// [`Degree`](OrderingStrategy::Degree) rather than toward an arbitrary
 /// id order.
 ///
-/// Tree sampling fans out over up to `width` workers (each with a pooled
+/// Tree sampling fans out over up to `width` workers (each owning one
 /// [`TraversalWorkspace`]); results land in per-sample slots, and the
 /// greedy phase is sequential, so the output depends only on `(g, seed,
 /// samples_per_log_n)` — never on `width` or scheduling.
@@ -275,30 +275,23 @@ fn sample_roots(n: usize, seed: u64, samples_per_log_n: u32) -> Vec<(VertexId, b
     out
 }
 
-/// Builds the sampled BFS trees, fanning out over up to `width` workers.
+/// Builds the sampled BFS trees on `width` workers (at least one, at most
+/// one per sample).
 ///
 /// Workers pull sample indexes from a shared counter and write each tree
 /// into its own slot, so the returned vector is in sample order no matter
-/// how the pool schedules the work; each worker checks a
-/// [`TraversalWorkspace`] out of a [`WorkspacePool`], keeping the sweep
-/// allocation-free beyond the trees themselves.
+/// how the pool schedules the work. Each worker owns one
+/// [`TraversalWorkspace`], so a sweep allocates nothing beyond the trees
+/// and one workspace per worker.
 fn sample_trees(g: &DiGraph, samples: &[(VertexId, bool)], width: usize) -> Vec<BfsTree> {
     let n = g.vertex_count();
     let len = samples.len();
-    if width <= 1 || len <= 1 {
-        let mut ws = TraversalWorkspace::new(n);
-        return samples
-            .iter()
-            .map(|&(root, forward)| ws.bfs_tree(g, root, forward))
-            .collect();
-    }
-    let pool = WorkspacePool::new();
     let slots: Vec<Mutex<Option<BfsTree>>> = (0..len).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     rayon::scope(|s| {
-        for _ in 0..width.min(len) {
+        for _ in 0..width.max(1).min(len) {
             s.spawn(|| {
-                let mut ws = pool.checkout(n);
+                let mut ws = TraversalWorkspace::new(n);
                 loop {
                     let i = next.fetch_add(1, AtomicOrdering::SeqCst);
                     if i >= len {

@@ -360,73 +360,6 @@ impl<'a> SweepMaps<'a> {
     }
 }
 
-/// A checkout pool of per-worker traversal workspaces for parallel
-/// passes.
-///
-/// The coverage-sampled ordering's tree sweep hands every worker its own
-/// [`TraversalWorkspace`]: a worker checks a workspace out, runs its
-/// traversals, and the guard returns it on drop for the next task to
-/// reuse. Because the pooled workspaces are epoch-stamped ([`DistMap`]
-/// reuse is a stamp bump, not a fill), checkout is O(1) and a steady
-/// sweep runs allocation-free regardless of which worker previously used
-/// a given workspace. The pool itself is `Sync`: checkouts only contend
-/// on one short-lived lock around the free list.
-#[derive(Debug, Default)]
-pub struct WorkspacePool {
-    free: std::sync::Mutex<Vec<TraversalWorkspace>>,
-}
-
-impl WorkspacePool {
-    /// Creates an empty pool; workspaces are built on first checkout.
-    pub fn new() -> Self {
-        WorkspacePool {
-            free: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Checks out a traversal workspace sized for `n` vertices, building
-    /// a fresh one when the free list is empty. The guard returns it on
-    /// drop.
-    pub fn checkout(&self, n: usize) -> PooledWorkspace<'_> {
-        let free = self.free.lock().unwrap().pop();
-        let ws = free.unwrap_or_else(|| TraversalWorkspace::new(n));
-        let mut guard = PooledWorkspace {
-            pool: self,
-            ws: Some(ws),
-        };
-        guard.ensure(n);
-        guard
-    }
-}
-
-/// An exclusive loan of one pooled workspace (see [`WorkspacePool`]).
-#[derive(Debug)]
-pub struct PooledWorkspace<'a> {
-    pool: &'a WorkspacePool,
-    ws: Option<TraversalWorkspace>,
-}
-
-impl std::ops::Deref for PooledWorkspace<'_> {
-    type Target = TraversalWorkspace;
-    fn deref(&self) -> &TraversalWorkspace {
-        self.ws.as_ref().expect("workspace present until drop")
-    }
-}
-
-impl std::ops::DerefMut for PooledWorkspace<'_> {
-    fn deref_mut(&mut self) -> &mut TraversalWorkspace {
-        self.ws.as_mut().expect("workspace present until drop")
-    }
-}
-
-impl Drop for PooledWorkspace<'_> {
-    fn drop(&mut self) {
-        if let Some(ws) = self.ws.take() {
-            self.pool.free.lock().unwrap().push(ws);
-        }
-    }
-}
-
 /// A monotone bucket queue for multi-source unit-weight traversals,
 /// recyclable across passes (bucket capacity is retained).
 ///

@@ -51,7 +51,6 @@
 
 use crate::entry::LabelEntry;
 use crate::labels::{label_slot, slot_list, DistCount, LabelSide, Labels};
-use csc_graph::budget::{BudgetExceeded, OpBudget};
 use csc_graph::VertexId;
 use std::sync::Arc;
 
@@ -93,6 +92,10 @@ pub trait LabelStore {
     /// `SPCnt(s, t)`: shortest `s ~> t` distance over any common hub and
     /// the number of such shortest paths (Equations (1)–(2)), evaluated
     /// with the adaptive kernel.
+    ///
+    /// One call is the unit a read runs to completion: the kernel is never
+    /// interrupted, and a time-bounded sweep above this crate checks its
+    /// clock between calls, never inside one.
     fn dist_count(&self, s: VertexId, t: VertexId) -> Option<DistCount> {
         intersect_adaptive(self.out_of(s), self.in_of(t))
     }
@@ -100,26 +103,6 @@ pub trait LabelStore {
     /// The shortest `s ~> t` distance via the index, if any.
     fn dist(&self, s: VertexId, t: VertexId) -> Option<u32> {
         self.dist_count(s, t).map(|dc| dc.dist)
-    }
-
-    /// [`dist_count`](Self::dist_count) behind a cooperative cancellation
-    /// checkpoint, for deadline-bounded sweeps (`girth`, `top_k`, batch
-    /// queries) that evaluate many intersections in one operation.
-    ///
-    /// The checkpoint is *cost-weighted* by the two list lengths and sits
-    /// between kernel invocations: a single intersection is the atomic
-    /// unit (bounded by the longest label list — microseconds), so the
-    /// kernel's inner merge/gallop loops stay branch-free while a sweep's
-    /// overshoot past its deadline stays bounded by one intersection.
-    fn dist_count_budgeted(
-        &self,
-        s: VertexId,
-        t: VertexId,
-        budget: &OpBudget,
-    ) -> Result<Option<DistCount>, BudgetExceeded> {
-        let (out_s, in_t) = (self.out_of(s), self.in_of(t));
-        budget.consume(out_s.len() + in_t.len() + 1)?;
-        Ok(intersect_adaptive(out_s, in_t))
     }
 }
 
@@ -987,35 +970,6 @@ mod tests {
                 assert_eq!(LabelStore::dist(&frozen, s, t), labels.dist(s, t));
             }
         }
-    }
-
-    #[test]
-    fn budgeted_dist_count_matches_and_aborts() {
-        use csc_graph::budget::{BudgetExceeded, OpBudget};
-        use std::time::Duration;
-
-        let labels = sample_labels();
-        let frozen = FrozenLabels::freeze(&labels);
-        let roomy = OpBudget::within(Duration::from_secs(3600));
-        for s in 0..4 {
-            for t in 0..4 {
-                let (s, t) = (v(s), v(t));
-                assert_eq!(
-                    frozen.dist_count_budgeted(s, t, &roomy).unwrap(),
-                    LabelStore::dist_count(&frozen, s, t)
-                );
-                // The nested layout honors the same trait checkpoint.
-                assert_eq!(
-                    labels.dist_count_budgeted(s, t, &roomy).unwrap(),
-                    labels.dist_count(s, t)
-                );
-            }
-        }
-        let expired = OpBudget::within(Duration::ZERO);
-        assert_eq!(
-            frozen.dist_count_budgeted(v(0), v(1), &expired),
-            Err(BudgetExceeded)
-        );
     }
 
     #[test]
