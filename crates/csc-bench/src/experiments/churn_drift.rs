@@ -471,9 +471,10 @@ mod tests {
             rejuvenated.entries,
             scratch.entries
         );
-        // The swap itself publishes a full freeze; tail updates applied
-        // *after* it refreeze incrementally, so some dead space may have
-        // re-accumulated — but always under the publication bound.
+        // The swap publishes the rebuilt arena, packed in one segment;
+        // the tail updates applied *after* it copy lists on top of it, so
+        // some dead space may have re-accumulated — but always under the
+        // publication bound.
         assert!(
             rejuvenated.dead_fraction <= 0.5,
             "{}",

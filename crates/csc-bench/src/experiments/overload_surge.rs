@@ -129,7 +129,7 @@ fn surge_pass(
     per_thread: usize,
 ) -> SurgeStats {
     // Publication is amortized so the surge writer isn't rate-limited by
-    // per-write snapshot refreezes — the point is to flood the replay
+    // per-write snapshot publishes — the point is to flood the replay
     // queue, not the publisher.
     let config = CscConfig::default().with_snapshot_every(256);
     let index = ConcurrentIndex::new(CscIndex::build(base, config).expect("build"));

@@ -2,8 +2,8 @@
 //! top-k screening primitive behind the fraud case study.
 //!
 //! Whole-graph sweeps (`girth`, `top_k_by_cycle_count`) exist on both
-//! [`CscIndex`] (sequential, over the live nested labels) and
-//! [`SnapshotIndex`] (parallel, over the frozen arena). Prefer the
+//! [`CscIndex`] (sequential, over the writer's view of the label arena)
+//! and [`SnapshotIndex`] (parallel, over a published one). Prefer the
 //! snapshot variants for analytics: they see an immutable state, never
 //! block a writer, and fan the per-vertex label intersections out across
 //! cores.

@@ -37,13 +37,14 @@
 //!    from the labels and every later write maintains.
 //! 4. **One snapshot publication** — a
 //!    [`ConcurrentIndex::apply_batch`](crate::ConcurrentIndex::apply_batch)
-//!    caller republishes at most once per batch, and incrementally: only
-//!    the lists the batch dirtied are copied, into one delta segment (see
-//!    [`FrozenLabels::refreeze_spans`](csc_labeling::FrozenLabels::refreeze_spans)).
-//!    A batch that rewrote a quarter or more of the live entries, as a
-//!    deletion window that re-labels most hubs does, publishes a full
-//!    freeze instead, which leaves no dead copy of the old lists behind
-//!    (see [`SnapshotIndex::refreeze_from`](crate::SnapshotIndex::refreeze_from)).
+//!    caller republishes at most once per batch: the batch's writes
+//!    copied each list they changed into the label arena's open segment,
+//!    and the publish seals that segment and shares the arena (see
+//!    [`Labels`](csc_labeling::Labels)). A batch that rewrote a quarter or
+//!    more of the live entries, as a deletion window that re-labels most
+//!    hubs does, compacts the arena first, which leaves no dead copy of
+//!    the old lists behind (see [`SnapshotIndex`](crate::SnapshotIndex)'s
+//!    module docs).
 //!
 //! ## Semantics
 //!

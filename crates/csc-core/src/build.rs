@@ -607,7 +607,7 @@ impl LabelBuildTask {
             return Err(LabelingError::TooManyVertices { got: n, max });
         }
         Ok(LabelBuildTask {
-            labels: Labels::new(n),
+            labels: Labels::reduced(n),
             closures: 0,
             bfs: CoupleBfs::new(n),
             counters: TraversalCounters::default(),
@@ -671,9 +671,11 @@ impl LabelBuildTask {
         Ok(())
     }
 
-    /// Consumes the task, yielding the built labels, the cycle closures
-    /// among them, and the counters.
-    pub(crate) fn finish(self) -> (Labels, usize, TraversalCounters) {
+    /// Consumes the task, yielding the built labels — compacted into one
+    /// couple-ordered segment, which the first snapshot shares — the cycle
+    /// closures among them, and the counters.
+    pub(crate) fn finish(mut self) -> (Labels, usize, TraversalCounters) {
+        self.labels.compact();
         (self.labels, self.closures, self.counters)
     }
 }
@@ -700,6 +702,7 @@ mod tests {
     use csc_graph::fixtures::{figure2, figure2_order, pv};
     use csc_graph::generators::directed_cycle;
     use csc_graph::OrderingStrategy;
+    use csc_labeling::LabelStore;
 
     fn build_for(g: &DiGraph, order: OrderingStrategy) -> (Labels, RankTable) {
         let gb = BipartiteGraph::from_graph(g);

@@ -10,9 +10,9 @@
 //! [`ConcurrentIndex`] instead splits the two roles:
 //!
 //! * **Writers** hold the index lock, apply `insert_edge` / `remove_edge`,
-//!   and periodically *publish* an immutable [`SnapshotIndex`] (an
-//!   incremental refreeze that copies only the label lists the updates
-//!   dirtied, amortized by
+//!   and periodically *publish* an immutable [`SnapshotIndex`] (which
+//!   seals the label arena's open segment and copies the span table,
+//!   amortized by
 //!   [`CscConfig::snapshot_every`](crate::CscConfig::snapshot_every)).
 //! * **Readers** grab the current `Arc<SnapshotIndex>` — the only shared
 //!   state they touch is the publication slot, whose critical section is a
@@ -28,12 +28,11 @@
 //! semantics are required (those take the index read lock like the old
 //! design did).
 //!
-//! Publication is *incremental*: the label store tracks which lists each
-//! update dirtied, and a republish copies exactly those lists into one new
-//! arena segment, sharing every segment of the previously published
-//! snapshot ([`SnapshotIndex::refreeze_from`]) instead of re-gathering or
-//! copying the whole store. A snapshot a reader still holds shares its
-//! memory with the new one. Batches
+//! Publication copies no label list: the label store writes each list it
+//! changes copy-on-write into an open segment, and a republish seals that
+//! segment and shares every segment with the new snapshot
+//! ([`MaintenanceEngine::publish_from`]). A snapshot a reader still holds
+//! shares its memory with the new one and with the store. Batches
 //! ([`apply_batch`](ConcurrentIndex::apply_batch)) publish at most once
 //! per call, no matter how many updates they carry.
 //!
@@ -311,8 +310,8 @@ impl ConcurrentIndex {
     /// Freezes and publishes a snapshot of the current state now,
     /// regardless of the refresh policy.
     pub fn refresh(&self) {
-        // The write lock: publication drains the label store's dirty-slot
-        // tracking (the incremental-refreeze bookkeeping).
+        // The write lock: publication seals the label store's open
+        // segment.
         let mut guard = self.inner.write();
         self.publish(&mut guard);
     }
@@ -423,16 +422,9 @@ impl ConcurrentIndex {
         }
     }
 
-    /// Publishes through the engine's freeze policy: incremental (copy
-    /// only the dirtied label lists into a delta segment on top of the
-    /// served arena's shared segments) in the steady state, a full
-    /// couple-ordered freeze right after a rejuvenation swap. The invariant making incremental publication
-    /// sound — published snapshot == label store at the last drain of the
-    /// dirty set — holds because *every* publication (constructor, auto,
-    /// manual, post-swap) drains here under the write lock. The replaced
-    /// snapshot goes back to the engine
-    /// ([`MaintenanceEngine::retire`]), whose next full freeze refills its
-    /// arena when no reader still holds it.
+    /// Publishes through the engine ([`MaintenanceEngine::publish_from`]):
+    /// seals the label arena's open segment, compacting the arena first
+    /// when its policy says so, under the write lock.
     fn publish(&self, engine: &mut MaintenanceEngine) {
         if engine.is_degraded() {
             // Freezing a poisoned index would publish torn labels; the
@@ -444,7 +436,6 @@ impl ConcurrentIndex {
         *self.snapshot.write() = fresh;
         self.pending.store(0, Ordering::Relaxed);
         self.published.fetch_add(1, Ordering::Relaxed);
-        engine.retire(prev);
     }
 }
 

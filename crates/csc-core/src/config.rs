@@ -193,15 +193,15 @@ pub struct CscConfig {
     /// applied update count — but a batch publishes at most once, at its
     /// end.
     ///
-    /// Publication is incremental: it copies the label lists dirtied since
-    /// the last snapshot into one new arena segment, plus the span table
-    /// (12 bytes per list), and shares every other segment (see
-    /// [`SnapshotIndex::refreeze_from`](crate::SnapshotIndex::refreeze_from)).
+    /// Publication seals the label arena's open segment, where the writes
+    /// since the last snapshot copied each list they changed, and copies
+    /// the span table (12 bytes per stored list); every segment is shared
+    /// (see [`MaintenanceEngine::publish_from`](crate::MaintenanceEngine::publish_from)).
     /// The span-table copy is `O(n)` however little a window changed, and
-    /// every moved list leaves its old copy behind as dead space until a
-    /// compacting full freeze — so the default of `8` amortizes both over
-    /// a burst while bounding snapshot-reader staleness at 7 updates. A
-    /// list dirtied by several updates between publishes is copied once.
+    /// every copied list leaves its old copy behind as dead space until a
+    /// compaction — so the default of `8` amortizes both over a burst
+    /// while bounding snapshot-reader staleness at 7 updates. A list
+    /// written by several updates between publishes is copied once.
     /// Set `1` to republish after every update or batch (readers at most
     /// one batch stale), or `0` to disable automatic republication
     /// entirely and call

@@ -40,19 +40,13 @@ use crate::error::CscError;
 use crate::guard::Deadline;
 use crate::index::CscIndex;
 use crate::snapshot::SnapshotIndex;
-use csc_graph::bipartite::{in_vertex, out_vertex};
 use csc_graph::VertexId;
-use csc_labeling::{CycleCount, LabelStore};
+use csc_labeling::CycleCount;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Why an unbounded twin cannot fail: [`Deadline::NONE`] never passes.
 pub(crate) const UNBOUNDED: &str = "a sweep without a deadline never exceeds it";
-
-fn to_cycles(dc: csc_labeling::DistCount) -> CycleCount {
-    debug_assert_eq!(dc.dist % 2, 1, "V_out ~> V_in distances are odd");
-    CycleCount::new(dc.dist.div_ceil(2), dc.count)
-}
 
 /// Vertices a read sweep evaluates per clock check.
 const CHECK_EVERY: usize = 16;
@@ -82,19 +76,7 @@ impl CscIndex {
         deadline: Deadline,
     ) -> Result<Option<CycleCount>, CscError> {
         deadline.admit()?;
-        Ok(self.query_adaptive(v))
-    }
-
-    /// [`query`](Self::query) on the adaptive kernel of
-    /// [`LabelStore::dist_count`], which the snapshot runs too; `query`
-    /// itself runs the reference merge.
-    fn query_adaptive(&self, v: VertexId) -> Option<CycleCount> {
-        assert!(
-            v.index() < self.original_vertex_count(),
-            "query vertex {v} out of range ({} vertices)",
-            self.original_vertex_count()
-        );
-        LabelStore::dist_count(&self.labels, out_vertex(v), in_vertex(v)).map(to_cycles)
+        Ok(self.query(v))
     }
 
     /// Every vertex's `SCCnt` under one deadline, in id order.
@@ -103,7 +85,7 @@ impl CscIndex {
         (0..self.original_vertex_count())
             .map(|i| {
                 check(deadline, i)?;
-                Ok(self.query_adaptive(VertexId(i as u32)))
+                Ok(self.query(VertexId(i as u32)))
             })
             .collect()
     }

@@ -61,8 +61,8 @@
 //!   pass per demoted hub side for the whole window instead of one per
 //!   hub per edge. It is the only repair path for demoted sides, however
 //!   many a window demotes; the dead copies its rewritten lists leave in
-//!   the served arena are the publisher's to compact (see
-//!   [`SnapshotIndex::refreeze_from`](crate::SnapshotIndex::refreeze_from)).
+//!   the label arena are the publisher's to compact (see
+//!   [`MaintenanceEngine::publish_from`](crate::MaintenanceEngine::publish_from)).
 //!
 //! All distance conditions are evaluated with plain BFS traversals from
 //! the edge endpoints — deliberately not with index lookups: the

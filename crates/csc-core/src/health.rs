@@ -151,9 +151,9 @@ pub struct IndexHealth {
     /// `total_entries * 100 / baseline_entries` (`100` = exactly at
     /// baseline; saturates at `u32::MAX`; `100` when the baseline is 0).
     pub growth_percent: u32,
-    /// Dead fraction of the measured arena, `0.0..=1.0`. Always `0.0` for
-    /// the live (nested-list) store; meaningful for frozen snapshots,
-    /// whose publication compacts past
+    /// Dead fraction of the measured arena, `0.0..=1.0`. Always `0.0` from
+    /// [`CscIndex::health`](crate::CscIndex::health); meaningful for
+    /// published snapshots, whose publication compacts past
     /// [`MAX_DEAD_FRACTION`](crate::snapshot::MAX_DEAD_FRACTION).
     pub dead_fraction: f64,
     /// Vertices appended — all bottom-ranked — since the baseline.

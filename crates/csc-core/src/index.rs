@@ -8,7 +8,7 @@ use crate::invert::InvertedIndex;
 use crate::stats::IndexStats;
 use csc_graph::bipartite::{in_vertex, out_vertex, BipartiteGraph};
 use csc_graph::{Csr, DiGraph, OrderingStrategy, RankTable, TraversalWorkspace, VertexId};
-use csc_labeling::{BuildStats, CycleCount, DistCount, LabelEntry, LabelSide, Labels};
+use csc_labeling::{BuildStats, CycleCount, DistCount, LabelEntry, LabelSide, LabelStore, Labels};
 use std::time::Instant;
 
 /// A dynamic shortest-cycle-counting index (the paper's CSC).
@@ -141,14 +141,15 @@ impl CscIndex {
         Some(CycleCount::new(dc.dist.div_ceil(2), dc.count))
     }
 
-    /// The raw bipartite `(distance, count)` behind [`query`](Self::query).
+    /// The raw bipartite `(distance, count)` behind [`query`](Self::query),
+    /// evaluated by the adaptive kernel as a snapshot evaluates it.
     pub fn query_raw(&self, v: VertexId) -> Option<DistCount> {
         assert!(
             v.index() < self.original_vertex_count(),
             "query vertex {v} out of range ({} vertices)",
             self.original_vertex_count()
         );
-        self.labels.dist_count(out_vertex(v), in_vertex(v))
+        LabelStore::dist_count(&self.labels, out_vertex(v), in_vertex(v))
     }
 
     /// Appends a fresh isolated vertex to the graph and index, ranked at
@@ -269,10 +270,9 @@ impl CscIndex {
 
     /// The current drift report against the baseline.
     ///
-    /// The live store has no frozen arena, so
-    /// [`dead_fraction`](IndexHealth::dead_fraction) is always `0.0` here;
-    /// [`SnapshotIndex::health`](crate::SnapshotIndex::health) reports the
-    /// served arena's real value, and
+    /// [`dead_fraction`](IndexHealth::dead_fraction) is always `0.0`
+    /// here; [`SnapshotIndex::health`](crate::SnapshotIndex::health)
+    /// reports the served arena's real value, and
     /// [`ConcurrentIndex::health`](crate::ConcurrentIndex::health)
     /// combines both with the maintenance-plane state.
     pub fn health(&self) -> IndexHealth {

@@ -3,12 +3,12 @@
 //! Every write — scalar or batched — is an
 //! [`apply_batch`](CscIndex::apply_batch) window, and reaches the index
 //! through the engine's one write routine (admit → log → queue or apply →
-//! checkpoint). [`MaintenanceEngine`] puts that routine, the snapshot
-//! refreeze/compaction policy, and the full rebuild behind one state
-//! machine:
+//! checkpoint). [`MaintenanceEngine`] puts that routine, snapshot
+//! publication with its compaction policy, and the full rebuild behind
+//! one state machine:
 //!
 //! ```text
-//!            writes apply directly, snapshots refreeze incrementally
+//!            writes apply directly, publishes seal the label arena
 //!           ┌───────────┐
 //!           │  Serving  │◄───────────────────────────────┐
 //!           └─────┬─────┘                                │
@@ -43,11 +43,9 @@
 //! * incoming writes are accepted optimistically into a write-ahead
 //!   **replay queue** (their validity is resolved at replay with the
 //!   skip-invalid semantics of [`apply_batch`](CscIndex::apply_batch));
-//! * on completion the queue is replayed onto the new index, the engine
-//!   swaps it in, and the next publication is forced to be a **full
-//!   freeze** — an incremental refreeze against a snapshot of the old
-//!   label store would be unsound, and the state machine is what makes
-//!   that invariant enforceable in one place.
+//! * on completion the queue is replayed onto the new index and the
+//!   engine swaps it in; the next publication shares the new index's
+//!   label arena, which the rebuild compacted into one segment.
 //!
 //! [`ConcurrentIndex`](crate::ConcurrentIndex) is a thin facade over this
 //! engine: it adds the lock layout and the publication slot, nothing else.
@@ -63,11 +61,10 @@ use crate::stats::{IndexStats, UpdateReport};
 use crate::verify::check_integrity;
 use crate::wal::{self, ScannedLog, WriteAheadLog};
 use csc_graph::{Csr, RankTable, VertexId};
-use csc_labeling::{BuildStats, LabelEntry};
+use csc_labeling::BuildStats;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Renders a caught panic payload as a human-readable message (panics
@@ -259,13 +256,6 @@ pub struct MaintenanceEngine {
     /// `AddVertex` ops currently queued — the offset for virtual ids
     /// handed out by [`add_vertex`](Self::add_vertex) mid-rebuild.
     queued_vertices: usize,
-    /// Set at every swap: the next publication must be a full freeze (the
-    /// previous published snapshot addresses the *old* label store).
-    full_freeze_pending: bool,
-    /// The emptied allocation of the last arena segment a replaced
-    /// snapshot gave back ([`retire`](Self::retire)); the next full freeze
-    /// fills it instead of a fresh allocation.
-    arena_buffer: Vec<LabelEntry>,
     /// The encoding of the last checkpoint: every checkpoint encodes into
     /// this allocation, so it writes pages already resident instead of
     /// faulting in a fresh buffer.
@@ -302,8 +292,6 @@ impl MaintenanceEngine {
             rebuild: None,
             replay: VecDeque::new(),
             queued_vertices: 0,
-            full_freeze_pending: false,
-            arena_buffer: Vec::new(),
             checkpoint_buffer: Vec::new(),
             degraded: None,
             durability: None,
@@ -948,7 +936,6 @@ impl MaintenanceEngine {
         // The baseline is the post-rebuild state; replayed updates then
         // count as ordinary drift on top of it.
         self.index = fresh;
-        self.full_freeze_pending = true;
         self.stats.rejuvenations_completed += 1;
         // A completed rebuild resets the abandon-retry backoff.
         self.rebuild_failures = 0;
@@ -979,37 +966,14 @@ impl MaintenanceEngine {
         Ok(window.len())
     }
 
-    /// Produces the next snapshot to publish, routing through the state
-    /// machine's freeze policy: incremental
-    /// ([`SnapshotIndex::refreeze_from`]) against `prev` in the steady
-    /// state, a full couple-ordered freeze right after a rejuvenation swap
-    /// (when `prev` addresses the retired label store) or when no previous
-    /// snapshot exists.
-    pub fn publish_from(&mut self, prev: Option<&SnapshotIndex>) -> SnapshotIndex {
-        let dirty = self.index.labels.take_dirty();
-        match prev {
-            Some(p) if !self.full_freeze_pending => {
-                SnapshotIndex::refreeze_into(p, &self.index, &dirty, &mut self.arena_buffer)
-            }
-            _ => {
-                self.full_freeze_pending = false;
-                SnapshotIndex::freeze_into(&self.index, std::mem::take(&mut self.arena_buffer))
-            }
-        }
-    }
-
-    /// Takes back a snapshot that publication replaced. When nothing else
-    /// holds it, the allocation of the largest segment only it held
-    /// becomes the next full freeze's buffer, so a compaction refills
-    /// pages already resident instead of faulting in a fresh arena and
-    /// unmapping the old one.
-    pub(crate) fn retire(&mut self, old: Arc<SnapshotIndex>) {
-        if let Some(buffer) = Arc::try_unwrap(old)
-            .ok()
-            .and_then(SnapshotIndex::into_buffer)
-        {
-            self.arena_buffer = buffer;
-        }
+    /// Produces the next snapshot to publish: seals the index's label
+    /// arena and shares it, compacting it first when the compaction policy
+    /// says so (see [`SnapshotIndex`]'s module docs). The snapshot is the
+    /// arena's current state whatever `prev`, the snapshot it replaces,
+    /// was; `prev` is not read, so a swap or a recovery needs no special
+    /// first publish.
+    pub fn publish_from(&mut self, _prev: Option<&SnapshotIndex>) -> SnapshotIndex {
+        SnapshotIndex::publish(&mut self.index)
     }
 
     /// Reconstructs an engine from a durability directory: loads the
@@ -1231,10 +1195,10 @@ impl MaintenanceEngine {
     ///   labels are torn), then replays the in-memory queue onto it as one
     ///   window.
     ///
-    /// After either path the next snapshot publication is forced to be a
-    /// full freeze — the label store is brand new. Either way the
-    /// recovered index keeps the retired one's lifetime counters: updates
-    /// applied (so snapshots stay ordered) and rejuvenations completed.
+    /// Either way the next publication shares the brand-new label store,
+    /// and the recovered index keeps the retired one's lifetime counters:
+    /// updates applied (so snapshots stay ordered) and rejuvenations
+    /// completed.
     pub fn recover_in_place(&mut self) -> Result<RecoveryReport, CscError> {
         if let Some(d) = &self.durability {
             let dir = d.dir.clone();
@@ -1243,7 +1207,6 @@ impl MaintenanceEngine {
             fresh.index.inherit_counters(&self.index);
             fresh.stats = stats;
             fresh.stats.recoveries += 1;
-            fresh.full_freeze_pending = true;
             // The lifetime torn-tail count survives the swap.
             fresh.wal_truncated_total = fresh
                 .wal_truncated_total
@@ -1268,7 +1231,6 @@ impl MaintenanceEngine {
         self.rebuild = None;
         self.degraded = None;
         let updates_replayed = self.replay_queued(usize::MAX, "recovery replay")?;
-        self.full_freeze_pending = true;
         self.integrity_check_after("recovery")?;
         self.stats.recoveries += 1;
         Ok(RecoveryReport {
@@ -1309,6 +1271,7 @@ mod tests {
     use csc_graph::generators::{directed_cycle, gnm};
     use csc_graph::traversal::shortest_cycle_oracle;
     use csc_graph::{DiGraph, GraphError};
+    use std::sync::Arc;
 
     fn assert_matches_fresh(engine: &MaintenanceEngine, context: &str) {
         let g = engine.index().original_graph();
@@ -1480,36 +1443,39 @@ mod tests {
     fn publish_from_forces_full_freeze_after_swap() {
         let g = directed_cycle(16);
         let mut engine = MaintenanceEngine::new(CscIndex::build(&g, CscConfig::default()).unwrap());
-        engine.index.labels.take_dirty();
         let first = engine.publish_from(None);
 
-        // Steady state: incremental refreeze tracks updates exactly.
+        // Steady state: each publish shares the arena as it stands.
         engine.insert_edge(VertexId(0), VertexId(9)).unwrap();
         engine.insert_edge(VertexId(9), VertexId(0)).unwrap();
         let second = engine.publish_from(Some(&first));
         assert_eq!(second.total_entries(), engine.index().total_entries());
 
-        // Rejuvenate: the old arena is retired, the next publish must not
-        // patch into it.
+        // Rejuvenate: the rebuilt index brings its own compacted arena,
+        // which the next publish shares whole.
         engine.rejuvenate(RebuildReason::Manual).unwrap();
         let third = engine.publish_from(Some(&second));
         assert_eq!(third.total_entries(), engine.index().total_entries());
-        assert_eq!(third.labels().dead_entries(), 0, "full freeze, not a patch");
+        let arena = third.labels();
+        assert_eq!((arena.segment_count(), arena.dead_entries()), (1, 0));
         for v in 0..16u32 {
             let v = VertexId(v);
             assert_eq!(third.query(v), engine.index().query(v), "SCCnt({v})");
         }
-        // And the publication after that is incremental again.
+        // The publications after that seal onto the new arena, and the
+        // old snapshots keep answering for their own points in time.
         engine.remove_edge(VertexId(0), VertexId(9)).unwrap();
         let fourth = engine.publish_from(Some(&third));
         assert_eq!(fourth.total_entries(), engine.index().total_entries());
+        assert_eq!(first.query(VertexId(0)).unwrap().length, 16);
+        assert_eq!(second.query(VertexId(0)).unwrap().length, 2);
+        assert_eq!(fourth.query(VertexId(0)), engine.index().query(VertexId(0)));
     }
 
     #[test]
     fn compactions_refill_what_retired_snapshots_gave_back() {
         let g = gnm(30, 90, 11);
         let mut engine = MaintenanceEngine::new(CscIndex::build(&g, CscConfig::default()).unwrap());
-        engine.index.labels.take_dirty();
         let mut served = Arc::new(engine.publish_from(None));
         // A reader's snapshot: it shares the first arena, which must never
         // be handed back while the reader holds it.
@@ -1523,11 +1489,13 @@ mod tests {
             } else if a != b {
                 engine.insert_edge(a, b).unwrap();
             }
-            let buffer = engine.arena_buffer.capacity();
+            // A compaction refills the spare when it has room for the lists.
+            let labels = engine.index().labels();
+            let spare = labels.spare_capacity() >= labels.total_entries();
             let fresh = Arc::new(engine.publish_from(Some(&served)));
             if fresh.labels().segment_count() == 1 {
                 compactions += 1;
-                refills += usize::from(buffer > 0 && engine.arena_buffer.capacity() == 0);
+                refills += usize::from(spare);
             }
             for v in 0..30 {
                 let v = VertexId(v);
@@ -1537,7 +1505,7 @@ mod tests {
                     "step {step}: SCCnt({v})"
                 );
             }
-            engine.retire(std::mem::replace(&mut served, fresh));
+            served = fresh;
         }
         assert!(compactions >= 3, "{compactions} compactions");
         assert!(

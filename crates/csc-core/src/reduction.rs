@@ -58,12 +58,6 @@ pub(crate) fn query_lists(n: usize) -> impl Iterator<Item = (VertexId, LabelSide
     })
 }
 
-/// `true` if label slot `slot` (see [`csc_labeling::label_slot`]) holds a
-/// query list: slot `4v` is `L_in(v_i)` and slot `4v + 3` is `L_out(v_o)`.
-pub(crate) fn is_query_slot(slot: u32) -> bool {
-    matches!(slot % 4, 0 | 3)
-}
-
 /// `true` if `v`'s `side` list is one the store holds: `L_in(v_i)` or
 /// `L_out(v_o)`.
 #[inline]
@@ -260,7 +254,6 @@ mod tests {
     use crate::index::CscIndex;
     use csc_graph::generators::gnm;
     use csc_graph::traversal::bfs_distances_dir;
-    use csc_labeling::{label_slot, slot_list};
     use proptest::prelude::*;
 
     fn e(hub: u32, dist: u32, count: u64) -> LabelEntry {
@@ -269,19 +262,39 @@ mod tests {
 
     #[test]
     fn query_slots_are_the_query_lists() {
-        let named: Vec<u32> = query_lists(5)
-            .map(|(v, side)| label_slot(v, side))
-            .collect();
-        let filtered: Vec<u32> = (0..20).filter(|&slot| is_query_slot(slot)).collect();
+        // The query lists are the lists a reduced store holds, one per
+        // bipartite vertex, each couple's `L_out(v_o)` first.
+        let named: Vec<_> = query_lists(5).collect();
         assert_eq!(named.len(), 10);
-        let mut sorted = named.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, filtered);
-        assert_eq!(slot_list(named[0]), (VertexId(1), LabelSide::Out));
-        assert_eq!(slot_list(named[1]), (VertexId(0), LabelSide::In));
-        for slot in 0..20 {
-            let (v, side) = slot_list(slot);
-            assert_eq!(is_stored(v, side), is_query_slot(slot), "slot {slot}");
+        assert_eq!(
+            named[..2],
+            [(VertexId(1), LabelSide::Out), (VertexId(0), LabelSide::In)]
+        );
+        let mut labels = Labels::reduced(10);
+        for x in 0..10 {
+            for side in [LabelSide::In, LabelSide::Out] {
+                let v = VertexId(x);
+                assert_eq!(
+                    named.contains(&(v, side)),
+                    is_stored(v, side),
+                    "{v:?}/{side:?}"
+                );
+                if is_stored(v, side) {
+                    labels.append(v, side, e(x, 0, 1));
+                }
+            }
+        }
+        assert_eq!(labels.total_entries(), 10);
+        for x in 0..10 {
+            let (v, copy) = (
+                VertexId(x),
+                if x % 2 == 0 {
+                    LabelSide::Out
+                } else {
+                    LabelSide::In
+                },
+            );
+            assert!(labels.side_of(v, copy).is_empty(), "{v:?} holds no copy");
         }
     }
 

@@ -354,7 +354,9 @@ impl CscIndex {
         let size = self.encoded_len();
         buf.clear();
         if buf.capacity() < size {
-            buf.reserve(size + size / 8);
+            // A fresh allocation: growing the old one would copy its stale
+            // bytes and double its capacity.
+            *buf = Vec::with_capacity(size + size / 8);
         }
         buf.put_slice(MAGIC);
         buf.put_u64_le(0); // the total length, filled in last
@@ -629,7 +631,9 @@ impl CscIndex {
         };
 
         let mut p = take_section(&mut rest, TAG_LABELS, "labels")?;
-        let mut labels = Labels::new(two_n);
+        let mut labels = Labels::reduced(two_n);
+        // Every list lands in one allocation: at most a slot per 8 bytes.
+        labels.reserve(p.len() / 8);
         let mut closures = 0;
         for v in 0..n as u32 {
             let (vi, vo) = (in_vertex(VertexId(v)), out_vertex(VertexId(v)));
@@ -657,6 +661,9 @@ impl CscIndex {
                 format!("{} bytes left over after the last list", p.len()),
             ));
         }
+        // Each list was installed once, at the end of the open segment:
+        // sealed, it is the one segment the first snapshot shares.
+        labels.seal();
         if !rest.is_empty() {
             return Err(CscError::corrupt(
                 "framing",
@@ -684,10 +691,50 @@ impl CscIndex {
 mod tests {
     use super::*;
     use crate::batch::GraphUpdate;
+    use crate::snapshot::SnapshotIndex;
     use crate::verify::verify_index;
     use csc_graph::fixtures::figure2;
     use csc_graph::generators::{directed_cycle, gnm};
     use csc_graph::DiGraph;
+
+    #[test]
+    fn the_encoding_is_independent_of_the_arena_layout() {
+        let g = gnm(60, 180, 13);
+        let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
+        // Several windows, each sealed without the publish policy, so the
+        // arena stacks one segment per window and never compacts.
+        let mut windows = 0;
+        for (a, b) in (0..60u32).map(|a| (a, (a * 17 + 5) % 60)) {
+            let (a, b) = (VertexId(a), VertexId(b));
+            if a != b && !idx.contains_edge(a, b) && windows < 8 {
+                idx.insert_edge(a, b).unwrap();
+                idx.labels.seal();
+                windows += 1;
+            }
+        }
+        let spread = idx.labels.segment_count();
+        assert!(spread > 5, "{spread} segments");
+        assert!(idx.labels.arena_entries() > idx.labels.total_entries());
+        let bytes = idx.to_bytes().unwrap();
+
+        let mut compacted = idx.clone();
+        compacted.labels.compact();
+        assert_eq!(compacted.labels.segment_count(), 1);
+        assert_eq!(compacted.to_bytes().unwrap(), bytes, "the same bytes");
+
+        // Decoding fills one packed segment, which its snapshot shares.
+        let mut back = CscIndex::from_bytes(&bytes).unwrap();
+        assert_eq!(back.labels.segment_count(), 1);
+        assert_eq!(back.labels.arena_entries(), back.labels.total_entries());
+        let snap = SnapshotIndex::publish(&mut back);
+        assert_eq!(snap.labels().segment_count(), 1);
+        assert_eq!(snap.labels().dead_entries(), 0);
+        let original = SnapshotIndex::publish(&mut idx);
+        for v in g.vertices() {
+            assert_eq!(snap.query(v), original.query(v), "SCCnt({v})");
+            assert_eq!(snap.query(v), idx.query(v), "SCCnt({v})");
+        }
+    }
 
     #[test]
     fn roundtrip_static_index() {

@@ -9,54 +9,52 @@
 //! for the publication machinery).
 //!
 //! Queries evaluate on [`FrozenLabels`]: shared, immutable arena segments
-//! where the two lists a cycle query intersects sit adjacent in memory,
-//! driven by the adaptive (branchless merge / galloping) kernel. The
-//! equivalence of this path with `CscIndex::query` is property-tested in
-//! `csc-labeling/tests/frozen_equivalence.rs`.
+//! where, after a compaction, the two lists a cycle query intersects sit
+//! adjacent in memory, driven by the adaptive (branchless merge /
+//! galloping) kernel. The equivalence of this path with `CscIndex::query`
+//! is property-tested in `csc-labeling/tests/frozen_equivalence.rs`.
 //!
 //! The arena is the paper's reduced index (Section IV-E): it holds exactly
 //! the two lists a cycle query reads, `L_out(v_o)` and `L_in(v_i)` per
-//! original vertex, in couple order, and leaves `L_in(v_o)` and
-//! `L_out(v_i)` — copies of those two, one hop along the couple edge —
-//! empty, as the label store it is frozen from does. It is therefore
-//! about half the four-list index, and so is every copy of it a publish
-//! or compaction makes.
+//! original vertex, and reads `L_in(v_o)` and `L_out(v_i)` — copies of
+//! those two, one hop along the couple edge — as empty, as the label
+//! store does. It is therefore about half the four-list index.
 //!
-//! Snapshots are produced two ways: [`SnapshotIndex::freeze`] walks the
-//! query lists of the label store into one segment, while
-//! [`SnapshotIndex::refreeze_from`] shares every segment of a previous
-//! snapshot and copies only the query lists dirtied since into one new
-//! delta segment — the incremental republication path of
-//! [`ConcurrentIndex`](crate::ConcurrentIndex). It compacts back to a full
-//! couple-ordered freeze once relocation holes exceed
-//! [`MAX_DEAD_FRACTION`] of the arena or the segments reach
-//! [`MAX_SEGMENTS`], and freezes whole when the delta would copy a
-//! quarter or more of the live entries (a deletion window that re-labels
-//! most hubs rewrites most lists).
+//! The arena is the index's own label store
+//! ([`Labels`](csc_labeling::Labels)): a publish
+//! seals the store's open segment and hands the snapshot the segment list
+//! and a copy of the span table, so every list is held once however many
+//! snapshots are out, and a publish costs the span table whatever the
+//! window wrote. The publish compacts the arena into one couple-ordered
+//! segment first once its dead space passes [`MAX_DEAD_FRACTION`], its
+//! sealed segments reach [`MAX_SEGMENTS`], or the window copied a
+//! quarter of the live entries or more (`FREEZE_WHOLE_SHARE`).
+//! [`SnapshotIndex::freeze`] copies the query lists of an index it cannot
+//! change into a snapshot of their own.
 
 use crate::deadline::UNBOUNDED;
 use crate::guard::Deadline;
 use crate::health::{HealthBaseline, IndexHealth};
 use crate::index::CscIndex;
-use crate::reduction::{is_query_slot, query_lists};
 use csc_graph::bipartite::{in_vertex, out_vertex};
 use csc_graph::VertexId;
-use csc_labeling::{CycleCount, DistCount, FrozenLabels, LabelEntry, LabelSide, LabelStore};
+use csc_labeling::{CycleCount, DistCount, FrozenLabels, LabelSide, LabelStore};
 
-/// When [`SnapshotIndex::refreeze_from`]'s extended arena would carry more
-/// dead space than this fraction, it compacts via a full couple-ordered
-/// freeze instead — bounding both memory overhead and layout decay.
-pub const MAX_DEAD_FRACTION: f64 = 0.5;
+/// A publish whose arena would carry more dead and spare slots than this
+/// fraction compacts it first — bounding both memory overhead and layout
+/// decay. The arena is the only copy of the labels, so this bounds the
+/// index's memory at a third above its live entries.
+pub const MAX_DEAD_FRACTION: f64 = 0.25;
 
-/// The most segments [`SnapshotIndex::refreeze_from`] stacks before it
-/// compacts via a full couple-ordered freeze — bounding the segment table,
-/// and the reference counts every publish clones, through long runs of
-/// small publishes that never reach [`MAX_DEAD_FRACTION`].
+/// The most sealed segments a publish stacks before it compacts the arena
+/// — bounding the segment table, and the reference counts every publish
+/// clones, through long runs of small publishes that never reach
+/// [`MAX_DEAD_FRACTION`].
 pub const MAX_SEGMENTS: usize = 128;
 
-/// A publish whose delta would copy at least this share of the live
-/// query-list entries freezes whole instead: the full freeze copies at
-/// most four times what the delta would, and leaves no dead space.
+/// A publish whose window copied at least this share of the live entries
+/// into the arena's open segment compacts it first: the compaction copies
+/// at most four times what the window did, and leaves no dead space.
 const FREEZE_WHOLE_SHARE: f64 = 0.25;
 
 /// An immutable snapshot of a [`CscIndex`]'s query state.
@@ -95,82 +93,39 @@ pub struct SnapshotIndex {
 }
 
 impl SnapshotIndex {
-    /// Freezes the current state of `index`. `O(query-list entries)`.
-    ///
-    /// The arena holds the query lists only, laid out in couple-query
-    /// order — `Lout(v_o)` directly followed by `Lin(v_i)` for every
-    /// original vertex `v` — so each `SCCnt(v)` intersection reads one
-    /// contiguous, prefetcher-friendly region.
+    /// A snapshot of the current state of `index` that copies its query
+    /// lists into one couple-ordered segment (see
+    /// [`FrozenLabels::freeze`]), leaving the index as it is.
+    /// `O(query-list entries)`; the publish path,
+    /// [`MaintenanceEngine::publish_from`](crate::MaintenanceEngine::publish_from),
+    /// shares the index's arena instead.
     pub fn freeze(index: &CscIndex) -> Self {
-        Self::freeze_into(index, Vec::new())
+        Self::from_arena(FrozenLabels::freeze(index.labels()), index)
     }
 
-    /// [`freeze`](Self::freeze) into the allocation of `buffer` (see
-    /// [`FrozenLabels::freeze_ordered_into`]).
-    pub(crate) fn freeze_into(index: &CscIndex, buffer: Vec<LabelEntry>) -> Self {
-        let lists = query_lists(index.original_vertex_count());
-        Self::from_arena(
-            FrozenLabels::freeze_ordered_into(index.labels(), lists, buffer),
-            index,
-        )
-    }
-
-    /// Freezes the current state of `index` *incrementally*: only the
-    /// query lists among `dirty_slots` (the drain of
-    /// [`Labels::take_dirty`](csc_labeling::Labels::take_dirty) since
-    /// `prev` was frozen) are re-gathered, into one new arena segment;
-    /// every segment of `prev` is shared, not copied. `O(span table +
-    /// changed entries)`, independent of the arena size, where
-    /// [`freeze`](Self::freeze) re-walks all `2n` heap-scattered query
-    /// lists.
-    ///
-    /// Falls back to a full couple-ordered freeze when relocation holes
-    /// would exceed [`MAX_DEAD_FRACTION`] of the arena or `prev` already
-    /// holds [`MAX_SEGMENTS`] segments, so chains of incremental snapshots
-    /// stay bounded in size, segment count, and layout quality. A publish
-    /// whose delta would copy a quarter or more of the live entries
-    /// freezes whole too: the full freeze costs at most four times the
-    /// delta, and the delta would leave that much dead space behind.
-    ///
-    /// Correctness requires `prev` to match the label store as of the
-    /// drain point — [`ConcurrentIndex`](crate::ConcurrentIndex) maintains
-    /// exactly that invariant between publications.
-    pub fn refreeze_from(prev: &SnapshotIndex, index: &CscIndex, dirty_slots: &[u32]) -> Self {
-        Self::refreeze_into(prev, index, dirty_slots, &mut Vec::new())
-    }
-
-    /// [`refreeze_from`](Self::refreeze_from), whose compacting full
-    /// freeze, if it takes one, fills the allocation of `buffer` (see
-    /// [`FrozenLabels::freeze_ordered_into`], which replaces one too small)
-    /// and leaves `buffer` empty.
-    pub(crate) fn refreeze_into(
-        prev: &SnapshotIndex,
-        index: &CscIndex,
-        dirty_slots: &[u32],
-        buffer: &mut Vec<LabelEntry>,
-    ) -> Self {
-        let dirty: Vec<u32> = dirty_slots
-            .iter()
-            .copied()
-            .filter(|&slot| is_query_slot(slot))
-            .collect();
-        // Project the delta in O(dirty) first: when this publish would
-        // cross a compaction threshold, go straight to the full freeze
-        // instead of building a delta only to discard it.
-        let (delta, dead, total) = prev.frozen.projected_refreeze(index.labels(), &dirty);
-        if prev.frozen.segment_count() >= MAX_SEGMENTS
-            || delta as f64 >= FREEZE_WHOLE_SHARE * (total - dead) as f64
-            || dead as f64 > MAX_DEAD_FRACTION * total as f64
+    /// Publishes the current state of `index`: seals its label arena's
+    /// open segment and shares every segment with the snapshot, which
+    /// costs a copy of the span table whatever the writes since the last
+    /// publish copied. The arena is first compacted into one
+    /// couple-ordered segment (see
+    /// [`Labels::compact`](csc_labeling::Labels::compact)) when its
+    /// dead and spare slots would pass [`MAX_DEAD_FRACTION`] of it, when it
+    /// already holds [`MAX_SEGMENTS`] sealed segments, or when the writes
+    /// since the last publish copied [`FREEZE_WHOLE_SHARE`] of the live
+    /// entries or more (a deletion window that re-labels most hubs
+    /// rewrites most lists, and the compaction then copies at most four
+    /// times what they did).
+    pub(crate) fn publish(index: &mut CscIndex) -> Self {
+        let labels = &mut index.labels;
+        let (slots, live) = (labels.arena_entries() as f64, labels.total_entries() as f64);
+        if labels.segment_count() >= MAX_SEGMENTS
+            || labels.tail_entries() as f64 >= FREEZE_WHOLE_SHARE * live
+            || slots - live > MAX_DEAD_FRACTION * slots
         {
-            return Self::freeze_into(index, std::mem::take(buffer));
+            labels.compact();
         }
-        Self::from_arena(prev.frozen.refreeze_spans(index.labels(), &dirty), index)
-    }
-
-    /// Takes back the allocation of the largest arena segment no other
-    /// snapshot shares (see [`FrozenLabels::into_buffer`]).
-    pub(crate) fn into_buffer(self) -> Option<Vec<LabelEntry>> {
-        self.frozen.into_buffer()
+        let frozen = labels.publish();
+        Self::from_arena(frozen, index)
     }
 
     fn from_arena(frozen: FrozenLabels, index: &CscIndex) -> Self {
@@ -292,9 +247,11 @@ impl CscIndex {
 mod tests {
     use super::*;
     use crate::config::CscConfig;
+    use crate::reduction::{is_stored, query_lists};
     use csc_graph::fixtures::figure2;
     use csc_graph::generators::{directed_cycle, gnm};
     use csc_graph::traversal::shortest_cycle_oracle;
+    use csc_labeling::LabelEntry;
 
     #[test]
     fn snapshot_matches_live_index_everywhere() {
@@ -352,18 +309,17 @@ mod tests {
         }
     }
 
-    /// The arena holds exactly the query lists of `idx`, and nothing in
-    /// the slots of the couple copies.
+    /// The arena holds exactly the query lists of `idx`, and reads the
+    /// couple copies as empty.
     fn assert_holds_only_the_query_lists(snap: &SnapshotIndex, idx: &CscIndex) {
         let arena = snap.labels();
-        for slot in 0..2 * idx.labels.vertex_count() as u32 {
-            let (v, side) = csc_labeling::slot_list(slot);
-            let want = if is_query_slot(slot) {
-                idx.labels.side_of(v, side)
-            } else {
-                &[]
-            };
-            assert_eq!(arena.side_of(v, side), want, "{v:?}/{side:?}");
+        for x in 0..idx.labels.vertex_count() as u32 {
+            for side in [LabelSide::In, LabelSide::Out] {
+                let x = VertexId(x);
+                let want = idx.labels.side_of(x, side);
+                assert_eq!(arena.side_of(x, side), want, "{x:?}/{side:?}");
+                assert!(is_stored(x, side) || want.is_empty(), "{x:?}/{side:?}");
+            }
         }
     }
 
@@ -391,14 +347,19 @@ mod tests {
         }
     }
 
+    fn publish(idx: &mut CscIndex) -> SnapshotIndex {
+        SnapshotIndex::publish(idx)
+    }
+
     #[test]
     fn refreeze_tracks_updates_like_a_full_freeze() {
         let g = gnm(30, 100, 7);
         let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
-        idx.labels.take_dirty(); // snapshot baseline
-        let mut snap = idx.freeze();
+        let snap = publish(&mut idx);
+        assert_eq!(snap.labels().segment_count(), 1, "the build's arena");
 
         let edges = g.edge_vec();
+        let mut held = vec![(snap, idx.freeze())];
         for (k, &(a, b)) in edges.iter().enumerate().take(12) {
             if k % 2 == 0 {
                 idx.remove_edge(VertexId(a), VertexId(b)).unwrap();
@@ -406,9 +367,7 @@ mod tests {
                 let nv = idx.add_vertex();
                 idx.insert_edge(VertexId(a), nv).unwrap();
             }
-            let dirty = idx.labels.take_dirty();
-            snap = SnapshotIndex::refreeze_from(&snap, &idx, &dirty);
-            let full = idx.freeze();
+            let (snap, full) = (publish(&mut idx), idx.freeze());
             assert_eq!(snap.original_vertex_count(), full.original_vertex_count());
             assert_eq!(snap.total_entries(), full.total_entries());
             assert_eq!(snap.updates_applied(), full.updates_applied());
@@ -417,6 +376,14 @@ mod tests {
                 let x = VertexId(x);
                 assert_eq!(snap.query(x), full.query(x), "step {k}: SCCnt({x})");
             }
+            held.push((snap, full));
+        }
+        // Every earlier snapshot still answers for its own publish point.
+        for (k, (old, then)) in held.iter().enumerate() {
+            for x in 0..old.original_vertex_count() as u32 {
+                let x = VertexId(x);
+                assert_eq!(old.query(x), then.query(x), "snapshot {k}: SCCnt({x})");
+            }
         }
     }
 
@@ -424,11 +391,9 @@ mod tests {
     fn refreeze_compacts_once_dead_space_dominates() {
         let g = gnm(30, 90, 5);
         let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
-        idx.labels.take_dirty();
-        let mut snap = idx.freeze();
-        // Thrash one edge so list lengths keep changing: every publication
-        // relocates the grown/shrunk lists, piling up dead space until the
-        // compaction threshold forces a clean full freeze.
+        // Thrash one edge so list lengths keep changing: every publish
+        // seals the copies the window made, piling up dead space until
+        // the compaction threshold forces a clean repack.
         let (a, b) = g.edge_vec()[10];
         let (mut saw_dead, mut saw_compaction) = (false, false);
         let mut prev_dead = 0usize;
@@ -441,14 +406,13 @@ mod tests {
             } else {
                 idx.insert_edge(VertexId(a), VertexId(b)).unwrap();
             }
-            let dirty = idx.labels.take_dirty();
-            snap = SnapshotIndex::refreeze_from(&snap, &idx, &dirty);
+            let snap = publish(&mut idx);
             let dead = snap.labels().dead_entries();
             saw_dead |= dead > 0;
             saw_compaction |= prev_dead > 0 && dead == 0;
             prev_dead = dead;
             assert!(
-                snap.labels().dead_fraction() <= crate::snapshot::MAX_DEAD_FRACTION,
+                snap.labels().dead_fraction() <= MAX_DEAD_FRACTION,
                 "compaction must bound dead space"
             );
         }
@@ -456,30 +420,24 @@ mod tests {
         assert!(saw_compaction, "dead space must eventually be compacted");
     }
 
-    /// Re-stores the first entry of each of `lists`, which dirties just
-    /// those lists, and publishes on top of `prev`.
-    fn republish(
-        idx: &mut CscIndex,
-        prev: &SnapshotIndex,
-        lists: &[(VertexId, LabelSide)],
-    ) -> SnapshotIndex {
+    /// Re-stores each of `lists` with its first entry's count one higher,
+    /// which copies just those lists into the open segment, and publishes.
+    fn republish(idx: &mut CscIndex, lists: &[(VertexId, LabelSide)]) -> SnapshotIndex {
         for &(v, side) in lists {
-            let entry = idx.labels.side_of(v, side)[0];
-            idx.labels.upsert(v, side, entry);
+            let e = idx.labels.side_of(v, side)[0];
+            let bumped = LabelEntry::new(e.hub_rank(), e.dist(), e.count() + 1).unwrap();
+            idx.labels.upsert(v, side, bumped);
         }
-        let dirty = idx.labels.take_dirty();
-        assert_eq!(dirty.len(), lists.len());
-        SnapshotIndex::refreeze_from(prev, idx, &dirty)
+        assert_eq!(idx.labels.dirty_len(), lists.len());
+        publish(idx)
     }
 
     #[test]
     fn a_publish_that_rewrites_a_quarter_of_the_index_freezes_whole() {
         let g = gnm(30, 100, 2);
         let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
-        idx.labels.take_dirty();
-        let base = idx.freeze();
-        let live = base.labels().total_entries();
-        // Longest first, `under` takes each list that keeps the delta
+        let live = publish(&mut idx).labels().total_entries();
+        // Longest first, `under` takes each list that keeps the copies
         // below a quarter of the live entries, so adding any list it
         // skipped reaches the quarter.
         let len = |&(v, side): &(VertexId, LabelSide)| idx.labels.side_of(v, side).len();
@@ -499,19 +457,22 @@ mod tests {
         let last = *skipped.last().expect("the lists add up to `live`");
         assert!(4 * copied < live && 4 * (copied + len(&last)) >= live);
 
-        let delta = republish(&mut idx, &base, &under);
-        let arena = delta.labels();
+        let mut twin = idx.clone();
+        let sealed = republish(&mut idx, &under);
+        let arena = sealed.labels();
         assert_eq!((arena.segment_count(), arena.dead_entries()), (2, copied));
 
         under.push(last);
-        let whole = republish(&mut idx, &base, &under);
+        let whole = republish(&mut twin, &under);
         let arena = whole.labels();
         assert_eq!((arena.segment_count(), arena.dead_entries()), (1, 0));
-        let full = idx.freeze();
-        assert_eq!(arena.total_entries(), full.labels().total_entries());
+        assert_eq!(
+            arena.total_entries(),
+            twin.freeze().labels().total_entries()
+        );
         for x in g.vertices() {
-            assert_eq!(delta.query(x), full.query(x), "delta: SCCnt({x})");
-            assert_eq!(whole.query(x), full.query(x), "whole: SCCnt({x})");
+            assert_eq!(sealed.query(x), idx.freeze().query(x), "sealed: SCCnt({x})");
+            assert_eq!(whole.query(x), twin.freeze().query(x), "whole: SCCnt({x})");
         }
     }
 
@@ -519,25 +480,18 @@ mod tests {
     fn single_slot_publishes_compact_at_the_segment_bound() {
         let g = gnm(60, 240, 4);
         let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
-        idx.labels.take_dirty();
-        let mut snap = idx.freeze();
-        // Re-storing an entry of the shortest non-empty query list dirties
-        // just that slot: every publish stacks a one-list delta, and dead
+        let mut snap = publish(&mut idx);
+        // Re-storing an entry of the shortest non-empty query list copies
+        // just that list: every publish seals a one-list segment, and dead
         // space stays far below MAX_DEAD_FRACTION.
-        let (v, side) = (0..2 * idx.labels.vertex_count() as u32)
-            .filter(|&slot| is_query_slot(slot))
-            .map(csc_labeling::labels::slot_list)
+        let list = query_lists(idx.original_vertex_count())
             .filter(|&(v, side)| !idx.labels.side_of(v, side).is_empty())
             .min_by_key(|&(v, side)| idx.labels.side_of(v, side).len())
             .unwrap();
-        let entry = idx.labels.side_of(v, side)[0];
         let mut compactions = 0;
         for step in 0..2 * MAX_SEGMENTS {
-            idx.labels.upsert(v, side, entry);
-            let dirty = idx.labels.take_dirty();
-            assert_eq!(dirty.len(), 1);
             let before = snap.labels().segment_count();
-            snap = SnapshotIndex::refreeze_from(&snap, &idx, &dirty);
+            snap = republish(&mut idx, &[list]);
             let arena = snap.labels();
             if before == MAX_SEGMENTS {
                 assert_eq!(arena.segment_count(), 1, "step {step}: compacts");

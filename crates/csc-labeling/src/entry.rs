@@ -122,7 +122,7 @@ impl LabelEntry {
 
     /// Reconstructs an entry from a raw packed word (for deserialization).
     #[inline]
-    pub fn from_raw(raw: u64) -> Self {
+    pub const fn from_raw(raw: u64) -> Self {
         LabelEntry(raw)
     }
 

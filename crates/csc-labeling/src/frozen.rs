@@ -1,36 +1,21 @@
-//! Read-optimized frozen label storage and the adaptive intersection
-//! kernel.
+//! The published label arena and the adaptive intersection kernel.
 //!
-//! [`Labels`] is built for maintenance: per-vertex `Vec`s that grow,
-//! shrink, and splice cheaply. That layout is hostile to the read path —
-//! every query chases two `Vec` headers to separately allocated blocks,
-//! and entries of the vertices a cycle query touches together (`v_o`'s
-//! out-list and `v_i`'s in-list) land far apart on the heap.
+//! A [`FrozenLabels`] is what [`Labels::publish`] hands out: the list of
+//! sealed, reference-counted segments of the store's arena and a copy of
+//! its span table, one span per stored list. A segment is never written
+//! after it is sealed (the store copies a list out of it before changing
+//! it), so the snapshot reads exactly the lists of its publish point while
+//! the store moves on, and successive snapshots share every segment they
+//! have in common: a publish costs a copy of the span table. A compaction
+//! ([`Labels::compact`]) packs the live lists into one segment in the
+//! layout's order — for the CSC index each couple's `L_out(v_o)` then
+//! `L_in(v_i)`, so an `SCCnt(v)` evaluation reads one contiguous run — and
+//! [`freeze`](FrozenLabels::freeze) packs a copy the same way without
+//! touching the store.
 //!
-//! [`FrozenLabels`] is the serving-side counterpart: a full freeze packs
-//! the lists it is given, in the order given, into one contiguous
-//! CSR-style segment of [`LabelEntry`]s with one span per list, in one
-//! pass over a `Labels`; a list it is not given stays empty in the arena.
-//! [`freeze`](FrozenLabels::freeze) gives it every list. The cycle query
-//! engine in `csc-core` gives it only the two lists a `SCCnt(v)` query
-//! intersects, `v_o`'s out-list then `v_i`'s in-list (`v_i = 2v`,
-//! `v_o = 2v + 1` under the bipartite id scheme), so those two slices sit
-//! back to back and the arena is about half the store. Once frozen, an
-//! arena can also be *extended* instead of rebuilt:
-//! [`refreeze_spans`](FrozenLabels::refreeze_spans) copies the lists a
-//! batch of updates dirtied into one new delta segment and shares every
-//! existing segment, immutable and reference-counted, with the arena it
-//! came from. A snapshot republication therefore costs the span table
-//! plus the dirtied lists — proportional to the update, not the index —
-//! and snapshots that readers still hold share memory with the new one.
-//! A retired arena can hand its largest unshared segment back
-//! ([`into_buffer`](FrozenLabels::into_buffer)) for the next full freeze
-//! to refill ([`freeze_ordered_into`](FrozenLabels::freeze_ordered_into)),
-//! so a compaction rewrites pages that are already resident.
-//!
-//! Both layouts answer queries through the [`LabelStore`] trait, whose
-//! default `dist_count` uses [`intersect_adaptive`]. The kernel picks a
-//! strategy by list shape:
+//! Both the store and the snapshot answer queries through the
+//! [`LabelStore`] trait, whose default `dist_count` uses
+//! [`intersect_adaptive`]. The kernel picks a strategy by list shape:
 //!
 //! * **galloping** (exponential probe + binary search) when one list is at
 //!   least [`GALLOP_SKEW`] times longer than the other — `O(short · log
@@ -50,7 +35,7 @@
 //! `tests/frozen_equivalence.rs`.
 
 use crate::entry::LabelEntry;
-use crate::labels::{label_slot, slot_list, DistCount, LabelSide, Labels};
+use crate::labels::{DistCount, LabelSide, Labels, ListLayout, Span};
 use csc_graph::VertexId;
 use std::sync::Arc;
 
@@ -62,12 +47,12 @@ pub const GALLOP_SKEW: usize = 8;
 /// worth its fixed costs; below this the single-chain merge runs.
 pub const DUAL_CHAIN_MIN: usize = 32;
 
-/// Common read interface over label storage layouts.
+/// Common read interface over the label store and its snapshots.
 ///
-/// [`Labels`] (mutable, nested) and [`FrozenLabels`] (immutable, flat)
-/// implement this identically; anything that only reads labels — query
-/// evaluation, snapshots, analytics sweeps — should take a `LabelStore`
-/// instead of a concrete layout.
+/// [`Labels`] (the writer's arena) and [`FrozenLabels`] (a published,
+/// immutable view of it) implement this identically; anything that only
+/// reads labels — query evaluation, snapshots, analytics sweeps — should
+/// take a `LabelStore` instead of a concrete type.
 pub trait LabelStore {
     /// Number of vertices covered.
     fn vertex_count(&self) -> usize;
@@ -128,284 +113,37 @@ impl LabelStore for Labels {
     }
 }
 
-/// An immutable label arena frozen from a [`Labels`]: a short list of
-/// shared, reference-counted segments of [`LabelEntry`]s plus one span
-/// per list.
-///
-/// Per slot (vertex × side) a span addresses the list's slice inside one
-/// segment. Segment 0 holds a full freeze, its lists packed back to back:
-/// [`freeze`] packs every list, each vertex's in-list then out-list;
-/// [`freeze_ordered`] packs only the lists the caller names, in its order,
-/// so the lists a query co-accesses sit back to back and the lists no
-/// query reads take no space (the cycle query engine in `csc-core` packs
-/// `Lout(v_o)` then `Lin(v_i)` per vertex, turning every `SCCnt`
-/// evaluation into one forward streaming read). Each [`refreeze_spans`]
-/// adds one delta segment holding the lists it re-gathered. A segment is
-/// never written after it is built, so arena generations share them: a
-/// clone copies the span table and bumps one reference count per segment.
-/// Freezing is `O(packed entries)`; queries allocate nothing and resolve a
-/// list through its span and the segment table.
-///
-/// [`freeze`]: FrozenLabels::freeze
-/// [`freeze_ordered`]: FrozenLabels::freeze_ordered
-/// [`refreeze_spans`]: FrozenLabels::refreeze_spans
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// An immutable view of a label arena: shared, reference-counted segments
+/// of [`LabelEntry`]s and one span per stored list (see the [module
+/// docs](self)). A clone copies the span table and bumps one reference
+/// count per segment; queries allocate nothing and resolve a list through
+/// its span and the segment table.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FrozenLabels {
-    /// Segment 0 is the last full freeze, every later one the delta of
-    /// one [`refreeze_spans`](Self::refreeze_spans).
-    segments: Vec<Arc<Vec<LabelEntry>>>,
-    /// Indexed by slot `2v` (in-list of `v`) / `2v + 1` (out-list of `v`)
-    /// — the same encoding as [`crate::labels::label_slot`].
-    spans: Vec<Span>,
-    /// Segment entries no span points at anymore. [`refreeze_spans`]
-    /// strands the old copy of every list it re-gathers; the count drives
-    /// the caller's compaction policy ([`Self::dead_fraction`]).
-    ///
-    /// [`refreeze_spans`]: Self::refreeze_spans
-    dead: usize,
-}
-
-/// Where one label list lives: `segments[seg][lo..hi]`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Span {
-    seg: u32,
-    lo: u32,
-    hi: u32,
-}
-
-impl Span {
-    /// An empty list. Segment 0 always exists, so it resolves to `&[]`.
-    const EMPTY: Span = Span {
-        seg: 0,
-        lo: 0,
-        hi: 0,
-    };
-
-    /// A dirty slot [`FrozenLabels::refreeze_spans`] has counted dead but
-    /// not re-packed yet; no segment has this number.
-    const PENDING: Span = Span {
-        seg: u32::MAX,
-        lo: 0,
-        hi: 0,
-    };
-
-    #[inline]
-    fn len(self) -> usize {
-        (self.hi - self.lo) as usize
-    }
-}
-
-/// Copies the lists of `slots` from `labels` back to back into a new
-/// segment numbered `seg`, built in the allocation of `segment` (emptied
-/// first), and points their spans at it (an empty list gets
-/// [`Span::EMPTY`]). A `segment` too small for the lists is replaced by an
-/// exact allocation rather than grown, since growing it would copy its
-/// stale contents.
-///
-/// # Panics
-///
-/// Panics if the segment would hold `>= 2^32` entries, beyond the `u32`
-/// span encoding (at 8 bytes per entry, a 32 GiB segment).
-fn pack(
-    labels: &Labels,
-    slots: &[u32],
-    seg: u32,
-    spans: &mut [Span],
-    mut segment: Vec<LabelEntry>,
-    headroom: bool,
-) -> Arc<Vec<LabelEntry>> {
-    let list = |slot: u32| {
-        let (v, side) = slot_list(slot);
-        labels.side_of(v, side)
-    };
-    let total: usize = slots.iter().map(|&slot| list(slot).len()).sum();
-    assert!(
-        u32::try_from(total).is_ok(),
-        "label segment of {total} entries exceeds u32 spans"
-    );
-    // Sized up front and moved into the `Arc`: each entry is copied once.
-    // A buffer too small is replaced rather than grown, since growing it
-    // would copy its stale contents; with `headroom`, by one an eighth
-    // larger than the lists.
-    segment.clear();
-    if segment.capacity() < total {
-        segment = Vec::with_capacity(if headroom { total + total / 8 } else { total });
-    }
-    for &slot in slots {
-        let lo = segment.len() as u32;
-        segment.extend_from_slice(list(slot));
-        let hi = segment.len() as u32;
-        spans[slot as usize] = if lo == hi {
-            Span::EMPTY
-        } else {
-            Span { seg, lo, hi }
-        };
-    }
-    Arc::new(segment)
+    pub(crate) segments: Vec<Arc<Vec<LabelEntry>>>,
+    pub(crate) spans: Vec<Span>,
+    pub(crate) layout: ListLayout,
+    /// Entries the spans address.
+    pub(crate) live: usize,
 }
 
 impl FrozenLabels {
-    /// Freezes a snapshot of every list of `labels` in natural order (per
-    /// vertex: in-list, then out-list).
+    /// A copy of every list of `labels`, packed into one segment in the
+    /// layout's order (see [`Labels::compact`]); the store is left as it
+    /// is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lists hold `>= 2^32` entries, beyond the `u32` span
+    /// encoding (at 8 bytes per entry, a 32 GiB segment).
     pub fn freeze(labels: &Labels) -> Self {
-        let slots = 0..2 * Labels::vertex_count(labels) as u32;
-        Self::freeze_ordered(labels, slots.map(slot_list))
+        labels.packed(Vec::new(), 0)
     }
 
-    /// Freezes a snapshot of exactly the `lists` named, packed into one
-    /// segment in the given order; every list not named is empty in the
-    /// arena. Lists a query intersects together should be adjacent here —
-    /// the segment then serves that query as a single forward stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range vertex, on a list named twice, or if the
-    /// named lists hold `>= 2^32` entries (beyond the `u32` span encoding
-    /// — at 8 bytes per entry that is a 32 GiB arena).
-    pub fn freeze_ordered(
-        labels: &Labels,
-        lists: impl IntoIterator<Item = (VertexId, LabelSide)>,
-    ) -> Self {
-        Self::freeze_ordered_into(labels, lists, Vec::new())
-    }
-
-    /// [`freeze_ordered`](Self::freeze_ordered) into the allocation of
-    /// `buffer` (emptied first). A buffer that
-    /// [`into_buffer`](Self::into_buffer) took back from a retired arena
-    /// has its pages resident already, so the copy faults in no fresh
-    /// arena's worth of them. A buffer too small for the named lists, an
-    /// empty one included, is replaced rather than grown, since growing it
-    /// would copy its stale contents: by an allocation an eighth larger
-    /// than the lists, so that a growing index still fits in it when a
-    /// later full freeze gets it back.
-    ///
-    /// # Panics
-    ///
-    /// As [`freeze_ordered`](Self::freeze_ordered).
-    pub fn freeze_ordered_into(
-        labels: &Labels,
-        lists: impl IntoIterator<Item = (VertexId, LabelSide)>,
-        buffer: Vec<LabelEntry>,
-    ) -> Self {
-        let n = Labels::vertex_count(labels);
-        let mut placed = vec![false; 2 * n];
-        let mut order = Vec::with_capacity(2 * n);
-        for (v, side) in lists {
-            assert!(v.index() < n, "freeze order names out-of-range {v:?}");
-            let slot = label_slot(v, side);
-            assert!(
-                !std::mem::replace(&mut placed[slot as usize], true),
-                "freeze order mentions {v:?}/{side:?} twice"
-            );
-            order.push(slot);
-        }
-        let mut spans = vec![Span::EMPTY; 2 * n];
-        let segment = pack(labels, &order, 0, &mut spans, buffer, true);
-        FrozenLabels {
-            segments: vec![segment],
-            spans,
-            dead: 0,
-        }
-    }
-
-    /// Takes back the allocation of the largest segment no other arena
-    /// shares, emptied, for a later
-    /// [`freeze_ordered_into`](Self::freeze_ordered_into); `None` when
-    /// every segment is still shared. The other segments are dropped.
-    pub fn into_buffer(self) -> Option<Vec<LabelEntry>> {
-        let mut buffer = self
-            .segments
-            .into_iter()
-            .filter_map(|segment| Arc::try_unwrap(segment).ok())
-            .max_by_key(Vec::capacity)?;
-        buffer.clear();
-        Some(buffer)
-    }
-
-    /// Produces a new arena equal to re-freezing `labels`, given the slots
-    /// dirtied since `self` was frozen (see
-    /// [`Labels::take_dirty`](crate::Labels::take_dirty)). The new arena
-    /// shares every segment of `self` and adds one delta segment holding
-    /// the dirty lists, so it costs one copy of the span table plus the
-    /// changed entries, whatever the arena's size. `self` is left as it
-    /// was, for the readers that still hold it.
-    ///
-    /// Every dirty list moves to the delta, even one whose length did not
-    /// change (a shared segment is never written), and its old copy
-    /// becomes dead space. Dead space and segments accumulate across
-    /// generations — callers should fall back to a full
-    /// [`freeze`](Self::freeze) / [`freeze_ordered`](Self::freeze_ordered)
-    /// once [`dead_fraction`](Self::dead_fraction) or
-    /// [`segment_count`](Self::segment_count) crosses their threshold,
-    /// which also restores the intended list layout. An arena that holds
-    /// only some of the lists stays so only if `dirty_slots` names only
-    /// those: the slots passed are the lists re-gathered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a slot is out of range for `labels`, if the same slot is
-    /// listed twice, or if the delta would exceed `u32` spans.
-    pub fn refreeze_spans(&self, labels: &Labels, dirty_slots: &[u32]) -> Self {
-        let n = Labels::vertex_count(labels);
-        assert!(
-            self.spans.len() <= 2 * n,
-            "labels cover fewer vertices than the frozen arena"
-        );
-        let mut spans = Vec::with_capacity(2 * n);
-        spans.extend_from_slice(&self.spans);
-        // Vertices added since the freeze: empty placeholder spans (their
-        // slots are dirty, so real content lands below).
-        spans.resize(2 * n, Span::EMPTY);
-        let mut dead = self.dead;
-        for &slot in dirty_slots {
-            let span = spans
-                .get_mut(slot as usize)
-                .unwrap_or_else(|| panic!("dirty slot {slot} out of range"));
-            assert!(*span != Span::PENDING, "dirty slot {slot} listed twice");
-            dead += span.len();
-            *span = Span::PENDING;
-        }
-        let mut segments = self.segments.clone();
-        let seg = u32::try_from(segments.len()).expect("segment count exceeds u32");
-        let delta = pack(labels, dirty_slots, seg, &mut spans, Vec::new(), false);
-        if !delta.is_empty() {
-            segments.push(delta);
-        }
-        FrozenLabels {
-            segments,
-            spans,
-            dead,
-        }
-    }
-
-    /// The `(delta, dead, total)` entry counts [`refreeze_spans`] would
-    /// produce for this dirty set: the entries its delta segment copies,
-    /// and the dead and total entries of the arena it returns (every
-    /// dirty list's old copy turns dead and its new copy is appended).
-    /// Computed in `O(dirty)` without copying anything, so callers can
-    /// decide to compact (full freeze) *instead of* building a delta they
-    /// would throw away.
-    ///
-    /// [`refreeze_spans`]: Self::refreeze_spans
-    pub fn projected_refreeze(
-        &self,
-        labels: &Labels,
-        dirty_slots: &[u32],
-    ) -> (usize, usize, usize) {
-        let mut delta = 0;
-        let mut dead = self.dead;
-        for &slot in dirty_slots {
-            let (v, side) = slot_list(slot);
-            dead += self.spans.get(slot as usize).map_or(0, |span| span.len());
-            delta += labels.side_of(v, side).len();
-        }
-        (delta, dead, self.arena_entries() + delta)
-    }
-
-    /// Segment entries stranded by [`refreeze_spans`](Self::refreeze_spans)
-    /// relocations (no span addresses them).
+    /// Segment slots no span addresses: the old copies of rewritten lists
+    /// and the spare room the writer left behind lists it grew.
     pub fn dead_entries(&self) -> usize {
-        self.dead
+        self.arena_entries() - self.live
     }
 
     /// Fraction of the arena that is dead space, in `0.0..=1.0`.
@@ -414,55 +152,60 @@ impl FrozenLabels {
         if total == 0 {
             0.0
         } else {
-            self.dead as f64 / total as f64
+            self.dead_entries() as f64 / total as f64
         }
     }
 
-    /// Number of segments: 1 after a full freeze, plus one per non-empty
-    /// [`refreeze_spans`](Self::refreeze_spans) since.
+    /// Number of segments: 1 after a compaction, plus one per publish
+    /// that wrote something since.
     pub fn segment_count(&self) -> usize {
         self.segments.len()
     }
 
-    /// Index size in bytes of the frozen arena (segment entries + spans),
-    /// including dead space awaiting compaction. Segments shared with
-    /// other generations count in full.
+    /// Size in bytes: every entry slot the segments hold, dead and spare
+    /// slots included, plus the spans. Segments shared with other
+    /// snapshots count in full.
     pub fn arena_bytes(&self) -> usize {
         self.arena_entries() * std::mem::size_of::<LabelEntry>()
             + self.spans.len() * std::mem::size_of::<Span>()
     }
 
-    /// Entries across all segments, dead ones included.
-    fn arena_entries(&self) -> usize {
+    /// Entry slots across all segments.
+    pub(crate) fn arena_entries(&self) -> usize {
         self.segments.iter().map(|segment| segment.len()).sum()
     }
 
     #[inline]
-    fn slice(&self, slot: usize) -> &[LabelEntry] {
-        let Span { seg, lo, hi } = self.spans[slot];
-        &self.segments[seg as usize][lo as usize..hi as usize]
+    fn slice(&self, v: VertexId, side: LabelSide) -> &[LabelEntry] {
+        match self.layout.span(v, side) {
+            Some(i) => {
+                let Span { seg, lo, hi } = self.spans[i];
+                &self.segments[seg as usize][lo as usize..hi as usize]
+            }
+            None => &[],
+        }
     }
 }
 
 impl LabelStore for FrozenLabels {
     #[inline]
     fn vertex_count(&self) -> usize {
-        self.spans.len() / 2
+        self.spans.len() / self.layout.per_vertex()
     }
 
     #[inline]
     fn in_of(&self, v: VertexId) -> &[LabelEntry] {
-        self.slice(2 * v.index())
+        self.slice(v, LabelSide::In)
     }
 
     #[inline]
     fn out_of(&self, v: VertexId) -> &[LabelEntry] {
-        self.slice(2 * v.index() + 1)
+        self.slice(v, LabelSide::Out)
     }
 
     #[inline]
     fn total_entries(&self) -> usize {
-        self.arena_entries() - self.dead
+        self.live
     }
 }
 
@@ -644,8 +387,6 @@ fn gallop_lower_bound(long: &[LabelEntry], start: usize, key: u32) -> usize {
 mod tests {
     use super::*;
     use crate::labels::intersect;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     fn e(h: u32, d: u32, c: u64) -> LabelEntry {
         LabelEntry::new(h, d, c).unwrap()
@@ -666,22 +407,24 @@ mod tests {
         l
     }
 
+    /// Every list of `frozen` reads as `labels` holds it.
+    fn assert_reads_as(frozen: &FrozenLabels, labels: &Labels) {
+        assert_eq!(frozen.vertex_count(), labels.vertex_count());
+        assert_eq!(frozen.total_entries(), labels.total_entries());
+        for i in 0..labels.vertex_count() as u32 {
+            for side in [LabelSide::In, LabelSide::Out] {
+                assert_eq!(frozen.side_of(v(i), side), labels.side_of(v(i), side));
+            }
+        }
+    }
+
     #[test]
     fn freeze_preserves_every_slice() {
         let labels = sample_labels();
         let frozen = FrozenLabels::freeze(&labels);
         assert_eq!(LabelStore::vertex_count(&frozen), 4);
         assert_eq!(LabelStore::total_entries(&frozen), 6);
-        for i in 0..4 {
-            assert_eq!(LabelStore::in_of(&frozen, v(i)), labels.in_of(v(i)));
-            assert_eq!(LabelStore::out_of(&frozen, v(i)), labels.out_of(v(i)));
-            for side in [LabelSide::In, LabelSide::Out] {
-                assert_eq!(
-                    LabelStore::side_of(&frozen, v(i), side),
-                    labels.side_of(v(i), side)
-                );
-            }
-        }
+        assert_reads_as(&frozen, &labels);
         // One segment of 6 entries, 8 spans of (segment, lo, hi).
         assert_eq!(frozen.segment_count(), 1);
         assert_eq!(frozen.arena_bytes(), 6 * 8 + 8 * 12);
@@ -689,95 +432,103 @@ mod tests {
 
     #[test]
     fn freeze_ordered_places_hot_lists_first_and_answers_identically() {
-        let labels = sample_labels();
-        // Cycle-style pairing: out-list of 2v+1 next to in-list of 2v.
-        let pairs = (0..2u32).flat_map(|v| {
-            [
-                (VertexId(2 * v + 1), LabelSide::Out),
-                (VertexId(2 * v), LabelSide::In),
-            ]
-        });
-        let frozen = FrozenLabels::freeze_ordered(&labels, pairs.clone());
-        // Exactly the named lists, back to back in the order named:
-        // Lout(1) is empty, Lin(0) 1 entry, Lout(3) 1, Lin(2) empty.
-        let packed: Vec<LabelEntry> = pairs
-            .clone()
-            .flat_map(|(x, side)| labels.side_of(x, side).to_vec())
+        // A reduced store: L_in of even vertices, L_out of odd ones.
+        let mut labels = Labels::reduced(4);
+        labels.append(v(0), LabelSide::In, e(0, 0, 1));
+        labels.append(v(2), LabelSide::In, e(0, 2, 1));
+        labels.append(v(2), LabelSide::In, e(2, 0, 1));
+        labels.append(v(3), LabelSide::Out, e(0, 1, 2));
+        labels.append(v(3), LabelSide::Out, e(3, 0, 1));
+        labels.append(v(1), LabelSide::Out, e(1, 0, 1));
+        let frozen = FrozenLabels::freeze(&labels);
+        // Couple order: Lout(1), Lin(0), Lout(3), Lin(2), back to back.
+        let packed: Vec<LabelEntry> = [(1, LabelSide::Out), (0, LabelSide::In)]
+            .into_iter()
+            .chain([(3, LabelSide::Out), (2, LabelSide::In)])
+            .flat_map(|(x, side)| labels.side_of(v(x), side).to_vec())
             .collect();
         assert_eq!(frozen.segments[0].as_slice(), packed.as_slice());
-        assert_eq!(LabelStore::total_entries(&frozen), 2);
-        for i in 0..4 {
-            for side in [LabelSide::In, LabelSide::Out] {
-                let named = pairs.clone().any(|list| list == (v(i), side));
-                let want = if named {
-                    labels.side_of(v(i), side)
-                } else {
-                    &[]
-                };
-                assert_eq!(frozen.side_of(v(i), side), want, "{i}/{side:?}");
-            }
+        // One span per stored list.
+        assert_eq!(frozen.arena_bytes(), 6 * 8 + 4 * 12);
+        assert_reads_as(&frozen, &labels);
+        // The pairs the couples serve answer as the store does.
+        for (s, t) in [(1, 0), (3, 2)] {
+            let (s, t) = (v(s), v(t));
+            assert_eq!(frozen.dist_count(s, t), labels.dist_count(s, t));
         }
-        // The pairs the named lists serve answer as the store does.
-        for i in 0..2 {
-            let (s, t) = (v(2 * i + 1), v(2 * i));
-            assert_eq!(
-                LabelStore::dist_count(&frozen, s, t),
-                labels.dist_count(s, t)
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "twice")]
-    fn freeze_ordered_rejects_duplicates() {
-        let labels = sample_labels();
-        let _ =
-            FrozenLabels::freeze_ordered(&labels, [(v(0), LabelSide::In), (v(0), LabelSide::In)]);
     }
 
     #[test]
     fn into_buffer_takes_back_only_unshared_segments() {
         let mut labels = sample_labels();
-        let base = FrozenLabels::freeze(&labels);
-        labels.take_dirty();
+        labels.compact();
+        let base = labels.publish();
+        let at = base.segments[0].as_ptr();
         labels.append(v(3), LabelSide::Out, e(2, 2, 1));
-        let dirty = labels.take_dirty();
-        let patched = base.refreeze_spans(&labels, &dirty);
-        // Every segment of a clone is shared with its original.
-        assert_eq!(base.clone().into_buffer(), None);
-        assert_eq!(patched.clone().into_buffer(), None);
-        // `patched` still shares the base segment, so `base` owns nothing.
-        assert_eq!(base.into_buffer(), None);
-        // Now `patched` alone holds both: the larger one comes back, empty.
-        let buffer = patched.into_buffer().expect("unshared segments");
-        assert!(buffer.is_empty());
-        assert!(buffer.capacity() >= 6, "the base segment, not the delta");
+        let patched = labels.publish();
+        // The compaction retires both segments, but snapshots read them:
+        // nothing comes back while one does.
+        labels.compact();
+        let compacted = labels.publish();
+        assert_eq!(labels.spare_capacity(), 0);
+        drop(base);
+        labels.publish();
+        assert_eq!(labels.spare_capacity(), 0, "`patched` reads both");
+        // Unread, the larger one comes back, and the next compaction
+        // refills it in place.
+        drop(patched);
+        labels.publish();
+        assert!(
+            labels.spare_capacity() >= 6,
+            "the base segment, not the second"
+        );
+        labels.upsert(v(0), LabelSide::In, e(0, 0, 2));
+        labels.compact();
+        let refilled = labels.publish();
+        assert_eq!(refilled.segments[0].as_ptr(), at);
+        assert_reads_as(&refilled, &labels);
+        assert_eq!(compacted.in_of(v(0)), &[e(0, 0, 1)], "held snapshots stay");
     }
 
     #[test]
     fn freeze_into_a_buffer_reuses_it_or_replaces_a_small_one() {
-        let labels = sample_labels();
-        let plain = FrozenLabels::freeze_ordered(&labels, [(v(3), LabelSide::Out)]);
-        // A large enough buffer is refilled in place, stale contents gone.
-        let stale = vec![e(9, 9, 9); 64];
-        let at = stale.as_ptr();
-        let refilled = FrozenLabels::freeze_ordered_into(&labels, [(v(3), LabelSide::Out)], stale);
-        assert_eq!(refilled.segments[0].as_ptr(), at);
-        assert_eq!(refilled, plain);
-        // A small one is replaced, not grown around its stale contents,
-        // by one with an eighth to spare.
+        // A segment too small for the lists is replaced, not grown around
+        // its stale contents: after the first compaction by one a quarter
+        // larger than the lists, later by one with room for twice the
+        // growth since.
         let mut wide = Labels::new(40);
         for i in 0..40 {
             wide.append(v(i), LabelSide::In, e(i, 1, 1));
         }
-        let ins = (0..40).map(|i| (v(i), LabelSide::In));
-        let grown = FrozenLabels::freeze_ordered_into(&wide, ins, vec![e(9, 9, 9); 2]);
+        wide.compact();
+        let grown = wide.publish();
         assert_eq!(grown, FrozenLabels::freeze(&wide));
-        assert!(grown.segments[0].capacity() >= 45);
-        assert_eq!(
-            grown.arena_bytes(),
-            FrozenLabels::freeze(&wide).arena_bytes()
-        );
+        assert!(grown.segments[0].capacity() >= 50);
+        drop(grown);
+        for i in 0..40 {
+            wide.append(v(i), LabelSide::Out, e(i, 1, 1));
+        }
+        wide.compact();
+        let regrown = wide.publish();
+        assert!(regrown.segments[0].capacity() >= 80 + 2 * 40);
+        assert_eq!(regrown, FrozenLabels::freeze(&wide));
+        // The first segment came back, too small for the lists now: the
+        // next compaction drops it rather than grow it.
+        assert!((50..80).contains(&wide.spare_capacity()));
+        wide.compact();
+        assert_eq!(wide.spare_capacity(), 0);
+        assert_eq!(wide.publish(), FrozenLabels::freeze(&wide));
+        // The second comes back once unread, and is refilled in place,
+        // its stale contents gone.
+        let at = regrown.segments[0].as_ptr();
+        drop(regrown);
+        wide.remove(v(0), LabelSide::In, 0);
+        wide.publish();
+        assert!(wide.spare_capacity() >= 160);
+        wide.compact();
+        let refilled = wide.publish();
+        assert_eq!(refilled.segments[0].as_ptr(), at);
+        assert_eq!(refilled, FrozenLabels::freeze(&wide));
     }
 
     #[test]
@@ -797,61 +548,38 @@ mod tests {
     #[test]
     fn refreeze_spans_tracks_mutations() {
         let mut labels = sample_labels();
-        labels.take_dirty();
-        let frozen = FrozenLabels::freeze(&labels);
+        labels.compact();
+        let frozen = labels.publish();
+        assert_eq!(frozen.dead_entries(), 0, "the build's lists sit packed");
 
-        // Same-length change: still moves, since segments are shared.
+        // Same-length change: still copied, since segments are shared.
         labels.upsert(v(1), LabelSide::In, e(2, 9, 9));
         // Growth.
         labels.upsert(v(0), LabelSide::Out, e(1, 2, 2));
-        // Shrink to empty.
+        // Shrink to empty: the span narrows, nothing is copied.
         labels.remove(v(3), LabelSide::Out, 1);
         // Brand-new vertex.
         labels.push_vertex();
         labels.append(v(4), LabelSide::In, e(5, 1, 1));
 
-        let dirty = labels.take_dirty();
-        let patched = frozen.refreeze_spans(&labels, &dirty);
-        let full = FrozenLabels::freeze(&labels);
-        assert_eq!(LabelStore::vertex_count(&patched), 5);
-        for i in 0..5 {
-            assert_eq!(
-                LabelStore::in_of(&patched, v(i)),
-                LabelStore::in_of(&full, v(i)),
-                "in-list of {i}"
-            );
-            assert_eq!(
-                LabelStore::out_of(&patched, v(i)),
-                LabelStore::out_of(&full, v(i)),
-                "out-list of {i}"
-            );
-        }
-        // Logical size matches; dead space is the old copy of every
-        // dirtied list: Lin(1) 2 entries, Lout(0) 2, Lout(3) 1 (the new
-        // vertex had none).
-        assert_eq!(
-            LabelStore::total_entries(&patched),
-            LabelStore::total_entries(&full)
-        );
+        let patched = labels.publish();
+        assert_reads_as(&patched, &labels);
+        // Dead space is the old copy of every rewritten list: Lin(1) 2
+        // entries, Lout(0) 2, Lout(3) 1 (the new vertex had none).
         assert_eq!(patched.dead_entries(), 5);
-        // One delta segment holds the re-gathered lists: Lin(1) 2,
-        // Lout(0) 3, Lin(4) 1 — 12 entries in all, over 10 spans.
+        // The second segment holds the copies: Lin(1) 2, Lout(0) 3,
+        // Lin(4) 1 — 12 entries in all, over 10 spans.
         assert_eq!(patched.segment_count(), 2);
         assert_eq!(patched.arena_bytes(), 12 * 8 + 10 * 12);
         assert_eq!(patched.dead_fraction(), 5.0 / 12.0);
-        assert_eq!(frozen.dead_entries(), 0, "source arena untouched");
-        assert_eq!(frozen.segment_count(), 1, "source arena untouched");
+        assert_eq!(frozen.dead_entries(), 0, "earlier snapshot untouched");
+        assert_eq!(frozen.segment_count(), 1, "earlier snapshot untouched");
 
-        // A second generation stacks one more delta (Lin(2) was empty,
-        // so nothing new dies).
+        // A second publish stacks one more segment (Lin(2) was empty, so
+        // nothing new dies).
         labels.upsert(v(2), LabelSide::In, e(0, 1, 1));
-        let dirty2 = labels.take_dirty();
-        let patched2 = patched.refreeze_spans(&labels, &dirty2);
-        assert_eq!(
-            LabelStore::in_of(&patched2, v(2)),
-            labels.in_of(v(2)),
-            "second-generation delta"
-        );
+        let patched2 = labels.publish();
+        assert_reads_as(&patched2, &labels);
         assert_eq!(patched2.dead_entries(), 5);
         assert_eq!(patched2.segment_count(), 3);
     }
@@ -859,100 +587,41 @@ mod tests {
     #[test]
     fn refreeze_shares_every_parent_segment_and_leaves_the_parent_alone() {
         let mut labels = sample_labels();
-        labels.take_dirty();
-        let base = FrozenLabels::freeze(&labels);
+        labels.publish();
         labels.upsert(v(0), LabelSide::Out, e(1, 2, 2));
-        let dirty = labels.take_dirty();
-        let parent = base.refreeze_spans(&labels, &dirty);
+        let parent = labels.publish();
         let parent_labels = labels.clone();
 
         labels.upsert(v(1), LabelSide::In, e(2, 9, 9));
-        labels.remove(v(3), LabelSide::Out, 1);
-        let dirty = labels.take_dirty();
-        let child = parent.refreeze_spans(&labels, &dirty);
+        labels.upsert(v(3), LabelSide::Out, e(0, 1, 1));
+        let child = labels.publish();
 
         assert_eq!((parent.segment_count(), child.segment_count()), (2, 3));
         for (seg, (a, b)) in parent.segments.iter().zip(&child.segments).enumerate() {
             assert!(Arc::ptr_eq(a, b), "segment {seg} copied, not shared");
         }
         // Each generation answers for its own point in time.
-        let (then, now) = (
-            FrozenLabels::freeze(&parent_labels),
-            FrozenLabels::freeze(&labels),
-        );
+        assert_reads_as(&parent, &parent_labels);
+        assert_reads_as(&child, &labels);
         for i in 0..4 {
-            for side in [LabelSide::In, LabelSide::Out] {
-                assert_eq!(parent.side_of(v(i), side), then.side_of(v(i), side));
-                assert_eq!(child.side_of(v(i), side), now.side_of(v(i), side));
-            }
             for t in 0..4 {
-                assert_eq!(parent.dist_count(v(i), v(t)), then.dist_count(v(i), v(t)));
-                assert_eq!(child.dist_count(v(i), v(t)), now.dist_count(v(i), v(t)));
-            }
-        }
-    }
-
-    /// Random upserts, removals and the odd new vertex.
-    fn scramble(labels: &mut Labels, rng: &mut StdRng, edits: usize) {
-        for _ in 0..edits {
-            if rng.gen_bool(0.05) {
-                labels.push_vertex();
-                continue;
-            }
-            let v = v(rng.gen_range(0..labels.vertex_count() as u32));
-            let side = if rng.gen_bool(0.5) {
-                LabelSide::In
-            } else {
-                LabelSide::Out
-            };
-            let hub = rng.gen_range(0..16u32);
-            if rng.gen_bool(0.3) {
-                labels.remove(v, side, hub);
-            } else {
-                let entry = e(hub, rng.gen_range(1..9u32), rng.gen_range(1..5u64));
-                labels.upsert(v, side, entry);
-            }
-        }
-    }
-
-    #[test]
-    fn projected_refreeze_matches_the_refrozen_arena() {
-        let mut rng = StdRng::seed_from_u64(0x5e9);
-        for round in 0..64 {
-            let mut labels = Labels::new(6);
-            scramble(&mut labels, &mut rng, 48);
-            labels.take_dirty();
-            let mut frozen = FrozenLabels::freeze(&labels);
-            for generation in 0..4 {
-                let edits = rng.gen_range(0..16usize);
-                scramble(&mut labels, &mut rng, edits);
-                let dirty = labels.take_dirty();
-                let projected = frozen.projected_refreeze(&labels, &dirty);
-                let before = frozen.arena_entries();
-                frozen = frozen.refreeze_spans(&labels, &dirty);
-                let (dead, live) = (frozen.dead_entries(), frozen.total_entries());
-                assert_eq!(
-                    projected,
-                    (dead + live - before, dead, dead + live),
-                    "round {round}, generation {generation}"
-                );
+                let (s, t) = (v(i), v(t));
+                assert_eq!(parent.dist_count(s, t), parent_labels.dist_count(s, t));
+                assert_eq!(child.dist_count(s, t), labels.dist_count(s, t));
             }
         }
     }
 
     #[test]
     fn refreeze_with_no_dirt_is_identical() {
-        let labels = sample_labels();
-        let frozen = FrozenLabels::freeze(&labels);
-        assert_eq!(frozen.refreeze_spans(&labels, &[]), frozen);
-    }
-
-    #[test]
-    #[should_panic(expected = "listed twice")]
-    fn refreeze_rejects_duplicate_slots() {
-        let labels = sample_labels();
-        let frozen = FrozenLabels::freeze(&labels);
-        let _ = frozen.refreeze_spans(&labels, &[0, 0]);
+        let mut labels = sample_labels();
+        let frozen = labels.publish();
+        assert_eq!(labels.publish(), frozen);
+        assert_eq!(frozen.segment_count(), 1);
+        labels.compact();
+        let compacted = labels.publish();
+        assert_eq!(labels.publish(), compacted);
+        assert_reads_as(&compacted, &labels);
     }
 
     #[test]

@@ -29,6 +29,7 @@
 
 use crate::entry::LabelEntry;
 use crate::error::LabelingError;
+use crate::frozen::LabelStore;
 use crate::labels::{DistCount, LabelSide, Labels};
 use crate::state::{HubCache, Scan, SearchState};
 use csc_graph::{Csr, DiGraph, OrderingStrategy, RankTable, VertexId};
@@ -81,6 +82,7 @@ impl HpSpcIndex {
             engine.run(&csr, &ranks, &mut labels, &mut stats, hub, true)?;
             engine.run(&csr, &ranks, &mut labels, &mut stats, hub, false)?;
         }
+        labels.compact();
         stats.build_time = start.elapsed();
         Ok(HpSpcIndex {
             labels,

@@ -15,12 +15,13 @@
 //! [`HubCache`]) are shared with `csc-core`, which layers the bipartite
 //! conversion and couple-vertex skipping on the same machinery.
 //!
-//! Label storage is two-tier: [`Labels`] (nested per-vertex `Vec`s) is the
-//! mutable maintenance layout, and [`FrozenLabels`] is the read-optimized
-//! segmented arena frozen from it for serving, with the adaptive
-//! intersection kernel ([`intersect_adaptive`]: branchless dual-chain
-//! merge + galloping). Both answer identically through the [`LabelStore`]
-//! trait — see the [`frozen`] module.
+//! Label storage is one arena: [`Labels`] writes its lists copy-on-write
+//! into an open segment, and [`Labels::publish`] seals it and hands out a
+//! [`FrozenLabels`], an immutable view that shares every segment with the
+//! store, for serving with the adaptive intersection kernel
+//! ([`intersect_adaptive`]: branchless dual-chain merge + galloping). Both
+//! answer identically through the [`LabelStore`] trait — see the
+//! [`labels`] and [`frozen`] modules.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,5 +42,5 @@ pub use entry::{EntryOverflow, LabelEntry, MAX_COUNT, MAX_DIST, MAX_HUB_RANK};
 pub use error::LabelingError;
 pub use frozen::{intersect_adaptive, FrozenLabels, LabelStore};
 pub use hpspc::{BuildStats, HpSpcIndex};
-pub use labels::{label_slot, slot_list, DistCount, LabelSide, Labels};
+pub use labels::{DistCount, LabelSide, Labels, ListLayout};
 pub use state::{HubCache, Scan, SearchState, INF};

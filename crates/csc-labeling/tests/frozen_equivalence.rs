@@ -7,9 +7,7 @@
 //!   galloping) equals the reference two-pointer [`intersect`] on
 //!   arbitrary — including pathologically skewed — sorted lists;
 //! * `SCCnt` agrees between the live `CscIndex` path and the frozen
-//!   `SnapshotIndex` path across randomized dynamic workloads;
-//! * a chain of incremental refreezes serves every slice exactly like a
-//!   full freeze of the same store.
+//!   `SnapshotIndex` path across randomized dynamic workloads.
 
 use csc_core::{CscConfig, CscIndex};
 use csc_graph::generators::gnm;
@@ -171,57 +169,6 @@ proptest! {
                 index.remove_edge(a, b).unwrap();
             }
             check_all(&index)?;
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Each generation of a refreeze chain shares its parent's segments
-    /// and adds one delta; after every one, the chained arena holds the
-    /// same lists as a full freeze of the store it tracks.
-    #[test]
-    fn chained_refreezes_match_a_full_freeze(
-        n in 1usize..8,
-        generations in proptest::collection::vec(
-            proptest::collection::vec(
-                (0u32..16, any::<bool>(), 0u32..24, 1u32..40, 1u64..9, 0u32..4),
-                0..10,
-            ),
-            1..16,
-        ),
-    ) {
-        let mut labels = Labels::new(n);
-        labels.take_dirty();
-        let mut frozen = FrozenLabels::freeze(&labels);
-        for edits in generations {
-            for (pick, out, hub, dist, count, op) in edits {
-                if pick == 15 {
-                    labels.push_vertex();
-                    continue;
-                }
-                let v = VertexId(pick % labels.vertex_count() as u32);
-                let side = if out { LabelSide::Out } else { LabelSide::In };
-                if op == 0 {
-                    labels.remove(v, side, hub);
-                } else {
-                    labels.upsert(v, side, LabelEntry::new(hub, dist, count).unwrap());
-                }
-            }
-            let dirty = labels.take_dirty();
-            frozen = frozen.refreeze_spans(&labels, &dirty);
-            let full = FrozenLabels::freeze(&labels);
-            prop_assert_eq!(LabelStore::vertex_count(&frozen), labels.vertex_count());
-            prop_assert_eq!(
-                LabelStore::total_entries(&frozen),
-                LabelStore::total_entries(&full)
-            );
-            for v in 0..labels.vertex_count() as u32 {
-                let v = VertexId(v);
-                prop_assert_eq!(LabelStore::in_of(&frozen, v), LabelStore::in_of(&full, v));
-                prop_assert_eq!(LabelStore::out_of(&frozen, v), LabelStore::out_of(&full, v));
-            }
         }
     }
 }

@@ -12,10 +12,10 @@
 //! | [`labeling`] | `csc-labeling` | HP-SPC 2-hop shortest-path-counting labels, frozen label arenas + adaptive kernel, the BFS baseline |
 //! | [`index`] | `csc-core` | the CSC index: microsecond `SCCnt(v)` queries with incremental/decremental maintenance, plus lock-free snapshot serving (`SnapshotIndex` / `ConcurrentIndex`) |
 //!
-//! Reads are two-tier (see the README): the mutable index answers
-//! read-your-writes queries, while immutable snapshots frozen from it
-//! serve concurrent traffic lock-free and power parallel analytics
-//! sweeps.
+//! Reads share one label arena (see the README): the mutable index
+//! answers read-your-writes queries, while immutable snapshots published
+//! from it serve concurrent traffic lock-free and power parallel
+//! analytics sweeps.
 //!
 //! ## Quickstart
 //!
