@@ -318,7 +318,7 @@ pub fn record_json(
     window: &RejuvenationWindow,
     graph: &str,
 ) {
-    // The effective worker-pool width: results at different widths are
+    // The effective worker width: results at different widths are
     // not comparable (see BENCHMARKING.md), so every line carries it.
     let threads = csc_core::ParallelismConfig::default().width();
     let phase_lines = phases.iter().map(|p| {

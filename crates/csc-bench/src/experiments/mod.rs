@@ -89,7 +89,7 @@ impl ExpContext {
 
     /// Appends machine-readable result lines to the file `BENCH_JSON`
     /// names, if it is set. Each call first writes one
-    /// `{"group":"env",…}` line with the host's core count, the pool
+    /// `{"group":"env",…}` line with the host's core count, the worker
     /// width, and this context's scale, seed and quick flag, so every
     /// record can be read against the run that produced it.
     pub fn save_json(&self, records: impl IntoIterator<Item = String>) {

@@ -29,6 +29,8 @@
 //! analogs; [`datasets`] records why. Absolute numbers therefore differ
 //! from the paper's, and the experiments compare the *shapes*.
 
+#![forbid(unsafe_code)]
+
 pub mod datasets;
 pub mod experiments;
 pub mod measure;

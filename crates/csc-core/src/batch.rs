@@ -19,7 +19,7 @@
 //!    edges that affect it, in descending rank order. Dense batches share
 //!    most of their affected hubs (high-ranked hubs appear in almost every
 //!    label), so the pass count approaches the hub-union size instead of
-//!    the per-edge sum. The passes run serially at every pool width and
+//!    the per-edge sum. The passes run serially at every worker width and
 //!    write as they traverse. Like the static build, they skip couples:
 //!    the index stores only the two lists a cycle query reads, so a pass
 //!    queues and writes one member of each couple, and the seed scans of

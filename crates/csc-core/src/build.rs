@@ -36,9 +36,9 @@
 //! run one at a time in descending rank order, as in Algorithm 3, so each
 //! pass prunes against the finished labels of every higher-ranked hub.
 //! Builds run serially whatever [`ParallelismConfig`] says: running
-//! several passes at once on the pool, then re-validating them in rank
-//! order, lost to this loop on every measured input (ARCHITECTURE,
-//! *Worker pool*).
+//! several passes at once, then re-validating them in rank order, lost
+//! to this loop on every measured input (ARCHITECTURE, *Worker
+//! threads*).
 //!
 //! [`ParallelismConfig`]: crate::config::ParallelismConfig
 

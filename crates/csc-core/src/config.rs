@@ -123,14 +123,14 @@ impl DurabilityConfig {
 /// A recorded worker width, which steers no work.
 ///
 /// Label builds (the static build and rejuvenation's rebuild) and label
-/// repair run serially whatever `threads` says, and
-/// the read sweeps and the coverage-sampled ordering run on the global
-/// pool at its own width (`CSC_THREADS`, else available parallelism). So
-/// the labels never depend on it. Checkpoints still persist `threads`,
+/// repair run serially whatever `threads` says, and the read sweeps and
+/// the coverage-sampled ordering run on scoped threads at the width
+/// `CSC_THREADS` sets (else available parallelism). So the labels never
+/// depend on it. Checkpoints still persist `threads`,
 /// and loading one still validates it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ParallelismConfig {
-    /// The recorded width: `0` (the default) stands for the pool width,
+    /// The recorded width: `0` (the default) stands for the sweep width,
     /// any other value for itself.
     pub threads: u32,
 }
@@ -145,14 +145,14 @@ impl ParallelismConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.threads > MAX_THREADS {
             return Err(format!(
-                "parallelism.threads must be <= {MAX_THREADS} (0 = pool default), got {}",
+                "parallelism.threads must be <= {MAX_THREADS} (0 = the sweep width), got {}",
                 self.threads
             ));
         }
         Ok(())
     }
 
-    /// The recorded width: `threads` when set, else the global pool width
+    /// The recorded width: `threads` when set, else the sweep width
     /// (`CSC_THREADS` / available parallelism). Benchmark records report
     /// it; the index does not read it.
     pub fn width(&self) -> usize {
@@ -296,7 +296,7 @@ impl CscConfig {
         self
     }
 
-    /// Builder-style: record a worker width (`0` = pool width). It is
+    /// Builder-style: record a worker width (`0` = the sweep width). It is
     /// persisted but steers no work. See [`ParallelismConfig`].
     pub fn with_threads(mut self, threads: u32) -> Self {
         self.parallelism.threads = threads;
@@ -461,7 +461,7 @@ mod tests {
     #[test]
     fn parallelism_defaults_and_builders() {
         let c = CscConfig::default();
-        assert_eq!(c.parallelism.threads, 0, "0 = follow the pool default");
+        assert_eq!(c.parallelism.threads, 0, "0 = follow the sweep width");
 
         let c = CscConfig::default().with_threads(4);
         assert_eq!(c.parallelism.threads, 4);

@@ -21,11 +21,10 @@
 //!   aborted sweep simply returns the error; the index and any snapshot
 //!   stay fully reusable.
 //!
-//! A snapshot sweep runs on the pool, and every worker checks the one
-//! shared `Deadline`. The pool runs every item of a parallel iterator,
-//! so an item's error cannot stop the others. The first failed check
-//! raises a flag instead: every later vertex sees it and skips its
-//! intersection, and the sweep returns the error once the pool is done.
+//! A snapshot sweep runs on scoped worker threads that take chunks of
+//! vertices from one cursor, and every worker checks the one shared
+//! `Deadline`. A failed check ends its worker's chunk, and no worker
+//! takes a chunk after it, so each worker stops at its own next check.
 //!
 //! The deadline-bounded **write** paths live next to their unbounded
 //! twins: [`CscIndex::apply_batch_deadline`] (admission + a checkpoint
@@ -43,7 +42,6 @@ use crate::snapshot::SnapshotIndex;
 use csc_graph::VertexId;
 use csc_labeling::CycleCount;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Why an unbounded twin cannot fail: [`Deadline::NONE`] never passes.
 pub(crate) const UNBOUNDED: &str = "a sweep without a deadline never exceeds it";
@@ -134,23 +132,13 @@ impl SnapshotIndex {
         deadline: Deadline,
     ) -> Result<Vec<Option<CycleCount>>, CscError> {
         deadline.admit()?;
-        // Relaxed: the flag publishes no data, and `into_inner` reads it
-        // after the pool has joined every worker.
-        let passed = AtomicBool::new(false);
-        let answers = (0..len)
+        (0..len)
             .into_par_iter()
             .map(|i| {
-                if passed.load(Ordering::Relaxed) || check(deadline, i).is_err() {
-                    passed.store(true, Ordering::Relaxed);
-                    return None;
-                }
-                self.query(vertex(i))
+                check(deadline, i)?;
+                Ok(self.query(vertex(i)))
             })
-            .collect();
-        if passed.into_inner() {
-            return Err(CscError::DeadlineExceeded);
-        }
-        Ok(answers)
+            .collect()
     }
 
     /// [`query_batch`](Self::query_batch) under a wall-clock deadline,

@@ -13,7 +13,6 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::Mutex;
 
 /// A rank (position in the total order); rank 0 is the most important hub.
 pub type Rank = u32;
@@ -209,8 +208,9 @@ impl RankTable {
 
 /// Computes the [`CoverageSampling`](OrderingStrategy::CoverageSampling)
 /// order with an explicit worker width (tests pin widths 1/2/4 to prove
-/// the result is width-independent; [`RankTable::build`] passes the live
-/// pool width).
+/// the result is width-independent; [`RankTable::build`] passes
+/// `rayon::current_num_threads()`: `CSC_THREADS`, else available
+/// parallelism).
 ///
 /// The recipe is lviennot's `covers_more` sampling order, adapted to
 /// directed graphs. Sample `samples_per_log_n * log2(n)` forward and as
@@ -232,7 +232,7 @@ impl RankTable {
 /// id order.
 ///
 /// Tree sampling fans out over up to `width` workers (each owning one
-/// [`TraversalWorkspace`]); results land in per-sample slots, and the
+/// [`TraversalWorkspace`]); each tree keeps its sample index, and the
 /// greedy phase is sequential, so the output depends only on `(g, seed,
 /// samples_per_log_n)` — never on `width` or scheduling.
 pub fn coverage_sampling_order(
@@ -276,42 +276,45 @@ fn sample_roots(n: usize, seed: u64, samples_per_log_n: u32) -> Vec<(VertexId, b
 }
 
 /// Builds the sampled BFS trees on `width` workers (at least one, at most
-/// one per sample).
+/// one per sample): the calling thread and `width - 1` scoped threads.
 ///
-/// Workers pull sample indexes from a shared counter and write each tree
-/// into its own slot, so the returned vector is in sample order no matter
-/// how the pool schedules the work. Each worker owns one
+/// Workers pull sample indexes from a shared counter and return each tree
+/// with its index, so the returned vector is in sample order no matter
+/// which worker built which tree. Each worker owns one
 /// [`TraversalWorkspace`], so a sweep allocates nothing beyond the trees
-/// and one workspace per worker.
+/// and one workspace per worker. A worker's panic reaches the caller with
+/// its original payload.
 fn sample_trees(g: &DiGraph, samples: &[(VertexId, bool)], width: usize) -> Vec<BfsTree> {
     let n = g.vertex_count();
-    let len = samples.len();
-    let slots: Vec<Mutex<Option<BfsTree>>> = (0..len).map(|_| Mutex::new(None)).collect();
+    // Relaxed: the counter publishes no data; a worker's trees reach the
+    // caller through its join.
     let next = AtomicUsize::new(0);
-    rayon::scope(|s| {
-        for _ in 0..width.max(1).min(len) {
-            s.spawn(|| {
-                let mut ws = TraversalWorkspace::new(n);
-                loop {
-                    let i = next.fetch_add(1, AtomicOrdering::SeqCst);
-                    if i >= len {
-                        break;
-                    }
-                    let (root, forward) = samples[i];
-                    let tree = ws.bfs_tree(g, root, forward);
-                    *slots[i].lock().expect("slot lock poisoned") = Some(tree);
-                }
-            });
+    let work = || {
+        let mut ws = TraversalWorkspace::new(n);
+        let mut built = Vec::new();
+        loop {
+            let i = next.fetch_add(1, AtomicOrdering::Relaxed);
+            let Some(&(root, forward)) = samples.get(i) else {
+                return built;
+            };
+            built.push((i, ws.bfs_tree(g, root, forward)));
         }
+    };
+    let mut trees = std::thread::scope(|s| {
+        let workers: Vec<_> = (1..width.max(1).min(samples.len()))
+            .map(|_| s.spawn(work))
+            .collect();
+        let mut trees = work();
+        for worker in workers {
+            match worker.join() {
+                Ok(built) => trees.extend(built),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        trees
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot lock poisoned")
-                .expect("scope settled every sample")
-        })
-        .collect()
+    trees.sort_unstable_by_key(|&(i, _)| i);
+    trees.into_iter().map(|(_, tree)| tree).collect()
 }
 
 /// A lazy-heap entry caching the coverage counters a vertex had when it

@@ -1,674 +1,190 @@
 //! Offline shim for the [`rayon`](https://crates.io/crates/rayon) crate.
 //!
-//! Implements the subset this workspace uses on top of a real global
-//! work-stealing thread pool:
+//! Implements exactly what this workspace calls:
 //!
-//! * data-parallel iterators — `par_iter()` over slices and
-//!   `into_par_iter()` over `Range<usize>` / `Range<u32>` / `Range<u64>`,
-//!   with `map` / `filter_map` / `for_each` / `collect` / `sum`. Results
-//!   are concatenated in source order, so `collect::<Vec<_>>()` is
-//!   order-preserving exactly like the real crate;
-//! * [`scope`] — structured fork/join: spawned closures may borrow from
-//!   the enclosing stack frame, the scope blocks until every spawned task
-//!   has finished, and a panic inside any task is re-raised on the caller
-//!   with its **original payload** (so `catch_unwind`-based degradation
-//!   paths upstream observe the same panic they would under a plain
-//!   sequential call);
-//! * [`current_num_threads`] — the pool width.
+//! * [`current_num_threads`] — `CSC_THREADS` when set to a positive
+//!   integer, otherwise `available_parallelism`, read once;
+//! * `(0..n).into_par_iter().map(f).collect()` over `Range<usize>`, into a
+//!   `Vec` in index order, or into a `Result<Vec<_>, E>` that stops
+//!   handing out work at the first `Err`.
 //!
-//! The pool is created lazily on first use and sized by the
-//! `CSC_THREADS` environment variable, falling back to
-//! `available_parallelism`. Each worker owns a local deque; tasks spawned
-//! from a worker go to its own deque, tasks spawned from outside go to a
-//! shared injector, and idle workers steal from the back of their
-//! siblings' deques. A thread blocked in [`scope`] does not idle: it
-//! *helps*, draining tasks from the pool while it waits, which makes
-//! nested scopes deadlock-free even on a single-worker pool.
+//! Divergence from the real crate: there is no pool. A collect runs on the
+//! calling thread plus at most `current_num_threads() - 1` threads of a
+//! [`std::thread::scope`], spawned for that call and joined before it
+//! returns, so no thread outlives it. The threads take chunks of 64
+//! indexes from one atomic cursor. A collect with fewer than 512 items
+//! per thread runs inline, and a thread's panic reaches the caller with
+//! its original payload.
 
-use std::collections::VecDeque;
-use std::marker::PhantomData;
+#![forbid(unsafe_code)]
+
+use std::convert::Infallible;
 use std::ops::Range;
-use std::panic::{self, AssertUnwindSafe};
+use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
+use std::sync::OnceLock;
 
-/// Below this many items the "parallel" iterators run inline: spawning
-/// tasks costs more than the work.
+/// A collect spawns no more threads than keep this many items each: below
+/// it a spawn costs more than the work it takes over.
 const SEQUENTIAL_CUTOFF: usize = 512;
 
-/// How long an idle worker sleeps between wake-up checks. Wake-ups are
-/// also signalled eagerly on every push; the timeout is a backstop.
-const IDLE_PARK: Duration = Duration::from_millis(50);
+/// Indexes a thread takes from the cursor at a time. Small, so that the
+/// threads finish together, and a failed item stops each other thread
+/// within the one chunk it holds.
+const CHUNK: usize = 64;
 
-/// How long a scope waiter parks when the pool has no runnable task for
-/// it to help with.
-const HELP_PARK: Duration = Duration::from_millis(1);
-
-// ---------------------------------------------------------------------------
-// The work-stealing pool
-// ---------------------------------------------------------------------------
-
-/// A unit of queued work. Tasks are spawned with a `'scope` lifetime and
-/// transmuted to `'static` for storage; soundness is provided by
-/// [`scope`], which never returns while one of its tasks is live.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A fixed-width work-stealing pool: one shared injector plus one local
-/// deque per worker.
-struct Pool {
-    /// Overflow queue for tasks spawned from non-worker threads.
-    injector: Mutex<VecDeque<Job>>,
-    /// Per-worker local deques; owner pops the front, thieves the back.
-    locals: Vec<Mutex<VecDeque<Job>>>,
-    /// Queued-task count across all queues (fast idle check).
-    queued: AtomicUsize,
-    /// Wake-up generation counter, paired with `wake`.
-    sleep: Mutex<u64>,
-    wake: Condvar,
-    /// Number of worker threads.
-    width: usize,
-}
-
-std::thread_local! {
-    /// Index of the pool worker running on this thread, if any.
-    static WORKER_INDEX: std::cell::Cell<Option<usize>> =
-        const { std::cell::Cell::new(None) };
-}
-
-impl Pool {
-    /// Creates a pool with `width` worker threads (at least one).
-    fn new(width: usize) -> Arc<Pool> {
-        let width = width.max(1);
-        let pool = Arc::new(Pool {
-            injector: Mutex::new(VecDeque::new()),
-            locals: (0..width).map(|_| Mutex::new(VecDeque::new())).collect(),
-            queued: AtomicUsize::new(0),
-            sleep: Mutex::new(0),
-            wake: Condvar::new(),
-            width,
-        });
-        for i in 0..width {
-            let pool = Arc::clone(&pool);
-            std::thread::Builder::new()
-                .name(format!("csc-worker-{i}"))
-                .spawn(move || pool.worker_loop(i))
-                .expect("failed to spawn pool worker");
-        }
-        pool
-    }
-
-    /// Enqueues a task: onto the local deque when called from a worker,
-    /// onto the shared injector otherwise.
-    fn push(&self, job: Job) {
-        let slot = WORKER_INDEX.with(std::cell::Cell::get);
-        match slot {
-            Some(i) if i < self.locals.len() => {
-                self.locals[i].lock().unwrap().push_back(job);
-            }
-            _ => self.injector.lock().unwrap().push_back(job),
-        }
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        let mut gen = self.sleep.lock().unwrap();
-        *gen = gen.wrapping_add(1);
-        drop(gen);
-        self.wake.notify_all();
-    }
-
-    /// Takes one task: own deque front first (when on a worker), then the
-    /// injector, then steal from the back of sibling deques.
-    fn pop_any(&self) -> Option<Job> {
-        if self.queued.load(Ordering::SeqCst) == 0 {
-            return None;
-        }
-        let own = WORKER_INDEX.with(std::cell::Cell::get);
-        if let Some(i) = own {
-            if let Some(job) = self.locals[i].lock().unwrap().pop_front() {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                return Some(job);
-            }
-        }
-        if let Some(job) = self.injector.lock().unwrap().pop_front() {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            return Some(job);
-        }
-        for (k, local) in self.locals.iter().enumerate() {
-            if Some(k) == own {
-                continue;
-            }
-            if let Some(job) = local.lock().unwrap().pop_back() {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// The body of worker `index`: run tasks until the process exits.
-    fn worker_loop(self: Arc<Pool>, index: usize) {
-        WORKER_INDEX.with(|slot| slot.set(Some(index)));
-        loop {
-            if let Some(job) = self.pop_any() {
-                job();
-                continue;
-            }
-            let gen = self.sleep.lock().unwrap();
-            if self.queued.load(Ordering::SeqCst) > 0 {
-                continue;
-            }
-            // Parking under the same lock `push` bumps the generation
-            // through closes the check-then-wait race; the timeout is a
-            // belt-and-braces backstop.
-            let _ = self.wake.wait_timeout(gen, IDLE_PARK).unwrap();
-        }
-    }
-}
-
-/// Pool width requested by the environment: `CSC_THREADS` when set to a
-/// positive integer, otherwise `available_parallelism`.
-fn env_width() -> usize {
-    std::env::var("CSC_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-}
-
-/// The lazily-created global pool.
-fn global_pool() -> &'static Arc<Pool> {
-    static POOL: OnceLock<Arc<Pool>> = OnceLock::new();
-    POOL.get_or_init(|| Pool::new(env_width()))
-}
-
-/// Number of worker threads in the global pool (`CSC_THREADS` or the
-/// machine's available parallelism; read once, at first use).
+/// The width of a collect: `CSC_THREADS` when set to a positive integer,
+/// otherwise `available_parallelism`. Read once, at first use.
 pub fn current_num_threads() -> usize {
-    global_pool().width
-}
-
-// ---------------------------------------------------------------------------
-// Scopes
-// ---------------------------------------------------------------------------
-
-/// Shared bookkeeping for one [`scope`] invocation.
-struct ScopeState {
-    /// Spawned-but-unfinished task count, guarded for use with `done`.
-    remaining: Mutex<usize>,
-    done: Condvar,
-    /// First panic payload observed in any task of this scope.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-impl ScopeState {
-    fn finish_one(&self) {
-        let mut left = self.remaining.lock().unwrap();
-        *left -= 1;
-        if *left == 0 {
-            self.done.notify_all();
-        }
-    }
-}
-
-/// A fork/join scope handed to the closure passed to [`scope`]. Tasks
-/// spawned through it may borrow anything that outlives the scope.
-pub struct Scope<'scope> {
-    pool: &'scope Arc<Pool>,
-    state: Arc<ScopeState>,
-    /// Makes `'scope` invariant, as borrowed spawns require.
-    _marker: PhantomData<&'scope mut &'scope ()>,
-}
-
-impl<'scope> Scope<'scope> {
-    /// Spawns `f` onto the pool. The closure may borrow from the stack
-    /// frame enclosing the [`scope`] call; it runs at most once, and the
-    /// scope does not return before it completes.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        *self.state.remaining.lock().unwrap() += 1;
-        let state = Arc::clone(&self.state);
-        let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
-                state.panic.lock().unwrap().get_or_insert(payload);
-            }
-            state.finish_one();
-        });
-        // SAFETY: the job is only queued and run while the owning scope is
-        // blocked in `wait`; `scope` never returns (normally or by panic)
-        // until `remaining` reaches zero, i.e. until after this closure —
-        // and every `'scope` borrow inside it — has been dropped. The
-        // transmute only erases the lifetime; the layout of a boxed trait
-        // object does not depend on it.
-        let job: Job =
-            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(job) };
-        self.pool.push(job);
-    }
-}
-
-/// Creates a fork/join scope on the global pool: `op` may spawn borrowed
-/// tasks through the [`Scope`] it receives, and `scope` returns only once
-/// every spawned task has finished. While waiting, the calling thread
-/// helps drain the pool, so nested scopes cannot deadlock. If any task
-/// panicked, the first captured payload is re-raised here via
-/// [`std::panic::resume_unwind`] (after all tasks have settled), keeping
-/// upstream `catch_unwind` handlers and their panic messages intact.
-pub fn scope<'scope, R>(op: impl FnOnce(&Scope<'scope>) -> R) -> R {
-    scope_on(global_pool(), op)
-}
-
-/// [`scope`] against an explicit pool (exercised directly by the tests).
-fn scope_on<'scope, R>(pool: &'scope Arc<Pool>, op: impl FnOnce(&Scope<'scope>) -> R) -> R {
-    let scope = Scope {
-        pool,
-        state: Arc::new(ScopeState {
-            remaining: Mutex::new(0),
-            done: Condvar::new(),
-            panic: Mutex::new(None),
-        }),
-        _marker: PhantomData,
-    };
-    // Run the body under catch_unwind so a panic in `op` itself still
-    // waits for already-spawned tasks before unwinding out.
-    let body = panic::catch_unwind(AssertUnwindSafe(|| op(&scope)));
-
-    // Help-first wait: run queued tasks (any scope's) while our own are
-    // outstanding, parking briefly only when there is nothing to steal.
-    loop {
-        if *scope.state.remaining.lock().unwrap() == 0 {
-            break;
-        }
-        if let Some(job) = pool.pop_any() {
-            job();
-            continue;
-        }
-        let left = scope.state.remaining.lock().unwrap();
-        if *left > 0 {
-            let _ = scope.state.done.wait_timeout(left, HELP_PARK).unwrap();
-        }
-    }
-
-    let task_panic = scope.state.panic.lock().unwrap().take();
-    match (body, task_panic) {
-        // A task panic wins: it is the root cause the caller's
-        // `catch_unwind` degradation path wants to see.
-        (_, Some(payload)) => panic::resume_unwind(payload),
-        (Err(payload), None) => panic::resume_unwind(payload),
-        (Ok(r), None) => r,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel iterators
-// ---------------------------------------------------------------------------
-
-/// Task count for `items` work items: never more than the pool width,
-/// never so many that a task holds fewer than the sequential cutoff.
-fn worker_count(items: usize) -> usize {
-    current_num_threads()
-        .min(items.div_ceil(SEQUENTIAL_CUTOFF))
-        .max(1)
-}
-
-/// Runs `f` on `threads` contiguous index chunks of `0..len` via the
-/// pool, returning the per-chunk outputs in chunk order.
-fn run_chunked<U: Send>(
-    len: usize,
-    threads: usize,
-    f: impl Fn(Range<usize>) -> Vec<U> + Sync,
-) -> Vec<Vec<U>> {
-    if threads <= 1 || len == 0 {
-        return vec![f(0..len)];
-    }
-    let chunk = len.div_ceil(threads);
-    let mut slots: Vec<Option<Vec<U>>> = (0..threads).map(|_| None).collect();
-    scope(|s| {
-        for (t, slot) in slots.iter_mut().enumerate() {
-            let f = &f;
-            s.spawn(move || {
-                let lo = t * chunk;
-                let hi = (lo + chunk).min(len);
-                *slot = Some(f(lo..hi));
-            });
-        }
-    });
-    slots.into_iter().map(Option::unwrap_or_default).collect()
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    *WIDTH.get_or_init(|| {
+        std::env::var("CSC_THREADS")
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
 }
 
 /// The common import surface (`use rayon::prelude::*`).
 pub mod prelude {
-    pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParallelIterator};
+    pub use crate::IntoParallelIterator;
 }
 
-/// A finite, indexable source of items that can be mapped in parallel.
-///
-/// This collapses rayon's producer/consumer machinery into the one shape
-/// the shim needs: random access by index.
-pub trait ParallelSource: Sync + Sized {
-    /// Item produced per index.
-    type Item: Send;
-
-    /// Number of items.
-    fn len(&self) -> usize;
-
-    /// `true` if there are no items.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The item at `i` (`i < self.len()`).
-    fn get(&self, i: usize) -> Self::Item;
-}
-
-/// A parallel iterator: a source plus a composed per-item transform.
-pub struct ParIter<S, F> {
-    source: S,
-    transform: F,
-}
-
-/// Conversion into a parallel iterator by reference (`slice.par_iter()`).
-pub trait IntoParallelRefIterator<'a> {
-    /// Item type of the resulting iterator.
-    type Item: Send;
-    /// Resulting iterator type.
-    type Iter: ParallelIterator<Item = Self::Item>;
-
-    /// Borrowing parallel iterator over `self`.
-    fn par_iter(&'a self) -> Self::Iter;
-}
-
-/// Conversion into a parallel iterator by value (`(0..n).into_par_iter()`).
+/// Conversion into a parallel iterator (`(0..n).into_par_iter()`).
 pub trait IntoParallelIterator {
-    /// Item type of the resulting iterator.
-    type Item: Send;
-    /// Resulting iterator type.
-    type Iter: ParallelIterator<Item = Self::Item>;
+    /// The resulting iterator.
+    type Iter;
 
-    /// Consuming parallel iterator over `self`.
+    /// Consumes `self` into a parallel iterator.
     fn into_par_iter(self) -> Self::Iter;
 }
 
-/// Source over a borrowed slice.
-pub struct SliceSource<'a, T>(&'a [T]);
+impl IntoParallelIterator for Range<usize> {
+    type Iter = Iter;
 
-impl<'a, T: Sync> ParallelSource for SliceSource<'a, T> {
-    type Item = &'a T;
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn get(&self, i: usize) -> &'a T {
-        &self.0[i]
+    fn into_par_iter(self) -> Iter {
+        Iter { range: self }
     }
 }
 
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
-    type Item = &'a T;
-    type Iter = ParIter<SliceSource<'a, T>, fn(&'a T) -> &'a T>;
+/// A parallel iterator over a `Range<usize>`.
+pub struct Iter {
+    range: Range<usize>,
+}
 
-    fn par_iter(&'a self) -> Self::Iter {
-        ParIter {
-            source: SliceSource(self),
-            transform: |x| x,
+impl Iter {
+    /// Maps every index through `f` when the result is collected.
+    pub fn map<F>(self, f: F) -> Map<F> {
+        Map {
+            range: self.range,
+            f,
         }
     }
 }
 
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = &'a T;
-    type Iter = ParIter<SliceSource<'a, T>, fn(&'a T) -> &'a T>;
+/// A range mapped through `f`.
+pub struct Map<F> {
+    range: Range<usize>,
+    f: F,
+}
 
-    fn par_iter(&'a self) -> Self::Iter {
-        self.as_slice().par_iter()
+impl<T: Send, F: Fn(usize) -> T + Sync> Map<F> {
+    /// Evaluates every item at [`current_num_threads`] and collects them
+    /// in index order.
+    pub fn collect<C: FromParallelIterator<T>>(self) -> C {
+        let Range { start, end } = self.range;
+        let f = self.f;
+        C::from_par_iter(end.saturating_sub(start), |i| f(start + i))
     }
 }
 
-macro_rules! impl_range_source {
-    ($($t:ty),*) => {$(
-        impl ParallelSource for Range<$t> {
-            type Item = $t;
+/// What a [`Map`] collects into: a `Vec<T>`, or a `Result<Vec<T>, E>`
+/// from items of type `Result<T, E>`.
+pub trait FromParallelIterator<T> {
+    /// Collects `item(i)` for every `i` in `0..len`, in index order.
+    fn from_par_iter(len: usize, item: impl Fn(usize) -> T + Sync) -> Self;
+}
 
-            fn len(&self) -> usize {
-                (self.end.saturating_sub(self.start)) as usize
+impl<T: Send> FromParallelIterator<T> for Vec<T> {
+    fn from_par_iter(len: usize, item: impl Fn(usize) -> T + Sync) -> Self {
+        drive_ok(len, current_num_threads(), item)
+    }
+}
+
+impl<T: Send, E: Send> FromParallelIterator<Result<T, E>> for Result<Vec<T>, E> {
+    fn from_par_iter(len: usize, item: impl Fn(usize) -> Result<T, E> + Sync) -> Self {
+        drive(len, current_num_threads(), item)
+    }
+}
+
+/// [`drive`] over items that cannot fail.
+fn drive_ok<T: Send>(len: usize, width: usize, item: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let Ok(items) = drive(len, width, |i| Ok::<T, Infallible>(item(i)));
+    items
+}
+
+/// Evaluates `item(i)` for every `i` in `0..len` on the calling thread
+/// plus at most `width - 1` scoped threads, and returns the outputs in
+/// index order.
+///
+/// The first `Err` ends the chunk it falls in, and no chunk is handed out
+/// after it. Chunks leave the cursor in index order, so every chunk below
+/// a failed one is evaluated in full: the error returned is the one at
+/// the lowest failed index, as a serial collect would return.
+fn drive<T: Send, E: Send>(
+    len: usize,
+    width: usize,
+    item: impl Fn(usize) -> Result<T, E> + Sync,
+) -> Result<Vec<T>, E> {
+    let threads = width.min(len / SEQUENTIAL_CUTOFF);
+    if threads <= 1 {
+        return evaluate(0..len, item);
+    }
+    let chunks = len.div_ceil(CHUNK);
+    // Relaxed: the cursor publishes no data; a thread's outputs reach the
+    // caller through its join.
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut pieces = Vec::new();
+        loop {
+            let c = cursor.fetch_add(1, Ordering::Relaxed);
+            if c >= chunks {
+                return pieces;
             }
-
-            fn get(&self, i: usize) -> $t {
-                self.start + i as $t
+            let piece = evaluate(c * CHUNK..len.min((c + 1) * CHUNK), &item);
+            if piece.is_err() {
+                cursor.fetch_max(chunks, Ordering::Relaxed);
+            }
+            pieces.push((c, piece));
+        }
+    };
+    let mut pieces = std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
+        let mut pieces = work();
+        for thread in spawned {
+            match thread.join() {
+                Ok(more) => pieces.extend(more),
+                Err(payload) => panic::resume_unwind(payload),
             }
         }
-
-        impl IntoParallelIterator for Range<$t> {
-            type Item = $t;
-            type Iter = ParIter<Range<$t>, fn($t) -> $t>;
-
-            fn into_par_iter(self) -> Self::Iter {
-                ParIter { source: self, transform: |x| x }
-            }
-        }
-    )*};
+        pieces
+    });
+    pieces.sort_unstable_by_key(|&(c, _)| c);
+    let mut out = Vec::with_capacity(len);
+    for (_, piece) in pieces {
+        out.extend(piece?);
+    }
+    Ok(out)
 }
 
-impl_range_source!(u32, u64, usize);
-
-/// The operations available on a parallel iterator (subset of the real
-/// trait; every adapter fuses into the terminal `collect`-style drive).
-pub trait ParallelIterator: Sized {
-    /// Item type.
-    type Item: Send;
-
-    /// Applies `op` to each item, yielding a new parallel iterator.
-    fn map<U: Send, F: Fn(Self::Item) -> U + Sync>(self, op: F) -> Map<Self, F>;
-
-    /// Applies `op`, keeping only `Some` results.
-    fn filter_map<U: Send, F: Fn(Self::Item) -> Option<U> + Sync>(
-        self,
-        op: F,
-    ) -> FilterMap<Self, F>;
-
-    /// Applies `op` to each item with a mutable per-worker state created
-    /// by `init` — real rayon initializes once per split, this shim once
-    /// per contiguous chunk (one per worker), which preserves the
-    /// property callers rely on: state is never shared across threads.
-    fn map_init<T, V, I, G>(self, init: I, op: G) -> MapInit<Self, I, G>
-    where
-        T: Send,
-        V: Send,
-        I: Fn() -> T + Sync,
-        G: Fn(&mut T, Self::Item) -> V + Sync,
-    {
-        MapInit {
-            inner: self,
-            init,
-            op,
-        }
+/// `item(i)` for every `i` in `range`, in order, up to the first `Err`.
+fn evaluate<T, E>(range: Range<usize>, item: impl Fn(usize) -> Result<T, E>) -> Result<Vec<T>, E> {
+    let mut out = Vec::with_capacity(range.len());
+    for i in range {
+        out.push(item(i)?);
     }
-
-    /// Drives the iterator, materializing all items in order.
-    fn drive(self) -> Vec<Self::Item>;
-
-    /// Collects into a container (only `Vec<Item>` and containers with
-    /// `FromIterator<Item>` are supported).
-    fn collect<C: FromIterator<Self::Item>>(self) -> C {
-        self.drive().into_iter().collect()
-    }
-
-    /// Runs `op` on every item. The upstream adapter chain (where the
-    /// expensive work lives) runs on the worker threads; `op` itself runs
-    /// on the calling thread over the driven results.
-    fn for_each<F: Fn(Self::Item)>(self, op: F) {
-        for item in self.drive() {
-            op(item);
-        }
-    }
-
-    /// Sums the items.
-    fn sum<S: std::iter::Sum<Self::Item>>(self) -> S {
-        self.drive().into_iter().sum()
-    }
-
-    /// Item count.
-    fn count(self) -> usize {
-        self.drive().len()
-    }
-}
-
-/// A `map` adapter (exists so adapter chains type-check like real rayon).
-pub struct Map<I, F> {
-    inner: I,
-    op: F,
-}
-
-/// A `filter_map` adapter.
-pub struct FilterMap<I, F> {
-    inner: I,
-    op: F,
-}
-
-/// A `map_init` adapter: per-worker mutable state threaded through `op`.
-pub struct MapInit<It, I, G> {
-    inner: It,
-    init: I,
-    op: G,
-}
-
-impl<S, F, U, T, V, I, G> ParallelIterator for MapInit<ParIter<S, F>, I, G>
-where
-    S: ParallelSource,
-    F: Fn(S::Item) -> U + Sync,
-    U: Send,
-    T: Send,
-    V: Send,
-    I: Fn() -> T + Sync,
-    G: Fn(&mut T, U) -> V + Sync,
-{
-    type Item = V;
-
-    fn map<W: Send, H: Fn(V) -> W + Sync>(self, op: H) -> Map<Self, H> {
-        Map { inner: self, op }
-    }
-
-    fn filter_map<W: Send, H: Fn(V) -> Option<W> + Sync>(self, op: H) -> FilterMap<Self, H> {
-        FilterMap { inner: self, op }
-    }
-
-    fn drive(self) -> Vec<V> {
-        let len = self.inner.source.len();
-        let threads = worker_count(len);
-        let source = &self.inner.source;
-        let transform = &self.inner.transform;
-        let init = &self.init;
-        let op = &self.op;
-        run_chunked(len, threads, |range| {
-            let mut state = init();
-            range
-                .map(|i| op(&mut state, transform(source.get(i))))
-                .collect()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-}
-
-impl<S, F, U> ParallelIterator for ParIter<S, F>
-where
-    S: ParallelSource,
-    F: Fn(S::Item) -> U + Sync,
-    U: Send,
-{
-    type Item = U;
-
-    fn map<V: Send, G: Fn(U) -> V + Sync>(self, op: G) -> Map<Self, G> {
-        Map { inner: self, op }
-    }
-
-    fn filter_map<V: Send, G: Fn(U) -> Option<V> + Sync>(self, op: G) -> FilterMap<Self, G> {
-        FilterMap { inner: self, op }
-    }
-
-    fn drive(self) -> Vec<U> {
-        let len = self.source.len();
-        let threads = worker_count(len);
-        let source = &self.source;
-        let transform = &self.transform;
-        run_chunked(len, threads, |range| {
-            range.map(|i| transform(source.get(i))).collect()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-}
-
-impl<S, F, U, G, V> ParallelIterator for Map<ParIter<S, F>, G>
-where
-    S: ParallelSource,
-    F: Fn(S::Item) -> U + Sync,
-    U: Send,
-    G: Fn(U) -> V + Sync,
-    V: Send,
-{
-    type Item = V;
-
-    fn map<W: Send, H: Fn(V) -> W + Sync>(self, op: H) -> Map<Self, H> {
-        Map { inner: self, op }
-    }
-
-    fn filter_map<W: Send, H: Fn(V) -> Option<W> + Sync>(self, op: H) -> FilterMap<Self, H> {
-        FilterMap { inner: self, op }
-    }
-
-    fn drive(self) -> Vec<V> {
-        let len = self.inner.source.len();
-        let threads = worker_count(len);
-        let source = &self.inner.source;
-        let first = &self.inner.transform;
-        let second = &self.op;
-        run_chunked(len, threads, |range| {
-            range.map(|i| second(first(source.get(i)))).collect()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-}
-
-impl<S, F, U, G, V> ParallelIterator for FilterMap<ParIter<S, F>, G>
-where
-    S: ParallelSource,
-    F: Fn(S::Item) -> U + Sync,
-    U: Send,
-    G: Fn(U) -> Option<V> + Sync,
-    V: Send,
-{
-    type Item = V;
-
-    fn map<W: Send, H: Fn(V) -> W + Sync>(self, op: H) -> Map<Self, H> {
-        Map { inner: self, op }
-    }
-
-    fn filter_map<W: Send, H: Fn(V) -> Option<W> + Sync>(self, op: H) -> FilterMap<Self, H> {
-        FilterMap { inner: self, op }
-    }
-
-    fn drive(self) -> Vec<V> {
-        let len = self.inner.source.len();
-        let threads = worker_count(len);
-        let source = &self.inner.source;
-        let first = &self.inner.transform;
-        let second = &self.op;
-        run_chunked(len, threads, |range| {
-            range.filter_map(|i| second(first(source.get(i)))).collect()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -676,180 +192,97 @@ mod tests {
     use super::prelude::*;
     use super::*;
     use std::collections::HashSet;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Mutex;
 
     #[test]
-    fn slice_par_map_collect_preserves_order() {
-        let xs: Vec<u64> = (0..10_000).collect();
-        let doubled: Vec<u64> = xs.par_iter().map(|&x| x * 2).collect();
-        assert_eq!(doubled.len(), 10_000);
-        assert!(doubled.iter().enumerate().all(|(i, &v)| v == 2 * i as u64));
+    fn collect_keeps_index_order_at_every_width() {
+        for width in 1..=4 {
+            for len in [0, 1, 511, 512, 513, 5_000] {
+                let expected: Vec<usize> = (0..len).map(|i| i * 7).collect();
+                assert_eq!(
+                    drive_ok(len, width, |i| i * 7),
+                    expected,
+                    "{len} at {width}"
+                );
+                let ok: Result<Vec<usize>, ()> = drive(len, width, |i| Ok(i * 7));
+                assert_eq!(ok, Ok(expected), "{len} items at width {width}");
+            }
+        }
     }
 
     #[test]
     fn range_into_par_iter() {
         let squares: Vec<usize> = (0usize..5_000).into_par_iter().map(|i| i * i).collect();
         assert_eq!(squares[4_999], 4_999 * 4_999);
-        let total: u64 = (0u64..1_000).into_par_iter().sum();
-        assert_eq!(total, 499_500);
+        let tail: Vec<usize> = (4_000usize..5_000).into_par_iter().map(|i| i * i).collect();
+        assert_eq!(tail[..], squares[4_000..]);
     }
 
     #[test]
-    fn filter_map_drops_none() {
-        let xs: Vec<u32> = (0..2_000).collect();
-        let evens: Vec<u32> = xs
-            .par_iter()
-            .filter_map(|&x| (x % 2 == 0).then_some(x))
-            .collect();
-        assert_eq!(evens.len(), 1_000);
-        assert!(evens.windows(2).all(|w| w[0] < w[1]), "order preserved");
+    fn at_most_width_threads_evaluate_items() {
+        for width in 1..=4 {
+            let seen = Mutex::new(HashSet::new());
+            drive_ok(5_000, width, |_| {
+                let id = std::thread::current().id();
+                seen.lock().expect("no item panics").insert(id);
+            });
+            let seen = seen.into_inner().expect("no item panics").len();
+            assert!(
+                (1..=width).contains(&seen),
+                "{seen} threads at width {width}"
+            );
+        }
     }
 
     #[test]
-    fn map_init_threads_per_worker_state_in_order() {
-        let xs: Vec<u64> = (0..10_000).collect();
-        // Each worker chunk gets its own counter; items stay in order and
-        // every item sees a state (the counter strictly increases within
-        // a chunk, so the per-item value is chunk-local, never shared).
-        let out: Vec<(u64, u64)> = xs
-            .par_iter()
-            .map_init(
-                || 0u64,
-                |local, &x| {
-                    *local += 1;
-                    (x, *local)
-                },
-            )
-            .collect();
-        assert_eq!(out.len(), xs.len());
-        assert!(out.iter().enumerate().all(|(i, &(x, _))| x == i as u64));
-        // Fresh state per chunk: the local counter never exceeds the
-        // total length and restarts at 1 on each chunk boundary.
-        assert!(out.iter().all(|&(_, c)| c >= 1 && c <= xs.len() as u64));
-        assert_eq!(out[0].1, 1);
-        // Result collection works through map_init like rayon's.
-        let ok: Result<Vec<u64>, ()> = xs.par_iter().map_init(|| (), |(), &x| Ok(x)).collect();
-        assert_eq!(ok.unwrap().len(), xs.len());
-    }
-
-    #[test]
-    fn for_each_and_small_inputs_run_inline() {
-        let hits = AtomicUsize::new(0);
-        let xs: Vec<u8> = vec![1, 2, 3];
-        xs.par_iter().for_each(|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 3);
-        let empty: Vec<u8> = vec![];
-        let out: Vec<u8> = empty.par_iter().map(|&x| x).collect();
-        assert!(out.is_empty());
-        let one: Vec<u8> = vec![7];
-        let out: Vec<u8> = one.par_iter().map(|&x| x + 1).collect();
-        assert_eq!(out, vec![8]);
-    }
-
-    #[test]
-    fn scope_runs_borrowed_tasks_to_completion() {
-        let mut slots = vec![0u32; 100];
-        scope(|s| {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                s.spawn(move || *slot = i as u32 + 1);
-            }
-        });
-        assert!(slots.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
-    }
-
-    #[test]
-    fn scope_with_zero_and_one_task() {
-        // Zero spawns: scope is a no-op that still returns the body value.
-        let r = scope(|_| 42);
-        assert_eq!(r, 42);
-        // One spawn.
-        let flag = AtomicUsize::new(0);
-        scope(|s| {
-            s.spawn(|| {
-                flag.fetch_add(1, Ordering::SeqCst);
-            })
-        });
-        assert_eq!(flag.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn work_distributes_across_pool_workers() {
-        // A private 3-worker pool: every queued task must run on one of
-        // its workers (or the helping caller), and all must complete.
-        let pool = Pool::new(3);
-        let ids = Mutex::new(HashSet::new());
-        let done = AtomicUsize::new(0);
-        scope_on(&pool, |s| {
-            for _ in 0..64 {
-                s.spawn(|| {
-                    // Enough work to keep several workers busy at once.
-                    std::thread::sleep(Duration::from_millis(2));
-                    ids.lock().unwrap().insert(std::thread::current().id());
-                    done.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(done.load(Ordering::SeqCst), 64);
-        let ids = ids.lock().unwrap();
-        assert!(
-            ids.len() >= 2,
-            "64 sleepy tasks on a 3-worker pool should land on >1 thread, got {}",
-            ids.len()
-        );
+    fn a_failed_item_stops_the_hand_out() {
+        const FAILS_AT: usize = 10;
+        for width in 1..=4 {
+            let failed = AtomicBool::new(false);
+            let evaluated = AtomicUsize::new(0);
+            let out: Result<Vec<usize>, usize> = drive(1_000_000, width, |i| {
+                evaluated.fetch_add(1, Ordering::Relaxed);
+                if i == FAILS_AT {
+                    failed.store(true, Ordering::SeqCst);
+                    return Err(i);
+                }
+                // Later items wait for the failure, so every other thread
+                // holds one chunk when it happens, however they are
+                // scheduled.
+                while i > FAILS_AT && !failed.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                Ok(i)
+            });
+            assert_eq!(out, Err(FAILS_AT));
+            let evaluated = evaluated.into_inner();
+            assert!(evaluated < 10_000, "{evaluated} items at width {width}");
+        }
     }
 
     #[test]
     fn panic_propagates_with_original_payload() {
-        let pool = Pool::new(2);
-        let survivors = AtomicUsize::new(0);
-        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-            scope_on(&pool, |s| {
-                s.spawn(|| panic!("injected fault 17"));
-                for _ in 0..8 {
-                    s.spawn(|| {
-                        survivors.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-            });
-        }));
-        let payload = caught.expect_err("scope must re-raise the task panic");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_owned)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(
-            msg.contains("injected fault 17"),
-            "original payload preserved, got {msg:?}"
-        );
-        // Sibling tasks were not abandoned: the scope settled them all
-        // before re-raising.
-        assert_eq!(survivors.load(Ordering::SeqCst), 8);
-    }
-
-    #[test]
-    fn nested_scopes_do_not_deadlock() {
-        // Single-worker pool: inner scopes can only make progress because
-        // blocked outer tasks help drain the queue.
-        let pool = Pool::new(1);
-        let total = AtomicUsize::new(0);
-        scope_on(&pool, |outer| {
-            for _ in 0..4 {
-                outer.spawn(|| {
-                    scope(|inner| {
-                        for _ in 0..4 {
-                            inner.spawn(|| {
-                                total.fetch_add(1, Ordering::SeqCst);
-                            });
-                        }
-                    });
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::SeqCst), 16);
+        for width in 2..=4 {
+            let caller = std::thread::current().id();
+            let raised = AtomicBool::new(false);
+            let caught = panic::catch_unwind(panic::AssertUnwindSafe(|| {
+                drive_ok(5_000, width, |_| {
+                    if std::thread::current().id() != caller {
+                        raised.store(true, Ordering::SeqCst);
+                        panic!("injected fault 17");
+                    }
+                    // The calling thread waits, so a spawned thread takes
+                    // a chunk and panics.
+                    while !raised.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                })
+            }));
+            let payload = caught.expect_err("the collect re-raises the thread's panic");
+            let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(msg.contains("injected fault 17"), "got {msg:?}");
+        }
     }
 
     #[test]
