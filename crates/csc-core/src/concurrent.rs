@@ -48,7 +48,7 @@
 use crate::batch::{BatchReport, GraphUpdate};
 use crate::error::CscError;
 use crate::guard::Deadline;
-use crate::health::{IndexHealth, RebuildReason};
+use crate::health::IndexHealth;
 use crate::index::CscIndex;
 use crate::maintain::{MaintenanceEngine, MaintenanceStatus, RecoveryReport, RejuvenationReport};
 use crate::snapshot::SnapshotIndex;
@@ -349,7 +349,7 @@ impl ConcurrentIndex {
     /// never blocked; writes queue into the write-ahead replay log until
     /// the swap. No-op if a rebuild is already in flight.
     pub fn begin_rejuvenation(&self) -> Result<(), CscError> {
-        self.inner.write().begin_rejuvenation(RebuildReason::Manual)
+        self.inner.write().begin_rejuvenation()
     }
 
     /// Advances an in-flight rejuvenation by up to `rank_budget` hub ranks
@@ -376,7 +376,7 @@ impl ConcurrentIndex {
     /// + [`maintain`](Self::maintain) to interleave them instead).
     pub fn rejuvenate(&self) -> Result<RejuvenationReport, CscError> {
         let mut guard = self.inner.write();
-        let report = guard.rejuvenate(RebuildReason::Manual)?;
+        let report = guard.rejuvenate()?;
         self.publish(&mut guard);
         Ok(report)
     }
@@ -394,11 +394,8 @@ impl ConcurrentIndex {
             // published snapshot stays pinned until recover().
             return;
         }
-        // Cooperative maintenance first: a policy trip starts the rebuild,
-        // an in-flight one advances a bounded chunk on the writer's dime.
-        if engine.policy().auto {
-            let _ = engine.maybe_begin();
-        }
+        // Cooperative maintenance first: an in-flight rejuvenation
+        // advances a bounded chunk on the writer's dime.
         if engine.is_rebuilding() {
             match engine.step(crate::maintain::DEFAULT_STEP_RANKS) {
                 // Completion swap: publish the rejuvenated index.
@@ -567,7 +564,7 @@ mod tests {
     }
 
     #[test]
-    fn add_vertex_respects_manual_only_policy() {
+    fn add_vertex_respects_manual_publication() {
         let g = directed_cycle(3);
         let config = CscConfig::default().with_snapshot_every(0);
         let shared = ConcurrentIndex::new(CscIndex::build(&g, config).unwrap());
@@ -776,27 +773,6 @@ mod tests {
             );
         }
         assert!(shared.snapshot_stats().published > published_before);
-    }
-
-    #[test]
-    fn auto_policy_rejuvenates_from_the_write_path() {
-        let g = directed_cycle(8);
-        let config = CscConfig::default()
-            .with_snapshot_every(1)
-            .with_rebuild_policy(
-                crate::RebuildPolicy::default()
-                    .with_churned_vertices(2)
-                    .with_auto(true),
-            );
-        let shared = ConcurrentIndex::new(CscIndex::build(&g, config).unwrap());
-        shared.add_vertex().unwrap();
-        assert_eq!(shared.health().rejuvenations, 0);
-        shared.add_vertex().unwrap(); // trips the churn threshold; rebuild starts
-        while shared.maintain(usize::MAX).unwrap() != crate::MaintenanceStatus::Serving {}
-        let h = shared.health();
-        assert_eq!(h.rejuvenations, 1);
-        assert_eq!(h.churned_vertices, 0, "appended vertices re-ranked");
-        assert_eq!(shared.snapshot().query(VertexId(0)).unwrap().length, 8);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::error::CscError;
 use crate::guard::RetryPolicy;
-use crate::health::RebuildPolicy;
 use csc_graph::OrderingStrategy;
 
 /// How incremental updates treat label entries that new shortest paths have
@@ -171,7 +170,8 @@ impl ParallelismConfig {
 /// `CLEAN_LABEL` reads carriers, and maintains them from then on. Nor is
 /// any limit on load: like the paper's index, this one repairs every
 /// update in place and never refuses or drops a write because it is
-/// busy (a rejuvenation queues writes in an unbounded replay queue).
+/// busy (a rejuvenation queues writes in an unbounded replay queue). Nor
+/// is any rebuild policy: a rejuvenation runs only when a caller asks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CscConfig {
     /// Vertex-ordering strategy, applied to the *original* graph; couples in
@@ -212,10 +212,6 @@ pub struct CscConfig {
     /// [`CscConfig::validate`] accepts it and pins the manual-publication
     /// semantics down.
     pub snapshot_every: usize,
-    /// When the maintenance plane should rejuvenate (rebuild) the index —
-    /// see [`RebuildPolicy`]. Default: trigger measurement at 200% label
-    /// growth, automatic rebuild off.
-    pub rebuild: RebuildPolicy,
     /// Durability knobs (WAL fsync, checkpoint cadence, integrity
     /// check); inert until a directory is attached. See
     /// [`DurabilityConfig`].
@@ -232,7 +228,6 @@ impl Default for CscConfig {
             order: OrderingStrategy::Degree,
             update_strategy: UpdateStrategy::Redundancy,
             snapshot_every: 8,
-            rebuild: RebuildPolicy::default(),
             durability: DurabilityConfig::default(),
             parallelism: ParallelismConfig::default(),
         }
@@ -261,12 +256,6 @@ impl CscConfig {
     /// [`CscConfig::snapshot_every`]).
     pub fn with_snapshot_every(mut self, every: usize) -> Self {
         self.snapshot_every = every;
-        self
-    }
-
-    /// Builder-style: set the rebuild (rejuvenation) policy.
-    pub fn with_rebuild_policy(mut self, policy: RebuildPolicy) -> Self {
-        self.rebuild = policy;
         self
     }
 
@@ -320,15 +309,11 @@ impl CscConfig {
     ///   — [`ConcurrentIndex`](crate::ConcurrentIndex) republishes only on
     ///   an explicit [`refresh`](crate::ConcurrentIndex::refresh) (or at a
     ///   rejuvenation swap, which must publish to stay coherent).
-    /// * `rebuild.max_growth_percent` must be `0` (disabled) or `> 100`: a
-    ///   threshold at or below 100% would re-trigger immediately after the
-    ///   rebuild that satisfied it.
     ///
     /// # Errors
     ///
     /// Returns [`CscError::Config`] naming the offending field.
     pub fn validate(&self) -> Result<(), CscError> {
-        self.rebuild.validate().map_err(CscError::Config)?;
         self.durability.validate().map_err(CscError::Config)?;
         self.parallelism.validate().map_err(CscError::Config)?;
         if let OrderingStrategy::CoverageSampling {
@@ -409,17 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_degenerate_rebuild_thresholds() {
-        let c = CscConfig::default()
-            .with_rebuild_policy(RebuildPolicy::default().with_growth_percent(100));
-        let err = c.validate().unwrap_err();
-        assert!(err.to_string().contains("max_growth_percent"), "{err}");
-        // Disabled thresholds stay valid.
-        let c = CscConfig::default().with_rebuild_policy(RebuildPolicy::manual_only());
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
     fn validate_rejects_degenerate_durability_knobs() {
         let c = CscConfig::default().with_checkpoint_every(0);
         let err = c.validate().unwrap_err();
@@ -496,7 +470,7 @@ mod tests {
     }
 
     #[test]
-    fn memory_budget_and_io_retry_builders() {
+    fn io_retry_builder_and_validation() {
         let r = crate::guard::RetryPolicy::new(
             3,
             std::time::Duration::from_millis(1),

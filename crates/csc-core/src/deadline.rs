@@ -30,7 +30,6 @@
 //! twins: [`CscIndex::apply_batch_deadline`] (admission + a checkpoint
 //! after the read-only planning pass),
 //! [`MaintenanceEngine::apply_batch_deadline`](crate::MaintenanceEngine::apply_batch_deadline)
-//! and [`MaintenanceEngine::step_deadline`](crate::MaintenanceEngine::step_deadline)
 //! (admission-only: a WAL-logged window must run to completion), and
 //! [`ConcurrentIndex`](crate::ConcurrentIndex) facade variants.
 

@@ -119,7 +119,7 @@ impl RetryPolicy {
 
     /// The sleep before retrying after failed attempt `attempt`
     /// (0-based), or `None` when the attempt budget is exhausted.
-    pub fn backoff(&self, attempt: u32, salt: u64) -> Option<Duration> {
+    fn backoff(&self, attempt: u32, salt: u64) -> Option<Duration> {
         if attempt + 1 >= self.max_attempts {
             return None;
         }

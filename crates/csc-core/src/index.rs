@@ -562,8 +562,7 @@ mod tests {
 
     #[test]
     fn build_rejects_invalid_config() {
-        let bad = CscConfig::default()
-            .with_rebuild_policy(crate::health::RebuildPolicy::default().with_growth_percent(50));
+        let bad = CscConfig::default().with_checkpoint_every(0);
         assert!(matches!(
             CscIndex::build(&directed_cycle(3), bad),
             Err(crate::CscError::Config(_))

@@ -100,7 +100,7 @@ pub use concurrent::ConcurrentIndex;
 pub use config::{CscConfig, DurabilityConfig, FsyncPolicy, ParallelismConfig, UpdateStrategy};
 pub use error::CscError;
 pub use guard::{Deadline, RetryPolicy};
-pub use health::{HealthBaseline, IndexHealth, RebuildPolicy, RebuildReason};
+pub use health::{HealthBaseline, IndexHealth};
 pub use index::CscIndex;
 pub use maintain::{
     MaintenanceEngine, MaintenanceStats, MaintenanceStatus, RecoveryReport, RejuvenationReport,

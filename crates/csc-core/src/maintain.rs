@@ -12,8 +12,8 @@
 //!           ┌───────────┐
 //!           │  Serving  │◄───────────────────────────────┐
 //!           └─────┬─────┘                                │
-//!   policy trips  │ begin_rejuvenation                   │ replay queue
-//!   or manual     ▼                                      │ drained: swap
+//!                 │ begin_rejuvenation                   │ replay queue
+//!                 ▼                                      │ drained: swap
 //!         ┌──────────────┐  labels complete     ┌────────┴───────┐
 //!         │  Rebuilding  ├─────────────────────►│   Replaying    │
 //!         └──────────────┘  (fresh ranks over   └────────────────┘
@@ -54,7 +54,7 @@ use crate::batch::{BatchReport, GraphUpdate};
 use crate::build::{CoupleBfs, LabelBuildTask};
 use crate::error::CscError;
 use crate::guard::{Deadline, RetryPolicy};
-use crate::health::{HealthBaseline, IndexHealth, RebuildPolicy, RebuildReason};
+use crate::health::{HealthBaseline, IndexHealth};
 use crate::index::CscIndex;
 use crate::snapshot::SnapshotIndex;
 use crate::stats::{IndexStats, UpdateReport};
@@ -99,17 +99,6 @@ pub const REPLAY_CHUNK: usize = 256;
 /// while a rebuild is in flight).
 pub const DEFAULT_STEP_RANKS: usize = 64;
 
-/// Backoff schedule for re-attempting a rejuvenation after one was
-/// abandoned (deadline-aborted or failed): attempts are unbounded — the
-/// drift that tripped the policy does not go away — but each retry waits
-/// `50ms * 2^k`, capped at 5s, so a persistently stuck rebuild cannot
-/// busy-loop the engine.
-const REBUILD_RETRY: RetryPolicy = RetryPolicy {
-    max_attempts: u32::MAX,
-    base: std::time::Duration::from_millis(50),
-    cap: std::time::Duration::from_secs(5),
-};
-
 /// Where the engine's state machine currently is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MaintenanceStatus {
@@ -146,7 +135,7 @@ pub enum MaintenanceStatus {
 /// Counters for the engine's lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MaintenanceStats {
-    /// Rejuvenations started (manual or policy-triggered).
+    /// Rejuvenations started.
     pub rejuvenations_started: u32,
     /// Rejuvenations that completed and swapped.
     pub rejuvenations_completed: u32,
@@ -157,8 +146,6 @@ pub struct MaintenanceStats {
     pub updates_replayed: usize,
     /// Cooperative steps taken across all rebuilds.
     pub rebuild_steps: usize,
-    /// Why the most recent rejuvenation started.
-    pub last_reason: Option<RebuildReason>,
     /// Times the engine entered the `Degraded` state (write-path panic
     /// or failed integrity check).
     pub degradations: u32,
@@ -202,8 +189,6 @@ struct Durability {
 /// What one completed rejuvenation did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RejuvenationReport {
-    /// Why it ran.
-    pub reason: RebuildReason,
     /// Label entries before the rebuild began.
     pub entries_before: usize,
     /// Label entries after the swap and replay.
@@ -217,22 +202,21 @@ pub struct RejuvenationReport {
 /// An in-flight rebuild: fresh ranks and an adjacency snapshot captured at
 /// rebuild start (the live graph cannot change underneath — writes queue).
 struct RebuildTask {
-    reason: RebuildReason,
     ranks: RankTable,
     csr: Csr,
     build: LabelBuildTask,
     labels_done: bool,
 }
 
-/// The policy-driven write plane: owns the live [`CscIndex`], decides when
-/// it has drifted far enough to rejuvenate, and runs the rebuild/replay
-/// state machine described in the [module docs](self).
+/// The write plane: owns the live [`CscIndex`] and runs the
+/// rebuild/replay state machine described in the [module docs](self).
+/// A rejuvenation starts only when the caller asks for one.
 ///
 /// Single-threaded by design — concurrency (locks, snapshot publication)
 /// is [`ConcurrentIndex`](crate::ConcurrentIndex)'s job. Standalone use:
 ///
 /// ```
-/// use csc_core::{CscConfig, CscIndex, MaintenanceEngine, RebuildReason};
+/// use csc_core::{CscConfig, CscIndex, MaintenanceEngine};
 /// use csc_graph::{DiGraph, VertexId};
 ///
 /// let g = DiGraph::from_edges(4, vec![(0, 1), (1, 2), (2, 0)]);
@@ -244,8 +228,8 @@ struct RebuildTask {
 /// engine.insert_edge(VertexId(3), VertexId(0)).unwrap();
 ///
 /// // Rejuvenate: rebuild with a freshly computed ordering, replay, swap.
-/// let report = engine.rejuvenate(RebuildReason::Manual).unwrap();
-/// assert_eq!(report.reason, RebuildReason::Manual);
+/// let report = engine.rejuvenate().unwrap();
+/// assert_eq!(report.replayed, 0);
 /// assert_eq!(engine.index().query(VertexId(3)).unwrap().length, 2);
 /// assert_eq!(engine.health().rejuvenations, 1);
 /// ```
@@ -274,12 +258,6 @@ pub struct MaintenanceEngine {
     durability_degraded: Option<String>,
     /// Torn-tail WAL bytes dropped by recoveries, lifetime.
     wal_truncated_total: u64,
-    /// Consecutive abandoned rejuvenations (resets when one completes);
-    /// drives the [`REBUILD_RETRY`] backoff exponent.
-    rebuild_failures: u32,
-    /// [`maybe_begin`](Self::maybe_begin) refuses to start an automatic
-    /// rejuvenation before this instant (backoff after an abandon).
-    rebuild_retry_at: Option<Instant>,
     stats: MaintenanceStats,
 }
 
@@ -297,8 +275,6 @@ impl MaintenanceEngine {
             durability: None,
             durability_degraded: None,
             wal_truncated_total: 0,
-            rebuild_failures: 0,
-            rebuild_retry_at: None,
             stats: MaintenanceStats::default(),
         }
     }
@@ -307,11 +283,6 @@ impl MaintenanceEngine {
     /// lags by the queued updates).
     pub fn index(&self) -> &CscIndex {
         &self.index
-    }
-
-    /// The rebuild policy (captured in the index configuration).
-    pub fn policy(&self) -> &RebuildPolicy {
-        &self.index.config().rebuild
     }
 
     /// Retargets the ordering strategy (see [`CscIndex::set_order`]): the
@@ -711,7 +682,7 @@ impl MaintenanceEngine {
     ///
     /// Fails on a poisoned index, or if the graph exceeds labeling
     /// capacity.
-    pub fn begin_rejuvenation(&mut self, reason: RebuildReason) -> Result<(), CscError> {
+    pub fn begin_rejuvenation(&mut self) -> Result<(), CscError> {
         self.index.check_ready()?;
         if self.is_rebuilding() {
             return Ok(());
@@ -721,41 +692,13 @@ impl MaintenanceEngine {
         let csr = Csr::from_digraph(self.index.bipartite().graph());
         let build = LabelBuildTask::new(csr.vertex_count())?;
         self.rebuild = Some(RebuildTask {
-            reason,
             ranks,
             csr,
             build,
             labels_done: false,
         });
         self.stats.rejuvenations_started += 1;
-        self.stats.last_reason = Some(reason);
         Ok(())
-    }
-
-    /// Checks the policy's growth and churn thresholds against the live
-    /// [`health`](Self::health) and starts a rejuvenation if one trips
-    /// (regardless of [`RebuildPolicy::auto`] — the *caller* decides
-    /// whether measurement implies action). Returns the tripped reason.
-    pub fn maybe_begin(&mut self) -> Result<Option<RebuildReason>, CscError> {
-        if self.is_rebuilding() {
-            return Ok(None);
-        }
-        // Backoff after an abandoned attempt: the drift is still there,
-        // but hammering a rebuild that keeps getting aborted (tight
-        // deadlines, capacity pressure) would starve the write plane.
-        // Manual `begin_rejuvenation` bypasses this gate.
-        if let Some(t) = self.rebuild_retry_at {
-            if Instant::now() < t {
-                return Ok(None);
-            }
-        }
-        match self.health().triggered(self.policy()) {
-            Some(reason) => {
-                self.begin_rejuvenation(reason)?;
-                Ok(Some(reason))
-            }
-            None => Ok(None),
-        }
     }
 
     /// Advances an in-flight rejuvenation by a bounded amount of work: up
@@ -792,7 +735,7 @@ impl MaintenanceEngine {
                 Ok(Ok(false)) => {}
                 Ok(Err(e)) => {
                     // Abandon: the old index is untouched and fully valid.
-                    self.abandon_rebuild_with_backoff()?;
+                    self.abandon_rebuild()?;
                     return Err(e.into());
                 }
                 Err(payload) => {
@@ -820,39 +763,12 @@ impl MaintenanceEngine {
         Ok(self.status())
     }
 
-    /// Deadline-aware [`step`](Self::step): the per-chunk deadline is
-    /// checked *before* any work, so a caller driving a rebuild under a
-    /// latency budget never starts a chunk it has no time for. An
-    /// exceeded deadline abandons the in-flight rejuvenation via the
-    /// existing abandon path — the old index keeps serving, the queue
-    /// replays onto it, no accepted write is lost — and delays the next
-    /// automatic attempt ([`maybe_begin`](Self::maybe_begin)) by bounded
-    /// exponential backoff, returning [`CscError::DeadlineExceeded`].
-    pub fn step_deadline(
-        &mut self,
-        rank_budget: usize,
-        deadline: Deadline,
-    ) -> Result<MaintenanceStatus, CscError> {
-        self.check_writable()?;
-        if self.rebuild.is_some() && deadline.is_past() {
-            self.abandon_rebuild_with_backoff()?;
-            return Err(CscError::DeadlineExceeded);
-        }
-        self.step(rank_budget)
-    }
-
-    /// The shared abandon path: drop the in-flight task, count the
-    /// failure, arm the [`REBUILD_RETRY`] backoff for the next automatic
-    /// attempt, and replay the queue onto the current (still fully
-    /// valid) index, as one window, so no accepted write is lost.
-    fn abandon_rebuild_with_backoff(&mut self) -> Result<(), CscError> {
+    /// Drops the in-flight task, counts the failure, and replays the
+    /// queue onto the current (still fully valid) index, as one window,
+    /// so no accepted write is lost.
+    fn abandon_rebuild(&mut self) -> Result<(), CscError> {
         self.rebuild = None;
         self.stats.rejuvenations_failed += 1;
-        let attempt = self.rebuild_failures.min(30);
-        self.rebuild_failures = self.rebuild_failures.saturating_add(1);
-        if let Some(backoff) = REBUILD_RETRY.backoff(attempt, 0x52454255) {
-            self.rebuild_retry_at = Some(Instant::now() + backoff);
-        }
         self.stats.updates_replayed += self.replay_queued(usize::MAX, "replay")?;
         Ok(())
     }
@@ -872,19 +788,17 @@ impl MaintenanceEngine {
         Ok(())
     }
 
-    /// Runs an in-flight (or, with `reason`, a fresh) rejuvenation to
-    /// completion and reports what it did. This is the synchronous driver;
-    /// cooperative callers use [`begin_rejuvenation`](Self::begin_rejuvenation)
-    /// + [`step`](Self::step) instead.
-    pub fn rejuvenate(&mut self, reason: RebuildReason) -> Result<RejuvenationReport, CscError> {
+    /// Runs an in-flight (or else a fresh) rejuvenation to completion and
+    /// reports what it did. This is the synchronous driver; cooperative
+    /// callers use [`begin_rejuvenation`](Self::begin_rejuvenation) +
+    /// [`step`](Self::step) instead.
+    pub fn rejuvenate(&mut self) -> Result<RejuvenationReport, CscError> {
         let started = Instant::now();
         let entries_before = self.index.total_entries();
         let replayed_before = self.stats.updates_replayed;
-        self.begin_rejuvenation(reason)?;
-        let reason = self.rebuild.as_ref().map(|t| t.reason).unwrap_or(reason);
+        self.begin_rejuvenation()?;
         while self.step(usize::MAX)? != MaintenanceStatus::Serving {}
         Ok(RejuvenationReport {
-            reason,
             entries_before,
             entries_after: self.index.total_entries(),
             replayed: self.stats.updates_replayed - replayed_before,
@@ -937,9 +851,6 @@ impl MaintenanceEngine {
         // count as ordinary drift on top of it.
         self.index = fresh;
         self.stats.rejuvenations_completed += 1;
-        // A completed rebuild resets the abandon-retry backoff.
-        self.rebuild_failures = 0;
-        self.rebuild_retry_at = None;
     }
 
     /// Drains up to [`REPLAY_CHUNK`] updates onto the (rejuvenated) index;
@@ -1249,9 +1160,7 @@ impl MaintenanceEngine {
     /// and would refuse it; the index is returned as-is for inspection.
     pub fn into_index(mut self) -> CscIndex {
         if self.is_rebuilding() && !self.is_degraded() {
-            self.rebuild = None;
-            self.stats.rejuvenations_failed += 1;
-            let _ = self.replay_queued(usize::MAX, "replay");
+            let _ = self.abandon_rebuild();
         }
         self.index
     }
@@ -1323,8 +1232,7 @@ mod tests {
         let drifted = engine.health();
         assert_eq!(drifted.churned_vertices, 4);
 
-        let report = engine.rejuvenate(RebuildReason::Manual).unwrap();
-        assert_eq!(report.reason, RebuildReason::Manual);
+        let report = engine.rejuvenate().unwrap();
         assert_eq!(report.replayed, 0);
         assert_eq!(engine.status(), MaintenanceStatus::Serving);
 
@@ -1345,7 +1253,7 @@ mod tests {
     fn writes_queue_during_rebuild_and_replay_applies_them() {
         let g = gnm(18, 48, 3);
         let mut engine = MaintenanceEngine::new(CscIndex::build(&g, CscConfig::default()).unwrap());
-        engine.begin_rejuvenation(RebuildReason::Manual).unwrap();
+        engine.begin_rejuvenation().unwrap();
         // A budget of 2 makes progress but leaves the rebuild in flight.
         let st = engine.step(2).unwrap();
         assert!(
@@ -1378,69 +1286,7 @@ mod tests {
     }
 
     #[test]
-    fn deadline_aborted_step_abandons_replays_and_backs_off() {
-        let g = gnm(18, 48, 3);
-        let config = CscConfig::default().with_rebuild_policy(
-            RebuildPolicy::default()
-                .with_churned_vertices(1)
-                .with_auto(true),
-        );
-        let mut engine = MaintenanceEngine::new(CscIndex::build(&g, config).unwrap());
-        engine.begin_rejuvenation(RebuildReason::Manual).unwrap();
-        engine.step(1).unwrap();
-        engine.add_vertex().unwrap();
-        assert_eq!(engine.health().replay_queued, 1);
-
-        // A past deadline: the chunk never starts; the rebuild abandons
-        // safely and the queued write replays onto the old index.
-        let past = Deadline::at(Instant::now() - std::time::Duration::from_millis(1));
-        let err = engine.step_deadline(16, past).unwrap_err();
-        assert_eq!(err, CscError::DeadlineExceeded);
-        assert_eq!(engine.status(), MaintenanceStatus::Serving);
-        assert_eq!(
-            engine.index().original_vertex_count(),
-            19,
-            "queued write survived the abort"
-        );
-        assert_eq!(engine.maintenance_stats().rejuvenations_failed, 1);
-
-        // The churn policy trips (1 added vertex), but the automatic
-        // path waits out the abandon backoff...
-        assert_eq!(
-            engine.maybe_begin().unwrap(),
-            None,
-            "backoff gates the retry"
-        );
-        // ...while a manual rejuvenation bypasses the gate.
-        engine.rejuvenate(RebuildReason::Manual).unwrap();
-        assert_eq!(engine.maintenance_stats().rejuvenations_failed, 1);
-        assert_matches_fresh(&engine, "after deadline abort + manual retry");
-        verify_index(engine.index()).unwrap();
-    }
-
-    #[test]
-    fn policy_trip_starts_rebuild_via_maybe_begin() {
-        let g = directed_cycle(6);
-        let config = CscConfig::default().with_rebuild_policy(
-            RebuildPolicy::default()
-                .with_churned_vertices(2)
-                .with_auto(true),
-        );
-        let mut engine = MaintenanceEngine::new(CscIndex::build(&g, config).unwrap());
-        assert_eq!(engine.maybe_begin().unwrap(), None);
-        engine.add_vertex().unwrap();
-        assert_eq!(engine.maybe_begin().unwrap(), None, "below threshold");
-        engine.add_vertex().unwrap();
-        assert_eq!(engine.maybe_begin().unwrap(), Some(RebuildReason::Churn));
-        assert!(engine.is_rebuilding());
-        // Idempotent while in flight.
-        assert_eq!(engine.maybe_begin().unwrap(), None);
-        while engine.step(usize::MAX).unwrap() != MaintenanceStatus::Serving {}
-        assert_eq!(engine.health().churned_vertices, 0, "churn re-ranked away");
-    }
-
-    #[test]
-    fn publish_from_forces_full_freeze_after_swap() {
+    fn publish_after_swap_shares_the_rebuilt_arena() {
         let g = directed_cycle(16);
         let mut engine = MaintenanceEngine::new(CscIndex::build(&g, CscConfig::default()).unwrap());
         let first = engine.publish_from(None);
@@ -1453,7 +1299,7 @@ mod tests {
 
         // Rejuvenate: the rebuilt index brings its own compacted arena,
         // which the next publish shares whole.
-        engine.rejuvenate(RebuildReason::Manual).unwrap();
+        engine.rejuvenate().unwrap();
         let third = engine.publish_from(Some(&second));
         assert_eq!(third.total_entries(), engine.index().total_entries());
         let arena = third.labels();
@@ -1520,7 +1366,7 @@ mod tests {
     fn into_index_abandons_rebuild_without_losing_writes() {
         let g = directed_cycle(7);
         let mut engine = MaintenanceEngine::new(CscIndex::build(&g, CscConfig::default()).unwrap());
-        engine.begin_rejuvenation(RebuildReason::Manual).unwrap();
+        engine.begin_rejuvenation().unwrap();
         engine.step(1).unwrap();
         engine.insert_edge(VertexId(3), VertexId(0)).unwrap();
         let index = engine.into_index();
@@ -1536,7 +1382,7 @@ mod tests {
     fn empty_graph_rejuvenates() {
         let g = DiGraph::new(0);
         let mut engine = MaintenanceEngine::new(CscIndex::build(&g, CscConfig::default()).unwrap());
-        let report = engine.rejuvenate(RebuildReason::Manual).unwrap();
+        let report = engine.rejuvenate().unwrap();
         assert_eq!(report.entries_after, 0);
         assert_eq!(engine.status(), MaintenanceStatus::Serving);
     }
@@ -1980,7 +1826,7 @@ mod tests {
     fn queued_writes_survive_a_crash_through_the_wal() {
         let dir = temp_dir("queued");
         let mut engine = durable_engine(&dir, 1000);
-        engine.begin_rejuvenation(RebuildReason::Manual).unwrap();
+        engine.begin_rejuvenation().unwrap();
         engine.step(2).unwrap();
         assert!(engine.is_rebuilding());
         // Logged *and* queued — applied to no index yet.
@@ -2053,7 +1899,7 @@ mod tests {
     fn non_durable_recover_in_place_rebuilds_and_replays_the_queue() {
         let g = gnm(14, 36, 4);
         let mut engine = MaintenanceEngine::new(CscIndex::build(&g, CscConfig::default()).unwrap());
-        engine.begin_rejuvenation(RebuildReason::Manual).unwrap();
+        engine.begin_rejuvenation().unwrap();
         engine.step(1).unwrap();
         let nv = engine.add_vertex().unwrap();
         engine.insert_edge(VertexId(0), nv).unwrap();
@@ -2074,7 +1920,7 @@ mod tests {
     fn attach_durability_is_refused_mid_rejuvenation() {
         let g = directed_cycle(8);
         let mut engine = MaintenanceEngine::new(CscIndex::build(&g, CscConfig::default()).unwrap());
-        engine.begin_rejuvenation(RebuildReason::Manual).unwrap();
+        engine.begin_rejuvenation().unwrap();
         let dir = temp_dir("mid-rebuild");
         let err = engine.attach_durability(&dir).unwrap_err();
         assert!(matches!(err, CscError::Config(_)), "{err:?}");

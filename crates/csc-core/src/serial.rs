@@ -24,7 +24,7 @@
 //! | 1   | header   | n `u32`, m `u64` |
 //! | 2   | edges    | (`u32`, `u32`) × m |
 //! | 3   | ranks    | `vertex_at[rank]` `u32` × 2n |
-//! | 4   | config   | ordering, update strategy, retired inverted-index flag, snapshot interval, rebuild policy, durability knobs, parallelism width, retired guard slots, I/O retry |
+//! | 4   | config   | ordering, update strategy, retired inverted-index flag, snapshot interval, retired rebuild policy, durability knobs, parallelism width, retired guard slots, I/O retry |
 //! | 5   | baseline | entries ×3 `u64`, vertices `u32`, rejuvenations `u32` |
 //! | 6   | labels   | per original vertex `v`, `L_out(v_o)` then `L_in(v_i)`: len `u32`, entries `u64` × len |
 //!
@@ -83,7 +83,7 @@ use crate::config::{CscConfig, DurabilityConfig, FsyncPolicy, ParallelismConfig,
 use crate::crc::crc32;
 use crate::error::CscError;
 use crate::guard::RetryPolicy;
-use crate::health::{HealthBaseline, RebuildPolicy};
+use crate::health::HealthBaseline;
 use crate::index::CscIndex;
 use crate::reduction::{query_lists, CopyRule};
 use crate::stats::IndexStats;
@@ -104,6 +104,12 @@ const TAG_RANKS: u8 = 3;
 const TAG_CONFIG: u8 = 4;
 const TAG_BASELINE: u8 = 5;
 const TAG_LABELS: u8 = 6;
+
+/// The config payload's retired rebuild policy, at offsets 15..28: its
+/// growth threshold (`u32`), the dead-space threshold retired before it
+/// (`u32`), its churn threshold (`u32`) and its auto flag (`u8`). Written
+/// as the old defaults (growth 200, the rest 0), skipped on load.
+const RETIRED_POLICY: [u8; 13] = [200, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
 
 /// The config payload's retired memory budget (`u64`), overload policy
 /// (`u8`) and queue watermarks (two `u32`s), which lead the I/O retry
@@ -389,12 +395,7 @@ impl CscIndex {
             // load.
             b.put_u8(1);
             b.put_u32_le(snapshot_every);
-            b.put_u32_le(c.rebuild.max_growth_percent);
-            // The retired dead-space threshold: written as 0, ignored on
-            // load.
-            b.put_u32_le(0);
-            b.put_u32_le(c.rebuild.max_churned_vertices);
-            b.put_u8(c.rebuild.auto as u8);
+            b.put_slice(&RETIRED_POLICY);
             let (ftag, farg) = fsync_tag(c.durability.fsync);
             b.put_u8(ftag);
             b.put_u32_le(farg);
@@ -565,13 +566,7 @@ impl CscIndex {
         };
         p.advance(1); // the retired inverted-index flag
         let snapshot_every = p.get_u32_le() as usize;
-        let max_growth_percent = p.get_u32_le();
-        p.advance(4); // the retired dead-space threshold
-        let rebuild = RebuildPolicy {
-            max_growth_percent,
-            max_churned_vertices: p.get_u32_le(),
-            auto: p.get_u8() != 0,
-        };
+        p.advance(RETIRED_POLICY.len());
         let ftag = p.get_u8();
         let farg = p.get_u32_le();
         let mut durability = DurabilityConfig {
@@ -614,7 +609,6 @@ impl CscIndex {
             order: order_from_tag(tag, seed, samples)?,
             update_strategy: strategy,
             snapshot_every,
-            rebuild,
             durability,
             parallelism,
         };
@@ -774,23 +768,16 @@ mod tests {
 
     #[test]
     fn roundtrip_churned_then_rejuvenated_index() {
-        use crate::health::{RebuildPolicy, RebuildReason};
         use crate::maintain::MaintenanceEngine;
 
         let g = gnm(20, 60, 9);
-        let config = CscConfig::default().with_rebuild_policy(
-            RebuildPolicy::default()
-                .with_growth_percent(180)
-                .with_churned_vertices(50)
-                .with_auto(true),
-        );
-        let mut engine = MaintenanceEngine::new(CscIndex::build(&g, config).unwrap());
+        let mut engine = MaintenanceEngine::new(CscIndex::build(&g, CscConfig::default()).unwrap());
         for k in 0..3u32 {
             let nv = engine.add_vertex().unwrap();
             engine.insert_edge(VertexId(k), nv).unwrap().unwrap();
             engine.insert_edge(nv, VertexId(k + 4)).unwrap().unwrap();
         }
-        engine.rejuvenate(RebuildReason::Manual).unwrap();
+        engine.rejuvenate().unwrap();
         // Post-rejuvenation churn, so the persisted baseline differs from
         // the current state — a real mid-life index.
         let nv = engine.add_vertex().unwrap();
@@ -930,8 +917,10 @@ mod tests {
     fn checkpoints_holding_the_retired_guard_knobs_still_load() {
         // Writers before the guards' removal stored a memory budget, an
         // overload policy with its watermarks, and a dead-space threshold
-        // in the config payload. A checkpoint holding non-default values
-        // there loads as if they were zero, and re-encodes with zeros.
+        // in the config payload; writers before the rebuild policy's
+        // removal stored its growth and churn thresholds and auto flag. A
+        // checkpoint holding non-default values there loads as if they
+        // were the defaults, and re-encodes with the defaults.
         let retry = RetryPolicy::new(5, Duration::from_micros(300), Duration::from_millis(9));
         let g = gnm(40, 160, 3);
         let idx = CscIndex::build(&g, CscConfig::default().with_io_retry(retry)).unwrap();
@@ -946,23 +935,37 @@ mod tests {
         let payload = off + 13;
         // Payload offsets: the dead-space threshold at 19, then the memory
         // budget, the policy byte and the two watermarks at 51..68.
-        let mut old = bytes.clone();
-        old[payload + 19..payload + 23].copy_from_slice(&40u32.to_le_bytes());
-        old[payload + 51..payload + 59].copy_from_slice(&(64u64 << 20).to_le_bytes());
-        old[payload + 59] = 1; // Reject
-        old[payload + 60..payload + 64].copy_from_slice(&512u32.to_le_bytes());
-        old[payload + 64..payload + 68].copy_from_slice(&128u32.to_le_bytes());
-        let crc = crc32(&old[payload..payload + len]);
-        old[off + 9..off + 13].copy_from_slice(&crc.to_le_bytes());
-        assert_ne!(old, bytes);
+        let guards: &[(usize, &[u8])] = &[
+            (19, &40u32.to_le_bytes()),
+            (51, &(64u64 << 20).to_le_bytes()),
+            (59, &[1]), // Reject
+            (60, &512u32.to_le_bytes()),
+            (64, &128u32.to_le_bytes()),
+        ];
+        // The rebuild policy: a growth threshold of 50 at 15 (which the
+        // old decoder refused), churn 7 at 23, auto on at 27.
+        let policy: &[(usize, &[u8])] = &[
+            (15, &50u32.to_le_bytes()),
+            (23, &7u32.to_le_bytes()),
+            (27, &[1]),
+        ];
+        for patches in [guards, policy] {
+            let mut old = bytes.clone();
+            for &(at, value) in patches {
+                old[payload + at..payload + at + value.len()].copy_from_slice(value);
+            }
+            let crc = crc32(&old[payload..payload + len]);
+            old[off + 9..off + 13].copy_from_slice(&crc.to_le_bytes());
+            assert_ne!(old, bytes);
 
-        let back = CscIndex::from_bytes(&old).unwrap();
-        assert_eq!(back.config(), idx.config());
-        assert_eq!(back.config().durability.io_retry, retry);
-        for v in g.vertices() {
-            assert_eq!(back.query(v), idx.query(v), "SCCnt({v})");
+            let back = CscIndex::from_bytes(&old).unwrap();
+            assert_eq!(back.config(), idx.config());
+            assert_eq!(back.config().durability.io_retry, retry);
+            for v in g.vertices() {
+                assert_eq!(back.query(v), idx.query(v), "SCCnt({v})");
+            }
+            assert_eq!(back.to_bytes().unwrap().to_vec(), bytes, "defaults again");
         }
-        assert_eq!(back.to_bytes().unwrap().to_vec(), bytes, "zeros again");
     }
 
     #[test]
@@ -984,8 +987,8 @@ mod tests {
         let idx = CscIndex::build(&figure2(), CscConfig::default()).unwrap();
         let mut bytes = idx.to_bytes().unwrap().to_vec();
         // Walk the framing to the config section, patch
-        // rebuild.max_growth_percent (offset 15 in its payload) to a
-        // degenerate 50%, and re-checksum so only validation can object.
+        // durability.checkpoint_every (offset 33 in its payload) to a
+        // degenerate 0, and re-checksum so only validation can object.
         let mut off = 16;
         for _ in 0..3 {
             let len = u64::from_le_bytes(bytes[off + 1..off + 9].try_into().unwrap());
@@ -993,8 +996,8 @@ mod tests {
         }
         assert_eq!(bytes[off], TAG_CONFIG);
         let len = u64::from_le_bytes(bytes[off + 1..off + 9].try_into().unwrap()) as usize;
-        let field = off + 13 + 15;
-        bytes[field..field + 4].copy_from_slice(&50u32.to_le_bytes());
+        let field = off + 13 + 33;
+        bytes[field..field + 4].copy_from_slice(&0u32.to_le_bytes());
         let crc = crc32(&bytes[off + 13..off + 13 + len]);
         bytes[off + 9..off + 13].copy_from_slice(&crc.to_le_bytes());
         assert!(matches!(

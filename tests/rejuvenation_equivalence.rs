@@ -2,9 +2,10 @@
 //! that rejuvenates — with further updates landing *mid-rebuild* in the
 //! write-ahead replay queue — must answer every `dist_count`, `SCCnt`,
 //! and `girth` query identically to a `CscIndex::build` from scratch on
-//! the final graph. Both the raw `MaintenanceEngine` state machine and
-//! the `ConcurrentIndex` facade (snapshot publication included) are
-//! exercised.
+//! the final graph, and so must one that abandons the rebuild while those
+//! updates are still queued. Both the raw `MaintenanceEngine` state
+//! machine and the `ConcurrentIndex` facade (snapshot publication
+//! included) are exercised.
 
 use csc::graph::generators;
 use csc::graph::traversal::shortest_cycle_oracle;
@@ -142,7 +143,7 @@ fn rejuvenation_migrates_degree_index_to_coverage_order() {
         ),
         "set_order takes effect immediately in config"
     );
-    engine.begin_rejuvenation(RebuildReason::Manual).unwrap();
+    engine.begin_rejuvenation().unwrap();
     while engine.step(16).unwrap() != MaintenanceStatus::Serving {}
 
     assert_equivalent(engine.index(), "coverage migration");
@@ -168,7 +169,7 @@ fn a_deep_replay_queue_keeps_every_acknowledged_write() {
     let g = generators::gnm(40, 120, 5);
     let n0 = g.vertex_count() as u32;
     let mut engine = MaintenanceEngine::new(CscIndex::build(&g, CscConfig::default()).unwrap());
-    engine.begin_rejuvenation(RebuildReason::Manual).unwrap();
+    engine.begin_rejuvenation().unwrap();
     engine.step(1).unwrap();
 
     let mut want = g.clone();
@@ -223,6 +224,7 @@ proptest! {
         churn in arb_script(18),
         tail in arb_script(10),
         chunk in 1usize..9,
+        finish in any::<bool>(),
     ) {
         let g = generators::gnm(n, n * 2, seed);
         let churn_updates = resolve(&g, &churn);
@@ -232,7 +234,7 @@ proptest! {
 
         // Rejuvenate, injecting the tail mid-rebuild: it lands in the
         // write-ahead replay queue, not on the old labels.
-        engine.begin_rejuvenation(RebuildReason::Manual).unwrap();
+        engine.begin_rejuvenation().unwrap();
         engine.step(chunk).unwrap();
         let tail_updates = resolve(&engine.index().original_graph(), &tail);
         for &u in &tail_updates {
@@ -250,10 +252,17 @@ proptest! {
         }
         prop_assert!(engine.is_rebuilding());
         prop_assert_eq!(engine.health().replay_queued, tail_updates.len());
-        while engine.step(chunk).unwrap() != MaintenanceStatus::Serving {}
-
-        prop_assert_eq!(engine.health().rejuvenations, 1);
-        assert_equivalent(engine.index(), "engine");
+        if finish {
+            while engine.step(chunk).unwrap() != MaintenanceStatus::Serving {}
+            prop_assert_eq!(engine.health().rejuvenations, 1);
+            assert_equivalent(engine.index(), "engine");
+        } else {
+            // Abandon with the tail still queued: the old labels stay,
+            // and the queue replays onto them.
+            let index = engine.into_index();
+            prop_assert_eq!(index.health().rejuvenations, 0);
+            assert_equivalent(&index, "abandoned");
+        }
     }
 
     #[test]
